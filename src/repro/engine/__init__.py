@@ -1,16 +1,16 @@
-"""Recalculation engines built on formula graphs.
+"""Recalculation on formula graphs: one engine, :class:`RecalcEngine`,
+and two choices about *when* work happens.
 
-Three execution models over the same graph interface:
-
-* :class:`RecalcEngine` — synchronous per-edit updates: graph
-  maintenance, a dependents BFS, and a topological re-evaluation per
-  edit (the paper's motivating application, Sec. I);
-* :class:`~repro.engine.batch.BatchEditSession` — the batched pipeline:
-  edits coalesce, maintenance and recalculation are paid once per
-  commit (open one with ``engine.begin_batch()``);
-* :class:`AsyncRecalcEngine` — DataSpread-style deferred execution:
-  updates return at the control-return point, recomputation is pumped
-  in steps.
+* Per edit or per burst — ``set_value`` / ``set_formula`` /
+  ``clear_cell`` pay graph maintenance, a dependents BFS and a
+  topological ordering per edit (the paper's motivating application,
+  Sec. I); :class:`~repro.engine.batch.BatchEditSession`
+  (``engine.begin_batch()``) coalesces a burst and pays them once.
+* Immediate or deferred — by default an update returns once its dirty
+  set is recomputed; with ``deferred=True`` (DataSpread-style) every
+  update path returns at the control-return point, dirty set marked
+  pending (:class:`UpdateTicket`), and ``step()`` / ``drain()`` execute
+  slices of the same plan afterwards.
 
 Structural edits (row/column inserts and deletes) run through
 :mod:`repro.engine.structural`: ``engine.insert_rows(...)`` and friends
@@ -23,7 +23,6 @@ fsync'd write-ahead log; :func:`recover` (surfaced as
 ``Workbook.restore``) replays it onto a snapshot after a crash.
 """
 
-from .async_engine import AsyncRecalcEngine, CellView, UpdateTicket
 from .batch import BatchEditSession, BatchResult
 from .journal import (
     Journal,
@@ -33,13 +32,18 @@ from .journal import (
     recover,
 )
 from .parallel import shutdown_pools
-from .recalc import CircularReferenceError, RecalcEngine, RecalcResult
+from .recalc import (
+    CellView,
+    CircularReferenceError,
+    RecalcEngine,
+    RecalcResult,
+    UpdateTicket,
+)
 from .scenario import ScenarioEngine
 from .shard import ShardRuntime
 from .structural import StructuralEditResult, apply_structural_edit
 
 __all__ = [
-    "AsyncRecalcEngine",
     "BatchEditSession",
     "BatchResult",
     "CellView",

@@ -1,268 +1,35 @@
-"""Asynchronous recalculation, after DataSpread's execution model.
+"""Compatibility spelling of the deferred engine.
 
-The paper's host system (Sec. I, VI-A) returns control to the user as
-soon as the dependents of an update have been *identified and hidden*;
-the actual recomputation happens asynchronously.  Finding dependents is
-therefore on the critical path — the very operation TACO accelerates.
-
-:class:`AsyncRecalcEngine` models that lifecycle without threads: an
-update marks its dependent formula cells dirty and returns immediately
-(the control-return point); :meth:`step` then pumps the background
-computation a bounded number of cells at a time, always evaluating a
-cell whose dirty precedents have already been resolved.  Reads of dirty
-cells report their staleness, which is what a UI uses to grey cells out.
+Deferral — the paper's control-return model (Sec. I, VI-A): an update
+returns once its dependents are *identified and marked*, recomputation
+is pumped afterwards — is a mode of
+:class:`~repro.engine.recalc.RecalcEngine` (``deferred=True``), not a
+second engine.  This module keeps the older names importable for
+callers that predate that (``benchmarks/ledger`` among them); new code
+should construct ``RecalcEngine(sheet, graph, deferred=True)``.
 """
 
 from __future__ import annotations
 
-import time
-from typing import NamedTuple
-
-from ..core.taco_graph import TacoGraph, dependencies_column_major
-from ..formula.compile import CompilingEvaluator
-from ..graphs.base import FormulaGraph, expand_cells
-from ..grid.range import Range
-from ..sheet.sheet import Dependency, Sheet, SheetResolver
+from ..graphs.base import FormulaGraph
+from ..sheet.sheet import Sheet
+from .recalc import CellView, RecalcEngine, UpdateTicket
 
 __all__ = ["AsyncRecalcEngine", "UpdateTicket", "CellView"]
 
 
-class UpdateTicket(NamedTuple):
-    """What the user gets back immediately after an update.
-
-    ``dirty_count`` is *this update's own* dirty set — the formula
-    cells this edit marked stale (including the edited cell itself for
-    a formula edit).  ``pending`` is the engine-wide total still
-    awaiting recomputation, which also counts carry-over from earlier
-    updates that have not been pumped yet.
-    """
-
-    dirty_ranges: list[Range]
-    dirty_count: int
-    control_return_seconds: float
-    pending: int = 0
-
-
-class CellView(NamedTuple):
-    """A read of a cell under the asynchronous model."""
-
-    value: object
-    is_dirty: bool
-
-
-class AsyncRecalcEngine:
-    """A sheet whose recomputation is decoupled from updates."""
+class AsyncRecalcEngine(RecalcEngine):
+    """``RecalcEngine(sheet, graph, evaluation=..., deferred=True)``."""
 
     def __init__(
         self, sheet: Sheet, graph: FormulaGraph | None = None, *,
         evaluation: str = "auto",
     ):
-        if evaluation not in ("auto", "interpreter"):
-            raise ValueError(f"unknown evaluation mode {evaluation!r}")
-        self.sheet = sheet
-        if graph is None:
-            graph = TacoGraph.full()
-            graph.build(dependencies_column_major(sheet))
-        self.graph = graph
-        self.evaluation = evaluation
-        self.cell_evaluator = CompilingEvaluator(SheetResolver(sheet))
-        self.eval_stats = self.cell_evaluator.stats
-        self.evaluator = self.cell_evaluator.interpreter
-        self._dirty: set[tuple[int, int]] = set()
-
-    # -- the critical path -----------------------------------------------------
-
-    def set_value(self, target, value) -> UpdateTicket:
-        """Apply an update; returns once the dirty set is known.
-
-        Overwriting a formula cell with a value clears the cell's own
-        dependencies from the graph (same contract as the synchronous
-        engine): stale edges would otherwise keep reporting phantom
-        dirty cells forever.
-        """
-        start = time.perf_counter()
-        pos = self._position(target)
-        cell_range = Range.cell(*pos)
-        previous = self.sheet.cell_at(pos)
-        if previous is not None and previous.is_formula:
-            self.graph.clear_cells(cell_range)
-            self._dirty.discard(pos)
-        self.sheet.set_value(pos, value)
-        dirty_ranges = self.graph.find_dependents(cell_range)
-        marked = self._mark_dirty(dirty_ranges)
-        elapsed = time.perf_counter() - start
-        return UpdateTicket(dirty_ranges, len(marked), elapsed, len(self._dirty))
-
-    def set_formula(self, target, text: str) -> UpdateTicket:
-        """Rewire a formula cell; returns once its dependents are marked.
-
-        Graph maintenance (clear + insert, Sec. IV-C) plus one
-        dependents BFS — the same control-return critical path as
-        :meth:`set_value`, with maintenance cost proportional to the
-        compressed edges touched, not the raw dependencies.
-        """
-        start = time.perf_counter()
-        pos = self._position(target)
-        cell_range = Range.cell(*pos)
-        self.graph.clear_cells(cell_range)
-        self.sheet.set_formula(pos, text)
-        cell = self.sheet.cell_at(pos)
-        for ref in cell.references:
-            if ref.sheet is not None and ref.sheet != self.sheet.name:
-                continue
-            self.graph.add_dependency(Dependency(ref.range, cell_range, ref.cue))
-        dirty_ranges = self.graph.find_dependents(cell_range)
-        marked = self._mark_dirty(dirty_ranges)
-        marked.add(pos)
-        self._dirty.add(pos)
-        elapsed = time.perf_counter() - start
-        return UpdateTicket(dirty_ranges, len(marked), elapsed, len(self._dirty))
-
-    def clear_cell(self, target) -> UpdateTicket:
-        """Erase a cell; returns once its dependents are marked.
-
-        Same clear-graph-then-find-dependents contract as
-        ``RecalcEngine.clear_cell``: the cell's own dependency edges are
-        removed before the dependents BFS, so the cleared cell stops
-        feeding phantom dirty edges, while everything that read it gets
-        marked for recomputation.
-        """
-        start = time.perf_counter()
-        pos = self._position(target)
-        cell_range = Range.cell(*pos)
-        self.graph.clear_cells(cell_range)
-        self._dirty.discard(pos)
-        self.sheet.clear_cell(pos)
-        dirty_ranges = self.graph.find_dependents(cell_range)
-        marked = self._mark_dirty(dirty_ranges)
-        elapsed = time.perf_counter() - start
-        return UpdateTicket(dirty_ranges, len(marked), elapsed, len(self._dirty))
+        super().__init__(sheet, graph, evaluation=evaluation, deferred=True)
 
     def note_external_dirty(self, dirty_ranges) -> int:
-        """Mark formula cells in ``dirty_ranges`` stale without an edit.
-
-        Integration hook for callers that mutate the sheet through a
-        sibling engine over the same sheet+graph (batch commits,
-        structural edits) and need this engine's deferred pump to pick
-        up the fallout.  Returns how many formula cells were marked.
-        """
-        return len(self._mark_dirty(list(dirty_ranges)))
-
-    def _mark_dirty(self, dirty_ranges: list[Range]) -> set[tuple[int, int]]:
-        marked: set[tuple[int, int]] = set()
-        for pos in expand_cells(dirty_ranges):
-            if self.sheet.formula_at(pos) is not None:
-                marked.add(pos)
-        self._dirty.update(marked)
-        return marked
-
-    @staticmethod
-    def _position(target) -> tuple[int, int]:
-        from ..sheet.sheet import _coerce_pos
-
-        return _coerce_pos(target)
-
-    # -- the background pump -----------------------------------------------------
-
-    @property
-    def pending(self) -> int:
-        """Number of formula cells still awaiting recomputation."""
-        return len(self._dirty)
-
-    def is_dirty(self, target) -> bool:
-        """Whether a cell still awaits recomputation (O(1))."""
-        return self._position(target) in self._dirty
-
-    def read(self, target) -> CellView:
-        """Read a cell as the UI would: value plus staleness flag."""
-        pos = self._position(target)
-        return CellView(self.sheet.get_value(pos), pos in self._dirty)
-
-    def step(self, max_cells: int = 64) -> int:
-        """Recompute up to ``max_cells`` ready dirty cells; returns how
-        many were computed.
-
-        A cell is *ready* when none of its referenced cells is dirty.
-        Each step scans the dirty set once, so a long chain drains over
-        several steps — the asynchronous, incremental behaviour the
-        model is about.
-        """
-        computed = 0
-        while computed < max_cells and self._dirty:
-            before = len(self._dirty)
-            ready = self._pick_ready(max_cells - computed)
-            if not ready:
-                if len(self._dirty) < before:
-                    # The scan only dropped vanished cells; cells that
-                    # looked blocked on them deserve a fresh pick.
-                    continue
-                # Only cycles remain: surface them as #CYCLE! and stop.
-                from ..formula.errors import CYCLE_ERROR
-
-                for pos in self._dirty:
-                    cell = self.sheet.formula_at(pos)
-                    if cell is not None:
-                        cell.value = CYCLE_ERROR
-                self._dirty.clear()
-                break
-            for pos in ready:
-                cell = self.sheet.formula_at(pos)
-                if cell is None:
-                    # Vanished between the pick and the evaluation
-                    # (cleared or overwritten with a plain value).
-                    self._dirty.discard(pos)
-                    continue
-                if self.evaluation == "auto":
-                    cell.value = self.cell_evaluator.evaluate_cell(
-                        cell, self.sheet.name, pos[0], pos[1]
-                    )
-                else:
-                    cell.value = self.cell_evaluator.interpret_cell(
-                        cell, self.sheet.name, pos[0], pos[1]
-                    )
-                self._dirty.discard(pos)
-                computed += 1
-        return computed
-
-    def drain(self, batch: int = 256) -> int:
-        """Run steps until nothing is dirty; returns total cells computed."""
-        total = 0
-        while self._dirty:
-            done = self.step(batch)
-            total += done
-            if done == 0:
-                break
-        return total
-
-    def _pick_ready(self, limit: int) -> list[tuple[int, int]]:
-        ready: list[tuple[int, int]] = []
-        vanished: list[tuple[int, int]] = []
-        for pos in self._dirty:
-            cell = self.sheet.formula_at(pos)
-            if cell is None:
-                # The cell was cleared (or demoted to a plain value)
-                # through a path that does not maintain the dirty set,
-                # e.g. Sheet.clear_range.  There is nothing to compute:
-                # drop it instead of handing step() a dead position.
-                vanished.append(pos)
-                continue
-            blocked = False
-            for ref in cell.references:
-                if ref.sheet is not None and ref.sheet != self.sheet.name:
-                    continue
-                rng = ref.range
-                if rng.size <= len(self._dirty):
-                    if any(p in self._dirty and p != pos for p in rng.cells()):
-                        blocked = True
-                        break
-                else:
-                    if any(rng.contains_cell(*p) and p != pos for p in self._dirty):
-                        blocked = True
-                        break
-            if not blocked:
-                ready.append(pos)
-                if len(ready) >= limit:
-                    break
-        for pos in vanished:
-            self._dirty.discard(pos)
-        return ready
+        """Mark the formula cells of ``dirty_ranges`` pending after a
+        sibling engine over the same sheet + graph mutated it; returns
+        how many were marked.  (One engine needs no such hand-off: a
+        deferred engine's own :meth:`recompute` is this.)"""
+        return self.recompute(dirty_ranges)

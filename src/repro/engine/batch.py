@@ -55,8 +55,10 @@ from typing import NamedTuple
 
 from ..core import maintain
 from ..core.query import dependents_of_seeds
+from ..formula.parser import parse_formula
 from ..grid.range import Range
 from ..grid.rangeset import merge_ranges
+from ..io.snapshot import encode_value
 from ..sheet.sheet import Dependency
 from .recalc import RecalcEngine
 from .structural import apply_structural_edit, shift_dirty_ranges
@@ -249,22 +251,18 @@ class BatchEditSession:
         engine = self.engine
         sheet = engine.sheet
         getattr(sheet, "_open_batches", set()).discard(self)
-        if getattr(engine, "journal", None) is not None:
-            # Journaled commits must be fully representable and
-            # replayable; validate every buffered value and formula
-            # *before* applying anything, so a mid-commit failure cannot
-            # leave live state the journal never recorded.  (Parses are
-            # memoised, so the apply step below pays nothing extra.)
-            from ..formula.parser import parse_formula
-            from ..io.snapshot import encode_value
-
-            for _, (kind, payload) in self._pending.items():
-                if kind == _VALUE:
-                    encode_value(payload)
-                elif kind == _FORMULA:
-                    parse_formula(
-                        payload[1:] if payload.startswith("=") else payload
-                    )
+        # Validate every buffered edit *before* applying anything, so a
+        # failure cannot leave the batch half-applied (or, journaled, live
+        # state the journal never recorded).  Formulas always — they parse
+        # lazily, i.e. only after the sheet and graph were already touched
+        # (memoised, so the apply step below pays nothing extra); values
+        # only against a journal, whose record format they must fit.
+        journaled = engine.journal is not None
+        for kind, payload in self._pending.values():
+            if kind == _FORMULA:
+                parse_formula(payload)
+            elif kind == _VALUE and journaled:
+                encode_value(payload)
         start = time.perf_counter()
 
         # 0. Structural edits (always recorded before cell edits) are

@@ -19,6 +19,11 @@ Circular references discovered while ordering the dirty set raise
 :class:`CircularReferenceError` carrying one offending cell chain; the
 cells trapped in or downstream of cycles are marked ``#CYCLE!`` first,
 so the sheet is left explicit about what could not be computed.
+
+The paper's host (Sec. I, VI-A) hands control back *between* finding
+the dependents and recomputing them: ``RecalcEngine(..., deferred=True)``
+stops every update at that point (:class:`UpdateTicket`) and
+:meth:`RecalcEngine.step` recomputes afterwards, in bounded slices.
 """
 
 from __future__ import annotations
@@ -31,15 +36,23 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from ..core.taco_graph import TacoGraph, dependencies_column_major
 from ..formula.compile import CompilingEvaluator, TemplateRegistry
 from ..formula.errors import CYCLE_ERROR
+from ..formula.parser import parse_formula
 from ..graphs.base import FormulaGraph, expand_cells
 from ..grid.range import Range
-from ..sheet.sheet import Dependency, Sheet, SheetResolver
+from ..io.snapshot import encode_value
+from ..sheet.sheet import Dependency, Sheet, SheetResolver, _coerce_pos
 from . import lookup, vectorized
 
 if TYPE_CHECKING:  # pragma: no cover
     from .batch import BatchEditSession
 
-__all__ = ["CircularReferenceError", "RecalcEngine", "RecalcResult"]
+__all__ = [
+    "CellView",
+    "CircularReferenceError",
+    "RecalcEngine",
+    "RecalcResult",
+    "UpdateTicket",
+]
 
 
 class CircularReferenceError(RuntimeError):
@@ -130,6 +143,29 @@ class RecalcResult(NamedTuple):
     total_seconds: float
 
 
+class UpdateTicket(NamedTuple):
+    """What a deferred engine hands back at the control-return point.
+
+    ``dirty_count`` is *this update's own* dirty set — the formula
+    cells this edit marked stale (including the edited cell itself for
+    a formula edit).  ``pending`` is the engine-wide total still
+    awaiting recomputation, which also counts carry-over from earlier
+    updates that have not been pumped yet.
+    """
+
+    dirty_ranges: list[Range]
+    dirty_count: int
+    control_return_seconds: float
+    pending: int = 0
+
+
+class CellView(NamedTuple):
+    """A read of a cell under the deferred model."""
+
+    value: object
+    is_dirty: bool
+
+
 class RecalcEngine:
     """A sheet, its formula graph, and an evaluator, kept in sync.
 
@@ -137,7 +173,8 @@ class RecalcEngine:
     returns, the graph's decompressed dependency set equals exactly the
     references of the sheet's formula cells (restricted to this sheet),
     and every formula cell whose value could have changed has been
-    re-evaluated.
+    re-evaluated — or, on a ``deferred=True`` engine, is counted in
+    :attr:`pending` until :meth:`step` / :meth:`drain` gets to it.
     """
 
     def __init__(
@@ -153,10 +190,19 @@ class RecalcEngine:
         parallel_min_dirty: int | None = None,
         lookup_indexes: bool | None = None,
         shards: int | None = None,
+        deferred: bool = False,
     ):
         if evaluation not in ("auto", "interpreter"):
             raise ValueError(f"unknown evaluation mode {evaluation!r}")
         self.sheet = sheet
+        #: ``False`` — every update settles its dirty set before it
+        #: returns; ``True`` — updates return at the control-return point
+        #: with their dirty set added to the pending backlog.
+        self.deferred = deferred
+        self._pending: set[tuple[int, int]] = set()
+        #: The backlog's execution plan as a stack (next node last), or
+        #: ``None`` when the next :meth:`step` has to build one.
+        self._plan: list | None = None
         #: Optional :class:`~repro.engine.journal.Journal`: every committed
         #: mutation (cell edit, batch commit, structural op) appends one
         #: durable record before dependents are recomputed.
@@ -226,6 +272,9 @@ class RecalcEngine:
         """
         engine = cls.__new__(cls)
         engine.sheet = sheet
+        engine.deferred = False
+        engine._pending = set()
+        engine._plan = None
         engine.journal = None
         engine.graph = None
         engine.evaluation = evaluation
@@ -243,81 +292,62 @@ class RecalcEngine:
     # -- full recomputation ----------------------------------------------------
 
     def recalculate_all(self) -> int:
-        """Evaluate every formula cell from scratch, in dependency order."""
+        """Evaluate every formula cell from scratch, in dependency order
+        (at once even on a deferred engine, whose backlog it settles)."""
+        self._pending.clear()
+        self._plan = None
         cells = [pos for pos, _ in self.sheet.formula_cells()]
         return self._evaluate_in_order(set(cells))
 
     # -- updates ------------------------------------------------------------------
 
-    def set_value(self, target, value) -> RecalcResult:
+    def set_value(self, target, value) -> "RecalcResult | UpdateTicket":
         """Change a pure value and refresh its dependents.
 
         Overwriting a formula cell with a value also clears the cell's
         dependencies from the graph — otherwise stale edges would keep
         reporting dependents of a formula that no longer exists.
         """
-        start = time.perf_counter()
-        pos = self._position(target)
-        if self.journal is not None:
-            # Journaled values must be representable in the record format;
-            # validating *before* any mutation keeps the sheet and the
-            # journal from diverging when they are not.
-            from ..io.snapshot import encode_value
+        return self._edit(target, "value", value)
 
-            encode_value(value)
-        cell_range = Range.cell(*pos)
-        self.apply_cell_mutation(pos, "value", value)
-        if self.journal is not None:
-            self.journal.record_cell(self.sheet.name, "value", pos, value)
-        dirty_ranges = self.graph.find_dependents(cell_range)
-        control_return = time.perf_counter() - start
-        recomputed = self.recompute(dirty_ranges)
-        total = time.perf_counter() - start
-        return RecalcResult(
-            dirty_ranges, sum(r.size for r in dirty_ranges), recomputed,
-            control_return, total,
-        )
+    def set_formula(self, target, text: str) -> "RecalcResult | UpdateTicket":
+        """Change a formula: maintain the graph (clear + insert, Sec.
+        IV-C), then refresh the cell and its dependents."""
+        return self._edit(target, "formula", text)
 
-    def set_formula(self, target, text: str) -> RecalcResult:
-        """Change a formula: maintain the graph, then refresh dependents."""
-        start = time.perf_counter()
-        pos = self._position(target)
-        if self.journal is not None:
-            # Parse *before* any mutation (memoised, so the later parse is
-            # free): an unparseable formula would otherwise fail mid-edit
-            # after the graph was already cleared, with no journal record
-            # — leaving live state the journal cannot reproduce.
-            from ..formula.parser import parse_formula
-
-            parse_formula(text[1:] if text.startswith("=") else text)
-        cell_range = Range.cell(*pos)
-        self.apply_cell_mutation(pos, "formula", text)
-        if self.journal is not None:
-            cell = self.sheet.cell_at(pos)
-            self.journal.record_cell(self.sheet.name, "formula", pos, cell.formula_text)
-        dirty_ranges = self.graph.find_dependents(cell_range)
-        control_return = time.perf_counter() - start
-        recomputed = self.recompute(dirty_ranges, extra={pos})
-        total = time.perf_counter() - start
-        return RecalcResult(
-            dirty_ranges, sum(r.size for r in dirty_ranges), recomputed,
-            control_return, total,
-        )
-
-    def clear_cell(self, target) -> RecalcResult:
+    def clear_cell(self, target) -> "RecalcResult | UpdateTicket":
         """Erase a cell entirely and refresh its dependents."""
+        return self._edit(target, "clear", None)
+
+    def _edit(self, target, op: str, payload) -> "RecalcResult | UpdateTicket":
+        """The one point-update path: validate, mutate sheet + graph,
+        journal, find dependents, then settle them (:class:`RecalcResult`)
+        or, deferred, mark them (:class:`UpdateTicket`)."""
         start = time.perf_counter()
         pos = self._position(target)
-        cell_range = Range.cell(*pos)
-        self.apply_cell_mutation(pos, "clear", None)
+        # Validate before anything mutates.  Formulas parse lazily, so an
+        # unparseable one would otherwise fail only after the cell's graph
+        # edges were cleared and the bad text stored (the parse is
+        # memoised: the later one is free).  Values must be representable
+        # in the journal's record format, or sheet and journal diverge.
+        if op == "formula":
+            parse_formula(payload)
+        elif op == "value" and self.journal is not None:
+            encode_value(payload)
+        self.apply_cell_mutation(pos, op, payload)
         if self.journal is not None:
-            self.journal.record_cell(self.sheet.name, "clear", pos)
-        dirty_ranges = self.graph.find_dependents(cell_range)
+            if op == "formula":
+                payload = self.sheet.cell_at(pos).formula_text
+            self.journal.record_cell(self.sheet.name, op, pos, payload)
+        dirty_ranges = self.graph.find_dependents(Range.cell(*pos))
         control_return = time.perf_counter() - start
-        recomputed = self.recompute(dirty_ranges)
+        dirty = self._formula_cells(dirty_ranges, (pos,) if op == "formula" else ())
+        done = self._settle_or_mark(dirty)
         total = time.perf_counter() - start
+        if self.deferred:
+            return UpdateTicket(dirty_ranges, done, total, len(self._pending))
         return RecalcResult(
-            dirty_ranges, sum(r.size for r in dirty_ranges), recomputed,
+            dirty_ranges, sum(r.size for r in dirty_ranges), done,
             control_return, total,
         )
 
@@ -335,21 +365,17 @@ class RecalcEngine:
         value or formula text (ignored for clears).
         """
         cell_range = Range.cell(*pos)
-        shard_rt = self.shard_runtime
         if op == "value":
             previous = self.sheet.cell_at(pos)
             if previous is not None and previous.is_formula:
                 # Stale edges would keep reporting dependents of a
-                # formula that no longer exists.  A formula disappearing
-                # also invalidates resident shard ownership; plain value
-                # writes ride the version stamps and keep shards hot.
-                if shard_rt is not None:
-                    shard_rt.note_formula_change()
+                # formula that no longer exists.  Plain value writes
+                # ride the version stamps and keep shards hot.
+                self._formula_changed(pos)
                 self.graph.clear_cells(cell_range)
             self.sheet.set_value(pos, payload)
         elif op == "formula":
-            if shard_rt is not None:
-                shard_rt.note_formula_change()
+            self._formula_changed(pos)
             self.graph.clear_cells(cell_range)
             self.sheet.set_formula(pos, payload)
             cell = self.sheet.cell_at(pos)
@@ -358,12 +384,21 @@ class RecalcEngine:
                     continue
                 self.graph.add_dependency(Dependency(ref.range, cell_range, ref.cue))
         elif op == "clear":
-            if shard_rt is not None and self.sheet.formula_at(pos) is not None:
-                shard_rt.note_formula_change()
+            if self.sheet.formula_at(pos) is not None:
+                self._formula_changed(pos)
             self.graph.clear_cells(cell_range)
             self.sheet.clear_cell(pos)
         else:
             raise ValueError(f"unknown cell op {op!r}")
+
+    def _formula_changed(self, pos: tuple[int, int]) -> None:
+        """The formula at ``pos`` is about to appear, change or vanish:
+        resident shard ownership and a kept backlog plan both describe
+        the old one (a new formula is re-marked by its own edit)."""
+        if self.shard_runtime is not None:
+            self.shard_runtime.note_formula_change()
+        self._pending.discard(pos)
+        self._plan = None
 
     # -- batched editing ---------------------------------------------------------
 
@@ -415,34 +450,160 @@ class RecalcEngine:
     # -- dirty-set recomputation ---------------------------------------------------
 
     def recompute(self, dirty_ranges: Iterable[Range],
-                  extra: set[tuple[int, int]] | None = None) -> int:
+                  extra: Iterable[tuple[int, int]] | None = None) -> int:
         """Re-evaluate the formula cells of ``dirty_ranges`` in topological order.
 
         ``extra`` adds individual positions (e.g. an edited formula cell
         itself) to the dirty set.  This is the common tail of every
-        update path — per-edit or batched: callers supply whatever dirty
-        ranges their graph query produced and the engine orders and
-        evaluates only those cells.  Raises
-        :class:`CircularReferenceError` if the dirty subgraph contains a
-        dependency cycle.
+        update path that is not a point edit — batch commits, structural
+        edits, journal replay: callers supply whatever dirty ranges their
+        graph query produced and the engine orders and evaluates only
+        those cells.  Raises :class:`CircularReferenceError` if the dirty
+        subgraph contains a dependency cycle.
+
+        On a deferred engine the cells are marked pending instead and
+        the return value counts them.  Whatever the caller did to the
+        sheet first may have rewired or removed formulas behind a kept
+        backlog plan, so the plan is dropped and backlog cells that are
+        no longer formulas are forgotten.
         """
+        dirty = self._formula_cells(dirty_ranges, extra or ())
+        if self.deferred:
+            self._drop_vanished()
+            self._plan = None
+        return self._settle_or_mark(dirty)
+
+    # -- the deferred backlog -----------------------------------------------------
+
+    @property
+    def pending(self) -> int:
+        """Number of formula cells still awaiting recomputation."""
+        return len(self._pending)
+
+    def is_dirty(self, target) -> bool:
+        """Whether a cell still awaits recomputation (O(1))."""
+        return self._position(target) in self._pending
+
+    def read(self, target) -> CellView:
+        """Read a cell as the UI would: value plus staleness flag."""
+        pos = self._position(target)
+        return CellView(self.sheet.get_value(pos), pos in self._pending)
+
+    def step(self, max_cells: int = 64) -> int:
+        """Recompute the next slice of the backlog; returns how many
+        cells were computed.
+
+        The slice is cut from the plan an immediate engine would have
+        executed for the same dirty set — singles and windowed /
+        elementwise super-nodes in dependency order — with the budget
+        checked between plan nodes, so a run is never split (the count
+        may overshoot ``max_cells`` by the tail of one run).  The plan
+        is ordered once and kept across steps; only an update that adds
+        a cell to the backlog or changes a formula makes the next step
+        order it again.  Cells in or downstream of a dependency cycle
+        are assigned ``#CYCLE!`` once everything computable has been
+        computed; a deferred engine never raises for them.
+        """
+        computed = 0
+        pending = self._pending
+        while pending and computed < max_cells:
+            if self._plan is None:
+                self._drop_vanished()
+                self._plan = self._build_plan(pending, False)[0]
+                self._plan.reverse()
+                continue
+            if not self._plan:
+                # Everything orderable has run: the rest is cyclic.
+                for pos in pending:
+                    cell = self.sheet.formula_at(pos)
+                    if cell is not None:
+                        cell.value = CYCLE_ERROR
+                pending.clear()
+                break
+            node = self._plan.pop()
+            if type(node) is tuple:
+                pending.discard(node)
+                if self.sheet.formula_at(node) is None:
+                    continue    # cleared behind the engine's back since planning
+            else:
+                pending.difference_update(node.member_set)
+            computed += self._execute_plan((node,))
+        return computed
+
+    def drain(self, batch: int = 256) -> int:
+        """Run steps until nothing is pending; returns total cells computed."""
+        total = 0
+        while self._pending:
+            total += self.step(batch)
+        return total
+
+    def _drop_vanished(self) -> None:
+        """Forget backlog cells that are no longer formulas — cleared or
+        overwritten through a path that does not maintain the backlog
+        (a batch commit, ``Sheet.clear_range``, a sibling engine)."""
+        formula_at = self.sheet.formula_at
+        self._pending.difference_update(
+            [pos for pos in self._pending if formula_at(pos) is None]
+        )
+
+    # -- internals -------------------------------------------------------------------
+
+    _position = staticmethod(_coerce_pos)
+
+    def _formula_cells(self, dirty_ranges: Iterable[Range],
+                       extra: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
         formula_at = self.sheet.formula_at
         dirty = {
             pos for pos in expand_cells(dirty_ranges) if formula_at(pos) is not None
         }
-        if extra:
-            for pos in extra:
-                if formula_at(pos) is not None:
-                    dirty.add(pos)
-        return self._evaluate_in_order(dirty)
+        for pos in extra:
+            if formula_at(pos) is not None:
+                dirty.add(pos)
+        return dirty
 
-    # -- internals -------------------------------------------------------------------
+    def _settle_or_mark(self, dirty: set[tuple[int, int]]) -> int:
+        """The junction of every update path: recompute ``dirty`` now, or
+        (deferred) add it to the backlog and return at once."""
+        if not self.deferred:
+            return self._evaluate_in_order(dirty)
+        if not dirty <= self._pending:
+            self._pending |= dirty
+            self._plan = None
+        return len(dirty)
 
-    @staticmethod
-    def _position(target) -> tuple[int, int]:
-        from ..sheet.sheet import _coerce_pos
+    def _build_plan(self, dirty: set[tuple[int, int]], dispatching: bool):
+        """Order ``dirty`` for execution: ``(plan, succs, cycle)``.
 
-        return _coerce_pos(target)
+        ``plan`` lists ``(col, row)`` singles and run super-nodes in
+        dependency order.  ``succs`` is the plan's successor adjacency
+        when the super-node ordering produced it (what the partitioned
+        dispatchers need, and ask for with ``dispatching``), else
+        ``None``.  ``cycle`` is ``None`` for an acyclic dirty set;
+        otherwise ``(cyclic, preds)`` — the cells in or downstream of a
+        cycle, which ``plan`` leaves out, and the predecessor map to
+        trace one chain from.
+        """
+        if self.evaluation == "auto" and (
+            dispatching or len(dirty) >= vectorized.MIN_RUN
+        ):
+            runs, by_col, member_map = self._detect_runs(dirty)
+            # Parallel execution partitions the *plan* (super-nodes plus
+            # singles), so it needs one even when no runs were detected;
+            # for an acyclic dirty set the empty-runs plan is exactly the
+            # generic topological order.
+            if runs or dispatching:
+                plan, succs = self._order_with_runs(dirty, runs, by_col, member_map)
+                if plan is not None:
+                    return plan, succs, None
+                if dispatching:
+                    # Cycles are ordered (and marked #CYCLE!) by the
+                    # generic serial path; report the bail-out.
+                    self.eval_stats.serial_fallbacks += 1
+                    self.eval_stats.fallback_reason = "cycle"
+                # A cycle (or a self-reference) is in play somewhere: the
+                # generic cell-level ordering below owns that semantics.
+        order, cyclic, preds = self._topological_order(dirty)
+        return order, None, (cyclic, preds) if cyclic else None
 
     def _evaluate_in_order(self, dirty: set[tuple[int, int]]) -> int:
         parallel = self.parallel
@@ -451,45 +612,28 @@ class RecalcEngine:
         shard_rt = self.shard_runtime
         if shard_rt is not None and not shard_rt.eligible(len(dirty)):
             shard_rt = None
-        if self.evaluation == "auto" and (
-            parallel is not None or shard_rt is not None
-            or len(dirty) >= vectorized.MIN_RUN
-        ):
-            runs, by_col, member_map = self._detect_runs(dirty)
-            # Parallel execution partitions the *plan* (super-nodes plus
-            # singles), so it needs one even when no runs were detected;
-            # for an acyclic dirty set the empty-runs plan is exactly the
-            # generic topological order.
-            if runs or parallel is not None or shard_rt is not None:
-                plan, succs = self._order_with_runs(dirty, runs, by_col, member_map)
-                if plan is not None:
-                    # Dispatch order: resident shards, then the pooled
-                    # scheduler, then serial — each declines with None
-                    # when it has nothing to gain.
-                    if shard_rt is not None:
-                        done = shard_rt.execute(self, plan, succs)
-                        if done is not None:
-                            return done
-                    if parallel is not None:
-                        done = parallel.execute(self, plan, succs)
-                        if done is not None:
-                            return done
-                    return self._execute_plan(plan)
-                if parallel is not None or shard_rt is not None:
-                    # Cycles are ordered (and marked #CYCLE!) by the
-                    # generic serial path; report the bail-out.
-                    self.eval_stats.serial_fallbacks += 1
-                    self.eval_stats.fallback_reason = "cycle"
-                # A cycle (or a self-reference) is in play somewhere: the
-                # generic cell-level ordering below owns that semantics.
-        order, cyclic, preds = self._topological_order(dirty)
-        for pos in order:
-            self._evaluate_cell(pos)
-        if cyclic:
+        plan, succs, cycle = self._build_plan(
+            dirty, parallel is not None or shard_rt is not None
+        )
+        if succs is not None:
+            # Dispatch order: resident shards, then the pooled scheduler,
+            # then serial — each declines with None when it has nothing
+            # to gain.
+            if shard_rt is not None:
+                done = shard_rt.execute(self, plan, succs)
+                if done is not None:
+                    return done
+            if parallel is not None:
+                done = parallel.execute(self, plan, succs)
+                if done is not None:
+                    return done
+        done = self._execute_plan(plan)
+        if cycle is not None:
+            cyclic, preds = cycle
             for pos in cyclic:
                 self.sheet.cell_at(pos).value = CYCLE_ERROR
             raise CircularReferenceError(self._trace_cycle(cyclic, preds))
-        return len(order)
+        return done
 
     # -- windowed-run dispatch ----------------------------------------------------
 

@@ -8,10 +8,10 @@ frontier and its evaluation order are properties of the formula graph,
 not of the trial values.  :class:`ScenarioEngine` exploits that:
 
 1. **Plan once** — at construction it runs one multi-seed dependents BFS
-   over the compressed graph and orders the dirty set exactly like the
-   serial engine (super-node runs plus singles via
-   :meth:`RecalcEngine._order_with_runs`, generic Kahn order for
-   interpreter engines).  Cycles raise
+   over the compressed graph and orders the dirty set with the serial
+   engine's own planner (:meth:`RecalcEngine._build_plan`: super-node
+   runs plus singles, generic Kahn order for interpreter engines and
+   run-free dirty sets).  Cycles raise
    :class:`~repro.engine.recalc.CircularReferenceError` up front.
 2. **Replay per scenario** — :meth:`run` writes each scenario's seed
    values and re-executes the frozen plan through the engine's normal
@@ -127,18 +127,10 @@ class ScenarioEngine:
         self._replica_freight = None
 
     def _build_plan(self, dirty: set[tuple[int, int]]):
-        engine = self.engine
-        if engine.evaluation == "auto" and dirty:
-            runs, by_col, member_map = engine._detect_runs(dirty)
-            plan, _succs = engine._order_with_runs(dirty, runs, by_col, member_map)
-            if plan is not None:
-                return plan
-            # Self-reference or cycle suspected: the generic ordering
-            # owns that diagnosis.
-        order, cyclic, preds = engine._topological_order(dirty)
-        if cyclic:
-            raise CircularReferenceError(engine._trace_cycle(cyclic, preds))
-        return order
+        plan, _succs, cycle = self.engine._build_plan(dirty, False)
+        if cycle is not None:
+            raise CircularReferenceError(self.engine._trace_cycle(*cycle))
+        return plan
 
     @property
     def plan_size(self) -> int:

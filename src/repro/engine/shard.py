@@ -93,6 +93,11 @@ _RUNTIME_IDS = count(1)
 # residents by key.
 
 _SLOT_POOLS: dict[int, ProcessPoolExecutor] = {}
+# A forked worker inherits this dict together with every not-yet-collected
+# runtime's finalizer.  Emptied in the child, ``_send_drops`` there finds no
+# pool — instead of submitting to a copy whose lock the parent held across
+# the fork, which never returns.
+os.register_at_fork(after_in_child=_SLOT_POOLS.clear)
 
 
 def _slot_pool(slot: int) -> ProcessPoolExecutor:

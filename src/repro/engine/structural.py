@@ -30,6 +30,10 @@ workload).  One :func:`apply_structural_edit` call runs, in order:
    independent regions and recalculated in parallel
    (:mod:`repro.engine.parallel`) with no change to the result.
 
+On a deferred engine the edit first settles the engine's pending
+backlog (its positions predate the shift) and step 5 marks the dirty
+set pending instead of evaluating it.
+
 Structural edits do not compose with *concurrently buffered* cell edits:
 issuing one while a :class:`~repro.engine.batch.BatchEditSession` is open
 on the engine, or while the graph is inside a deferred-maintenance
@@ -173,6 +177,9 @@ def apply_structural_edit(
             f"engine's sheet {sheet.name!r} is not part of workbook "
             f"{workbook.name!r}"
         )
+    # A deferred engine's backlog is (col, row) positions the shift would
+    # silently re-address: settle it before anything moves.
+    engine.drain()
 
     start = time.perf_counter()
     report: SheetEditReport = getattr(sheet_structural, op)(sheet, index, count)

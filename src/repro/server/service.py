@@ -19,11 +19,11 @@ Concurrency model
   underneath them, so a read observes exactly the state at some op
   boundary.  Reads never enter a queue and never wait on another
   workbook's writes.
-* **Deferred recomputation.**  Writes ride
-  :class:`~repro.engine.async_engine.AsyncRecalcEngine`: an op returns
-  at the control-return point with its dependents marked stale, and the
-  writer task pumps bounded ``step()`` slices whenever its queue is
-  empty, yielding to the loop between slices.
+* **Deferred recomputation.**  Each sheet has one journaled
+  ``RecalcEngine(deferred=True)`` serving every op: a write returns at
+  the control-return point with its dependents marked pending, and the
+  writer task pumps bounded ``step()`` slices of the engine's plan
+  whenever its queue is empty, yielding to the loop between slices.
 * **LRU residency.**  At most ``max_resident`` workbooks stay in
   memory.  Admitting one more evicts the least recently used: its
   pending recomputation drains, the workbook snapshots, and its journal
@@ -34,8 +34,8 @@ Concurrency model
 Durability
 ----------
 Every committed write appends one journal record *at commit time*,
-before recomputation: point edits through :meth:`Journal.record_cell`,
-batches and structural ops through the engine hooks they already carry.
+before recomputation, through the engine's own journal hook — point
+edits, batch commits and structural ops alike.
 At any instant, snapshot + journal prefix reproduces every acknowledged
 write.  Eviction snapshots first and rotates the journal second; a
 crash between the two leaves a journal superseded by the newer snapshot,
@@ -52,11 +52,10 @@ import time
 from collections import OrderedDict
 
 from ..core.query import dependents_of_seeds
-from ..engine.async_engine import AsyncRecalcEngine, UpdateTicket
 from ..engine.journal import Journal, JournalFormatError, read_journal, recover
 from ..engine.recalc import CircularReferenceError, RecalcEngine
 from ..engine.structural import apply_structural_edit
-from ..formula.parser import parse_formula
+from ..formula.errors import FormulaSyntaxError
 from ..grid.range import Range
 from ..io.snapshot import encode_value, load_snapshot
 from ..sheet.workbook import Workbook
@@ -74,37 +73,25 @@ _COL_OPS = {"insert_columns", "delete_columns"}
 _STRUCTURAL = _ROW_OPS | _COL_OPS
 
 
-class _SheetRuntime:
-    """One sheet's engines: the deferred engine owns the dirty set, the
-    synchronous engine (sharing sheet + graph + journal) drives batch
-    commits and structural edits."""
-
-    __slots__ = ("sheet", "async_engine", "sync_engine")
-
-    def __init__(self, sheet, graph, journal, evaluation):
-        self.sheet = sheet
-        self.async_engine = AsyncRecalcEngine(sheet, graph, evaluation=evaluation)
-        self.sync_engine = RecalcEngine(
-            sheet, self.async_engine.graph, evaluation=evaluation, journal=journal
-        )
-
-
 class _Resident:
-    """A workbook held in memory: its runtimes, journal, op queue, and
-    the single writer task draining that queue."""
+    """A workbook held in memory: one deferred engine per sheet, all
+    writing to one journal; its op queue, and the single writer task
+    draining that queue."""
 
-    __slots__ = ("wb_id", "workbook", "journal", "runtimes", "queue", "writer")
+    __slots__ = ("wb_id", "workbook", "journal", "engines", "queue", "writer")
 
-    def __init__(self, wb_id, workbook, journal):
+    def __init__(self, wb_id, workbook, journal, engines):
         self.wb_id = wb_id
         self.workbook = workbook
         self.journal = journal
-        self.runtimes: dict[str, _SheetRuntime] = {}
+        self.engines: dict[str, RecalcEngine] = engines
+        for engine in engines.values():
+            engine.journal = journal
         self.queue: asyncio.Queue | None = None
         self.writer: asyncio.Task | None = None
 
     def pending(self) -> int:
-        return sum(rt.async_engine.pending for rt in self.runtimes.values())
+        return sum(engine.pending for engine in self.engines.values())
 
 
 class WorkbookService:
@@ -286,7 +273,7 @@ class WorkbookService:
         # cycles surface as #CYCLE! cells rather than aborting admission.
         engines: dict[str, RecalcEngine] = {}
         for sheet in workbook.sheets():
-            engine = RecalcEngine(sheet, evaluation=self.evaluation)
+            engine = RecalcEngine(sheet, evaluation=self.evaluation, deferred=True)
             try:
                 engine.recalculate_all()
             except CircularReferenceError:
@@ -300,12 +287,7 @@ class WorkbookService:
             self._journal_path(wb_id), fsync=self.fsync,
             truncate=True, snapshot_id=stats.snapshot_id,
         )
-        res = _Resident(wb_id, workbook, journal)
-        for sheet in workbook.sheets():
-            res.runtimes[sheet.name] = _SheetRuntime(
-                sheet, engines[sheet.name].graph, journal, self.evaluation
-            )
-        return res
+        return _Resident(wb_id, workbook, journal, engines)
 
     def _admit_from_disk(self, wb_id: str) -> _Resident:
         snap = load_snapshot(self._snapshot_path(wb_id))
@@ -326,12 +308,19 @@ class WorkbookService:
             ).close()
             self.metrics.rotation_repairs += 1
         journal = Journal(journal_path, fsync=self.fsync, snapshot_id=snapshot_id)
-        res = _Resident(wb_id, recovery.workbook, journal)
+        # Recovery built an engine for every sheet the journal touched and
+        # settled it; from here on those engines defer.  Untouched sheets
+        # get theirs over the snapshot's graph.
+        engines = recovery.engines
+        for engine in engines.values():
+            engine.deferred = True
         for sheet in recovery.workbook.sheets():
-            res.runtimes[sheet.name] = _SheetRuntime(
-                sheet, recovery.graphs.get(sheet.name), journal, self.evaluation
-            )
-        return res
+            if sheet.name not in engines:
+                engines[sheet.name] = RecalcEngine(
+                    sheet, recovery.graphs.get(sheet.name),
+                    evaluation=self.evaluation, deferred=True,
+                )
+        return _Resident(wb_id, recovery.workbook, journal, engines)
 
     @staticmethod
     def _journal_superseded(journal_path: str, snapshot_id: str | None) -> bool:
@@ -382,7 +371,7 @@ class WorkbookService:
         self._drain(res)
         stats = res.workbook.snapshot(
             self._snapshot_path(res.wb_id),
-            graphs={name: rt.async_engine.graph for name, rt in res.runtimes.items()},
+            graphs={name: engine.graph for name, engine in res.engines.items()},
         )
         res.journal.close()
         Journal(
@@ -425,40 +414,32 @@ class WorkbookService:
     def _pump(self, res: _Resident) -> int:
         budget = self.step_cells
         total = 0
-        for rt in res.runtimes.values():
+        for engine in res.engines.values():
             if budget <= 0:
                 break
-            if rt.async_engine.pending:
-                done = rt.async_engine.step(budget)
-                total += done
-                budget -= done
+            done = engine.step(budget)
+            total += done
+            budget -= done
         return total
 
     def _drain(self, res: _Resident) -> int:
         total = 0
-        for rt in res.runtimes.values():
-            total += rt.async_engine.drain()
+        for engine in res.engines.values():
+            total += engine.drain()
         self.metrics.background_cells += total
         return total
 
     # -- op handlers -----------------------------------------------------------
 
-    def _runtime(self, res: _Resident, sheet_name: str | None) -> _SheetRuntime:
+    def _engine(self, res: _Resident, sheet_name: str | None) -> RecalcEngine:
         workbook = res.workbook
         if sheet_name is None:
-            sheet = workbook.active_sheet
-        elif sheet_name in workbook:
-            sheet = workbook[sheet_name]
-        else:
+            return res.engines[workbook.active_sheet.name]
+        if sheet_name not in workbook:
             raise OpValidationError(
                 f"unknown sheet {sheet_name!r} in workbook {res.wb_id!r}"
             )
-        rt = res.runtimes.get(sheet.name)
-        if rt is None:
-            rt = res.runtimes[sheet.name] = _SheetRuntime(
-                sheet, None, res.journal, self.evaluation
-            )
-        return rt
+        return res.engines[sheet_name]
 
     @staticmethod
     def _cell_pos(text: str) -> tuple[int, int]:
@@ -471,11 +452,12 @@ class WorkbookService:
         return rng.head
 
     def _apply_read(self, res: _Resident, op: str, params: dict) -> dict:
-        rt = self._runtime(res, params.get("sheet"))
-        base = {"workbook": res.wb_id, "sheet": rt.sheet.name}
+        engine = self._engine(res, params.get("sheet"))
+        sheet = engine.sheet
+        base = {"workbook": res.wb_id, "sheet": sheet.name}
         if op == "get_cell":
             pos = self._cell_pos(params["cell"])
-            view = rt.async_engine.read(pos)
+            view = engine.read(pos)
             base.update(
                 cell=Range.cell(*pos).to_a1(),
                 value=encode_value(view.value),
@@ -492,8 +474,6 @@ class WorkbookService:
                     f"range {rng.to_a1()} spans {rng.size} cells "
                     f"(limit {_MAX_RANGE_CELLS})"
                 )
-            engine = rt.async_engine
-            sheet = rt.sheet
             dirty_cells = 0
             values = []
             for row in range(rng.r1, rng.r2 + 1):
@@ -506,7 +486,6 @@ class WorkbookService:
             base.update(range=rng.to_a1(), values=values, dirty_cells=dirty_cells)
             return base
         # summarize_sheet
-        sheet = rt.sheet
         cells = 0
         max_col = 0
         max_row = 0
@@ -521,15 +500,13 @@ class WorkbookService:
             cells=cells,
             formulas=formulas,
             extent=Range(1, 1, max_col, max_row).to_a1() if cells else None,
-            pending=rt.async_engine.pending,
+            pending=engine.pending,
             sheets=res.workbook.sheet_names,
         )
         return base
 
     def _apply_write(self, res: _Resident, op: str, params: dict) -> dict:
-        if op in _STRUCTURAL:
-            return self._apply_structural(res, op, params)
-        rt = self._runtime(res, params.get("sheet"))
+        engine = self._engine(res, params.get("sheet"))
         if op == "recalculate":
             recomputed = self._drain(res)
             return {
@@ -537,63 +514,50 @@ class WorkbookService:
                 "recomputed": recomputed,
                 "pending": res.pending(),
             }
-        if op == "batch_edit":
-            return self._apply_batch(res, rt, params["edits"])
-        engine = rt.async_engine
-        pos = self._cell_pos(params["cell"])
-        if op == "set_cell":
-            value = params["value"]
-            encode_value(value)  # journalable, before anything mutates
-            ticket = engine.set_value(pos, value)
-            res.journal.record_cell(rt.sheet.name, "value", pos, value)
-        elif op == "set_formula":
-            text = params["formula"]
-            try:
-                parse_formula(text)  # parse errors before anything mutates
-            except ValueError as exc:
-                raise OpValidationError(str(exc)) from exc
-            ticket = engine.set_formula(pos, text)
-            res.journal.record_cell(rt.sheet.name, "formula", pos, text)
-        else:  # clear_cell
-            ticket = engine.clear_cell(pos)
-            res.journal.record_cell(rt.sheet.name, "clear", pos)
-        self.metrics.journal_records += 1
-        return self._ticket_result(res, rt, pos, ticket)
-
-    def _ticket_result(
-        self, res: _Resident, rt: _SheetRuntime, pos, ticket: UpdateTicket
-    ) -> dict:
-        return {
-            "workbook": res.wb_id,
-            "sheet": rt.sheet.name,
-            "cell": Range.cell(*pos).to_a1(),
-            "dirty_count": ticket.dirty_count,
-            "pending": ticket.pending,
-            "control_return_seconds": ticket.control_return_seconds,
-        }
-
-    def _apply_batch(self, res: _Resident, rt: _SheetRuntime, edits: list) -> dict:
-        staged = [self._parse_batch_edit(i, edit) for i, edit in enumerate(edits)]
         start = time.perf_counter()
-        with rt.sync_engine.begin_batch(recalc=False, workbook=res.workbook) as batch:
-            for kind, target, payload in staged:
-                getattr(batch, kind)(target, *payload)
-        result = batch.result
-        # recalc=False committed maintenance only: hand the batch's
-        # dirty cover (edited cells + their transitive dependents) to
-        # the deferred engine so the background pump picks it up.
-        marked = rt.async_engine.note_external_dirty(
-            list(result.cleared_ranges) + list(result.dirty_ranges)
-        )
+        if op in _STRUCTURAL:
+            result = self._apply_structural(res, engine, op, params)
+        elif op == "batch_edit":
+            result = self._apply_batch(res, engine, params["edits"])
+        else:
+            # The engine validates (parse / journalable value) before it
+            # mutates, journals after, and returns once dependents are
+            # marked.
+            pos = self._cell_pos(params["cell"])
+            try:
+                if op == "set_cell":
+                    ticket = engine.set_value(pos, params["value"])
+                elif op == "set_formula":
+                    ticket = engine.set_formula(pos, params["formula"])
+                else:
+                    ticket = engine.clear_cell(pos)
+            except FormulaSyntaxError as exc:
+                raise OpValidationError(str(exc)) from exc
+            result = {
+                "cell": Range.cell(*pos).to_a1(),
+                "dirty_count": ticket.dirty_count,
+            }
         self.metrics.journal_records += 1
         return {
             "workbook": res.wb_id,
-            "sheet": rt.sheet.name,
-            "edits": len(edits),
-            "dirty_count": marked,
+            "sheet": engine.sheet.name,
+            **result,
             "pending": res.pending(),
             "control_return_seconds": time.perf_counter() - start,
         }
+
+    def _apply_batch(self, res: _Resident, engine: RecalcEngine, edits: list) -> dict:
+        staged = [self._parse_batch_edit(i, edit) for i, edit in enumerate(edits)]
+        try:
+            with engine.begin_batch(workbook=res.workbook) as batch:
+                for kind, target, payload in staged:
+                    getattr(batch, kind)(target, *payload)
+        except FormulaSyntaxError as exc:
+            # Raised by the commit's validation pass, before any edit lands.
+            raise OpValidationError(f"batch_edit: {exc}") from exc
+        # On a deferred engine the commit marks its dirty set (edited
+        # formulas + transitive dependents) and reports how many it marked.
+        return {"edits": len(edits), "dirty_count": batch.result.recomputed}
 
     @staticmethod
     def _parse_batch_edit(index: int, edit) -> tuple[str, object, tuple]:
@@ -601,17 +565,14 @@ class WorkbookService:
             raise OpValidationError(f"batch_edit: edit {index} is not an object")
         kind = edit.get("op")
         if kind == "set_value":
-            value = edit.get("value")
-            encode_value(value)
-            return "set_value", WorkbookService._cell_pos(edit.get("cell", "")), (value,)
+            return (
+                "set_value", WorkbookService._cell_pos(edit.get("cell", "")),
+                (edit.get("value"),),
+            )
         if kind == "set_formula":
             text = edit.get("formula")
             if not isinstance(text, str):
                 raise OpValidationError(f"batch_edit: edit {index} needs a 'formula' string")
-            try:
-                parse_formula(text)
-            except ValueError as exc:
-                raise OpValidationError(f"batch_edit: edit {index}: {exc}") from exc
             return "set_formula", WorkbookService._cell_pos(edit.get("cell", "")), (text,)
         if kind == "clear_cell":
             return "clear_cell", WorkbookService._cell_pos(edit.get("cell", "")), ()
@@ -626,32 +587,29 @@ class WorkbookService:
             "(set_value/set_formula/clear_cell/clear_range)"
         )
 
-    def _apply_structural(self, res: _Resident, op: str, params: dict) -> dict:
-        rt = self._runtime(res, params.get("sheet"))
+    def _apply_structural(
+        self, res: _Resident, engine: RecalcEngine, op: str, params: dict
+    ) -> dict:
         index = params["row"] if op in _ROW_OPS else params["col"]
         count = params["count"]
-        start = time.perf_counter()
-        # Pending deferred positions are (col, row) tuples the shift
-        # would silently re-address: quiesce this workbook first.
-        self._drain(res)
+        # The engine would settle its own backlog before shifting anyway
+        # (pending positions predate the shift); doing it here counts the
+        # cells as background work.
+        self.metrics.background_cells += engine.drain()
         result = apply_structural_edit(
-            rt.sync_engine, op, index, count, recalc=False, workbook=res.workbook
+            engine, op, index, count, workbook=res.workbook
         )
-        marked = rt.async_engine.note_external_dirty(result.dirty_ranges)
+        marked = result.recomputed
         # Sibling sheets whose cross-sheet references were rewritten
         # re-evaluate through their own engines.
         for name, report in (result.sibling_reports or {}).items():
             seeds = [Range.cell(*pos) for pos in report.dirty_seeds]
-            if not seeds:
-                continue
-            sibling = self._runtime(res, name)
-            marked += sibling.async_engine.note_external_dirty(
-                seeds + dependents_of_seeds(sibling.async_engine.graph, seeds)
-            )
-        self.metrics.journal_records += 1
+            if seeds:
+                sibling = res.engines[name]
+                marked += sibling.recompute(
+                    seeds + dependents_of_seeds(sibling.graph, seeds)
+                )
         return {
-            "workbook": res.wb_id,
-            "sheet": rt.sheet.name,
             "op": op,
             "index": index,
             "count": count,
@@ -659,6 +617,4 @@ class WorkbookService:
             "rewritten_formulas": result.rewritten_formulas,
             "ref_errors": result.ref_errors,
             "dirty_count": marked,
-            "pending": res.pending(),
-            "control_return_seconds": time.perf_counter() - start,
         }

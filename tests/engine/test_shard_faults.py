@@ -162,3 +162,25 @@ def test_scenario_replay_stale_falls_back_serial(monkeypatch):
     serial_whatif = ScenarioEngine(serial, ["A1", "A2"])
     expected = serial_whatif.run(scenarios, ["E1", "G5"])
     assert results == expected
+
+
+def test_forked_child_inherits_no_slot_pools():
+    """A worker forked while an uncollected runtime's finalizer is still
+    pending runs that finalizer itself when *its* GC gets there.  With
+    the parent's pools visible it would submit a drop to a copied pool
+    whose lock the parent held across the fork, and hang at boot."""
+    import os
+
+    from repro.engine import shard
+
+    shutdown_slot_pools()
+    try:
+        engine = engine_for(build_corpus(), shards=2, parallel_min_dirty=1)
+        engine.recalculate_all()
+        assert shard._SLOT_POOLS
+        pid = os.fork()
+        if pid == 0:
+            os._exit(1 if shard._SLOT_POOLS else 0)
+        assert os.waitpid(pid, 0)[1] == 0
+    finally:
+        shutdown_slot_pools()

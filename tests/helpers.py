@@ -204,15 +204,22 @@ def engine_for(sheet: Sheet, mode: str = "auto", index: str = "rtree",
     )
 
 
-def assert_same_values(got_sheet: Sheet, want_sheet: Sheet) -> None:
+def same_value(got, want) -> bool:
     """Bitwise value identity, with error-code identity for ExcelErrors."""
+    if isinstance(want, ExcelError):
+        return isinstance(got, ExcelError) and got.code == want.code
+    return type(got) is type(want) and got == want
+
+
+def assert_same_values(got_sheet: Sheet, want_sheet: Sheet) -> None:
+    """:func:`same_value` for every cell of either sheet."""
     positions = set(got_sheet.positions()) | set(want_sheet.positions())
     for pos in positions:
-        got = got_sheet.get_value(pos)
-        want = want_sheet.get_value(pos)
-        if isinstance(want, ExcelError):
-            assert isinstance(got, ExcelError) and got.code == want.code, pos
-        else:
-            assert type(got) is type(want) and got == want, pos
+        assert same_value(got_sheet.get_value(pos), want_sheet.get_value(pos)), pos
+
+
+def dependency_set(graph) -> set:
+    """A graph's decompressed dependencies as comparable tuples."""
+    return {(d.prec.as_tuple(), d.dep.as_tuple()) for d in graph.decompress()}
 
 

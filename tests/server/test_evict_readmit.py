@@ -8,6 +8,7 @@ engine fed the same edit sequence.
 
 import asyncio
 import os
+import shutil
 
 import pytest
 
@@ -50,6 +51,51 @@ async def grid_of(svc, wb_id, rng="A1:C12"):
     result = await svc.execute(wb_id, "get_range", {"range_ref": rng})
     assert result["dirty_cells"] == 0
     return result["values"]
+
+
+class TestOneEnginePerSheet:
+    def test_each_admission_constructs_one_engine_per_sheet(self, tmp_path, monkeypatch):
+        """Admission keeps the engines it (or journal replay) already
+        built, and from then on they defer and journal."""
+        built = []
+        init = RecalcEngine.__init__
+
+        def counting_init(self, sheet, *args, **kwargs):
+            built.append(sheet.name)
+            init(self, sheet, *args, **kwargs)
+
+        monkeypatch.setattr(RecalcEngine, "__init__", counting_init)
+        live, crashed = tmp_path / "live", tmp_path / "crashed"
+
+        async def first():
+            async with WorkbookService(str(live), fsync=False) as svc:
+                await svc.create_workbook("wb", sheets=("Data", "Report"))
+                assert sorted(built) == ["Data", "Report"]
+                await svc.execute("wb", "set_cell", {"cell": "A1", "value": 4, "sheet": "Data"})
+                await svc.execute(
+                    "wb", "set_formula",
+                    {"cell": "B1", "formula": "=A1*A1", "sheet": "Data"},
+                )
+                # What a crash here leaves on disk: the creation snapshot
+                # and a journal holding both writes.
+                shutil.copytree(live, crashed)
+
+        async def second():
+            async with WorkbookService(str(crashed), fsync=False) as svc:
+                view = await svc.execute("wb", "get_cell", {"cell": "B1", "sheet": "Data"})
+                # Data's engine by journal replay, Report's over the
+                # snapshot's graph — and no further ones.
+                assert sorted(built) == ["Data", "Report"]
+                assert (view["value"], view["dirty"]) == (16.0, False)
+                ticket = await svc.execute(
+                    "wb", "set_cell", {"cell": "A1", "value": 5, "sheet": "Data"}
+                )
+                assert (ticket["dirty_count"], ticket["pending"]) == (1, 1)
+                assert len(read_journal(str(crashed / "wb.wal")).records) == 4  # stamp + 3
+
+        run(first())
+        del built[:]
+        run(second())
 
 
 class TestRoundTrips:

@@ -199,6 +199,37 @@ class TestWriteSerialization:
         run(scenario())
 
 
+class TestFormulaValidation:
+    def test_bad_formula_is_a_validation_error_and_lands_nothing(self, tmp_path):
+        """The engine parses before it mutates; the service only maps
+        the error type.  Nothing lands, nothing is journaled."""
+
+        async def scenario():
+            async with WorkbookService(str(tmp_path), fsync=False) as svc:
+                await svc.create_workbook("wb")
+                await svc.execute("wb", "set_cell", {"cell": "A1", "value": 2})
+                await svc.execute("wb", "set_formula", {"cell": "B1", "formula": "=A1*3"})
+                await svc.execute("wb", "recalculate")
+                journaled = svc.metrics.journal_records
+                with pytest.raises(OpValidationError):
+                    await svc.execute("wb", "set_formula", {"cell": "B1", "formula": "=A1+"})
+                with pytest.raises(OpValidationError, match="batch_edit"):
+                    await svc.execute("wb", "batch_edit", {"edits": [
+                        {"op": "set_value", "cell": "A1", "value": 50},
+                        {"op": "set_formula", "cell": "B1", "formula": "=A1+"},
+                    ]})
+                assert svc.metrics.journal_records == journaled
+                grid = await svc.execute("wb", "get_range", {"range_ref": "A1:B1"})
+                assert (grid["values"], grid["dirty_cells"]) == ([[2, 6.0]], 0)
+                # The writer and the engine both survived.
+                await svc.execute("wb", "set_cell", {"cell": "A1", "value": 3})
+                await svc.execute("wb", "recalculate")
+                view = await svc.execute("wb", "get_cell", {"cell": "B1"})
+                assert view["value"] == 9.0
+
+        run(scenario())
+
+
 class TestBatchAndStructural:
     def test_batch_edit_is_one_journal_record(self, tmp_path):
         async def scenario():
