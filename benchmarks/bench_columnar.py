@@ -11,6 +11,14 @@ the typed columnar store (:mod:`repro.sheet.columnar`) buys, two ways:
   deterministic ``sys.getsizeof`` walk over each store's internals.
   Gate: the object store allocates **>= 5x** the columnar store's bytes
   per value cell.
+* **formula memory**: two autofilled columns (``=A1*$F$1+B1``,
+  ``=SUM($A$1:A1)``) on the columnar store, ``tracemalloc`` bytes per
+  formula cell straight after the fill and again after
+  ``build_from_sheet`` + ``recalculate_all`` — the graph, the engine and
+  anything a cell memoised along the way included.  Formula cells share
+  their template (:mod:`repro.formula.template`), so the gate is
+  **<= 350 B** per cell (1,156 B when every cell owned a shifted AST, a
+  reference list and a key string).
 * **throughput**: a broadcast-input edit (``$F$1``) dirties an entire
   ``=A1*$F$1+B1`` column; the columnar engine re-evaluates it as one
   numpy array sweep, the object store falls back to the compiled
@@ -33,6 +41,7 @@ import tracemalloc
 from _common import RESULTS_DIR, emit
 
 from repro.bench.reporting import ascii_table, banner, format_ms
+from repro.core.taco_graph import build_from_sheet
 from repro.engine import vectorized
 from repro.engine.recalc import RecalcEngine
 from repro.sheet.autofill import fill_formula_column
@@ -44,6 +53,8 @@ VALUE_COLS = 4
 EDIT_ROUNDS = 5
 
 MEMORY_GATE = 5.0
+FORMULA_ROWS = ROWS // 2
+FORMULA_BYTES_GATE = 350.0
 
 
 # -- memory arm ----------------------------------------------------------------
@@ -85,6 +96,31 @@ def sized_store_bytes(sheet: Sheet) -> int:
     return total
 
 
+# -- formula memory arm --------------------------------------------------------
+
+def traced_formula_bytes(rows: int) -> tuple[float, float]:
+    """Bytes per autofilled formula cell: (after the fill, after build +
+    full recalc).  The value inputs are in place before tracing starts."""
+    sheet = Sheet("F", store="columnar")
+    for r in range(1, rows + 1):
+        sheet.set_value((1, r), float((r * 37) % 101) / 3.0)
+        sheet.set_value((2, r), float(r % 13) - 6.5)
+    sheet.set_value((6, 1), 1.5)
+    gc.collect()
+    tracemalloc.start()
+    before, _ = tracemalloc.get_traced_memory()
+    fill_formula_column(sheet, 3, 1, rows, "=A1*$F$1+B1")
+    fill_formula_column(sheet, 4, 1, rows, "=SUM($A$1:A1)")
+    filled, _ = tracemalloc.get_traced_memory()
+    engine = RecalcEngine(sheet, build_from_sheet(sheet))
+    engine.recalculate_all()
+    gc.collect()
+    settled, _ = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert sheet.get_value((4, rows)) is not None and engine.graph is not None
+    return (filled - before) / (2 * rows), (settled - before) / (2 * rows)
+
+
 # -- throughput arm ------------------------------------------------------------
 
 def build_formula_sheet(store: str, rows: int) -> Sheet:
@@ -113,6 +149,7 @@ def test_columnar_store_memory_and_throughput(benchmark):
         sized_columnar = sized_store_bytes(columnar_sheet)
         sized_object = sized_store_bytes(object_sheet)
         del columnar_sheet, object_sheet
+        filled_bytes, settled_bytes = traced_formula_bytes(FORMULA_ROWS)
 
         # Throughput: broadcast edit over an elementwise column.
         engines = {}
@@ -149,6 +186,10 @@ def test_columnar_store_memory_and_throughput(benchmark):
             "sized_object_bytes": sized_object,
             "sized_ratio": sized_object / sized_columnar,
             "memory_gate": MEMORY_GATE,
+            "formula_cells": 2 * FORMULA_ROWS,
+            "formula_bytes_per_cell_filled": filled_bytes,
+            "formula_bytes_per_cell_settled": settled_bytes,
+            "formula_bytes_gate": FORMULA_BYTES_GATE,
             "edit_rounds": EDIT_ROUNDS,
             "numpy": vectorized._np is not None,
             "elementwise_cells": swept,
@@ -178,6 +219,13 @@ def test_columnar_store_memory_and_throughput(benchmark):
         ],
     ))
     lines.append(ascii_table(
+        ["formula cells (columnar)", "bytes/cell after fill",
+         "bytes/cell after build + recalc"],
+        [[f"{results['formula_cells']:,}",
+          f"{results['formula_bytes_per_cell_filled']:.0f}",
+          f"{results['formula_bytes_per_cell_settled']:.0f}"]],
+    ))
+    lines.append(ascii_table(
         ["arm", "edit time", "speedup vs sweep"],
         [
             ["columnar-sweep", format_ms(results["seconds"]["columnar-sweep"]),
@@ -188,11 +236,17 @@ def test_columnar_store_memory_and_throughput(benchmark):
              f"{results['sweep_speedup_vs_interpreter']:.1f}x"],
         ],
     ))
-    passed = results["memory_ratio"] >= results["memory_gate"]
+    passed = (
+        results["memory_ratio"] >= results["memory_gate"]
+        and results["formula_bytes_per_cell_settled"] <= results["formula_bytes_gate"]
+    )
     verdict = (
         f"{'OK' if passed else 'REGRESSION'}: object store allocates "
         f"{results['memory_ratio']:.1f}x the columnar store's bytes "
-        f"(gate {results['memory_gate']:.1f}x); elementwise sweep "
+        f"(gate {results['memory_gate']:.1f}x); an autofilled formula cell "
+        f"costs {results['formula_bytes_per_cell_settled']:.0f} B after build "
+        f"+ recalc (gate {results['formula_bytes_gate']:.0f} B); "
+        f"elementwise sweep "
         f"{results['sweep_speedup_vs_compiled']:.1f}x vs compiled per-cell, "
         f"{results['sweep_speedup_vs_interpreter']:.1f}x vs interpreter"
     )

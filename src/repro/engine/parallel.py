@@ -37,7 +37,8 @@ Two pool flavours (``concurrent.futures``):
   plane another worker holds a buffer view of.
 * ``process`` — the sheet's value planes ship to the worker as bytes
   (:meth:`ColumnarStore.export_planes`), region member formulas ship as
-  pickled ASTs, and typed result columns come back
+  one pickled template per autofill family, and typed result columns
+  come back
   (:meth:`ColumnarStore.pack_result_columns`).  This is the flavour that
   clears real multi-core speedups on interpreter-heavy corpora.
 
@@ -458,23 +459,32 @@ def _pregrow_written_columns(sheet, regions) -> None:
         ensure(col, row)
 
 
+def _template_families(sheet, positions) -> list[tuple]:
+    """Formula ``positions`` grouped by the template their cells share:
+    ``[(template, [pos, ...])]``, families and members in first-seen
+    order.  Cells already *are* (template, host) pairs, so this only
+    reads pointers — a 10k-cell autofill family ships as one pickled
+    template (its anchor AST) plus a position list, the same compression
+    insight the graph layer exploits."""
+    families: dict[str, tuple] = {}
+    formula_at = sheet.formula_at
+    for pos in positions:
+        template = formula_at(pos).template
+        family = families.get(template.key)
+        if family is None:
+            families[template.key] = (template, [pos])
+        else:
+            family[1].append(pos)
+    return list(families.values())
+
+
 def _declarative_region(sheet, region):
     """A region as compact picklable freight: an ordered declarative plan
-    plus the member formulas grouped into *template families*.
+    plus the member formulas as :func:`_template_families`.
 
     Plan nodes become ``("c", col, row)`` singles, ``("w", col, r0, r1)``
     windowed runs and ``("e", col, r0, r1)`` elementwise runs (run rows
-    are ascending and consecutive by construction).  Formulas do not ship
-    per cell: members sharing an R1C1 template key ship as one family —
-    ``(host, key, exemplar_ast, positions)`` — and the worker re-derives
-    each member's AST by shifting the exemplar, exactly like autofill
-    created it (equal template keys *mean* the shifted exemplar is the
-    member's formula).  The key rides along so the worker can seed every
-    member's memo instead of re-rendering R1C1 text per cell.  Only
-    keyless members (un-normalizable formulas) ship their own AST.  This
-    is the same compression insight the graph layer exploits: a 10k-cell
-    autofill family is one pickled AST plus a position list, not 10k
-    ASTs.
+    are ascending and consecutive by construction).
 
     Alongside the freight it returns the region's *read columns* — the
     union of its members' reference column spans — so the caller ships
@@ -485,37 +495,25 @@ def _declarative_region(sheet, region):
     from .recalc import _TemplateRun
 
     spec = []
-    families: dict[str, tuple] = {}
-    loose = []
-    formula_at = sheet.formula_at
-    sheet_name = sheet.name
-    spans: set[tuple[int, int]] = set()
-
-    def enroll(pos) -> None:
-        cell = formula_at(pos)
-        for ref in cell.references:
-            if ref.sheet is not None and ref.sheet != sheet_name:
-                raise _CrossSheetRegion
-            spans.add((ref.range.c1, ref.range.c2))
-        key = cell.template_key(*pos)
-        if not key:
-            loose.append((pos, cell.formula_ast))
-            return
-        family = families.get(key)
-        if family is None:
-            families[key] = (pos, key, cell.formula_ast, [pos])
-        else:
-            family[3].append(pos)
-
+    positions = []
     for node in region:
         if type(node) is tuple:
             spec.append(("c", node[0], node[1]))
-            enroll(node)
+            positions.append(node)
             continue
         kind = "w" if type(node) is _TemplateRun else "e"
         spec.append((kind, node.col, node.rows[0], node.rows[-1]))
-        for row in node.rows:
-            enroll((node.col, row))
+        positions.extend((node.col, row) for row in node.rows)
+
+    families = _template_families(sheet, positions)
+    sheet_name = sheet.name
+    spans: set[tuple[int, int]] = set()
+    for template, members in families:
+        host_cols = {pos[0] for pos in members}
+        for ref in template.refs:
+            if ref.sheet is not None and ref.sheet != sheet_name:
+                raise _CrossSheetRegion
+            spans.update(ref.columns_at(col) for col in host_cols)
 
     read_cols: set[int] | None = set()
     for c1, c2 in spans:
@@ -523,19 +521,18 @@ def _declarative_region(sheet, region):
             read_cols = None
             break
         read_cols.update(range(c1, c2 + 1))
-    return (list(families.values()), loose), spec, read_cols
+    return families, spec, read_cols
 
 
-def _rebuild_worker_sheet(store_kind, name, cargo, families, loose):
+def _rebuild_worker_sheet(store_kind, name, cargo, families):
     """Reconstruct a shipped sheet inside a worker process.
 
-    Installs the value planes (columnar) or cell list (object) and the
-    member formulas: family members re-derive their ASTs by shifting the
-    exemplar — equal template keys *mean* the shifted exemplar is the
-    member's formula — and the key seeds each cell's memo so the worker
-    never re-renders R1C1 text.  Returns ``(sheet, positions)`` with the
-    member positions in enrolment order.  Shared by the region worker
-    here and the scenario worker (:mod:`repro.engine.scenario`).
+    Installs the value planes (columnar) or cell list (object), then the
+    member formulas: each family's template arrived as one pickled
+    object (re-interned on load) and every member is installed as a
+    pointer to it.  Returns ``(sheet, positions)`` with the member
+    positions in enrolment order.  Shared by the region worker here, the
+    shard boot and the scenario replicas (:mod:`repro.engine.shard`).
     """
     from ..sheet.sheet import Sheet
 
@@ -545,25 +542,11 @@ def _rebuild_worker_sheet(store_kind, name, cargo, families, loose):
     else:
         for pos, value in cargo:
             sheet.set_value(pos, value)
-    set_formula_ast = sheet.set_formula_ast
-    formula_at = sheet.formula_at
     positions = []
-    for (host_col, host_row), key, exemplar, family_positions in families:
-        for pos in family_positions:
-            if pos == (host_col, host_row):
-                set_formula_ast(pos, exemplar)
-            else:
-                set_formula_ast(
-                    pos, exemplar.shifted(pos[0] - host_col, pos[1] - host_row)
-                )
-            # Every family member renders to the same R1C1 text — that is
-            # what made it a family — so seed the memo and skip the
-            # per-cell render the parent already paid for once.
-            formula_at(pos)._template_key = key
-        positions.extend(family_positions)
-    for pos, ast in loose:
-        set_formula_ast(pos, ast)
-        positions.append(pos)
+    for template, members in families:
+        for pos in members:
+            sheet.set_formula_template(pos, template)
+        positions.extend(members)
     return sheet, positions
 
 
@@ -586,7 +569,7 @@ def _plan_from_spec(engine, sheet, spec):
         kind, col, r0, r1 = node
         rows = list(range(r0, r1 + 1))
         cell = sheet.formula_at((col, r0))
-        template = engine.cell_evaluator.template_for_cell(cell, col, r0)
+        template = engine.cell_evaluator.template_for_cell(cell)
         if template is None:            # pragma: no cover - planner compiled it
             plan.extend((col, row) for row in rows)
         elif kind == "w":
@@ -612,8 +595,8 @@ def _region_worker(payload: bytes) -> bytes:
         os._exit(11)
     from .recalc import RecalcEngine
 
-    store_kind, name, cargo, (families, loose), spec = pickle.loads(payload)
-    sheet, positions = _rebuild_worker_sheet(store_kind, name, cargo, families, loose)
+    store_kind, name, cargo, families, spec = pickle.loads(payload)
+    sheet, positions = _rebuild_worker_sheet(store_kind, name, cargo, families)
     engine = RecalcEngine.plan_executor(sheet)
     plan = _plan_from_spec(engine, sheet, spec)
     count = engine._execute_plan(plan)

@@ -665,24 +665,24 @@ class RecalcEngine:
         preds: dict[object, int] = {}
         succs: dict[object, list[object]] = {}
         sheet_name = self.sheet.name
+        formula_at = self.sheet.formula_at
         for pos in dirty:
             if pos in member_map:
                 continue
-            cell = self.sheet.formula_at(pos)
+            col, row = pos
             count = 0
             seen: set[object] = set()
-            for ref in cell.references:
-                if ref.sheet is not None and ref.sheet != sheet_name:
+            for ref_sheet, c1, r1, c2, r2 in formula_at(pos).template.spans_at(col, row):
+                if ref_sheet is not None and ref_sheet != sheet_name:
                     continue
-                rng = ref.range
-                if rng.contains_cell(*pos):
+                if c1 <= col <= c2 and r1 <= row <= r2:
                     return None, succs  # self-reference: a one-cell cycle
-                if rng.c1 == rng.c2 and rng.c1 not in by_col:
+                if c1 == c2 and c1 not in by_col:
                     # Single-column ref into a clean column — the
                     # overwhelmingly common shape (formulas over value
                     # inputs); skip the generator machinery entirely.
                     continue
-                for prec in self._dirty_in_range(rng, by_col):
+                for prec in self._dirty_in_range(c1, r1, c2, r2, by_col):
                     if prec == pos:
                         continue
                     node = member_map.get(prec, prec)
@@ -724,16 +724,15 @@ class RecalcEngine:
         return plan, succs
 
     @staticmethod
-    def _dirty_in_range(rng: Range, by_col: dict[int, list[int]]):
-        """Dirty positions inside ``rng``, via per-column sorted rows.
+    def _dirty_in_range(c1: int, r1: int, c2: int, r2: int, by_col: dict[int, list[int]]):
+        """Dirty positions inside ``(c1, r1)..(c2, r2)``, via per-column
+        sorted rows.
 
         Iterates whichever is narrower — the reference's column span
         (single-column refs are the overwhelming case) or the dirty
         column set — so a wide dirty set doesn't pay a full-dict scan
         for every one-column reference.
         """
-        r1, r2 = rng.r1, rng.r2
-        c1, c2 = rng.c1, rng.c2
         if c1 == c2:
             rows = by_col.get(c1)
             if rows:
@@ -869,7 +868,7 @@ class RecalcEngine:
                 stretch, stretch_key, stretch_template = [], None, None
                 continue
             cell = self.sheet.formula_at(pos)
-            template = self.cell_evaluator.template_for_cell(cell, col, row)
+            template = self.cell_evaluator.template_for_cell(cell)
             runnable = template is not None and (
                 template.window is not None or template.elementwise is not None
             )
@@ -996,23 +995,31 @@ class RecalcEngine:
         pred_map: dict[tuple[int, int], list[tuple[int, int]]] = {}
         succs: dict[tuple[int, int], list[tuple[int, int]]] = {}
         dirty_list = list(dirty)
+        formula_at = self.sheet.formula_at
+        sheet_name = self.sheet.name
         for pos in dirty_list:
-            cell = self.sheet.formula_at(pos)
+            col, row = pos
             count = 0
-            for ref in cell.references:
-                if ref.sheet is not None and ref.sheet != self.sheet.name:
+            for ref_sheet, c1, r1, c2, r2 in formula_at(pos).template.spans_at(col, row):
+                if ref_sheet is not None and ref_sheet != sheet_name:
                     continue
-                rng = ref.range
-                if rng.contains_cell(*pos):
+                if c1 <= col <= c2 and r1 <= row <= r2:
                     # Self-reference (direct, or a range containing the
                     # cell): a one-cell cycle.  The never-decremented
                     # count keeps the cell unordered.
                     count += 1
                     pred_map.setdefault(pos, []).append(pos)
-                if rng.size <= len(dirty):
-                    members = [p for p in rng.cells() if p in dirty and p != pos]
+                if c1 == c2 and r1 == r2:
+                    members = [(c1, r1)] if (c1, r1) in dirty and (c1, r1) != pos else ()
+                elif (c2 - c1 + 1) * (r2 - r1 + 1) <= len(dirty):
+                    members = [
+                        p for p in Range(c1, r1, c2, r2).cells() if p in dirty and p != pos
+                    ]
                 else:
-                    members = [p for p in dirty if rng.contains_cell(*p) and p != pos]
+                    members = [
+                        p for p in dirty
+                        if c1 <= p[0] <= c2 and r1 <= p[1] <= r2 and p != pos
+                    ]
                 for member in members:
                     count += 1
                     succs.setdefault(member, []).append(pos)

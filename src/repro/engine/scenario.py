@@ -374,7 +374,7 @@ class ScenarioEngine:
                 stats.serial_fallbacks += 1
                 stats.fallback_reason = "cross-sheet"
                 return None
-        formulas, spec, read_cols = self._replica_freight
+        families, spec, read_cols = self._replica_freight
         cols = read_cols
         if cols is not None:
             cols = set(cols)
@@ -398,11 +398,9 @@ class ScenarioEngine:
         if replicas is None:
             replicas = ScenarioReplicas(workers)
             self._replica_cols = cols
-        families, loose = formulas
         try:
             replicas.boot(
-                sheet, self._replica_cols, families, loose, spec,
-                self.seeds, stats,
+                sheet, self._replica_cols, families, spec, self.seeds, stats
             )
         except Exception:
             stats.serial_fallbacks += 1

@@ -70,7 +70,7 @@ from concurrent.futures.process import BrokenProcessPool
 from itertools import count
 from typing import TYPE_CHECKING
 
-from .parallel import FAULT_ENV
+from .parallel import FAULT_ENV, _template_families
 
 if TYPE_CHECKING:  # pragma: no cover
     from .recalc import RecalcEngine
@@ -174,10 +174,10 @@ def _spec_positions(spec) -> list[tuple[int, int]]:
 def _shard_request(payload: bytes) -> bytes:
     """The single worker entry point for the shard message protocol.
 
-    ``("boot", key, token, name, planes, families, loose, spec, seeds)``
+    ``("boot", key, token, name, planes, families, spec, seeds)``
         (re)build the resident: install planes, register formulas (the
-        same shifted-exemplar family protocol per-recalc freight uses),
-        wrap in a graph-less shadow engine.  ``spec``/``seeds`` are the
+        same template-family protocol per-recalc freight uses), wrap in
+        a graph-less shadow engine.  ``spec``/``seeds`` are the
         scenario-replica extras (a frozen plan and the seed positions).
     ``("exec", key, token, planes, patches, spec)``
         apply the plane delta and cross-shard patches, execute the spec,
@@ -202,10 +202,8 @@ def _shard_request(payload: bytes) -> bytes:
         from .parallel import _plan_from_spec, _rebuild_worker_sheet
         from .recalc import RecalcEngine
 
-        _, key, token, name, planes, families, loose, spec, seeds = msg
-        sheet, _positions = _rebuild_worker_sheet(
-            "columnar", name, planes, families, loose
-        )
+        _, key, token, name, planes, families, spec, seeds = msg
+        sheet, _positions = _rebuild_worker_sheet("columnar", name, planes, families)
         engine = RecalcEngine.plan_executor(sheet)
         plan = None if spec is None else _plan_from_spec(engine, sheet, spec)
         _RESIDENTS[key] = _Resident(token, sheet, engine, plan, seeds)
@@ -264,27 +262,6 @@ def _shard_request(payload: bytes) -> bytes:
 
 
 # -- parent-side freight helpers -----------------------------------------------
-
-
-def _column_freight(sheet, positions):
-    """Formulas of ``positions`` as (families, loose) — the shifted
-    -exemplar compression per-recalc freight uses, minus the cross-sheet
-    check (ownership already excluded those columns)."""
-    families: dict[str, tuple] = {}
-    loose = []
-    formula_at = sheet.formula_at
-    for pos in positions:
-        cell = formula_at(pos)
-        key = cell.template_key(*pos)
-        if not key:
-            loose.append((pos, cell.formula_ast))
-            continue
-        family = families.get(key)
-        if family is None:
-            families[key] = (pos, key, cell.formula_ast, [pos])
-        else:
-            family[3].append(pos)
-    return list(families.values()), loose
 
 
 def _spec_for(nodes) -> list[tuple]:
@@ -474,11 +451,11 @@ class ShardRuntime:
                 continue
             replica.token += 1
             planes, versions = store.export_plane_delta({}, self._closures[j])
-            families, loose = _column_freight(sheet, members)
+            families = _template_families(sheet, members)
             try:
                 payload = pickle.dumps(
                     ("boot", (self._id, j), replica.token, sheet.name,
-                     planes, families, loose, None, None),
+                     planes, families, None, None),
                     pickle.HIGHEST_PROTOCOL,
                 )
             except Exception:
@@ -723,7 +700,7 @@ class ScenarioReplicas:
         self._replicas = [_Replica() for _ in range(self.workers)]
         weakref.finalize(self, _send_drops, self._id, self.workers)
 
-    def boot(self, sheet, cols, families, loose, spec, seeds, stats) -> None:
+    def boot(self, sheet, cols, families, spec, seeds, stats) -> None:
         """Ensure every slot hosts a live replica; no-op when already
         booted.  A slot that cannot boot is left unbooted — its chunks
         fall back serially at replay time."""
@@ -739,7 +716,7 @@ class ScenarioReplicas:
             # the whole-sweep "payload-pickle-failed" serial fallback.
             payload = pickle.dumps(
                 ("boot", (self._id, slot), replica.token, sheet.name,
-                 planes, families, loose, spec, seeds),
+                 planes, families, spec, seeds),
                 pickle.HIGHEST_PROTOCOL,
             )
             try:

@@ -38,6 +38,7 @@ from .numeric import ExactSum, fsum_count
 from .parser import parse_formula
 from .r1c1 import to_r1c1
 from .references import ReferencedRange, extract_references, references_of_formula
+from .template import FormulaTemplate, intern_template
 from .tokenizer import Token, TokenKind, tokenize
 from .values import CellResolver, RangeValue
 
@@ -57,6 +58,7 @@ __all__ = [
     "ExactSum",
     "ExcelError",
     "FormulaSyntaxError",
+    "FormulaTemplate",
     "FunctionCall",
     "NA_ERROR",
     "NAME_ERROR",
@@ -78,6 +80,7 @@ __all__ = [
     "default_registry",
     "extract_references",
     "fsum_count",
+    "intern_template",
     "parse_formula",
     "references_of_formula",
     "to_r1c1",

@@ -120,8 +120,14 @@ class CellNode(Node):
     def to_formula(self) -> str:
         return _format_sheet_prefix(self.sheet) + self.ref.to_a1()
 
-    def to_range(self) -> Range:
-        return Range.cell(self.ref.col, self.ref.row)
+    def to_range(self, dc: int = 0, dr: int = 0) -> Range:
+        """The referenced cell — as :meth:`shifted` by ``(dc, dr)`` would
+        leave it, when given (the shift must stay on the sheet)."""
+        ref = self.ref
+        return Range.cell(
+            ref.col if ref.col_fixed else ref.col + dc,
+            ref.row if ref.row_fixed else ref.row + dr,
+        )
 
     def shifted(self, dc: int, dr: int) -> Node:
         try:
@@ -143,13 +149,15 @@ class RangeNode(Node):
     def to_formula(self) -> str:
         return _format_sheet_prefix(self.sheet) + f"{self.head.to_a1()}:{self.tail.to_a1()}"
 
-    def to_range(self) -> Range:
-        return Range(
-            min(self.head.col, self.tail.col),
-            min(self.head.row, self.tail.row),
-            max(self.head.col, self.tail.col),
-            max(self.head.row, self.tail.row),
-        )
+    def to_range(self, dc: int = 0, dr: int = 0) -> Range:
+        """The referenced range, corners normalised — as :meth:`shifted`
+        by ``(dc, dr)`` would leave it, when given."""
+        head, tail = self.head, self.tail
+        c1 = head.col if head.col_fixed else head.col + dc
+        r1 = head.row if head.row_fixed else head.row + dr
+        c2 = tail.col if tail.col_fixed else tail.col + dc
+        r2 = tail.row if tail.row_fixed else tail.row + dr
+        return Range(min(c1, c2), min(r1, r2), max(c1, c2), max(r1, r2))
 
     def shifted(self, dc: int, dr: int) -> Node:
         try:

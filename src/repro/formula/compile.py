@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from ..grid.range import Range
-from ..grid.ref import CellRef
 from .ast_nodes import (
     BinaryOp,
     Boolean,
@@ -52,6 +51,7 @@ from .errors import REF_ERROR, VALUE_ERROR, ExcelError
 from .evaluator import Evaluator
 from .functions import REGISTRY, _truthy_for_logical
 from .r1c1 import to_r1c1
+from .references import AxisRef, axis_refs
 from .values import (
     CellResolver,
     ErrorSignal,
@@ -83,27 +83,6 @@ _Closure = Callable[[CellResolver, "str | None", int, int], object]
 
 class _Unsupported(Exception):
     """Internal: the compiler does not cover this construct."""
-
-
-class AxisRef(NamedTuple):
-    """One axis of a template reference: absolute or host-relative.
-
-    ``fixed`` axes carry the absolute coordinate in ``value``; relative
-    axes carry the delta from the host cell.
-    """
-
-    fixed: bool
-    value: int
-
-    def at(self, host: int) -> int:
-        """Resolve against a host coordinate."""
-        return self.value if self.fixed else host + self.value
-
-
-def _axis_refs(ref: CellRef, host_col: int, host_row: int) -> tuple[AxisRef, AxisRef]:
-    col = AxisRef(True, ref.col) if ref.col_fixed else AxisRef(False, ref.col - host_col)
-    row = AxisRef(True, ref.row) if ref.row_fixed else AxisRef(False, ref.row - host_row)
-    return col, row
 
 
 class WindowSpec(NamedTuple):
@@ -168,7 +147,7 @@ def _elementwise_node(node: Node, host_col: int, host_row: int,
     if isinstance(node, CellNode):
         if node.sheet is not None:
             raise _Unsupported("elementwise: sheet-qualified reference")
-        pair = _axis_refs(node.ref, host_col, host_row)
+        pair = axis_refs(node.ref, host_col, host_row)
         try:
             index = refs.index(pair)
         except ValueError:
@@ -226,8 +205,8 @@ def window_spec(ast: Node, host_col: int, host_row: int) -> WindowSpec | None:
     rng = ast.args[0]
     if not isinstance(rng, RangeNode) or rng.sheet is not None:
         return None
-    head_col, head_row = _axis_refs(rng.head, host_col, host_row)
-    tail_col, tail_row = _axis_refs(rng.tail, host_col, host_row)
+    head_col, head_row = axis_refs(rng.head, host_col, host_row)
+    tail_col, tail_row = axis_refs(rng.tail, host_col, host_row)
     return WindowSpec(func, head_col, head_row, tail_col, tail_row)
 
 
@@ -237,7 +216,7 @@ def window_spec(ast: Node, host_col: int, host_row: int) -> WindowSpec | None:
 
 def _compile_cell(node: CellNode, host_col: int, host_row: int) -> _Closure:
     ref_sheet = node.sheet
-    col_ref, row_ref = _axis_refs(node.ref, host_col, host_row)
+    col_ref, row_ref = axis_refs(node.ref, host_col, host_row)
 
     def closure(res, sheet, col, row):
         c = col_ref.value if col_ref.fixed else col + col_ref.value
@@ -254,8 +233,8 @@ def _compile_cell(node: CellNode, host_col: int, host_row: int) -> _Closure:
 
 def _compile_range(node: RangeNode, host_col: int, host_row: int) -> _Closure:
     ref_sheet = node.sheet
-    hc, hr = _axis_refs(node.head, host_col, host_row)
-    tc, tr = _axis_refs(node.tail, host_col, host_row)
+    hc, hr = axis_refs(node.head, host_col, host_row)
+    tc, tr = axis_refs(node.tail, host_col, host_row)
 
     def closure(res, sheet, col, row):
         c1 = hc.value if hc.fixed else col + hc.value
@@ -707,23 +686,30 @@ class CompilingEvaluator:
         self.registry = default_registry() if registry is None else registry
         self.stats = stats if stats is not None else EvalStats()
 
-    def template_for_cell(self, cell, col: int, row: int) -> CompiledTemplate | None:
-        """The cell's compiled template (None when uncompilable)."""
-        key = cell.template_key(col, row)
-        if not key:
+    def template_for_cell(self, cell) -> CompiledTemplate | None:
+        """The cell's compiled template (None when uncompilable).
+
+        Compiles from the family's anchor AST — closures are
+        position-free — so no member's own AST is ever rendered here.
+        """
+        family = cell.template
+        if family is None:
             return None
-        return self.registry.template_for(key, cell.formula_ast, col, row)
+        return self.registry.template_for(family.key, family.ast, family.col, family.row)
 
     def evaluate_cell(self, cell, sheet: str | None, col: int, row: int):
-        """Evaluate one formula cell's AST to a value."""
-        template = self.template_for_cell(cell, col, row)
+        """Evaluate one formula cell to a value."""
+        template = self.template_for_cell(cell)
         if template is not None:
             self.stats.compiled_cells += 1
             return template.run(self.resolver, sheet, col, row)
-        self.stats.interpreted_cells += 1
-        return self.interpreter.evaluate(cell.formula_ast, sheet, col, row)
+        return self.interpret_cell(cell, sheet, col, row)
 
     def interpret_cell(self, cell, sheet: str | None, col: int, row: int):
-        """Evaluate one cell strictly through the tree-walking interpreter."""
+        """Evaluate one cell strictly through the tree-walking interpreter
+        (which walks the family's anchor AST displaced to this host)."""
         self.stats.interpreted_cells += 1
-        return self.interpreter.evaluate(cell.formula_ast, sheet, col, row)
+        family = cell.template
+        return self.interpreter.evaluate(
+            family.ast, sheet, col, row, written_at=(family.col, family.row)
+        )

@@ -39,15 +39,20 @@ __all__ = ["Evaluator", "EvalContext"]
 
 
 class EvalContext:
-    """Where a formula is being evaluated: host sheet and cell position."""
+    """Where a formula is being evaluated: host sheet and cell position,
+    and how far that host is from the one the AST was written for (the
+    autofill shift its relative references take, ``(0, 0)`` normally)."""
 
-    __slots__ = ("evaluator", "sheet", "col", "row")
+    __slots__ = ("evaluator", "sheet", "col", "row", "dc", "dr")
 
-    def __init__(self, evaluator: "Evaluator", sheet: str | None, col: int, row: int):
+    def __init__(self, evaluator: "Evaluator", sheet: str | None, col: int, row: int,
+                 dc: int = 0, dr: int = 0):
         self.evaluator = evaluator
         self.sheet = sheet
         self.col = col
         self.row = row
+        self.dc = dc
+        self.dr = dr
 
     def eval(self, node: Node):
         """Evaluate a sub-expression in this context (used by lazy builtins)."""
@@ -56,7 +61,7 @@ class EvalContext:
     def eval_reference(self, node: Node) -> Range:
         """Resolve a reference argument to its range (for ROW/COLUMN/ROWS)."""
         if isinstance(node, (CellNode, RangeNode)):
-            return node.to_range()
+            return node.to_range(self.dc, self.dr)
         raise ErrorSignal(VALUE_ERROR)
 
 
@@ -64,9 +69,19 @@ class Evaluator:
     def __init__(self, resolver: CellResolver):
         self._resolver = resolver
 
-    def evaluate(self, node: Node, sheet: str | None = None, col: int = 1, row: int = 1):
-        """Evaluate an AST to a value; errors come back as ExcelError values."""
-        ctx = EvalContext(self, sheet, col, row)
+    def evaluate(self, node: Node, sheet: str | None = None, col: int = 1, row: int = 1,
+                 written_at: tuple[int, int] | None = None):
+        """Evaluate an AST to a value; errors come back as ExcelError values.
+
+        ``written_at`` evaluates a template's anchor AST on behalf of
+        another member: the host the AST was written for, when it is not
+        ``(col, row)`` — relative references resolve displaced by the
+        difference, exactly as the member's own (shifted) AST would.
+        """
+        if written_at is None:
+            ctx = EvalContext(self, sheet, col, row)
+        else:
+            ctx = EvalContext(self, sheet, col, row, col - written_at[0], row - written_at[1])
         try:
             value = self._eval(node, ctx)
         except ErrorSignal as signal:
@@ -97,17 +112,18 @@ class Evaluator:
         if isinstance(node, ErrorLiteral):
             raise ErrorSignal(ExcelError(node.code))
         if isinstance(node, CellNode):
+            ref = node.ref
             value = self._resolver.get_value(
                 node.sheet if node.sheet is not None else ctx.sheet,
-                node.ref.col,
-                node.ref.row,
+                ref.col if ref.col_fixed else ref.col + ctx.dc,
+                ref.row if ref.row_fixed else ref.row + ctx.dr,
             )
             if isinstance(value, ExcelError):
                 raise ErrorSignal(value)
             return value
         if isinstance(node, RangeNode):
             sheet = node.sheet if node.sheet is not None else ctx.sheet
-            return RangeValue(node.to_range(), sheet, self._resolver)
+            return RangeValue(node.to_range(ctx.dc, ctx.dr), sheet, self._resolver)
         if isinstance(node, UnaryOp):
             operand = self._eval(node.operand, ctx)
             if node.op == "-":

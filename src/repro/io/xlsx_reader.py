@@ -4,11 +4,17 @@ Parses the SpreadsheetML parts the formula-graph pipeline needs: sheet
 names and order from ``xl/workbook.xml`` (resolving relationship targets),
 the shared-string table, and per-sheet cell values and formulae.
 
-Shared formulae are reconstructed the way a spreadsheet engine does: the
-anchor cell's formula is parsed once and *shifted* to each member cell of
-the group (relative references move, ``$``-fixed ones stay), so a
-shared-formula file round-trips to the same dependency set as a fully
+Shared formulae are reconstructed the way a spreadsheet engine stores
+them: the anchor cell's formula is parsed once and every follower of the
+group becomes a member of the anchor's template
+(:mod:`repro.formula.template`) — relative references move with the
+member, ``$``-fixed ones stay — so a shared-formula file opens as one
+template per group and round-trips to the same dependency set as a fully
 materialised one.
+
+Worksheet parts are *streamed*: cells are applied as the parser closes
+them and each finished ``<row>`` is cleared, so opening a file never
+holds the part's bytes or its element tree, only the sheet being built.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from typing import IO
 from xml.etree import ElementTree
 
 from ..formula.errors import ExcelError
+from ..formula.template import FormulaTemplate
 from ..grid.ref import parse_cell
 from ..sheet.sheet import Sheet
 from ..sheet.workbook import Workbook
@@ -119,43 +126,55 @@ def _read_sheet(
     sheet: Sheet,
     shared_strings: list[str],
 ) -> None:
-    root = _read_xml(archive, target)
-    if root is None:
-        raise XlsxFormatError(f"missing worksheet part {target}")
-    # si -> (anchor_col, anchor_row, anchor_ast); anchors appear before
-    # their followers in document order.
-    shared_anchors: dict[str, tuple[int, int, object]] = {}
-    for element in root.iter():
-        if strip_ns(element.tag) != "c":
-            continue
-        ref = element.get("r")
-        if not ref:
-            continue
-        col, row = parse_cell(ref)
-        cell_type = element.get("t", "n")
-        formula_el = None
-        value_el = None
-        inline_el = None
-        for child in element:
-            tag = strip_ns(child.tag)
-            if tag == "f":
-                formula_el = child
-            elif tag == "v":
-                value_el = child
-            elif tag == "is":
-                inline_el = child
+    # si -> the anchor's template; anchors appear before their followers
+    # in document order.
+    shared_anchors: dict[str, FormulaTemplate] = {}
+    try:
+        part = archive.open(target)
+    except KeyError:
+        raise XlsxFormatError(f"missing worksheet part {target}") from None
+    try:
+        with part:
+            for _, element in ElementTree.iterparse(part):
+                tag = strip_ns(element.tag)
+                if tag == "c":
+                    _read_cell(sheet, element, shared_anchors, shared_strings)
+                elif tag == "row":
+                    element.clear()
+    except ElementTree.ParseError as exc:
+        raise XlsxFormatError(f"malformed XML in {target}: {exc}") from exc
 
-        if formula_el is not None:
-            handled = _apply_formula(sheet, col, row, formula_el, shared_anchors)
-            if handled:
-                # Attach the cached value, if any, to the formula cell.
-                cached = _parse_value(cell_type, value_el, inline_el, shared_strings)
-                if cached is not None:
-                    sheet.cell_at((col, row)).value = cached
-                continue
-        value = _parse_value(cell_type, value_el, inline_el, shared_strings)
+
+def _read_cell(
+    sheet: Sheet,
+    element: ElementTree.Element,
+    shared_anchors: dict[str, FormulaTemplate],
+    shared_strings: list[str],
+) -> None:
+    ref = element.get("r")
+    if not ref:
+        return
+    col, row = parse_cell(ref)
+    cell_type = element.get("t", "n")
+    formula_el = None
+    value_el = None
+    inline_el = None
+    for child in element:
+        tag = strip_ns(child.tag)
+        if tag == "f":
+            formula_el = child
+        elif tag == "v":
+            value_el = child
+        elif tag == "is":
+            inline_el = child
+
+    value = _parse_value(cell_type, value_el, inline_el, shared_strings)
+    if formula_el is not None and _apply_formula(sheet, col, row, formula_el, shared_anchors):
+        # Attach the cached value, if any, to the formula cell.
         if value is not None:
-            sheet.set_value((col, row), value)
+            sheet.formula_at((col, row)).value = value
+    elif value is not None:
+        sheet.set_value((col, row), value)
 
 
 def _apply_formula(
@@ -163,7 +182,7 @@ def _apply_formula(
     col: int,
     row: int,
     formula_el: ElementTree.Element,
-    shared_anchors: dict[str, tuple[int, int, object]],
+    shared_anchors: dict[str, FormulaTemplate],
 ) -> bool:
     text = formula_el.text or ""
     f_type = formula_el.get("t", "normal")
@@ -171,13 +190,12 @@ def _apply_formula(
         si = formula_el.get("si", "")
         if text:
             sheet.set_formula((col, row), text)
-            shared_anchors[si] = (col, row, sheet.cell_at((col, row)).formula_ast)
+            shared_anchors[si] = sheet.formula_at((col, row)).template
             return True
         anchor = shared_anchors.get(si)
         if anchor is None:
             return False  # dangling follower: fall back to stored value
-        anchor_col, anchor_row, anchor_ast = anchor
-        sheet.set_formula_ast((col, row), anchor_ast.shifted(col - anchor_col, row - anchor_row))
+        sheet.set_formula_template((col, row), anchor)
         return True
     if f_type == "array":
         # Array formulae are out of scope; keep the cached value only.

@@ -19,7 +19,6 @@ from __future__ import annotations
 import zipfile
 from typing import IO
 
-from ..formula.r1c1 import to_r1c1
 from ..formula.errors import ExcelError
 from ..grid.range import Range
 from ..grid.ref import format_cell
@@ -132,7 +131,7 @@ def _plan_shared_groups(sheet: Sheet) -> dict[tuple[int, int], tuple[int, Range,
     plan: dict[tuple[int, int], tuple[int, Range, bool]] = {}
     by_column: dict[int, list[tuple[int, str]]] = {}
     for (col, row), cell in sheet.formula_cells():
-        by_column.setdefault(col, []).append((row, to_r1c1(cell.formula_ast, col, row)))
+        by_column.setdefault(col, []).append((row, cell.template.key))
     si = 0
     for col, entries in by_column.items():
         entries.sort()
@@ -169,23 +168,28 @@ def _format_number(value: float) -> str:
 def write_sheet_xml(sheet: Sheet, shared_formulas: bool = True) -> str:
     """Serialise one worksheet part."""
     plan = _plan_shared_groups(sheet) if shared_formulas else {}
+    # Formula elements first (text is rendered for anchors and ungrouped
+    # cells only); the value pass below pairs each with its cached value.
+    formulas: dict[tuple[int, int], str] = {}
+    for pos, cell in sheet.formula_cells():
+        shared = plan.get(pos)
+        if shared is None:
+            formulas[pos] = f"<f>{xml_escape(cell.formula_text)}</f>"
+            continue
+        si, group_range, is_anchor = shared
+        if is_anchor:
+            formulas[pos] = (
+                f'<f t="shared" ref="{group_range.to_a1()}" si="{si}">'
+                f"{xml_escape(cell.formula_text)}</f>"
+            )
+        else:
+            formulas[pos] = f'<f t="shared" si="{si}"/>'
+
     rows: dict[int, list[tuple[int, str]]] = {}
-    for (col, row), cell in sheet.items():
+    for col, row, value in sheet.iter_values():
         ref = format_cell(col, row)
-        value = cell.value
-        if cell.is_formula:
-            shared = plan.get((col, row))
-            if shared is not None:
-                si, group_range, is_anchor = shared
-                if is_anchor:
-                    formula_xml = (
-                        f'<f t="shared" ref="{group_range.to_a1()}" si="{si}">'
-                        f"{xml_escape(cell.formula_text)}</f>"
-                    )
-                else:
-                    formula_xml = f'<f t="shared" si="{si}"/>'
-            else:
-                formula_xml = f"<f>{xml_escape(cell.formula_text)}</f>"
+        formula_xml = formulas.pop((col, row), None) if formulas else None
+        if formula_xml is not None:
             cached = _cached_value_xml(value)
             body = f'<c r="{ref}"{cached[0]}>{formula_xml}{cached[1]}</c>'
         elif isinstance(value, bool):
@@ -199,6 +203,8 @@ def write_sheet_xml(sheet: Sheet, shared_formulas: bool = True) -> str:
         else:
             continue
         rows.setdefault(row, []).append((col, body))
+    for (col, row), formula_xml in formulas.items():  # never evaluated: no <v>
+        rows.setdefault(row, []).append((col, f'<c r="{format_cell(col, row)}">{formula_xml}</c>'))
 
     row_xml: list[str] = []
     for row in sorted(rows):

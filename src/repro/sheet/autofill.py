@@ -8,9 +8,10 @@ dependencies, ``A1:$B$4``-style generates RF, ``$B$1:B4`` generates FR and
 fully absolute ranges generate FF — which is exactly the pattern set TACO
 compresses.
 
-The implementation shifts the parsed AST once per target cell and stores
-the AST directly (no re-parse), so corpus generation scales to hundreds of
-thousands of formula cells.
+A filled cell is its position plus a pointer to the source cell's
+template (:mod:`repro.formula.template`): nothing is parsed or shifted
+per target, so corpus generation scales to hundreds of thousands of
+formula cells and the family stays one object however long it grows.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ def autofill(sheet: Sheet, source, target: Range) -> int:
         raise ValueError(f"autofill source ({src_col},{src_row}) is empty")
     written = 0
     if cell.is_formula:
-        ast = cell.formula_ast
-        for col, row in target.cells():
-            if (col, row) == (src_col, src_row):
+        template = cell.template
+        for pos in target.cells():
+            if pos == (src_col, src_row):
                 continue
-            sheet.set_formula_ast((col, row), ast.shifted(col - src_col, row - src_row))
+            sheet.set_formula_template(pos, template)
             written += 1
     else:
         for col, row in target.cells():

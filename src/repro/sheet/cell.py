@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from ..formula.ast_nodes import Node
 from ..formula.parser import parse_formula
-from ..formula.references import ReferencedRange, extract_references
+from ..formula.r1c1 import to_r1c1
+from ..formula.references import ReferencedRange
+from ..formula.template import FormulaTemplate, intern_template
 
 __all__ = ["Cell"]
 
@@ -12,38 +14,69 @@ __all__ = ["Cell"]
 class Cell:
     """One spreadsheet cell.
 
-    A cell holds either a *pure value* (``formula_ast is None``) or a
-    formula; for formula cells ``value`` caches the last evaluated result.
-    The AST and the extracted references are materialised lazily and
-    memoised, since workload generation touches far more cells than it
-    ever evaluates.
+    A cell holds either a *pure value* or a formula; for formula cells
+    ``value`` caches the last evaluated result.  A formula cell owns no
+    AST: it is its *host* position plus the
+    :class:`~repro.formula.template.FormulaTemplate` it shares with the
+    rest of its autofill family, and everything else — references, AST,
+    R1C1 key, text — is derived from those two on demand.  A cell set
+    from text keeps the text as entered and joins its template the first
+    time anything needs more than the text, since workload generation
+    and file loading touch far more cells than they ever evaluate.
     """
 
-    __slots__ = ("value", "_formula_text", "_formula_ast", "_references", "_template_key")
+    __slots__ = ("value", "_formula_text", "_template", "_col", "_row")
 
-    def __init__(self, value=None, formula_text: str | None = None, formula_ast: Node | None = None):
+    def __init__(
+        self,
+        value=None,
+        formula_text: str | None = None,
+        formula_ast: Node | None = None,
+        *,
+        template: FormulaTemplate | None = None,
+        host: tuple[int, int] = (1, 1),
+    ):
         self.value = value
+        self._col, self._row = host
         self._formula_text = formula_text
-        self._formula_ast = formula_ast
-        self._references: list[ReferencedRange] | None = None
-        self._template_key: str | None = None
+        if formula_ast is not None:
+            template = intern_template(formula_ast, *host)
+        self._template = template
 
     @property
     def is_formula(self) -> bool:
-        return self._formula_text is not None or self._formula_ast is not None
+        return self._formula_text is not None or self._template is not None
+
+    @property
+    def template(self) -> FormulaTemplate | None:
+        """The shared template (None for pure values); a cell set from
+        text parses and joins it here, once."""
+        template = self._template
+        if template is None and self._formula_text is not None:
+            template = self._template = intern_template(
+                parse_formula(self._formula_text), self._col, self._row
+            )
+        return template
+
+    @property
+    def source_text(self) -> str | None:
+        """The formula body as it was entered, for cells set from text;
+        None for cells that only know their template (autofill members,
+        rewritten formulas) and for pure values.  Never parses."""
+        return self._formula_text
 
     @property
     def formula_ast(self) -> Node | None:
-        if self._formula_ast is None and self._formula_text is not None:
-            self._formula_ast = parse_formula(self._formula_text)
-        return self._formula_ast
+        """This cell's own AST, rendered off the template per call."""
+        template = self.template
+        return None if template is None else template.ast_at(self._col, self._row)
 
     @property
     def formula_text(self) -> str | None:
         """The formula body without the leading ``=`` (None for pure values)."""
-        if self._formula_text is None and self._formula_ast is not None:
-            self._formula_text = self._formula_ast.to_formula()
-        return self._formula_text
+        if self._formula_text is not None or self._template is None:
+            return self._formula_text
+        return self._template.ast_at(self._col, self._row).to_formula()
 
     @property
     def display_formula(self) -> str | None:
@@ -51,27 +84,24 @@ class Cell:
         return None if text is None else "=" + text
 
     def template_key(self, col: int, row: int) -> str:
-        """The formula's R1C1 template key, memoised per cell.
+        """The formula's R1C1 template key as seen from ``(col, row)``.
 
-        ``(col, row)`` is the cell's own position (cells don't know where
-        they live; the sheet does).  Cells produced by autofill share one
-        key, which is what lets the template registry compile a 10,000-row
-        column exactly once.  Empty string for pure-value cells.
+        Cells produced by autofill share one key, which is what lets the
+        template registry compile a 10,000-row column exactly once.
+        Empty string for pure-value cells.
         """
-        if self._template_key is None:
-            from ..formula.r1c1 import to_r1c1  # deferred: keep Cell import-light
-
-            ast = self.formula_ast
-            self._template_key = "" if ast is None else to_r1c1(ast, col, row)
-        return self._template_key
+        template = self.template
+        if template is None:
+            return ""
+        if col == self._col and row == self._row:
+            return template.key
+        return to_r1c1(self.formula_ast, col, row)
 
     @property
     def references(self) -> list[ReferencedRange]:
         """Ranges referenced by this cell's formula (empty for pure values)."""
-        if self._references is None:
-            ast = self.formula_ast
-            self._references = [] if ast is None else extract_references(ast)
-        return self._references
+        template = self.template
+        return [] if template is None else template.references_at(self._col, self._row)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_formula:

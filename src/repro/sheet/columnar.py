@@ -24,13 +24,15 @@ numpy required — but its buffers expose the buffer protocol, so the
 vectorized evaluator (:mod:`repro.engine.vectorized`) wraps them
 zero-copy with ``numpy.frombuffer`` when numpy is available.
 
-Formula cells keep a real cell object (the AST, memoised references and
-template key need per-cell identity), but as a :class:`ColumnarCell`
-whose ``value`` attribute is a *write-through property* over the arrays:
-``cell.value = x`` lands in the column arrays, never in a shadow slot,
-so bulk array reads can never observe a stale value.  Pure-value
-positions materialise a ``ColumnarCell`` view lazily — and only when
-someone actually asks for the object via ``Sheet.cell_at``.
+Formula cells keep a small registered object — a :class:`ColumnarCell`
+holding the host position and a pointer to the template its autofill
+family shares (:mod:`repro.formula.template`); the AST, references and
+R1C1 key live on the template, once per family.  Its ``value`` attribute
+is a *write-through property* over the arrays: ``cell.value = x`` lands
+in the column arrays, never in a shadow slot, so bulk array reads can
+never observe a stale value.  Pure-value positions materialise a
+``ColumnarCell`` view lazily — and only when someone actually asks for
+the object via ``Sheet.cell_at``.
 
 :class:`ColumnarStore` also speaks the small mapping dialect the sheet
 layer uses (``items``/``get``/``pop``/``__setitem__``/...), so
@@ -46,6 +48,7 @@ from typing import Iterator
 
 from ..formula.ast_nodes import Node
 from ..formula.errors import ExcelError
+from ..formula.template import FormulaTemplate, intern_template
 from .cell import Cell
 
 __all__ = [
@@ -128,14 +131,14 @@ def _classify(value) -> tuple[int, float, object]:
 class ColumnarCell(Cell):
     """A cell whose ``value`` is a write-through view over the store.
 
-    Used both for registered formula cells (which need a long-lived
-    object carrying the AST and memoised caches) and for the lazy views
-    ``Sheet.cell_at`` hands out for pure-value positions.  Either way,
-    reading ``.value`` consults the column arrays and assigning it
-    forwards there — direct writes can never leave the arrays stale.
+    Used both for registered formula cells (a long-lived *(template,
+    host)* pair) and for the lazy views ``Sheet.cell_at`` hands out for
+    pure-value positions.  Either way, reading ``.value`` consults the
+    column arrays and assigning it forwards there — direct writes can
+    never leave the arrays stale.
     """
 
-    __slots__ = ("_store", "_col", "_row")
+    __slots__ = ("_store",)
 
     def __init__(
         self,
@@ -144,14 +147,16 @@ class ColumnarCell(Cell):
         row: int,
         formula_text: str | None = None,
         formula_ast: Node | None = None,
+        template: FormulaTemplate | None = None,
     ):
+        # Not Cell.__init__: assigning ``value`` here would write through.
         self._store = store
         self._col = col
         self._row = row
         self._formula_text = formula_text
-        self._formula_ast = formula_ast
-        self._references = None
-        self._template_key = None
+        if formula_ast is not None:
+            template = intern_template(formula_ast, col, row)
+        self._template = template
 
     @property
     def value(self):
@@ -165,16 +170,6 @@ class ColumnarCell(Cell):
     def position(self) -> tuple[int, int]:
         """The (col, row) this view is bound to."""
         return (self._col, self._row)
-
-    def invalidate_position_caches(self) -> None:
-        """Drop memoised state that depends on where the cell sits.
-
-        The R1C1 template key renders relative references against the
-        host position; after a structural move the same AST keys
-        differently.  Extracted references are absolute — they only
-        change when the AST itself is rewritten — so they survive.
-        """
-        self._template_key = None
 
 
 class ColumnarStore:
@@ -275,14 +270,16 @@ class ColumnarStore:
         formula_text: str | None = None,
         formula_ast: Node | None = None,
         value=None,
+        template: FormulaTemplate | None = None,
     ) -> ColumnarCell:
         """Install a formula cell at ``pos`` (cached value reset to
-        ``value``, None by default — matching a fresh ``Cell``)."""
+        ``value``, None by default — matching a fresh ``Cell``) from its
+        source text, its own AST, or the template it is a member of."""
         col, row = pos
         column = self._column_for(col, row)
         old = column.tags[row - 1]
         was_occupied = old != TAG_EMPTY or pos in self._formulas
-        cell = ColumnarCell(self, col, row, formula_text, formula_ast)
+        cell = ColumnarCell(self, col, row, formula_text, formula_ast, template)
         self._formulas[pos] = cell
         self._write_raw(column, row - 1, value)
         if not was_occupied:
@@ -341,10 +338,13 @@ class ColumnarStore:
         """
         value = cell.value
         if cell.is_formula:
+            # The formula the cell shows at *its* host lands here verbatim
+            # (source text if it has any, else its own AST).
+            text = cell.source_text
             self.put_formula(
                 pos,
-                formula_text=cell._formula_text,
-                formula_ast=cell._formula_ast,
+                formula_text=text,
+                formula_ast=None if text is not None else cell.formula_ast,
                 value=value,
             )
         else:
@@ -391,6 +391,22 @@ class ColumnarStore:
             cell = formulas.get(pos)
             yield pos, (cell if cell is not None else ColumnarCell(self, *pos))
 
+    def iter_values(self) -> Iterator[tuple[int, int, object]]:
+        """Every non-blank value as (col, row, value), column by column —
+        pure values and formula cached values alike, read straight off
+        the typed planes (no views)."""
+        for col, column in self._columns.items():
+            values, side = column.values, column.side
+            for i, tag in enumerate(column.tags):
+                if tag == TAG_EMPTY:
+                    continue
+                if tag == TAG_NUMBER:
+                    yield col, i + 1, values[i]
+                elif tag == TAG_BOOL:
+                    yield col, i + 1, values[i] != 0.0
+                else:
+                    yield col, i + 1, side[i]
+
     # -- range iteration -------------------------------------------------------
 
     def iter_range(self, rng) -> Iterator[tuple[int, int, object]]:
@@ -421,24 +437,30 @@ class ColumnarStore:
                     yield col, row, side[i]
 
     def bounds(self) -> tuple[int, int, int, int] | None:
-        """Bounding box of occupied positions, or None when empty."""
-        min_col = min_row = max_col = max_row = None
-        for col, row in self:
-            if min_col is None:
-                min_col = max_col = col
-                min_row = max_row = row
-                continue
-            if col < min_col:
-                min_col = col
-            elif col > max_col:
-                max_col = col
-            if row < min_row:
-                min_row = row
-            elif row > max_row:
-                max_row = row
-        if min_col is None:
+        """Bounding box of occupied positions, or None when empty.
+
+        Read off each column's tag-buffer extents (C-speed strips, no
+        per-cell loop); formula cells without a cached value occupy no
+        tag, so they are scanned for only when the occupancy count says
+        some exist."""
+        if not self._count:
             return None
-        return (min_col, min_row, max_col, max_row)
+        cols: list[int] = []
+        rows: list[int] = []
+        tagged = 0
+        for col, column in self._columns.items():
+            body = column.tags.rstrip(b"\0")
+            if not body:
+                continue
+            cols.append(col)
+            rows.append(len(body))
+            rows.append(len(body) - len(body.lstrip(b"\0")) + 1)
+            tagged += len(body) - body.count(0)
+        if tagged != self._count:
+            for col, row in self._formulas:
+                cols.append(col)
+                rows.append(row)
+        return (min(cols), min(rows), max(cols), max(rows))
 
     # -- raw buffer access (the vectorized evaluator's window) -----------------
 
@@ -461,7 +483,11 @@ class ColumnarStore:
         Values move as array splices (O(column length) memmoves instead
         of O(cells) dict rebuilds), side tables and the formula registry
         are rekeyed, and registered views are rebound to their post-edit
-        coordinates.  Returns the number of occupied positions removed
+        coordinates.  A rebound template member now reads its formula at
+        the new host (autofill-shifted with the move); what each moved
+        formula *should* say after the edit is the sheet-level pass's
+        business (:mod:`repro.sheet.structural`), which re-installs every
+        one of them.  Returns the number of occupied positions removed
         with the deleted band (0 for inserts).
         """
         self.epoch += 1

@@ -17,7 +17,7 @@ import weakref
 from typing import Iterator
 
 from ..formula.ast_nodes import Node
-from ..formula.references import ReferencedRange
+from ..formula.template import FormulaTemplate
 from ..grid.range import Range
 from ..grid.ref import parse_cell
 from .cell import Cell
@@ -148,18 +148,36 @@ class Sheet:
         body = text[1:] if text.startswith("=") else text
         cells = self._cells
         if type(cells) is dict:
-            cells[pos] = Cell(formula_text=body)
+            cells[pos] = Cell(formula_text=body, host=pos)
         else:
             cells.put_formula(pos, formula_text=body)
 
     def set_formula_ast(self, target, ast: Node) -> None:
-        """Set a formula from a pre-built AST (the autofill fast path)."""
+        """Set a formula from a pre-built AST written for ``target``."""
         pos = _coerce_pos(target)
         cells = self._cells
         if type(cells) is dict:
-            cells[pos] = Cell(formula_ast=ast)
+            cells[pos] = Cell(formula_ast=ast, host=pos)
         else:
             cells.put_formula(pos, formula_ast=ast)
+
+    def set_formula_template(self, target, template: FormulaTemplate) -> None:
+        """Make ``target`` a member of ``template``'s autofill family.
+
+        The fill fast path: no AST is shifted, the new cell is just the
+        template pointer and its position.  A position at which one of
+        the template's relative references would leave the grid cannot be
+        a member — it gets its own ``#REF!``-bearing formula instead.
+        """
+        pos = _coerce_pos(target)
+        if not template.admits(*pos):
+            self.set_formula_ast(pos, template.ast_at(*pos))
+            return
+        cells = self._cells
+        if type(cells) is dict:
+            cells[pos] = Cell(template=template, host=pos)
+        else:
+            cells.put_formula(pos, template=template)
 
     def clear_cell(self, target) -> None:
         pos = _coerce_pos(target)
@@ -188,6 +206,17 @@ class Sheet:
 
     def items(self) -> Iterator[tuple[tuple[int, int], Cell]]:
         return iter(self._cells.items())
+
+    def iter_values(self) -> Iterator[tuple[int, int, object]]:
+        """Every non-blank value as ``(col, row, value)`` — formula cached
+        values included — without a cell object per position."""
+        cells = self._cells
+        if type(cells) is not dict:
+            return cells.iter_values()
+        return (
+            (col, row, cell.value)
+            for (col, row), cell in cells.items() if cell.value is not None
+        )
 
     def formula_cells(self) -> Iterator[tuple[tuple[int, int], Cell]]:
         cells = self._cells

@@ -39,6 +39,7 @@ from ..formula.ast_nodes import (
     walk,
 )
 from ..formula.errors import REF_ERROR
+from ..formula.template import FormulaTemplate, intern_template
 from ..grid.range import Range
 from ..grid.ref import CellRef, letters_to_col
 from .cell import Cell
@@ -310,73 +311,74 @@ class _TransformWatcher:
 # sheet-level operations
 
 
-def _apply_structural_columnar(
-    sheet: Sheet, transform_ref, prescreen, geometry
-) -> SheetEditReport:
-    """The columnar-store twin of :func:`_apply_structural`.
+class _Outcome(NamedTuple):
+    """What a structural edit makes of one surviving formula cell that
+    cannot simply stay as it is: the formula to install at its new
+    position — source ``text`` when the AST is provably untouched, else
+    the ``template`` the rewritten AST interned as — and what the
+    rewrite observed."""
 
-    Values move wholesale inside the column arrays
-    (:meth:`~repro.sheet.columnar.ColumnarStore.structural_edit` splices
-    them in O(column length) memmoves and rekeys the formula registry),
-    so only the *formula* population — typically a tiny fraction of the
-    sheet — is walked here for reference rewriting.  Must never run
-    interleaved with the object path: registered views are rebound by
-    the splice, and a view captured before it would read post-edit
-    coordinates.
+    text: str | None
+    template: FormulaTemplate | None
+    rewritten: bool = False
+    resized: bool = False
+    volatile: bool = False
+    struck: bool = False
+
+
+def _outcome(cell: Cell, pos, new_pos, transform_ref, applies, prescreen) -> _Outcome | None:
+    """Decide one formula cell's fate, reading it at its *pre-edit* host.
+
+    None means the cell keeps its object untouched: it stays where it is
+    and no reference of it changes.  A formula cell is a (template, host)
+    pair, so its AST is materialised here — once — rewritten, and
+    re-interned for the new position (a family that moves together with
+    what it references lands back on one shared template); ``rewritten``
+    is the identity test of :func:`_rewrite` against that one
+    materialisation.
+
+    ``prescreen(text) -> bool`` (optional) is the conservative textual
+    test of :func:`_may_touch`: a formula that still carries its source
+    text and provably cannot be affected skips parsing entirely and
+    moves as text.  This is what makes an edit on a lazily parsed sheet
+    (a fresh xlsx read, a snapshot restore) cost ``O(cells)`` text scans
+    instead of ``O(cells)`` formula parses.
     """
-    store = sheet._cells
-    name = sheet.name
+    text = cell.source_text
+    if prescreen is not None and text is not None and not prescreen(text):
+        return None if new_pos == pos else _Outcome(text, None)
+    watcher = _TransformWatcher(transform_ref)
+    ast = cell.formula_ast
+    new_ast = _rewrite(ast, watcher, applies)
+    if new_ast is ast and new_pos == pos:
+        return None
+    return _Outcome(
+        None, intern_template(new_ast, *new_pos), new_ast is not ast,
+        bool(watcher.resized), _position_sensitive(new_ast), bool(watcher.strikes),
+    )
 
-    def applies(node) -> bool:
-        return node.sheet is None or node.sheet == name
 
-    axis, mode, index, count = geometry
-    pre_positions = {id(cell): pos for pos, cell in store.formula_items()}
-    removed = store.structural_edit(axis, mode, index, count)
-    moved: set[tuple[int, int]] = set()
-    rewritten: set[tuple[int, int]] = set()
-    resized: set[tuple[int, int]] = set()
-    volatile: set[tuple[int, int]] = set()
-    struck: set[tuple[int, int]] = set()
-    for new_pos, cell in list(store.formula_items()):
-        did_move = new_pos != pre_positions[id(cell)]
-        text = cell._formula_text
-        if prescreen is not None and text is not None and not prescreen(text):
-            # Provably untouched AST (see the object path's rationale);
-            # a re-registration restarts the position-dependent caches
-            # cold, exactly like the object path's fresh text-only Cell.
-            if did_move:
-                store.put_formula(
-                    new_pos, formula_text=text, value=store.read_value(*new_pos)
-                )
-                moved.add(new_pos)
-            continue
-        watcher = _TransformWatcher(transform_ref)
-        new_ast = _rewrite(cell.formula_ast, watcher, applies)
-        if new_ast is cell.formula_ast and not did_move:
-            continue
-        # The cached value already sits at new_pos (the splice moved it);
-        # read it out before put_formula resets the slot.
-        store.put_formula(
-            new_pos, formula_ast=new_ast, value=store.read_value(*new_pos)
-        )
-        if did_move:
-            moved.add(new_pos)
-        if new_ast is not cell.formula_ast:
-            rewritten.add(new_pos)
-        if watcher.resized:
-            resized.add(new_pos)
-        if _position_sensitive(new_ast):
-            volatile.add(new_pos)
-        if watcher.strikes:
-            struck.add(new_pos)
-    return SheetEditReport(moved, rewritten, resized, volatile, struck, removed)
+class _Report:
+    """Accumulates a :class:`SheetEditReport` as outcomes are installed."""
+
+    def __init__(self):
+        # moved, rewritten, resized, volatile, ref_struck — the report's
+        # set fields, which _Outcome's flags follow in the same order.
+        self.sets = tuple(set() for _ in range(5))
+
+    def note(self, new_pos, did_move: bool, outcome: _Outcome) -> None:
+        for hit, positions in zip((did_move, *outcome[2:]), self.sets):
+            if hit:
+                positions.add(new_pos)
+
+    def done(self, removed: int) -> SheetEditReport:
+        return SheetEditReport(*self.sets, removed)
 
 
 def _apply_structural(
     sheet: Sheet, move_cell, transform_ref, prescreen=None, geometry=None
 ) -> SheetEditReport:
-    """Rebuild the cell dict under a structural edit.
+    """Apply a structural edit to ``sheet``'s cells.
 
     ``move_cell(pos) -> pos | None`` relocates each physical cell;
     ``transform_ref(range) -> Range | None`` rewrites formula references.
@@ -384,33 +386,43 @@ def _apply_structural(
     sheet's own name) are rewritten; sheet-qualified references into
     other sheets never shift under an edit here.
 
-    Cells that neither move nor change keep their ``Cell`` object — and
-    with it the memoised references and template key; moved or rewritten
-    formulas get a fresh ``Cell`` so every position-dependent cache
-    (``Cell._template_key``, extracted references) is invalidated at
-    once.
+    Cells that neither move nor change keep their cell object; every
+    other surviving formula is re-installed at its post-edit position
+    from its :func:`_outcome`, so nothing position-dependent travels.
 
-    ``prescreen(text) -> bool`` (optional) is the conservative textual
-    test of :func:`_may_touch`: a formula whose source text provably
-    cannot be affected skips AST materialisation entirely — it keeps its
-    ``Cell`` in place, or moves as a fresh text-only ``Cell`` whose
-    position-dependent caches start cold.  This is what makes an edit on
-    a lazily parsed sheet (a fresh xlsx read, a snapshot restore) cost
-    ``O(cells)`` text scans instead of ``O(cells)`` formula parses.
+    On the columnar store values move wholesale inside the column arrays
+    (:meth:`~repro.sheet.columnar.ColumnarStore.structural_edit` splices
+    them in O(column length) memmoves and rekeys the formula registry),
+    so only the *formula* population is walked here.  Outcomes are
+    decided *before* the splice — it rebinds registered cells to their
+    new hosts, where a template member would read a different formula —
+    and installed after it.  The dict store is rebuilt cell by cell.
     """
-    if geometry is not None and type(sheet._cells) is not dict:
-        return _apply_structural_columnar(sheet, transform_ref, prescreen, geometry)
-
     name = sheet.name
 
     def applies(node) -> bool:
         return node.sheet is None or node.sheet == name
 
-    moved: set[tuple[int, int]] = set()
-    rewritten: set[tuple[int, int]] = set()
-    resized: set[tuple[int, int]] = set()
-    volatile: set[tuple[int, int]] = set()
-    struck: set[tuple[int, int]] = set()
+    report = _Report()
+    if geometry is not None and type(sheet._cells) is not dict:
+        store = sheet._cells
+        pending = []
+        for pos, cell in store.formula_items():
+            new_pos = move_cell(pos)
+            if new_pos is None:
+                continue
+            outcome = _outcome(cell, pos, new_pos, transform_ref, applies, prescreen)
+            if outcome is not None:
+                pending.append((new_pos, new_pos != pos, outcome))
+        removed = store.structural_edit(*geometry)
+        for new_pos, did_move, outcome in pending:
+            # The cached value already sits at new_pos (the splice moved
+            # it); read it out before put_formula resets the slot.
+            store.put_formula(new_pos, formula_text=outcome.text, template=outcome.template,
+                              value=store.read_value(*new_pos))
+            report.note(new_pos, did_move, outcome)
+        return report.done(removed)
+
     removed = 0
     old_cells = dict(sheet.items())
     sheet._cells.clear()
@@ -419,41 +431,17 @@ def _apply_structural(
         if new_pos is None:
             removed += 1
             continue
-        if not cell.is_formula:
+        outcome = None
+        if cell.is_formula:
+            outcome = _outcome(cell, pos, new_pos, transform_ref, applies, prescreen)
+        if outcome is None:
             sheet._cells[new_pos] = cell
             continue
-        text = cell._formula_text
-        if prescreen is not None and text is not None and not prescreen(text):
-            # Provably untouched: same AST either way.  In place, the
-            # Cell (and its memoised caches) survives; moved, the source
-            # text is still verbatim-valid at the new position but the
-            # position-dependent caches must not travel.
-            if new_pos == pos:
-                sheet._cells[pos] = cell
-            else:
-                fresh = Cell(formula_text=text)
-                fresh.value = cell.value
-                sheet._cells[new_pos] = fresh
-                moved.add(new_pos)
-            continue
-        watcher = _TransformWatcher(transform_ref)
-        new_ast = _rewrite(cell.formula_ast, watcher, applies)
-        if new_ast is cell.formula_ast and new_pos == pos:
-            sheet._cells[pos] = cell
-            continue
-        sheet.set_formula_ast(new_pos, new_ast)
-        sheet.cell_at(new_pos).value = cell.value
-        if new_pos != pos:
-            moved.add(new_pos)
-        if new_ast is not cell.formula_ast:
-            rewritten.add(new_pos)
-        if watcher.resized:
-            resized.add(new_pos)
-        if _position_sensitive(new_ast):
-            volatile.add(new_pos)
-        if watcher.strikes:
-            struck.add(new_pos)
-    return SheetEditReport(moved, rewritten, resized, volatile, struck, removed)
+        sheet._cells[new_pos] = Cell(
+            cell.value, outcome.text, template=outcome.template, host=new_pos
+        )
+        report.note(new_pos, new_pos != pos, outcome)
+    return report.done(removed)
 
 
 def rewrite_for_edit(
@@ -465,9 +453,9 @@ def rewrite_for_edit(
     No cell on ``sheet`` moves — only sheet-qualified references that
     point into the edited sheet shift (or collapse to ``#REF!`` when the
     referenced band was deleted).  Formulas whose AST changes are
-    replaced wholesale, invalidating their memoised references and
-    template key; cached values are carried over (they are stale until
-    the owner recalculates, exactly like any other dependent).
+    replaced wholesale (the rewritten AST interns as its own template);
+    cached values are carried over (they are stale until the owner
+    recalculates, exactly like any other dependent).
     """
     if sheet.name == target:
         raise ValueError(
@@ -483,34 +471,27 @@ def rewrite_for_edit(
     def applies(node) -> bool:
         return node.sheet == target
 
-    rewritten: set[tuple[int, int]] = set()
-    resized: set[tuple[int, int]] = set()
-    volatile: set[tuple[int, int]] = set()
-    struck: set[tuple[int, int]] = set()
+    report = _Report()
     for pos, cell in list(sheet.formula_cells()):
-        text = cell._formula_text
-        if text is not None and target not in text and quoted_target not in text:
+        text = cell.source_text
+        if text is not None:
             # A reference into ``target`` must spell its name (possibly
             # apostrophe-escaped); a formula whose text never mentions it
             # cannot be affected.  (A name that happens to appear in a
             # string literal just forces the slow path — conservative,
             # never wrong.)
+            if target not in text and quoted_target not in text:
+                continue
+        elif not any(ref.sheet == target for ref in cell.template.refs):
             continue
-        watcher = _TransformWatcher(transform)
-        new_ast = _rewrite(cell.formula_ast, watcher, applies)
-        if new_ast is cell.formula_ast:
+        outcome = _outcome(cell, pos, pos, transform, applies, None)
+        if outcome is None:
             continue
         value = cell.value
-        sheet.set_formula_ast(pos, new_ast)
-        sheet.cell_at(pos).value = value
-        rewritten.add(pos)
-        if watcher.resized:
-            resized.add(pos)
-        if _position_sensitive(new_ast):
-            volatile.add(pos)
-        if watcher.strikes:
-            struck.add(pos)
-    return SheetEditReport(set(), rewritten, resized, volatile, struck, 0)
+        sheet.set_formula_template(pos, outcome.template)
+        sheet.formula_at(pos).value = value
+        report.note(pos, False, outcome)
+    return report.done(0)
 
 
 def rewrite_siblings(

@@ -10,7 +10,7 @@ from helpers import build_fig2_sheet, build_mixed_sheet
 from repro.core.taco_graph import dependencies_column_major
 from repro.formula.errors import ExcelError
 from repro.io.xlsx_reader import read_xlsx
-from repro.io.xlsx_writer import write_xlsx
+from repro.io.xlsx_writer import write_sheet_xml, write_xlsx
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 
@@ -114,6 +114,39 @@ class TestSharedFormulas:
         # A follower cell's formula must be the shifted anchor formula
         # (compare ASTs: rendering may add explicit parentheses).
         assert back.cell_at("N10").formula_ast == parse_formula("=IF(A10=A9,N9+M10,M10)")
+
+    def test_shared_groups_reopen_as_one_template_each(self):
+        from repro.sheet.autofill import fill_formula_column
+
+        sheet = Sheet("S")
+        for r in range(1, 41):
+            sheet.set_value((1, r), float(r))
+        fill_formula_column(sheet, 2, 1, 40, "=A1*$D$1")
+        fill_formula_column(sheet, 3, 1, 20, "=SUM($A$1:A1)")
+        fill_formula_column(sheet, 3, 21, 40, "=A21-A20")     # a second group below
+        sheet.set_formula("E1", "=B40+C40")                    # ungrouped
+        back = round_trip(sheet)["S"]
+        groups = {"B": range(1, 41), "C-top": range(1, 21), "C-bottom": range(21, 41)}
+        families = {
+            name: {back.formula_at((2 if name == "B" else 3, r)).template for r in rows}
+            for name, rows in groups.items()
+        }
+        assert all(len(templates) == 1 for templates in families.values())
+        assert len(set.union(*families.values())) == 3
+        # Followers carry no text of their own, yet read like the originals.
+        assert back.formula_at("B40").source_text is None
+        assert back.formula_at("B1").source_text is not None
+        for pos, cell in sheet.formula_cells():
+            assert back.formula_at(pos).formula_ast == cell.formula_ast
+        assert write_sheet_xml(back) == write_sheet_xml(sheet)
+
+    def test_unevaluated_formulas_are_written_without_a_value(self):
+        sheet = Sheet("S")
+        sheet.set_formula("B2", "=A1+1")                       # never recalculated
+        back = round_trip(sheet)["S"]
+        assert back.formula_at("B2").formula_text == "A1+1"
+        assert back.get_value("B2") is None
+        assert back.used_range() == sheet.used_range()
 
     def test_shared_and_plain_read_identically(self):
         sheet = build_fig2_sheet(rows=20)

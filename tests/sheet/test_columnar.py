@@ -274,3 +274,67 @@ class TestSheetParity:
     def test_unknown_store_kind_rejected(self):
         with pytest.raises(ValueError):
             Sheet("S", store="arrow")
+
+
+class TestBounds:
+    """``bounds()`` reads column extents off the tag buffers; the oracle
+    is the per-cell loop it replaced."""
+
+    @staticmethod
+    def loop_bounds(store):
+        positions = list(store)
+        if not positions:
+            return None
+        cols = [col for col, _ in positions]
+        rows = [row for _, row in positions]
+        return (min(cols), min(rows), max(cols), max(rows))
+
+    def test_empty_store(self):
+        store = ColumnarStore()
+        assert store.bounds() is None
+        store.write_pure(3, 7, 1.0)
+        store.write_pure(3, 7, None)            # column exists, nothing in it
+        assert store.bounds() is None
+
+    def test_sparse_sheet(self):
+        store = ColumnarStore()
+        store.write_pure(9, 400, "far")
+        store.write_pure(2, 3, 1.0)
+        store.write_pure(5, 1, True)
+        store.write_pure(5, 90, 2.0)
+        store.write_pure(5, 90, None)           # erased tail must not count
+        assert store.bounds() == self.loop_bounds(store) == (2, 1, 9, 400)
+
+    def test_formula_only_columns(self):
+        store = ColumnarStore()
+        store.write_pure(4, 5, 1.0)
+        store.put_formula((8, 2), formula_text="D5*2")      # never evaluated
+        store.put_formula((1, 30), formula_text="D5+1")
+        assert store.bounds() == self.loop_bounds(store) == (1, 2, 8, 30)
+        store.formula_at((1, 30)).value = 2.0               # now tagged
+        store.formula_at((8, 2)).value = 2.0
+        assert store.bounds() == self.loop_bounds(store) == (1, 2, 8, 30)
+
+    def test_random_edits_match_the_loop(self):
+        import random
+
+        rng = random.Random(7)
+        store = ColumnarStore()
+        for _ in range(400):
+            pos = (rng.randint(1, 12), rng.randint(1, 60))
+            kind = rng.random()
+            if kind < 0.45:
+                store.write_pure(*pos, rng.choice([1.5, "s", False]))
+            elif kind < 0.6:
+                store.put_formula(pos, formula_text="A1+1", value=rng.choice([None, 3.0]))
+            else:
+                store.write_pure(*pos, None)
+            assert store.bounds() == self.loop_bounds(store)
+
+    def test_sheet_used_range_agrees_across_stores(self):
+        sheets = [Sheet("S", store=kind) for kind in ("columnar", "object")]
+        for sheet in sheets:
+            sheet.set_value("C4", 1.0)
+            sheet.set_formula("H2", "=C4")
+            sheet.set_value("A9", "x")
+        assert sheets[0].used_range() == sheets[1].used_range() == Range.from_a1("A2:H9")

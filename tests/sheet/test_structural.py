@@ -244,3 +244,77 @@ class TestColumns:
         delete_columns(sheet, 3, 1)
         assert sheet.cell_at("A2").formula_text == "SUM(A1:C1)"
         assert sheet.cell_at("B2").formula_text == "#REF!"
+
+
+@pytest.mark.parametrize("store", ["columnar", "object"])
+class TestEditsThroughAFamily:
+    """Autofilled cells are (template, host) pairs: an edit through the
+    middle of a family must leave every member saying what a sheet of
+    individually typed formulas would say."""
+
+    ROWS = 10
+
+    def filled(self, store) -> Sheet:
+        from repro.sheet.autofill import fill_formula_column
+
+        sheet = Sheet("s", store=store)
+        for r in range(1, self.ROWS + 1):
+            sheet.set_value((1, r), float(r))
+        sheet.set_value("F1", 3.0)
+        fill_formula_column(sheet, 2, 1, self.ROWS, "=A1*$F$1")
+        fill_formula_column(sheet, 3, 1, self.ROWS, "=SUM($A$1:A1)")
+        fill_formula_column(sheet, 4, 2, self.ROWS, "=A2-A1")
+        return sheet
+
+    def typed(self, store) -> Sheet:
+        """The same sheet with every formula typed in by hand."""
+        sheet = Sheet("s", store=store)
+        for pos, cell in self.filled(store).items():
+            if cell.is_formula:
+                sheet.set_formula(pos, cell.formula_text)
+            else:
+                sheet.set_value(pos, cell.value)
+        return sheet
+
+    @staticmethod
+    def formulas(sheet) -> dict:
+        return {pos: cell.formula_ast for pos, cell in sheet.formula_cells()}
+
+    @pytest.mark.parametrize("op,index,count", [
+        (insert_rows, 5, 2), (delete_rows, 4, 2), (delete_rows, 1, 1),
+        (insert_columns, 2, 1), (delete_columns, 1, 1), (insert_rows, 1, 3),
+    ])
+    def test_members_match_hand_typed_formulas(self, store, op, index, count):
+        filled, typed = self.filled(store), self.typed(store)
+        assert self.formulas(filled) == self.formulas(typed)
+        report, oracle = op(filled, index, count), op(typed, index, count)
+        assert self.formulas(filled) == self.formulas(typed)
+        assert report == oracle
+        for pos, cell in filled.formula_cells():
+            assert cell.references == typed.formula_at(pos).references
+            assert cell.template_key(*pos) == typed.formula_at(pos).template_key(*pos)
+
+    def test_insert_keeps_the_texts_spreadsheets_show(self, store):
+        sheet = self.filled(store)
+        report = insert_rows(sheet, 5, 2)
+        assert sheet.cell_at("B4").formula_text == "(A4*$F$1)"       # above: untouched
+        assert sheet.cell_at("B7").formula_text == "(A7*$F$1)"       # was B5
+        assert sheet.cell_at("C4").formula_text == "SUM($A$1:A4)"
+        assert sheet.cell_at("C9").formula_text == "SUM($A$1:A9)"    # was C7, stretched
+        assert sheet.cell_at("D7").formula_text == "(A7-A4)"         # was D5: straddles
+        assert sheet.cell_at("B5") is None and sheet.cell_at("B6") is None
+        assert (2, 4) not in report.moved and (2, 7) in report.moved
+        # Members that moved together with what they reference land back
+        # on one shared template; the straddling one is on its own.
+        assert sheet.formula_at("B7").template is sheet.formula_at("B4").template
+        assert sheet.formula_at("D7").template is not sheet.formula_at("D8").template
+
+    def test_delete_strikes_only_the_members_that_lost_a_reference(self, store):
+        sheet = self.filled(store)
+        report = delete_rows(sheet, 4, 2)
+        assert sheet.cell_at("D4").formula_text == "(A4-#REF!)"      # was D6 = A6-A5
+        assert sheet.cell_at("D5").formula_text == "(A5-A4)"         # was D7 = A7-A6
+        assert sheet.cell_at("D3").formula_text == "(A3-A2)"
+        assert sheet.cell_at("C4").formula_text == "SUM($A$1:A4)"    # was C6, shrunk
+        assert report.ref_struck == {(4, 4)}
+        assert len(sheet) == 1 + (self.ROWS - 2) * 4 - 1

@@ -116,12 +116,16 @@ def test_fast_path_really_engages():
     """Untouched formulas on a lazily parsed sheet stay *unparsed* after
     the edit — proof the differential above compares two distinct paths
     (and the proof the optimisation exists at all)."""
+    from repro.formula.parser import parse_formula
+
     sheet = build([])
     sheet.set_formula((3, 1), "=SUM(A1:A3)")       # far above the edit line
     sheet.set_formula((4, 9), "=A9+B9")            # moves, refs shift
+    parse_formula.cache_clear()
     structural.insert_rows(sheet, 8, 2)
+    assert parse_formula.cache_info().misses == 1  # only the touched formula parsed
     untouched = sheet.cell_at((3, 1))
-    assert untouched._formula_ast is None          # never parsed
+    assert untouched.source_text == "SUM(A1:A3)"   # still just its text
     moved = sheet.cell_at((4, 11))
     assert moved is not None
     assert "A11" in moved.formula_text and "B11" in moved.formula_text
