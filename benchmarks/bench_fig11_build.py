@@ -4,22 +4,46 @@ TACO pays a compression overhead at construction (paper: up to ~2x
 NoComp; Enron max 16.6 s vs 7.7 s, Github 82.6 s vs 40.1 s), which the
 paper argues is acceptable because construction happens once at load
 time, off the interactive path.
+
+The "TACO" and "NoComp" rows are the paper's arms: both ingest the
+column-major dependency stream.  "TACO (runs)" is this repository's
+production build, ``build_from_sheet``: the same compressed graph built
+from the sheet's autofill runs, one edge per run and reference.  The
+two TACO arms must decompress to the same dependencies, the run build
+may not end with more edges, and (a ratio gate, both arms timed in one
+process) it must be at least ``RUNS_SPEEDUP_FLOOR`` times faster on the
+corpus's slowest sheet.
 """
+
+from collections import Counter
 
 from _common import CORPORA, corpus_sheets, emit
 
 from repro.bench.harness import time_call
 from repro.bench.percentiles import cdf_points
 from repro.bench.reporting import ascii_table, banner, format_ms
+from repro.core.taco_graph import build_from_sheet
+
+RUNS_SPEEDUP_FLOOR = 5.0
+SYSTEMS = ("TACO", "TACO (runs)", "NoComp")
+
+
+def _dependencies(graph) -> Counter:
+    return Counter((d.prec, d.dep) for d in graph.decompress())
 
 
 def time_builds(corpus: str) -> dict[str, list[float]]:
-    taco_times, nocomp_times = [], []
+    times: dict[str, list[float]] = {system: [] for system in SYSTEMS}
     for sheet in corpus_sheets(corpus):
         sheet.deps()  # exclude generation/parsing from the measurement
-        taco_times.append(time_call(sheet.fresh_taco)[0])
-        nocomp_times.append(time_call(sheet.fresh_nocomp)[0])
-    return {"TACO": taco_times, "NoComp": nocomp_times}
+        seconds, stream = time_call(sheet.fresh_taco)
+        times["TACO"].append(seconds)
+        seconds, runs = time_call(lambda: build_from_sheet(sheet.sheet()))
+        times["TACO (runs)"].append(seconds)
+        times["NoComp"].append(time_call(sheet.fresh_nocomp)[0])
+        assert _dependencies(runs) == _dependencies(stream), sheet.name
+        assert len(runs) <= len(stream), (sheet.name, len(runs), len(stream))
+    return times
 
 
 def test_fig11_build_cdfs(benchmark):
@@ -34,13 +58,19 @@ def test_fig11_build_cdfs(benchmark):
     grid = [10, 25, 50, 75, 90, 100]
     for corpus in CORPORA:
         rows = []
-        for system in ("TACO", "NoComp"):
+        for system in SYSTEMS:
             points = cdf_points(data[corpus][system], grid)
             rows.append([system] + [format_ms(v) for _, v in points])
         lines.append(f"\n[{corpus}]")
         lines.append(ascii_table(["system"] + [f"p{p}" for p in grid], rows))
         ratio = max(data[corpus]["TACO"]) / max(data[corpus]["NoComp"])
         lines.append(f"max build time ratio TACO/NoComp: {ratio:.2f}x")
+        runs_ratio = max(data[corpus]["TACO (runs)"]) / max(data[corpus]["TACO"])
+        lines.append(f"max build time ratio runs/stream: {runs_ratio:.3f}x")
+        assert runs_ratio * RUNS_SPEEDUP_FLOOR <= 1.0, (
+            f"{corpus}: run build only {1 / runs_ratio:.1f}x faster than the "
+            f"stream (floor {RUNS_SPEEDUP_FLOOR}x)"
+        )
     lines.append(
         "\nPaper reference: Enron max 16,626 ms (TACO) vs 7,704 ms (NoComp);\n"
         "Github 82,567 ms vs 40,103 ms — TACO ~2x slower to build."

@@ -35,7 +35,7 @@ import sys
 
 from .bench.reporting import ascii_table, format_pct
 from .core.export import summarize_graph, to_adjacency_json, to_dot
-from .core.taco_graph import TacoGraph, dependencies_column_major
+from .core.taco_graph import build_from_sheet, dependencies_column_major
 from .graphs.nocomp import NoCompGraph
 from .grid.range import Range
 from .io import read_xlsx, write_xlsx
@@ -43,13 +43,6 @@ from .sheet.workbook import Workbook
 from .spatial.registry import available_indexes
 
 __all__ = ["main"]
-
-
-def _build_graph(sheet, index: str = "rtree") -> TacoGraph:
-    graph = TacoGraph.full(index=index)
-    graph.build(dependencies_column_major(sheet))
-    graph.rebuild_indexes()
-    return graph
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -62,7 +55,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             continue
         nocomp = NoCompGraph(index=args.index)
         nocomp.build(deps)
-        taco = _build_graph(sheet, args.index)
+        taco = build_from_sheet(sheet, index=args.index)
         rows.append([
             sheet.name,
             len(deps),
@@ -88,7 +81,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except KeyError:
         print(f"error: no such sheet in {args.cell!r}", file=sys.stderr)
         return 2
-    graph = _build_graph(sheet, args.index)
+    graph = build_from_sheet(sheet, index=args.index)
     print(f"sheet {sheet.name}, probe {probe.to_a1()}")
     dependents = sorted(graph.find_dependents(probe), key=Range.as_tuple)
     print(f"\ndependents ({sum(r.size for r in dependents)} cells):")
@@ -108,7 +101,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     workbook = read_xlsx(args.file)
     sheet = workbook.sheet(args.sheet) if args.sheet else workbook.active_sheet
-    graph = _build_graph(sheet, args.index)
+    graph = build_from_sheet(sheet, index=args.index)
     if args.json:
         print(to_adjacency_json(graph))
     else:
@@ -172,7 +165,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
 
     workbook = read_xlsx(args.file)
     sheet = workbook.sheet(args.sheet) if args.sheet else workbook.active_sheet
-    engine = RecalcEngine(sheet, _build_graph(sheet, args.index),
+    engine = RecalcEngine(sheet, build_from_sheet(sheet, index=args.index),
                           workers=args.workers)
     try:
         engine.recalculate_all()
@@ -313,7 +306,7 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
     workbook = read_xlsx(args.file)
     graphs = {}
     for sheet in workbook.sheets():
-        graph = _build_graph(sheet, args.index)
+        graph = build_from_sheet(sheet, index=args.index)
         try:
             RecalcEngine(sheet, graph).recalculate_all()
         except CircularReferenceError as err:
@@ -387,7 +380,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
 
     workbook = read_xlsx(args.file)
     sheet = workbook.sheet(args.sheet) if args.sheet else workbook.active_sheet
-    engine = RecalcEngine(sheet, _build_graph(sheet, args.index))
+    engine = RecalcEngine(sheet, build_from_sheet(sheet, index=args.index))
     try:
         engine.recalculate_all()
     except CircularReferenceError as err:

@@ -75,9 +75,12 @@ class BenchSheet:
     def fresh_taco(
         self, budget: Budget | None = None, index: IndexFactory = "rtree"
     ) -> TacoGraph:
+        # The paper's Fig. 11 arm, kept as written: Algorithm 2 over the
+        # column-major stream, then the repack.  Production builds go
+        # through build_from_sheet (autofill runs, same edges, same repack).
         graph = TacoGraph.full(index=index)
         graph.build(self.deps(), budget)
-        graph.rebuild_indexes()  # production path: build_from_sheet repacks
+        graph.rebuild_indexes()
         return graph
 
     def fresh_inrow(self, budget: Budget | None = None) -> TacoGraph:

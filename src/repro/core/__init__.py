@@ -1,6 +1,6 @@
 """TACO core: patterns, compression, querying, and maintenance."""
 
-from .compress import insert_dependency, select_final_edge
+from .compress import insert_dependency, insert_run, select_final_edge
 from .export import summarize_graph, to_adjacency_json, to_dot
 from .maintain import clear_cells, update_cell
 from .optimal import OptimalResult, enumerate_valid_blocks, optimal_edge_count
@@ -63,6 +63,7 @@ __all__ = [
     "inrow_patterns",
     "insert_columns",
     "insert_dependency",
+    "insert_run",
     "insert_rows",
     "load_graph",
     "loads_graph",

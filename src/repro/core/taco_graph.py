@@ -8,6 +8,14 @@ see :mod:`repro.spatial`).  ``TacoGraph.full()`` is TACO-Full (all
 predefined patterns); ``TacoGraph.inrow()`` is the TACO-InRow variant of
 Sec. VI-B.
 
+Two ways in.  ``TacoGraph.build(deps)`` / ``add_dependency`` are the
+paper's Algorithm 2, one dependency at a time: incremental maintenance,
+the baselines' ingest and the reference the other way is tested
+against.  :func:`build_from_sheet` is "the graph of this sheet" — what
+engines, snapshots and the CLI call — and builds a ``TacoGraph`` from the
+sheet's autofill runs instead (:func:`repro.core.compress.insert_run`):
+the same edges for one index insert pair per edge, not per dependency.
+
 Maintenance invariants (paper Sec. IV-C):
 
 * ``_edges`` is always the true compressed edge set; outside deferred
@@ -356,16 +364,58 @@ def build_from_sheet(
     budget: Budget | None = None,
     index: IndexFactory | None = None,
 ) -> FormulaGraph:
-    """Build a formula graph (TACO-Full by default) from a sheet.
+    """Build the formula graph of a sheet (TACO-Full by default).
 
-    After the column-major incremental build, graphs that support it get
-    their vertex indexes bulk-repacked (STR for the R-Tree), replacing
-    the one-vertex-at-a-time layout with a packed one.
+    A :class:`TacoGraph` is built from the sheet's autofill runs
+    (:meth:`Sheet.formula_runs`): one compressed edge per run and
+    reference, Algorithm 2 only for what a run cannot state — the same
+    dependencies, and the edges the column-major stream
+    ``graph.build(dependencies_column_major(sheet))`` compresses them
+    into, without visiting every cell's every reference.  Any other
+    graph (the uncompressed baselines) and a TACO graph configured so
+    that a run's interior is not a foregone conclusion — row-first
+    selection, patterns that reach past the adjacent cell — takes that
+    stream.
+
+    Either way, graphs that support it then get their vertex indexes
+    bulk-repacked (STR for the R-Tree), replacing the
+    one-vertex-at-a-time layout with a packed one.  ``index`` picks the
+    backend of the default graph; it cannot be combined with ``graph``.
     """
     if graph is None:
         graph = TacoGraph.full() if index is None else TacoGraph.full(index=index)
-    graph.build(dependencies_column_major(sheet), budget)
+    elif index is not None:
+        raise ValueError("index= configures the default graph; pass it to graph= instead")
+    if isinstance(graph, TacoGraph) and graph.prefer_column and graph._reach == 1:
+        _build_from_runs(graph, sheet, budget)
+    else:
+        graph.build(dependencies_column_major(sheet), budget)
     rebuild = getattr(graph, "rebuild_indexes", None)
     if rebuild is not None:
         rebuild()
     return graph
+
+
+def _build_from_runs(graph: TacoGraph, sheet: Sheet, budget: Budget | None) -> None:
+    """Feed ``sheet`` to ``graph`` run by run, in column-major order.
+
+    Each run is cut where its template's references change shape
+    (:meth:`FormulaTemplate.run_pieces`); a piece of two or more cells
+    is one :func:`compress.insert_run`, and whatever that declines — and
+    every lone cell — streams through Algorithm 2, cell by cell, at its
+    place in the order.
+    """
+    def insert_piece(template, col: int, r0: int, r1: int) -> None:
+        if r1 > r0:
+            second = sheet.dependencies_at(template, col, r0 + 1)
+            last = second if r1 == r0 + 1 else sheet.dependencies_at(template, col, r1)
+            if compress.insert_run(graph, sheet.dependencies_at(template, col, r0), second, last):
+                return
+        for row in range(r0, r1 + 1):
+            graph.build(sheet.dependencies_at(template, col, row), budget)
+
+    for template, col, r0, r1 in sheet.formula_runs():
+        if budget is not None:
+            budget.check_now()
+        for first, last in template.run_pieces(col, r0, r1):
+            insert_piece(template, col, first, last)

@@ -33,7 +33,7 @@ import time
 from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from ..core.taco_graph import TacoGraph, dependencies_column_major
+from ..core.taco_graph import build_from_sheet
 from ..formula.compile import CompilingEvaluator, TemplateRegistry
 from ..formula.errors import CYCLE_ERROR
 from ..formula.parser import parse_formula
@@ -207,10 +207,7 @@ class RecalcEngine:
         #: mutation (cell edit, batch commit, structural op) appends one
         #: durable record before dependents are recomputed.
         self.journal = journal
-        if graph is None:
-            graph = TacoGraph.full()
-            graph.build(dependencies_column_major(sheet))
-        self.graph = graph
+        self.graph = build_from_sheet(sheet) if graph is None else graph
         #: ``"auto"`` — compiled templates + windowed runs with transparent
         #: interpreter fallback; ``"interpreter"`` — tree-walker only (the
         #: pre-compilation behaviour, kept for benchmarking/differential tests).

@@ -5,7 +5,9 @@ Every node knows how to render itself back to formula text
 (:meth:`Node.shifted`) — the autofill transformation that moves relative
 references while leaving ``$``-fixed axes in place.  Shifts that fall off
 the sheet collapse the reference into a ``#REF!`` error literal, matching
-spreadsheet behaviour.
+spreadsheet behaviour.  ``to_formula(dc, dr)`` renders the text of the
+shifted copy without building it, which is how an autofill family's
+members get their text off the one AST they share.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ class Node:
 
     __slots__ = ()
 
-    def to_formula(self) -> str:
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
+        """The formula text — of ``self.shifted(dc, dr)`` when a
+        displacement is given."""
         raise NotImplementedError
 
     def children(self) -> tuple["Node", ...]:
@@ -64,7 +68,7 @@ class Number(Node):
     def __init__(self, value: float):
         self.value = value
 
-    def to_formula(self) -> str:
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
         if self.value == int(self.value) and abs(self.value) < 1e15:
             return str(int(self.value))
         return repr(self.value)
@@ -76,7 +80,7 @@ class String(Node):
     def __init__(self, value: str):
         self.value = value
 
-    def to_formula(self) -> str:
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
         return '"' + self.value.replace('"', '""') + '"'
 
 
@@ -86,7 +90,7 @@ class Boolean(Node):
     def __init__(self, value: bool):
         self.value = value
 
-    def to_formula(self) -> str:
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
         return "TRUE" if self.value else "FALSE"
 
 
@@ -96,7 +100,7 @@ class ErrorLiteral(Node):
     def __init__(self, code: str):
         self.code = code
 
-    def to_formula(self) -> str:
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
         return self.code
 
 
@@ -108,6 +112,16 @@ def _format_sheet_prefix(sheet: str | None) -> str:
     return "'" + sheet.replace("'", "''") + "'!"
 
 
+def _a1_displaced(ref: CellRef, dc: int, dr: int) -> str | None:
+    """``ref.shifted(dc, dr).to_a1()``; None where the shift leaves the sheet."""
+    if dc or dr:
+        try:
+            ref = ref.shifted(dc, dr)
+        except ReferenceError:
+            return None
+    return ref.to_a1()
+
+
 class CellNode(Node):
     """A single-cell reference, optionally sheet-qualified."""
 
@@ -117,8 +131,9 @@ class CellNode(Node):
         self.ref = ref
         self.sheet = sheet
 
-    def to_formula(self) -> str:
-        return _format_sheet_prefix(self.sheet) + self.ref.to_a1()
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
+        text = _a1_displaced(self.ref, dc, dr)
+        return REF_ERROR.code if text is None else _format_sheet_prefix(self.sheet) + text
 
     def to_range(self, dc: int = 0, dr: int = 0) -> Range:
         """The referenced cell — as :meth:`shifted` by ``(dc, dr)`` would
@@ -146,8 +161,11 @@ class RangeNode(Node):
         self.tail = tail
         self.sheet = sheet
 
-    def to_formula(self) -> str:
-        return _format_sheet_prefix(self.sheet) + f"{self.head.to_a1()}:{self.tail.to_a1()}"
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
+        head, tail = _a1_displaced(self.head, dc, dr), _a1_displaced(self.tail, dc, dr)
+        if head is None or tail is None:
+            return REF_ERROR.code
+        return f"{_format_sheet_prefix(self.sheet)}{head}:{tail}"
 
     def to_range(self, dc: int = 0, dr: int = 0) -> Range:
         """The referenced range, corners normalised — as :meth:`shifted`
@@ -173,8 +191,8 @@ class FunctionCall(Node):
         self.name = name.upper()
         self.args = list(args)
 
-    def to_formula(self) -> str:
-        return f"{self.name}({','.join(arg.to_formula() for arg in self.args)})"
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
+        return f"{self.name}({','.join(arg.to_formula(dc, dr) for arg in self.args)})"
 
     def children(self) -> tuple[Node, ...]:
         return tuple(self.args)
@@ -191,8 +209,8 @@ class BinaryOp(Node):
         self.left = left
         self.right = right
 
-    def to_formula(self) -> str:
-        return f"({self.left.to_formula()}{self.op}{self.right.to_formula()})"
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
+        return f"({self.left.to_formula(dc, dr)}{self.op}{self.right.to_formula(dc, dr)})"
 
     def children(self) -> tuple[Node, ...]:
         return (self.left, self.right)
@@ -210,10 +228,10 @@ class UnaryOp(Node):
         self.op = op
         self.operand = operand
 
-    def to_formula(self) -> str:
+    def to_formula(self, dc: int = 0, dr: int = 0) -> str:
         if self.op == "%":
-            return f"{self.operand.to_formula()}%"
-        return f"{self.op}{self.operand.to_formula()}"
+            return f"{self.operand.to_formula(dc, dr)}%"
+        return f"{self.op}{self.operand.to_formula(dc, dr)}"
 
     def children(self) -> tuple[Node, ...]:
         return (self.operand,)

@@ -68,6 +68,48 @@ class FormulaTemplate:
         c_lo, c_hi, r_lo, r_hi = self._hosts
         return c_lo <= col <= c_hi and r_lo <= row <= r_hi
 
+    def run_pieces(self, col: int, r0: int, r1: int) -> list[tuple[int, int]]:
+        """Cut the members at rows ``r0..r1`` of column ``col`` into
+        pieces ``(first_row, last_row)`` within which every member states
+        the same references, each corner fixed or moving with the row.
+
+        Two things end a piece.  A reference's corners *cross*:
+        ``A$5:A1`` is a shrinking window down to row 5 and a growing one
+        below it, so the run is cut after row 5.  Two references
+        *coincide* at one host and collapse into one dependency there
+        (``A1+A$5`` at row 5, first cue wins): that host is a piece of
+        its own.  An autofilled column with neither is one piece.
+        """
+        cuts: set[int] = set()      # rows after which a new piece starts
+
+        def meeting(a, b) -> int | None:
+            # A fixed row and a relative one agree at exactly one host.
+            if a.fixed == b.fixed:
+                return None
+            return a.value - b.value if a.fixed else b.value - a.value
+
+        for i, spec in enumerate(self.refs):
+            row = meeting(spec.head_row, spec.tail_row)
+            if row is not None and row > r0:
+                cuts.add(row)
+            for other in self.refs[:i]:
+                if other.sheet != spec.sheet or other.columns_at(col) != spec.columns_at(col):
+                    continue
+                for a in (spec.head_row, spec.tail_row):
+                    for b in (other.head_row, other.tail_row):
+                        row = meeting(a, b)
+                        if (
+                            row is not None and r0 <= row <= r1
+                            and spec.span_at(col, row) == other.span_at(col, row)
+                        ):
+                            cuts.update((row - 1, row))
+        pieces, start = [], r0
+        for cut in sorted(cut for cut in cuts if r0 <= cut < r1):
+            pieces.append((start, cut))
+            start = cut + 1
+        pieces.append((start, r1))
+        return pieces
+
     def ast_at(self, col: int, row: int) -> Node:
         """The member's own AST — allocated per call off the anchor."""
         if col == self.col and row == self.row:

@@ -74,9 +74,10 @@ class Cell:
     @property
     def formula_text(self) -> str | None:
         """The formula body without the leading ``=`` (None for pure values)."""
-        if self._formula_text is not None or self._template is None:
+        template = self._template
+        if self._formula_text is not None or template is None:
             return self._formula_text
-        return self._template.ast_at(self._col, self._row).to_formula()
+        return template.ast.to_formula(self._col - template.col, self._row - template.row)
 
     @property
     def display_formula(self) -> str | None:

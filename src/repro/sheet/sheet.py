@@ -227,6 +227,31 @@ class Sheet:
         else:
             yield from cells.formula_items()
 
+    def formula_runs(self) -> Iterator[tuple[FormulaTemplate, int, int, int]]:
+        """Every maximal vertical run of formula cells sharing a template,
+        as ``(template, col, first_row, last_row)`` in column-major order.
+
+        An autofilled column is one run; a lone formula is a run of
+        length one.  Finding them is a pointer compare per formula cell:
+        members of a family hold the *same* interned template object, so
+        no AST, reference or range is built here.  The runs are the unit
+        the graph is built from (:func:`repro.core.taco_graph.build_from_sheet`).
+        """
+        run = None
+        col = first = last = 0
+        for pos, cell in sorted(self.formula_cells(), key=lambda item: item[0]):
+            template = cell.template
+            if template is run and pos == (col, last + 1):
+                last += 1
+                continue
+            if run is not None:
+                yield run, col, first, last
+            run = template
+            col, first = pos
+            last = first
+        if run is not None:
+            yield run, col, first, last
+
     @property
     def formula_count(self) -> int:
         cells = self._cells
@@ -272,11 +297,17 @@ class Sheet:
         edge to this sheet's graph.
         """
         for (col, row), cell in self.formula_cells():
-            dep = Range.cell(col, row)
-            for ref in cell.references:
-                if ref.sheet is not None and ref.sheet != self.name:
-                    continue
-                yield Dependency(ref.range, dep, ref.cue)
+            yield from self.dependencies_at(cell.template, col, row)
+
+    def dependencies_at(self, template: FormulaTemplate, col: int, row: int) -> list[Dependency]:
+        """The same-sheet dependencies a member of ``template`` hosted at
+        ``(col, row)`` states, in formula order."""
+        dep = Range.cell(col, row)
+        return [
+            Dependency(ref.range, dep, ref.cue)
+            for ref in template.references_at(col, row)
+            if ref.sheet is None or ref.sheet == self.name
+        ]
 
     def dependency_count(self) -> int:
         return sum(1 for _ in self.iter_dependencies())

@@ -81,6 +81,16 @@ def test_member_equals_per_cell_oracle(anchor, ac, ar, mc, mr, store):
     assert family.admits(mc, mr) == (not left_the_grid)
 
 
+@settings(max_examples=300, deadline=None)
+@given(anchor=anchors(), dc=st.integers(-8, 8), dr=st.integers(-8, 8))
+def test_displaced_text_is_the_shifted_copys_text(anchor, dc, dr):
+    """``to_formula(dc, dr)`` is the text of ``shifted(dc, dr)`` — same
+    ``$`` markers, same sheet prefixes, ``#REF!`` where a reference leaves
+    the grid — without the copy."""
+    assert anchor.to_formula(dc, dr) == anchor.shifted(dc, dr).to_formula()
+    assert anchor.to_formula(0, 0) == anchor.to_formula()
+
+
 class _PositionResolver:
     """Every cell holds a number naming its own position."""
 
