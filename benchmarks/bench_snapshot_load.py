@@ -10,8 +10,9 @@ times the claim end-to-end on the 10k-row structural corpus, two ways:
   (formula parse + compression) + ``recalculate_all`` + replaying a
   realistic edit mix per-edit through the engine — what a service
   without persistence pays on every open;
-* **snapshot load**: ``Workbook.restore(snapshot, journal)`` — decode
-  values, formula source, and the *compressed* graph (no re-parse, no
+* **snapshot load**: ``Workbook.restore(snapshot, journal)`` — install
+  the value planes, attach each autofill run to one parsed template,
+  decode the *compressed* graph (one parse per run, no
   re-compression), replay the same edit mix from the write-ahead
   journal through the batch/structural pipelines, and recompute only
   the journal-dirtied cells with one multi-seed BFS.
@@ -24,7 +25,9 @@ size — so CI runs it on a small ``REPRO_SNAPSHOT_ROWS``.
 
 Besides the ASCII artifact, the run writes machine-readable JSON to
 ``benchmarks/results/snapshot_load.json`` (arm timings, speedup,
-snapshot size, journal record count), like ``bench_structural.py``.
+snapshot size — total, per cell, and the number of formula run records,
+which stays put as the rows grow — and journal record count), like
+``bench_structural.py``.
 """
 
 import json
@@ -140,6 +143,8 @@ def test_snapshot_load_throughput(benchmark):
             "journal_records": recovery.records_applied,
             "snapshot_bytes": stats.bytes_written,
             "snapshot_edges": stats.edges,
+            "bytes_per_cell": stats.bytes_written / stats.cells,
+            "formula_records": stats.formula_records,
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)

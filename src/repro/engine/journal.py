@@ -26,7 +26,9 @@ Record kinds (see the docs for the field tables):
 * ``cell`` — one committed ``set_value`` / ``set_formula`` /
   ``clear_cell`` through :class:`~repro.engine.recalc.RecalcEngine`;
 * ``batch`` — one committed batch: its structural ops, range clears,
-  and surviving coalesced cell edits, in commit order;
+  and surviving coalesced cell edits, in commit order (a fill-down is
+  its N formulas: unlike the snapshot's run records, journal records
+  stay per cell until the batch pipeline has a run-shaped edit);
 * ``structural`` — one standalone row/column insert/delete through
   :func:`~repro.engine.structural.apply_structural_edit`.
 

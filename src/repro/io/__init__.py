@@ -1,9 +1,10 @@
 """Workbook input/output.
 
 xlsx read/write on the standard library (ZIP + SpreadsheetML XML), plus
-the snapshot format (:mod:`repro.io.snapshot`) that persists values,
-formula source, and the *compressed* per-sheet graphs so a reopen pays
-no parse/build/recalc cost.
+the snapshot format (:mod:`repro.io.snapshot`) that persists value
+planes, one formula record per autofill run, and the *compressed*
+per-sheet graphs so a reopen pays no build/recalc cost and one parse
+per run.
 """
 
 from .snapshot import (

@@ -1,19 +1,26 @@
-"""Whole-workbook snapshots: values, formula source, compressed graphs.
+"""Whole-workbook snapshots: value planes, formula runs, compressed graphs.
 
 The paper's one-off compression cost (Fig. 11) is worth paying once per
 *workbook*, not once per process.  A snapshot persists everything a
-service needs to reopen a workbook without re-parsing, re-building, or
-re-computing anything:
+service needs to reopen a workbook without re-building or re-computing
+anything, and it persists an autofilled column the way the paper sees
+it — as *one* object:
 
-* every cell — pure values, and formula cells as *source text plus the
-  cached evaluated value* (restored formulas re-parse lazily, and only
-  if something actually touches them);
+* the value plane of every sheet as **whole columns**, formula cached
+  values included (:meth:`ColumnarStore.export_planes`, the surface the
+  worker freight ships), so nothing is encoded per cell;
+* the formula plane as **run records** ``[col, first_row, last_row,
+  text]``, one per autofill run (:meth:`Sheet.formula_runs`): the first
+  cell's formula text plus the rows of the members that share its
+  template.  Loading parses and interns once per run and attaches the
+  members by template pointer, so a restored family is joined from the
+  start — nothing re-parses on first touch;
 * every sheet's **compressed** formula graph, via
   :mod:`repro.core.serialize` — including the spatial-index backend and
   the pattern registry, so the restored graph compresses future edits
   exactly like the saved one.
 
-Wire format (version 2), little-endian::
+Wire format (version 3), little-endian::
 
     header   MAGIC(8) = b"TACOSNP1"   version u32
     section  tag(4)   crc32 u32   length u64   payload[length]
@@ -21,17 +28,36 @@ Wire format (version 2), little-endian::
     end      tag b"END."  crc32(b"") u32  length=0 u64
 
 Sections: ``META`` (workbook name + sheet order + per-sheet store
-kinds), then per sheet a ``CELL`` section (JSON cell records, UTF-8),
-zero or more ``VCOL`` sections, and a ``GRPH`` section.  For sheets on
-the columnar store the pure-value population is persisted as ``VCOL``
-sections — one per column, carrying the raw tag bytes and float64 value
-bytes plus a JSON side table for strings/errors — and the ``CELL``
-section holds only formula cells; object-store sheets write every cell
-as a ``CELL`` record exactly as format version 1 did.  Version-1
-streams load unchanged (they simply contain no ``VCOL`` sections), and
-restored sheets always use the *restoring* session's store default, so
+kinds), then per sheet its values, a ``RUNS`` section and a ``GRPH``
+section, in that order — planes land first, runs attach over them.
+
+``VCOL`` (one per occupied column of a columnar sheet)
+    name_len u16, sheet name, col u32, start_row u32, count u32, then
+    ``count`` tag bytes, ``count`` float64 values and a JSON side table
+    (strings/errors by 0-based offset, length-prefixed u32).  The run is
+    the column's plane trimmed to its first and last occupied row.
+``CELL`` (object-store sheets, which have no planes)
+    JSON ``{"sheet", "cells": [[col, row, null, value], ...]}``: every
+    non-blank value, formula cached values included.
+``RUNS``
+    JSON ``{"sheet", "runs": [[col, first_row, last_row, text], ...]}``
+    in column-major order, disjoint.  ``text`` is the first cell's
+    ``formula_text`` exactly as the sheet returns it and becomes that
+    cell's source text again; rows ``first_row + 1 .. last_row`` hold
+    the same interned template and no source text of their own.  A
+    member that *has* source text starts its own record (the split
+    rule), so every ``formula_text`` round-trips bit-identically and a
+    column of hand-typed formulas is one record per cell.  A one-cell
+    record comes back as a typed cell does — its text, parsed only if
+    something needs its template — and saving never parses either, so
+    such a column costs what a ``CELL`` record per formula used to.
+
+Restored sheets always use the *restoring* session's store default, so
 an object-store snapshot restores into columnar-backed sheets and vice
-versa.
+versa.  Version-1 and version-2 streams still load: there a ``CELL``
+record ``[col, row, formula, value]`` may carry a formula (set from
+text, parsed lazily) with its cached value, and a version-2 ``VCOL`` run
+is blank on formula rows.  The writer emits version 3 only.
 
 Readers skip sections with unknown tags, so future versions can add
 sections without breaking old readers; every payload is protected by
@@ -50,11 +76,15 @@ import sys
 import uuid
 import zlib
 from array import array
+from operator import itemgetter
 from typing import IO, Iterator, Mapping, NamedTuple
 
 from ..core.serialize import GraphFormatError, graph_from_payload, graph_payload
 from ..core.taco_graph import build_from_sheet
 from ..formula.errors import ExcelError
+from ..formula.parser import parse_formula
+from ..formula.template import intern_template
+from ..grid.ref import MAX_COL, MAX_ROW
 from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_NUMBER, ColumnarStore
 from ..sheet.sheet import Sheet
 from ..sheet.workbook import Workbook
@@ -70,11 +100,12 @@ __all__ = [
 ]
 
 MAGIC = b"TACOSNP1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _TAG_META = b"META"
 _TAG_CELLS = b"CELL"
 _TAG_VALUE_COLUMN = b"VCOL"
+_TAG_RUNS = b"RUNS"
 _TAG_GRAPH = b"GRPH"
 _TAG_END = b"END."
 
@@ -102,13 +133,15 @@ class SnapshotStats(NamedTuple):
     """What one :func:`save_snapshot` call wrote."""
 
     sheets: int
-    cells: int              # cell records across every sheet
+    cells: int              # occupied cells across every sheet, each once
     edges: int              # compressed edges across every sheet
     bytes_written: int
     #: Unique id stamped into META; hand it to
     #: :class:`~repro.engine.journal.Journal` so recovery can reject a
     #: journal that belongs to a different (e.g. stale) snapshot.
     snapshot_id: str = ""
+    #: Run records across every sheet: O(autofill runs), not O(formulas).
+    formula_records: int = 0
 
 
 # -- value encoding ---------------------------------------------------------------
@@ -178,43 +211,73 @@ def _json_payload(obj) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8")
 
 
-def _cells_record(sheet: Sheet) -> list:
-    """JSON cell records: every cell for object-store sheets, formula
-    cells only for columnar sheets (pure values travel as VCOL)."""
-    if isinstance(sheet._cells, ColumnarStore):
-        items = sheet.formula_cells()
-    else:
-        items = sheet.items()
-    records = []
-    for (col, row), cell in sorted(items):
-        formula = cell.formula_text if cell.is_formula else None
-        records.append([col, row, formula, encode_value(cell.value)])
+def _run_records(sheet: Sheet) -> list:
+    """The formula plane as ``[col, first_row, last_row, text]`` records.
+
+    A record is a cell plus the cells below it that hold its template and
+    no source text of their own — :meth:`Sheet.formula_runs` cut again at
+    every member that was typed, since only a record's first text is
+    stored.  Walked here rather than taken from ``formula_runs()``, which
+    joins every cell to its template: a typed cell nothing has touched
+    since it was loaded is still only its text, and saving it must not
+    be what parses it.
+    """
+    records: list = []
+    head = None         # the open record's first cell
+    for (col, row), cell in sorted(sheet.formula_cells(), key=itemgetter(0)):
+        if (
+            cell.source_text is None and head is not None
+            and records[-1][0] == col and records[-1][2] == row - 1
+            and cell.template is head.template
+        ):
+            records[-1][2] = row
+        else:
+            records.append([col, row, row, cell.formula_text])
+            head = cell
     return records
 
 
-def _value_column_payloads(sheet: Sheet) -> "Iterator[tuple[bytes, int]]":
-    """``(payload, cell_count)`` per VCOL section of a columnar sheet.
+def _value_records(sheet: Sheet) -> list:
+    """An object-store sheet's non-blank values, formula cached values
+    included, as ``CELL`` records."""
+    return [
+        [col, row, None, encode_value(value)]
+        for col, row, value in sorted(sheet.iter_values())
+    ]
 
-    Tags and float64 values are written as raw little-endian bytes; the
-    sparse side table (strings, errors) rides along as JSON keyed by
-    0-based offset within the run.
+
+def _value_column_payloads(sheet: Sheet) -> "Iterator[bytes]":
+    """One VCOL payload per occupied column of a columnar sheet.
+
+    Each plane is trimmed to its occupied rows (the arrays carry growth
+    headroom) and written as raw little-endian bytes; the sparse side
+    table (strings, errors) rides along as JSON keyed by 0-based offset
+    within the run.
     """
     name_bytes = sheet.name.encode("utf-8")
     prefix = struct.pack("<H", len(name_bytes)) + name_bytes
-    for col, start_row, tags, values, side in sheet._cells.export_value_columns():
+    for col, (tags, values, side) in sorted(sheet._cells.export_planes().items()):
+        body = tags.rstrip(b"\0")
+        run = body.lstrip(b"\0")
+        if not run:
+            continue
+        first = len(body) - len(run)
+        values = values[8 * first:8 * len(body)]
         if sys.byteorder == "big":  # pragma: no cover - LE platforms
-            values = array("d", values)
-            values.byteswap()
-        side_json = _json_payload({str(i): encode_value(v) for i, v in side.items()})
-        payload = b"".join((
+            swapped = array("d", values)
+            swapped.byteswap()
+            values = swapped.tobytes()
+        side_json = _json_payload(
+            {str(i - first): encode_value(v) for i, v in sorted(side.items())}
+        )
+        yield b"".join((
             prefix,
-            _VCOL_HEADER.pack(col, start_row, len(tags)),
-            tags,
-            values.tobytes(),
+            _VCOL_HEADER.pack(col, first + 1, len(run)),
+            run,
+            values,
             struct.pack("<I", len(side_json)),
             side_json,
         ))
-        yield payload, len(tags) - tags.count(TAG_EMPTY)
 
 
 def _restore_value_column(workbook: "Workbook | None", payload: bytes) -> None:
@@ -242,10 +305,15 @@ def _restore_value_column(workbook: "Workbook | None", payload: bytes) -> None:
     sheet = _sheet_for(workbook, {"sheet": name})
     side = {int(i): decode_value(v) for i, v in side_record.items()}
     cells = sheet._cells
-    if isinstance(cells, ColumnarStore):
-        cells.import_column(col, start_row, bytes(tags), values, side)
+    if isinstance(cells, ColumnarStore) and not cells.formula_count:
+        try:
+            cells.import_column(col, start_row, bytes(tags), values, side)
+        except ValueError as exc:
+            raise SnapshotFormatError(f"bad VCOL section: {exc}") from exc
         return
-    # Restoring into an object-store sheet: expand the run per cell.
+    # Expand the run per cell: an object-store sheet has no planes, and a
+    # version-2 stream registered its formulas first — its runs are blank
+    # on their rows, and a slice install would blank their cached values.
     for i in range(count):
         tag = tags[i]
         if tag == TAG_EMPTY:
@@ -282,6 +350,7 @@ def save_snapshot(
     graphs = dict(graphs) if graphs is not None else {}
     stats_cells = 0
     stats_edges = 0
+    stats_records = 0
     snapshot_id = uuid.uuid4().hex
     meta = {
         "format": "taco-snapshot",
@@ -300,7 +369,7 @@ def save_snapshot(
     def write_to(out: IO[bytes]) -> int:
         # Sections are built and written one at a time, so peak memory
         # is one section's payload, not the whole snapshot.
-        nonlocal stats_cells, stats_edges
+        nonlocal stats_cells, stats_edges, stats_records
         written = len(MAGIC) + 4
         out.write(MAGIC)
         out.write(struct.pack("<I", FORMAT_VERSION))
@@ -309,16 +378,20 @@ def save_snapshot(
             graph = graphs.get(sheet.name)
             if graph is None:
                 graph = build_from_sheet(sheet)
-            cells = _cells_record(sheet)
-            stats_cells += len(cells)
-            written += _write_section(
-                out, _TAG_CELLS,
-                _json_payload({"sheet": sheet.name, "cells": cells}),
-            )
+            stats_cells += len(sheet)
             if isinstance(sheet._cells, ColumnarStore):
-                for payload, value_cells in _value_column_payloads(sheet):
-                    stats_cells += value_cells
+                for payload in _value_column_payloads(sheet):
                     written += _write_section(out, _TAG_VALUE_COLUMN, payload)
+            else:
+                written += _write_section(
+                    out, _TAG_CELLS,
+                    _json_payload({"sheet": sheet.name, "cells": _value_records(sheet)}),
+                )
+            runs = _run_records(sheet)
+            stats_records += len(runs)
+            written += _write_section(
+                out, _TAG_RUNS, _json_payload({"sheet": sheet.name, "runs": runs})
+            )
             payload = graph_payload(graph)
             stats_edges += payload["edge_count"]
             written += _write_section(
@@ -355,7 +428,7 @@ def save_snapshot(
         written = write_to(target)
     return SnapshotStats(
         sheets=len(workbook), cells=stats_cells, edges=stats_edges,
-        bytes_written=written, snapshot_id=snapshot_id,
+        bytes_written=written, snapshot_id=snapshot_id, formula_records=stats_records,
     )
 
 
@@ -403,6 +476,10 @@ def _load_stream(handle: IO[bytes]) -> Snapshot:
             _restore_cells(sheet, record.get("cells", []))
         elif tag == _TAG_VALUE_COLUMN:
             _restore_value_column(workbook, payload)
+        elif tag == _TAG_RUNS:
+            record = _decode_json(payload, "RUNS")
+            sheet = _sheet_for(workbook, record)
+            _restore_runs(sheet, record.get("runs", []))
         elif tag == _TAG_GRAPH:
             record = _decode_json(payload, "GRPH")
             sheet = _sheet_for(workbook, record)
@@ -451,3 +528,36 @@ def _restore_cells(sheet: Sheet, records) -> None:
             sheet.cell_at(pos).value = decode_value(value)
         else:
             sheet.set_value(pos, decode_value(value))
+
+
+def _restore_runs(sheet: Sheet, records) -> None:
+    """Re-create each record's cells over the values the planes brought.
+
+    A run is parsed and interned once and its members attached by
+    template pointer.  A record of one cell is attached as its text and
+    left at that, as :meth:`Sheet.set_formula` leaves any typed cell — it
+    parses if something ever needs its template — so a column of typed
+    formulas loads without a parse per cell.  Records must be
+    column-major, disjoint, and on rows their template admits.
+    """
+    if not isinstance(records, list):
+        raise SnapshotFormatError("bad RUNS section: expected a list of records")
+    after = (0, 0)      # (col, last_row) of the previous record
+    for record in records:
+        try:
+            col, first, last, text = record
+            if not (type(col) is type(first) is type(last) is int
+                    and isinstance(text, str) and after < (col, first) <= (col, last)):
+                raise ValueError("rows out of order")
+            if first == last:
+                template = None
+                on_grid = 1 <= col <= MAX_COL and 1 <= first <= MAX_ROW
+            else:
+                template = intern_template(parse_formula(text), col, first)
+                on_grid = template.admits(col, first) and template.admits(col, last)
+            if not on_grid:
+                raise ValueError("rows off the grid")
+        except (TypeError, ValueError) as exc:
+            raise SnapshotFormatError(f"bad run record {record!r}: {exc}") from exc
+        sheet.attach_formula_run(col, first, last, template, text)
+        after = (col, last)

@@ -122,41 +122,15 @@ def _styles_xml() -> str:
     )
 
 
-def _plan_shared_groups(sheet: Sheet) -> dict[tuple[int, int], tuple[int, Range, bool]]:
-    """Assign shared-formula group ids to vertical runs of identical R1C1.
-
-    Returns ``{cell: (si, group_range, is_anchor)}`` for cells that belong
-    to a run of at least two formulae.
-    """
-    plan: dict[tuple[int, int], tuple[int, Range, bool]] = {}
-    by_column: dict[int, list[tuple[int, str]]] = {}
-    for (col, row), cell in sheet.formula_cells():
-        by_column.setdefault(col, []).append((row, cell.template.key))
-    si = 0
-    for col, entries in by_column.items():
-        entries.sort()
-        run: list[int] = []
-        run_key: str | None = None
-
-        def flush() -> None:
-            nonlocal si
-            if len(run) >= 2:
-                group_range = Range(col, run[0], col, run[-1])
-                for i, row in enumerate(run):
-                    plan[(col, row)] = (si, group_range, i == 0)
-                si += 1
-            run.clear()
-
-        previous_row: int | None = None
-        for row, key in entries:
-            contiguous = previous_row is not None and row == previous_row + 1
-            if not (contiguous and key == run_key):
-                flush()
-                run_key = key
-            run.append(row)
-            previous_row = row
-        flush()
-    return plan
+def _plan_shared_groups(sheet: Sheet) -> list[Range]:
+    """The shared-formula groups, in ``si`` order: every autofill run of
+    at least two cells (:meth:`Sheet.formula_runs` — members of a run hold
+    one interned template, which is what "identical in R1C1" means)."""
+    return [
+        Range(col, first, col, last)
+        for _, col, first, last in sheet.formula_runs()
+        if last > first
+    ]
 
 
 def _format_number(value: float) -> str:
@@ -167,23 +141,19 @@ def _format_number(value: float) -> str:
 
 def write_sheet_xml(sheet: Sheet, shared_formulas: bool = True) -> str:
     """Serialise one worksheet part."""
-    plan = _plan_shared_groups(sheet) if shared_formulas else {}
     # Formula elements first (text is rendered for anchors and ungrouped
     # cells only); the value pass below pairs each with its cached value.
     formulas: dict[tuple[int, int], str] = {}
+    anchors: dict[tuple[int, int], str] = {}    # group anchor -> its opening tag
+    if shared_formulas:
+        for si, group in enumerate(_plan_shared_groups(sheet)):
+            anchors[group.head] = f'<f t="shared" ref="{group.to_a1()}" si="{si}">'
+            follower = f'<f t="shared" si="{si}"/>'
+            for row in range(group.r1 + 1, group.r2 + 1):
+                formulas[(group.c1, row)] = follower
     for pos, cell in sheet.formula_cells():
-        shared = plan.get(pos)
-        if shared is None:
-            formulas[pos] = f"<f>{xml_escape(cell.formula_text)}</f>"
-            continue
-        si, group_range, is_anchor = shared
-        if is_anchor:
-            formulas[pos] = (
-                f'<f t="shared" ref="{group_range.to_a1()}" si="{si}">'
-                f"{xml_escape(cell.formula_text)}</f>"
-            )
-        else:
-            formulas[pos] = f'<f t="shared" si="{si}"/>'
+        if pos not in formulas:
+            formulas[pos] = f"{anchors.get(pos, '<f>')}{xml_escape(cell.formula_text)}</f>"
 
     rows: dict[int, list[tuple[int, str]]] = {}
     for col, row, value in sheet.iter_values():

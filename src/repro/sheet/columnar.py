@@ -603,43 +603,7 @@ class ColumnarStore:
             formulas[new_pos] = cell
         self._formulas = formulas
 
-    # -- bulk persistence ------------------------------------------------------
-
-    def export_value_columns(self):
-        """Yield ``(col, start_row, tags, values, side)`` per column for
-        the *pure-value* positions (formula cached values are persisted
-        with their formula records).
-
-        ``tags`` is a trimmed bytes run starting at ``start_row``;
-        ``values`` the matching float64 bytes; ``side`` maps 0-based
-        offsets within the run to their payloads.  Columns with no pure
-        values are skipped.
-        """
-        formula_rows: dict[int, set[int]] = {}
-        for (col, row) in self._formulas:
-            formula_rows.setdefault(col, set()).add(row - 1)
-        for col in sorted(self._columns):
-            column = self._columns[col]
-            tags = bytearray(column.tags)
-            for i in formula_rows.get(col, ()):
-                if i < len(tags):
-                    tags[i] = TAG_EMPTY
-            first = next((i for i, t in enumerate(tags) if t), None)
-            if first is None:
-                continue
-            last = len(tags) - 1
-            while tags[last] == TAG_EMPTY:
-                last -= 1
-            run_tags = bytes(tags[first:last + 1])
-            run_values = column.values[first:last + 1]
-            side = {
-                i - first: v
-                for i, v in column.side.items()
-                if first <= i <= last and tags[i] in _SIDE_TAGS
-            }
-            yield col, first + 1, run_tags, run_values, side
-
-    # -- whole-plane shipping (the parallel process-worker payload) ------------
+    # -- whole-plane shipping (worker freight and snapshot persistence) --------
 
     def export_planes(
         self, cols: "set[int] | None" = None
@@ -647,13 +611,13 @@ class ColumnarStore:
         """Column raw arrays — formula cached values *included* — as
         picklable bytes: ``{col: (tags, float64_values, side)}``.
 
-        Unlike :meth:`export_value_columns` (snapshot persistence, which
-        blanks formula rows), this is the full read surface a parallel
-        process worker needs to evaluate a region: clean formula cells'
-        cached values must be readable without shipping their formulas.
-        ``cols`` restricts the export to the columns a region actually
-        reads (its freight optimisation); None exports everything.
-        Inverse: :meth:`install_planes`.
+        The one export surface: a parallel process worker reads clean
+        formula cells' cached values off it without their formulas being
+        shipped, and a snapshot persists it as is (formulas travel beside
+        it as run records).  ``cols`` restricts the export to the columns
+        a region actually reads (its freight optimisation); None exports
+        everything.  Inverses: :meth:`install_planes` for a whole store,
+        :meth:`import_column` for one trimmed run.
         """
         return {
             col: (bytes(column.tags), column.values.tobytes(), dict(column.side))
@@ -802,18 +766,42 @@ class ColumnarStore:
 
     def import_column(self, col: int, start_row: int, tags: bytes,
                       values: array, side: dict[int, object]) -> None:
-        """Bulk-install one exported column run (inverse of
-        :meth:`export_value_columns`); positions must not be occupied."""
+        """Bulk-install one column run — a plane of :meth:`export_planes`,
+        trimmed to its occupied rows, formula cached values included.
+
+        Two slice copies, no per-cell work; the rows must be vacant (no
+        value, no registered formula), which is how a snapshot load uses
+        it: planes land first, :meth:`attach_run` registers the formulas
+        over them."""
         if len(tags) != len(values):
             raise ValueError("columnar run: tags/values length mismatch")
-        column = self._column_for(col, start_row + len(tags) - 1)
+        i0, i1 = start_row - 1, start_row - 1 + len(tags)
+        column = self._column_for(col, i1)
+        if column.tags.count(TAG_EMPTY, i0, i1) != len(tags):
+            raise ValueError("columnar run: rows already occupied")
         column.version += 1
-        i0 = start_row - 1
-        column.tags[i0:i0 + len(tags)] = tags
-        column.values[i0:i0 + len(values)] = values
+        column.tags[i0:i1] = tags
+        column.values[i0:i1] = values
         for i, v in side.items():
             column.side[i0 + i] = v
         self._count += len(tags) - tags.count(TAG_EMPTY)
+
+    def attach_run(self, col: int, first_row: int, last_row: int,
+                   template: FormulaTemplate | None, text: str | None = None) -> None:
+        """Register rows ``first_row..last_row`` of ``col`` as members of
+        ``template`` — :meth:`put_formula` for a whole run, except that
+        the cached values the planes already hold there stay.  ``text``
+        is the first member's source text (all there is to a single typed
+        cell attached without its template).  A row counts as newly
+        occupied only if it held neither a value nor a formula."""
+        tags = self._column_for(col, last_row).tags
+        formulas = self._formulas
+        for row in range(first_row, last_row + 1):
+            pos = (col, row)
+            if not tags[row - 1] and pos not in formulas:
+                self._count += 1
+            formulas[pos] = ColumnarCell(self, col, row, text, None, template)
+            text = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

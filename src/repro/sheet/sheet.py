@@ -179,6 +179,33 @@ class Sheet:
         else:
             cells.put_formula(pos, template=template)
 
+    def attach_formula_run(
+        self, col: int, first_row: int, last_row: int,
+        template: FormulaTemplate | None, text: str | None = None,
+    ) -> None:
+        """Make rows ``first_row..last_row`` of ``col`` members of
+        ``template``, keeping the cached values they hold — the inverse of
+        one :meth:`formula_runs` entry, and how a snapshot load re-creates
+        a family without touching its members' formulas.  ``text`` becomes
+        the first member's source text.  Every row must be one
+        ``template`` admits.  A run of one cell may come without its
+        template: it is then just its ``text``, like any typed cell, and
+        parses if something needs more.
+        """
+        if template is None and (text is None or last_row != first_row):
+            raise ValueError("only a single typed cell can do without its template")
+        cells = self._cells
+        if type(cells) is not dict:
+            cells.attach_run(col, first_row, last_row, template, text)
+            return
+        for row in range(first_row, last_row + 1):
+            held = cells.get((col, row))
+            cells[(col, row)] = Cell(
+                None if held is None else held.value, text,
+                template=template, host=(col, row),
+            )
+            text = None
+
     def clear_cell(self, target) -> None:
         pos = _coerce_pos(target)
         cells = self._cells

@@ -337,16 +337,28 @@ def _outcome(cell: Cell, pos, new_pos, transform_ref, applies, prescreen) -> _Ou
     is the identity test of :func:`_rewrite` against that one
     materialisation.
 
-    ``prescreen(text) -> bool`` (optional) is the conservative textual
-    test of :func:`_may_touch`: a formula that still carries its source
-    text and provably cannot be affected skips parsing entirely and
-    moves as text.  This is what makes an edit on a lazily parsed sheet
-    (a fresh xlsx read, a snapshot restore) cost ``O(cells)`` text scans
-    instead of ``O(cells)`` formula parses.
+    ``prescreen`` (optional) is the edit line as ``(axis, index)``.  A
+    formula that still carries its source text is put to the conservative
+    textual test of :func:`_may_touch`: one that provably cannot be
+    affected skips parsing entirely and moves as text, which makes an
+    edit on a lazily parsed sheet (a fresh xlsx read) cost ``O(cells)``
+    text scans instead of ``O(cells)`` formula parses.  A template member
+    has no text to scan, but its references are arithmetic on the
+    template's specs: one that stays put and reaches nothing at or
+    beyond the line is untouched, without its AST ever being built — the
+    same saving for an autofilled column, live or restored from a
+    snapshot's run records.
     """
     text = cell.source_text
-    if prescreen is not None and text is not None and not prescreen(text):
-        return None if new_pos == pos else _Outcome(text, None)
+    if prescreen is not None:
+        axis, index = prescreen
+        if text is not None:
+            if not _may_touch(text, axis, index):
+                return None if new_pos == pos else _Outcome(text, None)
+        elif new_pos == pos:
+            far = 4 if axis == "row" else 3     # r2 / c2 of a (sheet, c1, r1, c2, r2) span
+            if all(span[far] < index for span in cell.template.spans_at(*pos)):
+                return None
     watcher = _TransformWatcher(transform_ref)
     ast = cell.formula_ast
     new_ast = _rewrite(ast, watcher, applies)
@@ -376,9 +388,10 @@ class _Report:
 
 
 def _apply_structural(
-    sheet: Sheet, move_cell, transform_ref, prescreen=None, geometry=None
+    sheet: Sheet, move_cell, transform_ref, geometry
 ) -> SheetEditReport:
-    """Apply a structural edit to ``sheet``'s cells.
+    """Apply the structural edit ``geometry`` — ``(axis, mode, index,
+    count)`` — to ``sheet``'s cells.
 
     ``move_cell(pos) -> pos | None`` relocates each physical cell;
     ``transform_ref(range) -> Range | None`` rewrites formula references.
@@ -404,7 +417,8 @@ def _apply_structural(
         return node.sheet is None or node.sheet == name
 
     report = _Report()
-    if geometry is not None and type(sheet._cells) is not dict:
+    prescreen = (geometry[0], geometry[2])      # the edit line
+    if type(sheet._cells) is not dict:
         store = sheet._cells
         pending = []
         for pos, cell in store.formula_items():
@@ -533,8 +547,7 @@ def insert_rows(sheet: Sheet, row: int, count: int = 1) -> SheetEditReport:
 
     return _apply_structural(
         sheet, move, lambda rng: shift_range_for_insert(rng, row, count, "row"),
-        prescreen=lambda text: _may_touch(text, "row", row),
-        geometry=("row", "insert", row, count),
+        ("row", "insert", row, count),
     )
 
 
@@ -552,8 +565,7 @@ def delete_rows(sheet: Sheet, row: int, count: int = 1) -> SheetEditReport:
 
     return _apply_structural(
         sheet, move, lambda rng: shift_range_for_delete(rng, row, count, "row"),
-        prescreen=lambda text: _may_touch(text, "row", row),
-        geometry=("row", "delete", row, count),
+        ("row", "delete", row, count),
     )
 
 
@@ -568,8 +580,7 @@ def insert_columns(sheet: Sheet, col: int, count: int = 1) -> SheetEditReport:
 
     return _apply_structural(
         sheet, move, lambda rng: shift_range_for_insert(rng, col, count, "col"),
-        prescreen=lambda text: _may_touch(text, "col", col),
-        geometry=("col", "insert", col, count),
+        ("col", "insert", col, count),
     )
 
 
@@ -587,6 +598,5 @@ def delete_columns(sheet: Sheet, col: int, count: int = 1) -> SheetEditReport:
 
     return _apply_structural(
         sheet, move, lambda rng: shift_range_for_delete(rng, col, count, "col"),
-        prescreen=lambda text: _may_touch(text, "col", col),
-        geometry=("col", "delete", col, count),
+        ("col", "delete", col, count),
     )

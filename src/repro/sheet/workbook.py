@@ -135,10 +135,11 @@ class Workbook:
     def snapshot(self, target, graphs=None):
         """Write a durable snapshot of this workbook to ``target``.
 
-        Persists every cell (values, formula source, cached results) and
-        one compressed formula graph per sheet — pass ``graphs`` (sheet
-        name -> graph, e.g. each sheet's live ``engine.graph``) to reuse
-        already-built graphs; missing ones are built here.  See
+        Persists every sheet's value planes (cached results included),
+        its formulas as one record per autofill run, and one compressed
+        formula graph per sheet — pass ``graphs`` (sheet name -> graph,
+        e.g. each sheet's live ``engine.graph``) to reuse already-built
+        graphs; missing ones are built here.  See
         :func:`repro.io.snapshot.save_snapshot`.  Returns the writer's
         :class:`~repro.io.snapshot.SnapshotStats`.
         """
@@ -150,13 +151,14 @@ class Workbook:
     def restore(cls, snapshot, journal=None, **kwargs):
         """Reopen a workbook from a snapshot plus a write-ahead journal.
 
-        Loads the snapshot (no re-parse, no re-compression, no full
-        recalc), replays the journal's complete-record prefix through
-        the batch/structural pipelines — a torn tail left by a crash is
-        cut at the last complete record, never raised — and recomputes
-        only the journal-dirtied cells.  Returns a
-        :class:`~repro.engine.journal.RecoveryResult` whose ``workbook``
-        is the restored instance.  See :func:`repro.engine.journal.recover`.
+        Loads the snapshot (one parse per formula run, no
+        re-compression, no full recalc), replays the journal's
+        complete-record prefix through the batch/structural pipelines —
+        a torn tail left by a crash is cut at the last complete record,
+        never raised — and recomputes only the journal-dirtied cells.
+        Returns a :class:`~repro.engine.journal.RecoveryResult` whose
+        ``workbook`` is the restored instance.  See
+        :func:`repro.engine.journal.recover`.
         """
         from ..engine.journal import recover  # deferred: engine sits above sheet
 

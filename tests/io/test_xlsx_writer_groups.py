@@ -4,6 +4,7 @@ import io
 import zipfile
 from xml.etree import ElementTree
 
+from repro.grid.range import Range
 from repro.io.shared import strip_ns
 from repro.io.xlsx_writer import _plan_shared_groups, write_xlsx
 from repro.io.xlsx_reader import read_xlsx
@@ -15,20 +16,15 @@ class TestGroupPlanning:
     def test_contiguous_identical_run_is_one_group(self):
         sheet = Sheet("s")
         fill_formula_column(sheet, 2, 1, 10, "=A1*2")
-        plan = _plan_shared_groups(sheet)
-        assert len(plan) == 10
-        group_ids = {si for si, _, _ in plan.values()}
-        assert len(group_ids) == 1
-        anchors = [pos for pos, (_, _, is_anchor) in plan.items() if is_anchor]
-        assert anchors == [(2, 1)]
+        assert _plan_shared_groups(sheet) == [Range.from_a1("B1:B10")]
 
     def test_gap_splits_groups(self):
         sheet = Sheet("s")
         fill_formula_column(sheet, 2, 1, 4, "=A1*2")
         fill_formula_column(sheet, 2, 7, 10, "=A7*2")
-        plan = _plan_shared_groups(sheet)
-        group_ids = {si for si, _, _ in plan.values()}
-        assert len(group_ids) == 2
+        assert _plan_shared_groups(sheet) == [
+            Range.from_a1("B1:B4"), Range.from_a1("B7:B10"),
+        ]
 
     def test_different_formulas_split_groups(self):
         sheet = Sheet("s")
@@ -36,21 +32,30 @@ class TestGroupPlanning:
         sheet.set_formula("B2", "=A2*2")
         sheet.set_formula("B3", "=A3+1")   # breaks the run
         sheet.set_formula("B4", "=A4+1")
-        plan = _plan_shared_groups(sheet)
-        group_ids = {si for si, _, _ in plan.values()}
-        assert len(group_ids) == 2
+        assert _plan_shared_groups(sheet) == [
+            Range.from_a1("B1:B2"), Range.from_a1("B3:B4"),
+        ]
 
     def test_lone_formula_not_grouped(self):
         sheet = Sheet("s")
         sheet.set_formula("B1", "=A1*2")
         sheet.set_formula("D9", "=A9*3")
-        assert _plan_shared_groups(sheet) == {}
+        assert _plan_shared_groups(sheet) == []
 
     def test_fixed_refs_still_group(self):
         sheet = Sheet("s")
         fill_formula_column(sheet, 2, 1, 5, "=A1*$Z$1")
-        plan = _plan_shared_groups(sheet)
-        assert len({si for si, _, _ in plan.values()}) == 1
+        assert _plan_shared_groups(sheet) == [Range.from_a1("B1:B5")]
+
+    def test_groups_are_numbered_column_major(self):
+        """``si`` is a group's index in the plan, whatever order the
+        columns were filled in."""
+        sheet = Sheet("s")
+        fill_formula_column(sheet, 3, 1, 3, "=A1+1")
+        fill_formula_column(sheet, 2, 1, 3, "=A1*2")
+        assert _plan_shared_groups(sheet) == [
+            Range.from_a1("B1:B3"), Range.from_a1("C1:C3"),
+        ]
 
 
 class TestEmittedXml:

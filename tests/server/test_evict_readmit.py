@@ -8,6 +8,7 @@ engine fed the same edit sequence.
 
 import asyncio
 import os
+import random
 import shutil
 
 import pytest
@@ -15,7 +16,9 @@ import pytest
 from repro.engine.journal import read_journal
 from repro.engine.recalc import RecalcEngine
 from repro.server import WorkbookService
+from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
+from repro.sheet.workbook import Workbook
 
 
 def run(coro):
@@ -203,6 +206,109 @@ class TestRoundTrips:
         run(first())
         run(second())
         run(third())
+
+
+class TestEvictingTwin:
+    """A service that evicts on every op against a twin that never does:
+    the same op mix the ledger's ``serve_*`` workloads issue, over
+    workbooks made of autofilled columns — so every answer of the first
+    comes off a workbook rebuilt from run records and value planes."""
+
+    ROWS = 24
+    READS = ("get_cell", "get_range")
+
+    def ledger(self, wb_id: str) -> Workbook:
+        workbook = Workbook(wb_id)
+        sheet = workbook.add_sheet("Ledger")
+        for r in range(1, self.ROWS + 1):
+            sheet.set_value((1, r), float((r * 31) % 17) + 1.0)
+            sheet.set_value((2, r), float((r * 7) % 5) + 1.0)
+        sheet.set_formula("C1", "=A1+B1")
+        fill_formula_column(sheet, 3, 2, self.ROWS, "=C1+A2")
+        fill_formula_column(sheet, 4, 1, self.ROWS, "=SUM($A$1:A1)")
+        fill_formula_column(sheet, 5, 1, self.ROWS, "=A1*B1")
+        sheet.set_formula("F1", f"=SUM(C1:C{self.ROWS})")
+        return workbook
+
+    def ops(self) -> list[tuple[str, dict]]:
+        rng = random.Random(7)
+        row = lambda: rng.randint(1, self.ROWS)  # noqa: E731
+        ops = [
+            # Inside an autofilled column, then the row below it with the
+            # same template: the family is cut in three around a new pair.
+            ("set_formula", {"cell": "E9", "formula": "=A9*B9+3"}),
+            ("set_formula", {"cell": "E9", "formula": "=A9*B9+3"}),     # (one per workbook)
+            ("set_formula", {"cell": "E10", "formula": "=A10*B10+3"}),
+            ("set_formula", {"cell": "E10", "formula": "=A10*B10+3"}),
+        ]
+        kinds = rng.choices(
+            ("get_cell", "get_range", "set_cell", "set_formula", "batch_edit"),
+            weights=(55, 15, 22, 3, 5), k=70,
+        ) + ["set_formula", "batch_edit", "get_range", "get_cell"] * 2
+        for kind in kinds:
+            if kind == "get_cell":
+                params = {"cell": f"{rng.choice('ABCDEF')}{row()}"}
+            elif kind == "get_range":
+                top = rng.randint(1, self.ROWS - 9)
+                params = {"range_ref": f"A{top}:F{top + 9}"}
+            elif kind == "set_cell":
+                params = {"cell": f"{rng.choice('AB')}{row()}",
+                          "value": round(rng.uniform(1, 500), 3)}
+            elif kind == "set_formula":
+                at = row()
+                params = {"cell": f"E{at}", "formula": f"=A{at}*B{at}+{rng.randint(1, 9)}"}
+            else:
+                params = {"edits": [
+                    {"op": "set_value", "cell": f"{'AB'[i % 2]}{row()}",
+                     "value": round(rng.uniform(1, 500), 3)}
+                    for i in range(5)
+                ]}
+            ops.append((kind, params))
+        return ops
+
+    @staticmethod
+    def sheet_state(svc, wb_id):
+        sheet = svc._residents[wb_id].workbook.active_sheet
+        cells = {pos: (cell.formula_text, cell.value) for pos, cell in sheet.items()}
+        runs = [(t.key, col, r0, r1) for t, col, r0, r1 in sheet.formula_runs()]
+        return cells, runs, len(sheet)
+
+    def test_every_answer_matches_the_never_evicting_twin(self, tmp_path):
+        ops = self.ops()
+
+        async def scenario():
+            churn = WorkbookService(str(tmp_path / "churn"), max_resident=1, fsync=False)
+            twin = WorkbookService(str(tmp_path / "twin"), max_resident=4, fsync=False)
+            async with churn, twin:
+                for wb in ("a", "b"):
+                    for svc in (churn, twin):
+                        await svc.create_workbook(wb, workbook=self.ledger(wb))
+                for i, (op, params) in enumerate(ops):
+                    wb = "ab"[i % 2]        # so each op evicts the other workbook
+                    replies = []
+                    for svc in (churn, twin):
+                        if op in self.READS:
+                            await svc.execute(wb, "recalculate")
+                        reply = await svc.execute(wb, op, params)
+                        for volatile in ("pending", "control_return_seconds"):
+                            reply.pop(volatile, None)
+                        replies.append(reply)
+                    assert replies[0] == replies[1], (i, op, params)
+                # Every op re-admitted its workbook: far more than the two
+                # generations the cut family has to survive.
+                assert churn.metrics.readmissions >= len(ops) - 1
+                assert twin.metrics.evictions == 0
+                for wb in ("a", "b"):
+                    states = []
+                    for svc in (churn, twin):
+                        await svc.execute(wb, "recalculate")
+                        states.append(self.sheet_state(svc, wb))
+                    assert states[0] == states[1]
+                    cells, runs, _ = states[0]
+                    assert cells[(5, 9)][0] == "A9*B9+3" and cells[(5, 10)][0] == "A10*B10+3"
+                    assert {(col, r0, r1) for _, col, r0, r1 in runs} >= {(4, 1, self.ROWS)}
+
+        run(scenario())
 
 
 class TestDurabilityPath:

@@ -213,21 +213,41 @@ class TestStructuralEdits:
 
 
 class TestExportImport:
-    def test_round_trip_skips_formula_rows(self):
+    def test_round_trip_keeps_formula_values(self):
+        """A plane lands whole (formula cached values included), the run
+        attaches over it, and every position is counted once."""
+        from array import array
+
         store = ColumnarStore()
         store.write_pure(1, 2, 1.5)
-        store.write_pure(1, 4, "txt")
+        store.write_pure(1, 5, "txt")
         store.put_formula((1, 3), formula_text="A2*2", value=3.0)
-        (col, start_row, tags, values, side), = store.export_value_columns()
-        assert (col, start_row) == (1, 2)
-        assert list(tags) == [TAG_NUMBER, TAG_EMPTY, TAG_STRING]
-        assert side == {2: "txt"}
+        store.put_formula((1, 4), template=store.formula_at((1, 3)).template)  # never evaluated
+        (col, (tags, value_bytes, side)), = store.export_planes().items()
+        assert list(tags[:5]) == [TAG_EMPTY, TAG_NUMBER, TAG_NUMBER, TAG_EMPTY, TAG_STRING]
+        assert side == {4: "txt"}
+        values = array("d")
+        values.frombytes(value_bytes)
         fresh = ColumnarStore()
-        fresh.import_column(col, start_row, tags, values, side)
-        assert fresh.read_value(1, 2) == 1.5
-        assert fresh.read_value(1, 3) is None   # formula row not exported
-        assert fresh.read_value(1, 4) == "txt"
-        assert len(fresh) == 2
+        fresh.import_column(col, 2, tags[1:5], values[1:5], {3: "txt"})
+        assert len(fresh) == 3
+        template = store.formula_at((1, 3)).template
+        fresh.attach_run(1, 3, 4, template, "A2*2")
+        assert len(fresh) == len(store) == 4
+        assert [fresh.read_value(1, r) for r in range(1, 6)] == [None, 1.5, 3.0, None, "txt"]
+        anchor, member = fresh.formula_at((1, 3)), fresh.formula_at((1, 4))
+        assert anchor.source_text == "A2*2" and member.source_text is None
+        assert anchor.template is member.template is template
+        assert member.formula_text == store.formula_at((1, 4)).formula_text
+
+    def test_import_rejects_occupied_rows(self):
+        from array import array
+
+        store = ColumnarStore()
+        store.write_pure(1, 2, 1.0)
+        with pytest.raises(ValueError, match="occupied"):
+            store.import_column(1, 1, b"\x01\x01", array("d", [1.0, 2.0]), {})
+        assert len(store) == 1 and store.read_value(1, 1) is None
 
     def test_import_rejects_length_mismatch(self):
         from array import array
@@ -274,6 +294,30 @@ class TestSheetParity:
     def test_unknown_store_kind_rejected(self):
         with pytest.raises(ValueError):
             Sheet("S", store="arrow")
+
+    @pytest.mark.parametrize("kind", ["columnar", "object"])
+    def test_attach_formula_run_keeps_values_and_counts_once(self, kind):
+        from repro.formula.parser import parse_formula
+        from repro.formula.template import intern_template
+
+        sheet = Sheet("P", store=kind)
+        for r in (1, 2, 4):
+            sheet.set_value((2, r), float(r * 10))      # cached values, row 3 never evaluated
+        sheet.set_value((3, 1), "keep")
+        template = intern_template(parse_formula("A1*2"), 2, 1)
+        sheet.attach_formula_run(2, 1, 4, template, "A1*2")
+        sheet.attach_formula_run(3, 1, 1, None, "A1 & B1")  # a typed cell: text only
+        assert len(sheet) == 5 and sheet.formula_count == 5
+        assert [sheet.get_value((2, r)) for r in (1, 2, 3, 4)] == [10.0, 20.0, None, 40.0]
+        assert sheet.get_value("C1") == "keep"
+        assert [(col, r0, r1) for _, col, r0, r1 in sheet.formula_runs()] == \
+            [(2, 1, 4), (3, 1, 1)]
+        assert sheet.cell_at("B1").source_text == "A1*2"
+        assert sheet.cell_at("B3").source_text is None
+        assert sheet.cell_at("B3").template is template
+        assert sheet.cell_at("C1").formula_text == "A1 & B1"
+        with pytest.raises(ValueError):
+            sheet.attach_formula_run(4, 1, 2, None, "A1")
 
 
 class TestBounds:

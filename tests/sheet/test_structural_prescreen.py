@@ -1,15 +1,18 @@
-"""The lazy-formula prescreen never changes a structural edit's outcome.
+"""The prescreen never changes a structural edit's outcome.
 
 ``sheet.structural._may_touch`` lets an edit skip parsing formulas whose
-source text provably cannot be affected.  The differential here pins the
-contract against the real oracle: one arm edits with the prescreen
-active (fast paths taken wherever the text allows), the other with
-``_may_touch`` forced to ``True`` — every formula goes down the full
-AST-rewrite path, exactly the pre-prescreen behaviour.  Cells, formula
-texts-by-meaning, values, and report sets must be identical for every
-op, over formulas chosen to sit on both sides of the screen.  (Both
-arms must *not* share a code path: a sanity test below proves the fast
-path really engages by checking that untouched formulas stay unparsed.)
+source text provably cannot be affected, and a template member that
+stays put and reaches nothing at or beyond the edit line is skipped on
+its reference geometry alone.  The differential here pins the contract
+against the real oracle: one arm edits with the prescreen active (fast
+paths taken wherever text or geometry allows), the other with it
+switched off — every formula goes down the full AST-rewrite path,
+exactly the pre-prescreen behaviour.  Cells, formula texts-by-meaning,
+values, and report sets must be identical for every op, over formulas
+and autofilled columns chosen to sit on both sides of the screen.  (Both
+arms must *not* share a code path: sanity tests below prove the fast
+paths really engage — untouched formulas stay unparsed, untouched
+members never have their AST built.)
 """
 
 from unittest import mock
@@ -18,7 +21,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.formula.template import FormulaTemplate
 from repro.sheet import structural
+from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 from repro.sheet.structural import _may_touch
 
@@ -50,6 +55,10 @@ def build(formulas) -> Sheet:
         sheet.set_value((2, r), float(r * 3))
     for i, text in enumerate(formulas):
         sheet.set_formula((3 + i % 3, 1 + i), text)
+    # Autofill families: members carry no text, only (template, host).
+    fill_formula_column(sheet, 7, 1, 10, "=A1+$B$2")
+    fill_formula_column(sheet, 8, 2, 10, "=SUM(A$1:A2)+H1")
+    fill_formula_column(sheet, 9, 1, 8, "=SUM(A1:B3)")      # reaches two rows, one column ahead
     return sheet
 
 
@@ -58,8 +67,9 @@ def run_op(sheet: Sheet, op: str, index: int, count: int, *, prescreen: bool):
     formula takes the full AST-rewrite path — the oracle)."""
     if prescreen:
         return getattr(structural, op)(sheet, index, count)
-    with mock.patch.object(structural, "_may_touch",
-                           lambda text, axis, at: True):
+    decide = structural._outcome
+    with mock.patch.object(structural, "_outcome",
+                           lambda *args: decide(*args[:-1], None)):
         return getattr(structural, op)(sheet, index, count)
 
 
@@ -129,6 +139,24 @@ def test_fast_path_really_engages():
     moved = sheet.cell_at((4, 11))
     assert moved is not None
     assert "A11" in moved.formula_text and "B11" in moved.formula_text
+
+
+def test_fast_path_engages_for_template_members():
+    """Members of an autofilled column that sit above the edit line and
+    reference nothing at or below it keep their cell objects, and no AST
+    is materialised for them; the ones the line reaches are rewritten."""
+    sheet = Sheet("Main")
+    fill_formula_column(sheet, 2, 1, 40, "=A1*2")
+    before = {pos: cell for pos, cell in sheet.formula_cells()}
+    built = []
+    ast_at = FormulaTemplate.ast_at
+    with mock.patch.object(FormulaTemplate, "ast_at",
+                           lambda self, col, row: built.append(row) or ast_at(self, col, row)):
+        report = structural.insert_rows(sheet, 31, 2)
+    assert sorted(built) == list(range(31, 41))        # only the members that move
+    assert all(sheet.formula_at((2, r)) is before[(2, r)] for r in range(1, 31))
+    assert report.moved == {(2, r) for r in range(33, 43)}
+    assert sheet.cell_at("B42").formula_text == "(A42*2)"
 
 
 def test_cross_sheet_prescreen_sees_escaped_sheet_names():
