@@ -195,26 +195,6 @@ class TacoGraph(FormulaGraph):
             return [e.payload for e in entries if e.payload in self._edges]
         return [entry.payload for entry in entries]
 
-    def dependent_column_runs(self, rng: Range) -> list[Range]:
-        """Dependent ranges of compressed edges that are vertical runs.
-
-        One index search.  The returned 1-wide, multi-row ranges are the
-        autofill families the compression discovered (RR/FR/... edges
-        whose dependents stack down a column); the evaluation layer uses
-        them as candidate spans for windowed-aggregate runs
-        (:mod:`repro.engine.vectorized`) instead of re-deriving the
-        grouping from raw cells.
-        """
-        out: list[Range] = []
-        seen: set[Range] = set()
-        for edge in self.dep_overlapping(rng):
-            dep = edge.dep
-            if dep.c1 == dep.c2 and dep.r2 > dep.r1 and dep not in seen:
-                seen.add(dep)
-                out.append(dep)
-        out.sort()
-        return out
-
     def candidate_edges(self, cell: tuple[int, int]) -> list[CompressedEdge]:
         """Edges whose dependent is adjacent to ``cell`` on a row/column axis.
 

@@ -8,17 +8,17 @@ values, errors, and :class:`~repro.formula.compile.EvalStats` cell
 counters — bit-identical to single-threaded auto mode.
 
 Partitioning happens at the *plan* level, not the cell level.  The
-serial engine already orders the dirty set as super-nodes (windowed /
-elementwise runs) plus singles, with a successor adjacency built from
-compressed-edge probes (:meth:`RecalcEngine._order_with_runs`).  A
+serial engine already orders the dirty set as column strips (windowed /
+elementwise / scalar) plus lone cells, with a successor adjacency built
+from union-rectangle probes (:meth:`RecalcEngine._order_entries`).  A
 union-find over that adjacency yields the weakly-connected components of
-the super-node DAG.  Invariants:
+the node DAG.  Invariants:
 
 * regions are pairwise disjoint sets of plan nodes;
 * their union is exactly the plan (every dirty formula cell is in
   exactly one region);
-* a run super-node is never split across regions — it travels whole, so
-  the rolling/sweep evaluators see the same stretches as serial mode.
+* a strip is never split across regions — it travels whole, so the
+  rolling/sweep evaluators see the same stretches as serial mode.
 
 Any dependency between two dirty cells would have produced a successor
 edge and merged their regions, so distinct regions share no edges at
@@ -95,9 +95,8 @@ def partition_plan(plan, succs) -> list[list[object]]:
     # singletons.  Restricting the union-find to touched nodes keeps the
     # partition O(E α(E) + D) instead of paying per-node dict costs for
     # dirty sets whose adjacency is sparse.  Singles are (col, row)
-    # tuples — equal by value, so the index keys by the node itself
-    # (succs re-creates equal tuples), matching the hashing
-    # `_order_with_runs` used to build the adjacency.
+    # tuples — equal by value, so the index keys by the node itself,
+    # matching the hashing `_order_entries` used to build the adjacency.
     touched: dict[object, int] = {}
     for node, targets in succs.items():
         if targets and node not in touched:
@@ -478,13 +477,25 @@ def _template_families(sheet, positions) -> list[tuple]:
     return list(families.values())
 
 
+def _spec_for(nodes) -> list[tuple]:
+    """Plan nodes as picklable freight: ``("c", col, row)`` cells and
+    :meth:`_Strip.spec` strips — ``(kind, col, first_row, last_row,
+    descending)`` with ``kind`` one of ``"w"`` / ``"e"`` / ``"s"`` — in
+    plan order.  A chain of any length is one tuple."""
+    return [
+        ("c", node[0], node[1]) if type(node) is tuple else node.spec()
+        for node in nodes
+    ]
+
+
+def _node_members(node):
+    return (node,) if type(node) is tuple else node.members()
+
+
 def _declarative_region(sheet, region):
     """A region as compact picklable freight: an ordered declarative plan
-    plus the member formulas as :func:`_template_families`.
-
-    Plan nodes become ``("c", col, row)`` singles, ``("w", col, r0, r1)``
-    windowed runs and ``("e", col, r0, r1)`` elementwise runs (run rows
-    are ascending and consecutive by construction).
+    (:func:`_spec_for`) plus the member formulas as
+    :func:`_template_families`.
 
     Alongside the freight it returns the region's *read columns* — the
     union of its members' reference column spans — so the caller ships
@@ -492,18 +503,8 @@ def _declarative_region(sheet, region):
     ship everything).  Raises :class:`_CrossSheetRegion` when a member
     references a sibling sheet, which a process worker cannot resolve.
     """
-    from .recalc import _TemplateRun
-
-    spec = []
-    positions = []
-    for node in region:
-        if type(node) is tuple:
-            spec.append(("c", node[0], node[1]))
-            positions.append(node)
-            continue
-        kind = "w" if type(node) is _TemplateRun else "e"
-        spec.append((kind, node.col, node.rows[0], node.rows[-1]))
-        positions.extend((node.col, row) for row in node.rows)
+    spec = _spec_for(region)
+    positions = [pos for node in region for pos in _node_members(node)]
 
     families = _template_families(sheet, positions)
     sheet_name = sheet.name
@@ -550,33 +551,16 @@ def _rebuild_worker_sheet(store_kind, name, cargo, families):
     return sheet, positions
 
 
-def _plan_from_spec(engine, sheet, spec):
-    """Materialise a declarative plan spec back into executable nodes.
-
-    ``("c", col, row)`` singles become position tuples; ``("w", ...)`` /
-    ``("e", ...)`` stretches recompile their template from the first
-    member (the registry memoises, so this is one lookup per run) and
-    become run super-nodes with empty blocker sets — ordering was
-    resolved by the parent, the spec's sequence *is* the plan order.
-    """
-    from .recalc import _ElementwiseRun, _TemplateRun
-
-    plan: list[object] = []
-    for node in spec:
-        if node[0] == "c":
-            plan.append((node[1], node[2]))
-            continue
-        kind, col, r0, r1 = node
-        rows = list(range(r0, r1 + 1))
-        cell = sheet.formula_at((col, r0))
-        template = engine.cell_evaluator.template_for_cell(cell)
-        if template is None:            # pragma: no cover - planner compiled it
-            plan.extend((col, row) for row in rows)
-        elif kind == "w":
-            plan.append(_TemplateRun(template.window, col, rows, set(), set()))
-        else:
-            plan.append(_ElementwiseRun(template, col, rows, set(), set()))
-    return plan
+def _plan_from_spec(engine, spec):
+    """Materialise a declarative plan spec back into executable nodes:
+    cells become position tuples, strips go through
+    :meth:`RecalcEngine.strip_from_spec` (one registry lookup each).
+    Ordering was resolved by the parent — the spec's sequence *is* the
+    plan order."""
+    return [
+        (node[1], node[2]) if node[0] == "c" else engine.strip_from_spec(node)
+        for node in spec
+    ]
 
 
 def _region_worker(payload: bytes) -> bytes:
@@ -584,7 +568,7 @@ def _region_worker(payload: bytes) -> bytes:
 
     Rebuilds a same-name, same-store-kind sheet from the shipped value
     planes, installs the member formulas (pre-parsed ASTs), re-creates
-    the run super-nodes, executes the plan through a graph-less shadow
+    the strips, executes the plan through a graph-less shadow
     engine, and returns ``((kind, packed_results), stats_counters,
     count)`` as bytes.  The same store kind and sheet name guarantee the
     worker's tier dispatch — and therefore its values *and* stats — match
@@ -598,7 +582,7 @@ def _region_worker(payload: bytes) -> bytes:
     store_kind, name, cargo, families, spec = pickle.loads(payload)
     sheet, positions = _rebuild_worker_sheet(store_kind, name, cargo, families)
     engine = RecalcEngine.plan_executor(sheet)
-    plan = _plan_from_spec(engine, sheet, spec)
+    plan = _plan_from_spec(engine, spec)
     count = engine._execute_plan(plan)
     if fault == "garbage":
         return b"\x00 injected unpicklable worker result"

@@ -55,6 +55,10 @@ __all__ = [
 ]
 
 
+#: Sorts after every ``last_row`` when bisecting a column's runs by row.
+_INF = float("inf")
+
+
 class CircularReferenceError(RuntimeError):
     """A dependency cycle was found while ordering dirty cells.
 
@@ -71,63 +75,52 @@ class CircularReferenceError(RuntimeError):
         super().__init__(f"circular reference: {chain}")
 
 
-class _TemplateRun:
-    """One dispatchable windowed run: a column stretch + its blockers.
+class _Strip:
+    """One plan node that is more than a cell: rows ``rows`` (a
+    ``range``, ascending and consecutive) of column ``col``, all members
+    of one template and all dirty, executed as a unit.
 
-    A run is a maximal stretch of consecutive dirty cells in one column
-    sharing a windowed-aggregate template.  ``blockers`` are the dirty
-    cells *outside* the run that some member's window reads — in the
-    super-node ordering they are the run's predecessors, so the run is
-    scheduled only after all of them; in-run references need no edges
-    because the rolling direction evaluates them in dependency order.
+    ``kind`` says how: ``"w"`` rolls a windowed aggregate along the
+    strip, ``"e"`` sweeps pure float arithmetic as one array operation,
+    ``"s"`` — any other template — loops over the members with the
+    compiled closure (``template``; None when the formula does not
+    compile and the interpreter runs it).  References that land inside
+    the strip itself are ordered by the direction of that loop, bottom-up
+    when ``descending``; everything else a member reads is a predecessor
+    *node* in the plan.
     """
 
-    __slots__ = ("spec", "col", "rows", "member_set", "blockers")
+    __slots__ = ("kind", "col", "rows", "template", "descending")
 
-    def __init__(self, spec, col: int, rows: list[int],
-                 member_set: set[tuple[int, int]], blockers: set[tuple[int, int]]):
-        self.spec = spec
+    def __init__(self, kind: str, col: int, rows: range, template, descending: bool):
+        self.kind = kind
         self.col = col
-        self.rows = rows                # ascending, consecutive
-        self.member_set = member_set
-        self.blockers = blockers
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"_TemplateRun({self.spec.func} col={self.col} "
-            f"rows={self.rows[0]}..{self.rows[-1]}, {len(self.blockers)} blockers)"
-        )
-
-
-class _ElementwiseRun:
-    """One dispatchable elementwise run: a column stretch of cells whose
-    shared template is pure float arithmetic over cell refs, evaluated
-    as a single numpy array sweep.  Unlike windowed runs, no reference
-    may resolve into the run itself (the sweep reads all inputs before
-    writing any output), so construction rejects any recurrence; dirty
-    cells the lanes read from *outside* the run are ``blockers``,
-    ordering the run after them exactly like a windowed run.
-    """
-
-    __slots__ = ("template", "col", "rows", "member_set", "blockers")
-
-    def __init__(self, template, col: int, rows: list[int],
-                 member_set: set[tuple[int, int]], blockers: set[tuple[int, int]]):
+        self.rows = rows
         self.template = template
-        self.col = col
-        self.rows = rows                # ascending, consecutive
-        self.member_set = member_set
-        self.blockers = blockers
+        self.descending = descending
+
+    def members(self) -> list[tuple[int, int]]:
+        col = self.col
+        return [(col, row) for row in self.rows]
+
+    def spec(self) -> tuple:
+        """The strip as picklable freight (see ``strip_from_spec``)."""
+        return (self.kind, self.col, self.rows[0], self.rows[-1], self.descending)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"_ElementwiseRun({self.template.key!r} col={self.col} "
-            f"rows={self.rows[0]}..{self.rows[-1]}, {len(self.blockers)} blockers)"
+            f"_Strip({self.kind!r} col={self.col} rows={self.rows[0]}..{self.rows[-1]}"
+            f"{' descending' if self.descending else ''})"
         )
+
+
+class _SelfReference(Exception):
+    """Planning met a formula whose reference holds its own host: the
+    generic cell ordering owns what happens next (``#CYCLE!``)."""
 
 
 def _plan_node_key(node) -> tuple[int, int]:
-    """(col, first row) of a plan node — singles and runs alike."""
+    """(col, first row) of a plan node — singles and strips alike."""
     if type(node) is tuple:
         return node
     return (node.col, node.rows[0])
@@ -201,8 +194,10 @@ class RecalcEngine:
         self.deferred = deferred
         self._pending: set[tuple[int, int]] = set()
         #: The backlog's execution plan as a stack (next node last), or
-        #: ``None`` when the next :meth:`step` has to build one.
+        #: ``None`` when the next :meth:`step` has to build one — and the
+        #: sheet's formula-plane version it was laid out against.
         self._plan: list | None = None
+        self._plan_version: int | None = None
         #: Optional :class:`~repro.engine.journal.Journal`: every committed
         #: mutation (cell edit, batch commit, structural op) appends one
         #: durable record before dependents are recomputed.
@@ -272,6 +267,7 @@ class RecalcEngine:
         engine.deferred = False
         engine._pending = set()
         engine._plan = None
+        engine._plan_version = None
         engine.journal = None
         engine.graph = None
         engine.evaluation = evaluation
@@ -293,8 +289,7 @@ class RecalcEngine:
         (at once even on a deferred engine, whose backlog it settles)."""
         self._pending.clear()
         self._plan = None
-        cells = [pos for pos, _ in self.sheet.formula_cells()]
-        return self._evaluate_in_order(set(cells))
+        return self._evaluate_in_order(None)
 
     # -- updates ------------------------------------------------------------------
 
@@ -491,23 +486,28 @@ class RecalcEngine:
         cells were computed.
 
         The slice is cut from the plan an immediate engine would have
-        executed for the same dirty set — singles and windowed /
-        elementwise super-nodes in dependency order — with the budget
-        checked between plan nodes, so a run is never split (the count
-        may overshoot ``max_cells`` by the tail of one run).  The plan
-        is ordered once and kept across steps; only an update that adds
-        a cell to the backlog or changes a formula makes the next step
-        order it again.  Cells in or downstream of a dependency cycle
-        are assigned ``#CYCLE!`` once everything computable has been
-        computed; a deferred engine never raises for them.
+        executed for the same dirty set — cells and column strips in
+        dependency order.  A scalar strip is just ordered cells and is
+        split at the budget; a windowed or elementwise strip never is
+        (its count may overshoot ``max_cells`` by the tail of the
+        strip).  The plan is ordered once and kept across steps; only an
+        update that adds a cell to the backlog or changes a formula —
+        through this engine or behind its back, which the sheet's
+        formula-plane version gives away — makes the next step order it
+        again.  Cells in or downstream of a dependency cycle are assigned
+        ``#CYCLE!`` once everything computable has been computed; a
+        deferred engine never raises for them.
         """
         computed = 0
         pending = self._pending
+        if self._plan_version != self.sheet.formula_version:
+            self._plan = None
         while pending and computed < max_cells:
             if self._plan is None:
                 self._drop_vanished()
                 self._plan = self._build_plan(pending, False)[0]
                 self._plan.reverse()
+                self._plan_version = self.sheet.formula_version
                 continue
             if not self._plan:
                 # Everything orderable has run: the rest is cyclic.
@@ -523,7 +523,18 @@ class RecalcEngine:
                 if self.sheet.formula_at(node) is None:
                     continue    # cleared behind the engine's back since planning
             else:
-                pending.difference_update(node.member_set)
+                room = max_cells - computed
+                if node.kind == "s" and len(node.rows) > room:
+                    rows = node.rows
+                    now, later = (
+                        (rows[-room:], rows[:-room]) if node.descending
+                        else (rows[:room], rows[room:])
+                    )
+                    self._plan.append(
+                        _Strip("s", node.col, later, node.template, node.descending)
+                    )
+                    node = _Strip("s", node.col, now, node.template, node.descending)
+                pending.difference_update(node.members())
             computed += self._execute_plan((node,))
         return computed
 
@@ -568,46 +579,46 @@ class RecalcEngine:
             self._plan = None
         return len(dirty)
 
-    def _build_plan(self, dirty: set[tuple[int, int]], dispatching: bool):
-        """Order ``dirty`` for execution: ``(plan, succs, cycle)``.
+    def _build_plan(self, dirty: "set[tuple[int, int]] | None", dispatching: bool):
+        """Order ``dirty`` — None for every formula cell of the sheet —
+        for execution: ``(plan, succs, cycle)``.
 
-        ``plan`` lists ``(col, row)`` singles and run super-nodes in
+        ``plan`` lists ``(col, row)`` cells and :class:`_Strip` nodes in
         dependency order.  ``succs`` is the plan's successor adjacency
-        when the super-node ordering produced it (what the partitioned
+        when the strip planner produced it (what the partitioned
         dispatchers need, and ask for with ``dispatching``), else
         ``None``.  ``cycle`` is ``None`` for an acyclic dirty set;
         otherwise ``(cyclic, preds)`` — the cells in or downstream of a
         cycle, which ``plan`` leaves out, and the predecessor map to
         trace one chain from.
+
+        A handful of dirty cells (fewer than a run is worth) goes
+        straight to the generic cell ordering without touching the
+        sheet's run index; so does an interpreter engine, the oracle.
         """
         if self.evaluation == "auto" and (
-            dispatching or len(dirty) >= vectorized.MIN_RUN
+            dirty is None or dispatching or len(dirty) >= vectorized.MIN_RUN
         ):
-            runs, by_col, member_map = self._detect_runs(dirty)
-            # Parallel execution partitions the *plan* (super-nodes plus
-            # singles), so it needs one even when no runs were detected;
-            # for an acyclic dirty set the empty-runs plan is exactly the
-            # generic topological order.
-            if runs or dispatching:
-                plan, succs = self._order_with_runs(dirty, runs, by_col, member_map)
-                if plan is not None:
-                    return plan, succs, None
-                if dispatching:
-                    # Cycles are ordered (and marked #CYCLE!) by the
-                    # generic serial path; report the bail-out.
-                    self.eval_stats.serial_fallbacks += 1
-                    self.eval_stats.fallback_reason = "cycle"
-                # A cycle (or a self-reference) is in play somewhere: the
-                # generic cell-level ordering below owns that semantics.
+            planned = self._plan_strips(dirty)
+            if planned is not None:
+                return planned[0], planned[1], None
+            if dispatching:
+                # Cycles are ordered (and marked #CYCLE!) by the generic
+                # serial path; report the bail-out.
+                self.eval_stats.serial_fallbacks += 1
+                self.eval_stats.fallback_reason = "cycle"
+        if dirty is None:
+            dirty = {pos for pos, _ in self.sheet.formula_cells()}
         order, cyclic, preds = self._topological_order(dirty)
         return order, None, (cyclic, preds) if cyclic else None
 
-    def _evaluate_in_order(self, dirty: set[tuple[int, int]]) -> int:
+    def _evaluate_in_order(self, dirty: "set[tuple[int, int]] | None") -> int:
+        size = self.sheet.formula_count if dirty is None else len(dirty)
         parallel = self.parallel
-        if parallel is not None and not parallel.eligible(len(dirty)):
+        if parallel is not None and not parallel.eligible(size):
             parallel = None
         shard_rt = self.shard_runtime
-        if shard_rt is not None and not shard_rt.eligible(len(dirty)):
+        if shard_rt is not None and not shard_rt.eligible(size):
             shard_rt = None
         plan, succs, cycle = self._build_plan(
             dirty, parallel is not None or shard_rt is not None
@@ -632,81 +643,204 @@ class RecalcEngine:
             raise CircularReferenceError(self._trace_cycle(cyclic, preds))
         return done
 
-    # -- windowed-run dispatch ----------------------------------------------------
+    # -- the strip planner ---------------------------------------------------------
 
-    def _order_with_runs(
-        self,
-        dirty: set[tuple[int, int]],
-        runs: list["_TemplateRun"],
-        by_col: dict[int, list[int]],
-        member_map: dict[tuple[int, int], "_TemplateRun"],
-    ):
-        """Topologically order singles and runs-as-super-nodes.
+    def _plan_strips(self, dirty: "set[tuple[int, int]] | None"):
+        """Plan by families: ``(plan, succs)`` over cells and
+        :class:`_Strip` nodes, or None when a self-reference or a cycle
+        among cells is in play (the generic ordering owns ``#CYCLE!``).
 
-        The generic ordering materialises one edge per (window cell,
-        member) pair — ``O(run x window)`` for a running-total column,
-        the very cost the rolling evaluator removes.  Here a run is one
-        node whose predecessors are its *blockers* (computed once from
-        the union window), so ordering costs ``O(D log D + E')`` in the
-        number of dirty cells and coalesced edges.  In-run prefix
-        references need no edges: the rolling direction orders them.
-
-        Returns ``(plan, succs)``: the execution plan — a list of
-        ``(col, row)`` singles and :class:`_TemplateRun` /
-        :class:`_ElementwiseRun` nodes — plus the successor adjacency
-        over plan nodes that ordered it (the parallel partitioner's
-        region graph).  ``plan`` is ``None`` when a self-reference or
-        cycle is detected, in which case the caller must use the generic
-        ordering (which owns ``#CYCLE!`` semantics).
+        The unit is the sheet's run index (:meth:`Sheet.run_index`), not
+        the cell: the whole plane is its runs as they are, a dirty set is
+        each column's sorted dirty rows merged against that column's
+        runs — integer compares, no cell looked up.  Either way a
+        stretch of one template is cut where its references change shape
+        (:meth:`FormulaTemplate.run_pieces`), and each piece of two or
+        more cells becomes a strip, or cells again if no single direction
+        orders it (:meth:`_make_strip`).
         """
+        index = self.sheet.run_index()
+        if dirty is None:
+            stretches = (
+                (col, first, last, family)
+                for col, runs in index.items() for first, last, family in runs
+            )
+        else:
+            stretches = self._dirty_stretches(dirty, index)
+        entries: list[tuple] = []       # (node, family, col, first, last), column-major
+        try:
+            for col, first, last, family in stretches:
+                if first == last:
+                    entries.append(((col, first), family, col, first, first))
+                    continue
+                for a, b in family.run_pieces(col, first, last):
+                    strip = self._make_strip(family, col, a, b) if b > a else None
+                    if strip is not None:
+                        entries.append((strip, family, col, a, b))
+                    else:
+                        entries.extend(
+                            ((col, row), family, col, row, row) for row in range(a, b + 1)
+                        )
+            return self._order_entries(entries)
+        except _SelfReference:
+            return None
+
+    @staticmethod
+    def _dirty_stretches(dirty, index):
+        """``(col, first, last, family)`` for every maximal stretch of
+        consecutive dirty rows inside one run, column-major.  Every dirty
+        position must be a formula cell (callers filter)."""
+        by_col: dict[int, list[int]] = {}
+        for col, row in dirty:
+            rows = by_col.get(col)
+            if rows is None:
+                by_col[col] = [row]
+            else:
+                rows.append(row)
+        for col in sorted(by_col):
+            rows = by_col[col]
+            rows.sort()
+            runs = index[col]
+            i, n = 0, len(rows)
+            while i < n:
+                _, last, family = runs[bisect_right(runs, (rows[i], _INF)) - 1]
+                stop = bisect_right(rows, last, i)      # rows[i:stop] sit in this run
+                while i < stop:
+                    j = stop
+                    if rows[j - 1] - rows[i] != j - 1 - i:   # a clean gap somewhere
+                        j = i + 1
+                        while rows[j] == rows[j - 1] + 1:
+                            j += 1
+                    yield col, rows[i], rows[j - 1], family
+                    i = j
+
+    def _make_strip(self, family, col: int, first: int, last: int) -> "_Strip | None":
+        """Rows ``first..last`` of ``col`` — members of ``family``, all
+        dirty — as one strip, or None when only cell order can sort them
+        out.
+
+        What decides is where the members' references land *inside* the
+        strip, read off the ``RefSpec`` row offsets: all strictly above
+        their host → the strip runs top-down, all strictly below →
+        bottom-up, nothing inside → any order.  References pointing both
+        ways take it apart (None).  A reference that holds its own host —
+        a corner on the host's row, the host between the corners, or a
+        fixed row inside the strip, which the member on that row reads
+        itself through — raises :class:`_SelfReference`.
+
+        A windowed template rolls if its geometry does and the rolling
+        direction is the one required; an elementwise one sweeps if
+        nothing lands inside (the sweep reads every lane before it
+        writes any); otherwise — and below ``MIN_RUN`` cells — the strip
+        is scalar.
+        """
+        name = self.sheet.name
+        down = up = False
+        for spec in family.refs:
+            if spec.sheet is not None and spec.sheet != name:
+                continue
+            c1, c2 = spec.columns_at(col)
+            if c1 > col or c2 < col:
+                continue
+            above = None
+            for axis in (spec.head_row, spec.tail_row):
+                if axis.fixed:
+                    if first <= axis.value <= last:
+                        raise _SelfReference
+                    side = axis.value < first
+                elif axis.value == 0:
+                    raise _SelfReference
+                else:
+                    side = axis.value < 0
+                if above is None:
+                    above = side
+                elif above != side:
+                    raise _SelfReference    # the host sits between the corners
+            # Strictly above every host: lands inside iff the last
+            # member's reference reaches back to the first row.
+            if above:
+                down = down or spec.span_at(col, last)[4] >= first
+            else:
+                up = up or spec.span_at(col, first)[2] <= last
+        if down and up:
+            return None
+        compiled = self.cell_evaluator.registry.template_for(
+            family.key, family.ast, family.col, family.row
+        )
+        kind, descending = "s", up
+        if compiled is not None and last - first + 1 >= vectorized.MIN_RUN:
+            window = compiled.window
+            if window is not None:
+                rolls_up = window.tail_row.fixed and not window.head_row.fixed
+                if (
+                    vectorized.rolling_cols(window, col, first, last) is not None
+                    and not (down and rolls_up) and not (up and not rolls_up)
+                ):
+                    kind, descending = "w", rolls_up
+            elif compiled.elementwise is not None and not (down or up):
+                kind = "e"
+        return _Strip(kind, col, range(first, last + 1), compiled, descending)
+
+    def _order_entries(self, entries: list[tuple]):
+        """Kahn's algorithm over plan nodes: ``(plan, succs)``, or None
+        for a cycle among cells.
+
+        A node's predecessors are the nodes that the union rectangle of
+        each of its references — over all its rows; the corners are
+        linear in the host row, so the first and last member bound it —
+        meets, found by bisect in the per-column node lists: ``O(N log N
+        + E)`` in nodes and coalesced edges, where a strip of any length
+        is one node.  References into the strip itself need no edge; its
+        direction orders them.  Initially-ready nodes go column-major:
+        deterministic, sequential column writes, and spatially coherent
+        parallel regions (a process worker's freight ships a few planes
+        instead of a scatter of every column).
+
+        When the order stalls, strips are over-approximations: columns
+        that feed each other row by row are a cycle of strips and no
+        cycle of cells.  The strips in the knot — stalled nodes that are
+        not merely downstream of it — are taken apart into cells and the
+        ordering starts over; unrelated strips stay whole.  A knot of
+        cells alone is a true cycle.
+        """
+        columns: dict[int, tuple[list[int], list[int], list]] = {}
+        for node, _family, col, first, last in entries:
+            column = columns.get(col)
+            if column is None:
+                column = columns[col] = ([], [], [])
+            column[0].append(first)
+            column[1].append(last)
+            column[2].append(node)
+        name = self.sheet.name
         preds: dict[object, int] = {}
         succs: dict[object, list[object]] = {}
-        sheet_name = self.sheet.name
-        formula_at = self.sheet.formula_at
-        for pos in dirty:
-            if pos in member_map:
-                continue
-            col, row = pos
-            count = 0
+        for node, family, col, first, last in entries:
             seen: set[object] = set()
-            for ref_sheet, c1, r1, c2, r2 in formula_at(pos).template.spans_at(col, row):
-                if ref_sheet is not None and ref_sheet != sheet_name:
+            for spec in family.refs:
+                ref_sheet, c1, lo, c2, hi = spec.span_at(col, first)
+                if ref_sheet is not None and ref_sheet != name:
                     continue
-                if c1 <= col <= c2 and r1 <= row <= r2:
-                    return None, succs  # self-reference: a one-cell cycle
-                if c1 == c2 and c1 not in by_col:
-                    # Single-column ref into a clean column — the
-                    # overwhelmingly common shape (formulas over value
-                    # inputs); skip the generator machinery entirely.
-                    continue
-                for prec in self._dirty_in_range(c1, r1, c2, r2, by_col):
-                    if prec == pos:
-                        continue
-                    node = member_map.get(prec, prec)
-                    if node in seen:
-                        continue
-                    seen.add(node)
-                    count += 1
-                    succs.setdefault(node, []).append(pos)
-            preds[pos] = count
-        for run in runs:
-            count = 0
-            seen = set()
-            for prec in run.blockers:
-                node = member_map.get(prec, prec)
-                if node in seen:
-                    continue
-                seen.add(node)
-                count += 1
-                succs.setdefault(node, []).append(run)
-            preds[run] = count
+                if last != first:
+                    _, _, lo_last, _, hi_last = spec.span_at(col, last)
+                    lo, hi = min(lo, lo_last), max(hi, hi_last)
+                elif c1 <= col <= c2 and lo <= first <= hi:
+                    raise _SelfReference
+                if c1 == c2:
+                    hit = (c1,) if c1 in columns else ()
+                elif c2 - c1 < len(columns):
+                    hit = [c for c in range(c1, c2 + 1) if c in columns]
+                else:
+                    hit = [c for c in columns if c1 <= c <= c2]
+                for c in hit:
+                    firsts, lasts, nodes = columns[c]
+                    i = bisect_left(lasts, lo)
+                    stop = bisect_right(firsts, hi)
+                    for prec in nodes[i:stop]:
+                        if prec is not node and prec not in seen:
+                            seen.add(prec)
+                            succs.setdefault(prec, []).append(node)
+            preds[node] = len(seen)
         ready = [node for node, count in preds.items() if count == 0]
-        # Column-major order for the initially-ready nodes (the whole
-        # plan, for dependency-free dirty sets): deterministic instead of
-        # set-iteration order, sequential column writes, and — the real
-        # payoff — spatially coherent parallel regions, so a process
-        # worker's freight ships a few planes instead of a scatter of
-        # every column.
         ready.sort(key=_plan_node_key, reverse=True)
         plan: list[object] = []
         while ready:
@@ -716,44 +850,42 @@ class RecalcEngine:
                 preds[succ] -= 1
                 if preds[succ] == 0:
                     ready.append(succ)
-        if len(plan) != len(preds):
-            return None, succs          # cycle among dirty cells/runs
-        return plan, succs
-
-    @staticmethod
-    def _dirty_in_range(c1: int, r1: int, c2: int, r2: int, by_col: dict[int, list[int]]):
-        """Dirty positions inside ``(c1, r1)..(c2, r2)``, via per-column
-        sorted rows.
-
-        Iterates whichever is narrower — the reference's column span
-        (single-column refs are the overwhelming case) or the dirty
-        column set — so a wide dirty set doesn't pay a full-dict scan
-        for every one-column reference.
-        """
-        if c1 == c2:
-            rows = by_col.get(c1)
-            if rows:
-                lo = bisect_left(rows, r1)
-                hi = bisect_right(rows, r2)
-                for row in rows[lo:hi]:
-                    yield (c1, row)
-            return
-        if c2 - c1 < len(by_col):
-            cols = [(col, by_col.get(col)) for col in range(c1, c2 + 1)]
-        else:
-            cols = [
-                (col, rows) for col, rows in by_col.items() if c1 <= col <= c2
-            ]
-        for col, rows in cols:
-            if not rows:
-                continue
-            lo = bisect_left(rows, r1)
-            hi = bisect_right(rows, r2)
-            for row in rows[lo:hi]:
-                yield (col, row)
+        if len(plan) == len(preds):
+            return plan, succs
+        # Stalled.  Peel off what nothing stalled waits for, repeatedly:
+        # what is left lies on a cycle or between two.
+        stalled = {node for node, count in preds.items() if count}
+        waiting: dict[object, list[object]] = {node: [] for node in stalled}
+        for node in stalled:
+            for succ in succs.get(node, ()):
+                if succ in stalled:
+                    waiting[succ].append(node)
+        blocks = {
+            node: sum(1 for succ in succs.get(node, ()) if succ in stalled)
+            for node in stalled
+        }
+        loose = [node for node, count in blocks.items() if count == 0]
+        while loose:
+            node = loose.pop()
+            stalled.discard(node)
+            for prec in waiting[node]:
+                blocks[prec] -= 1
+                if blocks[prec] == 0:
+                    loose.append(prec)
+        knot = {node for node in stalled if type(node) is not tuple}
+        if not knot:
+            return None
+        apart: list[tuple] = []
+        for entry in entries:
+            node, family, col = entry[:3]
+            if node in knot:
+                apart.extend(((col, row), family, col, row, row) for row in node.rows)
+            else:
+                apart.append(entry)
+        return self._order_entries(apart)
 
     def _execute_plan(self, plan) -> int:
-        """Evaluate an ordered plan of singles and runs."""
+        """Evaluate an ordered plan of cells and strips."""
         stats = self.eval_stats
         count = 0
         for node in plan:
@@ -761,217 +893,73 @@ class RecalcEngine:
                 self._evaluate_cell(node)
                 count += 1
                 continue
-            rows = list(node.rows)
-            if type(node) is _ElementwiseRun:
-                swept = vectorized.evaluate_elementwise_run(
+            rows = node.rows
+            if node.kind == "s":
+                count += self._run_scalar(node)
+                continue
+            if node.kind == "e":
+                done = vectorized.evaluate_elementwise_run(
                     self.sheet, node.template, node.col, rows, self._evaluate_cell
                 )
-                if swept is None:
-                    # No numpy / non-columnar store / unsweepable scalar:
-                    # per-cell in any order (no in-run references).
-                    for row in rows:
-                        self._evaluate_cell((node.col, row))
-                elif swept:
-                    stats.elementwise_cells += swept
+                if done:
+                    stats.elementwise_cells += done
                     stats.elementwise_runs += 1
-                count += len(rows)
-                continue
-            rolled = vectorized.evaluate_run(
-                self.sheet, node.spec, node.col, rows, self._evaluate_cell
-            )
-            if rolled is None:
-                # Geometry refused at the last moment: evaluate per cell,
-                # respecting the rolling direction for self-references.
-                descending = node.spec.tail_row.fixed and not node.spec.head_row.fixed
-                for row in (reversed(rows) if descending else rows):
+            else:
+                done = vectorized.evaluate_run(
+                    self.sheet, node.template.window, node.col, rows, self._evaluate_cell
+                )
+                if done:
+                    # Counts only cells the rolling path computed;
+                    # delegated cells were accounted by _evaluate_cell.
+                    stats.windowed_cells += done
+                    stats.windowed_runs += 1
+            if done is None:
+                # Refused at the last moment (no numpy, a non-columnar
+                # store, an unsweepable scalar): per cell, in the strip's
+                # direction.
+                for row in (reversed(rows) if node.descending else rows):
                     self._evaluate_cell((node.col, row))
-            elif rolled:
-                # `rolled` counts only cells the rolling path computed;
-                # delegated cells were accounted by _evaluate_cell.
-                stats.windowed_cells += rolled
-                stats.windowed_runs += 1
             count += len(rows)
         return count
 
-    def _detect_runs(self, dirty: set[tuple[int, int]]):
-        """Same-template windowed runs hiding in the dirty set.
-
-        Candidate spans come from the compressed graph's dependent ranges
-        when it exposes them — the RR/FR edges *are* the autofill
-        families — with the raw per-column extents appended so cells the
-        graph left uncompressed (or graphs without the hook) still get
-        run detection.  Each maximal consecutive stretch of cells sharing
-        one windowed-aggregate template becomes a :class:`_TemplateRun`
-        carrying its out-of-run dirty *blockers*; stretches whose in-run
-        references do not follow the rolling direction are discarded.
-        """
-        by_col: dict[int, list[int]] = {}
-        for c, r in dirty:
-            by_col.setdefault(c, []).append(r)
-        for rows in by_col.values():
-            rows.sort()
-        spans: list[Range] = []
-        runs_of = getattr(self.graph, "dependent_column_runs", None)
-        if runs_of is not None:
-            c1, c2 = min(by_col), max(by_col)
-            r1 = min(rows[0] for rows in by_col.values())
-            r2 = max(rows[-1] for rows in by_col.values())
-            spans.extend(runs_of(Range(c1, r1, c2, r2)))
-        spans.extend(Range(c, rows[0], c, rows[-1]) for c, rows in by_col.items())
-
-        runs: list[_TemplateRun] = []
-        claimed: set[tuple[int, int]] = set()
-        for span in spans:
-            rows = by_col.get(span.c1)
-            if not rows:
-                continue
-            lo = bisect_left(rows, span.r1)
-            hi = bisect_right(rows, span.r2)
-            self._stretches_in_rows(span.c1, rows[lo:hi], claimed, by_col, runs)
-        member_map = {pos: run for run in runs for pos in run.member_set}
-        return runs, by_col, member_map
-
-    def _stretches_in_rows(
-        self,
-        col: int,
-        rows: list[int],
-        claimed: set[tuple[int, int]],
-        by_col: dict[int, list[int]],
-        out: list["_TemplateRun"],
-    ) -> None:
-        stretch: list[int] = []
-        stretch_key: str | None = None
-        stretch_template = None
-
-        def flush() -> None:
-            if stretch_template is None or len(stretch) < vectorized.MIN_RUN:
-                return
-            if stretch_template.window is not None:
-                run = self._make_run(
-                    stretch_template.window, col, list(stretch), by_col
-                )
-            else:
-                run = self._make_elementwise_run(
-                    stretch_template, col, list(stretch), by_col
-                )
-            if run is not None:
-                claimed.update(run.member_set)
-                out.append(run)
-
+    def _run_scalar(self, node: _Strip) -> int:
+        """One loop over a scalar strip's members, in its direction:
+        closure, resolver, column and writer are fetched once, each cell
+        is what :meth:`_evaluate_cell` would have made it.  Returns the
+        number of cells evaluated."""
+        col = node.col
+        rows = reversed(node.rows) if node.descending else node.rows
+        store = self.sheet._cells
+        compiled = node.template
+        if compiled is None or type(store) is dict:
+            # The interpreter's templates and the object store, which has
+            # no version to tell a kept plan that a member vanished.
+            formula_at = self.sheet.formula_at
+            done = 0
+            for row in rows:
+                if formula_at((col, row)) is not None:
+                    self._evaluate_cell((col, row))
+                    done += 1
+            return done
+        run = compiled.run
+        resolver = self.cell_evaluator.resolver
+        name = self.sheet.name
+        column = store.ensure_column(col, node.rows[-1])
+        write = store._write_raw
         for row in rows:
-            pos = (col, row)
-            if pos in claimed:              # already part of an earlier span's run
-                flush()
-                stretch, stretch_key, stretch_template = [], None, None
-                continue
-            cell = self.sheet.formula_at(pos)
-            template = self.cell_evaluator.template_for_cell(cell)
-            runnable = template is not None and (
-                template.window is not None or template.elementwise is not None
-            )
-            key = template.key if runnable else None
-            if key is None or key != stretch_key or (stretch and row != stretch[-1] + 1):
-                flush()
-                stretch = []
-                stretch_key = key
-                stretch_template = template if key is not None else None
-            if key is not None:
-                stretch.append(row)
-        flush()
+            write(column, row - 1, run(resolver, name, col, row))
+        self.eval_stats.compiled_cells += len(node.rows)
+        return len(node.rows)
 
-    def _make_run(
-        self,
-        spec,
-        col: int,
-        run_rows: list[int],
-        by_col: dict[int, list[int]],
-    ) -> "_TemplateRun | None":
-        """Build a run if its geometry rolls and its self-references are
-        ordered by the rolling direction; collect its dirty blockers.
-
-        In-run window hits are permitted only when every member's window
-        stays strictly on the already-evaluated side of the rolling
-        order: strictly above the host for top-down prefix/sliding
-        windows, strictly below for the bottom-up suffix shape.  Dirty
-        cells inside the windows but outside the run become *blockers* —
-        the super-node ordering schedules the run after all of them.
-        """
-        cols = vectorized.window_cols(spec, col)
-        if cols is None:
-            return None
-        lo_first, hi_first = vectorized.window_rows_at(spec, run_rows[0])
-        lo_last, hi_last = vectorized.window_rows_at(spec, run_rows[-1])
-        if lo_first > hi_first or lo_last > hi_last or min(lo_first, lo_last) < 1:
-            return None
-        self_ok = (
-            # windows strictly above their host, processed top-down
-            (not spec.tail_row.fixed and spec.tail_row.value <= -1)
-            # windows strictly below their host, processed bottom-up
-            or (spec.tail_row.fixed and not spec.head_row.fixed
-                and spec.head_row.value >= 1)
+    def strip_from_spec(self, spec: tuple) -> _Strip:
+        """:meth:`_Strip.spec` freight back into a node, against this
+        engine's sheet and registry (ordering was resolved where the spec
+        was made)."""
+        kind, col, first, last, descending = spec
+        compiled = self.cell_evaluator.template_for_cell(
+            self.sheet.formula_at((col, first))
         )
-        run_set = {(col, r) for r in run_rows}
-        blockers: set[tuple[int, int]] = set()
-        w_lo = min(lo_first, lo_last)
-        w_hi = max(hi_first, hi_last)
-        c1, c2 = cols
-        for dirty_col, dirty_rows in by_col.items():
-            if dirty_col < c1 or dirty_col > c2:
-                continue
-            lo = bisect_left(dirty_rows, w_lo)
-            hi = bisect_right(dirty_rows, w_hi)
-            for row in dirty_rows[lo:hi]:
-                pos = (dirty_col, row)
-                if pos in run_set:
-                    if not self_ok:
-                        return None
-                else:
-                    blockers.add(pos)
-        return _TemplateRun(spec, col, run_rows, run_set, blockers)
-
-    def _make_elementwise_run(
-        self,
-        template,
-        col: int,
-        run_rows: list[int],
-        by_col: dict[int, list[int]],
-    ) -> "_ElementwiseRun | None":
-        """Build an elementwise run if no reference resolves into it.
-
-        The array sweep reads every input lane before writing any output,
-        so a reference into the run's own stretch (a recurrence like
-        ``=C1+A2`` filled down C, or a fixed ref at a member) would read
-        stale values — such stretches evaluate per cell instead.  Dirty
-        cells the lanes read outside the run become blockers.
-        """
-        first, last = run_rows[0], run_rows[-1]
-        blockers: set[tuple[int, int]] = set()
-        for col_axis, row_axis in template.elementwise.refs:
-            c = col_axis.at(col)
-            if c < 1:
-                return None             # #REF! on every member: per-cell owns it
-            if row_axis.fixed:
-                r = row_axis.value
-                if r < 1:
-                    return None
-                if c == col and first <= r <= last:
-                    return None         # broadcast input is a run member
-                dirty_rows = by_col.get(c)
-                if dirty_rows:
-                    i = bisect_left(dirty_rows, r)
-                    if i < len(dirty_rows) and dirty_rows[i] == r:
-                        blockers.add((c, r))
-                continue
-            if c == col:
-                return None             # in-run recurrence
-            dirty_rows = by_col.get(c)
-            if dirty_rows:
-                lo = bisect_left(dirty_rows, first + row_axis.value)
-                hi = bisect_right(dirty_rows, last + row_axis.value)
-                for r in dirty_rows[lo:hi]:
-                    blockers.add((c, r))
-        member_set = {(col, r) for r in run_rows}
-        return _ElementwiseRun(template, col, run_rows, member_set, blockers)
+        return _Strip(kind, col, range(first, last + 1), compiled, descending)
 
     def _topological_order(
         self, dirty: set[tuple[int, int]]

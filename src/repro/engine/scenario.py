@@ -9,9 +9,9 @@ not of the trial values.  :class:`ScenarioEngine` exploits that:
 
 1. **Plan once** — at construction it runs one multi-seed dependents BFS
    over the compressed graph and orders the dirty set with the serial
-   engine's own planner (:meth:`RecalcEngine._build_plan`: super-node
-   runs plus singles, generic Kahn order for interpreter engines and
-   run-free dirty sets).  Cycles raise
+   engine's own planner (:meth:`RecalcEngine._build_plan`: column
+   strips plus lone cells, generic Kahn order for interpreter engines
+   and a handful of cells).  Cycles raise
    :class:`~repro.engine.recalc.CircularReferenceError` up front.
 2. **Replay per scenario** — :meth:`run` writes each scenario's seed
    values and re-executes the frozen plan through the engine's normal
@@ -76,7 +76,7 @@ class ScenarioEngine:
     ``(col, row)`` — and must hold values, not formulas (a formula seed
     would need graph surgery per scenario, defeating the shared plan;
     ``ValueError``).  The dirty frontier, its topological order, and its
-    run super-nodes are computed here, once, against ``engine``'s graph.
+    strips are computed here, once, against ``engine``'s graph.
     """
 
     def __init__(self, engine: "RecalcEngine", seeds):

@@ -70,7 +70,7 @@ from concurrent.futures.process import BrokenProcessPool
 from itertools import count
 from typing import TYPE_CHECKING
 
-from .parallel import FAULT_ENV, _template_families
+from .parallel import FAULT_ENV, _node_members, _spec_for, _template_families
 
 if TYPE_CHECKING:  # pragma: no cover
     from .recalc import RecalcEngine
@@ -205,7 +205,7 @@ def _shard_request(payload: bytes) -> bytes:
         _, key, token, name, planes, families, spec, seeds = msg
         sheet, _positions = _rebuild_worker_sheet("columnar", name, planes, families)
         engine = RecalcEngine.plan_executor(sheet)
-        plan = None if spec is None else _plan_from_spec(engine, sheet, spec)
+        plan = None if spec is None else _plan_from_spec(engine, spec)
         _RESIDENTS[key] = _Resident(token, sheet, engine, plan, seeds)
         return pickle.dumps(("ok",), pickle.HIGHEST_PROTOCOL)
 
@@ -229,7 +229,7 @@ def _shard_request(payload: bytes) -> bytes:
             store.merge_result_columns(patches)
         from .parallel import _plan_from_spec
 
-        plan = _plan_from_spec(engine, sheet, spec)
+        plan = _plan_from_spec(engine, spec)
         executed = engine._execute_plan(plan)
         if fault == "garbage":
             return b"\x00 injected unpicklable shard result"
@@ -262,25 +262,6 @@ def _shard_request(payload: bytes) -> bytes:
 
 
 # -- parent-side freight helpers -----------------------------------------------
-
-
-def _spec_for(nodes) -> list[tuple]:
-    from .recalc import _TemplateRun
-
-    spec: list[tuple] = []
-    for node in nodes:
-        if type(node) is tuple:
-            spec.append(("c", node[0], node[1]))
-        else:
-            kind = "w" if type(node) is _TemplateRun else "e"
-            spec.append((kind, node.col, node.rows[0], node.rows[-1]))
-    return spec
-
-
-def _node_members(node):
-    if type(node) is tuple:
-        return (node,)
-    return [(node.col, row) for row in node.rows]
 
 
 class _Replica:

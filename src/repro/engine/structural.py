@@ -25,7 +25,7 @@ workload).  One :func:`apply_structural_edit` call runs, in order:
    plus their transitive dependents from one multi-seed BFS over the
    compressed graph; :meth:`~repro.engine.recalc.RecalcEngine.recompute`
    re-evaluates exactly those cells, on the ``evaluation="auto"`` path —
-   windowed columns stay super-nodes even after the edit, and on engines
+   filled columns stay single plan nodes even after the edit, and on engines
    configured with ``workers=N`` the dirty set is partitioned into
    independent regions and recalculated in parallel
    (:mod:`repro.engine.parallel`) with no change to the result.

@@ -29,10 +29,10 @@ window contains an error value are delegated back to the per-cell
 ``fallback`` callable, which preserves the interpreter's
 iteration-order-dependent choice of *which* error propagates.
 
-The caller (:meth:`repro.engine.recalc.RecalcEngine._dispatch_runs`) is
-responsible for run *safety* — window rows may only touch cells that are
-clean or already-evaluated run members; this module only checks
-geometry.
+The caller (the strip planner, :meth:`repro.engine.recalc.RecalcEngine._make_strip`)
+is responsible for run *safety* — window rows may only touch cells that
+are clean or already-evaluated run members; this module only checks
+geometry (:func:`rolling_cols`, which the planner asks first).
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ __all__ = [
     "MIN_RUN",
     "evaluate_elementwise_run",
     "evaluate_run",
+    "rolling_cols",
     "window_rows_at",
     "window_cols",
 ]
@@ -83,6 +84,19 @@ def window_cols(spec: WindowSpec, col: int) -> tuple[int, int] | None:
 def window_rows_at(spec: WindowSpec, row: int) -> tuple[int, int]:
     """The window's raw row span for a host in row ``row`` (unnormalised)."""
     return spec.head_row.at(row), spec.tail_row.at(row)
+
+
+def rolling_cols(spec: WindowSpec, col: int, first: int, last: int) -> tuple[int, int] | None:
+    """The window's column span if rows ``first..last`` of ``col`` can
+    roll under ``spec``, else None: windows that would need corner
+    normalisation anywhere along the run, or that fall off the sheet's
+    top or left edge, are evaluated per cell."""
+    cols = window_cols(spec, col)
+    lo_first, hi_first = window_rows_at(spec, first)
+    lo_last, hi_last = window_rows_at(spec, last)
+    if lo_first > hi_first or lo_last > hi_last or min(lo_first, lo_last) < 1:
+        return None
+    return cols
 
 
 class _WindowState:
@@ -183,7 +197,8 @@ def evaluate_run(
     rows: list[int],
     fallback: Callable[[tuple[int, int]], None],
 ) -> int | None:
-    """Evaluate ``rows`` of ``col`` (ascending, consecutive) under ``spec``.
+    """Evaluate ``rows`` of ``col`` (ascending, consecutive — a list or
+    a ``range``) under ``spec``.
 
     Writes each cell's value as soon as it is computed, so
     self-referential prefix runs (``SUM(B$1:B1)`` filled down B) read
@@ -193,15 +208,8 @@ def evaluate_run(
     accounts for those — or ``None`` when the geometry is not rollable
     (the caller then evaluates every cell through the fallback).
     """
-    cols = window_cols(spec, col)
+    cols = rolling_cols(spec, col, rows[0], rows[-1])
     if cols is None:
-        return None
-    first, last = rows[0], rows[-1]
-    lo_first, hi_first = window_rows_at(spec, first)
-    lo_last, hi_last = window_rows_at(spec, last)
-    # Reject windows that would need corner normalisation anywhere along
-    # the run, and windows falling off the sheet top.
-    if lo_first > hi_first or lo_last > hi_last or min(lo_first, lo_last) < 1:
         return None
 
     head_fixed = spec.head_row.fixed
@@ -324,8 +332,8 @@ def evaluate_elementwise_run(
     relative reference falls off the sheet top are delegated to
     ``fallback`` — exactly the cases where per-cell semantics are not
     plain float arithmetic.  The caller is responsible for run *safety*
-    (no reference may resolve into the run itself; see
-    ``RecalcEngine._make_elementwise_run``).
+    (no reference may resolve into the run itself; the strip planner,
+    ``RecalcEngine._make_strip``, sweeps only strips nothing lands in).
 
     Returns the number of cells the sweep wrote, or ``None`` when the
     sweep cannot run at all (no numpy, non-columnar store, a scalar

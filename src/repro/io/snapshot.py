@@ -76,7 +76,6 @@ import sys
 import uuid
 import zlib
 from array import array
-from operator import itemgetter
 from typing import IO, Iterator, Mapping, NamedTuple
 
 from ..core.serialize import GraphFormatError, graph_from_payload, graph_payload
@@ -215,25 +214,22 @@ def _run_records(sheet: Sheet) -> list:
     """The formula plane as ``[col, first_row, last_row, text]`` records.
 
     A record is a cell plus the cells below it that hold its template and
-    no source text of their own — :meth:`Sheet.formula_runs` cut again at
-    every member that was typed, since only a record's first text is
-    stored.  Walked here rather than taken from ``formula_runs()``, which
-    joins every cell to its template: a typed cell nothing has touched
-    since it was loaded is still only its text, and saving it must not
-    be what parses it.
+    no source text of their own — the sheet's run index
+    (:meth:`Sheet.run_index`) cut again at every member that was typed,
+    since only a record's first text is stored.  Read unjoined: a typed
+    cell nothing has touched since it was loaded is still only its text
+    (a run of one), and saving it must not be what parses it.
     """
     records: list = []
-    head = None         # the open record's first cell
-    for (col, row), cell in sorted(sheet.formula_cells(), key=itemgetter(0)):
-        if (
-            cell.source_text is None and head is not None
-            and records[-1][0] == col and records[-1][2] == row - 1
-            and cell.template is head.template
-        ):
-            records[-1][2] = row
-        else:
-            records.append([col, row, row, cell.formula_text])
-            head = cell
+    formula_at = sheet.formula_at
+    for col, runs in sheet.run_index(join=False).items():
+        for first, last, _template in runs:
+            for row in range(first, last + 1):
+                cell = formula_at((col, row))
+                if row > first and cell.source_text is None:
+                    records[-1][2] = row
+                else:
+                    records.append([col, row, row, cell.formula_text])
     return records
 
 

@@ -495,10 +495,9 @@ class WorkbookService:
                 max_col = col
             if row > max_row:
                 max_row = row
-        formulas = sum(1 for _ in sheet.formula_cells())
         base.update(
             cells=cells,
-            formulas=formulas,
+            formulas=sheet.formula_count,
             extent=Range(1, 1, max_col, max_row).to_a1() if cells else None,
             pending=engine.pending,
             sheets=res.workbook.sheet_names,

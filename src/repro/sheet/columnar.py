@@ -44,7 +44,7 @@ back as ``42.0``), exactly as a host spreadsheet stores them.
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..formula.ast_nodes import Node
 from ..formula.errors import ExcelError
@@ -60,6 +60,8 @@ __all__ = [
     "TAG_STRING",
     "ColumnarCell",
     "ColumnarStore",
+    "RunIndex",
+    "scan_formula_runs",
 ]
 
 TAG_EMPTY = 0
@@ -111,6 +113,55 @@ class _Column:
 
     def occupied(self) -> int:
         return len(self.tags) - self.tags.count(0)
+
+
+#: ``{col: [(first_row, last_row, template), ...]}`` — columns ascending,
+#: each column's runs disjoint and ascending by row.
+RunIndex = dict[int, list[tuple[int, int, "FormulaTemplate | None"]]]
+
+
+def scan_formula_runs(
+    formula_items: Iterable[tuple[tuple[int, int], Cell]], join: bool = True
+) -> tuple[RunIndex, bool]:
+    """Group formula cells into maximal vertical runs sharing a template:
+    ``(index, joined)``.
+
+    Members of a family hold the *same* interned template object, so a
+    run is found by pointer compares — no AST, reference or range is
+    built.  With ``join`` every cell set from text parses and joins its
+    template first (adjacent typed cells that say the same thing in R1C1
+    are then one run).  Without it such a cell is left as it is: a run of
+    one whose template reads None, and ``joined`` comes back False if
+    there was any — the view a snapshot save takes, so that saving an
+    untouched typed cell is not what parses it.
+    """
+    by_col: dict[int, list] = {}
+    for (col, row), cell in formula_items:
+        cells = by_col.get(col)
+        if cells is None:
+            cells = by_col[col] = []
+        cells.append((row, cell))
+    index: RunIndex = {}
+    joined = True
+    for col in sorted(by_col):
+        cells = by_col[col]
+        cells.sort()                    # rows are unique: cells never compare
+        runs = index[col] = []
+        first = last = 0
+        run = None
+        for row, cell in cells:
+            template = cell.template if join else cell._template
+            if first and row == last + 1 and template is run and run is not None:
+                last = row
+                continue
+            if first:
+                runs.append((first, last, run))
+            first = last = row
+            run = template
+            if template is None:
+                joined = False
+        runs.append((first, last, run))
+    return index, joined
 
 
 def _classify(value) -> tuple[int, float, object]:
@@ -175,13 +226,21 @@ class ColumnarCell(Cell):
 class ColumnarStore:
     """Per-sheet columnar backing store with a dict-of-Cells facade."""
 
-    __slots__ = ("_columns", "_formulas", "_count", "epoch")
+    __slots__ = ("_columns", "_formulas", "_count", "epoch",
+                 "formula_version", "_runs")
 
     def __init__(self) -> None:
         self._columns: dict[int, _Column] = {}
         #: Registered formula cells; their cached values live in the
         #: arrays (write-through), only AST state lives on the object.
         self._formulas: dict[tuple[int, int], ColumnarCell] = {}
+        #: Moves whenever ``_formulas`` gains, loses, replaces or rekeys
+        #: an entry — and only then: value writes (cached formula values
+        #: included) never touch it.  Stamps the memoised run index, and
+        #: any plan laid out over it.
+        self.formula_version = 0
+        #: ``(formula_version, index, joined)`` of the last run scan.
+        self._runs: tuple[int, RunIndex, bool] | None = None
         #: Occupied positions: non-EMPTY tags plus formula cells whose
         #: cached value is None (their tag is EMPTY but they exist).
         self._count = 0
@@ -234,6 +293,8 @@ class ColumnarStore:
         occupied the position (formula included); None erases it."""
         pos = (col, row)
         formula = self._formulas.pop(pos, None)
+        if formula is not None:
+            self.formula_version += 1
         if value is None:
             column = self._columns.get(col)
             if column is None or row - 1 >= len(column.tags):
@@ -281,6 +342,7 @@ class ColumnarStore:
         was_occupied = old != TAG_EMPTY or pos in self._formulas
         cell = ColumnarCell(self, col, row, formula_text, formula_ast, template)
         self._formulas[pos] = cell
+        self.formula_version += 1
         self._write_raw(column, row - 1, value)
         if not was_occupied:
             self._count += 1
@@ -295,6 +357,17 @@ class ColumnarStore:
     @property
     def formula_count(self) -> int:
         return len(self._formulas)
+
+    def run_index(self, join: bool = True) -> RunIndex:
+        """The formula plane as runs (:func:`scan_formula_runs`),
+        memoised: scanned once per :attr:`formula_version`, and once more
+        if a scan that left typed cells unjoined is later asked to join
+        them.  Callers must not mutate the result."""
+        memo = self._runs
+        if memo is None or memo[0] != self.formula_version or (join and not memo[2]):
+            index, joined = scan_formula_runs(self._formulas.items(), join)
+            memo = self._runs = (self.formula_version, index, joined)
+        return memo[1]
 
     # -- mapping facade (the dialect Sheet code speaks) ------------------------
 
@@ -367,6 +440,7 @@ class ColumnarStore:
         self._formulas.clear()
         self._count = 0
         self.epoch += 1
+        self.formula_version += 1
 
     def column_version(self, col: int) -> int:
         """Content-write counter of ``col`` (-1 when the column does not
@@ -602,6 +676,7 @@ class ColumnarStore:
             cell._col, cell._row = new_pos
             formulas[new_pos] = cell
         self._formulas = formulas
+        self.formula_version += 1
 
     # -- whole-plane shipping (worker freight and snapshot persistence) --------
 
@@ -796,6 +871,7 @@ class ColumnarStore:
         occupied only if it held neither a value nor a formula."""
         tags = self._column_for(col, last_row).tags
         formulas = self._formulas
+        self.formula_version += 1
         for row in range(first_row, last_row + 1):
             pos = (col, row)
             if not tags[row - 1] and pos not in formulas:

@@ -21,7 +21,7 @@ from ..formula.template import FormulaTemplate
 from ..grid.range import Range
 from ..grid.ref import parse_cell
 from .cell import Cell
-from .columnar import ColumnarStore
+from .columnar import ColumnarStore, RunIndex, scan_formula_runs
 
 __all__ = ["Sheet", "Dependency", "DEFAULT_STORE", "STORE_KINDS"]
 
@@ -254,30 +254,39 @@ class Sheet:
         else:
             yield from cells.formula_items()
 
-    def formula_runs(self) -> Iterator[tuple[FormulaTemplate, int, int, int]]:
+    def run_index(self, join: bool = True) -> RunIndex:
         """Every maximal vertical run of formula cells sharing a template,
-        as ``(template, col, first_row, last_row)`` in column-major order.
+        per column: ``{col: [(first_row, last_row, template), ...]}``,
+        columns and rows ascending (:func:`~repro.sheet.columnar.scan_formula_runs`).
 
         An autofilled column is one run; a lone formula is a run of
-        length one.  Finding them is a pointer compare per formula cell:
-        members of a family hold the *same* interned template object, so
-        no AST, reference or range is built here.  The runs are the unit
-        the graph is built from (:func:`repro.core.taco_graph.build_from_sheet`).
+        length one.  The runs are the unit the graph is built from
+        (:func:`repro.core.taco_graph.build_from_sheet`), recalculation
+        is planned in, and snapshots and xlsx shared groups are written
+        as.  On a columnar sheet the index is memoised against
+        :attr:`formula_version` — every reader shares one scan, and only
+        a change to the formula plane causes another; the object store
+        scans per call.  Read-only.
         """
-        run = None
-        col = first = last = 0
-        for pos, cell in sorted(self.formula_cells(), key=lambda item: item[0]):
-            template = cell.template
-            if template is run and pos == (col, last + 1):
-                last += 1
-                continue
-            if run is not None:
-                yield run, col, first, last
-            run = template
-            col, first = pos
-            last = first
-        if run is not None:
-            yield run, col, first, last
+        cells = self._cells
+        if type(cells) is not dict:
+            return cells.run_index(join)
+        return scan_formula_runs(self.formula_cells(), join)[0]
+
+    def formula_runs(self) -> Iterator[tuple[FormulaTemplate, int, int, int]]:
+        """:meth:`run_index` flattened: ``(template, col, first_row,
+        last_row)`` in column-major order."""
+        for col, runs in self.run_index().items():
+            for first, last, template in runs:
+                yield template, col, first, last
+
+    @property
+    def formula_version(self) -> int | None:
+        """A counter that moves exactly when the set of formula cells or
+        any cell's formula changes (never on a value write), or None on
+        the object store, which keeps none."""
+        cells = self._cells
+        return None if type(cells) is dict else cells.formula_version
 
     @property
     def formula_count(self) -> int:

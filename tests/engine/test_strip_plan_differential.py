@@ -1,0 +1,421 @@
+"""Differential suite: planning by strips ≡ ordering by cells.
+
+The strip planner (``RecalcEngine._plan_strips``) orders and executes
+*(template, column strip)* nodes instead of cells.  Whatever it does —
+keep a strip whole, run it bottom-up, take a knot of strips apart, hand
+a cycle over — the values must be bit-identical to the tree-walking
+interpreter ordering every cell generically over an uncompressed graph,
+and where a cycle is in play the ``#CYCLE!`` cells and the reported
+chain must be the generic ordering's own.
+
+Sheets are built from *fills*, because fills are what make strips:
+recurrences up and down a column, windows over their own column and over
+a neighbour's, columns that feed each other row by row, families cut by
+a typed cell or an off-grid head — the ordinary input of a planner that
+works by families.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.engine.recalc import CircularReferenceError, RecalcEngine, _Strip
+from repro.formula.errors import CYCLE_ERROR
+from repro.graphs.nocomp import NoCompGraph
+from repro.grid.range import Range
+from repro.grid.ref import col_to_letters
+from repro.sheet.autofill import autofill, fill_formula_column
+from repro.sheet.sheet import STORE_KINDS, Sheet
+from repro.spatial.registry import available_indexes
+
+from helpers import assert_same_values, engine_for
+
+BACKENDS = available_indexes()
+ROWS = 24
+FIRST_COL = 3          # A and B hold values; formula columns start at C
+
+
+# -- the menu of fills ----------------------------------------------------------
+#
+# Each builder stamps one block at column ``col`` over rows ``r0..r1``,
+# reading neighbour column ``s`` (a letter: "A", or the last formula
+# column of the block before), and returns how many columns it used.
+
+def chain_down(sheet, col, r0, r1, s):
+    c = col_to_letters(col)
+    sheet.set_formula((col, r0), f"={s}{r0}")
+    fill_formula_column(sheet, col, r0 + 1, r1, f"={c}{r0}+A{r0 + 1}")
+    return 1
+
+
+def chain_up(sheet, col, r0, r1, s):
+    c = col_to_letters(col)
+    sheet.set_formula((col, r1), f"={s}{r1}")
+    fill_formula_column(sheet, col, r0, r1 - 1, f"={c}{r0 + 1}+A{r0}")
+    return 1
+
+
+def grow_own(sheet, col, r0, r1, s):
+    c = col_to_letters(col)
+    sheet.set_formula((col, r0), f"={s}{r0}")
+    fill_formula_column(sheet, col, r0 + 1, r1, f"=SUM({c}${r0}:{c}{r0})")
+    return 1
+
+
+def shrink_own(sheet, col, r0, r1, s):
+    c = col_to_letters(col)
+    sheet.set_formula((col, r1), f"={s}{r1}")
+    fill_formula_column(sheet, col, r0, r1 - 1, f"=SUM({c}{r0 + 1}:{c}${r1})")
+    return 1
+
+
+def slide_own_above(sheet, col, r0, r1, s):
+    c = col_to_letters(col)
+    for r in (r0, r0 + 1):
+        sheet.set_formula((col, r), f"={s}{r}")
+    fill_formula_column(sheet, col, r0 + 2, r1, f"=SUM({c}{r0}:{c}{r0 + 1})")
+    return 1
+
+
+def slide_own_below(sheet, col, r0, r1, s):
+    # The window sits strictly below its host: the strip must run
+    # bottom-up, which a sliding roll does not.
+    c = col_to_letters(col)
+    for r in (r1 - 1, r1):
+        sheet.set_formula((col, r), f"={s}{r}")
+    fill_formula_column(sheet, col, r0, r1 - 2, f"=MAX({c}{r0 + 1}:{c}{r0 + 2})")
+    return 1
+
+
+def window_of(template):
+    def build(sheet, col, r0, r1, s):
+        fill_formula_column(sheet, col, r0, r1, template.format(s=s, r0=r0, r1=r1, r3=r0 + 3))
+        return 1
+    return build
+
+
+def amortisation(sheet, col, r0, r1, s):
+    # interest / principal / balance: three columns that feed each other
+    # row by row — a cycle of strips, no cycle of cells.
+    i, p, b = (col_to_letters(col + k) for k in range(3))
+    sheet.set_value((col + 2, r0), 1000.0)
+    fill_formula_column(sheet, col, r0 + 1, r1, f"={b}{r0}*0.01")
+    fill_formula_column(sheet, col + 1, r0 + 1, r1, f"=B{r0 + 1}-{i}{r0 + 1}")
+    fill_formula_column(sheet, col + 2, r0 + 1, r1, f"={b}{r0}-{p}{r0 + 1}")
+    return 3
+
+
+def fixed_into_own_rows(sheet, col, r0, r1, s):
+    # The member on the fixed row reads itself: a true cycle.
+    c = col_to_letters(col)
+    fill_formula_column(sheet, col, r0, r1, f"={c}${r0 + 2}+A{r0}")
+    return 1
+
+
+def both_ways(sheet, col, r0, r1, s):
+    # Two above, three below: pointing both ways is a cycle of cells only
+    # when the strip is long enough to close one.
+    c = col_to_letters(col)
+    fill_formula_column(sheet, col, r0 + 2, r1 - 3, f"={c}{r0}+{c}{r0 + 5}")
+    return 1
+
+
+def off_grid_head(sheet, col, r0, r1, s):
+    # Filled upwards from row 3: the members above are #REF! templates.
+    sheet.set_formula((col, 3), "=A1+B3")
+    autofill(sheet, (col, 3), Range(col, 1, col, r1))
+    return 1
+
+
+def cross_sheet(sheet, col, r0, r1, s):
+    # A sibling sheet's cells order nothing here; this sheet's own name
+    # as a qualifier orders like no qualifier at all.
+    fill_formula_column(sheet, col, r0, r1, f"=Other!A{r0}+{sheet.name}!{s}{r0}")
+    return 1
+
+
+def self_reference(sheet, col, r0, r1, s):
+    c = col_to_letters(col)
+    sheet.set_formula((col, r0), f"={c}{r0}+1")
+    return 1
+
+
+def two_cell_cycle(sheet, col, r0, r1, s):
+    c, d = col_to_letters(col), col_to_letters(col + 1)
+    sheet.set_formula((col, r0), f"={d}{r0}+{s}{r0}")
+    sheet.set_formula((col + 1, r0), f"={c}{r0}*2")
+    fill_formula_column(sheet, col + 1, r0 + 1, r1, f"={d}{r0}+1")    # downstream of it
+    return 2
+
+
+BLOCKS = {
+    "chain_down": chain_down,
+    "chain_up": chain_up,
+    "grow_own": grow_own,
+    "shrink_own": shrink_own,
+    "slide_own_above": slide_own_above,
+    "slide_own_below": slide_own_below,
+    "grow_neighbour": window_of("=SUM(${s}${r0}:{s}{r0})"),
+    "shrink_neighbour": window_of("=SUM({s}{r0}:${s}${r1})"),
+    "slide_neighbour": window_of("=AVERAGE({s}{r0}:{s}{r3})"),
+    "elementwise": window_of("={s}{r0}*2+B{r0}"),
+    "vlookup": window_of("=VLOOKUP(B{r0},$A$1:$B$24,2,FALSE)"),
+    "if": window_of("=IF({s}{r0}>B{r0},{s}{r0}-B{r0},B{r0}/A{r0})"),
+    "xor": window_of("=XOR({s}{r0}>5,B{r0}>5)"),
+    "amortisation": amortisation,
+    "fixed_into_own_rows": fixed_into_own_rows,
+    "both_ways": both_ways,
+    "off_grid_head": off_grid_head,
+    "cross_sheet": cross_sheet,
+    "self_reference": self_reference,
+    "two_cell_cycle": two_cell_cycle,
+}
+KINDS = sorted(BLOCKS)
+
+
+@st.composite
+def fill_programs(draw):
+    """``(values, blocks, lone)``: the A/B inputs, 1..5 blocks laid out
+    left to right, and optionally a typed lone cell dropped into the
+    middle of one formula column (cutting whatever family is there)."""
+    values = [
+        (float(draw(st.integers(-20, 40))), float(draw(st.integers(0, 5))))
+        for _ in range(ROWS)
+    ]
+    blocks = [
+        (draw(st.sampled_from(KINDS)), draw(st.integers(1, 3)),
+         draw(st.integers(ROWS - 3, ROWS)), draw(st.booleans()))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    lone = draw(st.none() | st.tuples(st.integers(0, 8), st.integers(5, ROWS - 5)))
+    return values, blocks, lone
+
+
+def realize(program, store: str) -> Sheet:
+    values, blocks, lone = program
+    sheet = Sheet("S", store=store)
+    for r, (a, b) in enumerate(values, start=1):
+        sheet.set_value((1, r), a)
+        sheet.set_value((2, r), b)
+    col, neighbour = FIRST_COL, "A"
+    for kind, r0, r1, read_neighbour in blocks:
+        used = BLOCKS[kind](sheet, col, r0, r1, neighbour if read_neighbour else "A")
+        col += used
+        neighbour = col_to_letters(col - 1)
+    if lone is not None:
+        at = (FIRST_COL + lone[0] % (col - FIRST_COL), lone[1])
+        sheet.set_formula(at, f"=B{lone[1]}*3")
+    return sheet
+
+
+def oracle_for(sheet: Sheet) -> RecalcEngine:
+    """The generic ordering: interpreter, uncompressed graph."""
+    graph = NoCompGraph()
+    graph.build(sheet.iter_dependencies())
+    return RecalcEngine(sheet, graph, evaluation="interpreter")
+
+
+def settle(engine, action):
+    """Run ``action``; the cycle it reported, if any."""
+    try:
+        action()
+    except CircularReferenceError as exc:
+        return exc.cycle
+    return None
+
+
+def both_sides(program, store, index, **subject_kwargs):
+    subject, reference = realize(program, store), realize(program, store)
+    graph_engine = engine_for(subject, "auto", index)
+    engine = RecalcEngine(subject, graph_engine.graph, **subject_kwargs)
+    return engine, oracle_for(reference)
+
+
+COMMON = dict(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("store", STORE_KINDS)
+@pytest.mark.parametrize("index", BACKENDS)
+@settings(**COMMON)
+@given(program=fill_programs())
+def test_recalculate_all_identical(store, index, program):
+    engine, oracle = both_sides(program, store, index)
+    got = settle(engine, engine.recalculate_all)
+    want = settle(oracle, oracle.recalculate_all)
+    assert got == want
+    assert_same_values(engine.sheet, oracle.sheet)
+
+
+@pytest.mark.parametrize("store", STORE_KINDS)
+@pytest.mark.parametrize("index", BACKENDS)
+@settings(**COMMON)
+@given(program=fill_programs(), data=st.data())
+def test_dirty_subset_identical(store, index, program, data):
+    engine, oracle = both_sides(program, store, index)
+    settle(engine, engine.recalculate_all)
+    settle(oracle, oracle.recalculate_all)
+    width = engine.sheet.used_range().c2
+    for _ in range(data.draw(st.integers(1, 3))):
+        # New inputs written behind both engines' backs, then an
+        # arbitrary dirty set: any stripes of the sheet, not a closure.
+        for _ in range(data.draw(st.integers(1, 4))):
+            pos = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, ROWS)))
+            value = float(data.draw(st.integers(-30, 30)))
+            engine.sheet.set_value(pos, value)
+            oracle.sheet.set_value(pos, value)
+        ranges = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            c1 = data.draw(st.integers(FIRST_COL, width))
+            r1 = data.draw(st.integers(1, ROWS))
+            ranges.append(Range(c1, r1,
+                                data.draw(st.integers(c1, width)),
+                                data.draw(st.integers(r1, ROWS))))
+        got = settle(engine, lambda: engine.recompute(ranges))
+        want = settle(oracle, lambda: oracle.recompute(ranges))
+        assert got == want
+        assert_same_values(engine.sheet, oracle.sheet)
+
+
+@pytest.mark.parametrize("store", STORE_KINDS)
+@pytest.mark.parametrize("index", BACKENDS)
+@settings(**COMMON)
+@given(program=fill_programs(), data=st.data())
+def test_deferred_steps_identical(store, index, program, data):
+    engine, oracle = both_sides(program, store, index, deferred=True)
+    settle(engine, engine.recalculate_all)
+    settle(oracle, oracle.recalculate_all)
+    assert_same_values(engine.sheet, oracle.sheet)
+    for _ in range(data.draw(st.integers(1, 3))):
+        for _ in range(data.draw(st.integers(1, 3))):
+            pos = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, ROWS)))
+            value = float(data.draw(st.integers(-30, 30)))
+            engine.set_value(pos, value)
+            settle(oracle, lambda: oracle.set_value(pos, value))
+        while engine.pending:
+            engine.step(7)
+        assert_same_values(engine.sheet, oracle.sheet)
+
+
+# -- pinned facts -----------------------------------------------------------------
+
+def ledger_sheet(rows: int = 300) -> Sheet:
+    """The served benchmark's sheet (``inputs.ledger_workbook``)."""
+    sheet = Sheet("Ledger", store="columnar")
+    for r in range(1, rows + 1):
+        sheet.set_value((1, r), float(r % 17) + 1.0)
+        sheet.set_value((2, r), float((r * 7) % 23) + 1.0)
+    sheet.set_formula("C1", "=A1+B1")
+    fill_formula_column(sheet, 3, 2, rows, "=C1+A2")
+    fill_formula_column(sheet, 4, 1, rows, "=SUM($A$1:A1)")
+    fill_formula_column(sheet, 5, 1, rows, "=A1*B1")
+    sheet.set_formula("F1", f"=SUM(C1:C{rows})")
+    return sheet
+
+
+def test_the_ledger_plans_as_a_handful_of_nodes():
+    engine = RecalcEngine(ledger_sheet())
+    plan, succs, cycle = engine._build_plan(None, False)
+    assert cycle is None and len(plan) <= 6
+    assert sorted(node.kind for node in plan if type(node) is _Strip) == ["e", "s", "w"]
+    assert engine.recalculate_all() == 901
+    stats = engine.eval_stats
+    assert (stats.compiled_cells, stats.interpreted_cells) == (301, 0)
+    assert (stats.windowed_cells, stats.windowed_runs) == (300, 1)
+    assert (stats.elementwise_cells, stats.elementwise_runs) == (300, 1)
+    # The dirty-set entrance lays the same cells out the same way.
+    everything = {pos for pos, _ in engine.sheet.formula_cells()}
+    again = engine._build_plan(everything, False)[0]
+    assert [n if type(n) is tuple else n.spec() for n in again] == \
+        [n if type(n) is tuple else n.spec() for n in plan]
+
+
+def test_a_knot_of_strips_comes_apart_alone():
+    """The amortisation table stalls the strip order; the running total
+    beside it — downstream of the knot, not in it — still rolls."""
+    def build():
+        sheet = Sheet("S", store="columnar")
+        for r in range(1, 41):
+            sheet.set_value((1, r), float(r))
+            sheet.set_value((2, r), 30.0)
+        amortisation(sheet, 3, 1, 40, "A")
+        fill_formula_column(sheet, 6, 1, 40, "=SUM($A$1:A1)")      # beside it
+        fill_formula_column(sheet, 7, 2, 40, "=SUM($E$2:E2)")      # fed by it
+        return sheet
+
+    engine = RecalcEngine(build())
+    plan = engine._build_plan(None, False)[0]
+    strips = [node for node in plan if type(node) is _Strip]
+    assert sorted((node.col, node.kind) for node in strips) == [(6, "w"), (7, "w")]
+    assert len(plan) == 2 + 3 * 39
+    engine.recalculate_all()
+    assert engine.eval_stats.windowed_runs == 2
+    reference = oracle_for(build())
+    reference.recalculate_all()
+    assert_same_values(engine.sheet, reference.sheet)
+
+    alone = RecalcEngine(build())
+    alone.sheet.clear_range(Range(7, 1, 7, 40))
+    alone.recalculate_all()
+    assert alone.eval_stats.windowed_runs == 1
+
+
+def test_a_chain_is_split_at_the_budget():
+    sheet = Sheet("S")
+    for r in range(1, 1001):
+        sheet.set_value((1, r), 1.0)
+    sheet.set_formula("B1", "=A1")
+    fill_formula_column(sheet, 2, 2, 1000, "=B1+A2")
+    engine = RecalcEngine(sheet, deferred=True)
+    engine.recalculate_all()
+    assert engine.set_value("A1", 5.0).dirty_count == 1000
+    slices = []
+    while engine.pending:
+        slices.append(engine.step(256))
+    assert slices == [256, 256, 256, 232]
+    assert engine.read("B1000") == (1004.0, False)
+
+
+@pytest.mark.parametrize("store", STORE_KINDS)
+def test_a_kept_plan_never_runs_against_a_changed_plane(store):
+    """Formula edits, clears and row inserts interleaved with ``step``,
+    through the engine and behind its back: every slice is cut from a
+    plan of the plane as it is."""
+    def build():
+        sheet = Sheet("S", store=store)
+        for r in range(1, 61):
+            sheet.set_value((1, r), float(r))
+        chain_down(sheet, 2, 1, 60, "A")
+        fill_formula_column(sheet, 3, 1, 60, "=B1*2")
+        fill_formula_column(sheet, 4, 1, 60, "=SUM($C$1:C1)")
+        return sheet
+
+    engine = RecalcEngine(build(), deferred=True)
+    oracle = oracle_for(build())
+    engine.recalculate_all()
+    oracle.recalculate_all()
+
+    def both(action):
+        action(engine)
+        action(oracle)
+
+    both(lambda e: e.set_value("A1", 100.0))
+    engine.step(5)
+    both(lambda e: e.set_formula("B30", "=A30*1000"))       # cuts the chain's family
+    engine.step(5)
+    both(lambda e: e.clear_cell("C12"))
+    engine.step(5)
+    both(lambda e: e.insert_rows(20, 2))
+    engine.step(5)
+    both(lambda e: e.set_value("A2", -3.0))
+    engine.step(5)
+    # Behind the engine's back: a member of a planned strip vanishes.
+    engine.sheet.clear_cell("B50")
+    oracle.clear_cell("B50")
+    engine.recompute([Range.from_a1("B50:D62")])
+    engine.drain()
+    assert engine.pending == 0
+    assert_same_values(engine.sheet, oracle.sheet)
+    assert not any(
+        engine.sheet.get_value(pos) == CYCLE_ERROR for pos in engine.sheet.positions()
+    )

@@ -221,14 +221,3 @@ def test_cycle_through_run_matches_interpreter_semantics():
             assert isinstance(got, ExcelError) and got.code == want.code, pos
         else:
             assert got == want, pos
-
-
-def test_taco_graph_exposes_dependent_column_runs():
-    from repro.core.taco_graph import build_from_sheet
-    from repro.grid.range import Range
-
-    s = data_sheet()
-    fill_formula_column(s, 2, 1, 60, "=SUM($A$1:A1)")
-    graph = build_from_sheet(s)
-    runs = graph.dependent_column_runs(Range(1, 1, 5, 60))
-    assert any(r.c1 == 2 and r.height > 1 for r in runs)
