@@ -124,6 +124,10 @@ class Journal:
         #: scan anyway, so callers that need the history (e.g. the CLI's
         #: structural-history check) read it here instead of re-scanning.
         self.preexisting_records: list[dict] = []
+        #: Records in the file that are edits — anything but an ``open``
+        #: pairing stamp — found at opening or appended since.  Zero means
+        #: the paired snapshot alone still is the journaled state.
+        self.edit_records = 0
         if truncate and os.path.exists(path):
             os.remove(path)
         fresh = not os.path.exists(path) or os.path.getsize(path) == 0
@@ -136,6 +140,9 @@ class Journal:
             # means no record ever committed — start the file over.
             result = read_journal(path)
             self.preexisting_records = result.records
+            self.edit_records = sum(
+                1 for record in result.records if record.get("kind") != "open"
+            )
             if result.torn:
                 keep = result.valid_bytes if result.valid_bytes >= _HEADER.size else 0
                 with open(path, "r+b") as handle:
@@ -183,6 +190,8 @@ class Journal:
         self._handle.write(payload)
         self._commit()
         self.records_written += 1
+        if record.get("kind") != "open":
+            self.edit_records += 1
 
     def _commit(self) -> None:
         self._handle.flush()

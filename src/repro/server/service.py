@@ -26,10 +26,13 @@ Concurrency model
   whenever its queue is empty, yielding to the loop between slices.
 * **LRU residency.**  At most ``max_resident`` workbooks stay in
   memory.  Admitting one more evicts the least recently used: its
-  pending recomputation drains, the workbook snapshots, and its journal
-  rotates to a fresh one paired with the new snapshot.  A later op
-  re-admits it via the snapshot + journal-replay fast path
-  (``Workbook.restore``).
+  pending recomputation drains and — if its journal holds any edit,
+  appended during this residency or replayed into it — the workbook
+  snapshots and its journal rotates to a fresh one paired with the new
+  snapshot.  A residency that only read leaves the disk pair as it
+  found it: the snapshot already is that state, so the eviction writes
+  nothing.  A later op re-admits the workbook via the snapshot +
+  journal-replay fast path (``Workbook.restore``).
 
 Durability
 ----------
@@ -37,10 +40,12 @@ Every committed write appends one journal record *at commit time*,
 before recomputation, through the engine's own journal hook — point
 edits, batch commits and structural ops alike.
 At any instant, snapshot + journal prefix reproduces every acknowledged
-write.  Eviction snapshots first and rotates the journal second; a
-crash between the two leaves a journal superseded by the newer snapshot,
-which admission detects by the pairing stamp and repairs by replaying
-nothing and rotating the journal forward.
+write.  An eviction that has edits to fold in snapshots first and
+rotates the journal second; a crash between the two leaves a journal
+superseded by the newer snapshot, which admission detects by the pairing
+stamp and repairs by replaying nothing and rotating the journal forward.
+An eviction with no edit to fold in (``Journal.edit_records == 0``)
+touches neither file, so it has no crash window at all.
 """
 
 from __future__ import annotations
@@ -366,9 +371,17 @@ class WorkbookService:
     def _evict_to_disk(self, res: _Resident) -> None:
         # Quiesce first: bake every pending recomputation into cached
         # values so the snapshot is clean and the fresh journal starts
-        # empty.  Snapshot before rotating — at every instant the disk
-        # pair reproduces all acknowledged writes (see module docs).
+        # empty.
         self._drain(res)
+        if res.journal.edit_records == 0:
+            # Nothing was written during this residency and nothing was
+            # replayed into it: the snapshot on disk already is this
+            # state, and the journal — its stamp(s) only — already pairs
+            # with it.  Persisting nothing takes no write.
+            res.journal.close()
+            return
+        # Snapshot before rotating — at every instant the disk pair
+        # reproduces all acknowledged writes (see module docs).
         stats = res.workbook.snapshot(
             self._snapshot_path(res.wb_id),
             graphs={name: engine.graph for name, engine in res.engines.items()},

@@ -393,3 +393,98 @@ class TestDurabilityPath:
                 assert view == [[21.0]]
 
         run(verify())
+
+
+class TestCleanEviction:
+    """An eviction has something to write only if the journal holds an
+    edit: appended during the residency, or replayed into it."""
+
+    def ledger(self) -> Workbook:
+        return TestEvictingTwin().ledger("wb")
+
+    @staticmethod
+    def disk(tmp_path) -> tuple[bytes, bytes]:
+        return (tmp_path / "wb.snap").read_bytes(), (tmp_path / "wb.wal").read_bytes()
+
+    @staticmethod
+    async def evict(svc, wb_id="wb"):
+        """Push ``wb_id`` out by admitting another workbook."""
+        filler = f"filler{svc.metrics.evictions}"
+        await svc.create_workbook(filler)
+        assert wb_id not in svc.resident_ids
+
+    def test_a_read_only_residency_leaves_the_disk_pair_alone(self, tmp_path):
+        async def scenario():
+            async with WorkbookService(str(tmp_path), max_resident=1) as svc:
+                await svc.create_workbook("wb", workbook=self.ledger())
+                created = self.disk(tmp_path)
+                before = await svc.execute("wb", "get_range", {"range_ref": "A1:F24"})
+                await self.evict(svc)                       # fresh, untouched
+                assert self.disk(tmp_path) == created
+                for _ in range(3):                          # re-admitted, read, evicted
+                    again = await svc.execute("wb", "get_range", {"range_ref": "A1:F24"})
+                    assert again == before
+                    await svc.execute("wb", "get_cell", {"cell": "D24"})
+                    await svc.execute("wb", "summarize_sheet")
+                    await self.evict(svc)
+                    assert self.disk(tmp_path) == created
+                assert svc.metrics.readmissions == 3
+            assert self.disk(tmp_path) == created           # and close() wrote nothing
+
+        run(scenario())
+
+    def test_one_write_makes_the_next_eviction_snapshot_and_rotate(self, tmp_path):
+        async def scenario():
+            async with WorkbookService(str(tmp_path), max_resident=1) as svc:
+                await svc.create_workbook("wb", workbook=self.ledger())
+                created = self.disk(tmp_path)
+                paired = read_journal(str(tmp_path / "wb.wal")).records
+                await svc.execute("wb", "set_cell", {"cell": "A1", "value": 77.0})
+                snap, wal = self.disk(tmp_path)
+                assert snap == created[0] and len(wal) > len(created[1])
+                await self.evict(svc)
+                snap, wal = self.disk(tmp_path)
+                assert snap != created[0]
+                stamps = read_journal(str(tmp_path / "wb.wal")).records
+                assert [r["kind"] for r in stamps] == ["open"]
+                assert stamps != paired                     # a new pairing
+                view = await svc.execute("wb", "get_cell", {"cell": "C24"})
+                assert not view["dirty"]
+                rotated = self.disk(tmp_path)
+                await self.evict(svc)                       # clean again
+                assert self.disk(tmp_path) == rotated
+                return view["value"]
+
+        value = run(scenario())
+        sheet = self.ledger()["Ledger"]
+        engine = RecalcEngine(sheet)
+        engine.recalculate_all()
+        engine.set_value("A1", 77.0)
+        assert value == sheet.get_value("C24")
+
+    def test_a_replayed_journal_is_compacted_not_skipped(self, tmp_path):
+        live, crashed = tmp_path / "live", tmp_path / "crashed"
+
+        async def first():
+            async with WorkbookService(str(live)) as svc:
+                await svc.create_workbook("wb", workbook=self.ledger())
+                await svc.execute("wb", "set_cell", {"cell": "A1", "value": 77.0})
+                shutil.copytree(live, crashed)              # killed right here
+
+        async def second():
+            async with WorkbookService(str(crashed), max_resident=1) as svc:
+                before = self.disk(crashed)
+                view = await svc.execute("wb", "get_cell", {"cell": "C1"})
+                assert view["value"] == 77.0 + 3.0          # the record was replayed
+                assert self.disk(crashed) == before
+                await self.evict(svc)                       # no write since admission
+                snap, wal = self.disk(crashed)
+                assert snap != before[0] and len(wal) < len(before[1])
+                kinds = [r["kind"] for r in read_journal(str(crashed / "wb.wal")).records]
+                assert kinds == ["open"]
+                again = await svc.execute("wb", "get_cell", {"cell": "C1"})
+                assert again["value"] == view["value"]
+
+        run(first())
+        run(second())
+
