@@ -16,10 +16,17 @@ vs ``evaluation="auto"``:
   chains, running totals, sliding averages, MIN/MAX windows, IF logic
   and interpreter-fallback XOR columns.  Gate: **>= 1.5x**.
 
+Planning must follow the compressed structure too: the optimized arm
+plans by column strips, one node per autofilled column whatever its
+length, so ``running_total`` and ``sliding_window`` plan as **1 node**
+and ``mixed_corpus`` as **<= 8** — an O(runs) shape, asserted beside the
+speedup gates (``plan_nodes``; ``plan_ms`` is the time to lay the plan
+out, reported).
+
 Besides the ASCII artifact, the run writes machine-readable JSON to
 ``benchmarks/results/recalc_throughput.json`` (per-workload timings,
-speedups, evaluation-path counters) to seed the performance trajectory
-across PRs.
+speedups, plan size and time, evaluation-path counters) to seed the
+performance trajectory across PRs.
 
 CI runs this on a small ``REPRO_RECALC_ROWS`` (the gates are
 scale-free: the asymptotic gap only grows with size).
@@ -41,6 +48,8 @@ MIXED_ROWS = int(os.environ.get("REPRO_RECALC_MIXED_ROWS", str(max(ROWS // 5, 50
 
 RUNNING_TOTAL_GATE = 5.0
 MIXED_GATE = 1.5
+#: Most plan nodes a whole-sheet plan may have, per workload.
+PLAN_NODE_CAPS = {"running_total": 1, "sliding_window": 1, "mixed_corpus": 8}
 
 
 def build_running_total(rows: int) -> Sheet:
@@ -79,7 +88,14 @@ def time_recalc(build, rows: int, mode: str):
     start = time.perf_counter()
     recomputed = engine.recalculate_all()
     elapsed = time.perf_counter() - start
-    return elapsed, recomputed, engine.eval_stats
+    return elapsed, recomputed, engine
+
+
+def time_plan(engine: RecalcEngine):
+    """Size of the whole-sheet plan and the time to lay it out again."""
+    start = time.perf_counter()
+    plan = engine._build_plan(None, False)[0]
+    return len(plan), (time.perf_counter() - start) * 1e3
 
 
 WORKLOADS = [
@@ -94,8 +110,10 @@ def test_recalc_throughput(benchmark):
         results = {}
         for name, build, rows, gate in WORKLOADS:
             interp_s, recomputed, _ = time_recalc(build, rows, "interpreter")
-            auto_s, auto_recomputed, stats = time_recalc(build, rows, "auto")
+            auto_s, auto_recomputed, engine = time_recalc(build, rows, "auto")
             assert recomputed == auto_recomputed
+            stats = engine.eval_stats
+            plan_nodes, plan_ms = time_plan(engine)
             results[name] = {
                 "rows": rows,
                 "recomputed_cells": recomputed,
@@ -103,6 +121,8 @@ def test_recalc_throughput(benchmark):
                 "optimized_seconds": auto_s,
                 "speedup": interp_s / auto_s if auto_s else float("inf"),
                 "gate": gate,
+                "plan_nodes": plan_nodes,
+                "plan_ms": plan_ms,
                 "eval_paths": {
                     "windowed_cells": stats.windowed_cells,
                     "windowed_runs": stats.windowed_runs,
@@ -129,9 +149,12 @@ def test_recalc_throughput(benchmark):
             format_ms(data["optimized_seconds"]),
             f"{data['speedup']:.1f}x",
             f">={gate:.1f}x" if gate else "-",
+            f"{data['plan_nodes']} (<={PLAN_NODE_CAPS[name]})",
+            f"{data['plan_ms']:.3f}",
         ])
     lines.append(ascii_table(
-        ["workload", "rows", "interpreter", "optimized", "speedup", "gate"],
+        ["workload", "rows", "interpreter", "optimized", "speedup", "gate",
+         "plan nodes", "plan ms"],
         table_rows,
     ))
     paths = results["mixed_corpus"]["eval_paths"]
@@ -151,6 +174,12 @@ def test_recalc_throughput(benchmark):
                 f"{'OK' if passed else 'REGRESSION'}: {name} "
                 f"{data['speedup']:.1f}x vs gate {data['gate']:.1f}x"
             )
+        planned = data["plan_nodes"] <= PLAN_NODE_CAPS[name]
+        ok = ok and planned
+        verdicts.append(
+            f"{'OK' if planned else 'REGRESSION'}: {name} plans as "
+            f"{data['plan_nodes']} node(s), cap {PLAN_NODE_CAPS[name]}"
+        )
     lines.append("\n" + "\n".join(verdicts))
     emit("recalc_throughput", "\n".join(lines))
 

@@ -107,6 +107,10 @@ class _Strip:
         """The strip as picklable freight (see ``strip_from_spec``)."""
         return (self.kind, self.col, self.rows[0], self.rows[-1], self.descending)
 
+    def cut(self, rows: range) -> "_Strip":
+        """The same strip over a slice of its rows."""
+        return _Strip(self.kind, self.col, rows, self.template, self.descending)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"_Strip({self.kind!r} col={self.col} rows={self.rows[0]}..{self.rows[-1]}"
@@ -530,10 +534,8 @@ class RecalcEngine:
                         (rows[-room:], rows[:-room]) if node.descending
                         else (rows[:room], rows[room:])
                     )
-                    self._plan.append(
-                        _Strip("s", node.col, later, node.template, node.descending)
-                    )
-                    node = _Strip("s", node.col, now, node.template, node.descending)
+                    self._plan.append(node.cut(later))
+                    node = node.cut(now)
                 pending.difference_update(node.members())
             computed += self._execute_plan((node,))
         return computed

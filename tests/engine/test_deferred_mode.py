@@ -10,7 +10,7 @@ engine exists for, and the contracts it must keep.
 import time
 
 import pytest
-from helpers import assert_same_values, clone_sheet, dependency_set
+from helpers import assert_same_values, build_ledger_sheet, clone_sheet, dependency_set
 
 from repro.engine.recalc import CircularReferenceError, RecalcEngine, UpdateTicket
 from repro.formula.errors import CYCLE_ERROR, FormulaSyntaxError
@@ -24,21 +24,6 @@ def build_chain_sheet(rows: int) -> Sheet:
     sheet.set_formula("B1", "=A1")
     for r in range(2, rows + 1):
         sheet.set_formula((2, r), f"=B{r - 1}+1")
-    return sheet
-
-
-def build_ledger_sheet(rows: int = 300) -> Sheet:
-    """The served benchmark's sheet: a recurrence, a running total, an
-    elementwise product and a whole-column sentinel."""
-    sheet = Sheet("Ledger", store="columnar")        # elementwise sweeps need planes
-    for r in range(1, rows + 1):
-        sheet.set_value((1, r), float(r % 17) + 1.0)
-        sheet.set_value((2, r), float((r * 7) % 23) + 1.0)
-    sheet.set_formula("C1", "=A1+B1")
-    fill_formula_column(sheet, 3, 2, rows, "=C1+A2")
-    fill_formula_column(sheet, 4, 1, rows, "=SUM($A$1:A1)")
-    fill_formula_column(sheet, 5, 1, rows, "=A1*B1")
-    sheet.set_formula("F1", f"=SUM(C1:C{rows})")
     return sheet
 
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.taco_graph import TacoGraph, dependencies_column_major
 from repro.engine.recalc import CircularReferenceError, RecalcEngine, _Strip
 from repro.formula.errors import CYCLE_ERROR
 from repro.graphs.nocomp import NoCompGraph
@@ -28,7 +29,7 @@ from repro.sheet.autofill import autofill, fill_formula_column
 from repro.sheet.sheet import STORE_KINDS, Sheet
 from repro.spatial.registry import available_indexes
 
-from helpers import assert_same_values, engine_for
+from helpers import assert_same_values, build_ledger_sheet
 
 BACKENDS = available_indexes()
 ROWS = 24
@@ -215,7 +216,7 @@ def oracle_for(sheet: Sheet) -> RecalcEngine:
     return RecalcEngine(sheet, graph, evaluation="interpreter")
 
 
-def settle(engine, action):
+def settle(action):
     """Run ``action``; the cycle it reported, if any."""
     try:
         action()
@@ -226,9 +227,9 @@ def settle(engine, action):
 
 def both_sides(program, store, index, **subject_kwargs):
     subject, reference = realize(program, store), realize(program, store)
-    graph_engine = engine_for(subject, "auto", index)
-    engine = RecalcEngine(subject, graph_engine.graph, **subject_kwargs)
-    return engine, oracle_for(reference)
+    graph = TacoGraph.full(index=index)
+    graph.build(dependencies_column_major(subject))
+    return RecalcEngine(subject, graph, **subject_kwargs), oracle_for(reference)
 
 
 COMMON = dict(max_examples=40, deadline=None,
@@ -241,8 +242,8 @@ COMMON = dict(max_examples=40, deadline=None,
 @given(program=fill_programs())
 def test_recalculate_all_identical(store, index, program):
     engine, oracle = both_sides(program, store, index)
-    got = settle(engine, engine.recalculate_all)
-    want = settle(oracle, oracle.recalculate_all)
+    got = settle(engine.recalculate_all)
+    want = settle(oracle.recalculate_all)
     assert got == want
     assert_same_values(engine.sheet, oracle.sheet)
 
@@ -253,8 +254,8 @@ def test_recalculate_all_identical(store, index, program):
 @given(program=fill_programs(), data=st.data())
 def test_dirty_subset_identical(store, index, program, data):
     engine, oracle = both_sides(program, store, index)
-    settle(engine, engine.recalculate_all)
-    settle(oracle, oracle.recalculate_all)
+    settle(engine.recalculate_all)
+    settle(oracle.recalculate_all)
     width = engine.sheet.used_range().c2
     for _ in range(data.draw(st.integers(1, 3))):
         # New inputs written behind both engines' backs, then an
@@ -271,8 +272,8 @@ def test_dirty_subset_identical(store, index, program, data):
             ranges.append(Range(c1, r1,
                                 data.draw(st.integers(c1, width)),
                                 data.draw(st.integers(r1, ROWS))))
-        got = settle(engine, lambda: engine.recompute(ranges))
-        want = settle(oracle, lambda: oracle.recompute(ranges))
+        got = settle(lambda: engine.recompute(ranges))
+        want = settle(lambda: oracle.recompute(ranges))
         assert got == want
         assert_same_values(engine.sheet, oracle.sheet)
 
@@ -283,15 +284,15 @@ def test_dirty_subset_identical(store, index, program, data):
 @given(program=fill_programs(), data=st.data())
 def test_deferred_steps_identical(store, index, program, data):
     engine, oracle = both_sides(program, store, index, deferred=True)
-    settle(engine, engine.recalculate_all)
-    settle(oracle, oracle.recalculate_all)
+    settle(engine.recalculate_all)
+    settle(oracle.recalculate_all)
     assert_same_values(engine.sheet, oracle.sheet)
     for _ in range(data.draw(st.integers(1, 3))):
         for _ in range(data.draw(st.integers(1, 3))):
             pos = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, ROWS)))
             value = float(data.draw(st.integers(-30, 30)))
             engine.set_value(pos, value)
-            settle(oracle, lambda: oracle.set_value(pos, value))
+            settle(lambda: oracle.set_value(pos, value))
         while engine.pending:
             engine.step(7)
         assert_same_values(engine.sheet, oracle.sheet)
@@ -299,22 +300,8 @@ def test_deferred_steps_identical(store, index, program, data):
 
 # -- pinned facts -----------------------------------------------------------------
 
-def ledger_sheet(rows: int = 300) -> Sheet:
-    """The served benchmark's sheet (``inputs.ledger_workbook``)."""
-    sheet = Sheet("Ledger", store="columnar")
-    for r in range(1, rows + 1):
-        sheet.set_value((1, r), float(r % 17) + 1.0)
-        sheet.set_value((2, r), float((r * 7) % 23) + 1.0)
-    sheet.set_formula("C1", "=A1+B1")
-    fill_formula_column(sheet, 3, 2, rows, "=C1+A2")
-    fill_formula_column(sheet, 4, 1, rows, "=SUM($A$1:A1)")
-    fill_formula_column(sheet, 5, 1, rows, "=A1*B1")
-    sheet.set_formula("F1", f"=SUM(C1:C{rows})")
-    return sheet
-
-
 def test_the_ledger_plans_as_a_handful_of_nodes():
-    engine = RecalcEngine(ledger_sheet())
+    engine = RecalcEngine(build_ledger_sheet())
     plan, succs, cycle = engine._build_plan(None, False)
     assert cycle is None and len(plan) <= 6
     assert sorted(node.kind for node in plan if type(node) is _Strip) == ["e", "s", "w"]

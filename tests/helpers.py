@@ -55,6 +55,21 @@ def build_mixed_sheet(seed: int = 0, rows: int = 30) -> Sheet:
     return sheet
 
 
+def build_ledger_sheet(rows: int = 300) -> Sheet:
+    """The served benchmark's sheet: a recurrence, a running total, an
+    elementwise product and a whole-column sentinel."""
+    sheet = Sheet("Ledger", store="columnar")        # elementwise sweeps need planes
+    for r in range(1, rows + 1):
+        sheet.set_value((1, r), float(r % 17) + 1.0)
+        sheet.set_value((2, r), float((r * 7) % 23) + 1.0)
+    sheet.set_formula("C1", "=A1+B1")
+    fill_formula_column(sheet, 3, 2, rows, "=C1+A2")
+    fill_formula_column(sheet, 4, 1, rows, "=SUM($A$1:A1)")
+    fill_formula_column(sheet, 5, 1, rows, "=A1*B1")
+    sheet.set_formula("F1", f"=SUM(C1:C{rows})")
+    return sheet
+
+
 def build_graph_pair(sheet: Sheet) -> tuple[TacoGraph, NoCompGraph]:
     deps = dependencies_column_major(sheet)
     taco = TacoGraph.full()
