@@ -332,10 +332,11 @@ def dependencies_column_major(sheet: Sheet) -> list[Dependency]:
 
     The paper configures POI to load spreadsheets by columns (Sec. VI-A);
     feeding dependents column-by-column maximises the chance that each
-    dependency finds its already-inserted neighbour.  The sort is stable,
-    so the multiple references of one formula keep their formula order.
+    dependency finds its already-inserted neighbour.  That is the order
+    :meth:`Sheet.iter_dependencies` reads the runs in, the multiple
+    references of one formula in formula order.
     """
-    return sorted(sheet.iter_dependencies(), key=lambda d: (d.dep.c1, d.dep.r1))
+    return list(sheet.iter_dependencies())
 
 
 def build_from_sheet(
@@ -397,5 +398,5 @@ def _build_from_runs(graph: TacoGraph, sheet: Sheet, budget: Budget | None) -> N
     for template, col, r0, r1 in sheet.formula_runs():
         if budget is not None:
             budget.check_now()
-        for first, last in template.run_pieces(col, r0, r1):
+        for first, last in template.run_pieces(col, r0, r1, sheet.name):
             insert_piece(template, col, first, last)

@@ -314,15 +314,11 @@ class BatchEditSession:
         for pos, (kind, _) in self._pending.items():
             if kind != _FORMULA:
                 continue
-            cell = sheet.cell_at(pos)
+            cell = sheet.formula_at(pos)
             if cell is None:
                 continue
             formula_positions.add(pos)
-            dep_range = Range.cell(*pos)
-            for ref in cell.references:
-                if ref.sheet is not None and ref.sheet != sheet.name:
-                    continue
-                new_deps.append(Dependency(ref.range, dep_range, ref.cue))
+            new_deps.extend(sheet.dependencies_at(cell.template, *pos))
         graph_result = maintain.batch_update(
             engine.graph, cleared, new_deps,
             repack_fraction=self.repack_fraction, repack_min=self.repack_min,

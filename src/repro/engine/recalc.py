@@ -37,10 +37,10 @@ from ..core.taco_graph import build_from_sheet
 from ..formula.compile import CompilingEvaluator, TemplateRegistry
 from ..formula.errors import CYCLE_ERROR
 from ..formula.parser import parse_formula
-from ..graphs.base import FormulaGraph, expand_cells
+from ..graphs.base import FormulaGraph
 from ..grid.range import Range
 from ..io.snapshot import encode_value
-from ..sheet.sheet import Dependency, Sheet, SheetResolver, _coerce_pos
+from ..sheet.sheet import Sheet, SheetResolver, _coerce_pos
 from . import lookup, vectorized
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -374,11 +374,9 @@ class RecalcEngine:
             self._formula_changed(pos)
             self.graph.clear_cells(cell_range)
             self.sheet.set_formula(pos, payload)
-            cell = self.sheet.cell_at(pos)
-            for ref in cell.references:
-                if ref.sheet is not None and ref.sheet != self.sheet.name:
-                    continue
-                self.graph.add_dependency(Dependency(ref.range, cell_range, ref.cue))
+            template = self.sheet.formula_at(pos).template
+            for dep in self.sheet.dependencies_at(template, *pos):
+                self.graph.add_dependency(dep)
         elif op == "clear":
             if self.sheet.formula_at(pos) is not None:
                 self._formula_changed(pos)
@@ -562,13 +560,9 @@ class RecalcEngine:
 
     def _formula_cells(self, dirty_ranges: Iterable[Range],
                        extra: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+        dirty = self.sheet.formula_positions(dirty_ranges)
         formula_at = self.sheet.formula_at
-        dirty = {
-            pos for pos in expand_cells(dirty_ranges) if formula_at(pos) is not None
-        }
-        for pos in extra:
-            if formula_at(pos) is not None:
-                dirty.add(pos)
+        dirty.update(pos for pos in extra if formula_at(pos) is not None)
         return dirty
 
     def _settle_or_mark(self, dirty: set[tuple[int, int]]) -> int:

@@ -54,7 +54,6 @@ from typing import TYPE_CHECKING, Mapping
 
 from ..core.query import dependents_of_seeds
 from ..formula.errors import ExcelError
-from ..graphs.base import expand_cells
 from ..grid.range import Range
 from .recalc import CircularReferenceError
 
@@ -106,11 +105,7 @@ class ScenarioEngine:
 
         seed_ranges = [Range.cell(*pos) for pos in self.seeds]
         dirty_ranges = dependents_of_seeds(engine.graph, seed_ranges)
-        formula_at = self.sheet.formula_at
-        dirty = {
-            pos for pos in expand_cells(dirty_ranges)
-            if formula_at(pos) is not None
-        }
+        dirty = self.sheet.formula_positions(dirty_ranges)
         #: The dirty frontier (sorted, deterministic): every formula cell
         #: any replay can change.  Exactly these cells are snapshotted
         #: and restored around a sweep.

@@ -34,6 +34,23 @@ __all__ = [
 ]
 
 
+def _cue(ref) -> str:
+    """The pattern this reference would follow under autofill.
+
+    ``$``-fixed head and tail -> FF; fixed head only -> FR; fixed tail
+    only -> RF; no markers -> RR.  A cell axis counts as fixed only
+    when both its column and row carry ``$`` (mixed references give no
+    reliable cue and default to the relative interpretation).
+    """
+    if ref.head_fixed and ref.tail_fixed:
+        return "FF"
+    if ref.head_fixed:
+        return "FR"
+    if ref.tail_fixed:
+        return "RF"
+    return "RR"
+
+
 class ReferencedRange(NamedTuple):
     """One range referenced by a formula, with its autofill cues."""
 
@@ -42,22 +59,7 @@ class ReferencedRange(NamedTuple):
     tail_fixed: bool
     sheet: str | None = None
 
-    @property
-    def cue(self) -> str:
-        """The pattern this reference would follow under autofill.
-
-        ``$``-fixed head and tail -> FF; fixed head only -> FR; fixed tail
-        only -> RF; no markers -> RR.  A cell axis counts as fixed only
-        when both its column and row carry ``$`` (mixed references give no
-        reliable cue and default to the relative interpretation).
-        """
-        if self.head_fixed and self.tail_fixed:
-            return "FF"
-        if self.head_fixed:
-            return "FR"
-        if self.tail_fixed:
-            return "RF"
-        return "RR"
+    cue = property(_cue)
 
 
 def _is_fixed(ref: CellRef) -> bool:
@@ -99,6 +101,8 @@ class RefSpec(NamedTuple):
     head_fixed: bool
     tail_fixed: bool
     sheet: str | None
+
+    cue = property(_cue)
 
     def columns_at(self, col: int) -> tuple[int, int]:
         """The reference's column span for a host in column ``col``."""

@@ -68,7 +68,9 @@ class FormulaTemplate:
         c_lo, c_hi, r_lo, r_hi = self._hosts
         return c_lo <= col <= c_hi and r_lo <= row <= r_hi
 
-    def run_pieces(self, col: int, r0: int, r1: int) -> list[tuple[int, int]]:
+    def run_pieces(
+        self, col: int, r0: int, r1: int, sheet: str | None = None
+    ) -> list[tuple[int, int]]:
         """Cut the members at rows ``r0..r1`` of column ``col`` into
         pieces ``(first_row, last_row)`` within which every member states
         the same references, each corner fixed or moving with the row.
@@ -79,6 +81,8 @@ class FormulaTemplate:
         *coincide* at one host and collapse into one dependency there
         (``A1+A$5`` at row 5, first cue wins): that host is a piece of
         its own.  An autofilled column with neither is one piece.
+        ``sheet`` names the hosts' sheet: a reference qualified with it
+        coincides with an unqualified one (``A1+S!A$5`` on sheet ``S``).
         """
         cuts: set[int] = set()      # rows after which a new piece starts
 
@@ -93,14 +97,17 @@ class FormulaTemplate:
             if row is not None and row > r0:
                 cuts.add(row)
             for other in self.refs[:i]:
-                if other.sheet != spec.sheet or other.columns_at(col) != spec.columns_at(col):
+                if (
+                    (other.sheet != spec.sheet and {other.sheet, spec.sheet} != {None, sheet})
+                    or other.columns_at(col) != spec.columns_at(col)
+                ):
                     continue
                 for a in (spec.head_row, spec.tail_row):
                     for b in (other.head_row, other.tail_row):
                         row = meeting(a, b)
                         if (
                             row is not None and r0 <= row <= r1
-                            and spec.span_at(col, row) == other.span_at(col, row)
+                            and spec.span_at(col, row)[1:] == other.span_at(col, row)[1:]
                         ):
                             cuts.update((row - 1, row))
         pieces, start = [], r0
@@ -109,6 +116,11 @@ class FormulaTemplate:
             start = cut + 1
         pieces.append((start, r1))
         return pieces
+
+    def text_at(self, col: int, row: int) -> str:
+        """The member's formula text (no leading ``=``), rendered off
+        the anchor."""
+        return self.ast.to_formula(col - self.col, row - self.row)
 
     def ast_at(self, col: int, row: int) -> Node:
         """The member's own AST — allocated per call off the anchor."""

@@ -10,7 +10,8 @@ it — as *one* object:
   values included (:meth:`ColumnarStore.export_planes`, the surface the
   worker freight ships), so nothing is encoded per cell;
 * the formula plane as **run records** ``[col, first_row, last_row,
-  text]``, one per autofill run (:meth:`Sheet.formula_runs`): the first
+  text]``, one per autofill run (:meth:`Sheet.run_index`, unjoined — on
+  a columnar sheet the records are the formula plane itself): the first
   cell's formula text plus the rows of the members that share its
   template.  Loading parses and interns once per run and attaches the
   members by template pointer, so a restored family is joined from the
@@ -211,34 +212,25 @@ def _json_payload(obj) -> bytes:
 
 
 def _run_records(sheet: Sheet) -> list:
-    """The formula plane as ``[col, first_row, last_row, text]`` records.
-
-    A record is a cell plus the cells below it that hold its template and
-    no source text of their own — the sheet's run index
-    (:meth:`Sheet.run_index`) cut again at every member that was typed,
-    since only a record's first text is stored.  Read unjoined: a typed
-    cell nothing has touched since it was loaded is still only its text
-    (a run of one), and saving it must not be what parses it.
-    """
-    records: list = []
-    formula_at = sheet.formula_at
-    for col, runs in sheet.run_index(join=False).items():
-        for first, last, _template in runs:
-            for row in range(first, last + 1):
-                cell = formula_at((col, row))
-                if row > first and cell.source_text is None:
-                    records[-1][2] = row
-                else:
-                    records.append([col, row, row, cell.formula_text])
-    return records
+    """The formula plane as ``[col, first_row, last_row, text]`` records:
+    a dump of the sheet's unjoined run index (:meth:`Sheet.run_index`),
+    whose records are cut at every typed member already.  Read unjoined,
+    a typed cell nothing has touched since it was loaded is still only
+    its text (a run of one) — saving it must not be what parses it; a
+    record whose first cell was not typed gets that cell's text rendered
+    off the template."""
+    return [
+        [col, first, last, template.text_at(col, first) if text is None else text]
+        for col, runs in sheet.run_index(join=False).items()
+        for first, last, template, text in runs
+    ]
 
 
 def _value_records(sheet: Sheet) -> list:
     """An object-store sheet's non-blank values, formula cached values
     included, as ``CELL`` records."""
     return [
-        [col, row, None, encode_value(value)]
-        for col, row, value in sorted(sheet.iter_values())
+        [col, row, None, encode_value(value)] for col, row, value in sheet.iter_values()
     ]
 
 

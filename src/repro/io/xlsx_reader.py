@@ -29,7 +29,7 @@ from ..formula.template import FormulaTemplate
 from ..grid.ref import parse_cell
 from ..sheet.sheet import Sheet
 from ..sheet.workbook import Workbook
-from .shared import strip_ns
+from .shared import strip_ns, xml_unescape
 
 __all__ = ["read_xlsx", "XlsxFormatError"]
 
@@ -80,7 +80,7 @@ def _sheet_targets(archive: zipfile.ZipFile) -> list[tuple[str, str]]:
     for element in workbook_root.iter():
         if strip_ns(element.tag) != "sheet":
             continue
-        name = element.get("name", f"Sheet{len(out) + 1}")
+        name = xml_unescape(element.get("name", f"Sheet{len(out) + 1}"))
         rel_id = None
         for key, value in element.attrib.items():
             if strip_ns(key) == "id":
@@ -117,7 +117,7 @@ def _text_of(element: ElementTree.Element) -> str:
     for node in element.iter():
         if strip_ns(node.tag) == "t" and node.text:
             parts.append(node.text)
-    return "".join(parts)
+    return xml_unescape("".join(parts))
 
 
 def _read_sheet(
@@ -168,13 +168,10 @@ def _read_cell(
         elif tag == "is":
             inline_el = child
 
-    value = _parse_value(cell_type, value_el, inline_el, shared_strings)
-    if formula_el is not None and _apply_formula(sheet, col, row, formula_el, shared_anchors):
-        # Attach the cached value, if any, to the formula cell.
-        if value is not None:
-            sheet.formula_at((col, row)).value = value
-    elif value is not None:
-        sheet.set_value((col, row), value)
+    # The cached value lands first; the formula attaches over it.
+    sheet.set_value((col, row), _parse_value(cell_type, value_el, inline_el, shared_strings))
+    if formula_el is not None:
+        _apply_formula(sheet, col, row, formula_el, shared_anchors)
 
 
 def _apply_formula(
@@ -183,27 +180,28 @@ def _apply_formula(
     row: int,
     formula_el: ElementTree.Element,
     shared_anchors: dict[str, FormulaTemplate],
-) -> bool:
-    text = formula_el.text or ""
+) -> None:
+    """Lay the cell's formula over the value already there.  A shared
+    group's follower joins the anchor's template: down a column it
+    extends the run above it, nothing is allocated per cell.  A dangling
+    follower, an array formula (out of scope) and an empty ``<f>`` keep
+    the stored value only."""
+    text = xml_unescape(formula_el.text or "")
     f_type = formula_el.get("t", "normal")
-    if f_type == "shared":
-        si = formula_el.get("si", "")
-        if text:
-            sheet.set_formula((col, row), text)
-            shared_anchors[si] = sheet.formula_at((col, row)).template
-            return True
-        anchor = shared_anchors.get(si)
+    if f_type == "shared" and not text:
+        anchor = shared_anchors.get(formula_el.get("si", ""))
         if anchor is None:
-            return False  # dangling follower: fall back to stored value
-        sheet.set_formula_template((col, row), anchor)
-        return True
-    if f_type == "array":
-        # Array formulae are out of scope; keep the cached value only.
-        return False
-    if text:
-        sheet.set_formula((col, row), text)
-        return True
-    return False
+            return
+        if anchor.admits(col, row):
+            sheet.attach_formula_run(col, row, row, anchor)
+        else:       # a ``#REF!``-bearing formula of its own
+            value = sheet.get_value((col, row))
+            sheet.set_formula_template((col, row), anchor)
+            sheet.formula_at((col, row)).value = value
+    elif f_type != "array" and text:
+        sheet.attach_formula_run(col, row, row, None, text[1:] if text.startswith("=") else text)
+        if f_type == "shared":
+            shared_anchors[formula_el.get("si", "")] = sheet.formula_at((col, row)).template
 
 
 def _parse_value(
@@ -227,7 +225,7 @@ def _parse_value(
     if cell_type == "e":
         return ExcelError(raw.strip())
     if cell_type == "str":
-        return raw
+        return xml_unescape(raw)
     try:
         return float(raw)
     except ValueError:

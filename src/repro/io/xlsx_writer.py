@@ -16,12 +16,14 @@ the paper notes Excel uses to store duplicate formulae once.
 
 from __future__ import annotations
 
+import math
 import zipfile
-from typing import IO
+from itertools import chain
+from typing import IO, Iterator
 
-from ..formula.errors import ExcelError
+from ..formula.errors import NUM_ERROR, ExcelError
 from ..grid.range import Range
-from ..grid.ref import format_cell
+from ..grid.ref import MAX_COL, col_to_letters, format_cell
 from ..sheet.sheet import Sheet
 from ..sheet.workbook import Workbook
 from .shared import CT_NS, DOC_REL_NS, MAIN_NS, REL_NS, xml_escape
@@ -122,6 +124,18 @@ def _styles_xml() -> str:
     )
 
 
+def _number_xml(value: float) -> tuple[str, str]:
+    """(cell type attribute, ``<v>`` element) of a number.  A non-finite
+    one — arithmetic overflow evaluates to ``inf`` / ``nan`` here — has no
+    SpreadsheetML spelling and is written as the ``#NUM!`` it stands for."""
+    if -1e15 < value < 1e15:
+        whole = int(value)
+        return "", f"<v>{whole if whole == value else repr(value)}</v>"
+    if math.isfinite(value):
+        return "", f"<v>{value!r}</v>"
+    return ' t="e"', f"<v>{NUM_ERROR.code}</v>"
+
+
 def _plan_shared_groups(sheet: Sheet) -> list[Range]:
     """The shared-formula groups, in ``si`` order: every autofill run of
     at least two cells (:meth:`Sheet.formula_runs` — members of a run hold
@@ -133,53 +147,60 @@ def _plan_shared_groups(sheet: Sheet) -> list[Range]:
     ]
 
 
-def _format_number(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
+def _formula_elements(sheet: Sheet, shared_formulas: bool) -> Iterator[tuple[int, int, str]]:
+    """Every formula cell's ``<f>`` element as ``(col, row, xml)``,
+    column-major, read off the sheet's runs: text is rendered for group
+    anchors and ungrouped cells only, and every follower of a group is
+    one and the same string."""
+    plan = _plan_shared_groups(sheet) if shared_formulas else ()
+    si_of = {group.head: si for si, group in enumerate(plan)}
+    formula_at = sheet.formula_at
+    for _, col, first, last in sheet.formula_runs():
+        si = si_of.get((col, first))
+        if si is None:
+            for row in range(first, last + 1):
+                yield col, row, f"<f>{xml_escape(formula_at((col, row)).formula_text)}</f>"
+            continue
+        text = xml_escape(formula_at((col, first)).formula_text)
+        yield col, first, f'<f t="shared" ref="{plan[si].to_a1()}" si="{si}">{text}</f>'
+        follower = f'<f t="shared" si="{si}"/>'
+        for row in range(first + 1, last + 1):
+            yield col, row, follower
 
 
 def write_sheet_xml(sheet: Sheet, shared_formulas: bool = True) -> str:
     """Serialise one worksheet part."""
-    # Formula elements first (text is rendered for anchors and ungrouped
-    # cells only); the value pass below pairs each with its cached value.
-    formulas: dict[tuple[int, int], str] = {}
-    anchors: dict[tuple[int, int], str] = {}    # group anchor -> its opening tag
-    if shared_formulas:
-        for si, group in enumerate(_plan_shared_groups(sheet)):
-            anchors[group.head] = f'<f t="shared" ref="{group.to_a1()}" si="{si}">'
-            follower = f'<f t="shared" si="{si}"/>'
-            for row in range(group.r1 + 1, group.r2 + 1):
-                formulas[(group.c1, row)] = follower
-    for pos, cell in sheet.formula_cells():
-        if pos not in formulas:
-            formulas[pos] = f"{anchors.get(pos, '<f>')}{xml_escape(cell.formula_text)}</f>"
-
-    rows: dict[int, list[tuple[int, str]]] = {}
-    for col, row, value in sheet.iter_values():
-        ref = format_cell(col, row)
-        formula_xml = formulas.pop((col, row), None) if formulas else None
-        if formula_xml is not None:
-            cached = _cached_value_xml(value)
-            body = f'<c r="{ref}"{cached[0]}>{formula_xml}{cached[1]}</c>'
-        elif isinstance(value, bool):
-            body = f'<c r="{ref}" t="b"><v>{1 if value else 0}</v></c>'
-        elif isinstance(value, (int, float)):
-            body = f'<c r="{ref}"><v>{_format_number(float(value))}</v></c>'
-        elif isinstance(value, ExcelError):
-            body = f'<c r="{ref}" t="e"><v>{xml_escape(value.code)}</v></c>'
+    # Values and formula elements both come column-major: one merge pairs
+    # each formula with its cached value and hands every row its cells
+    # already in column order.  A value past every cell ends the walk,
+    # draining the formulas that have none.
+    rows: dict[int, list[str]] = {}
+    formulas = _formula_elements(sheet, shared_formulas)
+    no_formula = (MAX_COL + 2, 0, "")
+    f_col, f_row, f_xml = next(formulas, no_formula)
+    at_col = letters = None
+    for col, row, value in chain(sheet.iter_values(), [(MAX_COL + 1, 0, None)]):
+        while f_col < col or (f_col == col and f_row < row):
+            # never evaluated: no <v>
+            rows.setdefault(f_row, []).append(f'<c r="{format_cell(f_col, f_row)}">{f_xml}</c>')
+            f_col, f_row, f_xml = next(formulas, no_formula)
+        if col != at_col:
+            at_col, letters = col, col_to_letters(col)
+        formula = ""
+        if f_col == col and f_row == row:
+            formula = f_xml
+            f_col, f_row, f_xml = next(formulas, no_formula)
+        if type(value) is float:
+            attr, cached = _number_xml(value)
+        elif formula or isinstance(value, (bool, int, ExcelError)):
+            attr, cached = _cached_value_xml(value)
         elif isinstance(value, str):
-            body = f'<c r="{ref}" t="inlineStr"><is><t>{xml_escape(value)}</t></is></c>'
+            attr, cached = ' t="inlineStr"', f"<is><t>{xml_escape(value)}</t></is>"
         else:
             continue
-        rows.setdefault(row, []).append((col, body))
-    for (col, row), formula_xml in formulas.items():  # never evaluated: no <v>
-        rows.setdefault(row, []).append((col, f'<c r="{format_cell(col, row)}">{formula_xml}</c>'))
+        rows.setdefault(row, []).append(f'<c r="{letters}{row}"{attr}>{formula}{cached}</c>')
 
-    row_xml: list[str] = []
-    for row in sorted(rows):
-        cells = "".join(body for _, body in sorted(rows[row]))
-        row_xml.append(f'<row r="{row}">{cells}</row>')
+    row_xml = [f'<row r="{row}">{"".join(rows[row])}</row>' for row in sorted(rows)]
     dimension = sheet.used_range()
     dim_attr = f'<dimension ref="{dimension.to_a1()}"/>' if dimension else ""
     return (
@@ -190,13 +211,14 @@ def write_sheet_xml(sheet: Sheet, shared_formulas: bool = True) -> str:
 
 
 def _cached_value_xml(value) -> tuple[str, str]:
-    """(cell type attribute, cached <v> element) for a formula cell."""
+    """(cell type attribute, ``<v>`` element) for a formula cell's cached
+    value — and for a pure boolean, number or error, which spell the same."""
     if value is None:
         return "", ""
     if isinstance(value, bool):
         return ' t="b"', f"<v>{1 if value else 0}</v>"
     if isinstance(value, (int, float)):
-        return "", f"<v>{_format_number(float(value))}</v>"
+        return _number_xml(float(value))
     if isinstance(value, ExcelError):
         return ' t="e"', f"<v>{xml_escape(value.code)}</v>"
     return ' t="str"', f"<v>{xml_escape(str(value))}</v>"

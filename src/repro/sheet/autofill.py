@@ -10,8 +10,10 @@ compresses.
 
 A filled cell is its position plus a pointer to the source cell's
 template (:mod:`repro.formula.template`): nothing is parsed or shifted
-per target, so corpus generation scales to hundreds of thousands of
-formula cells and the family stays one object however long it grows.
+per target, and a vertical fill attaches its whole stretch at once
+(:meth:`Sheet.attach_formula_run` — one run record on a columnar
+sheet), so corpus generation scales to hundreds of thousands of formula
+cells and the family stays one object however long it grows.
 """
 
 from __future__ import annotations
@@ -34,20 +36,31 @@ def autofill(sheet: Sheet, source, target: Range) -> int:
     cell = sheet.cell_at((src_col, src_row))
     if cell is None:
         raise ValueError(f"autofill source ({src_col},{src_row}) is empty")
-    written = 0
-    if cell.is_formula:
-        template = cell.template
+    written = target.size - target.contains_cell(src_col, src_row)
+    if not cell.is_formula:
+        value = cell.value
         for pos in target.cells():
-            if pos == (src_col, src_row):
-                continue
-            sheet.set_formula_template(pos, template)
-            written += 1
-    else:
-        for col, row in target.cells():
-            if (col, row) == (src_col, src_row):
-                continue
-            sheet.set_value((col, row), cell.value)
-            written += 1
+            if pos != (src_col, src_row):
+                sheet.set_value(pos, value)
+        return written
+    template = cell.template
+    for col in range(target.c1, target.c2 + 1):
+        stretches = [(target.r1, target.r2)]
+        if col == src_col and target.r1 <= src_row <= target.r2:
+            stretches = [(target.r1, src_row - 1), (src_row + 1, target.r2)]
+        for first, last in stretches:
+            # Rows the template does not admit (the ``#REF!`` head) and
+            # lone cells (a horizontal fill) go one by one; the stretch
+            # between is one run, over blanked cells like any fresh fill.
+            while first <= last and not template.admits(col, first):
+                sheet.set_formula_template((col, first), template)
+                first += 1
+            while last >= first and (last == first or not template.admits(col, last)):
+                sheet.set_formula_template((col, last), template)
+                last -= 1
+            if first < last:
+                sheet.clear_range(Range(col, first, col, last))
+                sheet.attach_formula_run(col, first, last, template)
     return written
 
 

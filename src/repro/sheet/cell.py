@@ -77,7 +77,7 @@ class Cell:
         template = self._template
         if self._formula_text is not None or template is None:
             return self._formula_text
-        return template.ast.to_formula(self._col - template.col, self._row - template.row)
+        return template.text_at(self._col, self._row)
 
     @property
     def display_formula(self) -> str | None:

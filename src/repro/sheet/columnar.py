@@ -24,15 +24,17 @@ numpy required — but its buffers expose the buffer protocol, so the
 vectorized evaluator (:mod:`repro.engine.vectorized`) wraps them
 zero-copy with ``numpy.frombuffer`` when numpy is available.
 
-Formula cells keep a small registered object — a :class:`ColumnarCell`
-holding the host position and a pointer to the template its autofill
-family shares (:mod:`repro.formula.template`); the AST, references and
-R1C1 key live on the template, once per family.  Its ``value`` attribute
-is a *write-through property* over the arrays: ``cell.value = x`` lands
-in the column arrays, never in a shadow slot, so bulk array reads can
-never observe a stale value.  Pure-value positions materialise a
-``ColumnarCell`` view lazily — and only when someone actually asks for
-the object via ``Sheet.cell_at``.
+The formula plane is stored the way autofill made it — as *runs*.  Per
+column, a sorted list of records ``(first_row, last_row, template,
+text)``: rows ``first_row..last_row`` are members of one interned
+template (:mod:`repro.formula.template`) and ``text`` is the first row's
+source text if that cell was typed.  A filled-down column of any length
+is one record, so a fill, a snapshot run or an xlsx shared group attaches
+in O(1) and nothing exists per formula cell; cached values live in the
+arrays like any other value.  ``Sheet.formula_at`` / ``cell_at`` hand out
+a transient :class:`ColumnarCell` *view* of a position — valid until the
+next change to the formula plane — whose ``value`` is a write-through
+property over the arrays.
 
 :class:`ColumnarStore` also speaks the small mapping dialect the sheet
 layer uses (``items``/``get``/``pop``/``__setitem__``/...), so
@@ -44,6 +46,8 @@ back as ``42.0``), exactly as a host spreadsheet stores them.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from ..formula.ast_nodes import Node
@@ -106,8 +110,12 @@ class _Column:
         have = len(self.tags)
         if size <= have:
             return
-        # Geometric headroom so repeated appends stay amortised O(1).
-        target = max(size, have + (have >> 1), 16)
+        # Geometric headroom so repeated appends stay amortised O(1) —
+        # in fixed steps, so a column filled at once and one filled cell
+        # by cell end up the same length.
+        target = max(have, 16)
+        while target < size:
+            target += target >> 1
         self.values.extend(_D_ZERO * (target - have))
         self.tags.extend(bytes(target - have))
 
@@ -115,53 +123,78 @@ class _Column:
         return len(self.tags) - self.tags.count(0)
 
 
-#: ``{col: [(first_row, last_row, template), ...]}`` — columns ascending,
-#: each column's runs disjoint and ascending by row.
-RunIndex = dict[int, list[tuple[int, int, "FormulaTemplate | None"]]]
+#: ``{col: [record, ...]}`` — columns ascending, each column's records
+#: disjoint and ascending by row.  Joined, a record is ``(first_row,
+#: last_row, template)``; unjoined it also carries the first row's source
+#: text, ``(first_row, last_row, template | None, text | None)``.
+RunIndex = dict[int, list[tuple]]
+
+_INF = float("inf")     # (row, _INF) bisects past every record starting at row
 
 
 def scan_formula_runs(
     formula_items: Iterable[tuple[tuple[int, int], Cell]], join: bool = True
-) -> tuple[RunIndex, bool]:
-    """Group formula cells into maximal vertical runs sharing a template:
-    ``(index, joined)``.
+) -> RunIndex:
+    """Group formula cells into maximal vertical runs sharing a template
+    — what the object store, which keeps a cell per formula, answers
+    :meth:`Sheet.run_index` with.
 
     Members of a family hold the *same* interned template object, so a
     run is found by pointer compares — no AST, reference or range is
     built.  With ``join`` every cell set from text parses and joins its
     template first (adjacent typed cells that say the same thing in R1C1
-    are then one run).  Without it such a cell is left as it is: a run of
-    one whose template reads None, and ``joined`` comes back False if
-    there was any — the view a snapshot save takes, so that saving an
-    untouched typed cell is not what parses it.
+    are then one run).  Without it the records are the formula plane as
+    the columnar store keeps it: a typed cell always starts a record,
+    which carries its source text, and one nothing has parsed yet is a
+    record of one whose template reads None — the view a snapshot save
+    takes, so that saving an untouched typed cell is not what parses it.
     """
     by_col: dict[int, list] = {}
     for (col, row), cell in formula_items:
-        cells = by_col.get(col)
-        if cells is None:
-            cells = by_col[col] = []
-        cells.append((row, cell))
+        by_col.setdefault(col, []).append((row, cell))
     index: RunIndex = {}
-    joined = True
     for col in sorted(by_col):
         cells = by_col[col]
         cells.sort()                    # rows are unique: cells never compare
         runs = index[col] = []
-        first = last = 0
-        run = None
         for row, cell in cells:
             template = cell.template if join else cell._template
-            if first and row == last + 1 and template is run and run is not None:
-                last = row
-                continue
-            if first:
-                runs.append((first, last, run))
-            first = last = row
-            run = template
-            if template is None:
-                joined = False
-        runs.append((first, last, run))
-    return index, joined
+            text = None if join else cell.source_text
+            run = runs[-1] if runs else None
+            if (run is not None and run[1] == row - 1 and run[2] is template
+                    and template is not None and text is None):
+                runs[-1] = (run[0], row, *run[2:])
+            else:
+                runs.append((row, row, template) if join else (row, row, template, text))
+    return index
+
+
+def _absorb_next(runs: list, i: int) -> None:
+    """Merge record ``i + 1`` into record ``i`` if it carries it on: right
+    below it, untyped, the same template."""
+    if i + 1 < len(runs):
+        first, last, template, text = runs[i]
+        below = runs[i + 1]
+        if below[0] == last + 1 and below[3] is None and below[2] is template:
+            runs[i] = (first, below[1], template, text)
+            del runs[i + 1]
+
+
+def _split_at(runs: list, row: int) -> int:
+    """Cut the record that straddles the line above ``row``, if any;
+    returns the index of the first record at or below ``row``."""
+    i = bisect_left(runs, (row,))
+    if i and runs[i - 1][1] >= row:
+        first, last, template, text = runs[i - 1]
+        runs[i - 1:i] = [(first, row - 1, template, text), (row, last, template, None)]
+    return i
+
+
+def _blank(tags, first: int, last: int) -> int:
+    """How many of rows ``first..last`` hold no value in ``tags``."""
+    hi = min(last, len(tags))
+    lo = min(first - 1, hi)
+    return (last - first + 1) - (hi - lo) + tags.count(TAG_EMPTY, lo, hi)
 
 
 def _classify(value) -> tuple[int, float, object]:
@@ -180,13 +213,15 @@ def _classify(value) -> tuple[int, float, object]:
 
 
 class ColumnarCell(Cell):
-    """A cell whose ``value`` is a write-through view over the store.
+    """A transient view of one position of the store.
 
-    Used both for registered formula cells (a long-lived *(template,
-    host)* pair) and for the lazy views ``Sheet.cell_at`` hands out for
-    pure-value positions.  Either way, reading ``.value`` consults the
-    column arrays and assigning it forwards there — direct writes can
-    never leave the arrays stale.
+    What ``Sheet.cell_at`` / ``formula_at`` hand out, for formula cells
+    (the position's record read off the formula plane: template and, for
+    a typed cell, source text) and pure values alike.  Reading ``.value``
+    consults the column arrays and assigning it forwards there — direct
+    writes can never leave the arrays stale.  A view is not registered
+    anywhere: it describes the cell as it was when taken, and the next
+    change to the formula plane may make it stale.
     """
 
     __slots__ = ("_store",)
@@ -197,7 +232,6 @@ class ColumnarCell(Cell):
         col: int,
         row: int,
         formula_text: str | None = None,
-        formula_ast: Node | None = None,
         template: FormulaTemplate | None = None,
     ):
         # Not Cell.__init__: assigning ``value`` here would write through.
@@ -205,8 +239,6 @@ class ColumnarCell(Cell):
         self._col = col
         self._row = row
         self._formula_text = formula_text
-        if formula_ast is not None:
-            template = intern_template(formula_ast, col, row)
         self._template = template
 
     @property
@@ -218,29 +250,39 @@ class ColumnarCell(Cell):
         self._store.write_through(self._col, self._row, new_value)
 
     @property
-    def position(self) -> tuple[int, int]:
-        """The (col, row) this view is bound to."""
-        return (self._col, self._row)
+    def template(self) -> FormulaTemplate | None:
+        """As :attr:`Cell.template`; what a typed cell's first parse
+        finds is written back into its record, so no later view parses."""
+        template = self._template
+        if template is None and self._formula_text is not None:
+            template = super().template
+            self._store.learn_template(self._col, self._row, self._formula_text, template)
+        return template
 
 
 class ColumnarStore:
     """Per-sheet columnar backing store with a dict-of-Cells facade."""
 
-    __slots__ = ("_columns", "_formulas", "_count", "epoch",
-                 "formula_version", "_runs")
+    __slots__ = ("_columns", "_runs", "_joined", "_count", "epoch", "formula_version")
 
     def __init__(self) -> None:
         self._columns: dict[int, _Column] = {}
-        #: Registered formula cells; their cached values live in the
-        #: arrays (write-through), only AST state lives on the object.
-        self._formulas: dict[tuple[int, int], ColumnarCell] = {}
-        #: Moves whenever ``_formulas`` gains, loses, replaces or rekeys
-        #: an entry — and only then: value writes (cached formula values
-        #: included) never touch it.  Stamps the memoised run index, and
-        #: any plan laid out over it.
+        #: The formula plane: per column (ascending), its run records
+        #: ``(first_row, last_row, template, text)``, sorted and disjoint
+        #: — every row of a record is a member of ``template`` and
+        #: ``text`` is the first row's source text.  A typed cell always
+        #: starts a record and, until something parses it, is a record of
+        #: one whose template is None; an untyped record never sits right
+        #: below a record of its own template (they are one record).  The
+        #: members' cached values live in the arrays.
+        self._runs: RunIndex = {}
+        #: Moves whenever a formula comes, goes, changes or moves — and
+        #: only then: value writes (cached formula values included) never
+        #: touch it.  Stamps the joined run index, and any plan laid out
+        #: over it.
         self.formula_version = 0
-        #: ``(formula_version, index, joined)`` of the last run scan.
-        self._runs: tuple[int, RunIndex, bool] | None = None
+        #: ``(formula_version, index)`` of the last joined read.
+        self._joined: tuple[int, RunIndex] | None = None
         #: Occupied positions: non-EMPTY tags plus formula cells whose
         #: cached value is None (their tag is EMPTY but they exist).
         self._count = 0
@@ -291,39 +333,138 @@ class ColumnarStore:
     def write_pure(self, col: int, row: int, value) -> None:
         """``Sheet.set_value`` semantics: a value write replaces whatever
         occupied the position (formula included); None erases it."""
-        pos = (col, row)
-        formula = self._formulas.pop(pos, None)
-        if formula is not None:
-            self.formula_version += 1
+        formula = col in self._runs and self._erase(col, row, row)[0]
         if value is None:
             column = self._columns.get(col)
             if column is None or row - 1 >= len(column.tags):
-                if formula is not None:
+                if formula:
                     self._count -= 1
                 return
             old = self._write_raw(column, row - 1, None)
-            if old != TAG_EMPTY or formula is not None:
+            if old != TAG_EMPTY or formula:
                 self._count -= 1
             return
         column = self._column_for(col, row)
         old = self._write_raw(column, row - 1, value)
-        if old == TAG_EMPTY and formula is None:
+        if old == TAG_EMPTY and not formula:
             self._count += 1
 
     def write_through(self, col: int, row: int, value) -> None:
         """The view write path (``cell.value = x``).
 
         On a formula cell this updates the cached value; occupancy is
-        keyed by the formula registration, so only the arrays change.
-        On a pure-value view it behaves like ``Sheet.set_value`` —
+        keyed by the formula plane, so only the arrays change.  On a
+        pure-value position it behaves like ``Sheet.set_value`` —
         including ``None`` erasing the cell.
         """
-        if (col, row) in self._formulas:
+        if self._record_at(col, row) is not None:
             self._write_raw(self._column_for(col, row), row - 1, value)
         else:
             self.write_pure(col, row, value)
 
+    def clear_range(self, c1: int, r1: int, c2: int, r2: int) -> None:
+        """Erase every value and formula of the rectangle: a cut in each
+        column's runs and a blanked slice of its arrays."""
+        for col, column in self._columns.items():
+            if not c1 <= col <= c2:
+                continue
+            self._count -= self._erase(col, r1, r2)[1]
+            i0, i1 = r1 - 1, min(r2, len(column.tags))
+            occupied = i1 - i0 - column.tags.count(TAG_EMPTY, i0, i1) if i0 < i1 else 0
+            if occupied:
+                self._count -= occupied
+                column.version += 1
+                column.tags[i0:i1] = bytes(i1 - i0)
+                column.values[i0:i1] = _D_ZERO * (i1 - i0)
+                for i in [i for i in column.side if i0 <= i < i1]:
+                    del column.side[i]
+
     # -- formula plane ---------------------------------------------------------
+
+    def _record_at(self, col: int, row: int) -> tuple | None:
+        """The run record holding ``(col, row)``, found by bisect."""
+        runs = self._runs.get(col)
+        if runs:
+            record = runs[bisect_right(runs, (row, _INF)) - 1]
+            if record[0] <= row <= record[1]:
+                return record
+        return None
+
+    def _cut(self, col: int, first: int, last: int) -> tuple[int, int, int]:
+        """Take rows ``first..last`` of ``col`` out of the formula plane,
+        splitting the records they cut through: ``(at, removed, blank)`` —
+        the index at which a record for those rows now belongs, how many
+        formula cells went, and how many of them held no cached value."""
+        runs = self._runs.get(col)
+        if not runs or runs[-1][1] < first:     # nothing there: the append case
+            return len(runs or ()), 0, 0
+        at = bisect_right(runs, (first, _INF)) - 1
+        if at < 0 or runs[at][1] < first:
+            at += 1
+        stop, keep, removed, blank = at, [], 0, 0
+        tags = self._columns[col].tags
+        while stop < len(runs) and runs[stop][0] <= last:
+            head, tail, template, text = runs[stop]
+            a, b = max(head, first), min(tail, last)
+            removed += b - a + 1
+            blank += _blank(tags, a, b)
+            if head < first:
+                keep.append((head, first - 1, template, text))
+            if tail > last:
+                keep.append((last + 1, tail, template, None))
+            stop += 1
+        if removed:
+            runs[at:stop] = keep
+            self.formula_version += 1
+            if keep and keep[0][0] < first:
+                at += 1
+        return at, removed, blank
+
+    def _erase(self, col: int, first: int, last: int) -> tuple[int, int]:
+        """:meth:`_cut` for good: ``(removed, blank)``."""
+        _, removed, blank = self._cut(col, first, last)
+        if removed and not self._runs[col]:
+            del self._runs[col]
+        return removed, blank
+
+    def attach_run(self, col: int, first_row: int, last_row: int,
+                   template: FormulaTemplate | None, text: str | None = None) -> None:
+        """Make rows ``first_row..last_row`` of ``col`` members of
+        ``template`` — one record, however long — keeping the cached
+        values the planes hold there.  ``text`` is the first member's
+        source text (all there is to a single typed cell attached without
+        its template).  The new record replaces whatever formulas held
+        those rows and joins the record above or below when it carries it
+        on.  A row counts as newly occupied only if it held neither a
+        value nor a formula."""
+        tags = self._column_for(col, last_row).tags
+        self.formula_version += 1
+        runs = self._runs.get(col)
+        if runs is None:
+            ordered = not self._runs or col > next(reversed(self._runs))
+            runs = self._runs[col] = []
+            if not ordered:
+                self._runs = dict(sorted(self._runs.items()))
+        elif text is None:
+            # The two everyday cases, off one bisect: a moved family
+            # re-installed member by member (already in this very run)
+            # and a follower read below its run (free rows: extend it).
+            i = bisect_right(runs, (first_row, _INF)) - 1
+            head, tail, held, held_text = runs[i]
+            if i >= 0 and held is template:
+                if tail >= last_row and (head < first_row or held_text is None):
+                    return
+                if tail == first_row - 1 and (i + 1 == len(runs) or runs[i + 1][0] > last_row):
+                    self._count += _blank(tags, first_row, last_row)
+                    runs[i] = (head, last_row, template, held_text)
+                    _absorb_next(runs, i)
+                    return
+        at, _, blank = self._cut(col, first_row, last_row)
+        self._count += _blank(tags, first_row, last_row) - blank
+        runs.insert(at, (first_row, last_row, template, text))
+        _absorb_next(runs, at)
+        if at:
+            _absorb_next(runs, at - 1)
 
     def put_formula(
         self,
@@ -332,41 +473,95 @@ class ColumnarStore:
         formula_ast: Node | None = None,
         value=None,
         template: FormulaTemplate | None = None,
-    ) -> ColumnarCell:
+    ) -> None:
         """Install a formula cell at ``pos`` (cached value reset to
         ``value``, None by default — matching a fresh ``Cell``) from its
         source text, its own AST, or the template it is a member of."""
         col, row = pos
-        column = self._column_for(col, row)
-        old = column.tags[row - 1]
-        was_occupied = old != TAG_EMPTY or pos in self._formulas
-        cell = ColumnarCell(self, col, row, formula_text, formula_ast, template)
-        self._formulas[pos] = cell
-        self.formula_version += 1
-        self._write_raw(column, row - 1, value)
-        if not was_occupied:
-            self._count += 1
-        return cell
+        if formula_ast is not None:
+            template = intern_template(formula_ast, col, row)
+        self.attach_run(col, row, row, template, formula_text)
+        self._write_raw(self._columns[col], row - 1, value)
+
+    def learn_template(self, col: int, row: int, text: str, template: FormulaTemplate) -> None:
+        """A view of the typed cell at ``(col, row)`` parsed ``text``:
+        keep ``template`` in the cell's record (which may now be carried
+        on by the one below).  A view gone stale is ignored."""
+        runs = self._runs.get(col)
+        if runs:
+            i = bisect_right(runs, (row, _INF)) - 1
+            if i >= 0 and runs[i][0] == row and runs[i][2] is None and runs[i][3] is text:
+                runs[i] = (row, runs[i][1], template, text)
+                _absorb_next(runs, i)
 
     def formula_at(self, pos: tuple[int, int]) -> ColumnarCell | None:
-        return self._formulas.get(pos)
+        """A view of the formula cell at ``pos``, or None."""
+        record = self._record_at(*pos)
+        if record is None:
+            return None
+        first, _, template, text = record
+        return ColumnarCell(self, *pos, text if pos[1] == first else None, template)
 
-    def formula_items(self):
-        return self._formulas.items()
+    def formula_items(self) -> Iterator[tuple[tuple[int, int], ColumnarCell]]:
+        """Every formula cell as ``((col, row), view)``, column-major: a
+        compatibility iteration that allocates a view per cell — whole-
+        sheet readers walk :meth:`run_index` instead."""
+        for col, runs in list(self._runs.items()):
+            for first, last, template, text in tuple(runs):
+                yield (col, first), ColumnarCell(self, col, first, text, template)
+                for row in range(first + 1, last + 1):
+                    yield (col, row), ColumnarCell(self, col, row, None, template)
+
+    def formula_positions(self, ranges) -> set[tuple[int, int]]:
+        """The formula cells inside ``ranges``, read off the runs."""
+        found: set[tuple[int, int]] = set()
+        index = self._runs
+        for rng in ranges:
+            r1, r2 = rng.r1, rng.r2
+            for col in range(rng.c1, rng.c2 + 1) if rng.width < len(index) else index:
+                runs = index.get(col)
+                if not runs or not rng.c1 <= col <= rng.c2:
+                    continue
+                i = max(bisect_right(runs, (r1, _INF)) - 1, 0)
+                while i < len(runs) and runs[i][0] <= r2:
+                    found.update(zip(
+                        repeat(col), range(max(runs[i][0], r1), min(runs[i][1], r2) + 1)
+                    ))
+                    i += 1
+        return found
 
     @property
     def formula_count(self) -> int:
-        return len(self._formulas)
+        return sum(
+            last - first + 1 for runs in self._runs.values() for first, last, _, _ in runs
+        )
 
     def run_index(self, join: bool = True) -> RunIndex:
-        """The formula plane as runs (:func:`scan_formula_runs`),
-        memoised: scanned once per :attr:`formula_version`, and once more
-        if a scan that left typed cells unjoined is later asked to join
-        them.  Callers must not mutate the result."""
-        memo = self._runs
-        if memo is None or memo[0] != self.formula_version or (join and not memo[2]):
-            index, joined = scan_formula_runs(self._formulas.items(), join)
-            memo = self._runs = (self.formula_version, index, joined)
+        """The formula plane as runs.  Unjoined it *is* the storage (see
+        :func:`scan_formula_runs` for the record shape).  Joined, every
+        typed cell has parsed and adjacent records of one template are
+        one ``(first_row, last_row, template)`` run: a view rebuilt in
+        O(records) once per :attr:`formula_version`.  Callers must not
+        mutate either."""
+        if not join:
+            return self._runs
+        memo = self._joined
+        if memo is None or memo[0] != self.formula_version:
+            index: RunIndex = {}
+            for col, runs in self._runs.items():
+                joined = index[col] = []
+                i = 0
+                while i < len(runs):
+                    if runs[i][2] is None:
+                        # Parsing through a view is what teaches the record.
+                        self.formula_at((col, runs[i][0])).template
+                    first, last, template, _ = runs[i]
+                    if joined and joined[-1][1] == first - 1 and joined[-1][2] is template:
+                        joined[-1] = (joined[-1][0], last, template)
+                    else:
+                        joined.append((first, last, template))
+                    i += 1
+            memo = self._joined = (self.formula_version, index)
         return memo[1]
 
     # -- mapping facade (the dialect Sheet code speaks) ------------------------
@@ -378,19 +573,19 @@ class ColumnarStore:
         return self._count > 0
 
     def _occupied(self, pos: tuple[int, int]) -> bool:
-        if pos in self._formulas:
-            return True
         column = self._columns.get(pos[0])
         if column is None:
             return False
         i = pos[1] - 1
-        return i < len(column.tags) and column.tags[i] != TAG_EMPTY
+        if i < len(column.tags) and column.tags[i] != TAG_EMPTY:
+            return True
+        return self._record_at(*pos) is not None
 
     def __contains__(self, pos) -> bool:
         return self._occupied(pos)
 
     def get(self, pos, default=None):
-        cell = self._formulas.get(pos)
+        cell = self.formula_at(pos)
         if cell is not None:
             return cell
         if self._occupied(pos):
@@ -437,7 +632,7 @@ class ColumnarStore:
 
     def clear(self) -> None:
         self._columns.clear()
-        self._formulas.clear()
+        self._runs.clear()
         self._count = 0
         self.epoch += 1
         self.formula_version += 1
@@ -448,28 +643,40 @@ class ColumnarStore:
         column = self._columns.get(col)
         return -1 if column is None else column.version
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
+    def _walk(self) -> Iterator[tuple[int, int, tuple | None]]:
+        """``(col, row, record)`` of every occupied position — ``record``
+        None for a pure value — column by column, rows ascending."""
         for col, column in self._columns.items():
             tags = column.tags
-            for i in range(len(tags)):
+            at = 0
+            for record in tuple(self._runs.get(col, ())):
+                for i in range(at, min(record[0] - 1, len(tags))):
+                    if tags[i]:
+                        yield col, i + 1, None
+                for row in range(record[0], record[1] + 1):
+                    yield col, row, record
+                at = record[1]
+            for i in range(at, len(tags)):
                 if tags[i]:
-                    yield (col, i + 1)
-        for pos in self._formulas:
-            column = self._columns.get(pos[0])
-            if column is None or column.tags[pos[1] - 1] == TAG_EMPTY:
-                yield pos
+                    yield col, i + 1, None
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for col, row, _ in self._walk():
+            yield (col, row)
 
     def items(self) -> Iterator[tuple[tuple[int, int], Cell]]:
-        formulas = self._formulas
-        for pos in self:
-            cell = formulas.get(pos)
-            yield pos, (cell if cell is not None else ColumnarCell(self, *pos))
+        for col, row, record in self._walk():
+            if record is None:
+                yield (col, row), ColumnarCell(self, col, row)
+            else:
+                text = record[3] if row == record[0] else None
+                yield (col, row), ColumnarCell(self, col, row, text, record[2])
 
     def iter_values(self) -> Iterator[tuple[int, int, object]]:
-        """Every non-blank value as (col, row, value), column by column —
+        """Every non-blank value as (col, row, value), column-major —
         pure values and formula cached values alike, read straight off
         the typed planes (no views)."""
-        for col, column in self._columns.items():
+        for col, column in sorted(self._columns.items()):
             values, side = column.values, column.side
             for i, tag in enumerate(column.tags):
                 if tag == TAG_EMPTY:
@@ -531,9 +738,9 @@ class ColumnarStore:
             rows.append(len(body) - len(body.lstrip(b"\0")) + 1)
             tagged += len(body) - body.count(0)
         if tagged != self._count:
-            for col, row in self._formulas:
+            for col, runs in self._runs.items():
                 cols.append(col)
-                rows.append(row)
+                rows += (runs[0][0], runs[-1][1])
         return (min(cols), min(rows), max(cols), max(rows))
 
     # -- raw buffer access (the vectorized evaluator's window) -----------------
@@ -555,25 +762,24 @@ class ColumnarStore:
         """Apply a row/column insert/delete to the arrays wholesale.
 
         Values move as array splices (O(column length) memmoves instead
-        of O(cells) dict rebuilds), side tables and the formula registry
-        are rekeyed, and registered views are rebound to their post-edit
-        coordinates.  A rebound template member now reads its formula at
-        the new host (autofill-shifted with the move); what each moved
-        formula *should* say after the edit is the sheet-level pass's
-        business (:mod:`repro.sheet.structural`), which re-installs every
-        one of them.  Returns the number of occupied positions removed
-        with the deleted band (0 for inserts).
+        of O(cells) dict rebuilds), side tables are rekeyed, and the
+        formula plane moves by its run bounds: a run the edit line cuts
+        through splits there, a run a deleted band cuts through closes up.
+        A member that moved still holds its template and so reads its
+        formula at the new host (autofill-shifted with the move); what
+        each moved formula *should* say after the edit is the sheet-level
+        pass's business (:mod:`repro.sheet.structural`), which
+        re-installs every one of them.  Returns the number of occupied
+        positions removed with the deleted band (0 for inserts).
         """
         self.epoch += 1
-        if axis == "row":
-            if mode == "insert":
-                self._insert_rows(index, count)
-                return 0
-            return self._delete_rows(index, count)
+        self.formula_version += 1
         if mode == "insert":
-            self._insert_columns(index, count)
+            (self._insert_rows if axis == "row" else self._insert_columns)(index, count)
             return 0
-        return self._delete_columns(index, count)
+        removed = (self._delete_rows if axis == "row" else self._delete_columns)(index, count)
+        self._count -= removed
+        return removed
 
     def _insert_rows(self, row: int, count: int) -> None:
         i0 = row - 1
@@ -586,21 +792,23 @@ class ColumnarStore:
                 column.side = {
                     (i + count if i >= i0 else i): v for i, v in column.side.items()
                 }
-        self._rekey_formulas(
-            lambda pos: (pos[0], pos[1] + count) if pos[1] >= row else pos
-        )
+        for runs in self._runs.values():
+            at = _split_at(runs, row)
+            runs[at:] = [(a + count, b + count, t, x) for a, b, t, x in runs[at:]]
 
     def _delete_rows(self, row: int, count: int) -> int:
         i0, i1 = row - 1, row - 1 + count
         removed = 0
-        for pos in self._formulas:
+        for col, runs in list(self._runs.items()):
             # Formula cells with a None cached value occupy no tag slot;
             # count them here, the tag scan below covers the rest.
-            if row <= pos[1] < row + count:
-                column = self._columns.get(pos[0])
-                i = pos[1] - 1
-                if column is None or i >= len(column.tags) or not column.tags[i]:
-                    removed += 1
+            at, _, blank = self._cut(col, row, row + count - 1)
+            removed += blank
+            runs[at:] = [(a - count, b - count, t, x) for a, b, t, x in runs[at:]]
+            if at:
+                _absorb_next(runs, at - 1)
+            if not runs:
+                del self._runs[col]
         for column in self._columns.values():
             n = len(column.tags)
             if n <= i0:
@@ -617,66 +825,34 @@ class ColumnarStore:
                     elif i >= i1:
                         side[i - count] = v
                 column.side = side
-        end = row + count - 1
-
-        def move(pos):
-            col, r = pos
-            if row <= r <= end:
-                return None
-            return (col, r - count) if r > end else pos
-
-        self._rekey_formulas(move)
-        self._count -= removed
         return removed
 
     def _insert_columns(self, col: int, count: int) -> None:
-        self._columns = {
-            (c + count if c >= col else c): column
-            for c, column in self._columns.items()
-        }
-        self._rekey_formulas(
-            lambda pos: (pos[0] + count, pos[1]) if pos[0] >= col else pos
+        self._columns, self._runs = (
+            {(c + count if c >= col else c): held for c, held in plane.items()}
+            for plane in (self._columns, self._runs)
         )
 
     def _delete_columns(self, col: int, count: int) -> int:
         end = col + count - 1
         removed = 0
-        for pos in self._formulas:
-            if col <= pos[0] <= end:
-                column = self._columns.get(pos[0])
-                i = pos[1] - 1
-                if column is None or i >= len(column.tags) or not column.tags[i]:
-                    removed += 1
-        columns: dict[int, _Column] = {}
-        for c, column in self._columns.items():
-            if col <= c <= end:
-                removed += column.occupied()
-            elif c > end:
-                columns[c - count] = column
-            else:
-                columns[c] = column
-        self._columns = columns
-
-        def move(pos):
-            c, row = pos
-            if col <= c <= end:
-                return None
-            return (c - count, row) if c > end else pos
-
-        self._rekey_formulas(move)
-        self._count -= removed
+        for c in range(col, end + 1):
+            column = self._columns.get(c)
+            if column is not None:
+                removed += column.occupied() + self._occupied_blank(c)
+        self._columns, self._runs = (
+            {(c - count if c > end else c): held
+             for c, held in plane.items() if not col <= c <= end}
+            for plane in (self._columns, self._runs)
+        )
         return removed
 
-    def _rekey_formulas(self, move) -> None:
-        formulas: dict[tuple[int, int], ColumnarCell] = {}
-        for pos, cell in self._formulas.items():
-            new_pos = move(pos)
-            if new_pos is None:
-                continue
-            cell._col, cell._row = new_pos
-            formulas[new_pos] = cell
-        self._formulas = formulas
-        self.formula_version += 1
+    def _occupied_blank(self, col: int) -> int:
+        """Formula cells of ``col`` that hold no cached value — occupied
+        positions no tag accounts for."""
+        column = self._columns.get(col)
+        tags = b"" if column is None else column.tags
+        return sum(_blank(tags, first, last) for first, last, _, _ in self._runs.get(col, ()))
 
     # -- whole-plane shipping (worker freight and snapshot persistence) --------
 
@@ -719,18 +895,10 @@ class ColumnarStore:
 
     def _occupied_in_column(self, col: int) -> int:
         """Occupied positions a single column contributes to ``_count``:
-        non-EMPTY tags plus registered formulas whose tag slot is EMPTY
-        (or beyond the arrays)."""
+        non-EMPTY tags plus formula cells whose tag slot is EMPTY (or
+        beyond the arrays)."""
         column = self._columns.get(col)
-        n = 0 if column is None else column.occupied()
-        tags = None if column is None else column.tags
-        for (c, row) in self._formulas:
-            if c != col:
-                continue
-            i = row - 1
-            if tags is None or i >= len(tags) or not tags[i]:
-                n += 1
-        return n
+        return (0 if column is None else column.occupied()) + self._occupied_blank(col)
 
     def export_plane_delta(
         self,
@@ -768,9 +936,9 @@ class ColumnarStore:
 
         Unlike :meth:`install_planes` this does *not* bump the store
         epoch — only the replaced columns' versions move, so resident
-        lookaside indexes over untouched columns stay fresh.  Registered
-        formula views survive (the column objects mutate, the registry is
-        untouched) and occupancy is recounted per replaced column.
+        lookaside indexes over untouched columns stay fresh.  The formula
+        plane is untouched (only the column objects mutate) and occupancy
+        is recounted per replaced column.
         """
         for col, (tags, value_bytes, side) in planes.items():
             before = self._occupied_in_column(col)
@@ -845,9 +1013,8 @@ class ColumnarStore:
         trimmed to its occupied rows, formula cached values included.
 
         Two slice copies, no per-cell work; the rows must be vacant (no
-        value, no registered formula), which is how a snapshot load uses
-        it: planes land first, :meth:`attach_run` registers the formulas
-        over them."""
+        value, no formula), which is how a snapshot load uses it: planes
+        land first, :meth:`attach_run` lays the formulas over them."""
         if len(tags) != len(values):
             raise ValueError("columnar run: tags/values length mismatch")
         i0, i1 = start_row - 1, start_row - 1 + len(tags)
@@ -861,26 +1028,8 @@ class ColumnarStore:
             column.side[i0 + i] = v
         self._count += len(tags) - tags.count(TAG_EMPTY)
 
-    def attach_run(self, col: int, first_row: int, last_row: int,
-                   template: FormulaTemplate | None, text: str | None = None) -> None:
-        """Register rows ``first_row..last_row`` of ``col`` as members of
-        ``template`` — :meth:`put_formula` for a whole run, except that
-        the cached values the planes already hold there stay.  ``text``
-        is the first member's source text (all there is to a single typed
-        cell attached without its template).  A row counts as newly
-        occupied only if it held neither a value nor a formula."""
-        tags = self._column_for(col, last_row).tags
-        formulas = self._formulas
-        self.formula_version += 1
-        for row in range(first_row, last_row + 1):
-            pos = (col, row)
-            if not tags[row - 1] and pos not in formulas:
-                self._count += 1
-            formulas[pos] = ColumnarCell(self, col, row, text, None, template)
-            text = None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ColumnarStore({self._count} cells, {len(self._columns)} columns, "
-            f"{len(self._formulas)} formulas)"
+            f"{self.formula_count} formulas)"
         )

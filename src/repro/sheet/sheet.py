@@ -68,6 +68,19 @@ def _coerce_pos(target) -> tuple[int, int]:
     return (col, row)
 
 
+def _member_dependencies(refs: list[tuple], col: int, row: int) -> list[Dependency]:
+    """The dependencies of the member at ``(col, row)``, given its
+    piece's :meth:`Sheet._own_refs`."""
+    dep = Range(col, row, col, row)
+    return [
+        Dependency(
+            Range(c1, top if top_fixed else row + top, c2, low if low_fixed else row + low),
+            dep, cue,
+        )
+        for c1, c2, (top_fixed, top), (low_fixed, low), cue in refs
+    ]
+
+
 class Sheet:
     """A sparse spreadsheet grid."""
 
@@ -105,13 +118,27 @@ class Sheet:
 
     def formula_at(self, target) -> Cell | None:
         """The formula cell at ``target``, or None for blank/pure-value
-        positions — without materialising a view on columnar sheets."""
+        positions.  On a columnar sheet the cell is a transient view of
+        the position's run record, found by bisect and valid until the
+        formula plane next changes; whole-sheet readers walk
+        :meth:`run_index` and range readers :meth:`formula_positions`
+        instead of asking cell by cell."""
         pos = _coerce_pos(target)
         cells = self._cells
         if type(cells) is dict:
             cell = cells.get(pos)
             return cell if cell is not None and cell.is_formula else None
         return cells.formula_at(pos)
+
+    def formula_positions(self, ranges) -> set[tuple[int, int]]:
+        """The positions inside ``ranges`` that hold a formula."""
+        cells = self._cells
+        if type(cells) is not dict:
+            return cells.formula_positions(ranges)
+        return {
+            pos for rng in ranges for pos in rng.cells()
+            if pos in cells and cells[pos].is_formula
+        }
 
     def get_value(self, target):
         pos = _coerce_pos(target)
@@ -185,12 +212,13 @@ class Sheet:
     ) -> None:
         """Make rows ``first_row..last_row`` of ``col`` members of
         ``template``, keeping the cached values they hold — the inverse of
-        one :meth:`formula_runs` entry, and how a snapshot load re-creates
-        a family without touching its members' formulas.  ``text`` becomes
-        the first member's source text.  Every row must be one
-        ``template`` admits.  A run of one cell may come without its
-        template: it is then just its ``text``, like any typed cell, and
-        parses if something needs more.
+        one :meth:`run_index` record, and how a fill, an xlsx shared group
+        and a snapshot load create a family without touching its members:
+        on a columnar sheet one record is inserted, however long the run.
+        ``text`` becomes the first member's source text.  Every row must
+        be one ``template`` admits.  A run of one cell may come without
+        its template: it is then just its ``text``, like any typed cell,
+        and parses if something needs more.
         """
         if template is None and (text is None or last_row != first_row):
             raise ValueError("only a single typed cell can do without its template")
@@ -217,8 +245,7 @@ class Sheet:
     def clear_range(self, rng: Range) -> None:
         cells = self._cells
         if type(cells) is not dict:
-            for pos in [p for p in cells if rng.contains_cell(*p)]:
-                cells.write_pure(pos[0], pos[1], None)
+            cells.clear_range(rng.c1, rng.r1, rng.c2, rng.r2)
         elif rng.size < len(cells):
             for pos in list(rng.cells()):
                 cells.pop(pos, None)
@@ -235,15 +262,16 @@ class Sheet:
         return iter(self._cells.items())
 
     def iter_values(self) -> Iterator[tuple[int, int, object]]:
-        """Every non-blank value as ``(col, row, value)`` — formula cached
-        values included — without a cell object per position."""
+        """Every non-blank value as ``(col, row, value)``, column-major —
+        formula cached values included — without a cell object per
+        position."""
         cells = self._cells
         if type(cells) is not dict:
             return cells.iter_values()
-        return (
+        return iter(sorted(
             (col, row, cell.value)
             for (col, row), cell in cells.items() if cell.value is not None
-        )
+        ))
 
     def formula_cells(self) -> Iterator[tuple[tuple[int, int], Cell]]:
         cells = self._cells
@@ -257,21 +285,25 @@ class Sheet:
     def run_index(self, join: bool = True) -> RunIndex:
         """Every maximal vertical run of formula cells sharing a template,
         per column: ``{col: [(first_row, last_row, template), ...]}``,
-        columns and rows ascending (:func:`~repro.sheet.columnar.scan_formula_runs`).
+        columns and rows ascending.
 
         An autofilled column is one run; a lone formula is a run of
         length one.  The runs are the unit the graph is built from
-        (:func:`repro.core.taco_graph.build_from_sheet`), recalculation
-        is planned in, and snapshots and xlsx shared groups are written
-        as.  On a columnar sheet the index is memoised against
-        :attr:`formula_version` — every reader shares one scan, and only
-        a change to the formula plane causes another; the object store
-        scans per call.  Read-only.
+        (:func:`repro.core.taco_graph.build_from_sheet`), the dependency
+        stream is read off, recalculation is planned in, and xlsx shared
+        groups are written as.  With ``join=False`` nothing parses and
+        the records are ``(first_row, last_row, template | None, text |
+        None)``, cut at every typed cell — what a snapshot writes
+        (:func:`~repro.sheet.columnar.scan_formula_runs`).  On a columnar
+        sheet that *is* the formula plane's storage, kept up edit by
+        edit, and the joined view is rebuilt from it once per
+        :attr:`formula_version`; the object store scans its cells per
+        call.  Read-only.
         """
         cells = self._cells
         if type(cells) is not dict:
             return cells.run_index(join)
-        return scan_formula_runs(self.formula_cells(), join)[0]
+        return scan_formula_runs(self.formula_cells(), join)
 
     def formula_runs(self) -> Iterator[tuple[FormulaTemplate, int, int, int]]:
         """:meth:`run_index` flattened: ``(template, col, first_row,
@@ -326,24 +358,54 @@ class Sheet:
     # -- formula graph input ----------------------------------------------------
 
     def iter_dependencies(self) -> Iterator[Dependency]:
-        """All same-sheet dependencies (prec range -> formula cell).
+        """All same-sheet dependencies (prec range -> formula cell), in
+        column-major order of the formula cells, each cell's in formula
+        order.
 
         Cross-sheet references are skipped: formula graphs in the paper
         are per-sheet, and a reference into another sheet contributes no
-        edge to this sheet's graph.
+        edge to this sheet's graph.  The stream is read off the runs
+        (:meth:`run_index`): a template's references are resolved once
+        per run and only the rows are worked out per member.
         """
-        for (col, row), cell in self.formula_cells():
-            yield from self.dependencies_at(cell.template, col, row)
+        name = self.name
+        for col, runs in self.run_index().items():
+            for first, last, template in runs:
+                pieces = template.run_pieces(col, first, last, name) if last > first else [(first, last)]
+                for a, b in pieces:
+                    refs = self._own_refs(template, col, a, b)
+                    for row in range(a, b + 1):
+                        yield from _member_dependencies(refs, col, row)
+
+    def _own_refs(self, template: FormulaTemplate, col: int, first: int, last: int) -> list[tuple]:
+        """``template``'s references into this sheet as the members at
+        rows ``first..last`` of ``col`` state them — one *piece*
+        (:meth:`FormulaTemplate.run_pieces`), so they all state the same:
+        per reference ``(c1, c2, top row axis, bottom row axis, cue)`` in
+        formula order, corners put in order, references that coincide
+        collapsed onto the first.  A qualifier naming this sheet is no
+        qualifier."""
+        refs: list[tuple] = []
+        seen = set()
+        for spec in template.refs:
+            if spec.sheet is not None and spec.sheet != self.name:
+                continue
+            _, c1, r1, c2, r2 = spec.span_at(col, first)
+            if (c1, r1, c2, r2) in seen:
+                continue
+            seen.add((c1, r1, c2, r2))
+            top, low = spec.head_row, spec.tail_row
+            # Corners do not cross inside a piece; they may touch at an end.
+            if top.at(first) + top.at(last) > low.at(first) + low.at(last):
+                top, low = low, top
+            refs.append((c1, c2, top, low, spec.cue))
+        return refs
 
     def dependencies_at(self, template: FormulaTemplate, col: int, row: int) -> list[Dependency]:
         """The same-sheet dependencies a member of ``template`` hosted at
-        ``(col, row)`` states, in formula order."""
-        dep = Range.cell(col, row)
-        return [
-            Dependency(ref.range, dep, ref.cue)
-            for ref in template.references_at(col, row)
-            if ref.sheet is None or ref.sheet == self.name
-        ]
+        ``(col, row)`` states, in formula order.  References that
+        coincide at this host are one dependency (the first one's cue)."""
+        return _member_dependencies(self._own_refs(template, col, row, row), col, row)
 
     def dependency_count(self) -> int:
         return sum(1 for _ in self.iter_dependencies())

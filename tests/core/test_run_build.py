@@ -22,6 +22,8 @@ from hypothesis import strategies as st
 
 from repro.core.patterns import extended_patterns
 from repro.core.taco_graph import TacoGraph, build_from_sheet, dependencies_column_major
+from repro.engine.recalc import RecalcEngine
+from repro.formula.references import extract_references
 from repro.graphs.base import Budget, DNFError, expand_cells
 from repro.graphs.nocomp import NoCompGraph
 from repro.grid.range import Range
@@ -197,6 +199,79 @@ def test_without_the_cue_a_sibling_reference_can_win_the_second_cell():
         edge_list(stream_built("no-cues", sheet)) == \
         ["A2 -> I2 [Single]", "A2:A3 -> I1:I2 [RR]", "A3 -> I1 [Single]"]
     assert edge_list(build_from_sheet(sheet)) == ["A2 -> I1:I2 [FF]", "A3 -> I1:I2 [FF]"]
+
+
+# -- the stream itself, against a per-cell oracle --------------------------------
+
+
+def per_cell_stream(sheet: Sheet) -> list[tuple]:
+    """What the stream must be, worked out with nothing the sheet's own
+    stream uses: every formula cell's own AST, its references into this
+    sheet (a qualifier naming it is no qualifier) with repeats of one
+    range collapsed onto the first, cells in column-major order."""
+    out = []
+    for (col, row), cell in sorted(sheet.formula_cells()):
+        seen = set()
+        for ref in extract_references(cell.formula_ast):
+            if ref.sheet in (None, sheet.name) and ref.range not in seen:
+                seen.add(ref.range)
+                out.append((ref.range, Range.cell(col, row), ref.cue))
+    return out
+
+
+def streamed(sheet: Sheet) -> list[tuple]:
+    return [(d.prec, d.dep, d.cue) for d in dependencies_column_major(sheet)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sheet=sheets())
+def test_the_stream_is_the_per_cell_oracle_in_column_major_order(sheet):
+    assert streamed(sheet) == per_cell_stream(sheet)
+    assert [(d.prec, d.dep, d.cue) for d in sheet.iter_dependencies()] == streamed(sheet)
+    for (col, row), cell in sheet.formula_cells():
+        assert [(d.prec, d.dep, d.cue) for d in sheet.dependencies_at(cell.template, col, row)] \
+            == [dep for dep in per_cell_stream(sheet) if dep[1] == Range.cell(col, row)]
+
+
+@pytest.mark.parametrize("store", ["columnar", "object"])
+@pytest.mark.parametrize("text,rows", [
+    ("=SUM(A$5:A1)", (1, 9)),            # corners cross at row 5
+    ("=A1+A$5", (1, 9)),                 # coincide at row 5 only
+    ("=A1+S!A1", (1, 9)),                # coincide everywhere, by the sheet's own name
+    ("=A1+S!A$5", (1, 9)),               # both at once
+    ("=A1+Other!A1+Other!B$2", (1, 9)),  # other sheets contribute nothing
+    ("=SUM(S!A1:A3,A3:A1)", (1, 9)),     # one range, corners written both ways
+    ("=A3+B4", (4, 9)),                  # filled up as well: a #REF! head
+])
+def test_the_stream_on_the_shapes_that_break_a_run(store, text, rows):
+    sheet = Sheet("S", store=store)
+    first, last = rows
+    sheet.set_formula((3, first), text)
+    autofill(sheet, (3, first), Range(3, 1, 3, last))
+    sheet.set_formula((3, 7), "=A7*2")              # a typed cell inside the family
+    assert streamed(sheet) == per_cell_stream(sheet)
+    assert multiset(build_from_sheet(sheet)) == multiset(stream_built("full", sheet))
+    assert edge_list(build_from_sheet(sheet)) == edge_list(stream_built("full", sheet))
+
+
+@pytest.mark.parametrize("store", ["columnar", "object"])
+def test_a_reference_qualified_with_the_sheets_own_name_is_one_dependency(store):
+    """``=A1+S!A1`` on sheet ``S`` used to stream ``A1 -> B1`` twice."""
+    sheet = Sheet("S", store=store)
+    fill_formula_column(sheet, 2, 1, 9, "=A1+S!A$5")
+    assert [d.prec.to_a1() for d in sheet.dependencies_at(sheet.formula_at("B5").template, 2, 5)] \
+        == ["A5"]
+    assert sheet.formula_at("B1").template.run_pieces(2, 1, 9, "S") == [(1, 4), (5, 5), (6, 9)]
+    assert sheet.formula_at("B1").template.run_pieces(2, 1, 9, "Other") == [(1, 9)]
+    assert len(dependencies_column_major(sheet)) == 17
+    nocomp = NoCompGraph()
+    nocomp.build(dependencies_column_major(sheet))
+    assert sorted(nocomp._adjacency[Range.cell(1, 5)]) == [(2, r) for r in range(1, 10)]
+    graph = build_from_sheet(sheet)
+    assert graph.raw_edge_count() == 17 and multiset(graph) == multiset(stream_built("full", sheet))
+    engine = RecalcEngine(sheet, graph)
+    engine.set_formula("B5", "=A5+S!A5")                # the edit path collapses too
+    assert multiset(graph)[(Range.cell(1, 5), Range.cell(2, 5))] == 1
 
 
 # -- what the run path costs ---------------------------------------------------

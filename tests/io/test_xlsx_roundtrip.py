@@ -164,6 +164,84 @@ class TestSharedFormulas:
         assert len(shared_buf.getvalue()) < len(plain_buf.getvalue())
 
 
+class TestWhatTheEngineCanHold:
+    """Values the engine itself produces or accepts must export."""
+
+    @pytest.mark.parametrize("store", ["columnar", "object"])
+    def test_non_finite_numbers_are_num_errors(self, store):
+        from repro.engine.recalc import RecalcEngine
+
+        sheet = Sheet("S", store=store)
+        sheet.set_value("A1", 1e308)
+        sheet.set_formula("B1", "=A1*10")               # inf
+        sheet.set_formula("B2", "=A1*10-A1*10")         # nan
+        RecalcEngine(sheet).recalculate_all()
+        assert sheet.get_value("B1") == float("inf") and sheet.get_value("B2") != sheet.get_value("B2")
+        sheet.set_value("C1", float("-inf"))            # pure values alike
+        sheet.set_value("C2", float("nan"))
+        back = round_trip(sheet)["S"]
+        for ref in ("B1", "B2", "C1", "C2"):
+            assert back.get_value(ref) == ExcelError("#NUM!"), ref
+        assert back.formula_at("B2").formula_text == "A1*10-A1*10"
+        assert back.get_value("A1") == 1e308
+
+    @pytest.mark.parametrize("text", [
+        "x\x00y", "x\x0by", "\x1f", "tab\tnewline\nstay", "cr\rtoo", "_x0041_ is literal",
+        "_x005F_x0041_", "\ufffe\uffff", "_x", "__x0000__",
+    ])
+    def test_characters_xml_cannot_carry_round_trip(self, text):
+        sheet = Sheet("S")
+        sheet.set_value("A1", text)
+        sheet.set_formula("A2", '="' + text.replace("\n", " ") + '"&A1')
+        sheet.formula_at("A2").value = text + "!"         # a cached string
+        back = round_trip(sheet)["S"]
+        assert back.get_value("A1") == text
+        assert back.get_value("A2") == text + "!"
+        assert back.formula_at("A2").formula_text == sheet.formula_at("A2").formula_text
+
+
+class TestWorksheetXmlIsPinned:
+    """The worksheet part, byte for byte: digests taken before the writer
+    read runs (it sorted every row and asked every cell for its text)."""
+
+    MIX = (("sliding_window", 1.0), ("derived_column", 1.0), ("chain", 0.8), ("fig2", 0.8),
+           ("fixed_lookup", 0.6), ("running_total", 0.4), ("shrinking_window", 0.15),
+           ("gapone", 0.02))
+
+    @staticmethod
+    def md5(text: str) -> str:
+        import hashlib
+
+        return hashlib.md5(text.encode()).hexdigest()
+
+    def test_github_like_sheet(self):
+        from repro.datasets.generator import RegionSpec, SheetSpec, generate_sheet
+        from repro.engine.recalc import RecalcEngine
+
+        regions = tuple(RegionSpec(kind, max(8, int(120 * w))) for kind, w in self.MIX)
+        sheet = generate_sheet(SheetSpec("gh", regions, seed=7))
+        assert (len(sheet), sheet.formula_count) == (1544, 579)
+        # Never evaluated: every formula is written without a <v>.
+        assert self.md5(write_sheet_xml(sheet)) == "25c5c6200acc0ed3dfbefbe94d6e05d4"
+        RecalcEngine(sheet, evaluation="interpreter").recalculate_all()
+        sheet.set_value("A1", "a <b> & \"c\"")
+        sheet.set_value("A2", True)
+        assert self.md5(write_sheet_xml(sheet)) == "c1bbb93f95f27ccae34e0fba4308aa36"
+        assert self.md5(write_sheet_xml(sheet, shared_formulas=False)) == \
+            "d3ffcc3d0304976df4f040f0be61b0f0"
+
+    def test_a_formula_with_no_value_sits_in_its_row_in_column_order(self):
+        sheet = Sheet("S")
+        sheet.set_value("A2", 1.0)
+        sheet.set_value("C2", "c")
+        sheet.set_formula("B2", "=A2+1")                # between two values, never evaluated
+        sheet.set_formula("D1", "=A2")                  # a column with no value at all
+        xml = write_sheet_xml(sheet)
+        assert '<row r="1"><c r="D1"><f>A2</f></c></row>' in xml
+        assert ('<row r="2"><c r="A2"><v>1</v></c><c r="B2"><f>A2+1</f></c>'
+                '<c r="C2" t="inlineStr"><is><t>c</t></is></c></row>') in xml
+
+
 class TestWorkbooks:
     def test_multiple_sheets(self):
         wb = Workbook()

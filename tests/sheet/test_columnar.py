@@ -114,8 +114,8 @@ class TestWriteThroughViews:
         cell.value = 5.0                       # what the engine does
         assert sheet.get_value("B1") == 5.0
         assert sheet.raw_value(2, 1) == 5.0
-        # Still a formula: occupancy and registration survive the write.
-        assert sheet.formula_at("B1") is cell
+        # Still a formula: occupancy and the run record survive the write.
+        assert sheet.formula_at("B1").formula_text == "A1+1" and len(sheet) == 1
 
     def test_view_none_write_erases_pure_cell(self):
         sheet = columnar_sheet()
@@ -124,13 +124,16 @@ class TestWriteThroughViews:
         assert sheet.cell_at("A1") is None
         assert len(sheet) == 0
 
-    def test_view_position_rebinds_after_structural_edit(self):
+    def test_a_formula_view_is_a_snapshot_of_its_record(self):
+        """Views are transient: a structural edit moves the run record,
+        not the view taken before it."""
         sheet = columnar_sheet()
         sheet.set_formula("A5", "=1+1")
         cell = sheet.formula_at("A5")
+        assert sheet.formula_at("A5") is not cell
         sheet._cells.structural_edit("row", "insert", 2, 3)
-        assert cell.position == (1, 8)
-        assert sheet.formula_at((1, 8)) is cell
+        assert sheet.formula_at("A5") is None
+        assert sheet.formula_at((1, 8)).source_text == "1+1"
 
 
 class TestMappingFacade:

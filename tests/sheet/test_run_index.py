@@ -1,11 +1,13 @@
-"""The memoised run index stays the formula plane's own shape.
+"""The run index stays the formula plane's own shape.
 
-``Sheet.run_index()`` is scanned once per formula-plane version and read
-by the graph build, the recalculation planner, the snapshot writer and
-the xlsx writer.  Whatever edits a sheet — values over values and over
-formulas, typed formulas, clears, fills, attached runs, structural
-edits — the memo must equal a from-scratch grouping, and the version
-that stamps it must move exactly when a formula came, went or changed.
+``Sheet.run_index()`` is joined once per formula-plane version from the
+columnar store's run records and read by the graph build, the dependency
+stream, the recalculation planner and the xlsx writer.  Whatever edits a
+sheet — values over values and over formulas, typed formulas, clears,
+fills, attached runs, structural edits — the index must equal a
+from-scratch grouping, and the version that stamps it must move exactly
+when a formula came, went or changed.  (The record-level differential
+against the object store is ``test_formula_plane_machine.py``.)
 """
 
 import pytest
@@ -139,9 +141,11 @@ def test_an_unjoined_read_parses_nothing():
         sheet.set_formula((2, r), f"=A{r} * {r}")
     parse_formula.cache_clear()
     raw = sheet.run_index(join=False)
-    assert raw[2] == [(r, r, None) for r in range(1, 9)]
+    assert raw[2] == [(r, r, None, f"A{r} * {r}") for r in range(1, 9)]
     assert parse_formula.cache_info().misses == 0
     joined = sheet.run_index()
     assert parse_formula.cache_info().misses == 8
     assert [run[:2] for run in joined[2]] == [(r, r) for r in range(1, 9)]
-    assert sheet.run_index(join=False) is joined      # nothing left to join
+    # The unjoined index is the storage: it has learnt the templates.
+    assert sheet.run_index(join=False) is raw
+    assert [run[2] for run in raw[2]] == [run[2] for run in joined[2]]
