@@ -46,37 +46,50 @@ class NoCompGraph(FormulaGraph):
     # -- construction / maintenance -------------------------------------------
 
     def add_dependency(self, dep: Dependency, budget: Budget | None = None) -> None:
-        prec, cell = dep.prec, dep.dep.head
-        self._record(prec, cell, index=True)
-
-    def _record(self, prec: Range, cell: tuple[int, int], index: bool) -> None:
+        prec, host = dep.prec, dep.dep
+        cell = (host.c1, host.r1)
         dependents = self._adjacency.get(prec)
         if dependents is None:
             self._adjacency[prec] = [cell]
-            if index:
-                self._prec_index.insert(prec, prec)
+            self._prec_index.insert(prec, prec)
         else:
             dependents.append(cell)
         precs = self._reverse.get(cell)
         if precs is None:
             self._reverse[cell] = [prec]
-            if index:
-                self._dep_index.insert(Range.cell(*cell), cell)
+            self._dep_index.insert(host, cell)
         else:
             precs.append(prec)
         self._edge_count += 1
 
     def build(self, deps: Iterable[Dependency], budget: Budget | None = None) -> None:
-        """Bulk construction: fill the adjacency first, then bulk-load the
-        vertex indexes over the settled key sets (STR packing for the
-        R-Tree) instead of inserting every vertex one at a time."""
+        """Bulk construction: fill the adjacency first — one loop, no
+        call per dependency — then bulk-load the vertex indexes over the
+        settled key sets (STR packing for the R-Tree) instead of
+        inserting every vertex one at a time.  A formula cell is indexed
+        under the host range the stream brought it with."""
+        adjacency, reverse = self._adjacency, self._reverse
+        hosts: dict[tuple[int, int], Range] = {}
         for dep in deps:
             if budget is not None:
                 budget.check()
-            self._record(dep.prec, dep.dep.head, index=False)
-        self._prec_index.bulk_load((prec, prec) for prec in self._adjacency)
+            prec, host = dep.prec, dep.dep
+            cell = (host.c1, host.r1)
+            dependents = adjacency.get(prec)
+            if dependents is None:
+                adjacency[prec] = [cell]
+            else:
+                dependents.append(cell)
+            precs = reverse.get(cell)
+            if precs is None:
+                reverse[cell] = [prec]
+                hosts[cell] = host
+            else:
+                precs.append(prec)
+            self._edge_count += 1
+        self._prec_index.bulk_load((prec, prec) for prec in adjacency)
         self._dep_index.bulk_load(
-            (Range.cell(*cell), cell) for cell in self._reverse
+            (hosts.get(cell) or Range.cell(*cell), cell) for cell in reverse
         )
 
     def clear_cells(self, rng: Range, budget: Budget | None = None) -> None:

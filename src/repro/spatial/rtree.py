@@ -16,6 +16,7 @@ tighter tree than one-at-a-time insertion of a known vertex set.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from ..grid.range import Range
@@ -24,6 +25,8 @@ from .base import IndexEntry, SpatialIndex
 __all__ = ["RTree", "RTreeEntry"]
 
 DEFAULT_MAX_ENTRIES = 8
+
+_CENTRE_COL, _CENTRE_ROW = itemgetter(0), itemgetter(1)     # of (2*cx, 2*cy, item)
 
 # Historical name; R-Tree leaf entries are plain index entries.
 RTreeEntry = IndexEntry
@@ -60,15 +63,21 @@ class _Node:
             self.r2 = r2
 
     def recompute_mbr(self) -> None:
-        self.c1 = self.r1 = 1
-        self.c2 = self.r2 = 0
-        if self.leaf:
-            for entry in self.entries:
-                key = entry.key
-                self.include(key.c1, key.r1, key.c2, key.r2)
-        else:
-            for child in self.children:
-                self.include(child.c1, child.r1, child.c2, child.r2)
+        boxes = [entry.key for entry in self.entries] if self.leaf else self.children
+        c1 = r1 = 1
+        c2 = r2 = 0
+        if boxes:
+            c1, r1, c2, r2 = boxes[0].c1, boxes[0].r1, boxes[0].c2, boxes[0].r2
+            for box in boxes:
+                if box.c1 < c1:
+                    c1 = box.c1
+                if box.r1 < r1:
+                    r1 = box.r1
+                if box.c2 > c2:
+                    c2 = box.c2
+                if box.r2 > r2:
+                    r2 = box.r2
+        self.c1, self.r1, self.c2, self.r2 = c1, r1, c2, r2
 
     def overlaps(self, c1: int, r1: int, c2: int, r2: int) -> bool:
         return (
@@ -403,20 +412,17 @@ class RTree(SpatialIndex):
         if not entries:
             self._root = _Node(leaf=True)
             return
-        leaves: list[_Node] = []
+        level: list[_Node] = []
         for group in self._str_tiles(
-            entries, lambda e: (e.key.c1 + e.key.c2, e.key.r1 + e.key.r2)
+            [(e.key.c1 + e.key.c2, e.key.r1 + e.key.r2, e) for e in entries]
         ):
             leaf = _Node(leaf=True)
             leaf.entries = group
             leaf.recompute_mbr()
-            leaves.append(leaf)
-        level = leaves
+            level.append(leaf)
         while len(level) > 1:
             parents: list[_Node] = []
-            for group in self._str_tiles(
-                level, lambda n: (n.c1 + n.c2, n.r1 + n.r2)
-            ):
+            for group in self._str_tiles([(n.c1 + n.c2, n.r1 + n.r2, n) for n in level]):
                 parent = _Node(leaf=False)
                 parent.children = group
                 for child in group:
@@ -427,22 +433,26 @@ class RTree(SpatialIndex):
         self._root = level[0]
         self._root.parent = None
 
-    def _str_tiles(self, items: list, centre) -> list[list]:
-        """Partition ``items`` into node-sized groups by the STR recipe.
+    def _str_tiles(self, centred: list[tuple]) -> list[list]:
+        """Partition items into node-sized groups by the STR recipe.
 
-        ``centre`` maps an item to its (2*cx, 2*cy) box centre.  Groups
-        are evenly sized, which keeps every group within
-        ``[self._min, self._max]`` whenever more than one is needed.
+        ``centred`` holds ``(2*cx, 2*cy, item)`` — each box centre worked
+        out once and sorted on, ties staying in input order.  Groups are
+        evenly sized, which keeps every group within ``[self._min,
+        self._max]`` whenever more than one is needed.
         """
-        if len(items) <= self._max:
-            return [items]
-        node_count = -(-len(items) // self._max)
-        slab_count = max(1, round(node_count**0.5))
-        ordered = sorted(items, key=lambda item: centre(item)[0])
         groups: list[list] = []
-        for slab in _even_chunks(ordered, -(-len(ordered) // slab_count)):
-            slab.sort(key=lambda item: centre(item)[1])
-            groups.extend(_even_chunks(slab, self._max))
+        if len(centred) <= self._max:
+            slabs = [centred]
+        else:
+            node_count = -(-len(centred) // self._max)
+            slab_count = max(1, round(node_count**0.5))
+            centred.sort(key=_CENTRE_COL)
+            slabs = _even_chunks(centred, -(-len(centred) // slab_count))
+            for slab in slabs:
+                slab.sort(key=_CENTRE_ROW)
+        for slab in slabs:
+            groups.extend([item for _, _, item in chunk] for chunk in _even_chunks(slab, self._max))
         return groups
 
     # -- diagnostics ---------------------------------------------------------

@@ -97,6 +97,30 @@ class TestMaintenance:
         assert graph.find_dependents(Range.from_a1("B2")) == [Range.from_a1("F3")]
 
 
+    def test_bulk_build_is_the_dependency_by_dependency_graph(self, graph):
+        """One loop and two bulk loads must leave what ``add_dependency``
+        per dependency leaves: same adjacency (order included), same
+        vertices under the same keys, same answers — on top of whatever
+        the graph already held."""
+        first = [dep("A1:A3", "B1"), dep("A1:A3", "B2"), dep("B1", "C1")]
+        rest = [dep("B3", "C1"), dep("B2:B3", "C2"), dep("A1:A3", "B1"), dep("C1", "B3")]
+        one_by_one = type(graph)()
+        for dependency in first + rest:
+            one_by_one.add_dependency(dependency)
+        graph.build(first)
+        graph.build(rest)
+        assert graph._adjacency == one_by_one._adjacency
+        assert graph._reverse == one_by_one._reverse
+        assert graph.num_edges == one_by_one.num_edges == 7
+        everything = Range.from_a1("A1:Z9")
+        for index in ("_prec_index", "_dep_index"):
+            assert sorted(getattr(graph, index).search_items(everything), key=repr) == \
+                sorted(getattr(one_by_one, index).search_items(everything), key=repr)
+        for probe in ("A1", "B2:B3", "C1"):
+            assert expand_cells(graph.find_dependents(Range.from_a1(probe))) == \
+                expand_cells(one_by_one.find_dependents(Range.from_a1(probe)))
+
+
 class TestBudget:
     def test_dnf_on_tiny_budget(self):
         graph = NoCompGraph()

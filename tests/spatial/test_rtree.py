@@ -193,6 +193,35 @@ class TestBulkLoad:
         assert packed.depth() <= incremental.depth()
         assert packed.stats()["nodes"] <= incremental.stats()["nodes"]
 
+    def test_the_packed_tree_is_pinned(self):
+        """Leaf grouping, every box, depth and stats on a fixed input —
+        ties among equal centres included — as the STR pack laid them out
+        before its sort was decorated: same tree, cheaper to build."""
+        import hashlib
+
+        rng = random.Random(5)
+        items = []
+        for i in range(700):
+            c, r = rng.randrange(1, 40), rng.randrange(1, 400)
+            items.append((Range(c, r, c + rng.randrange(0, 3), r + rng.randrange(0, 12)), i))
+        items += [(Range(7, 7, 7, 7), 1000 + i) for i in range(20)]
+
+        def shape(node):
+            below = (tuple(e.payload for e in node.entries) if node.leaf
+                     else tuple(shape(child) for child in node.children))
+            return (node.c1, node.r1, node.c2, node.r2, below)
+
+        tree = RTree()
+        tree.bulk_load(items)
+        tree.check_invariants()
+        assert tree.depth() == 4
+        assert tree.stats() == {
+            "backend": "rtree", "size": 720, "search_ops": 0, "insert_ops": 0,
+            "delete_ops": 0, "bulk_loads": 1, "depth": 4, "nodes": 105, "leaves": 90,
+        }
+        assert hashlib.md5(repr(shape(tree._root)).encode()).hexdigest() == \
+            "52986b1da2f25ba298e21c6a6b7d7a9c"
+
     def test_bulk_load_replaces_existing_contents(self):
         tree = RTree()
         tree.insert(Range.cell(1, 1), "old")
