@@ -604,7 +604,10 @@ class RecalcEngine:
                 self.eval_stats.serial_fallbacks += 1
                 self.eval_stats.fallback_reason = "cycle"
         if dirty is None:
-            dirty = {pos for pos, _ in self.sheet.formula_cells()}
+            dirty = {
+                (col, row) for _, col, first, last in self.sheet.formula_runs()
+                for row in range(first, last + 1)
+            }
         order, cyclic, preds = self._topological_order(dirty)
         return order, None, (cyclic, preds) if cyclic else None
 

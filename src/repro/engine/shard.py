@@ -355,25 +355,20 @@ class ShardRuntime:
         formula count; cross-sheet / whole-row-span columns stay with
         the parent (-1)."""
         sheet = engine.sheet
-        store = sheet._cells
         col_members: dict[int, list[tuple[int, int]]] = {}
         col_reads: dict[int, set[int]] = {}
         parent_cols: set[int] = set()
-        sheet_name = sheet.name
-        for pos, cell in store.formula_items():
-            col = pos[0]
-            col_members.setdefault(col, []).append(pos)
-            if col in parent_cols:
-                continue
-            reads = col_reads.setdefault(col, set())
-            for ref in cell.references:
-                if ref.sheet is not None and ref.sheet != sheet_name:
+        for col, runs in sheet.run_index().items():
+            col_members[col] = [
+                (col, row) for first, last, _ in runs for row in range(first, last + 1)
+            ]
+            reads = col_reads[col] = set()
+            for spec in {spec for _, _, template in runs for spec in template.refs}:
+                c1, c2 = spec.columns_at(col)
+                if spec.sheet not in (None, sheet.name) or c2 - c1 > _WIDE_SPAN:
                     parent_cols.add(col)
                     break
-                if ref.range.c2 - ref.range.c1 > _WIDE_SPAN:
-                    parent_cols.add(col)
-                    break
-                reads.update(range(ref.range.c1, ref.range.c2 + 1))
+                reads.update(range(c1, c2 + 1))
 
         shardable = sorted(c for c in col_members if c not in parent_cols)
         owner: dict[int, int] = {c: -1 for c in parent_cols}

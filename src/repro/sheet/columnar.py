@@ -24,17 +24,16 @@ numpy required — but its buffers expose the buffer protocol, so the
 vectorized evaluator (:mod:`repro.engine.vectorized`) wraps them
 zero-copy with ``numpy.frombuffer`` when numpy is available.
 
-The formula plane is stored the way autofill made it — as *runs*.  Per
+The formula plane is stored the way autofill made it — as *runs*: per
 column, a sorted list of records ``(first_row, last_row, template,
-text)``: rows ``first_row..last_row`` are members of one interned
-template (:mod:`repro.formula.template`) and ``text`` is the first row's
-source text if that cell was typed.  A filled-down column of any length
-is one record, so a fill, a snapshot run or an xlsx shared group attaches
-in O(1) and nothing exists per formula cell; cached values live in the
+text)`` whose rows are members of one interned template
+(:mod:`repro.formula.template`), ``text`` being the first row's source
+text if that cell was typed.  A filled-down column of any length is one
+record, so a fill, a snapshot run or an xlsx shared group attaches in
+O(1) and nothing exists per formula cell; cached values live in the
 arrays like any other value.  ``Sheet.formula_at`` / ``cell_at`` hand out
-a transient :class:`ColumnarCell` *view* of a position — valid until the
-next change to the formula plane — whose ``value`` is a write-through
-property over the arrays.
+a transient :class:`ColumnarCell` *view* of a position, whose ``value``
+is a write-through property over the arrays.
 
 :class:`ColumnarStore` also speaks the small mapping dialect the sheet
 layer uses (``items``/``get``/``pop``/``__setitem__``/...), so
@@ -136,18 +135,17 @@ def scan_formula_runs(
     formula_items: Iterable[tuple[tuple[int, int], Cell]], join: bool = True
 ) -> RunIndex:
     """Group formula cells into maximal vertical runs sharing a template
-    — what the object store, which keeps a cell per formula, answers
-    :meth:`Sheet.run_index` with.
+    — how the object store, a cell per formula, answers
+    :meth:`Sheet.run_index`.
 
     Members of a family hold the *same* interned template object, so a
-    run is found by pointer compares — no AST, reference or range is
-    built.  With ``join`` every cell set from text parses and joins its
-    template first (adjacent typed cells that say the same thing in R1C1
-    are then one run).  Without it the records are the formula plane as
-    the columnar store keeps it: a typed cell always starts a record,
-    which carries its source text, and one nothing has parsed yet is a
-    record of one whose template reads None — the view a snapshot save
-    takes, so that saving an untouched typed cell is not what parses it.
+    run is found by pointer compares.  With ``join`` every cell set from
+    text parses and joins its template first (adjacent typed cells that
+    say the same thing in R1C1 are then one run).  Without it the records
+    are what the columnar store keeps: a typed cell always starts one,
+    which carries its source text, and until something parses it is a
+    record of one whose template reads None — so that saving a snapshot
+    is not what parses an untouched typed cell.
     """
     by_col: dict[int, list] = {}
     for (col, row), cell in formula_items:
@@ -213,14 +211,12 @@ def _classify(value) -> tuple[int, float, object]:
 
 
 class ColumnarCell(Cell):
-    """A transient view of one position of the store.
-
-    What ``Sheet.cell_at`` / ``formula_at`` hand out, for formula cells
-    (the position's record read off the formula plane: template and, for
-    a typed cell, source text) and pure values alike.  Reading ``.value``
-    consults the column arrays and assigning it forwards there — direct
-    writes can never leave the arrays stale.  A view is not registered
-    anywhere: it describes the cell as it was when taken, and the next
+    """A transient view of one position of the store: what
+    ``Sheet.cell_at`` / ``formula_at`` hand out, for formula cells (the
+    template and source text of the position's run record) and pure
+    values alike.  Reading ``.value`` consults the column arrays and
+    assigning it forwards there, so the arrays are never stale; the rest
+    describes the cell as it was when the view was taken — the next
     change to the formula plane may make it stale.
     """
 
@@ -268,13 +264,11 @@ class ColumnarStore:
     def __init__(self) -> None:
         self._columns: dict[int, _Column] = {}
         #: The formula plane: per column (ascending), its run records
-        #: ``(first_row, last_row, template, text)``, sorted and disjoint
-        #: — every row of a record is a member of ``template`` and
-        #: ``text`` is the first row's source text.  A typed cell always
-        #: starts a record and, until something parses it, is a record of
-        #: one whose template is None; an untyped record never sits right
-        #: below a record of its own template (they are one record).  The
-        #: members' cached values live in the arrays.
+        #: ``(first_row, last_row, template, text)``, sorted and disjoint.
+        #: A typed cell always starts a record and, until something
+        #: parses it, is a record of one whose template is None; an
+        #: untyped record never sits right below a record of its own
+        #: template (they are one record).
         self._runs: RunIndex = {}
         #: Moves whenever a formula comes, goes, changes or moves — and
         #: only then: value writes (cached formula values included) never
@@ -333,7 +327,7 @@ class ColumnarStore:
     def write_pure(self, col: int, row: int, value) -> None:
         """``Sheet.set_value`` semantics: a value write replaces whatever
         occupied the position (formula included); None erases it."""
-        formula = col in self._runs and self._erase(col, row, row)[0]
+        formula = col in self._runs and self._cut(col, row, row)[1]
         if value is None:
             column = self._columns.get(col)
             if column is None or row - 1 >= len(column.tags):
@@ -368,7 +362,7 @@ class ColumnarStore:
         for col, column in self._columns.items():
             if not c1 <= col <= c2:
                 continue
-            self._count -= self._erase(col, r1, r2)[1]
+            self._count -= self._cut(col, r1, r2)[2]
             i0, i1 = r1 - 1, min(r2, len(column.tags))
             occupied = i1 - i0 - column.tags.count(TAG_EMPTY, i0, i1) if i0 < i1 else 0
             if occupied:
@@ -418,14 +412,9 @@ class ColumnarStore:
             self.formula_version += 1
             if keep and keep[0][0] < first:
                 at += 1
+            elif not runs:
+                del self._runs[col]
         return at, removed, blank
-
-    def _erase(self, col: int, first: int, last: int) -> tuple[int, int]:
-        """:meth:`_cut` for good: ``(removed, blank)``."""
-        _, removed, blank = self._cut(col, first, last)
-        if removed and not self._runs[col]:
-            del self._runs[col]
-        return removed, blank
 
     def attach_run(self, col: int, first_row: int, last_row: int,
                    template: FormulaTemplate | None, text: str | None = None) -> None:
@@ -433,22 +422,15 @@ class ColumnarStore:
         ``template`` — one record, however long — keeping the cached
         values the planes hold there.  ``text`` is the first member's
         source text (all there is to a single typed cell attached without
-        its template).  The new record replaces whatever formulas held
-        those rows and joins the record above or below when it carries it
-        on.  A row counts as newly occupied only if it held neither a
-        value nor a formula."""
+        its template).  The record replaces whatever formulas held those
+        rows and joins its neighbours where one carries the other on."""
         tags = self._column_for(col, last_row).tags
         self.formula_version += 1
         runs = self._runs.get(col)
-        if runs is None:
-            ordered = not self._runs or col > next(reversed(self._runs))
-            runs = self._runs[col] = []
-            if not ordered:
-                self._runs = dict(sorted(self._runs.items()))
-        elif text is None:
-            # The two everyday cases, off one bisect: a moved family
-            # re-installed member by member (already in this very run)
-            # and a follower read below its run (free rows: extend it).
+        if runs and text is None:
+            # Everyday cases off one bisect: a moved family re-installed
+            # member by member (already in this very run) and a follower
+            # read below its run (free rows: extend it).
             i = bisect_right(runs, (first_row, _INF)) - 1
             head, tail, held, held_text = runs[i]
             if i >= 0 and held is template:
@@ -461,6 +443,12 @@ class ColumnarStore:
                     return
         at, _, blank = self._cut(col, first_row, last_row)
         self._count += _blank(tags, first_row, last_row) - blank
+        runs = self._runs.get(col)
+        if runs is None:
+            ordered = not self._runs or col > next(reversed(self._runs))
+            runs = self._runs[col] = []
+            if not ordered:
+                self._runs = dict(sorted(self._runs.items()))
         runs.insert(at, (first_row, last_row, template, text))
         _absorb_next(runs, at)
         if at:
@@ -807,8 +795,6 @@ class ColumnarStore:
             runs[at:] = [(a - count, b - count, t, x) for a, b, t, x in runs[at:]]
             if at:
                 _absorb_next(runs, at - 1)
-            if not runs:
-                del self._runs[col]
         for column in self._columns.values():
             n = len(column.tags)
             if n <= i0:

@@ -118,11 +118,9 @@ class Sheet:
 
     def formula_at(self, target) -> Cell | None:
         """The formula cell at ``target``, or None for blank/pure-value
-        positions.  On a columnar sheet the cell is a transient view of
-        the position's run record, found by bisect and valid until the
-        formula plane next changes; whole-sheet readers walk
-        :meth:`run_index` and range readers :meth:`formula_positions`
-        instead of asking cell by cell."""
+        positions.  On a columnar sheet: a transient view of the
+        position's run record, found by bisect — readers of many cells
+        use :meth:`run_index` or :meth:`formula_positions` instead."""
         pos = _coerce_pos(target)
         cells = self._cells
         if type(cells) is dict:
@@ -213,12 +211,11 @@ class Sheet:
         """Make rows ``first_row..last_row`` of ``col`` members of
         ``template``, keeping the cached values they hold — the inverse of
         one :meth:`run_index` record, and how a fill, an xlsx shared group
-        and a snapshot load create a family without touching its members:
-        on a columnar sheet one record is inserted, however long the run.
-        ``text`` becomes the first member's source text.  Every row must
-        be one ``template`` admits.  A run of one cell may come without
-        its template: it is then just its ``text``, like any typed cell,
-        and parses if something needs more.
+        and a snapshot load create a family: one record on a columnar
+        sheet, however long the run.  ``text`` becomes the first member's
+        source text.  Every row must be one ``template`` admits.  A run
+        of one cell may come without its template: it is then just its
+        ``text``, like any typed cell, and parses if something needs more.
         """
         if template is None and (text is None or last_row != first_row):
             raise ValueError("only a single typed cell can do without its template")
@@ -290,15 +287,14 @@ class Sheet:
         An autofilled column is one run; a lone formula is a run of
         length one.  The runs are the unit the graph is built from
         (:func:`repro.core.taco_graph.build_from_sheet`), the dependency
-        stream is read off, recalculation is planned in, and xlsx shared
+        stream is read off, recalculation is planned in and xlsx shared
         groups are written as.  With ``join=False`` nothing parses and
-        the records are ``(first_row, last_row, template | None, text |
-        None)``, cut at every typed cell — what a snapshot writes
+        the records are what a snapshot writes — ``(first_row, last_row,
+        template | None, text | None)``, cut at every typed cell
         (:func:`~repro.sheet.columnar.scan_formula_runs`).  On a columnar
-        sheet that *is* the formula plane's storage, kept up edit by
-        edit, and the joined view is rebuilt from it once per
-        :attr:`formula_version`; the object store scans its cells per
-        call.  Read-only.
+        sheet those *are* the formula plane's storage and the joined view
+        is rebuilt from them once per :attr:`formula_version`; the object
+        store scans its cells per call.  Read-only.
         """
         cells = self._cells
         if type(cells) is not dict:
@@ -358,48 +354,41 @@ class Sheet:
     # -- formula graph input ----------------------------------------------------
 
     def iter_dependencies(self) -> Iterator[Dependency]:
-        """All same-sheet dependencies (prec range -> formula cell), in
-        column-major order of the formula cells, each cell's in formula
-        order.
+        """All same-sheet dependencies (prec range -> formula cell), the
+        formula cells in column-major order, each cell's in formula order.
 
         Cross-sheet references are skipped: formula graphs in the paper
         are per-sheet, and a reference into another sheet contributes no
         edge to this sheet's graph.  The stream is read off the runs
-        (:meth:`run_index`): a template's references are resolved once
-        per run and only the rows are worked out per member.
+        (:meth:`run_index`): references are resolved once per piece of a
+        run and only the rows are worked out per member.
         """
-        name = self.name
         for col, runs in self.run_index().items():
             for first, last, template in runs:
-                pieces = template.run_pieces(col, first, last, name) if last > first else [(first, last)]
+                pieces = [(first, last)]
+                if last > first:
+                    pieces = template.run_pieces(col, first, last, self.name)
                 for a, b in pieces:
                     refs = self._own_refs(template, col, a, b)
                     for row in range(a, b + 1):
                         yield from _member_dependencies(refs, col, row)
 
     def _own_refs(self, template: FormulaTemplate, col: int, first: int, last: int) -> list[tuple]:
-        """``template``'s references into this sheet as the members at
-        rows ``first..last`` of ``col`` state them — one *piece*
-        (:meth:`FormulaTemplate.run_pieces`), so they all state the same:
-        per reference ``(c1, c2, top row axis, bottom row axis, cue)`` in
-        formula order, corners put in order, references that coincide
-        collapsed onto the first.  A qualifier naming this sheet is no
-        qualifier."""
-        refs: list[tuple] = []
-        seen = set()
+        """``template``'s references into this sheet (a qualifier naming
+        it is no qualifier) as the members at rows ``first..last`` of
+        ``col`` state them — one piece (:meth:`FormulaTemplate.run_pieces`),
+        so all alike: ``(c1, c2, top row axis, bottom row axis, cue)`` in
+        formula order, coinciding references collapsed onto the first."""
+        refs: dict[tuple, tuple] = {}
         for spec in template.refs:
-            if spec.sheet is not None and spec.sheet != self.name:
-                continue
-            _, c1, r1, c2, r2 = spec.span_at(col, first)
-            if (c1, r1, c2, r2) in seen:
-                continue
-            seen.add((c1, r1, c2, r2))
-            top, low = spec.head_row, spec.tail_row
-            # Corners do not cross inside a piece; they may touch at an end.
-            if top.at(first) + top.at(last) > low.at(first) + low.at(last):
-                top, low = low, top
-            refs.append((c1, c2, top, low, spec.cue))
-        return refs
+            if spec.sheet in (None, self.name):
+                top, low = spec.head_row, spec.tail_row
+                # Corners do not cross inside a piece; they may touch at an end.
+                if top.at(first) + top.at(last) > low.at(first) + low.at(last):
+                    top, low = low, top
+                _, c1, r1, c2, r2 = spec.span_at(col, first)
+                refs.setdefault((c1, r1, c2, r2), (c1, c2, top, low, spec.cue))
+        return list(refs.values())
 
     def dependencies_at(self, template: FormulaTemplate, col: int, row: int) -> list[Dependency]:
         """The same-sheet dependencies a member of ``template`` hosted at
