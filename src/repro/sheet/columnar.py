@@ -178,16 +178,6 @@ def _absorb_next(runs: list, i: int) -> None:
             del runs[i + 1]
 
 
-def _split_at(runs: list, row: int) -> int:
-    """Cut the record that straddles the line above ``row``, if any;
-    returns the index of the first record at or below ``row``."""
-    i = bisect_left(runs, (row,))
-    if i and runs[i - 1][1] >= row:
-        first, last, template, text = runs[i - 1]
-        runs[i - 1:i] = [(first, row - 1, template, text), (row, last, template, None)]
-    return i
-
-
 def _blank(tags, first: int, last: int) -> int:
     """How many of rows ``first..last`` hold no value in ``tags``."""
     hi = min(last, len(tags))
@@ -379,6 +369,7 @@ class ColumnarStore:
         """The run record holding ``(col, row)``, found by bisect."""
         runs = self._runs.get(col)
         if runs:
+            # (index -1, no record at or above: the last one, which fails the test)
             record = runs[bisect_right(runs, (row, _INF)) - 1]
             if record[0] <= row <= record[1]:
                 return record
@@ -781,7 +772,10 @@ class ColumnarStore:
                     (i + count if i >= i0 else i): v for i, v in column.side.items()
                 }
         for runs in self._runs.values():
-            at = _split_at(runs, row)
+            at = bisect_left(runs, (row,))      # the first record at or below the line
+            if at and runs[at - 1][1] >= row:   # the one above straddles it: two records
+                first, last, template, text = runs[at - 1]
+                runs[at - 1:at] = [(first, row - 1, template, text), (row, last, template, None)]
             runs[at:] = [(a + count, b + count, t, x) for a, b, t, x in runs[at:]]
 
     def _delete_rows(self, row: int, count: int) -> int:
@@ -821,24 +815,13 @@ class ColumnarStore:
 
     def _delete_columns(self, col: int, count: int) -> int:
         end = col + count - 1
-        removed = 0
-        for c in range(col, end + 1):
-            column = self._columns.get(c)
-            if column is not None:
-                removed += column.occupied() + self._occupied_blank(c)
+        removed = sum(self._occupied_in_column(c) for c in range(col, end + 1))
         self._columns, self._runs = (
             {(c - count if c > end else c): held
              for c, held in plane.items() if not col <= c <= end}
             for plane in (self._columns, self._runs)
         )
         return removed
-
-    def _occupied_blank(self, col: int) -> int:
-        """Formula cells of ``col`` that hold no cached value — occupied
-        positions no tag accounts for."""
-        column = self._columns.get(col)
-        tags = b"" if column is None else column.tags
-        return sum(_blank(tags, first, last) for first, last, _, _ in self._runs.get(col, ()))
 
     # -- whole-plane shipping (worker freight and snapshot persistence) --------
 
@@ -884,7 +867,10 @@ class ColumnarStore:
         non-EMPTY tags plus formula cells whose tag slot is EMPTY (or
         beyond the arrays)."""
         column = self._columns.get(col)
-        return (0 if column is None else column.occupied()) + self._occupied_blank(col)
+        tags = b"" if column is None else column.tags
+        return len(tags) - tags.count(TAG_EMPTY) + sum(
+            _blank(tags, first, last) for first, last, _, _ in self._runs.get(col, ())
+        )
 
     def export_plane_delta(
         self,
