@@ -16,7 +16,6 @@ tighter tree than one-at-a-time insertion of a known vertex set.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from ..grid.range import Range
@@ -25,8 +24,6 @@ from .base import IndexEntry, SpatialIndex
 __all__ = ["RTree", "RTreeEntry"]
 
 DEFAULT_MAX_ENTRIES = 8
-
-_CENTRE_COL, _CENTRE_ROW = itemgetter(0), itemgetter(1)     # of (2*cx, 2*cy, item)
 
 # Historical name; R-Tree leaf entries are plain index entries.
 RTreeEntry = IndexEntry
@@ -413,16 +410,14 @@ class RTree(SpatialIndex):
             self._root = _Node(leaf=True)
             return
         level: list[_Node] = []
-        for group in self._str_tiles(
-            [(e.key.c1 + e.key.c2, e.key.r1 + e.key.r2, e) for e in entries]
-        ):
+        for group in self._str_tiles(entries, [entry.key for entry in entries]):
             leaf = _Node(leaf=True)
             leaf.entries = group
             leaf.recompute_mbr()
             level.append(leaf)
         while len(level) > 1:
             parents: list[_Node] = []
-            for group in self._str_tiles([(n.c1 + n.c2, n.r1 + n.r2, n) for n in level]):
+            for group in self._str_tiles(level, level):
                 parent = _Node(leaf=False)
                 parent.children = group
                 for child in group:
@@ -433,27 +428,30 @@ class RTree(SpatialIndex):
         self._root = level[0]
         self._root.parent = None
 
-    def _str_tiles(self, centred: list[tuple]) -> list[list]:
-        """Partition items into node-sized groups by the STR recipe.
+    def _str_tiles(self, items: list, boxes: list) -> list[list]:
+        """Partition ``items`` into node-sized groups by the STR recipe.
 
-        ``centred`` holds ``(2*cx, 2*cy, item)`` — each box centre worked
-        out once and sorted on, ties staying in input order.  Groups are
-        evenly sized, which keeps every group within ``[self._min,
-        self._max]`` whenever more than one is needed.
+        ``boxes[i]`` is the box of ``items[i]``.  Each centre is worked
+        out once, as two plain integers, and the items' *indices* are
+        sorted on them (ties stay in input order) — no key tuple, nothing
+        for the collector to track.  Groups are evenly sized, which keeps
+        every group within ``[self._min, self._max]`` whenever more than
+        one is needed.
         """
-        groups: list[list] = []
-        if len(centred) <= self._max:
-            slabs = [centred]
-        else:
-            node_count = -(-len(centred) // self._max)
+        slabs = [list(range(len(items)))]
+        if len(items) > self._max:
+            centre_col = [box.c1 + box.c2 for box in boxes]
+            centre_row = [box.r1 + box.r2 for box in boxes]
+            node_count = -(-len(items) // self._max)
             slab_count = max(1, round(node_count**0.5))
-            centred.sort(key=_CENTRE_COL)
-            slabs = _even_chunks(centred, -(-len(centred) // slab_count))
+            slabs[0].sort(key=centre_col.__getitem__)
+            slabs = _even_chunks(slabs[0], -(-len(items) // slab_count))
             for slab in slabs:
-                slab.sort(key=_CENTRE_ROW)
-        for slab in slabs:
-            groups.extend([item for _, _, item in chunk] for chunk in _even_chunks(slab, self._max))
-        return groups
+                slab.sort(key=centre_row.__getitem__)
+        return [
+            [items[i] for i in chunk]
+            for slab in slabs for chunk in _even_chunks(slab, self._max)
+        ]
 
     # -- diagnostics ---------------------------------------------------------
 
