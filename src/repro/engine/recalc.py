@@ -548,7 +548,12 @@ class RecalcEngine:
     def _drop_vanished(self) -> None:
         """Forget backlog cells that are no longer formulas — cleared or
         overwritten through a path that does not maintain the backlog
-        (a batch commit, ``Sheet.clear_range``, a sibling engine)."""
+        (a batch commit, ``Sheet.clear_range``, a sibling engine).  None
+        can have gone while the formula plane stands at the version the
+        kept plan was laid out at (the object store keeps no version)."""
+        version = self.sheet.formula_version
+        if version is not None and version == self._plan_version:
+            return
         formula_at = self.sheet.formula_at
         self._pending.difference_update(
             [pos for pos in self._pending if formula_at(pos) is None]
