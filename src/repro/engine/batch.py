@@ -285,7 +285,7 @@ class BatchEditSession:
         # registry contents (structural ops flagged themselves above);
         # value-only commits — the hot-loop shape — keep shards resident
         # and ride the column-version stamps as plane deltas.
-        shard_rt = getattr(engine, "shard_runtime", None)
+        shard_rt = engine.shard_runtime
         if shard_rt is not None:
             formula_at = sheet.formula_at
             if self._range_clears or any(

@@ -30,22 +30,16 @@ construction, and the per-region stats counters sum to the serial
 totals because every plan node is executed exactly once, by exactly one
 engine, through the same tier dispatch.
 
-Two pool flavours (``concurrent.futures``):
+Regions run on a thread pool (``concurrent.futures``): shadow engines
+share the live sheet, and columnar columns the plan writes are pre-grown
+so no worker ever reallocates a plane another worker holds a buffer view
+of.  Leaving the process is not this module's business — that is the
+resident runtime (:mod:`repro.engine.shard`), the one out-of-process
+dispatch path.
 
-* ``thread`` (default) — shadow engines share the live sheet; columnar
-  columns the plan writes are pre-grown so no worker ever reallocates a
-  plane another worker holds a buffer view of.
-* ``process`` — the sheet's value planes ship to the worker as bytes
-  (:meth:`ColumnarStore.export_planes`), region member formulas ship as
-  one pickled template per autofill family, and typed result columns
-  come back
-  (:meth:`ColumnarStore.pack_result_columns`).  This is the flavour that
-  clears real multi-core speedups on interpreter-heavy corpora.
-
-Every failure mode — a worker dying mid-region, a result that fails to
-unpickle, a payload that cannot be pickled, a cycle in the dirty set —
-falls back to serial re-execution of the affected region(s) in the
-parent (idempotent: regions own disjoint cells) and is reported in
+A worker dying mid-region falls back to serial re-execution of that
+region in the parent (idempotent: regions own disjoint cells), and a
+cycle in the dirty set keeps the whole plan serial; both are reported in
 ``EvalStats.serial_fallbacks`` / ``fallback_reason`` rather than
 silently absorbed.
 """
@@ -54,9 +48,7 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,13 +57,11 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["ParallelRecalc", "coarsen_regions", "partition_plan",
            "preview_regions", "shutdown_pools"]
 
-#: Fault-injection hook for the fallback tests: ``"die"`` kills the
-#: worker at region start (thread workers raise, process workers hard
-#: -exit), ``"garbage"`` makes process workers return unpicklable bytes.
-#: Read inside the worker so it propagates under fork and spawn alike.
+#: Fault-injection hook for the fallback tests, read inside the worker:
+#: ``"die"`` kills it at region start (a thread worker raises, a resident
+#: hard-exits); ``"garbage"`` and ``"stale"`` are the resident runtime's
+#: (:mod:`repro.engine.shard`).
 FAULT_ENV = "REPRO_PARALLEL_FAULT"
-
-_DEFAULT_MIN_DIRTY = 64
 
 
 # -- plan partitioning ---------------------------------------------------------
@@ -142,7 +132,7 @@ def coarsen_regions(regions, buckets: int) -> list[list[object]]:
     """Pack many small regions into at most ``buckets`` dispatch units.
 
     A fine partition (thousands of independent singles) would pay one
-    future — and in process mode one plane payload — per region.  Since
+    future per region.  Since
     regions share no edges, any concatenation of whole regions is still
     a valid execution order, so greedy least-loaded packing (weights =
     cell counts; ties to the lowest bucket, regions visited in plan
@@ -201,38 +191,26 @@ def preview_regions(engine: "RecalcEngine", dirty_ranges) -> list[list]:
 
 # -- worker pools --------------------------------------------------------------
 
-_POOLS: dict[tuple[str, int], object] = {}
+_POOLS: dict[int, ThreadPoolExecutor] = {}
 
 
-def _pool(mode: str, workers: int):
-    key = (mode, workers)
-    pool = _POOLS.get(key)
+def _pool(workers: int) -> ThreadPoolExecutor:
+    pool = _POOLS.get(workers)
     if pool is None:
-        if mode == "process":
-            pool = ProcessPoolExecutor(max_workers=workers)
-        else:
-            pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-recalc"
-            )
-        _POOLS[key] = pool
+        pool = _POOLS[workers] = ThreadPoolExecutor(
+            max_workers=workers, thread_name_prefix="repro-recalc"
+        )
     return pool
-
-
-def _discard_pool(mode: str, workers: int) -> None:
-    pool = _POOLS.pop((mode, workers), None)
-    if pool is not None:
-        pool.shutdown(wait=False, cancel_futures=True)
 
 
 def shutdown_pools() -> None:
     """Shut down and forget every cached worker pool.
 
-    Covers the ``(mode, workers)`` thread/process pools here *and* the
-    persistent shard slot pools (:mod:`repro.engine.shard`).  The cache
-    otherwise only grows — each distinct ``worker_mode`` / worker-count
-    combination leaves a live pool behind — so long-lived hosts (the CLI,
-    servers, test harnesses) call this at teardown.  Safe to call twice;
-    the next recalculation simply builds fresh pools on demand.
+    Covers the thread pools here (one per worker count) *and* the
+    resident runtime's slot pools (:mod:`repro.engine.shard`).  The
+    caches otherwise only grow, so long-lived hosts (the CLI, servers,
+    test harnesses) call this at teardown.  Safe to call twice; the next
+    recalculation simply builds fresh pools on demand.
     """
     for pool in list(_POOLS.values()):
         pool.shutdown(wait=False, cancel_futures=True)
@@ -249,33 +227,17 @@ atexit.register(shutdown_pools)
 
 
 class ParallelRecalc:
-    """Region scheduler attached to a :class:`RecalcEngine` (auto mode).
-
-    ``mode`` is ``"thread"`` (default; ``REPRO_RECALC_WORKER_MODE``) or
-    ``"process"``; ``min_dirty`` (``REPRO_PARALLEL_MIN_DIRTY``) keeps
-    small recalculations on the serial path where dispatch overhead
+    """Thread region scheduler attached to a :class:`RecalcEngine` (auto
+    mode, ``workers > 1``, ``worker_mode="thread"``).  ``min_dirty`` keeps
+    small recalculations on the serial path, where dispatch overhead
     would dominate.
     """
 
-    __slots__ = ("workers", "mode", "min_dirty")
+    __slots__ = ("workers", "min_dirty")
 
-    def __init__(self, workers: int, *, mode: str | None = None,
-                 min_dirty: int | None = None):
-        if mode is None:
-            mode = os.environ.get("REPRO_RECALC_WORKER_MODE", "thread")
-        if mode not in ("thread", "process"):
-            raise ValueError(f"unknown worker mode {mode!r}")
-        if min_dirty is None:
-            min_dirty = int(
-                os.environ.get("REPRO_PARALLEL_MIN_DIRTY", "")
-                or _DEFAULT_MIN_DIRTY
-            )
+    def __init__(self, workers: int, min_dirty: int):
         self.workers = int(workers)
-        self.mode = mode
         self.min_dirty = int(min_dirty)
-
-    def eligible(self, dirty_count: int) -> bool:
-        return dirty_count >= self.min_dirty
 
     def execute(self, engine: "RecalcEngine", plan, succs) -> int | None:
         """Run ``plan`` region-parallel; None → caller runs it serially.
@@ -284,23 +246,16 @@ class ParallelRecalc:
         region, or there is nothing to gain); genuine fallbacks re-run
         the failed region in the parent and bump ``serial_fallbacks``.
         """
+        from .recalc import RecalcEngine
+
         regions = partition_plan(plan, succs)
-        engine.eval_stats.parallel_regions += len(regions)
+        stats = engine.eval_stats
+        stats.parallel_regions += len(regions)
         if len(regions) < 2:
             return None
         regions = coarsen_regions(regions, self.workers * 2)
-        if self.mode == "process":
-            return self._execute_process(engine, regions)
-        return self._execute_thread(engine, regions)
-
-    # -- thread flavour --------------------------------------------------------
-
-    def _execute_thread(self, engine: "RecalcEngine", regions) -> int:
-        from .recalc import RecalcEngine
-
-        stats = engine.eval_stats
         _pregrow_written_columns(engine.sheet, regions)
-        pool = _pool("thread", self.workers)
+        pool = _pool(self.workers)
         registry = engine.cell_evaluator.registry
         pending = []
         for region in regions:
@@ -326,102 +281,6 @@ class ParallelRecalc:
             stats.parallel_dispatches += 1
             total += count
         return total
-
-    # -- process flavour -------------------------------------------------------
-
-    def _execute_process(self, engine: "RecalcEngine", regions) -> int:
-        stats = engine.eval_stats
-        sheet = engine.sheet
-        store = sheet._cells
-        store_kind = getattr(sheet, "store_kind", "object")
-        if store_kind != "columnar":
-            # Bucket the object store's cells by column once; each
-            # region's cargo is then the concatenation of the columns it
-            # reads.
-            by_col: dict[int, list] = {}
-            for pos in sheet.positions():
-                by_col.setdefault(pos[0], []).append((pos, sheet.get_value(pos)))
-
-        payloads: list[tuple[bytes | None, str | None]] = []
-        for region in regions:
-            try:
-                formulas, spec, read_cols = _declarative_region(sheet, region)
-            except _CrossSheetRegion:
-                # The worker's rebuilt sheet has no sibling sheets to
-                # resolve against; this region must stay in the parent.
-                payloads.append((None, "cross-sheet"))
-                continue
-            if store_kind == "columnar":
-                cargo = store.export_planes(read_cols)
-            elif read_cols is None:
-                cargo = [item for items in by_col.values() for item in items]
-            else:
-                cargo = [
-                    item for col in sorted(read_cols)
-                    for item in by_col.get(col, ())
-                ]
-            try:
-                payloads.append((pickle.dumps(
-                    (store_kind, sheet.name, cargo, formulas, spec),
-                    pickle.HIGHEST_PROTOCOL,
-                ), None))
-            except Exception:
-                payloads.append((None, "payload-pickle-failed"))
-
-        pool = _pool("process", self.workers)
-        pending: list[tuple[object, object, str | None]] = []
-        for region, (payload, why) in zip(regions, payloads):
-            if payload is None:
-                pending.append((region, None, why))
-                continue
-            try:
-                future = pool.submit(_region_worker, payload)
-            except BrokenProcessPool:
-                _discard_pool("process", self.workers)
-                pool = _pool("process", self.workers)
-                future = pool.submit(_region_worker, payload)
-            pending.append((region, future, None))
-
-        total = 0
-        for region, future, reason in pending:
-            if future is not None:
-                reason, merged = self._merge_process_result(engine, future)
-                if reason is None:
-                    total += merged
-                    continue
-            stats.serial_fallbacks += 1
-            stats.fallback_reason = reason
-            total += engine._execute_plan(region)
-        return total
-
-    def _merge_process_result(self, engine: "RecalcEngine", future):
-        """Returns ``(None, count)`` on success, ``(reason, 0)`` otherwise."""
-        stats = engine.eval_stats
-        try:
-            raw = future.result()
-        except BrokenProcessPool:
-            _discard_pool("process", self.workers)
-            return "worker-died", 0
-        except BaseException:
-            return "worker-died", 0
-        try:
-            (kind, packed), counters, count = pickle.loads(raw)
-        except Exception:
-            return "unpickle-failed", 0
-        sheet = engine.sheet
-        if kind == "columnar":
-            sheet._cells.merge_result_columns(packed)
-        else:
-            for pos, value in packed:
-                sheet.formula_at(pos).value = value
-        stats.absorb_counters(counters)
-        stats.parallel_dispatches += 1
-        return None, count
-
-
-class _CrossSheetRegion(Exception):
-    """A region member references another sheet: unshippable to a
-    process worker (the rebuilt sheet is alone in its process)."""
 
 
 # -- worker-side helpers -------------------------------------------------------
@@ -456,144 +315,3 @@ def _pregrow_written_columns(sheet, regions) -> None:
                 peaks[col] = row
     for col, row in peaks.items():
         ensure(col, row)
-
-
-def _template_families(sheet, positions) -> list[tuple]:
-    """Formula ``positions`` grouped by the template their cells share:
-    ``[(template, [pos, ...])]``, families and members in first-seen
-    order.  Cells already *are* (template, host) pairs, so this only
-    reads pointers — a 10k-cell autofill family ships as one pickled
-    template (its anchor AST) plus a position list, the same compression
-    insight the graph layer exploits."""
-    families: dict[str, tuple] = {}
-    formula_at = sheet.formula_at
-    for pos in positions:
-        template = formula_at(pos).template
-        family = families.get(template.key)
-        if family is None:
-            families[template.key] = (template, [pos])
-        else:
-            family[1].append(pos)
-    return list(families.values())
-
-
-def _spec_for(nodes) -> list[tuple]:
-    """Plan nodes as picklable freight: ``("c", col, row)`` cells and
-    :meth:`_Strip.spec` strips — ``(kind, col, first_row, last_row,
-    descending)`` with ``kind`` one of ``"w"`` / ``"e"`` / ``"s"`` — in
-    plan order.  A chain of any length is one tuple."""
-    return [
-        ("c", node[0], node[1]) if type(node) is tuple else node.spec()
-        for node in nodes
-    ]
-
-
-def _node_members(node):
-    return (node,) if type(node) is tuple else node.members()
-
-
-def _declarative_region(sheet, region):
-    """A region as compact picklable freight: an ordered declarative plan
-    (:func:`_spec_for`) plus the member formulas as
-    :func:`_template_families`.
-
-    Alongside the freight it returns the region's *read columns* — the
-    union of its members' reference column spans — so the caller ships
-    only those value planes (None = a span was too wide to enumerate;
-    ship everything).  Raises :class:`_CrossSheetRegion` when a member
-    references a sibling sheet, which a process worker cannot resolve.
-    """
-    spec = _spec_for(region)
-    positions = [pos for node in region for pos in _node_members(node)]
-
-    families = _template_families(sheet, positions)
-    sheet_name = sheet.name
-    spans: set[tuple[int, int]] = set()
-    for template, members in families:
-        host_cols = {pos[0] for pos in members}
-        for ref in template.refs:
-            if ref.sheet is not None and ref.sheet != sheet_name:
-                raise _CrossSheetRegion
-            spans.update(ref.columns_at(col) for col in host_cols)
-
-    read_cols: set[int] | None = set()
-    for c1, c2 in spans:
-        if c2 - c1 > 4096:  # whole-row-style span: cheaper to ship all
-            read_cols = None
-            break
-        read_cols.update(range(c1, c2 + 1))
-    return families, spec, read_cols
-
-
-def _rebuild_worker_sheet(store_kind, name, cargo, families):
-    """Reconstruct a shipped sheet inside a worker process.
-
-    Installs the value planes (columnar) or cell list (object), then the
-    member formulas: each family's template arrived as one pickled
-    object (re-interned on load) and every member is installed as a
-    pointer to it.  Returns ``(sheet, positions)`` with the member
-    positions in enrolment order.  Shared by the region worker here, the
-    shard boot and the scenario replicas (:mod:`repro.engine.shard`).
-    """
-    from ..sheet.sheet import Sheet
-
-    sheet = Sheet(name, store=store_kind)
-    if store_kind == "columnar":
-        sheet._cells.install_planes(cargo)
-    else:
-        for pos, value in cargo:
-            sheet.set_value(pos, value)
-    positions = []
-    for template, members in families:
-        for pos in members:
-            sheet.set_formula_template(pos, template)
-        positions.extend(members)
-    return sheet, positions
-
-
-def _plan_from_spec(engine, spec):
-    """Materialise a declarative plan spec back into executable nodes:
-    cells become position tuples, strips go through
-    :meth:`RecalcEngine.strip_from_spec` (one registry lookup each).
-    Ordering was resolved by the parent — the spec's sequence *is* the
-    plan order."""
-    return [
-        (node[1], node[2]) if node[0] == "c" else engine.strip_from_spec(node)
-        for node in spec
-    ]
-
-
-def _region_worker(payload: bytes) -> bytes:
-    """Evaluate one shipped region in a worker process.
-
-    Rebuilds a same-name, same-store-kind sheet from the shipped value
-    planes, installs the member formulas (pre-parsed ASTs), re-creates
-    the strips, executes the plan through a graph-less shadow
-    engine, and returns ``((kind, packed_results), stats_counters,
-    count)`` as bytes.  The same store kind and sheet name guarantee the
-    worker's tier dispatch — and therefore its values *and* stats — match
-    what the parent would have computed serially.
-    """
-    fault = os.environ.get(FAULT_ENV)
-    if fault == "die":
-        os._exit(11)
-    from .recalc import RecalcEngine
-
-    store_kind, name, cargo, families, spec = pickle.loads(payload)
-    sheet, positions = _rebuild_worker_sheet(store_kind, name, cargo, families)
-    engine = RecalcEngine.plan_executor(sheet)
-    plan = _plan_from_spec(engine, spec)
-    count = engine._execute_plan(plan)
-    if fault == "garbage":
-        return b"\x00 injected unpicklable worker result"
-    if store_kind == "columnar":
-        results = ("columnar", sheet._cells.pack_result_columns(positions))
-    else:
-        results = (
-            "object",
-            [(pos, sheet.formula_at(pos).value) for pos in positions],
-        )
-    return pickle.dumps(
-        (results, engine.eval_stats.counter_snapshot(), count),
-        pickle.HIGHEST_PROTOCOL,
-    )

@@ -191,6 +191,8 @@ class RecalcEngine:
     ):
         if evaluation not in ("auto", "interpreter"):
             raise ValueError(f"unknown evaluation mode {evaluation!r}")
+        if worker_mode not in (None, "thread", "process"):
+            raise ValueError(f"unknown worker mode {worker_mode!r}")
         self.sheet = sheet
         #: ``False`` — every update settles its dirty set before it
         #: returns; ``True`` — updates return at the control-return point
@@ -222,43 +224,40 @@ class RecalcEngine:
         if workers is None:
             workers = int(os.environ.get("REPRO_RECALC_WORKERS", "0") or 0)
         self.workers = int(workers)
-        #: Region scheduler (``repro.engine.parallel``) — present only in
-        #: auto mode with ``workers > 1``; interpreter engines stay serial
-        #: so the differential oracle is never itself partitioned.
-        if self.evaluation == "auto" and self.workers > 1:
-            from .parallel import ParallelRecalc
-
-            self.parallel = ParallelRecalc(
-                self.workers, mode=worker_mode, min_dirty=parallel_min_dirty
-            )
-        else:
-            self.parallel = None
         if shards is None:
             shards = int(os.environ.get("REPRO_RECALC_SHARDS", "0") or 0)
         self.shards = int(shards)
-        #: Persistent shard runtime (``repro.engine.shard``) — auto mode
-        #: over a columnar sheet with ``shards > 1``.  Tried before the
-        #: pooled scheduler; object-store sheets have no plane protocol
-        #: to ship, so the setting is silently inert there.
-        if (
-            self.evaluation == "auto" and self.shards > 1
-            and getattr(sheet, "store_kind", "object") == "columnar"
-        ):
-            from .shard import ShardRuntime
+        #: At most one dispatcher, auto mode only (the interpreter is the
+        #: differential oracle and is never itself partitioned).  The
+        #: resident runtime (``repro.engine.shard``) — the one way out of
+        #: the process — under either spelling, ``shards=N`` or
+        #: ``workers=N, worker_mode="process"``, on a columnar sheet; the
+        #: object store has no planes to ship and stays serial.  Else the
+        #: thread scheduler (``repro.engine.parallel``) for ``workers > 1``.
+        self.parallel = self.shard_runtime = None
+        if self.evaluation == "auto" and (self.shards > 1 or self.workers > 1):
+            if parallel_min_dirty is None:
+                parallel_min_dirty = int(os.environ.get("REPRO_PARALLEL_MIN_DIRTY", "") or 64)
+            process = self.workers > 1 and worker_mode == "process"
+            if (self.shards > 1 or process) and sheet.store_kind == "columnar":
+                from .shard import ShardRuntime
 
-            self.shard_runtime = ShardRuntime(
-                self.shards, min_dirty=parallel_min_dirty
-            )
-        else:
-            self.shard_runtime = None
+                self.shard_runtime = ShardRuntime(
+                    self.shards if self.shards > 1 else self.workers, parallel_min_dirty
+                )
+            elif self.workers > 1 and not process:
+                from .parallel import ParallelRecalc
+
+                self.parallel = ParallelRecalc(self.workers, parallel_min_dirty)
 
     @classmethod
     def plan_executor(cls, sheet: Sheet, *, evaluation: str = "auto",
                       registry: TemplateRegistry | None = None) -> "RecalcEngine":
         """A graph-less shadow engine that can only run pre-built plans.
 
-        Parallel region execution (:mod:`repro.engine.parallel`) needs
-        the evaluation tiers — compiled templates, windowed rolls,
+        Region execution on threads (:mod:`repro.engine.parallel`) and
+        in resident workers (:mod:`repro.engine.shard`) needs the
+        evaluation tiers — compiled templates, windowed rolls,
         elementwise sweeps, interpreter fallback — without graph
         maintenance, journaling, or further partitioning.  The shadow
         shares the parent's template registry (pass ``registry=``) so
@@ -617,28 +616,17 @@ class RecalcEngine:
         return order, None, (cyclic, preds) if cyclic else None
 
     def _evaluate_in_order(self, dirty: "set[tuple[int, int]] | None") -> int:
-        size = self.sheet.formula_count if dirty is None else len(dirty)
-        parallel = self.parallel
-        if parallel is not None and not parallel.eligible(size):
-            parallel = None
-        shard_rt = self.shard_runtime
-        if shard_rt is not None and not shard_rt.eligible(size):
-            shard_rt = None
-        plan, succs, cycle = self._build_plan(
-            dirty, parallel is not None or shard_rt is not None
-        )
-        if succs is not None:
-            # Dispatch order: resident shards, then the pooled scheduler,
-            # then serial — each declines with None when it has nothing
-            # to gain.
-            if shard_rt is not None:
-                done = shard_rt.execute(self, plan, succs)
-                if done is not None:
-                    return done
-            if parallel is not None:
-                done = parallel.execute(self, plan, succs)
-                if done is not None:
-                    return done
+        dispatcher = self.shard_runtime or self.parallel
+        if dispatcher is not None:
+            size = self.sheet.formula_count if dirty is None else len(dirty)
+            if size < dispatcher.min_dirty:
+                dispatcher = None
+        plan, succs, cycle = self._build_plan(dirty, dispatcher is not None)
+        if succs is not None and dispatcher is not None:
+            # The dispatcher declines with None when it has nothing to gain.
+            done = dispatcher.execute(self, plan, succs)
+            if done is not None:
+                return done
         done = self._execute_plan(plan)
         if cycle is not None:
             cyclic, preds = cycle
@@ -797,8 +785,7 @@ class RecalcEngine:
         is one node.  References into the strip itself need no edge; its
         direction orders them.  Initially-ready nodes go column-major:
         deterministic, sequential column writes, and spatially coherent
-        parallel regions (a process worker's freight ships a few planes
-        instead of a scatter of every column).
+        parallel regions.
 
         When the order stalls, strips are over-approximations: columns
         that feed each other row by row are a cycle of strips and no

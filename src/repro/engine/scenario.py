@@ -26,8 +26,8 @@ not of the trial values.  :class:`ScenarioEngine` exploits that:
 ``workers=N`` fans the scenario list across *resident replicas*
 (:class:`repro.engine.shard.ScenarioReplicas`): the first fanned-out
 sweep boots one full replica of the read surface per pool slot (value
-planes + template families + plan spec, the same declarative freight
-region workers use), and every later sweep ships only plane deltas —
+planes + formula run records + plan spec, the resident runtime's
+freight), and every later sweep ships only plane deltas —
 columns the parent changed since the last ship, keyed by the PR 8
 version stamps — plus the seed rows.  Only the requested output values
 travel back.  Scenarios are independent by construction — they share no
@@ -351,25 +351,25 @@ class ScenarioEngine:
         reading it, and the parent sheet is never mutated by this path.
 
         Returns the per-scenario output rows, or None when the whole
-        sweep must stay serial (cross-sheet formulas, unpicklable
-        freight).  Chunks whose replica fails are replayed serially in
-        the parent — scenarios own disjoint result rows, so the merge is
-        trivially idempotent — and the slot re-boots on the next sweep.
+        sweep must stay serial (cross-sheet formulas).  Chunks whose
+        replica fails — to boot (unpicklable freight, say) or to answer —
+        are replayed serially in the parent — scenarios own disjoint
+        result rows, so the merge is trivially idempotent — and the slot
+        re-boots on the next sweep.
         """
-        from .parallel import _CrossSheetRegion, _declarative_region
-        from .shard import ScenarioReplicas
+        from .shard import CrossSheetRegion, ScenarioReplicas, declarative_region
 
         engine = self.engine
         sheet = self.sheet
         stats = engine.eval_stats
         if self._replica_freight is None:
             try:
-                self._replica_freight = _declarative_region(sheet, self.plan)
-            except _CrossSheetRegion:
+                self._replica_freight = declarative_region(sheet, self.plan)
+            except CrossSheetRegion:
                 stats.serial_fallbacks += 1
                 stats.fallback_reason = "cross-sheet"
                 return None
-        families, spec, read_cols = self._replica_freight
+        records, spec, read_cols = self._replica_freight
         cols = read_cols
         if cols is not None:
             cols = set(cols)
@@ -393,14 +393,7 @@ class ScenarioEngine:
         if replicas is None:
             replicas = ScenarioReplicas(workers)
             self._replica_cols = cols
-        try:
-            replicas.boot(
-                sheet, self._replica_cols, families, spec, self.seeds, stats
-            )
-        except Exception:
-            stats.serial_fallbacks += 1
-            stats.fallback_reason = "payload-pickle-failed"
-            return None
+        replicas.boot(sheet, self._replica_cols, records, spec, self.seeds, stats)
         self._replicas = replicas
 
         seeds_base = [(pos, sheet.get_value(pos)) for pos in self.seeds]

@@ -1,17 +1,21 @@
-"""Persistent sharded recalculation: workers that *own* plane slices.
+"""The resident runtime: the one way a recalculation leaves the process.
 
-PR 7's partitioned scheduler (:mod:`repro.engine.parallel`) re-ships each
-region's value planes and template families to a fresh pool worker on
-every recalculation, so on hot edit loops the freight — not the
-evaluation — dominates.  This module replaces that per-recalc freight
-with a *persistent shard runtime*: column-major slices of a sheet's
-value planes are assigned to long-lived worker processes that keep a
-resident replica of their slice (planes + formulas + a graph-less shadow
-engine).  After a one-time bootstrap, a recalculation ships only
+Column-major slices of a sheet's value planes are assigned to long-lived
+worker processes that keep a resident replica of their slice (planes +
+formulas + a graph-less shadow engine).  ``RecalcEngine(shards=N)`` and
+``RecalcEngine(workers=N, worker_mode="process")`` both construct it.
+The one-time bootstrap ships a shard's read closure as planes and its
+owned columns' formulas as the sheet's own run records — ``(col,
+first_row, last_row, template)``, one per autofill run however long,
+attached over the shipped planes with
+:meth:`~repro.sheet.sheet.Sheet.attach_formula_run`, which keeps the
+cached values they hold (a resident booted for a *partial* recompute
+reads clean formulas' values like the parent would).  After that a
+recalculation ships only
 
-* **plane deltas** — columns whose PR 8 content-version stamp moved
-  since they were last shipped (:meth:`ColumnarStore.export_plane_delta`
-  / :meth:`~ColumnarStore.apply_plane_delta`), and
+* **plane deltas** — columns whose content-version stamp moved since
+  they were last shipped (:meth:`ColumnarStore.export_plane_delta` /
+  :meth:`~ColumnarStore.apply_plane_delta`), and
 * **cross-shard patches** — the upstream dirty cells a shard's nodes
   actually read, packed as typed scalar column runs
   (:meth:`~ColumnarStore.pack_result_columns`),
@@ -28,7 +32,7 @@ and receives packed result deltas back.  Ownership invariants:
   into waves at executor changes, and a wave's results are patched to
   downstream shards before their wave dispatches.
 
-Freshness is pinned by the PR 8 stamps.  A shard skips a closure
+Freshness is pinned by the version stamps.  A shard skips a closure
 column's plane when the column's version equals what it last shipped,
 *or* when everything since the last ship happened inside the current
 recalculation (mid-recalc merges are exactly covered by patches).
@@ -44,10 +48,11 @@ short-lived engines under ``REPRO_RECALC_SHARDS`` cost at most
 ``max(shards)`` processes).  Workers key residents by
 ``(runtime id, shard index)`` plus a bootstrap token; a token or
 resident mismatch answers ``("stale",)`` and the parent falls back
-serially, then re-bootstraps.  Every fault — worker death mid-delta, a
-stale resident, an unpicklable delta/patch payload, an unpicklable
-reply — falls back to serial re-execution of the affected nodes in the
-parent (idempotent: shards own disjoint cells) and is reported through
+serially, then re-bootstraps.  Every message goes through one helper
+(:class:`_Call`), and every fault it can meet — worker death mid-delta,
+a stale resident, an unpicklable payload, an unpicklable reply — falls
+back to serial re-execution of the affected nodes in the parent
+(idempotent: shards own disjoint cells) and is reported through
 ``EvalStats.shard_fallbacks`` / ``serial_fallbacks`` /
 ``fallback_reason``.  Values and the deterministic cell counters stay
 bit-identical to serial by construction: every plan node executes
@@ -66,23 +71,90 @@ import os
 import pickle
 import weakref
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from itertools import count
 from typing import TYPE_CHECKING
 
-from .parallel import FAULT_ENV, _node_members, _spec_for, _template_families
+from .parallel import FAULT_ENV
 
 if TYPE_CHECKING:  # pragma: no cover
     from .recalc import RecalcEngine
 
-__all__ = ["ScenarioReplicas", "ShardRuntime", "shutdown_slot_pools"]
+__all__ = ["CrossSheetRegion", "ScenarioReplicas", "ShardRuntime",
+           "declarative_region", "shutdown_slot_pools"]
 
 #: Reference spans wider than this are whole-row-style: enumerating the
-#: closure would ship everything, so the column stays parent-owned.
-#: (Same cutoff the per-recalc freight path uses.)
+#: closure would ship everything, so the column stays parent-owned (and a
+#: scenario replica takes every plane).
 _WIDE_SPAN = 4096
 
-_RUNTIME_IDS = count(1)
+# -- freight: plan nodes and formulas as picklable records ---------------------
+
+
+class CrossSheetRegion(Exception):
+    """A formula references another sheet: unshippable, the resident's
+    rebuilt sheet is alone in its process."""
+
+
+def _spec_for(nodes) -> list[tuple]:
+    """Plan nodes as picklable freight: ``("c", col, row)`` cells and
+    :meth:`_Strip.spec` strips — ``(kind, col, first_row, last_row,
+    descending)`` with ``kind`` one of ``"w"`` / ``"e"`` / ``"s"`` — in
+    plan order.  A chain of any length is one tuple."""
+    return [
+        ("c", node[0], node[1]) if type(node) is tuple else node.spec()
+        for node in nodes
+    ]
+
+
+def _plan_from_spec(engine, spec):
+    """:func:`_spec_for` freight back into executable nodes, worker side:
+    cells become position tuples, strips go through
+    :meth:`RecalcEngine.strip_from_spec` (one registry lookup each).
+    Ordering was resolved by the parent — the spec's sequence *is* the
+    plan order."""
+    return [
+        (node[1], node[2]) if node[0] == "c" else engine.strip_from_spec(node)
+        for node in spec
+    ]
+
+
+def _node_members(node):
+    return (node,) if type(node) is tuple else node.members()
+
+
+def declarative_region(sheet, nodes):
+    """Plan ``nodes`` as freight for a resident that holds none of their
+    formulas yet: ``(records, spec, read_cols)``.
+
+    ``records`` is one run record ``(col, first_row, last_row,
+    template)`` per strip or lone cell (a template shared by many
+    pickles once), ``spec`` the ordered plan (:func:`_spec_for`), and
+    ``read_cols`` the union of the members' reference column spans — the
+    only value planes worth shipping (None: a span was too wide to
+    enumerate, ship everything).  Raises :class:`CrossSheetRegion` when
+    a member references a sibling sheet.
+    """
+    formula_at = sheet.formula_at
+    records = []
+    for node in nodes:
+        if type(node) is tuple:
+            col, first = node
+            last = first
+        else:
+            col, first, last = node.col, node.rows[0], node.rows[-1]
+        records.append((col, first, last, formula_at((col, first)).template))
+    read_cols: set[int] | None = set()
+    for col, template in {(record[0], record[3]) for record in records}:
+        for ref in template.refs:
+            if ref.sheet not in (None, sheet.name):
+                raise CrossSheetRegion
+            c1, c2 = ref.columns_at(col)
+            if c2 - c1 > _WIDE_SPAN:
+                read_cols = None
+            elif read_cols is not None:
+                read_cols.update(range(c1, c2 + 1))
+    return records, _spec_for(nodes), read_cols
+
 
 # -- shard slot pools ----------------------------------------------------------
 #
@@ -139,6 +211,60 @@ def _send_drops(runtime_id: int, shards: int) -> None:
             pass
 
 
+class _Call:
+    """One message to the resident worker behind ``slot``, and the one
+    way any message gets there: pickled and submitted here (a pool that
+    refuses is replaced once), awaited, unpickled and classified by
+    :meth:`reply`.  Whatever goes wrong on the way is ``reason`` — what
+    the caller records when it falls back: ``unshippable`` (the message
+    would not pickle), ``"worker-died"``, ``"unpickle-failed"``, or
+    ``"stale-epoch"`` (the worker holds no such resident, or an older
+    boot of it)."""
+
+    __slots__ = ("slot", "nbytes", "reason", "_future")
+
+    def __init__(self, slot: int, message: tuple,
+                 unshippable: str = "payload-pickle-failed"):
+        self.slot = slot
+        self.nbytes = 0
+        self._future = None
+        try:
+            payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            self.reason = unshippable
+            return
+        self.nbytes = len(payload)
+        self.reason = "worker-died"
+        for _ in range(2):
+            try:
+                self._future = _slot_pool(slot).submit(_shard_request, payload)
+            except Exception:       # a broken pool: its residents are gone anyway
+                _discard_slot(slot)
+                continue
+            self.reason = None
+            break
+
+    def reply(self) -> tuple | None:
+        """The worker's ``("ok", ...)`` answer, or None with ``reason`` set."""
+        if self.reason is not None:
+            return None
+        try:
+            raw = self._future.result()
+        except Exception:
+            _discard_slot(self.slot)
+            self.reason = "worker-died"
+            return None
+        try:
+            reply = pickle.loads(raw)
+        except Exception:
+            self.reason = "unpickle-failed"
+            return None
+        if reply[0] != "ok":
+            self.reason = "stale-epoch"
+            return None
+        return reply
+
+
 # -- worker-side residency -----------------------------------------------------
 
 
@@ -174,11 +300,11 @@ def _spec_positions(spec) -> list[tuple[int, int]]:
 def _shard_request(payload: bytes) -> bytes:
     """The single worker entry point for the shard message protocol.
 
-    ``("boot", key, token, name, planes, families, spec, seeds)``
-        (re)build the resident: install planes, register formulas (the
-        same template-family protocol per-recalc freight uses), wrap in
-        a graph-less shadow engine.  ``spec``/``seeds`` are the
-        scenario-replica extras (a frozen plan and the seed positions).
+    ``("boot", key, token, name, planes, records, spec, seeds)``
+        (re)build the resident: install the planes, attach the formula
+        run records over them (cached values stay), wrap in a graph-less
+        shadow engine.  ``spec``/``seeds`` are the scenario-replica
+        extras (a frozen plan and the seed positions).
     ``("exec", key, token, planes, patches, spec)``
         apply the plane delta and cross-shard patches, execute the spec,
         return ``("ok", packed_results, counter_deltas, count)``.
@@ -199,11 +325,14 @@ def _shard_request(payload: bytes) -> bytes:
         _RESIDENTS.pop(msg[1], None)
         return pickle.dumps(("ok",), pickle.HIGHEST_PROTOCOL)
     if kind == "boot":
-        from .parallel import _plan_from_spec, _rebuild_worker_sheet
+        from ..sheet.sheet import Sheet
         from .recalc import RecalcEngine
 
-        _, key, token, name, planes, families, spec, seeds = msg
-        sheet, _positions = _rebuild_worker_sheet("columnar", name, planes, families)
+        _, key, token, name, planes, records, spec, seeds = msg
+        sheet = Sheet(name, store="columnar")
+        sheet._cells.install_planes(planes)
+        for record in records:
+            sheet.attach_formula_run(*record)
         engine = RecalcEngine.plan_executor(sheet)
         plan = None if spec is None else _plan_from_spec(engine, spec)
         _RESIDENTS[key] = _Resident(token, sheet, engine, plan, seeds)
@@ -212,7 +341,7 @@ def _shard_request(payload: bytes) -> bytes:
     fault = os.environ.get(FAULT_ENV)
     if fault == "die":
         os._exit(11)
-    _, key, token = msg[0], msg[1], msg[2]
+    _, key, token, planes = msg[:4]
     resident = _RESIDENTS.get(key)
     if fault == "stale" or resident is None or resident.token != token:
         return pickle.dumps(("stale",), pickle.HIGHEST_PROTOCOL)
@@ -220,59 +349,49 @@ def _shard_request(payload: bytes) -> bytes:
     sheet = resident.sheet
     store = sheet._cells
     before = engine.eval_stats.counter_snapshot()
-
-    if kind == "exec":
-        planes, patches, spec = msg[3], msg[4], msg[5]
-        if planes:
-            store.apply_plane_delta(planes)
-        if patches:
-            store.merge_result_columns(patches)
-        from .parallel import _plan_from_spec
-
-        plan = _plan_from_spec(engine, spec)
-        executed = engine._execute_plan(plan)
-        if fault == "garbage":
-            return b"\x00 injected unpicklable shard result"
-        packed = store.pack_result_columns(_spec_positions(spec))
-        after = engine.eval_stats.counter_snapshot()
-        deltas = tuple(a - b for a, b in zip(after, before))
-        return pickle.dumps(
-            ("ok", packed, deltas, executed), pickle.HIGHEST_PROTOCOL
-        )
-
-    # replay: scenario chunk against the resident plan
-    planes, rows, out_pos = msg[3], msg[4], msg[5]
     if planes:
         store.apply_plane_delta(planes)
-    set_value = sheet.set_value
-    get_value = sheet.get_value
-    results = []
-    for row in rows:
-        for pos, value in zip(resident.seeds, row):
-            set_value(pos, value)
-        engine._execute_plan(resident.plan)
-        results.append([get_value(pos) for pos in out_pos])
+
+    if kind == "exec":
+        patches, spec = msg[4], msg[5]
+        if patches:
+            store.merge_result_columns(patches)
+        done = engine._execute_plan(_plan_from_spec(engine, spec))
+        results = store.pack_result_columns(_spec_positions(spec))
+    else:   # replay: scenario chunk against the resident plan
+        rows, out_pos = msg[4], msg[5]
+        set_value = sheet.set_value
+        get_value = sheet.get_value
+        results = []
+        for row in rows:
+            for pos, value in zip(resident.seeds, row):
+                set_value(pos, value)
+            engine._execute_plan(resident.plan)
+            results.append([get_value(pos) for pos in out_pos])
+        done = len(rows)
     if fault == "garbage":
-        return b"\x00 injected unpicklable replay result"
+        return b"\x00 injected unpicklable resident result"
     after = engine.eval_stats.counter_snapshot()
     deltas = tuple(a - b for a, b in zip(after, before))
-    return pickle.dumps(
-        ("ok", results, deltas, len(rows)), pickle.HIGHEST_PROTOCOL
-    )
+    return pickle.dumps(("ok", results, deltas, done), pickle.HIGHEST_PROTOCOL)
 
 
-# -- parent-side freight helpers -----------------------------------------------
+# -- parent-side view of a resident --------------------------------------------
+
+_RUNTIME_IDS = count(1)
 
 
 class _Replica:
-    """Parent-side view of one resident (shard or scenario slot)."""
+    """Parent-side view of one resident (shard or scenario slot).
+    ``down`` is why it cannot be dispatched to — nothing there yet is
+    what a worker would call stale — or None while it is up."""
 
-    __slots__ = ("token", "shipped", "booted")
+    __slots__ = ("token", "shipped", "down")
 
     def __init__(self) -> None:
         self.token = 0
         self.shipped: dict[int, int] = {}
-        self.booted = False
+        self.down: str | None = "stale-epoch"
 
 
 def _ship_delta(store, replica: _Replica, closure, base_versions=None):
@@ -302,42 +421,35 @@ class ShardRuntime:
     """Persistent column-sliced recalculation attached to one engine.
 
     Created by ``RecalcEngine(shards=N)`` (or ``REPRO_RECALC_SHARDS``)
-    for auto-mode engines over columnar sheets.  Bootstrap is lazy — the
+    and by ``RecalcEngine(workers=N, worker_mode="process")`` for
+    auto-mode engines over columnar sheets.  Bootstrap is lazy — the
     first eligible recalculation pays it — and ownership maps contiguous
     column slices, balanced by formula count, onto ``shards`` slot
-    pools.  ``min_dirty`` (``REPRO_PARALLEL_MIN_DIRTY``) keeps small
-    recalculations serial, exactly like the pooled scheduler.
+    pools.  ``min_dirty`` keeps small recalculations serial.
     """
 
     __slots__ = ("shards", "min_dirty", "_id", "_owner", "_closures",
-                 "_members", "_replicas", "_boot_epoch", "_stale",
+                 "_records", "_replicas", "_boot_epoch", "_stale",
                  "_lost", "__weakref__")
 
-    def __init__(self, shards: int, *, min_dirty: int | None = None):
-        if min_dirty is None:
-            min_dirty = int(
-                os.environ.get("REPRO_PARALLEL_MIN_DIRTY", "") or 64
-            )
+    def __init__(self, shards: int, min_dirty: int):
         self.shards = int(shards)
         self.min_dirty = int(min_dirty)
         self._id = next(_RUNTIME_IDS)
         self._owner: dict[int, int] | None = None
         self._closures: list[set[int]] = []
-        self._members: list[list[tuple[int, int]]] = []
+        self._records: list[list[tuple]] = []
         self._replicas: list[_Replica] = [_Replica() for _ in range(self.shards)]
         self._boot_epoch: int | None = None
         self._stale = False
         self._lost: set[int] = set()
         weakref.finalize(self, _send_drops, self._id, self.shards)
 
-    def eligible(self, dirty_count: int) -> bool:
-        return dirty_count >= self.min_dirty
-
     # -- invalidation hooks ----------------------------------------------------
 
     def note_formula_change(self) -> None:
         """A formula was added, replaced, or cleared: ownership and the
-        resident formula registries are stale — re-bootstrap before the
+        resident formula planes are stale — re-bootstrap before the
         next sharded dispatch.  (Pure value edits never land here; the
         version stamps carry those as plane deltas.)"""
         self._stale = True
@@ -345,23 +457,22 @@ class ShardRuntime:
     def note_structural_change(self) -> None:
         """Rows/columns moved: every resident's geometry is wrong.
         The store epoch also moved, but the flag keeps the trigger
-        explicit (and covers object-store sheets with no epoch)."""
+        explicit."""
         self._stale = True
 
     # -- bootstrap -------------------------------------------------------------
 
     def _assign_ownership(self, engine: "RecalcEngine"):
-        """Ownership + closures: contiguous column slices balanced by
-        formula count; cross-sheet / whole-row-span columns stay with
-        the parent (-1)."""
+        """Ownership, closures and each shard's run records: contiguous
+        column slices balanced by formula count; cross-sheet /
+        whole-row-span columns stay with the parent (-1)."""
         sheet = engine.sheet
-        col_members: dict[int, list[tuple[int, int]]] = {}
+        index = sheet.run_index()
+        weight: dict[int, int] = {}
         col_reads: dict[int, set[int]] = {}
         parent_cols: set[int] = set()
-        for col, runs in sheet.run_index().items():
-            col_members[col] = [
-                (col, row) for first, last, _ in runs for row in range(first, last + 1)
-            ]
+        for col, runs in index.items():
+            weight[col] = sum(last - first + 1 for first, last, _ in runs)
             reads = col_reads[col] = set()
             for spec in {spec for _, _, template in runs for spec in template.refs}:
                 c1, c2 = spec.columns_at(col)
@@ -370,31 +481,31 @@ class ShardRuntime:
                     break
                 reads.update(range(c1, c2 + 1))
 
-        shardable = sorted(c for c in col_members if c not in parent_cols)
+        shardable = sorted(c for c in weight if c not in parent_cols)
         owner: dict[int, int] = {c: -1 for c in parent_cols}
         slices: list[list[int]] = [[] for _ in range(self.shards)]
-        total = sum(len(col_members[c]) for c in shardable)
+        total = sum(weight[c] for c in shardable)
         acc = 0
         si = 0
         for col in shardable:
             if si < self.shards - 1 and acc >= total * (si + 1) / self.shards:
                 si += 1
             slices[si].append(col)
-            acc += len(col_members[col])
+            acc += weight[col]
 
         closures: list[set[int]] = []
-        members: list[list[tuple[int, int]]] = []
+        records: list[list[tuple]] = []
         for j, cols in enumerate(slices):
             closure: set[int] = set()
-            mem: list[tuple[int, int]] = []
+            owned: list[tuple] = []
             for col in cols:
                 owner[col] = j
                 closure.add(col)
                 closure.update(col_reads[col])
-                mem.extend(col_members[col])
+                owned.extend((col, *run) for run in index[col])
             closures.append(closure)
-            members.append(sorted(mem))
-        return owner, closures, members
+            records.append(owned)
+        return owner, closures, records
 
     def _bootstrap(self, engine: "RecalcEngine", only=None) -> None:
         """(Re)ship residents.  ``only`` restricts to lost shards after a
@@ -403,87 +514,61 @@ class ShardRuntime:
         bootstrap)."""
         sheet = engine.sheet
         store = sheet._cells
-        stats = engine.eval_stats
-        epoch = getattr(store, "epoch", None)
+        epoch = store.epoch
         full = (
             only is None or self._stale or self._owner is None
             or epoch != self._boot_epoch
         )
         if full:
-            self._owner, self._closures, self._members = (
+            self._owner, self._closures, self._records = (
                 self._assign_ownership(engine)
             )
             targets = range(self.shards)
         else:
             targets = sorted(only)
 
-        pending = []
+        calls = []
         for j in targets:
-            members = self._members[j]
             replica = self._replicas[j]
-            replica.booted = False
+            replica.down = "stale-epoch"
             replica.shipped = {}
-            if not members:
+            if not self._records[j]:
                 continue
             replica.token += 1
             planes, versions = store.export_plane_delta({}, self._closures[j])
-            families = _template_families(sheet, members)
-            try:
-                payload = pickle.dumps(
-                    ("boot", (self._id, j), replica.token, sheet.name,
-                     planes, families, None, None),
-                    pickle.HIGHEST_PROTOCOL,
-                )
-            except Exception:
-                self._disown(j)
+            calls.append((replica, versions, _Call(j, (
+                "boot", (self._id, j), replica.token, sheet.name,
+                planes, self._records[j], None, None,
+            ))))
+        for replica, versions, call in calls:
+            if call.reply() is None:
+                self._disown(call.slot, call.reason)
                 continue
-            try:
-                future = _slot_pool(j).submit(_shard_request, payload)
-            except BrokenProcessPool:
-                _discard_slot(j)
-                try:
-                    future = _slot_pool(j).submit(_shard_request, payload)
-                except Exception:
-                    self._disown(j)
-                    continue
-            pending.append((j, future, versions))
-
-        for j, future, versions in pending:
-            try:
-                reply = pickle.loads(future.result())
-            except BaseException:
-                _discard_slot(j)
-                self._disown(j)
-                continue
-            if reply != ("ok",):  # pragma: no cover - defensive
-                self._disown(j)
-                continue
-            replica = self._replicas[j]
             replica.shipped = versions
-            replica.booted = True
-            stats.shard_bootstraps += 1
+            replica.down = None
+            engine.eval_stats.shard_bootstraps += 1
 
         self._boot_epoch = epoch
         self._stale = False
         self._lost.clear()
 
-    def _disown(self, j: int) -> None:
+    def _disown(self, j: int, reason: str) -> None:
         """Shard ``j`` could not be shipped: its columns run in the
         parent until the next bootstrap recomputes ownership."""
         for col, owner in self._owner.items():
             if owner == j:
                 self._owner[col] = -1
-        self._members[j] = []
-        self._replicas[j].booted = False
+        self._records[j] = []
+        self._replicas[j].down = reason
 
     # -- execution -------------------------------------------------------------
 
     def execute(self, engine: "RecalcEngine", plan, succs) -> int | None:
-        """Run ``plan`` across the resident shards; None → caller falls
-        through to the pooled/serial paths (nothing sharded here).
+        """Run ``plan`` across the resident shards; None → nothing here is
+        sharded and the caller runs it serially.
 
         The plan is cut into waves at cross-executor edges: within a
-        wave, shard futures dispatch first, parent-owned nodes execute
+        wave, shard messages dispatch first, parent-owned nodes execute
         locally, then results merge in shard order (deterministic).
         Wave results that cross shard boundaries ship as typed scalar
         patches with the downstream shard's next dispatch.
@@ -493,7 +578,7 @@ class ShardRuntime:
         stats = engine.eval_stats
         if (
             self._stale or self._owner is None or self._lost
-            or getattr(store, "epoch", None) != self._boot_epoch
+            or store.epoch != self._boot_epoch
         ):
             self._bootstrap(engine, only=self._lost or None)
         owner = self._owner
@@ -503,7 +588,7 @@ class ShardRuntime:
         for node in plan:
             col = node[0] if type(node) is tuple else node.col
             j = owner.get(col, -1)
-            if j >= 0 and not self._replicas[j].booted:
+            if j >= 0 and self._replicas[j].down:
                 j = -1
             node_shard.append(j)
             if j >= 0:
@@ -536,7 +621,7 @@ class ShardRuntime:
 
         base_versions = {
             col: store.column_version(col)
-            for j in range(self.shards) if self._replicas[j].booted
+            for j in range(self.shards) if not self._replicas[j].down
             for col in self._closures[j]
         }
         pending_patches: dict[int, set[tuple[int, int]]] = {}
@@ -553,12 +638,10 @@ class ShardRuntime:
                 else:
                     by_shard.setdefault(j, []).append(plan[i])
 
-            futures = []
+            calls = []
             stats.parallel_regions += len(by_shard)
             for j in sorted(by_shard):
-                nodes = by_shard[j]
                 replica = self._replicas[j]
-                spec = _spec_for(nodes)
                 patch_positions = pending_patches.pop(j, None)
                 patches = (
                     store.pack_result_columns(sorted(patch_positions))
@@ -567,50 +650,24 @@ class ShardRuntime:
                 planes = _ship_delta(
                     store, replica, self._closures[j], base_versions
                 )
-                try:
-                    payload = pickle.dumps(
-                        ("exec", (self._id, j), replica.token, planes,
-                         patches, spec),
-                        pickle.HIGHEST_PROTOCOL,
-                    )
-                except Exception:
-                    total += self._fall_back(
-                        engine, j, nodes, "patch-pickle-failed", fell_back
-                    )
-                    continue
-                try:
-                    future = _slot_pool(j).submit(_shard_request, payload)
-                except BrokenProcessPool:
-                    _discard_slot(j)
-                    try:
-                        future = _slot_pool(j).submit(_shard_request, payload)
-                    except Exception:
-                        total += self._fall_back(
-                            engine, j, nodes, "worker-died", fell_back
-                        )
-                        continue
-                futures.append((j, nodes, future, len(payload)))
+                calls.append(_Call(j, (
+                    "exec", (self._id, j), replica.token, planes, patches,
+                    _spec_for(by_shard[j]),
+                ), "patch-pickle-failed"))
 
             if parent_nodes:
                 total += engine._execute_plan(parent_nodes)
 
-            for j, nodes, future, nbytes in futures:
-                reason = None
-                reply = None
-                try:
-                    raw = future.result()
-                except BaseException:
-                    _discard_slot(j)
-                    reason = "worker-died"
-                else:
-                    try:
-                        reply = pickle.loads(raw)
-                    except Exception:
-                        reason = "unpickle-failed"
-                if reason is None and reply[0] != "ok":
-                    reason = "stale-epoch"
-                if reason is not None:
-                    total += self._fall_back(engine, j, nodes, reason, fell_back)
+            for call in calls:
+                j = call.slot
+                reply = call.reply()
+                if reply is None:
+                    stats.serial_fallbacks += 1
+                    stats.shard_fallbacks += 1
+                    stats.fallback_reason = call.reason
+                    fell_back.add(j)
+                    self._lost.add(j)
+                    total += engine._execute_plan(by_shard[j])
                     continue
                 _, packed, deltas, executed = reply
                 store.merge_result_columns(packed)
@@ -620,7 +677,7 @@ class ShardRuntime:
                     # equals the parent's post-merge column.
                     replica.shipped[col] = store.column_version(col)
                 stats.absorb_counters(deltas)
-                stats.shard_delta_bytes += nbytes
+                stats.shard_delta_bytes += call.nbytes
                 stats.parallel_dispatches += 1
                 total += executed
 
@@ -639,15 +696,6 @@ class ShardRuntime:
                                 _node_members(plan[i])
                             )
         return total
-
-    def _fall_back(self, engine, j, nodes, reason, fell_back) -> int:
-        stats = engine.eval_stats
-        stats.serial_fallbacks += 1
-        stats.shard_fallbacks += 1
-        stats.fallback_reason = reason
-        fell_back.add(j)
-        self._lost.add(j)
-        return engine._execute_plan(nodes)
 
 
 # -- scenario replicas ---------------------------------------------------------
@@ -676,109 +724,53 @@ class ScenarioReplicas:
         self._replicas = [_Replica() for _ in range(self.workers)]
         weakref.finalize(self, _send_drops, self._id, self.workers)
 
-    def boot(self, sheet, cols, families, spec, seeds, stats) -> None:
-        """Ensure every slot hosts a live replica; no-op when already
-        booted.  A slot that cannot boot is left unbooted — its chunks
-        fall back serially at replay time."""
-        store = sheet._cells
-        planes, versions = store.export_plane_delta({}, cols)
-        pending = []
+    def boot(self, sheet, cols, records, spec, seeds, stats) -> None:
+        """Boot every slot that hosts no live replica.  A slot that
+        cannot boot stays down — its chunks fall back serially at replay
+        time, for the reason the boot failed."""
+        planes, versions = sheet._cells.export_plane_delta({}, cols)
+        calls = []
         for slot, replica in enumerate(self._replicas):
-            if replica.booted:
+            if replica.down is None:
                 continue
             replica.token += 1
             replica.shipped = {}
-            # May raise on unpicklable freight; the caller treats that as
-            # the whole-sweep "payload-pickle-failed" serial fallback.
-            payload = pickle.dumps(
-                ("boot", (self._id, slot), replica.token, sheet.name,
-                 planes, families, spec, seeds),
-                pickle.HIGHEST_PROTOCOL,
-            )
-            try:
-                future = _slot_pool(slot).submit(_shard_request, payload)
-            except BrokenProcessPool:
-                _discard_slot(slot)
-                try:
-                    future = _slot_pool(slot).submit(_shard_request, payload)
-                except Exception:
-                    continue
-            pending.append((slot, future, versions))
-        for slot, future, versions in pending:
-            try:
-                reply = pickle.loads(future.result())
-            except BaseException:
-                _discard_slot(slot)
-                continue
-            if reply != ("ok",):  # pragma: no cover - defensive
-                continue
-            replica = self._replicas[slot]
-            replica.shipped = dict(versions)
-            replica.booted = True
-            stats.shard_bootstraps += 1
+            calls.append((replica, _Call(slot, (
+                "boot", (self._id, slot), replica.token, sheet.name,
+                planes, records, spec, seeds,
+            ))))
+        for replica, call in calls:
+            if call.reply() is not None:
+                replica.shipped = dict(versions)
+                stats.shard_bootstraps += 1
+            replica.down = call.reason
 
     def replay_chunks(self, sheet, cols, chunks, out_pos, stats):
         """Fan ``chunks`` across the resident slots (chunk *i* → slot
         *i*): all dispatches in flight before any result is awaited.
         Returns one ``(reason, rows)`` pair per chunk, ``reason=None`` on
-        success — failed chunks carry their fallback reason and mark the
-        slot for a re-boot on the next sweep."""
+        success — a failed chunk carries its fallback reason, and its
+        slot re-boots on the next sweep (whatever failed, the delta
+        stamped as shipped may never have arrived)."""
         store = sheet._cells
-        pending: list[tuple[str | None, object, int]] = []
-        for slot, chunk in enumerate(chunks):
-            replica = self._replicas[slot]
-            if not replica.booted:
-                pending.append(("stale-epoch", None, 0))
-                continue
-            planes = _ship_delta(store, replica, cols)
-            try:
-                payload = pickle.dumps(
-                    ("replay", (self._id, slot), replica.token, planes,
-                     chunk, out_pos),
-                    pickle.HIGHEST_PROTOCOL,
-                )
-            except Exception:
-                # The delta was already stamped as shipped but never
-                # arrived; only a re-boot makes the stamps honest again.
-                replica.booted = False
-                pending.append(("payload-pickle-failed", None, 0))
-                continue
-            try:
-                future = _slot_pool(slot).submit(_shard_request, payload)
-            except BrokenProcessPool:
-                _discard_slot(slot)
-                try:
-                    future = _slot_pool(slot).submit(_shard_request, payload)
-                except Exception:
-                    replica.booted = False
-                    pending.append(("worker-died", None, 0))
-                    continue
-            pending.append((None, future, len(payload)))
-
+        calls = [
+            None if replica.down else _Call(slot, (
+                "replay", (self._id, slot), replica.token,
+                _ship_delta(store, replica, cols), chunk, out_pos,
+            ))
+            for slot, (replica, chunk) in enumerate(zip(self._replicas, chunks))
+        ]
         results = []
-        for slot, (reason, future, nbytes) in enumerate(pending):
-            if reason is not None:
-                results.append((reason, None))
-                continue
-            replica = self._replicas[slot]
-            try:
-                raw = future.result()
-            except BaseException:
-                _discard_slot(slot)
-                replica.booted = False
-                results.append(("worker-died", None))
-                continue
-            try:
-                reply = pickle.loads(raw)
-            except Exception:
-                results.append(("unpickle-failed", None))
-                continue
-            if reply[0] != "ok":
-                replica.booted = False
-                results.append(("stale-epoch", None))
+        for replica, call in zip(self._replicas, calls):
+            reply = None
+            if call is not None:
+                reply = call.reply()
+                replica.down = call.reason
+            if reply is None:
+                results.append((replica.down, None))
                 continue
             _, rows, deltas, _replays = reply
             stats.absorb_counters(deltas)
-            stats.shard_delta_bytes += nbytes
+            stats.shard_delta_bytes += call.nbytes
             results.append((None, rows))
         return results

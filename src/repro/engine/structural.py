@@ -202,7 +202,7 @@ def apply_structural_edit(
 
     # Resident shard replicas hold pre-edit geometry; mark the runtime
     # for a full re-bootstrap (resharding) before its next dispatch.
-    shard_rt = getattr(engine, "shard_runtime", None)
+    shard_rt = engine.shard_runtime
     if shard_rt is not None:
         shard_rt.note_structural_change()
 

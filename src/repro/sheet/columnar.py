@@ -825,24 +825,20 @@ class ColumnarStore:
 
     # -- whole-plane shipping (worker freight and snapshot persistence) --------
 
-    def export_planes(
-        self, cols: "set[int] | None" = None
-    ) -> dict[int, tuple[bytes, bytes, dict[int, object]]]:
+    def export_planes(self) -> dict[int, tuple[bytes, bytes, dict[int, object]]]:
         """Column raw arrays — formula cached values *included* — as
         picklable bytes: ``{col: (tags, float64_values, side)}``.
 
-        The one export surface: a parallel process worker reads clean
-        formula cells' cached values off it without their formulas being
-        shipped, and a snapshot persists it as is (formulas travel beside
-        it as run records).  ``cols`` restricts the export to the columns
-        a region actually reads (its freight optimisation); None exports
-        everything.  Inverses: :meth:`install_planes` for a whole store,
-        :meth:`import_column` for one trimmed run.
+        What a snapshot persists as is and (through
+        :meth:`export_plane_delta`, the same planes column by column) what
+        a resident worker boots from: clean formula cells' cached values
+        ride along, the formulas travel beside them as run records and
+        are attached over them.  Inverses: :meth:`install_planes` for a
+        whole store, :meth:`import_column` for one trimmed run.
         """
         return {
             col: (bytes(column.tags), column.values.tobytes(), dict(column.side))
             for col, column in self._columns.items()
-            if cols is None or col in cols
         }
 
     def install_planes(

@@ -1,13 +1,15 @@
 """Differential suite: partitioned parallel recalculation ≡ serial.
 
-The region scheduler (``repro.engine.parallel``) promises *bit-identical*
-results: for any sheet program, an ``evaluation="auto"`` engine with
-``workers=N`` produces exactly the values — including errors and
-``#CYCLE!`` propagation — and exactly the :class:`EvalStats` cell
-counters of the serial auto engine, which in turn matches the
-tree-walking interpreter oracle.  Pinned here across both backing
-stores, every spatial-index backend, worker counts {2, 4}, both pool
-flavours, and point / batch / structural edit paths.
+Both dispatchers behind ``workers=N`` — the thread region scheduler
+(``repro.engine.parallel``) and, for ``worker_mode="process"``, the
+resident runtime (``repro.engine.shard``; serial on the object store) —
+promise *bit-identical* results: for any sheet program, an
+``evaluation="auto"`` engine with ``workers=N`` produces exactly the
+values — including errors and ``#CYCLE!`` propagation — and exactly the
+:class:`EvalStats` cell counters of the serial auto engine, which in
+turn matches the tree-walking interpreter oracle.  Pinned here across
+both backing stores, every spatial-index backend, worker counts {2, 4},
+both worker modes, and point / batch / structural edit paths.
 
 ``parallel_min_dirty=1`` forces the partitioned path even for these
 deliberately small corpora.
@@ -185,20 +187,24 @@ def test_cycle_parity(store, mode):
     with pytest.raises(CircularReferenceError):
         par.recalculate_all()
 
-    assert par.eval_stats.serial_fallbacks == 1
-    assert par.eval_stats.fallback_reason == "cycle"
+    if par.parallel is not None or par.shard_runtime is not None:
+        assert par.eval_stats.serial_fallbacks == 1
+        assert par.eval_stats.fallback_reason == "cycle"
+    else:   # "process" on the object store: nothing to bail out of
+        assert (store, mode) == ("object", "process")
+        assert par.eval_stats.serial_fallbacks == 0
     assert isinstance(par_sheet.get_value((7, 1)), ExcelError)
     assert_same_values(par_sheet, serial_sheet)
     assert (par.eval_stats.counter_snapshot()
             == serial.eval_stats.counter_snapshot())
 
 
-@pytest.mark.parametrize("mode", ("thread", "process"))
-def test_workers_env_var(mode, monkeypatch):
-    """``REPRO_RECALC_WORKERS`` / ``REPRO_RECALC_WORKER_MODE`` configure
-    engines that don't pass ``workers=`` explicitly."""
+def test_workers_env_var(monkeypatch):
+    """``REPRO_RECALC_WORKERS`` configures engines that don't pass
+    ``workers=`` explicitly (thread mode: the worker mode has no
+    environment spelling)."""
     monkeypatch.setenv("REPRO_RECALC_WORKERS", "2")
-    monkeypatch.setenv("REPRO_RECALC_WORKER_MODE", mode)
+    monkeypatch.delenv("REPRO_RECALC_SHARDS", raising=False)
     monkeypatch.setenv("REPRO_PARALLEL_MIN_DIRTY", "1")
     sheet = Sheet("S")
     for r in range(1, 31):
@@ -207,7 +213,7 @@ def test_workers_env_var(mode, monkeypatch):
     fill_formula_column(sheet, 4, 1, 30, "=A1*3+1")
     engine = RecalcEngine(sheet)
     assert engine.workers == 2
-    assert engine.parallel is not None and engine.parallel.mode == mode
+    assert engine.parallel is not None and engine.parallel.min_dirty == 1
     engine.recalculate_all()
     assert engine.eval_stats.parallel_dispatches > 0
     reference = Sheet("S")

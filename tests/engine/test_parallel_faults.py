@@ -1,20 +1,22 @@
-"""Fault injection for the partitioned parallel scheduler.
+"""Fault injection for the thread region scheduler, and determinism.
 
-Every failure mode must degrade to serial re-execution of the affected
-regions with *identical values* and an honest ``EvalStats`` trail:
-``serial_fallbacks`` counts the regions that fell back and
+A worker dying mid-region must degrade to serial re-execution of the
+affected regions with *identical values* and an honest ``EvalStats``
+trail: ``serial_fallbacks`` counts the regions that fell back and
 ``fallback_reason`` names the last cause.  The injection hook is
 ``REPRO_PARALLEL_FAULT`` (read inside the worker): ``"die"`` kills the
-worker at region start, ``"garbage"`` makes process workers return
-bytes that fail to unpickle.  Plus: determinism — two identical
-parallel runs must serialize to byte-identical snapshot files.
+worker at region start.  ``worker_mode="process"`` is the resident
+runtime, whose own fault matrix (``garbage``, ``stale``, unshippable
+deltas) lives in ``test_shard_faults.py``; it takes the ``die`` case here
+too, so both modes are seen to fall back alike.  Plus: determinism — two
+identical parallel runs must serialize to byte-identical snapshot files.
 """
 
 import io
 
 import pytest
 
-from repro.engine import parallel as parallel_mod
+from repro.engine import shutdown_pools
 from repro.engine.parallel import FAULT_ENV, coarsen_regions, partition_plan
 from repro.io.snapshot import save_snapshot
 from repro.sheet.autofill import fill_formula_column
@@ -23,11 +25,7 @@ from repro.sheet.workbook import Workbook
 
 from helpers import assert_same_values, engine_for
 
-#: Distinct worker counts per fault flavour: pools are cached by
-#: (mode, workers), and a process forked *before* the fault env var was
-#: set would never see it.
 DIE_WORKERS = 3
-GARBAGE_WORKERS = 5
 
 
 def build_corpus(store="columnar"):
@@ -47,99 +45,27 @@ def reference_values(store="columnar"):
     return sheet
 
 
-def fresh_pool(mode, workers):
-    parallel_mod._discard_pool(mode, workers)
-
-
-@pytest.mark.parametrize("store", ("columnar", "object"))
-@pytest.mark.parametrize("mode,workers", [
-    ("thread", DIE_WORKERS), ("process", DIE_WORKERS),
+@pytest.mark.parametrize("mode,workers,store", [
+    ("thread", DIE_WORKERS, "columnar"), ("thread", DIE_WORKERS, "object"),
+    ("process", DIE_WORKERS, "columnar"),    # serial on the object store
 ])
 def test_worker_death_falls_back_serial(store, mode, workers, monkeypatch):
     monkeypatch.setenv(FAULT_ENV, "die")
-    fresh_pool(mode, workers)
+    shutdown_pools()    # a resident forked before the variable was set never sees it
     try:
         sheet = build_corpus(store)
         engine = engine_for(
             sheet, workers=workers, worker_mode=mode, parallel_min_dirty=1,
-            shards=0,   # fault targets the pooled path, not the shard runtime
+            shards=0,   # the dispatcher under test is the one worker_mode names
         )
         engine.recalculate_all()
     finally:
-        fresh_pool(mode, workers)
+        shutdown_pools()
     stats = engine.eval_stats
     assert stats.serial_fallbacks >= 1
     assert stats.fallback_reason == "worker-died"
     assert stats.parallel_dispatches == 0
     assert_same_values(sheet, reference_values(store))
-
-
-@pytest.mark.parametrize("store", ("columnar", "object"))
-def test_garbage_result_falls_back_serial(store, monkeypatch):
-    monkeypatch.setenv(FAULT_ENV, "garbage")
-    fresh_pool("process", GARBAGE_WORKERS)
-    try:
-        sheet = build_corpus(store)
-        engine = engine_for(
-            sheet, workers=GARBAGE_WORKERS, worker_mode="process",
-            parallel_min_dirty=1, shards=0,
-        )
-        engine.recalculate_all()
-    finally:
-        fresh_pool("process", GARBAGE_WORKERS)
-    stats = engine.eval_stats
-    assert stats.serial_fallbacks >= 1
-    assert stats.fallback_reason == "unpickle-failed"
-    assert_same_values(sheet, reference_values(store))
-
-
-def test_unpicklable_payload_falls_back_serial():
-    """A value no pickle can ship (object store) strands its region in
-    the parent — with the other regions still dispatched."""
-    sheet = build_corpus("object")
-    sheet.set_value((1, 41), lambda: None)   # read by no formula, ships anyway
-    engine = engine_for(
-        sheet, workers=2, worker_mode="process", parallel_min_dirty=1,
-        shards=0,
-    )
-    engine.recalculate_all()
-    stats = engine.eval_stats
-    assert stats.serial_fallbacks >= 1
-    assert stats.fallback_reason == "payload-pickle-failed"
-    reference = reference_values("object")
-    for col in (2, 5, 7):
-        for r in range(1, 41):
-            assert sheet.get_value((col, r)) == reference.get_value((col, r))
-
-
-def test_cross_sheet_region_falls_back_serial():
-    """A region referencing a sibling sheet cannot ship to a process
-    worker (the rebuilt sheet is alone over there): parent keeps it."""
-    workbook = Workbook("W")
-    sheet = Sheet("main", store="object")
-    other = Sheet("other", store="object")
-    workbook.attach_sheet(sheet)
-    workbook.attach_sheet(other)
-    for r in range(1, 31):
-        sheet.set_value((1, r), float(r))
-        other.set_value((1, r), float(r * 2))
-    fill_formula_column(sheet, 2, 1, 30, "=A1*2")
-    fill_formula_column(sheet, 3, 1, 30, "=other!A1+A1")
-    engine = engine_for(
-        sheet, workers=2, worker_mode="process", parallel_min_dirty=1,
-        shards=0,
-    )
-    engine.recalculate_all()
-    stats = engine.eval_stats
-    assert stats.serial_fallbacks >= 1
-    assert stats.fallback_reason == "cross-sheet"
-    serial_sheet = Sheet("main", store="object")
-    for r in range(1, 31):
-        serial_sheet.set_value((1, r), float(r))
-    fill_formula_column(serial_sheet, 2, 1, 30, "=A1*2")
-    fill_formula_column(serial_sheet, 3, 1, 30, "=other!A1+A1")
-    engine_for(serial_sheet).recalculate_all()
-    assert_same_values(sheet, serial_sheet)
 
 
 @pytest.mark.parametrize("mode", ("thread", "process"))

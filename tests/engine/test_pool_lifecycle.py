@@ -1,10 +1,10 @@
 """Worker-pool lifecycle: caching, reuse, and public teardown.
 
-Pools are process-wide caches — the pooled scheduler keys executors by
-``(worker_mode, workers)``, the shard runtime keys one single-process
-executor per shard *slot* shared by every runtime.  Flipping an
-engine's ``worker_mode`` (or building many engines) must reuse cached
-pools rather than leak fresh ones, and the public
+Pools are process-wide caches — the thread scheduler keys executors by
+worker count, the resident runtime keys one single-process executor per
+shard *slot* shared by every runtime.  Flipping an engine's
+``worker_mode`` (or building many engines) must reuse cached pools
+rather than leak fresh ones, and the public
 :func:`repro.engine.shutdown_pools` must tear down both caches so
 embedders (and the CLI, which calls it on exit) can release the worker
 processes deterministically.
@@ -21,7 +21,7 @@ def run_pooled(mode, workers=2):
     sheet = clone_sheet(build_mixed_sheet(rows=30), store="columnar")
     engine = engine_for(
         sheet, workers=workers, worker_mode=mode, parallel_min_dirty=1,
-        shards=0,    # pin the pooled path under REPRO_RECALC_SHARDS matrices
+        shards=0,    # worker_mode picks the dispatcher, whatever the CI matrix sets
     )
     engine.recalculate_all()
     assert engine.eval_stats.parallel_dispatches >= 1
@@ -35,15 +35,15 @@ def run_sharded(shards=2):
 
 
 def test_worker_mode_changes_do_not_leak_pools():
-    """Alternating worker modes across engines reuses the two cached
-    pools; repeat runs add nothing."""
+    """Alternating worker modes across engines reuses one thread pool
+    and the two resident slots; repeat runs add nothing."""
     shutdown_pools()
     try:
         for _ in range(3):
             run_pooled("thread")
             run_pooled("process")
-        assert len(parallel_mod._POOLS) == 2
-        assert set(parallel_mod._POOLS) == {("thread", 2), ("process", 2)}
+        assert set(parallel_mod._POOLS) == {2}
+        assert set(shard_mod._SLOT_POOLS) == {0, 1}
     finally:
         shutdown_pools()
 
@@ -70,6 +70,7 @@ def test_shutdown_pools_clears_both_caches():
     shutdown_pools()
     assert parallel_mod._POOLS == {}
     assert shard_mod._SLOT_POOLS == {}
+    shutdown_pools()    # twice is safe
 
 
 def test_pools_rebuild_after_shutdown():

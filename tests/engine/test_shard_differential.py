@@ -1,11 +1,12 @@
-"""Differential suite: persistent shard runtime ≡ pooled ≡ serial.
+"""Differential suite: resident runtime ≡ thread scheduler ≡ serial.
 
-The shard runtime (``repro.engine.shard``) makes the same promise the
-pooled scheduler does, with residency on top: for any sheet program, an
-``evaluation="auto"`` engine with ``shards=N`` produces exactly the
-values — including errors and ``#CYCLE!`` propagation — and exactly the
+The resident runtime (``repro.engine.shard``) makes the same promise the
+thread scheduler does, with residency on top: for any sheet program, an
+``evaluation="auto"`` engine with ``shards=N`` — or, the other spelling,
+``workers=N, worker_mode="process"`` — produces exactly the values —
+including errors and ``#CYCLE!`` propagation — and exactly the
 :class:`EvalStats` cell counters of the serial auto engine and of the
-pooled ``workers=N`` engine, which in turn match the tree-walking
+threaded ``workers=N`` engine, which in turn match the tree-walking
 interpreter oracle.  Pinned here across both backing stores and point /
 batch / structural edit paths.  (On the object store the runtime never
 constructs — ``shards=N`` engines degrade to plain serial — so the
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.engine.recalc import CircularReferenceError
 from repro.formula.errors import ExcelError
+from repro.grid.ref import col_to_letters
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 
@@ -47,12 +49,21 @@ def pooled(sheet):
     )
 
 
+def by_worker_mode(sheet, shards=2):
+    """The same runtime under its other spelling."""
+    return engine_for(
+        sheet, workers=shards, worker_mode="process", parallel_min_dirty=1,
+        shards=0,
+    )
+
+
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_full_recalc_identical(shards, data):
-    """serial auto ≡ pooled ≡ sharded ≡ interpreter, values and stats."""
+    """serial auto ≡ threaded ≡ sharded (either spelling) ≡ interpreter,
+    values and stats."""
     program = data.draw(sheet_programs())
     oracle = realize_program(program, "object")
     engine_for(oracle, "interpreter").recalculate_all()
@@ -77,6 +88,19 @@ def test_full_recalc_identical(shards, data):
         assert (shard.eval_stats.counter_snapshot()
                 == pool.eval_stats.counter_snapshot()), store
         assert shard.eval_stats.shard_fallbacks == 0, store
+
+        alias_sheet = realize_program(program, store)
+        alias = by_worker_mode(alias_sheet, shards)
+        alias.recalculate_all()
+        assert type(alias.shard_runtime) is type(shard.shard_runtime), store
+        assert alias.parallel is None and shard.parallel is None, store
+        assert_same_values(alias_sheet, shard_sheet)
+        for stat in ("shard_bootstraps", "parallel_dispatches",
+                     "serial_fallbacks", "shard_fallbacks"):
+            assert (getattr(alias.eval_stats, stat)
+                    == getattr(shard.eval_stats, stat)), (store, stat)
+        assert (alias.eval_stats.counter_snapshot()
+                == shard.eval_stats.counter_snapshot()), store
 
 
 @settings(max_examples=8, deadline=None,
@@ -135,6 +159,45 @@ def test_batch_commit_identical(data):
         assert_same_values(shard.sheet, serial.sheet)
         assert (shard.eval_stats.counter_snapshot()
                 == serial.eval_stats.counter_snapshot()), store
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_formula_edit_then_value_batch_identical(data):
+    """A formula edit marks the residents stale, so the value batch after
+    it pays a re-boot for a *partial* recompute: the batch's dirty cells
+    read formulas it leaves clean, whose cached values the boot must
+    have kept.  Every fill gets a reader column beside it (``=C1+B1``)
+    and the batch writes column B only, so fills that read column A
+    alone stay clean under their dirty readers."""
+    values, fills = data.draw(sheet_programs())
+    program = (values, [
+        fill for i, (_, first, last, template) in enumerate(fills)
+        for fill in (
+            (3 + 2 * i, first, last, template),
+            (4 + 2 * i, first, last, f"={col_to_letters(3 + 2 * i)}1+B1"),
+        )
+    ])
+    edit_at = (data.draw(st.integers(3, 10)), data.draw(st.integers(1, 22)))
+    edit_text = data.draw(st.sampled_from(("=1+1", "=A1*2", "=SUM(A1:B2)")))
+    writes = [
+        ((2, data.draw(st.integers(1, 20))), float(data.draw(st.integers(-30, 30))))
+        for _ in range(data.draw(st.integers(1, 6)))
+    ]
+    for store in STORES:
+        serial = engine_for(realize_program(program, store))
+        shard = sharded(realize_program(program, store))
+        for engine in (serial, shard):
+            engine.recalculate_all()
+            engine.set_formula(edit_at, edit_text)
+            with engine.begin_batch() as batch:
+                for pos, value in writes:
+                    batch.set_value(pos, value)
+        assert_same_values(shard.sheet, serial.sheet)
+        assert (shard.eval_stats.counter_snapshot()
+                == serial.eval_stats.counter_snapshot()), store
+        assert shard.eval_stats.shard_fallbacks == 0, store
 
 
 @settings(max_examples=6, deadline=None,

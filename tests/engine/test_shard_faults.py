@@ -4,7 +4,7 @@ Every failure mode must degrade to serial re-execution of the affected
 shard's nodes with *identical values* and an honest ``EvalStats``
 trail: ``serial_fallbacks``/``shard_fallbacks`` count the shards that
 fell back and ``fallback_reason`` names the last cause.  The injection
-hook is the same ``REPRO_PARALLEL_FAULT`` the pooled scheduler uses,
+hook is the same ``REPRO_PARALLEL_FAULT`` the thread scheduler uses,
 read inside the resident worker at exec/replay time (never at boot, so
 a fault always hits a *resident* shard): ``"die"`` kills the worker
 mid-delta, ``"stale"`` makes the resident disclaim its bootstrap token

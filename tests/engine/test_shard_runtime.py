@@ -10,6 +10,10 @@ serial engine, always.
 
 import io
 
+import pytest
+
+from repro.engine import journal
+from repro.engine.recalc import RecalcEngine
 from repro.engine.shard import ShardRuntime
 from repro.io.snapshot import save_snapshot
 from repro.sheet.autofill import fill_formula_column
@@ -53,6 +57,51 @@ def test_runtime_only_for_columnar_auto():
     assert engine_for(mixed(rows=10), shards=1).shard_runtime is None
 
 
+def test_worker_mode_process_is_the_same_runtime():
+    """``workers=N, worker_mode="process"`` is ``shards=N`` spelled the
+    other way; either way an engine holds at most one dispatcher."""
+    alias = engine_for(mixed(rows=10), workers=3, worker_mode="process", shards=0)
+    assert isinstance(alias.shard_runtime, ShardRuntime)
+    assert alias.shard_runtime.shards == 3 and alias.parallel is None
+    both = engine_for(mixed(rows=10), workers=2, worker_mode="thread", shards=2)
+    assert both.shard_runtime.shards == 2 and both.parallel is None
+    threaded = engine_for(mixed(rows=10), workers=2, worker_mode="thread", shards=0)
+    assert threaded.shard_runtime is None and threaded.parallel is not None
+
+
+@pytest.mark.parametrize("store,evaluation", [
+    ("object", "auto"), ("columnar", "interpreter"),
+])
+def test_worker_mode_process_without_planes_or_tiers_stays_serial(store, evaluation):
+    """The object store has no planes to ship and the interpreter is the
+    oracle: ``"process"`` there dispatches nothing and is no fallback."""
+    engine = engine_for(
+        clone_sheet(build_mixed_sheet(rows=30), store=store), evaluation,
+        workers=2, worker_mode="process", parallel_min_dirty=1, shards=0,
+    )
+    assert engine.shard_runtime is None and engine.parallel is None
+    engine.recalculate_all()
+    stats = engine.eval_stats
+    assert (stats.parallel_dispatches, stats.shard_bootstraps) == (0, 0)
+    assert (stats.serial_fallbacks, stats.fallback_reason) == (0, None)
+    assert_same_values(engine.sheet, serial_twin(mixed(rows=30)))
+
+
+def test_unknown_worker_mode_is_rejected_whatever_workers_is(tmp_path):
+    for workers in (None, 0, 1, 4):
+        with pytest.raises(ValueError, match="worker mode"):
+            RecalcEngine(mixed(rows=5), workers=workers, worker_mode="bogus")
+    snapshot, wal = tmp_path / "book.snap", tmp_path / "book.wal"
+    workbook = Workbook("W")
+    workbook.attach_sheet(mixed(rows=5))
+    workbook.snapshot(str(snapshot))
+    log = journal.Journal(str(wal), fsync=False)
+    log.record_cell("mixed", "value", (1, 1), 2.0)
+    log.close()
+    with pytest.raises(ValueError, match="worker mode"):
+        journal.recover(str(snapshot), str(wal), worker_mode="bogus")
+
+
 def test_env_var_configures_shards(monkeypatch):
     monkeypatch.setenv("REPRO_RECALC_SHARDS", "3")
     engine = engine_for(mixed(rows=10))
@@ -82,6 +131,36 @@ def test_bootstrap_once_then_deltas():
     assert stats.shard_delta_bytes > delta_bytes    # deltas did ship
     assert stats.shard_fallbacks == 0
     assert stats.counter_snapshot() == serial.eval_stats.counter_snapshot()
+
+
+def test_reboot_for_a_partial_recompute_keeps_clean_formula_values():
+    """Every formula edit marks the residents stale, so the next
+    dispatch boots them for whatever happens to be dirty.  Column D
+    (dirty: C was rewritten) reads column B (clean) in its own shard:
+    the boot has to ship B's cached values along with its formulas."""
+    def build():
+        sheet = Sheet("S", store="columnar")
+        for r in range(1, 201):
+            sheet.set_value((1, r), float(r))
+            sheet.set_value((3, r), 1.0)
+        fill_formula_column(sheet, 2, 1, 200, "=A1*2")
+        fill_formula_column(sheet, 4, 1, 200, "=B1+C1")
+        sheet.set_formula("F1", "=1+1")
+        return sheet
+
+    engines = [engine_for(build()), sharded_engine(build())]
+    for engine in engines:
+        engine.recalculate_all()
+        engine.set_formula("F1", "=2+2")
+        with engine.begin_batch() as batch:
+            for r in range(1, 201):
+                batch.set_value((3, r), 5.0)
+    serial, sharded = engines
+    assert [serial.sheet.get_value(c) for c in ("D1", "D2", "D200")] == [7.0, 9.0, 405.0]
+    assert_same_values(sharded.sheet, serial.sheet)
+    assert sharded.eval_stats.shard_fallbacks == 0
+    assert (sharded.eval_stats.counter_snapshot()
+            == serial.eval_stats.counter_snapshot())
 
 
 def test_formula_edit_invalidates_residents():

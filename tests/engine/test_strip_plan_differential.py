@@ -347,6 +347,27 @@ def test_a_knot_of_strips_comes_apart_alone():
     assert alone.eval_stats.windowed_runs == 1
 
 
+def test_a_resident_booted_for_a_dirty_stripe_keeps_clean_values():
+    """Stacked amortisation blocks and a dirty stripe through them, on
+    two residents: ``recalculate_all`` takes the cycle bail-out and never
+    dispatches, so the stripe's recompute boots the residents — which
+    must find the cached values of the formulas outside the stripe."""
+    program = (
+        [(0.0, 0.0)] * ROWS,
+        [("amortisation", 1, 21, False)] * 4 + [("both_ways", 1, 21, False)],
+        None,
+    )
+    engine, oracle = both_sides(program, "columnar", "rtree", shards=2)
+    assert settle(engine.recalculate_all) == settle(oracle.recalculate_all)
+    assert engine.eval_stats.shard_bootstraps == 0
+    stripe = [Range(3, 1, 7, 14)]
+    assert settle(lambda: engine.recompute(stripe)) is None
+    assert settle(lambda: oracle.recompute(stripe)) is None
+    assert engine.eval_stats.shard_bootstraps > 0
+    assert engine.eval_stats.shard_fallbacks == 0
+    assert_same_values(engine.sheet, oracle.sheet)
+
+
 def test_a_chain_is_split_at_the_budget():
     sheet = Sheet("S")
     for r in range(1, 1001):

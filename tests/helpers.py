@@ -203,10 +203,10 @@ def engine_for(sheet: Sheet, mode: str = "auto", index: str = "rtree",
                shards: "int | None" = None) -> RecalcEngine:
     """An engine over a fresh compressed graph for ``sheet``.
 
-    ``workers``/``worker_mode``/``parallel_min_dirty`` configure the
-    partitioned parallel scheduler (``parallel_min_dirty=1`` forces the
-    parallel path even for tiny differential corpora); ``shards`` routes
-    recalculation through the persistent shard runtime instead;
+    ``workers``/``worker_mode`` pick the dispatcher — the thread region
+    scheduler, or for ``"process"`` the resident runtime, which
+    ``shards`` also names — and ``parallel_min_dirty=1`` forces it even
+    for tiny differential corpora;
     ``lookup_indexes=False`` pins the engine to the reference linear
     scans regardless of the environment toggle.
     """
