@@ -42,11 +42,11 @@ import os
 import threading
 from bisect import bisect_left, bisect_right
 
-from ..formula.functions import lookup_entry_key
-from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_NUMBER
+from ..formula.errors import NA_ERROR
+from ..formula.functions import _CLS_BOOL, _CLS_NUM, _CLS_TEXT, lookup_entry_key
+from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_ERROR, TAG_NUMBER, TAG_STRING
 
 __all__ = [
-    "MIN_INDEX_SIZE",
     "LookupCache",
     "LookupProbe",
     "VectorIndex",
@@ -55,22 +55,16 @@ __all__ = [
 ]
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
-#: Vectors shorter than this are not worth indexing: the probe's dict
-#: and bisect machinery costs about as much as scanning a handful of
-#: entries.  Tests monkeypatch this down to exercise the index on tiny
-#: corpora.
-MIN_INDEX_SIZE = _env_int("REPRO_LOOKUP_MIN_SIZE", 32)
-
 #: Per-sheet cap on cached vector indexes (FIFO eviction) — a runaway
 #: workload probing thousands of distinct ranges must not hoard memory.
-MAX_CACHED_INDEXES = _env_int("REPRO_LOOKUP_MAX_INDEXES", 256)
+try:
+    MAX_CACHED_INDEXES = int(os.environ.get("REPRO_LOOKUP_MAX_INDEXES", 256))
+except ValueError:
+    MAX_CACHED_INDEXES = 256
+
+
+#: What a blank needle is looked up as (``lookup_needle_key``).
+_BLANK_NEEDLE = (_CLS_NUM, 0.0)
 
 
 def indexes_enabled(flag: "bool | None" = None) -> bool:
@@ -231,13 +225,17 @@ class LookupProbe:
 
     ``probe(sheet_name, c1, r1, c2, r2)`` returns a fresh
     :class:`VectorIndex` for that vector, or None when the vector does
-    not qualify (foreign sheet, below the size floor) — in which case
-    the caller falls back to the reference linear scan.  Each served
-    probe counts one ``lookup_index_hits``; hits are deterministic
-    (eligibility depends only on geometry), so the PR 7 counter-snapshot
-    identity across serial/thread/process execution extends to them.
-    Builds are environment-dependent (process workers rebuild privately)
-    and tracked outside the identity set, like ``serial_fallbacks``.
+    not qualify (foreign sheet, two-dimensional) — in which case the
+    caller falls back to the reference linear scan.  Each served probe
+    counts one ``lookup_index_hits``; hits are deterministic (eligibility
+    depends only on geometry), so the PR 7 counter-snapshot identity
+    across serial/thread/process execution extends to them.  Builds are
+    environment-dependent (process workers rebuild privately) and
+    tracked outside the identity set, like ``serial_fallbacks``.
+
+    A whole strip of lookups (:class:`~repro.formula.compile.LookupSpec`)
+    is answered by :meth:`run_strip`: the index resolved once, the needle
+    column read by slice.
     """
 
     __slots__ = ("_sheet_name", "_store", "_cache", "_stats")
@@ -251,13 +249,7 @@ class LookupProbe:
     def __call__(self, sheet_name, c1, r1, c2, r2):
         if sheet_name is not None and sheet_name != self._sheet_name:
             return None
-        if c1 == c2:
-            length = r2 - r1 + 1
-        elif r1 == r2:
-            length = c2 - c1 + 1
-        else:
-            return None
-        if length < MIN_INDEX_SIZE:
+        if c1 != c2 and r1 != r2:
             return None
         index, built = self._cache.get_or_build(self._store, (c1, r1, c2, r2))
         stats = self._stats
@@ -265,6 +257,62 @@ class LookupProbe:
         if built:
             stats.lookup_index_builds += 1
         return index
+
+    def run_strip(self, spec, col: int, rows: range, closure) -> None:
+        """Evaluate the members at ``rows`` of ``col`` of a lookup
+        template: one index for the strip, one ``find`` and one result
+        read per lane, each lane's value what the compiled closure makes
+        of it — to which (``closure(row)`` evaluates and writes one
+        member) go the lanes whose needle is an error, off the sheet's
+        top, or nothing the index keys (NaN, an object).  The strip must
+        not hold its own needles: they are read before any lane is
+        written.  Counts one hit per lane served, as the closure's own
+        probe would have.
+        """
+        store = self._store
+        c1, r1 = spec.vector[:2]
+        side, tie, across, vertical = spec.side, spec.tie, spec.across, spec.vertical
+        index, built = self._cache.get_or_build(store, spec.vector)
+        find = index.find
+        read = store.read_value
+        write = store._write_raw
+        column = store.ensure_column(col, rows[-1])
+        needles = spec.needle_col.at(col)
+        first = max(rows[0] + spec.needle_row.value, 1)
+        values, tags = store.read_band(needles, first, rows[-1] + spec.needle_row.value)
+        texts = store.ensure_column(needles, 1).side if tags.count(TAG_STRING) else None
+        served = 0
+        for k, row in enumerate(rows, rows[0] + spec.needle_row.value - first):
+            tag = tags[k] if 0 <= k < len(tags) else TAG_EMPTY if k >= 0 else TAG_ERROR
+            if tag == TAG_NUMBER:
+                key = (_CLS_NUM, values[k])
+                if key[1] != key[1]:
+                    closure(row)
+                    continue
+            elif tag == TAG_EMPTY:
+                key = _BLANK_NEEDLE
+            elif tag == TAG_BOOL:
+                key = (_CLS_BOOL, values[k] != 0.0)
+            elif tag == TAG_STRING:
+                key = (_CLS_TEXT, texts[first - 1 + k].lower())
+            else:
+                closure(row)
+                continue
+            hit = find(key, side, tie)
+            if hit is None:
+                value = NA_ERROR
+            elif across is None:
+                value = float(hit + 1)
+            elif vertical:
+                value = read(c1 + across, r1 + hit)
+            else:
+                value = read(c1 + hit, r1 + across)
+            write(column, row - 1, value)
+            served += 1
+        stats = self._stats
+        stats.lookup_index_hits += served
+        if built:
+            stats.lookup_index_builds += 1
 
 
 def _sheet_cache(sheet) -> LookupCache:

@@ -216,11 +216,14 @@ class RecalcEngine:
         self.cell_evaluator = CompilingEvaluator(SheetResolver(sheet), registry=registry)
         self.eval_stats = self.cell_evaluator.stats
         self.evaluator = self.cell_evaluator.interpreter
-        #: Lookaside lookup indexes (``repro.engine.lookup``) — auto mode
-        #: only, so ``evaluation="interpreter"`` remains a scan-only
+        #: Range aggregates read the planes by slice and lookups probe
+        #: lookaside indexes (``repro.engine.lookup``) in auto mode only:
+        #: ``evaluation="interpreter"`` remains a walk-and-scan
         #: differential oracle.
-        if self.evaluation == "auto" and lookup.indexes_enabled(lookup_indexes):
-            lookup.attach_probe(self.cell_evaluator, sheet)
+        if self.evaluation == "auto":
+            self.cell_evaluator.resolver.read_by_plane()
+            if lookup.indexes_enabled(lookup_indexes):
+                lookup.attach_probe(self.cell_evaluator, sheet)
         if workers is None:
             workers = int(os.environ.get("REPRO_RECALC_WORKERS", "0") or 0)
         self.workers = int(workers)
@@ -277,8 +280,10 @@ class RecalcEngine:
         engine.cell_evaluator = CompilingEvaluator(SheetResolver(sheet), registry=registry)
         engine.eval_stats = engine.cell_evaluator.stats
         engine.evaluator = engine.cell_evaluator.interpreter
-        if evaluation == "auto" and lookup.indexes_enabled():
-            lookup.attach_probe(engine.cell_evaluator, sheet)
+        if evaluation == "auto":
+            engine.cell_evaluator.resolver.read_by_plane()
+            if lookup.indexes_enabled():
+                lookup.attach_probe(engine.cell_evaluator, sheet)
         engine.workers = 0
         engine.parallel = None
         engine.shards = 0
@@ -937,8 +942,17 @@ class RecalcEngine:
         name = self.sheet.name
         column = store.ensure_column(col, node.rows[-1])
         write = store._write_raw
-        for row in rows:
-            write(column, row - 1, run(resolver, name, col, row))
+        probe, spec = resolver.lookup_probe, compiled.lookup
+        if probe is not None and spec is not None and spec.needle_col.at(col) != col:
+            # A column of lookups probes one index (the strip reads no
+            # needle of its own, so its direction is of no account).
+            probe.run_strip(
+                spec, col, node.rows,
+                lambda row: write(column, row - 1, run(resolver, name, col, row)),
+            )
+        else:
+            for row in rows:
+                write(column, row - 1, run(resolver, name, col, row))
         self.eval_stats.compiled_cells += len(node.rows)
         return len(node.rows)
 

@@ -37,7 +37,9 @@ geometry (:func:`rolling_cols`, which the planner asks first).
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from operator import gt, lt
 from typing import Callable
 
 try:  # numpy is optional: without it elementwise sweeps just decline.
@@ -46,12 +48,12 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
 from ..formula.compile import CompiledTemplate, WindowSpec
-from ..formula.errors import DIV0, ExcelError
-from ..formula.numeric import ExactSum
 from ..sheet.columnar import (
     TAG_BOOL,
     TAG_EMPTY,
+    TAG_ERROR,
     TAG_NUMBER,
+    TAG_OBJECT,
     ColumnarStore,
 )
 from ..sheet.sheet import Sheet
@@ -65,9 +67,19 @@ __all__ = [
     "window_cols",
 ]
 
-#: Shortest run worth dispatching to the rolling evaluator; shorter runs
-#: go through the compiled per-cell closure, whose constant factor wins.
+#: Shortest run worth dispatching to a strip kernel; shorter runs go
+#: through the compiled per-cell closure, whose constant factor wins.
 MIN_RUN = 8
+
+#: The window kernel sums numbers as integers scaled by a power of two.
+#: A number at or beyond ``_HUGE`` (nan and inf included), or one that
+#: needs more than ``_FINEST`` binary places, is left to ``math.fsum``
+#: in the per-cell closure — which is also what raises for them, if
+#: anything does: ``x * 2.0**shift`` stays a finite float inside these.
+_HUGE = 2.0 ** 500
+_FINEST = 500
+
+_D_ZERO = array("d", (0.0,))
 
 
 def window_cols(spec: WindowSpec, col: int) -> tuple[int, int] | None:
@@ -99,185 +111,180 @@ def rolling_cols(spec: WindowSpec, col: int, first: int, last: int) -> tuple[int
     return cols
 
 
-class _WindowState:
-    """Rolling aggregate state over the rows currently in the window."""
-
-    __slots__ = ("func", "cols", "sheet", "acc", "count", "errors", "best",
-                 "row_log", "monotonic", "keep_log")
-
-    def __init__(self, func: str, cols: tuple[int, int], sheet: Sheet, keep_log: bool):
-        self.func = func
-        self.cols = cols
-        self.sheet = sheet
-        self.acc = ExactSum()
-        self.count = 0
-        self.errors = 0
-        self.best: float | None = None       # running extremum (grow-only)
-        # Sliding windows must be able to *remove* a row exactly as it
-        # was added, so each entered row is logged: (row, numbers, errors).
-        self.keep_log = keep_log
-        self.row_log: deque[tuple[int, tuple[float, ...], int]] = deque()
-        # (row, row_extremum) candidates for sliding MIN/MAX.
-        self.monotonic: deque[tuple[int, float]] = deque()
-
-    def add_row(self, row: int) -> None:
-        c1, c2 = self.cols
-        raw_value = self.sheet.raw_value
-        numbers: list[float] = []
-        errors = 0
-        for col in range(c1, c2 + 1):
-            value = raw_value(col, row)
-            if value is None or value is True or value is False:
-                continue
-            if isinstance(value, (int, float)):
-                numbers.append(float(value))
-            elif isinstance(value, ExcelError):
-                errors += 1
-        self.errors += errors
-        self.count += len(numbers)
-        func = self.func
-        if func in ("SUM", "AVERAGE"):
-            for x in numbers:
-                self.acc.add(x)
-        elif func == "MIN":
-            if numbers:
-                low = min(numbers)
-                self.best = low if self.best is None or low < self.best else self.best
-                monotonic = self.monotonic
-                while monotonic and monotonic[-1][1] >= low:
-                    monotonic.pop()
-                monotonic.append((row, low))
-        elif func == "MAX":
-            if numbers:
-                high = max(numbers)
-                self.best = high if self.best is None or high > self.best else self.best
-                monotonic = self.monotonic
-                while monotonic and monotonic[-1][1] <= high:
-                    monotonic.pop()
-                monotonic.append((row, high))
-        if self.keep_log:
-            self.row_log.append((row, tuple(numbers), errors))
-
-    def drop_rows_below(self, low: int) -> None:
-        """Expire logged rows with ``row < low`` (sliding windows only)."""
-        row_log = self.row_log
-        while row_log and row_log[0][0] < low:
-            _, numbers, errors = row_log.popleft()
-            self.errors -= errors
-            self.count -= len(numbers)
-            if self.func in ("SUM", "AVERAGE"):
-                for x in numbers:
-                    self.acc.subtract(x)
-        monotonic = self.monotonic
-        while monotonic and monotonic[0][0] < low:
-            monotonic.popleft()
-
-    def value(self):
-        """The aggregate of the current window, interpreter-identical."""
-        func = self.func
-        if func == "SUM":
-            return self.acc.value()
-        if func == "COUNT":
-            return float(self.count)
-        if func == "AVERAGE":
-            if self.count == 0:
-                return DIV0
-            return self.acc.value() / self.count
-        if self.count == 0:  # MIN/MAX over an empty window
-            return 0.0
-        if self.keep_log:
-            return self.monotonic[0][1]
-        return self.best
-
-
 def evaluate_run(
     sheet: Sheet,
     spec: WindowSpec,
     col: int,
-    rows: list[int],
+    rows: range,
     fallback: Callable[[tuple[int, int]], None],
 ) -> int | None:
-    """Evaluate ``rows`` of ``col`` (ascending, consecutive — a list or
-    a ``range``) under ``spec``.
+    """Evaluate ``rows`` of ``col`` (ascending and consecutive) under
+    ``spec`` as one column kernel.
 
-    Writes each cell's value as soon as it is computed, so
-    self-referential prefix runs (``SUM(B$1:B1)`` filled down B) read
-    fresh values for run members already emitted.  Returns the number of
-    cells the rolling path itself computed — cells delegated to
-    ``fallback`` (error-bearing windows) are *not* counted, the fallback
-    accounts for those — or ``None`` when the geometry is not rollable
-    (the caller then evaluates every cell through the fallback).
+    Lanes run in the strip's direction, bottom-up for a shrinking window,
+    and a lane's value lands in the kernel's copy of its own column as
+    soon as it is known, so a window reaching into the strip
+    (``SUM(B$1:B1)`` filled down B) reads the lanes just computed.
+    Returns the number of cells the kernel itself computed — cells
+    delegated to ``fallback`` are *not* counted, the fallback accounts
+    for those — or ``None`` when the geometry does not roll (the caller
+    then evaluates every cell through the fallback).
     """
-    cols = rolling_cols(spec, col, rows[0], rows[-1])
+    first, last = rows[0], rows[-1]
+    cols = rolling_cols(spec, col, first, last)
     if cols is None:
         return None
+    func = spec.func
+    head, tail = spec.head_row, spec.tail_row
+    sliding = not head.fixed and not tail.fixed
+    descending = tail.fixed and not head.fixed
+    average = func == "AVERAGE"
+    summing = average or func == "SUM"
+    better = lt if func == "MIN" else gt if func == "MAX" else None
 
-    head_fixed = spec.head_row.fixed
-    tail_fixed = spec.tail_row.fixed
-    if head_fixed and tail_fixed:
-        return _run_constant(sheet, spec, col, rows, fallback, cols)
-    if not head_fixed and not tail_fixed:
-        return _run_sliding(sheet, spec, col, rows, fallback, cols)
-    if head_fixed:
-        ordered = rows                      # growing prefix: top down
-    else:
-        ordered = rows[::-1]                # shrinking suffix: bottom up
-    return _run_growing(sheet, spec, col, ordered, fallback, cols)
+    # One slice per window column over every row any lane reads, squared
+    # off to one height: rows past it are blank in all of them.
+    base = min(head.at(first), head.at(last))
+    top = max(tail.at(first), tail.at(last))
+    bands = [sheet.read_band(c, base, top) for c in range(cols[0], cols[1] + 1)]
+    own = bands[col - cols[0]] if cols[0] <= col <= cols[1] else None
+    ahead = first - base        # lane + ahead: the lane's own row in ``own``
+    height = max(len(tags) for _, tags in bands)
+    if own is not None:
+        height = max(height, min(last, top) - base + 1)
+    for values, tags in bands:
+        short = height - len(tags)
+        values.extend(_D_ZERO * short)
+        tags.extend(bytes(short))
+    if sliding:
+        row_count = array("i", bytes(4 * height))
+        row_bad = bytearray(height)
 
+    # SUM / AVERAGE hold the window's exact sum as an integer: every
+    # number in it times 2**shift (a float times a power of two is
+    # exact; ``shift`` grows when a finer number shows up).
+    total, shift, scale, unit = 0, 0, 1.0, 1
+    row_totals: deque[int] = deque()              # sliding: what each row added
+    count = bad = 0
+    best = None                                   # grow-only MIN / MAX
+    ranked: deque[tuple[int, float]] = deque()    # sliding MIN / MAX candidates
 
-def _emit(sheet: Sheet, col: int, row: int, state: _WindowState, fallback) -> int:
-    """Write the cell; returns 1 when the rolling value was used, 0 when
-    the cell was delegated (the fallback does its own accounting)."""
-    if state.errors:
-        # The interpreter's error choice depends on range iteration
-        # order; delegate the cell rather than guessing.
-        fallback((col, row))
-        return 0
-    sheet.cell_at((col, row)).value = state.value()
-    return 1
+    out = array("d", bytes(8 * len(rows)))
+    done = 0
+    held = None             # first lane computed but not yet written, if any
 
+    def write_held(held: int, lane: int) -> None:
+        """Land the lanes computed from ``held`` up to ``lane``, exclusive."""
+        a, b = (lane + 1, held) if descending else (held, lane - 1)
+        sheet.write_band(col, first + a, out[a:b + 1])
 
-def _run_constant(sheet, spec, col, rows, fallback, cols) -> int:
-    lo, hi = window_rows_at(spec, rows[0])
-    state = _WindowState(spec.func, cols, sheet, keep_log=False)
-    for rr in range(lo, hi + 1):
-        state.add_row(rr)
-    if state.errors:
-        for row in rows:
-            fallback((col, row))
-        return 0
-    value = state.value()
-    for row in rows:
-        sheet.cell_at((col, row)).value = value
-    return len(rows)
+    number, error, opaque, huge = TAG_NUMBER, TAG_ERROR, TAG_OBJECT, _HUGE
+    # Lane by lane in the strip's direction: the rows that come into the
+    # window enter the state, (sliding) the rows that drop out leave it.
+    step = -1 if descending else 1
+    row = last if descending else first
+    lo, hi = head.at(row) - base, tail.at(row) - base
+    lo_step, hi_step = (0 if head.fixed else step), (0 if tail.fixed else step)
+    enter = min(hi, height - 1) if descending else 0
+    leave = 0
+    for lane in range(row - first, -1 if descending else len(rows), step):
+        stop = lo - 1 if descending else min(hi, height - 1) + 1
+        for i in range(enter, stop, step):
+            numbers = errors = row_total = 0
+            row_best = None
+            for values, tags in bands:
+                tag = tags[i]
+                if tag == number:
+                    x = values[i]
+                    if not -huge < x < huge:
+                        errors += 1               # nan, inf, or too big to scale
+                    elif summing:
+                        scaled = x * scale
+                        whole = int(scaled)
+                        if whole != scaled:
+                            fine = x.as_integer_ratio()[1].bit_length() - 1
+                            if fine > _FINEST:
+                                errors += 1       # too fine to scale
+                                continue
+                            grow = fine - shift
+                            total <<= grow
+                            row_total <<= grow
+                            row_totals = deque([t << grow for t in row_totals])
+                            shift, scale, unit = fine, 2.0 ** fine, 1 << fine
+                            whole = int(x * scale)
+                        numbers += 1
+                        row_total += whole
+                    else:
+                        numbers += 1
+                        if better is not None and (row_best is None or better(x, row_best)):
+                            row_best = x
+                elif tag == error or tag == opaque:
+                    errors += 1
+            count += numbers
+            bad += errors
+            if summing:
+                total += row_total
+                if sliding:
+                    row_totals.append(row_total)
+            elif row_best is not None:
+                # Ties go to the first in row-major order, as min() / max().
+                if sliding:
+                    while ranked and better(row_best, ranked[-1][1]):
+                        ranked.pop()
+                    ranked.append((i, row_best))
+                elif best is None or (
+                    not better(best, row_best) if descending else better(row_best, best)
+                ):
+                    best = row_best
+            if sliding:
+                row_count[i] = numbers
+                row_bad[i] = errors
+        enter = stop
+        if sliding:
+            while leave < lo and leave < enter:
+                count -= row_count[leave]
+                bad -= row_bad[leave]
+                if summing:
+                    total -= row_totals.popleft()
+                leave += 1
+            while ranked and ranked[0][0] < lo:
+                ranked.popleft()
 
-
-def _run_growing(sheet, spec, col, ordered, fallback, cols) -> int:
-    """Grow-only windows: one end fixed, rows only ever enter.
-
-    ``ordered`` is arranged so the window of each successive cell is a
-    superset of the previous one (ascending for a fixed head, descending
-    for a fixed tail).  An error that has entered never leaves, so once
-    seen, the remaining cells delegate to the fallback.
-    """
-    state = _WindowState(spec.func, cols, sheet, keep_log=False)
-    added_lo: int | None = None
-    added_hi: int | None = None
-    rolled = 0
-    for row in ordered:
-        lo, hi = window_rows_at(spec, row)
-        if added_lo is None:
-            span = range(lo, hi + 1)
-        elif lo < added_lo:                 # fixed tail: grow upward
-            span = range(added_lo - 1, lo - 1, -1)
-        else:                               # fixed head: grow downward
-            span = range(added_hi + 1, hi + 1)
-        for rr in span:
-            state.add_row(rr)
-        added_lo = lo if added_lo is None else min(added_lo, lo)
-        added_hi = hi if added_hi is None else max(added_hi, hi)
-        rolled += _emit(sheet, col, row, state, fallback)
-    return rolled
+        if bad or (average and not count):
+            # A window holding an error goes back to the closure, which
+            # knows which error wins (as does an AVERAGE of nothing, for
+            # its #DIV/0!).  What the strip has computed so far is
+            # written first, and what the cell became is what later
+            # windows find in its place.
+            if held is not None:
+                write_held(held, lane)
+                held = None
+            fallback((col, first + lane))
+            if own is not None and 0 <= lane + ahead < height:
+                at = lane + ahead
+                (own[0][at],), (own[1][at],) = sheet.read_band(col, first + lane, first + lane)
+        else:
+            if summing:
+                value = total / unit              # int / int: correctly rounded
+                if average:
+                    value /= count
+            elif better is None:
+                value = float(count)
+            elif not count:
+                value = 0.0
+            else:
+                value = ranked[0][1] if sliding else best
+            out[lane] = value
+            done += 1
+            if held is None:
+                held = lane
+            if own is not None and 0 <= lane + ahead < height:
+                own[0][lane + ahead], own[1][lane + ahead] = value, number
+        lo += lo_step
+        hi += hi_step
+    if held is not None:
+        write_held(held, -1 if descending else len(rows))
+    return done
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +332,9 @@ def evaluate_elementwise_run(
 
     ``rows`` must be ascending and consecutive, and ``template.elementwise``
     non-None.  Reads go straight to the columnar store's buffers
-    (zero-copy ``frombuffer`` views); results land in the run column's
-    arrays as one masked write.  Lanes whose inputs are not
+    (zero-copy ``frombuffer`` views); results land through
+    ``ColumnarStore.write_band``, one write when no lane is masked.  Lanes
+    whose inputs are not
     empty/number/bool (string coercion, error propagation), whose
     denominators are zero, or whose
     relative reference falls off the sheet top are delegated to
@@ -391,36 +399,14 @@ def evaluate_elementwise_run(
         result = _sweep(template.elementwise.root, operands, mask)
     if not isinstance(result, _np.ndarray):  # pragma: no cover - all-scalar tree
         result = _np.full(n, float(result))
-    ok = ~mask
-    column = store.ensure_column(col, last)
-    band = slice(first - 1, last)
-    if column.side:
-        # Direct tag writes bypass the store's side-table upkeep: evict
-        # stale string/error payloads the sweep is about to overwrite.
-        for i in [i for i in column.side if first - 1 <= i < last]:
-            if ok[i - (first - 1)]:
-                del column.side[i]
-    out_values = _np.frombuffer(column.values, dtype=_np.float64)[band]
-    out_tags = _np.frombuffer(column.tags, dtype=_np.uint8)[band]
-    _np.copyto(out_values, result, where=ok)
-    _np.copyto(out_tags, _np.uint8(TAG_NUMBER), where=ok)
-    swept = int(ok.sum())
-    if swept != n:
-        for lane in _np.nonzero(mask)[0]:
-            fallback((col, first + int(lane)))
-    return swept
-
-
-def _run_sliding(sheet, spec, col, rows, fallback, cols) -> int:
-    state = _WindowState(spec.func, cols, sheet, keep_log=True)
-    added_hi: int | None = None
-    rolled = 0
-    for row in rows:
-        lo, hi = window_rows_at(spec, row)
-        start = lo if added_hi is None else added_hi + 1
-        for rr in range(start, hi + 1):
-            state.add_row(rr)
-        added_hi = hi
-        state.drop_rows_below(lo)
-        rolled += _emit(sheet, col, row, state, fallback)
-    return rolled
+    # Each stretch of swept lanes lands as one band write; the lanes in
+    # between are the fallback's.
+    delegated = _np.flatnonzero(mask)
+    start = 0
+    for lane in delegated:
+        store.write_band(col, first + start, result[start:lane])
+        start = int(lane) + 1
+    store.write_band(col, first + start, result[start:])
+    for lane in delegated:
+        fallback((col, first + int(lane)))
+    return n - len(delegated)

@@ -69,11 +69,13 @@ __all__ = [
     "CompilingEvaluator",
     "ElementwiseIR",
     "EvalStats",
+    "LookupSpec",
     "TemplateRegistry",
     "WindowSpec",
     "compile_template",
     "default_registry",
     "elementwise_ir",
+    "lookup_spec",
 ]
 
 # A compiled sub-expression: (resolver, sheet, col, row) -> runtime value.
@@ -208,6 +210,87 @@ def window_spec(ast: Node, host_col: int, host_row: int) -> WindowSpec | None:
     head_col, head_row = axis_refs(rng.head, host_col, host_row)
     tail_col, tail_row = axis_refs(rng.tail, host_col, host_row)
     return WindowSpec(func, head_col, head_row, tail_col, tail_row)
+
+
+class LookupSpec(NamedTuple):
+    """A template of the form ``VLOOKUP`` / ``HLOOKUP`` / ``MATCH`` of
+    one cell — on the host's sheet, its row relative — in a range fixed
+    on all four corners of that sheet, every other argument a constant:
+    a column of them is probe-many against one build-once index
+    (:meth:`repro.engine.lookup.LookupProbe.run_strip`).
+
+    ``vector`` is the ``(c1, r1, c2, r2)`` the match is sought in (the
+    table's first column or row, the MATCH range), ``vertical`` whether
+    it runs down a column, ``side`` / ``tie`` the query the function's
+    mode makes (``repro.formula.functions._scan_vector``).  The answer
+    to a match ``k`` places along the vector is the value ``across``
+    lines beside it — or, ``across`` None (MATCH), ``k + 1`` itself.
+    """
+
+    needle_col: AxisRef
+    needle_row: AxisRef
+    vector: tuple[int, int, int, int]
+    vertical: bool
+    side: str
+    tie: str
+    across: int | None
+
+
+def _constant(node: Node):
+    """The value of a literal argument (a signed number included)."""
+    if isinstance(node, (Number, Boolean)):
+        return node.value
+    if isinstance(node, UnaryOp) and node.op in "+-" and isinstance(node.operand, Number):
+        return -node.operand.value if node.op == "-" else node.operand.value
+    raise _Unsupported("lookup: non-constant argument")
+
+
+def lookup_spec(ast: Node, host_col: int, host_row: int) -> LookupSpec | None:
+    """The template's :class:`LookupSpec`, or None.
+
+    A call the function itself would refuse whatever the needle (an
+    index outside the table, a two-dimensional MATCH range) is no lookup
+    shape: the closure reports it.
+    """
+    if not isinstance(ast, FunctionCall) or ast.name not in ("VLOOKUP", "HLOOKUP", "MATCH"):
+        return None
+    args = ast.args
+    if not 2 <= len(args) <= (3 if ast.name == "MATCH" else 4):
+        return None
+    needle, rng = args[0], args[1]
+    if not isinstance(needle, CellNode) or needle.sheet is not None:
+        return None
+    if not isinstance(rng, RangeNode) or rng.sheet is not None:
+        return None
+    head, tail = rng.head, rng.tail
+    if not (head.col_fixed and head.row_fixed and tail.col_fixed and tail.row_fixed):
+        return None
+    needle_col, needle_row = axis_refs(needle.ref, host_col, host_row)
+    if needle_row.fixed:
+        return None
+    try:
+        constants = [to_number(_constant(arg)) for arg in args[2:]]
+    except _Unsupported:
+        return None
+    c1, c2 = sorted((head.col, tail.col))
+    r1, r2 = sorted((head.row, tail.row))
+    if ast.name == "MATCH":
+        if c1 != c2 and r1 != r2:
+            return None
+        mode = int(constants[0]) if constants else 1
+        side, tie = ("eq", "first") if mode == 0 else ("le" if mode > 0 else "ge", "last")
+        vertical, across = c1 == c2, None
+    else:
+        if not constants:
+            return None
+        vertical = ast.name == "VLOOKUP"
+        across = int(constants[0]) - 1
+        if not 0 <= across <= (c2 - c1 if vertical else r2 - r1):
+            return None
+        approximate = len(constants) < 2 or constants[1] != 0
+        side, tie = ("le", "last") if approximate else ("eq", "first")
+    vector = (c1, r1, c1, r2) if vertical else (c1, r1, c2, r1)
+    return LookupSpec(needle_col, needle_row, vector, vertical, side, tie, across)
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +570,24 @@ def _compile(node: Node, host_col: int, host_row: int) -> _Closure:
 class CompiledTemplate:
     """One compiled formula template: closure + optional fast shapes.
 
-    ``window`` marks a pure windowed aggregate (rolling evaluation);
-    ``elementwise`` marks pure float arithmetic over cell refs (numpy
-    array sweep).  Mutually exclusive by construction — a window root is
-    a function call, which the elementwise subset rejects.
+    ``window`` marks a pure windowed aggregate (one column kernel per
+    strip); ``elementwise`` marks pure float arithmetic over cell refs
+    (numpy array sweep); ``lookup`` marks a lookup of one relative cell
+    in a fixed range (one index per strip).  Mutually exclusive by
+    construction — window and lookup roots are calls of different
+    functions, and the elementwise subset rejects calls.
     """
 
-    __slots__ = ("key", "fn", "window", "elementwise")
+    __slots__ = ("key", "fn", "window", "elementwise", "lookup")
 
     def __init__(self, key: str, fn: _Closure, window: WindowSpec | None,
-                 elementwise: ElementwiseIR | None = None):
+                 elementwise: ElementwiseIR | None = None,
+                 lookup: LookupSpec | None = None):
         self.key = key
         self.fn = fn
         self.window = window
         self.elementwise = elementwise
+        self.lookup = lookup
 
     def run(self, resolver: CellResolver, sheet: str | None, col: int, row: int):
         """Evaluate at a host cell; same top-level contract as
@@ -541,6 +628,7 @@ def compile_template(ast: Node, host_col: int, host_row: int,
         key, fn,
         window_spec(ast, host_col, host_row),
         elementwise_ir(ast, host_col, host_row),
+        lookup_spec(ast, host_col, host_row),
     )
 
 

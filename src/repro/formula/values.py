@@ -85,8 +85,17 @@ class RangeValue:
     def iter_numbers(self) -> Iterator[float]:
         """Numeric cell values, skipping text/logicals/blanks (SUM semantics).
 
-        Errors stored in referenced cells propagate.
+        Errors stored in referenced cells propagate — the first one in
+        row-major order.  A resolver that offers ``range_numbers`` (see
+        ``SheetResolver``) hands the numbers over in bulk, in the same
+        order, when the range holds no error.
         """
+        bulk = getattr(self._resolver, "range_numbers", None)
+        if bulk is not None:
+            numbers = bulk(self.sheet, self.range)
+            if numbers is not None:
+                yield from numbers
+                return
         for value in self.iter_nonblank():
             if isinstance(value, ExcelError):
                 raise ErrorSignal(value)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator
 
 from ..formula.ast_nodes import Node
@@ -78,6 +78,9 @@ TAG_OBJECT = 5
 _SIDE_TAGS = (TAG_STRING, TAG_ERROR, TAG_OBJECT)
 
 _D_ZERO = array("d", (0.0,))
+_NUMBER_TAG = bytes((TAG_NUMBER,))
+#: ``bytes.translate`` table: 1 for a NUMBER tag, 0 for any other.
+_IS_NUMBER = bytes(1 if tag == TAG_NUMBER else 0 for tag in range(256))
 
 
 class _Column:
@@ -722,7 +725,7 @@ class ColumnarStore:
                 rows += (runs[0][0], runs[-1][1])
         return (min(cols), min(rows), max(cols), max(rows))
 
-    # -- raw buffer access (the vectorized evaluator's window) -----------------
+    # -- raw buffer access (the strip kernels' window) -------------------------
 
     def column_buffers(self, col: int) -> tuple[array, bytearray] | None:
         """The raw (values, tags) buffers of a column, or None."""
@@ -734,6 +737,69 @@ class ColumnarStore:
     def ensure_column(self, col: int, row: int) -> _Column:
         """Grow ``col`` to cover ``row`` and return its :class:`_Column`."""
         return self._column_for(col, row)
+
+    def read_band(self, col: int, first_row: int, last_row: int) -> tuple[array, bytearray]:
+        """Rows ``first_row..last_row`` of ``col`` as two flat copies —
+        ``(values, tags)``, an ``array('d')`` and a ``bytearray`` — cut
+        off where the column physically ends: rows past it are EMPTY and
+        simply absent (a whole-column reference costs what the column
+        holds, not what it names).  A lane's payload is ``values[k]``
+        for NUMBER and BOOL, 0.0 otherwise; strings, errors and objects
+        stay in the side table.  The read half of the strip kernels
+        (:mod:`repro.engine.vectorized`, :mod:`repro.engine.lookup`) and
+        of :meth:`range_numbers`."""
+        column = self._columns.get(col)
+        if column is None:
+            return array("d"), bytearray()
+        i0 = max(first_row - 1, 0)
+        return column.values[i0:last_row], column.tags[i0:last_row]
+
+    def write_band(self, col: int, first_row: int, values) -> None:
+        """Make ``values`` — any float64 buffer — the cached numbers of
+        the formula cells at rows ``first_row..`` of ``col``: two slice
+        stores, stale side-table payloads under the band evicted, the
+        column's version moved once.  The write half of the strip
+        kernels; occupancy is keyed by the formula plane, so (as in
+        :meth:`merge_result_columns`) every row must be a formula cell."""
+        n = len(values)
+        if not n:
+            return
+        i0, i1 = first_row - 1, first_row - 1 + n
+        column = self._column_for(col, i1)
+        column.version += 1
+        side = column.side
+        if side:
+            for i in [i for i in side if i0 <= i < i1]:
+                del side[i]
+        with memoryview(column.values) as plane:
+            plane[i0:i1] = values
+        column.tags[i0:i1] = _NUMBER_TAG * n
+
+    def range_numbers(self, c1: int, r1: int, c2: int, r2: int):
+        """The NUMBER lanes of a rectangle as an iterable of floats in
+        row-major order (the order :meth:`iter_range` walks) — or None
+        when a lane holds an error or an object, and that ordered
+        per-cell walk has to decide what an aggregate makes of it.  Tags
+        are screened and lanes selected in bulk (``count``,
+        ``translate``, ``compress``); nothing is looked at per cell."""
+        bands = [self.read_band(col, r1, r2) for col in range(c1, c2 + 1)]
+        for _, tags in bands:
+            if tags.count(TAG_ERROR) or tags.count(TAG_OBJECT):
+                return None
+        if len(bands) == 1:
+            values, tags = bands[0]
+            if tags.count(TAG_NUMBER) == len(tags):
+                return values
+            return compress(values, tags.translate(_IS_NUMBER))
+        height = max(len(tags) for _, tags in bands)
+        for values, tags in bands:
+            short = height - len(tags)
+            values.extend(_D_ZERO * short)
+            tags.extend(bytes(short))
+        return compress(
+            chain.from_iterable(zip(*[values for values, _ in bands])),
+            chain.from_iterable(zip(*[tags.translate(_IS_NUMBER) for _, tags in bands])),
+        )
 
     # -- structural edits ------------------------------------------------------
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import os
 import weakref
+from array import array
 from typing import Iterator
 
 from ..formula.ast_nodes import Node
@@ -21,7 +22,7 @@ from ..formula.template import FormulaTemplate
 from ..grid.range import Range
 from ..grid.ref import parse_cell
 from .cell import Cell
-from .columnar import ColumnarStore, RunIndex, scan_formula_runs
+from .columnar import ColumnarStore, RunIndex, _classify, scan_formula_runs
 
 __all__ = ["Sheet", "Dependency", "DEFAULT_STORE", "STORE_KINDS"]
 
@@ -155,6 +156,32 @@ class Sheet:
         """
         cell = self._cells.get((col, row))
         return None if cell is None else cell.value
+
+    def read_band(self, col: int, first_row: int, last_row: int) -> tuple[array, bytearray]:
+        """Rows ``first_row..last_row`` of ``col`` as flat ``(values,
+        tags)`` copies — :meth:`ColumnarStore.read_band`, which see; the
+        object store assembles the same thing cell by cell."""
+        cells = self._cells
+        if type(cells) is not dict:
+            return cells.read_band(col, first_row, last_row)
+        first_row = max(first_row, 1)
+        n = max(last_row - first_row + 1, 0)
+        values, tags = array("d", bytes(8 * n)), bytearray(n)
+        for k in range(n):
+            cell = cells.get((col, first_row + k))
+            if cell is not None:
+                tags[k], values[k], _ = _classify(cell.value)
+        return values, tags
+
+    def write_band(self, col: int, first_row: int, values) -> None:
+        """Make ``values`` the cached numbers of the formula cells at
+        rows ``first_row..`` of ``col`` (:meth:`ColumnarStore.write_band`)."""
+        cells = self._cells
+        if type(cells) is not dict:
+            cells.write_band(col, first_row, values)
+        else:
+            for k, value in enumerate(values):
+                cells[(col, first_row + k)].value = value
 
     def set_value(self, target, value) -> None:
         pos = _coerce_pos(target)
@@ -444,13 +471,30 @@ class SheetResolver:
     (:mod:`repro.engine.lookup`): lookup builtins duck-type for it on
     the resolver behind a ``RangeValue``, so the formula layer stays
     engine-agnostic.  None means "always linear-scan".
+
+    ``range_numbers`` is the same kind of hook for range aggregates
+    (``RangeValue.iter_numbers``): ``(sheet, rng) -> floats | None``,
+    the rectangle's numbers off the columnar planes by slice, None when
+    only the ordered per-cell walk can answer.  Armed by
+    :meth:`read_by_plane`; an unarmed resolver (the interpreter oracle,
+    the object store) always walks.
     """
 
-    __slots__ = ("_sheet", "lookup_probe")
+    __slots__ = ("_sheet", "lookup_probe", "range_numbers")
 
     def __init__(self, sheet: Sheet):
         self._sheet = sheet
         self.lookup_probe = None
+        self.range_numbers = None
+
+    def read_by_plane(self) -> None:
+        if self._sheet.store_kind == "columnar":
+            self.range_numbers = self._plane_numbers
+
+    def _plane_numbers(self, sheet: str | None, rng: Range):
+        if sheet is not None and sheet != self._sheet.name:
+            return None
+        return self._sheet._cells.range_numbers(rng.c1, rng.r1, rng.c2, rng.r2)
 
     def get_value(self, sheet: str | None, col: int, row: int):
         return self._sheet.resolver_get_value(sheet, col, row)

@@ -229,6 +229,47 @@ def test_interpreter_mode_never_sweeps():
     assert engine.eval_stats.interpreted_cells == ROWS
 
 
+def lookup_over_a_swept_column(mode="auto"):
+    """B = A*2 swept; F1 looks 20 up in B; then one batch reverses A."""
+    s = Sheet("S", store="columnar")
+    for r in range(1, 41):
+        s.set_value((1, r), float(r))
+        s.set_value((3, r), float(100 + r))
+    fill_formula_column(s, 2, 1, 40, "=A1*2")
+    s.set_value("E1", 20.0)
+    s.set_formula("F1", "=VLOOKUP(E1,$B$1:$C$40,2,FALSE)")
+    engine = RecalcEngine(s, evaluation=mode, workers=0, shards=0)
+    engine.recalculate_all()
+    assert s.get_value("F1") == 110.0
+    versions = {col: s._cells.column_version(col) for col in range(1, 7)}
+    with engine.begin_batch() as batch:
+        for r in range(1, 41):
+            batch.set_value((1, r), float(41 - r))
+    return engine, versions
+
+
+@sweeps_available
+def test_a_sweep_invalidates_the_lookup_index_over_its_column():
+    """Regression: the sweep rewrote B's planes without moving B's
+    version, so the index over $B$1:$B$40 still mapped 20 to row 10."""
+    engine, _ = lookup_over_a_swept_column()
+    assert engine.eval_stats.elementwise_runs == 2
+    assert engine.sheet.get_value("B31") == 20.0
+    assert engine.sheet.get_value("F1") == 131.0
+    oracle, _ = lookup_over_a_swept_column("interpreter")
+    assert oracle.sheet.get_value("F1") == 131.0
+
+
+@sweeps_available
+def test_a_sweep_ships_its_column_in_the_plane_delta():
+    """Same cause, second symptom: a resident that reads B got no new
+    plane for it although every lane changed."""
+    engine, versions = lookup_over_a_swept_column()
+    assert engine.sheet.get_value("B1") == 80.0
+    planes, _ = engine.sheet._cells.export_plane_delta(versions)
+    assert sorted(planes) == [1, 2, 6]
+
+
 class TestElementwiseIR:
     def ir(self, text, col=3, row=1):
         return elementwise_ir(parse_formula(text), col, row)

@@ -10,16 +10,15 @@ invalidate them.  Four engines evaluate every program:
 * object   / auto               — no probe attaches (no write counters);
 * object   / interpreter        — the tree-walking oracle.
 
-The index floor is pinned to 1 so even these 20-row vectors take the
-indexed path, and each suite asserts the probes actually fired —
-a silently scan-only "differential" test would prove nothing.
+Every 1-D vector is indexed, these 20-row ones included, and each suite
+asserts the probes actually fired — a silently scan-only "differential"
+test would prove nothing.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import lookup
 from repro.spatial.registry import available_indexes
 
 from helpers import (
@@ -33,14 +32,6 @@ from helpers import (
 BACKENDS = available_indexes()
 
 ROWS = 20  # LOOKUP_TEMPLATES hard-code their table bounds to 20 rows
-
-
-@pytest.fixture(autouse=True, scope="module")
-def tiny_index_floor():
-    floor = lookup.MIN_INDEX_SIZE
-    lookup.MIN_INDEX_SIZE = 1
-    yield
-    lookup.MIN_INDEX_SIZE = floor
 
 
 def engines_for(program, index: str):
@@ -138,3 +129,45 @@ def test_structural_edits_identical(data):
         engine.set_value((2, 1), -7.0)
     for engine in lanes[:-1]:
         assert_same_values(engine.sheet, reference)
+
+
+#: Key columns that are themselves strips — elementwise sweeps and window
+#: kernels, which write their column as one band — and lookups over them.
+COMPUTED_KEYS = ("=B1*2", "=B1*B1-3", "=SUM($B$1:B1)", "=MAX(B1:B3)", "=COUNT($A$1:A1)")
+OVER_COMPUTED_KEYS = (
+    "=MATCH(B1,$C$1:$C$20,0)",
+    "=MATCH(B1,$C$1:$C$20,1)",
+    "=MATCH(A1,$C$1:$C$20,-1)",
+    "=VLOOKUP(B1,$C$1:$C$20,1)",
+    "=VLOOKUP(A1,$B$1:$C$20,2,FALSE)",
+)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_computed_key_column_then_batch_identical(data):
+    """A value batch recomputes the key column in bulk; the index over it
+    has to notice (a band write moves the column's version)."""
+    values, _ = data.draw(sheet_programs(rows=ROWS, templates=LOOKUP_TEMPLATES, max_fills=1))
+    fills = [(3, 1, ROWS, data.draw(st.sampled_from(COMPUTED_KEYS)))]
+    for i in range(data.draw(st.integers(1, 3))):
+        fills.append((4 + i, data.draw(st.integers(1, 3)), data.draw(st.integers(ROWS - 3, ROWS)),
+                      data.draw(st.sampled_from(OVER_COMPUTED_KEYS))))
+    lanes = engines_for((values, fills), "rtree")
+    for engine in lanes:
+        engine.recalculate_all()
+    assert_lanes_identical(lanes)
+    for _ in range(data.draw(st.integers(1, 2))):
+        # B pasted over whole (every key lane is dirty: strips, not
+        # cells), a few of A's entries with it.
+        edits = [(2, row, float(data.draw(st.integers(-4, 40)))) for row in range(1, ROWS + 1)]
+        edits += [
+            (1, data.draw(st.integers(1, ROWS)), float(data.draw(st.integers(-4, 40))))
+            for _ in range(data.draw(st.integers(0, 4)))
+        ]
+        for engine in lanes:
+            with engine.begin_batch() as batch:
+                for col, row, value in edits:
+                    batch.set_value((col, row), value)
+        assert_lanes_identical(lanes)

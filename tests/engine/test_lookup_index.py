@@ -16,7 +16,7 @@ from repro.sheet.sheet import Sheet
 
 from helpers import assert_same_values, clone_sheet, engine_for
 
-TABLE_ROWS = 40  # above the default MIN_INDEX_SIZE floor of 32
+TABLE_ROWS = 40
 
 
 def build_lookup_sheet(store: str = "columnar", rows: int = TABLE_ROWS) -> Sheet:
@@ -55,10 +55,10 @@ class TestProbeAttachment:
         engine = RecalcEngine(build_lookup_sheet())
         assert engine.cell_evaluator.resolver.lookup_probe is None
 
-    def test_below_size_floor_never_probes(self):
+    def test_a_short_vector_is_indexed_too(self):
         engine = RecalcEngine(build_lookup_sheet(rows=8))
         engine.recalculate_all()
-        assert engine.eval_stats.lookup_index_hits == 0
+        assert engine.eval_stats.lookup_index_hits == 2 * 8
 
 
 def serial_engine(sheet: Sheet) -> RecalcEngine:
@@ -118,7 +118,6 @@ class TestInvalidation:
 
     def test_cache_eviction_is_bounded(self, monkeypatch):
         monkeypatch.setattr(lookup, "MAX_CACHED_INDEXES", 2)
-        monkeypatch.setattr(lookup, "MIN_INDEX_SIZE", 1)
         sheet = Sheet("L", store="columnar")
         for r in range(1, 9):
             for c in range(1, 5):

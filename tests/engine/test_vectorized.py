@@ -3,9 +3,11 @@
 Each test builds the same sheet twice and compares an ``evaluation="auto"``
 engine (asserting the run actually dispatched, via ``eval_stats``)
 against the pure interpreter — exact equality, including float bits:
-the rolling sums are built on ExactSum precisely so that no tolerance
-is needed.
+the kernel sums in exact integer arithmetic precisely so that no
+tolerance is needed.
 """
+
+import math
 
 import pytest
 
@@ -221,3 +223,51 @@ def test_cycle_through_run_matches_interpreter_semantics():
             assert isinstance(got, ExcelError) and got.code == want.code, pos
         else:
             assert got == want, pos
+
+
+@pytest.mark.parametrize("func", ["MIN", "MAX"])
+@pytest.mark.parametrize("window", ["$A$1:$B$40", "$A$1:B1", "A1:$B$40", "A1:B4", "A1:A3"])
+def test_signed_zero_ties_go_to_the_first_in_row_major_order(func, window):
+    """``min()`` / ``max()`` keep the first of equal candidates, and
+    ``0.0 == -0.0``: which zero comes out depends on the order the
+    interpreter walks the window in — rows, then columns."""
+    from helpers import assert_same_values
+
+    def build():
+        s = Sheet("S")
+        for r in range(1, 41):
+            s.set_value((1, r), (0.0, -0.0, -0.0, 0.0, 0.0)[r % 5])
+            s.set_value((2, r), (-0.0, 0.0, 0.0)[r % 3])
+        fill_formula_column(s, 3, 1, 36, f"={func}({window})")
+        return s
+
+    subject, oracle = RecalcEngine(build()), RecalcEngine(build(), evaluation="interpreter")
+    subject.recalculate_all()
+    oracle.recalculate_all()
+    assert subject.eval_stats.windowed_cells == 36
+    assert_same_values(subject.sheet, oracle.sheet)
+
+
+def test_a_window_strip_writes_its_band_once(monkeypatch):
+    """The floor under the kernel: 300 lanes, no cell view, one write."""
+    from repro.formula.errors import ExcelError as Error
+    from repro.sheet import columnar
+
+    s = Sheet("S", store="columnar")
+    for r in range(1, 301):
+        s.set_value((1, r), float(r) / 7.0)
+    fill_formula_column(s, 2, 1, 300, "=SUM($A$1:A1)")
+    for r in (5, 150):                      # stale payloads under the band
+        s.formula_at((2, r)).value = "stale" if r == 5 else Error("#N/A")
+    engine = RecalcEngine(s, workers=0, shards=0)
+    store = s._cells
+    version = store.column_version(2)
+    views = []
+    monkeypatch.setattr(columnar.ColumnarCell, "__init__",
+                        lambda self, *args, **kwargs: views.append(args))
+    engine.recalculate_all()
+    assert not views
+    assert store.column_version(2) == version + 1
+    assert store.ensure_column(2, 1).side == {}
+    assert engine.eval_stats.windowed_cells == 300
+    assert s.get_value((2, 300)) == math.fsum(float(r) / 7.0 for r in range(1, 301))

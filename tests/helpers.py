@@ -220,9 +220,12 @@ def engine_for(sheet: Sheet, mode: str = "auto", index: str = "rtree",
 
 
 def same_value(got, want) -> bool:
-    """Bitwise value identity, with error-code identity for ExcelErrors."""
+    """Bitwise value identity (``-0.0`` is not ``0.0``, NaN is NaN), with
+    error-code identity for ExcelErrors."""
     if isinstance(want, ExcelError):
         return isinstance(got, ExcelError) and got.code == want.code
+    if isinstance(want, float):
+        return type(got) is float and got.hex() == want.hex()
     return type(got) is type(want) and got == want
 
 
