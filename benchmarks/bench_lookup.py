@@ -21,6 +21,13 @@ gate is asserted whenever the table has at least ``GATE_MIN_ROWS`` rows
 (scaled-down smoke runs below that still record the measured ratio and
 skip the gate with a clear message).
 
+A second pair of arms runs the same probes over a ``SMALL_ROWS``-row
+table (16: the ``fixed_lookup`` idiom of the github-like corpus).  Every
+1-D vector is indexed, whatever its length — there used to be a 32-row
+floor under which lookups scanned, on the belief that a scan of a
+handful of entries costs what a probe does; it costs sixteen times that.
+The small-table row is gated at **>= 2x** (measured ~11x).
+
 Artifacts: ASCII table + ``benchmarks/results/lookup_index.json``.
 """
 
@@ -44,31 +51,33 @@ QUERIES = int(os.environ.get("REPRO_LOOKUP_QUERIES", "2000"))
 
 SPEEDUP_GATE = 10.0
 GATE_MIN_ROWS = 5000  # below this the scans are too cheap to gate honestly
+SMALL_ROWS = 16
+SMALL_GATE = 2.0
 
 
-def build_corpus() -> tuple[Sheet, list[Range]]:
-    """An M-row unsorted key/payload table probed by two formula columns:
+def build_corpus(rows: int) -> tuple[Sheet, list[Range]]:
+    """A ``rows``-row unsorted key/payload table probed by two formula columns:
     E = exact-match VLOOKUP (hash probes), F = approximate MATCH (binary
     search on the sorted index).  Every needle hits a real key so the
     arms disagree loudly if a probe goes wrong."""
     rng = random.Random(7)
-    keys = [float(k) for k in rng.sample(range(10 * ROWS), ROWS)]
+    keys = [float(k) for k in rng.sample(range(10 * rows), rows)]
     sheet = Sheet("lookup", store="columnar")
     for r, key in enumerate(keys, start=1):
         sheet.set_value((1, r), key)             # A: shuffled keys
         sheet.set_value((2, r), key * 3.0 + 1.0)  # B: payloads
     for r in range(1, QUERIES + 1):
-        sheet.set_value((4, r), keys[(r * 17) % ROWS])   # D: needles
+        sheet.set_value((4, r), keys[(r * 17) % rows])   # D: needles
     fill_formula_column(sheet, 5, 1, QUERIES,
-                        f"=VLOOKUP(D1,$A$1:$B${ROWS},2,FALSE)")
+                        f"=VLOOKUP(D1,$A$1:$B${rows},2,FALSE)")
     approx = max(1, QUERIES // 8)
     fill_formula_column(sheet, 6, 1, approx,
-                        f"=MATCH(D1,$A$1:$A${ROWS},1)")
+                        f"=MATCH(D1,$A$1:$A${rows},1)")
     return sheet, [Range(5, 1, 5, QUERIES), Range(6, 1, 6, approx)]
 
 
-def run_arm(indexed: bool) -> dict:
-    sheet, ranges = build_corpus()
+def run_arm(indexed: bool, rows: int) -> dict:
+    sheet, ranges = build_corpus(rows)
     graph = TacoGraph()
     graph.build(dependencies_column_major(sheet))
     engine = RecalcEngine(sheet, graph, lookup_indexes=indexed)
@@ -93,52 +102,63 @@ def run_arm(indexed: bool) -> dict:
     }
 
 
+def compare_arms(rows: int) -> dict:
+    scan = run_arm(False, rows)
+    indexed = run_arm(True, rows)
+    return {
+        "rows": rows,
+        "queries": QUERIES,
+        "lookups": scan["recomputed"],
+        "scan_seconds": scan["seconds"],
+        "indexed_seconds": indexed["seconds"],
+        "speedup": (scan["seconds"] / indexed["seconds"]
+                    if indexed["seconds"] else float("inf")),
+        "identical_values": indexed["values"] == scan["values"],
+        "indexed_hits": indexed["hits"],
+        "indexed_builds": indexed["builds"],
+        "scan_hits": scan["hits"],
+    }
+
+
 def test_lookup_index(benchmark):
     def run():
-        scan = run_arm(indexed=False)
-        indexed = run_arm(indexed=True)
-        return {
-            "rows": ROWS,
-            "queries": QUERIES,
-            "lookups": scan["recomputed"],
-            "scan_seconds": scan["seconds"],
-            "indexed_seconds": indexed["seconds"],
-            "speedup": (scan["seconds"] / indexed["seconds"]
-                        if indexed["seconds"] else float("inf")),
-            "identical_values": indexed["values"] == scan["values"],
-            "indexed_hits": indexed["hits"],
-            "indexed_builds": indexed["builds"],
-            "scan_hits": scan["hits"],
-            "gate": SPEEDUP_GATE,
-            "gate_min_rows": GATE_MIN_ROWS,
-        }
+        return {**compare_arms(ROWS), "gate": SPEEDUP_GATE, "gate_min_rows": GATE_MIN_ROWS,
+                "small_table": {**compare_arms(SMALL_ROWS), "gate": SMALL_GATE}}
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
+    small = results["small_table"]
 
     gated = ROWS >= GATE_MIN_ROWS
     lines = [banner(
         "Lookaside lookup indexes: linear scans vs hash/binary-search probes",
-        f"{results['lookups']:,} lookups over a {ROWS:,}-row unsorted table",
+        f"{results['lookups']:,} lookups over a {ROWS:,}-row unsorted table, "
+        f"and over a {SMALL_ROWS}-row one",
     )]
     lines.append(ascii_table(
-        ["arm", "wall", "lookups", "index builds", "index hits"],
+        ["table rows", "arm", "wall", "lookups", "index builds", "index hits"],
         [
-            ["linear scan", format_ms(results["scan_seconds"]),
-             f"{results['lookups']:,}", "-", "-"],
-            ["indexed", format_ms(results["indexed_seconds"]),
-             f"{results['lookups']:,}", str(results["indexed_builds"]),
-             f"{results['indexed_hits']:,}"],
+            row
+            for data in (results, small)
+            for row in (
+                [f"{data['rows']:,}", "linear scan", format_ms(data["scan_seconds"]),
+                 f"{data['lookups']:,}", "-", "-"],
+                [f"{data['rows']:,}", "indexed", format_ms(data["indexed_seconds"]),
+                 f"{data['lookups']:,}", str(data["indexed_builds"]),
+                 f"{data['indexed_hits']:,}"],
+            )
         ],
     ))
     lines.append(
         f"\nspeedup: {results['speedup']:.2f}x (gate >= {SPEEDUP_GATE:.1f}x, "
         + ("enforced"
            if gated else f"not enforced: {ROWS} < {GATE_MIN_ROWS} rows")
-        + ", indexed arm pays one cold rebuild inside the timed region)"
+        + ", indexed arm pays one cold rebuild inside the timed region); "
+        f"{SMALL_ROWS}-row table: {small['speedup']:.2f}x (gate >= {SMALL_GATE:.1f}x)"
     )
     lines.append(
         "differential: values "
-        + ("bit-identical" if results["identical_values"] else "DIVERGED")
+        + ("bit-identical"
+           if results["identical_values"] and small["identical_values"] else "DIVERGED")
     )
     emit("lookup_index", "\n".join(lines))
 
@@ -149,10 +169,15 @@ def test_lookup_index(benchmark):
 
     # Correctness is unconditional: identical values, the probes actually
     # served the indexed arm, and the scan arm never touched an index.
-    assert results["identical_values"], "indexed values diverged from scans"
-    assert results["indexed_hits"] >= QUERIES, "probes never engaged"
-    assert results["indexed_builds"] >= 1, "cold rebuild did not happen"
-    assert results["scan_hits"] == 0, "scan arm was secretly indexed"
+    for data in (results, small):
+        assert data["identical_values"], "indexed values diverged from scans"
+        assert data["indexed_hits"] >= QUERIES, "probes never engaged"
+        assert data["indexed_builds"] >= 1, "cold rebuild did not happen"
+        assert data["scan_hits"] == 0, "scan arm was secretly indexed"
+    assert small["speedup"] >= SMALL_GATE, (
+        f"{SMALL_ROWS}-row table: indexed speedup {small['speedup']:.2f}x "
+        f"below gate {SMALL_GATE:.1f}x"
+    )
 
     if not gated:
         pytest.skip(

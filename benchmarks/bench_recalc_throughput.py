@@ -23,10 +23,23 @@ and ``mixed_corpus`` as **<= 8** — an O(runs) shape, asserted beside the
 speedup gates (``plan_nodes``; ``plan_ms`` is the time to lay the plan
 out, reported).
 
+Evaluation must follow it as well — cost per *strip*, not per cell.  A
+fourth sheet (``strip_costs``) holds one autofilled column per strip
+kind, ``REPRO_RECALC_MIXED_ROWS`` rows each: growing and sliding windows
+(kind ``w``), an elementwise product (``e``), an RR chain and an ``IF``
+(scalar closures, ``s``) and exact-match ``VLOOKUP`` over a 16-row and a
+2,000-row table (``s``, answered by one index probe per lane).  Each
+strip is executed alone, best of five, and reported as µs per cell; the
+growing window and the 16-row lookup are also run cell by cell through
+the per-cell fallback (``RecalcEngine._evaluate_cell``: the compiled
+closure, a fresh ``RangeValue`` per cell), and the strip kernel must be
+**>= 3x** faster than that — a ratio inside one process, so box noise
+cancels.
+
 Besides the ASCII artifact, the run writes machine-readable JSON to
 ``benchmarks/results/recalc_throughput.json`` (per-workload timings,
-speedups, plan size and time, evaluation-path counters) to seed the
-performance trajectory across PRs.
+speedups, plan size and time, evaluation-path counters, and
+``strip_us_per_cell``) to seed the performance trajectory across PRs.
 
 CI runs this on a small ``REPRO_RECALC_ROWS`` (the gates are
 scale-free: the asymptotic gap only grows with size).
@@ -39,7 +52,7 @@ import time
 from _common import RESULTS_DIR, emit
 
 from repro.bench.reporting import ascii_table, banner, format_ms
-from repro.engine.recalc import RecalcEngine
+from repro.engine.recalc import RecalcEngine, _Strip
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 
@@ -48,6 +61,8 @@ MIXED_ROWS = int(os.environ.get("REPRO_RECALC_MIXED_ROWS", str(max(ROWS // 5, 50
 
 RUNNING_TOTAL_GATE = 5.0
 MIXED_GATE = 1.5
+#: A strip kernel against its own per-cell fallback, same process.
+STRIP_KERNEL_GATE = 3.0
 #: Most plan nodes a whole-sheet plan may have, per workload.
 PLAN_NODE_CAPS = {"running_total": 1, "sliding_window": 1, "mixed_corpus": 8}
 
@@ -98,6 +113,71 @@ def time_plan(engine: RecalcEngine):
     return len(plan), (time.perf_counter() - start) * 1e3
 
 
+#: ``strip_costs``: label -> (column, fill template); A/B hold data, the
+#: lookup tables sit in L:M (16 rows) and O:P (2,000 rows), keys in J.
+STRIPS = {
+    "w growing": (3, "=SUM($A$1:A1)"),
+    "w sliding": (4, "=SUM(A1:B4)"),
+    "e product": (5, "=A1*B1"),
+    "s chain": (6, "=F1+A2"),
+    "s if": (7, "=IF(A2>B2,G1+A2,B2)"),
+    "s lookup 16": (8, "=VLOOKUP(J1,$L$1:$M$16,2,FALSE)"),
+    "s lookup 2000": (9, "=VLOOKUP(J1,$O$1:$P$2000,2,FALSE)"),
+}
+PER_CELL = ("w growing", "s lookup 16")
+
+
+def build_strips(rows: int) -> Sheet:
+    sheet = Sheet("throughput", store="columnar")
+    for r in range(1, rows + 5):
+        sheet.set_value((1, r), float((r * 31) % 101) + 0.25)
+        sheet.set_value((2, r), float((r * 17) % 13) + 1.0)
+        sheet.set_value((10, r), float((r * 7) % 16))
+    for c, n in ((12, 16), (15, 2000)):
+        for r in range(1, n + 1):
+            sheet.set_value((c, r), float(r - 1))
+            sheet.set_value((c + 1, r), float(r) * 1.5)
+    for label, (col, text) in STRIPS.items():
+        first = 2 if label in ("s chain", "s if") else 1
+        if first == 2:
+            sheet.set_formula((col, 1), "=A1")
+        fill_formula_column(sheet, col, first, rows, text)
+    return sheet
+
+
+def strip_costs(rows: int) -> dict:
+    """µs per cell of each strip executed alone (best of five), and of
+    the ``PER_CELL`` strips run through the per-cell fallback."""
+    sheet = build_strips(rows)
+    engine = RecalcEngine(sheet, workers=0, shards=0)
+    engine.recalculate_all()
+    nodes = {
+        node.col: node
+        for node in engine._build_plan(None, False)[0] if type(node) is _Strip
+    }
+
+    def best(action) -> float:
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            action()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    out = {"strip": {}, "per_cell": {}, "kinds": {}}
+    for label, (col, _) in STRIPS.items():
+        node = nodes[col]
+        cells = len(node.rows)
+        out["kinds"][label] = node.kind
+        out["strip"][label] = best(lambda: engine._execute_plan((node,))) / cells * 1e6
+        if label in PER_CELL:
+            members = node.members()
+            out["per_cell"][label] = best(
+                lambda: [engine._evaluate_cell(pos) for pos in members]
+            ) / cells * 1e6
+    return out
+
+
 WORKLOADS = [
     ("running_total", build_running_total, ROWS, RUNNING_TOTAL_GATE),
     ("sliding_window", build_sliding_window, ROWS, None),
@@ -130,9 +210,9 @@ def test_recalc_throughput(benchmark):
                     "interpreted_cells": stats.interpreted_cells,
                 },
             }
-        return results
+        return results, strip_costs(MIXED_ROWS)
 
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results, strips = benchmark.pedantic(run, rounds=1, iterations=1)
 
     lines = [banner(
         "Recalculation throughput: interpreter vs compiled + windowed",
@@ -180,15 +260,39 @@ def test_recalc_throughput(benchmark):
             f"{'OK' if planned else 'REGRESSION'}: {name} plans as "
             f"{data['plan_nodes']} node(s), cap {PLAN_NODE_CAPS[name]}"
         )
+    lines.append(f"\nstrip by strip, {MIXED_ROWS:,} rows each (µs per cell, best of 5):")
+    lines.append(ascii_table(
+        ["strip", "kind", "as a strip", "cell by cell", "ratio"],
+        [
+            [label, strips["kinds"][label], f"{cost:.2f}",
+             f"{strips['per_cell'][label]:.2f}" if label in PER_CELL else "-",
+             f"{strips['per_cell'][label] / cost:.1f}x" if label in PER_CELL else "-"]
+            for label, cost in strips["strip"].items()
+        ],
+    ))
+    for label in PER_CELL:
+        ratio = strips["per_cell"][label] / strips["strip"][label]
+        passed = ratio >= STRIP_KERNEL_GATE
+        ok = ok and passed
+        verdicts.append(
+            f"{'OK' if passed else 'REGRESSION'}: the {label!r} strip runs "
+            f"{ratio:.1f}x faster than its cells one by one, gate {STRIP_KERNEL_GATE:.1f}x"
+        )
     lines.append("\n" + "\n".join(verdicts))
     emit("recalc_throughput", "\n".join(lines))
 
     os.makedirs(RESULTS_DIR, exist_ok=True)
     json_path = os.path.join(RESULTS_DIR, "recalc_throughput.json")
     with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump({"rows": ROWS, "workloads": results}, handle, indent=2)
+        json.dump(
+            {"rows": ROWS, "workloads": results, "strip_rows": MIXED_ROWS,
+             "strip_us_per_cell": strips["strip"],
+             "per_cell_us_per_cell": strips["per_cell"]},
+            handle, indent=2,
+        )
 
     assert ok, "\n".join(verdicts)
     # The fast paths must actually engage, or the speedup is a fluke.
     assert results["running_total"]["eval_paths"]["windowed_cells"] == ROWS
     assert results["mixed_corpus"]["eval_paths"]["interpreted_cells"] > 0
+    assert [strips["kinds"][label][0] for label in STRIPS] == [label[0] for label in STRIPS]

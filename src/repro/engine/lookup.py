@@ -44,7 +44,7 @@ from bisect import bisect_left, bisect_right
 
 from ..formula.errors import NA_ERROR
 from ..formula.functions import _CLS_BOOL, _CLS_NUM, _CLS_TEXT, lookup_entry_key
-from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_ERROR, TAG_NUMBER, TAG_STRING
+from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_NUMBER, TAG_STRING
 
 __all__ = [
     "LookupCache",
@@ -269,6 +269,13 @@ class LookupProbe:
         written.  Counts one hit per lane served, as the closure's own
         probe would have.
         """
+        offset = spec.needle_row.value
+        off_top = min(max(1 - (rows[0] + offset), 0), len(rows))
+        for row in rows[:off_top]:
+            closure(row)                    # a needle above row 1: #REF!
+        rows = rows[off_top:]
+        if not rows:
+            return
         store = self._store
         c1, r1 = spec.vector[:2]
         side, tie, across, vertical = spec.side, spec.tie, spec.across, spec.vertical
@@ -277,24 +284,26 @@ class LookupProbe:
         read = store.read_value
         write = store._write_raw
         column = store.ensure_column(col, rows[-1])
+        # The needle column by slice; rows it ends short of are blank.
         needles = spec.needle_col.at(col)
-        first = max(rows[0] + spec.needle_row.value, 1)
-        values, tags = store.read_band(needles, first, rows[-1] + spec.needle_row.value)
+        values, tags = store.read_band(needles, rows[0] + offset, rows[-1] + offset)
+        tags.extend(bytes(len(rows) - len(tags)))
         texts = store.ensure_column(needles, 1).side if tags.count(TAG_STRING) else None
         served = 0
-        for k, row in enumerate(rows, rows[0] + spec.needle_row.value - first):
-            tag = tags[k] if 0 <= k < len(tags) else TAG_EMPTY if k >= 0 else TAG_ERROR
+        for k, row in enumerate(rows):
+            tag = tags[k]
             if tag == TAG_NUMBER:
-                key = (_CLS_NUM, values[k])
-                if key[1] != key[1]:
+                x = values[k]
+                if x != x:
                     closure(row)
                     continue
+                key = (_CLS_NUM, x)
             elif tag == TAG_EMPTY:
                 key = _BLANK_NEEDLE
             elif tag == TAG_BOOL:
                 key = (_CLS_BOOL, values[k] != 0.0)
             elif tag == TAG_STRING:
-                key = (_CLS_TEXT, texts[first - 1 + k].lower())
+                key = (_CLS_TEXT, texts[row + offset - 1].lower())
             else:
                 closure(row)
                 continue

@@ -259,7 +259,9 @@ class ParallelRecalc:
         registry = engine.cell_evaluator.registry
         pending = []
         for region in regions:
-            shadow = RecalcEngine.plan_executor(engine.sheet, registry=registry)
+            shadow = RecalcEngine.plan_executor(
+                engine.sheet, registry=registry, lookup_indexes=engine.lookup_indexes
+            )
             pending.append(
                 (region, shadow, pool.submit(_thread_region, shadow, region))
             )

@@ -253,9 +253,16 @@ class RecalcEngine:
 
                 self.parallel = ParallelRecalc(self.workers, parallel_min_dirty)
 
+    @property
+    def lookup_indexes(self) -> bool:
+        """Whether this engine's lookups probe lookaside indexes — what
+        the shadow engines that execute its plans elsewhere are told."""
+        return self.cell_evaluator.resolver.lookup_probe is not None
+
     @classmethod
     def plan_executor(cls, sheet: Sheet, *, evaluation: str = "auto",
-                      registry: TemplateRegistry | None = None) -> "RecalcEngine":
+                      registry: TemplateRegistry | None = None,
+                      lookup_indexes: bool | None = None) -> "RecalcEngine":
         """A graph-less shadow engine that can only run pre-built plans.
 
         Region execution on threads (:mod:`repro.engine.parallel`) and
@@ -264,7 +271,8 @@ class RecalcEngine:
         elementwise sweeps, interpreter fallback — without graph
         maintenance, journaling, or further partitioning.  The shadow
         shares the parent's template registry (pass ``registry=``) so
-        compilation work is not repeated per region, but owns a fresh
+        compilation work is not repeated per region, and its setting for
+        lookup indexes (``lookup_indexes=``), but owns a fresh
         :class:`~repro.formula.compile.EvalStats` whose counters the
         parent merges in deterministically after the region completes.
         """
@@ -282,7 +290,7 @@ class RecalcEngine:
         engine.evaluator = engine.cell_evaluator.interpreter
         if evaluation == "auto":
             engine.cell_evaluator.resolver.read_by_plane()
-            if lookup.indexes_enabled():
+            if lookup.indexes_enabled(lookup_indexes):
                 lookup.attach_probe(engine.cell_evaluator, sheet)
         engine.workers = 0
         engine.parallel = None

@@ -393,7 +393,8 @@ class ScenarioEngine:
         if replicas is None:
             replicas = ScenarioReplicas(workers)
             self._replica_cols = cols
-        replicas.boot(sheet, self._replica_cols, records, spec, self.seeds, stats)
+        replicas.boot(sheet, self._replica_cols, records, spec, self.seeds, stats,
+                      engine.lookup_indexes)
         self._replicas = replicas
 
         seeds_base = [(pos, sheet.get_value(pos)) for pos in self.seeds]

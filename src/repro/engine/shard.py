@@ -300,11 +300,12 @@ def _spec_positions(spec) -> list[tuple[int, int]]:
 def _shard_request(payload: bytes) -> bytes:
     """The single worker entry point for the shard message protocol.
 
-    ``("boot", key, token, name, planes, records, spec, seeds)``
+    ``("boot", key, token, name, planes, records, spec, seeds, indexes)``
         (re)build the resident: install the planes, attach the formula
         run records over them (cached values stay), wrap in a graph-less
-        shadow engine.  ``spec``/``seeds`` are the scenario-replica
-        extras (a frozen plan and the seed positions).
+        shadow engine (``indexes``: the parent's ``lookup_indexes``).
+        ``spec``/``seeds`` are the scenario-replica extras (a frozen
+        plan and the seed positions).
     ``("exec", key, token, planes, patches, spec)``
         apply the plane delta and cross-shard patches, execute the spec,
         return ``("ok", packed_results, counter_deltas, count)``.
@@ -328,12 +329,12 @@ def _shard_request(payload: bytes) -> bytes:
         from ..sheet.sheet import Sheet
         from .recalc import RecalcEngine
 
-        _, key, token, name, planes, records, spec, seeds = msg
+        _, key, token, name, planes, records, spec, seeds, indexes = msg
         sheet = Sheet(name, store="columnar")
         sheet._cells.install_planes(planes)
         for record in records:
             sheet.attach_formula_run(*record)
-        engine = RecalcEngine.plan_executor(sheet)
+        engine = RecalcEngine.plan_executor(sheet, lookup_indexes=indexes)
         plan = None if spec is None else _plan_from_spec(engine, spec)
         _RESIDENTS[key] = _Resident(token, sheet, engine, plan, seeds)
         return pickle.dumps(("ok",), pickle.HIGHEST_PROTOCOL)
@@ -538,7 +539,7 @@ class ShardRuntime:
             planes, versions = store.export_plane_delta({}, self._closures[j])
             calls.append((replica, versions, _Call(j, (
                 "boot", (self._id, j), replica.token, sheet.name,
-                planes, self._records[j], None, None,
+                planes, self._records[j], None, None, engine.lookup_indexes,
             ))))
         for replica, versions, call in calls:
             if call.reply() is None:
@@ -724,7 +725,7 @@ class ScenarioReplicas:
         self._replicas = [_Replica() for _ in range(self.workers)]
         weakref.finalize(self, _send_drops, self._id, self.workers)
 
-    def boot(self, sheet, cols, records, spec, seeds, stats) -> None:
+    def boot(self, sheet, cols, records, spec, seeds, stats, indexes: bool) -> None:
         """Boot every slot that hosts no live replica.  A slot that
         cannot boot stays down — its chunks fall back serially at replay
         time, for the reason the boot failed."""
@@ -737,7 +738,7 @@ class ScenarioReplicas:
             replica.shipped = {}
             calls.append((replica, _Call(slot, (
                 "boot", (self._id, slot), replica.token, sheet.name,
-                planes, records, spec, seeds,
+                planes, records, spec, seeds, indexes,
             ))))
         for replica, call in calls:
             if call.reply() is not None:

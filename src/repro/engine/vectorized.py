@@ -1,12 +1,15 @@
-"""Windowed-aggregate evaluation of same-template runs.
+"""Strip kernels: a same-template run evaluated over the column planes.
 
 The compressed graph already knows that a running-total column is *one*
 RR/FR edge whose dependent range is the whole run; this module makes
 recalculation cost follow that structure.  Given a run of formula cells
 in one column that share a windowed-aggregate template
 (:class:`~repro.formula.compile.WindowSpec` — the whole formula is
-``AGG(range)`` with the range sliding or growing along the run), the run
-is evaluated with rolling aggregates:
+``AGG(range)`` with the range sliding or growing along the run),
+:func:`evaluate_run` slices the window's columns once
+(``Sheet.read_band``: flat value and tag buffers), computes every lane in
+one loop in which rows enter the window's state and, sliding, leave it,
+and lands the results as one band write (``Sheet.write_band``):
 
 ====================  ==========================  =====================
 window rows           shape                       total cost
@@ -20,14 +23,21 @@ relative .. relative  sliding window               O(window + run)
 versus ``O(run x window)`` for per-cell evaluation — the difference
 between quadratic and linear on the paper's running-total workloads.
 
-Exactness: SUM/AVERAGE accumulate through
-:class:`~repro.formula.numeric.ExactSum`, so every emitted value is
-bit-identical to ``math.fsum`` over that cell's window — the same value
-the interpreter computes.  MIN/MAX use running extrema (growing) or a
-monotonic deque (sliding); COUNT is integer arithmetic.  Cells whose
-window contains an error value are delegated back to the per-cell
-``fallback`` callable, which preserves the interpreter's
-iteration-order-dependent choice of *which* error propagates.
+Exactness: SUM/AVERAGE hold the window's sum as an integer — every
+number times one power of two, which is exact — so a lane's value is one
+correctly rounded ``int / int``: bit-identical to ``math.fsum`` over that
+cell's window, the value the interpreter computes.  MIN/MAX use running
+extrema (growing) or a monotonic deque (sliding), ties going to the
+first candidate in row-major order as ``min()`` / ``max()`` do; COUNT is
+integer arithmetic.  Cells whose window contains an error value (or a
+number the scaling does not cover: NaN, infinities, absurd magnitudes)
+are delegated back to the per-cell ``fallback`` callable, which
+preserves the interpreter's iteration-order-dependent choice of *which*
+error propagates.
+
+:func:`evaluate_elementwise_run` is the other kernel: a run of pure
+float arithmetic over cell references as one numpy sweep, written
+through the same band primitive.
 
 The caller (the strip planner, :meth:`repro.engine.recalc.RecalcEngine._make_strip`)
 is responsible for run *safety* — window rows may only touch cells that
@@ -55,6 +65,7 @@ from ..sheet.columnar import (
     TAG_NUMBER,
     TAG_OBJECT,
     ColumnarStore,
+    square_off,
 )
 from ..sheet.sheet import Sheet
 
@@ -78,8 +89,6 @@ MIN_RUN = 8
 #: anything does: ``x * 2.0**shift`` stays a finite float inside these.
 _HUGE = 2.0 ** 500
 _FINEST = 500
-
-_D_ZERO = array("d", (0.0,))
 
 
 def window_cols(spec: WindowSpec, col: int) -> tuple[int, int] | None:
@@ -149,13 +158,7 @@ def evaluate_run(
     bands = [sheet.read_band(c, base, top) for c in range(cols[0], cols[1] + 1)]
     own = bands[col - cols[0]] if cols[0] <= col <= cols[1] else None
     ahead = first - base        # lane + ahead: the lane's own row in ``own``
-    height = max(len(tags) for _, tags in bands)
-    if own is not None:
-        height = max(height, min(last, top) - base + 1)
-    for values, tags in bands:
-        short = height - len(tags)
-        values.extend(_D_ZERO * short)
-        tags.extend(bytes(short))
+    height = square_off(bands, 0 if own is None else min(last, top) - base + 1)
     if sliding:
         row_count = array("i", bytes(4 * height))
         row_bad = bytearray(height)
@@ -188,7 +191,8 @@ def evaluate_run(
     enter = min(hi, height - 1) if descending else 0
     leave = 0
     for lane in range(row - first, -1 if descending else len(rows), step):
-        stop = lo - 1 if descending else min(hi, height - 1) + 1
+        # (rows past ``height`` are blank: nothing of them enters)
+        stop = min(lo - 1, enter) if descending else max(min(hi, height - 1) + 1, enter)
         for i in range(enter, stop, step):
             numbers = errors = row_total = 0
             row_best = None

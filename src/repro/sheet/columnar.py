@@ -21,8 +21,12 @@ Each column is one ``array('d')`` of values plus one ``bytearray`` of
 tags (9 bytes per cell before growth headroom) and a sparse ``side``
 dict for the rare non-numeric payloads.  The store is pure stdlib — no
 numpy required — but its buffers expose the buffer protocol, so the
-vectorized evaluator (:mod:`repro.engine.vectorized`) wraps them
-zero-copy with ``numpy.frombuffer`` when numpy is available.
+elementwise sweep (:mod:`repro.engine.vectorized`) wraps them zero-copy
+with ``numpy.frombuffer`` when numpy is available.  Whole bands of a
+column move through :meth:`ColumnarStore.read_band` (flat slices of
+both planes) and :meth:`ColumnarStore.write_band` (cached numbers of a
+strip of formula cells: one write, one version step) — what the strip
+kernels are built on.
 
 The formula plane is stored the way autofill made it — as *runs*: per
 column, a sorted list of records ``(first_row, last_row, template,
@@ -65,6 +69,7 @@ __all__ = [
     "ColumnarStore",
     "RunIndex",
     "scan_formula_runs",
+    "square_off",
 ]
 
 TAG_EMPTY = 0
@@ -186,6 +191,18 @@ def _blank(tags, first: int, last: int) -> int:
     hi = min(last, len(tags))
     lo = min(first - 1, hi)
     return (last - first + 1) - (hi - lo) + tags.count(TAG_EMPTY, lo, hi)
+
+
+def square_off(bands: list[tuple[array, bytearray]], height: int = 0) -> int:
+    """Pad :meth:`ColumnarStore.read_band` slices, in place, to the
+    longest of them (and at least ``height``) with blank lanes — which is
+    what the rows a slice was cut short of are.  Returns that height."""
+    height = max(height, *(len(tags) for _, tags in bands))
+    for values, tags in bands:
+        short = height - len(tags)
+        values.extend(_D_ZERO * short)
+        tags.extend(bytes(short))
+    return height
 
 
 def _classify(value) -> tuple[int, float, object]:
@@ -791,11 +808,7 @@ class ColumnarStore:
             if tags.count(TAG_NUMBER) == len(tags):
                 return values
             return compress(values, tags.translate(_IS_NUMBER))
-        height = max(len(tags) for _, tags in bands)
-        for values, tags in bands:
-            short = height - len(tags)
-            values.extend(_D_ZERO * short)
-            tags.extend(bytes(short))
+        square_off(bands)
         return compress(
             chain.from_iterable(zip(*[values for values, _ in bands])),
             chain.from_iterable(zip(*[tags.translate(_IS_NUMBER) for _, tags in bands])),

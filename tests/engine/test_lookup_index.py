@@ -55,6 +55,23 @@ class TestProbeAttachment:
         engine = RecalcEngine(build_lookup_sheet())
         assert engine.cell_evaluator.resolver.lookup_probe is None
 
+    @pytest.mark.parametrize("dispatch", [{"workers": 2}, {"shards": 2}])
+    def test_dispatched_plans_keep_the_engines_setting(self, dispatch):
+        """Thread shadows and residents used to consult the environment
+        toggle alone, so a ``lookup_indexes=False`` engine indexed anyway
+        wherever it dispatched."""
+        from repro.engine import shutdown_pools
+
+        try:
+            engine = RecalcEngine(build_lookup_sheet(), lookup_indexes=False,
+                                  parallel_min_dirty=1, **dispatch)
+            engine.recalculate_all()
+            stats = engine.eval_stats
+            assert stats.parallel_dispatches + stats.shard_bootstraps > 0
+            assert stats.lookup_index_hits == 0
+        finally:
+            shutdown_pools()
+
     def test_a_short_vector_is_indexed_too(self):
         engine = RecalcEngine(build_lookup_sheet(rows=8))
         engine.recalculate_all()

@@ -103,9 +103,9 @@ def window_of(template):
 
 WINDOW_FUNCS = ("SUM", "AVERAGE", "COUNT", "MIN", "MAX")
 WINDOW_SHAPES = (
-    "${s}${r0}:${t}${r1}",      # constant
+    "${s}${r0}:${t}${r9}",      # constant (r9: past the end of the data)
     "${s}${r0}:{t}{r0}",        # growing
-    "{s}{r0}:${t}${r1}",        # shrinking
+    "{s}{r0}:${t}${r9}",        # shrinking
     "{s}{r0}:{t}{r3}",          # sliding
 )
 
@@ -115,7 +115,7 @@ def window(sheet, col, r0, r1, s, variant):
     func = WINDOW_FUNCS[variant % 5]
     shape = WINDOW_SHAPES[variant // 5 % 4]
     wide = variant // 20 % 2 and s != "A"
-    rng = shape.format(s="A" if wide else s, t=s, r0=r0, r1=r1, r3=r0 + 3)
+    rng = shape.format(s="A" if wide else s, t=s, r0=r0, r3=r0 + 3, r9=r1 + 9)
     fill_formula_column(sheet, col, r0, r1, f"={func}({rng})")
     return 1
 

@@ -248,6 +248,20 @@ def test_signed_zero_ties_go_to_the_first_in_row_major_order(func, window):
     assert_same_values(subject.sheet, oracle.sheet)
 
 
+@pytest.mark.parametrize("formula", sorted(FORMULAS.values()) + ["=SUM(A20:A29)"])
+def test_windows_past_the_end_of_a_short_column(formula):
+    """The kernel's slices stop where the column physically ends; the
+    rows a window names beyond that are blank."""
+    def build():
+        s = Sheet("S")
+        for r in range(1, 13):
+            s.set_value((1, r), float(r) * 1.25)
+        fill_formula_column(s, 2, 1, 60, formula)
+        return s
+
+    compare(build)
+
+
 def test_a_window_strip_writes_its_band_once(monkeypatch):
     """The floor under the kernel: 300 lanes, no cell view, one write."""
     from repro.formula.errors import ExcelError as Error

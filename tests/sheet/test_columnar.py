@@ -6,6 +6,8 @@ Sheet accessor surface behaves identically on either store) and
 to the arrays, because it has no shadow storage of its own.
 """
 
+from array import array
+
 import pytest
 
 from repro.formula.errors import ExcelError
@@ -80,6 +82,60 @@ class TestTagPlane:
         store.write_pure(1, 1, 1.0)
         assert store.read_value(1, 999) is None
         assert store.read_value(999, 1) is None
+
+
+class TestBands:
+    """``read_band`` / ``write_band`` / ``range_numbers``: whole stretches
+    of a column as flat buffers."""
+
+    def filled(self):
+        sheet = columnar_sheet()
+        for r, value in enumerate((1.5, "txt", True, None, -0.0, 4.0), start=1):
+            sheet.set_value((1, r), value)
+        for r in range(1, 7):
+            sheet.set_formula((2, r), f"=A{r}")
+        return sheet, sheet._cells
+
+    def test_read_band_is_a_clipped_copy(self):
+        _, store = self.filled()
+        values, tags = store.read_band(1, 2, 5)
+        assert list(tags) == [TAG_STRING, TAG_BOOL, TAG_EMPTY, TAG_NUMBER]
+        assert list(values) == [0.0, 1.0, 0.0, -0.0]
+        values[0] = 9.0                                   # a copy, not a view
+        assert store.read_value(1, 2) == "txt"
+        assert [len(part) for part in store.read_band(1, 1, 10 ** 6)] == \
+            [len(store.ensure_column(1, 1).tags)] * 2     # cut at the physical end
+        assert [len(part) for part in store.read_band(7, 1, 5)] == [0, 0]
+
+    def test_write_band_lands_numbers_once(self):
+        sheet, store = self.filled()
+        sheet.formula_at((2, 2)).value = "stale"
+        sheet.formula_at((2, 5)).value = ExcelError("#N/A")
+        count, version = len(store), store.column_version(2)
+        store.write_band(2, 2, array("d", (7.0, 8.0, 9.0, 10.0)))
+        assert [store.read_value(2, r) for r in range(1, 7)] == [None, 7.0, 8.0, 9.0, 10.0, None]
+        assert store.ensure_column(2, 1).side == {}
+        assert store.column_version(2) == version + 1
+        assert len(store) == count                         # formula cells: occupancy stands
+        store.write_band(2, 1, array("d"))                 # nothing to write, nothing moves
+        assert store.column_version(2) == version + 1
+
+    def test_range_numbers_keeps_row_major_order(self):
+        sheet, store = self.filled()
+        for r, value in enumerate((10.0, 20.0, "x", 40.0), start=1):
+            sheet.set_value((3, r), value)
+        walked = [v for _, _, v in store.iter_range(Range(1, 1, 3, 9))
+                  if type(v) is float]
+        assert list(store.range_numbers(1, 1, 3, 9)) == walked == \
+            [1.5, 10.0, 20.0, 40.0, -0.0, 4.0]
+        assert list(store.range_numbers(1, 1, 1, 9)) == [1.5, -0.0, 4.0]
+        assert list(store.range_numbers(5, 1, 6, 9)) == []
+
+    def test_range_numbers_leaves_errors_to_the_walk(self):
+        sheet, store = self.filled()
+        sheet.set_value((1, 4), ExcelError("#DIV/0!"))
+        assert store.range_numbers(1, 1, 1, 6) is None
+        assert store.range_numbers(1, 1, 1, 3) is not None
 
 
 class TestWriteThroughViews:
