@@ -488,13 +488,19 @@ class SheetResolver:
         self.range_numbers = None
 
     def read_by_plane(self) -> None:
-        if self._sheet.store_kind == "columnar":
-            self.range_numbers = self._plane_numbers
+        if self._sheet.store_kind != "columnar":
+            return
+        # (a closure over the store, not a method of this resolver: no
+        # reference cycle keeps an evicted workbook's planes waiting for
+        # the cycle collector)
+        name, numbers = self._sheet.name, self._sheet._cells.range_numbers
 
-    def _plane_numbers(self, sheet: str | None, rng: Range):
-        if sheet is not None and sheet != self._sheet.name:
-            return None
-        return self._sheet._cells.range_numbers(rng.c1, rng.r1, rng.c2, rng.r2)
+        def plane_numbers(sheet: str | None, rng: Range):
+            if sheet is not None and sheet != name:
+                return None
+            return numbers(rng.c1, rng.r1, rng.c2, rng.r2)
+
+        self.range_numbers = plane_numbers
 
     def get_value(self, sheet: str | None, col: int, row: int):
         return self._sheet.resolver_get_value(sheet, col, row)
