@@ -22,11 +22,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from .taco_graph import TacoGraph
 
 __all__ = [
-    "GroupedDependents",
     "dependents_of_seeds",
     "find_dependents",
     "find_dependents_multi",
-    "find_dependents_multi_grouped",
     "find_precedents",
 ]
 
@@ -94,97 +92,6 @@ def find_dependents_multi(
                 for fresh in result.add_new(dep_range):
                     queue.append(fresh)
     return result.ranges
-
-
-class GroupedDependents:
-    """One weakly-connected dependent group of a multi-seed BFS.
-
-    ``seeds`` are indices into the seed list that ended up in this group;
-    ``ranges`` the disjoint dependent ranges their shared frontier
-    reached (empty when the seeds have no dependents at all).
-    """
-
-    __slots__ = ("seeds", "ranges")
-
-    def __init__(self, seeds: "list[int]", ranges: "list[Range]"):
-        self.seeds = seeds
-        self.ranges = ranges
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GroupedDependents(seeds={self.seeds}, ranges={len(self.ranges)})"
-
-
-def find_dependents_multi_grouped(
-    graph: "TacoGraph", seeds: Iterable[Range], budget: Budget | None = None
-) -> "list[GroupedDependents]":
-    """Dependents of ``seeds``, grouped into weakly-connected frontiers.
-
-    The same single-pass range BFS as :func:`find_dependents_multi`, but
-    each seed starts its own group and a union-find merges two groups
-    whenever one's expansion lands on territory the other already
-    visited.  Groups that never touch are provably independent: no
-    compressed edge connects their dependent sets, so they can be
-    recalculated concurrently (:mod:`repro.engine.parallel` uses this as
-    its region *preview*; the execution-time partition is re-derived
-    exactly, at plan level, from the dirty set's ordering adjacency).
-
-    Grouping is conservative — two seeds whose dependents merely share a
-    stored range piece are merged even if their cell-level dependencies
-    are disjoint — which errs on the safe (serial) side.  Groups are
-    returned ordered by their smallest seed index; ranges across groups
-    are disjoint and their union equals :func:`find_dependents_multi` of
-    the same seeds.
-    """
-    seeds = list(seeds)
-    parent = list(range(len(seeds)))
-
-    def find(g: int) -> int:
-        while parent[g] != g:
-            parent[g] = parent[parent[g]]
-            g = parent[g]
-        return g
-
-    def union(a: int, b: int) -> int:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return ra
-        if rb < ra:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        return ra
-
-    queue: deque[tuple[Range, int]] = deque(
-        (rng, g) for g, rng in enumerate(seeds)
-    )
-    result = RangeSet(index=graph.index_spec)
-    owner: dict[Range, int] = {}
-    stats = graph.query_stats
-    while queue:
-        prec_to_visit, group = queue.popleft()
-        group = find(group)
-        for edge in graph.prec_overlapping(prec_to_visit):
-            stats.edge_accesses += 1
-            if budget is not None:
-                budget.check()
-            overlap = prec_to_visit.intersect(edge.prec)
-            if overlap is None:
-                continue
-            for dep_range in edge.pattern.find_dep(edge, overlap):
-                for member in result.overlapping_members(dep_range):
-                    group = union(group, owner[member])
-                for fresh in result.add_new(dep_range):
-                    owner[fresh] = group
-                    queue.append((fresh, group))
-    groups: dict[int, GroupedDependents] = {}
-    for g in range(len(seeds)):
-        root = find(g)
-        entry = groups.get(root)
-        if entry is None:
-            entry = groups[root] = GroupedDependents([], [])
-        entry.seeds.append(g)
-    for piece, g in owner.items():
-        groups[find(g)].ranges.append(piece)
-    return [groups[root] for root in sorted(groups)]
 
 
 def find_precedents(

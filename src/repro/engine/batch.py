@@ -280,20 +280,6 @@ class BatchEditSession:
             )
             structural_dirty.extend(structural_result.dirty_ranges)
 
-        # Resident shard invalidation, decided against pre-apply state:
-        # formula installs/clears and range clears change ownership or
-        # registry contents (structural ops flagged themselves above);
-        # value-only commits — the hot-loop shape — keep shards resident
-        # and ride the column-version stamps as plane deltas.
-        shard_rt = engine.shard_runtime
-        if shard_rt is not None:
-            formula_at = sheet.formula_at
-            if self._range_clears or any(
-                kind != _VALUE or formula_at(pos) is not None
-                for pos, (kind, _) in self._pending.items()
-            ):
-                shard_rt.note_formula_change()
-
         # 1. Sheet state: range clears first (in order), then the
         # surviving per-cell edits — by construction the per-cell buffer
         # already reflects in-order semantics.

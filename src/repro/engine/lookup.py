@@ -20,7 +20,7 @@ it replaces.
 
 Invalidation is pull-based and piggybacks on the columnar store's write
 counters: every index records the store ``epoch`` (bumped by structural
-edits / clears / plane installs) and the ``version`` of each backing
+edits / plane installs) and the ``version`` of each backing
 column (bumped per content write) at build time, and a probe rebuilds
 when either moved.  K buffered writes inside a
 :class:`~repro.engine.batch.BatchEditSession` or deferred-maintenance
@@ -30,15 +30,14 @@ one per edit, with no subscription bookkeeping on the write path beyond
 an integer increment.
 
 The engine attaches a :class:`LookupProbe` to its resolver
-(``SheetResolver.lookup_probe``); interpreter-mode engines and bare
-evaluators keep the attribute ``None`` and stay on the reference scan,
-which keeps them valid differential oracles.  ``REPRO_LOOKUP_INDEX=0``
-disables attachment globally.
+(``SheetResolver.lookup_probe``) unless built with
+``lookup_indexes=False``; interpreter-mode engines and bare evaluators
+keep the attribute ``None`` and stay on the reference scan, which keeps
+them valid differential oracles.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from bisect import bisect_left, bisect_right
 
@@ -51,28 +50,16 @@ __all__ = [
     "LookupProbe",
     "VectorIndex",
     "attach_probe",
-    "indexes_enabled",
 ]
 
 
 #: Per-sheet cap on cached vector indexes (FIFO eviction) — a runaway
 #: workload probing thousands of distinct ranges must not hoard memory.
-try:
-    MAX_CACHED_INDEXES = int(os.environ.get("REPRO_LOOKUP_MAX_INDEXES", 256))
-except ValueError:
-    MAX_CACHED_INDEXES = 256
+MAX_CACHED_INDEXES = 256
 
 
 #: What a blank needle is looked up as (``lookup_needle_key``).
 _BLANK_NEEDLE = (_CLS_NUM, 0.0)
-
-
-def indexes_enabled(flag: "bool | None" = None) -> bool:
-    """Resolve the engine's ``lookup_indexes`` setting: an explicit flag
-    wins, otherwise the ``REPRO_LOOKUP_INDEX`` env toggle (default on)."""
-    if flag is not None:
-        return bool(flag)
-    return os.environ.get("REPRO_LOOKUP_INDEX", "1").lower() not in ("0", "off", "no")
 
 
 class VectorIndex:
@@ -334,12 +321,13 @@ def _sheet_cache(sheet) -> LookupCache:
 def attach_probe(cell_evaluator, sheet) -> None:
     """Arm ``cell_evaluator``'s resolver with a lookaside probe.
 
-    Columnar sheets only — the object store has no write counters, so it
-    stays on the (identical-by-contract) linear scan and doubles as the
+    Columnar sheets only — an index is built from and stamped with the
+    value planes, which the object store does not have, so it stays on
+    the (identical-by-contract) linear scan and doubles as the
     differential oracle.  The evaluator's interpreter shares the same
     resolver object, so both evaluation tiers of one engine see the
     probe.
     """
-    if getattr(sheet, "store_kind", None) != "columnar":
+    if sheet.store_kind != "columnar":
         return
     cell_evaluator.resolver.lookup_probe = LookupProbe(sheet, cell_evaluator.stats)

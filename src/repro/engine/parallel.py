@@ -54,8 +54,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from .recalc import RecalcEngine
 
-__all__ = ["ParallelRecalc", "coarsen_regions", "partition_plan",
-           "preview_regions", "shutdown_pools"]
+__all__ = ["ParallelRecalc", "coarsen_regions", "partition_plan", "shutdown_pools"]
 
 #: Fault-injection hook for the fallback tests, read inside the worker:
 #: ``"die"`` kills it at region start (a thread worker raises, a resident
@@ -174,21 +173,6 @@ def coarsen_regions(regions, buckets: int) -> list[list[object]]:
     return [b for b in bins if b]
 
 
-def preview_regions(engine: "RecalcEngine", dirty_ranges) -> list[list]:
-    """The independent dependent-groups a dirty set splits into.
-
-    A read-only probe over the compressed graph
-    (:func:`repro.core.query.find_dependents_multi_grouped`): one BFS,
-    grouping seeds whose dependent frontiers touch.  Useful for sizing a
-    worker pool before committing to a recalculation; the execution-time
-    partition (:func:`partition_plan`) is computed exactly, at the plan
-    level, and may split finer than this conservative preview.
-    """
-    from ..core.query import find_dependents_multi_grouped
-
-    return find_dependents_multi_grouped(engine.graph, list(dirty_ranges))
-
-
 # -- worker pools --------------------------------------------------------------
 
 _POOLS: dict[int, ThreadPoolExecutor] = {}
@@ -302,10 +286,9 @@ def _pregrow_written_columns(sheet, regions) -> None:
     reallocates an array plane (or resizes a buffer-exported bytearray)
     that another worker is reading through.
     """
-    store = sheet._cells
-    ensure = getattr(store, "ensure_column", None)
-    if ensure is None:
+    if sheet.store_kind != "columnar":
         return
+    ensure = sheet._cells.ensure_column
     peaks: dict[int, int] = {}
     for region in regions:
         for node in region:

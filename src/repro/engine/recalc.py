@@ -222,7 +222,7 @@ class RecalcEngine:
         #: differential oracle.
         if self.evaluation == "auto":
             self.cell_evaluator.resolver.read_by_plane()
-            if lookup.indexes_enabled(lookup_indexes):
+            if lookup_indexes is None or lookup_indexes:
                 lookup.attach_probe(self.cell_evaluator, sheet)
         if workers is None:
             workers = int(os.environ.get("REPRO_RECALC_WORKERS", "0") or 0)
@@ -290,7 +290,7 @@ class RecalcEngine:
         engine.evaluator = engine.cell_evaluator.interpreter
         if evaluation == "auto":
             engine.cell_evaluator.resolver.read_by_plane()
-            if lookup.indexes_enabled(lookup_indexes):
+            if lookup_indexes is None or lookup_indexes:
                 lookup.attach_probe(engine.cell_evaluator, sheet)
         engine.workers = 0
         engine.parallel = None
@@ -377,34 +377,24 @@ class RecalcEngine:
             previous = self.sheet.cell_at(pos)
             if previous is not None and previous.is_formula:
                 # Stale edges would keep reporting dependents of a
-                # formula that no longer exists.  Plain value writes
-                # ride the version stamps and keep shards hot.
-                self._formula_changed(pos)
+                # formula that no longer exists.
+                self._pending.discard(pos)
                 self.graph.clear_cells(cell_range)
             self.sheet.set_value(pos, payload)
         elif op == "formula":
-            self._formula_changed(pos)
+            # (a new formula is re-marked by its own edit)
+            self._pending.discard(pos)
             self.graph.clear_cells(cell_range)
             self.sheet.set_formula(pos, payload)
             template = self.sheet.formula_at(pos).template
             for dep in self.sheet.dependencies_at(template, *pos):
                 self.graph.add_dependency(dep)
         elif op == "clear":
-            if self.sheet.formula_at(pos) is not None:
-                self._formula_changed(pos)
+            self._pending.discard(pos)
             self.graph.clear_cells(cell_range)
             self.sheet.clear_cell(pos)
         else:
             raise ValueError(f"unknown cell op {op!r}")
-
-    def _formula_changed(self, pos: tuple[int, int]) -> None:
-        """The formula at ``pos`` is about to appear, change or vanish:
-        resident shard ownership and a kept backlog plan both describe
-        the old one (a new formula is re-marked by its own edit)."""
-        if self.shard_runtime is not None:
-            self.shard_runtime.note_formula_change()
-        self._pending.discard(pos)
-        self._plan = None
 
     # -- batched editing ---------------------------------------------------------
 
@@ -534,8 +524,6 @@ class RecalcEngine:
             node = self._plan.pop()
             if type(node) is tuple:
                 pending.discard(node)
-                if self.sheet.formula_at(node) is None:
-                    continue    # cleared behind the engine's back since planning
             else:
                 room = max_cells - computed
                 if node.kind == "s" and len(node.rows) > room:
@@ -562,9 +550,8 @@ class RecalcEngine:
         overwritten through a path that does not maintain the backlog
         (a batch commit, ``Sheet.clear_range``, a sibling engine).  None
         can have gone while the formula plane stands at the version the
-        kept plan was laid out at (the object store keeps no version)."""
-        version = self.sheet.formula_version
-        if version is not None and version == self._plan_version:
+        kept plan was laid out at."""
+        if self.sheet.formula_version == self._plan_version:
             return
         formula_at = self.sheet.formula_at
         self._pending.difference_update(
@@ -918,9 +905,8 @@ class RecalcEngine:
                     stats.windowed_cells += done
                     stats.windowed_runs += 1
             if done is None:
-                # Refused at the last moment (no numpy, a non-columnar
-                # store, an unsweepable scalar): per cell, in the strip's
-                # direction.
+                # Refused at the last moment (no numpy, an unsweepable
+                # scalar): per cell, in the strip's direction.
                 for row in (reversed(rows) if node.descending else rows):
                     self._evaluate_cell((node.col, row))
             count += len(rows)
@@ -933,18 +919,14 @@ class RecalcEngine:
         number of cells evaluated."""
         col = node.col
         rows = reversed(node.rows) if node.descending else node.rows
-        store = self.sheet._cells
         compiled = node.template
-        if compiled is None or type(store) is dict:
-            # The interpreter's templates and the object store, which has
-            # no version to tell a kept plan that a member vanished.
-            formula_at = self.sheet.formula_at
-            done = 0
+        if compiled is None or self.sheet.store_kind != "columnar":
+            # The interpreter's templates, and the object store, which has
+            # no planes to write into.
             for row in rows:
-                if formula_at((col, row)) is not None:
-                    self._evaluate_cell((col, row))
-                    done += 1
-            return done
+                self._evaluate_cell((col, row))
+            return len(node.rows)
+        store = self.sheet._cells
         run = compiled.run
         resolver = self.cell_evaluator.resolver
         name = self.sheet.name

@@ -19,9 +19,9 @@ not of the trial values.  :class:`ScenarioEngine` exploits that:
    sweeps, interpreter fallback).  Replays after the first count one
    ``EvalStats.scenario_plan_reuses`` each.
 3. **Restore** — the base seed values and every dirty cell's cached
-   value are snapshotted before the first replay (typed column packs on
-   columnar sheets) and restored afterwards, so a sweep leaves the sheet
-   bit-identical to how it found it, even on error.
+   value are snapshotted before the first replay and restored
+   afterwards, so a sweep leaves the sheet bit-identical to how it found
+   it, even on error.
 
 ``workers=N`` fans the scenario list across *resident replicas*
 (:class:`repro.engine.shard.ScenarioReplicas`): the first fanned-out
@@ -39,9 +39,9 @@ re-run the affected chunk serially in the parent and are reported in
 
 Scenario replays are transient: they bypass the journal and graph
 maintenance entirely (seeds are value cells — their edits move no
-edges).  The plan is valid until the sheet's formulas change; structural
-edits are detected via the columnar store epoch and raise, formula edits
-require building a fresh engine.
+edges).  The plan is valid until the sheet's formulas change: it is
+stamped with the sheet's ``(epoch, formula_version)``, and a sweep after
+a formula or structural edit raises — build a fresh engine.
 
 :meth:`sample` (Monte Carlo over a seeded RNG) and :meth:`solve`
 (bisection goal-seek) are thin layers over :meth:`run`.
@@ -112,8 +112,7 @@ class ScenarioEngine:
         self.dirty: list[tuple[int, int]] = sorted(dirty)
         self.plan = self._build_plan(dirty)
         self._replays = 0
-        store = self.sheet._cells
-        self._epoch = store.epoch if hasattr(store, "epoch") else None
+        self._stamp = self._sheet_stamp()
         #: Resident process replicas (:class:`repro.engine.shard
         #: .ScenarioReplicas`), built lazily by the first fanned-out
         #: sweep and reused — with plane deltas only — by later ones.
@@ -162,7 +161,7 @@ class ScenarioEngine:
             int(workers) > 1
             and len(rows) > 1
             and self.engine.evaluation == "auto"
-            and getattr(self.sheet, "store_kind", "object") == "columnar"
+            and self.sheet.store_kind == "columnar"
         ):
             values = self._run_process(rows, out_pos, int(workers))
         if values is None:
@@ -240,6 +239,10 @@ class ScenarioEngine:
 
     # -- internals -------------------------------------------------------------
 
+    def _sheet_stamp(self) -> tuple[int, int]:
+        store = self.sheet._cells
+        return store.epoch, store.formula_version
+
     def _check_fresh(self) -> None:
         if getattr(self.sheet, "_open_batches", None):
             raise RuntimeError(
@@ -247,10 +250,10 @@ class ScenarioEngine:
                 "buffered edits would interleave with replays; commit or "
                 "discard the batch first"
             )
-        if self._epoch is not None and self.sheet._cells.epoch != self._epoch:
+        if self._sheet_stamp() != self._stamp:
             raise RuntimeError(
-                "scenario plan is stale: the sheet changed shape after the "
-                "plan was built; construct a new ScenarioEngine"
+                "scenario plan is stale: the sheet's formulas or shape changed "
+                "after the plan was built; construct a new ScenarioEngine"
             )
 
     def _normalize(self, scenario) -> tuple:
@@ -280,38 +283,19 @@ class ScenarioEngine:
         self._replays += count
 
     def _snapshot(self):
-        sheet = self.sheet
-        seeds = [(pos, sheet.get_value(pos)) for pos in self.seeds]
-        if getattr(sheet, "store_kind", "object") == "columnar":
-            store = sheet._cells
-            peaks: dict[int, int] = {}
-            for col, row in self.dirty:
-                if row > peaks.get(col, 0):
-                    peaks[col] = row
-            for col, row in peaks.items():
-                # A dirty formula that has never been evaluated may live
-                # in a column with no value plane yet; grow it so the
-                # pack below (and replay writes) never reallocate.
-                store.ensure_column(col, row)
-            packed = store.pack_result_columns(self.dirty) if self.dirty else []
-            return seeds, ("columnar", packed)
-        formula_at = sheet.formula_at
-        return seeds, (
-            "object", [(pos, formula_at(pos).value) for pos in self.dirty]
+        get_value = self.sheet.get_value
+        return (
+            [(pos, get_value(pos)) for pos in self.seeds],
+            [(pos, get_value(pos)) for pos in self.dirty],
         )
 
-    def _restore(self, seeds, dirty_snapshot) -> None:
+    def _restore(self, seeds, dirty) -> None:
         sheet = self.sheet
         for pos, value in seeds:
             sheet.set_value(pos, value)
-        kind, payload = dirty_snapshot
-        if kind == "columnar":
-            if payload:
-                sheet._cells.merge_result_columns(payload)
-        else:
-            formula_at = sheet.formula_at
-            for pos, value in payload:
-                formula_at(pos).value = value
+        formula_at = sheet.formula_at
+        for pos, value in dirty:
+            formula_at(pos).value = value
 
     def _resolve(self, rows, seeds_base):
         base = dict(seeds_base)

@@ -36,11 +36,12 @@ Freshness is pinned by the version stamps.  A shard skips a closure
 column's plane when the column's version equals what it last shipped,
 *or* when everything since the last ship happened inside the current
 recalculation (mid-recalc merges are exactly covered by patches).
-Formula edits, batch commits that touch formulas, and structural edits
-mark the runtime stale (:meth:`ShardRuntime.note_formula_change` /
-:meth:`~ShardRuntime.note_structural_change`); a store-epoch move is
-detected independently.  Either triggers a re-bootstrap — resharding is
-a new bootstrap, never an in-place mutation of ownership.
+Ownership and the residents' formulas are stamped with the sheet's
+``(epoch, formula_version)`` at bootstrap and compared at every
+dispatch: any formula edit, structural edit or whole-store reshape —
+through the engine or behind its back — moves the stamp and triggers a
+re-bootstrap; resharding is a new bootstrap, never an in-place mutation
+of ownership.
 
 Residency uses one single-worker process pool per shard *slot*
 (module-level, shared by every runtime in the process, so hundreds of
@@ -166,9 +167,9 @@ def declarative_region(sheet, nodes):
 
 _SLOT_POOLS: dict[int, ProcessPoolExecutor] = {}
 # A forked worker inherits this dict together with every not-yet-collected
-# runtime's finalizer.  Emptied in the child, ``_send_drops`` there finds no
-# pool — instead of submitting to a copy whose lock the parent held across
-# the fork, which never returns.
+# runtime's finalizer.  Emptied in the child, a drop there finds no pool —
+# instead of submitting to a copy whose lock the parent held across the
+# fork, which never returns.
 os.register_at_fork(after_in_child=_SLOT_POOLS.clear)
 
 
@@ -191,22 +192,34 @@ def shutdown_slot_pools() -> None:
     :func:`repro.engine.parallel.shutdown_pools`."""
     for slot in list(_SLOT_POOLS):
         _discard_slot(slot)
+    _DROPS.clear()
+
+
+#: ``(runtime id, slot)`` of every resident whose runtime was collected
+#: and that has not been told to go yet.
+_DROPS: list[tuple[int, int]] = []
 
 
 def _send_drops(runtime_id: int, shards: int) -> None:
-    """Best-effort resident eviction when a runtime is garbage-collected.
+    """Best-effort resident eviction when a runtime is garbage-collected:
+    the drops are queued and go out ahead of the next message
+    (:func:`_flush_drops`).  Sending them from here could deadlock — the
+    collection that runs this finalizer may happen inside a ``submit`` to
+    the very pool it would submit to, whose lock is not reentrant."""
+    _DROPS.extend((runtime_id, slot) for slot in range(shards))
 
-    Never creates a pool and never blocks: if the slot pool is gone the
-    resident died with it, and a broken pool simply keeps its corpse.
-    """
-    for slot in range(shards):
-        pool = _SLOT_POOLS.get(slot)
+
+def _flush_drops() -> None:
+    """Send the queued drops.  Never creates a pool and never blocks: if
+    the slot pool is gone the resident died with it, and a broken pool
+    simply keeps its corpse."""
+    while _DROPS:
+        key = _DROPS.pop()
+        pool = _SLOT_POOLS.get(key[1])
         if pool is None:
             continue
         try:
-            pool.submit(_shard_request, pickle.dumps(
-                ("drop", (runtime_id, slot)), pickle.HIGHEST_PROTOCOL,
-            ))
+            pool.submit(_shard_request, pickle.dumps(("drop", key), pickle.HIGHEST_PROTOCOL))
         except Exception:
             pass
 
@@ -235,6 +248,7 @@ class _Call:
             return
         self.nbytes = len(payload)
         self.reason = "worker-died"
+        _flush_drops()
         for _ in range(2):
             try:
                 self._future = _slot_pool(slot).submit(_shard_request, payload)
@@ -430,8 +444,7 @@ class ShardRuntime:
     """
 
     __slots__ = ("shards", "min_dirty", "_id", "_owner", "_closures",
-                 "_records", "_replicas", "_boot_epoch", "_stale",
-                 "_lost", "__weakref__")
+                 "_records", "_replicas", "_boot_stamp", "_lost", "__weakref__")
 
     def __init__(self, shards: int, min_dirty: int):
         self.shards = int(shards)
@@ -441,25 +454,10 @@ class ShardRuntime:
         self._closures: list[set[int]] = []
         self._records: list[list[tuple]] = []
         self._replicas: list[_Replica] = [_Replica() for _ in range(self.shards)]
-        self._boot_epoch: int | None = None
-        self._stale = False
+        #: The sheet's ``(epoch, formula_version)`` at the last bootstrap.
+        self._boot_stamp: tuple[int, int] | None = None
         self._lost: set[int] = set()
         weakref.finalize(self, _send_drops, self._id, self.shards)
-
-    # -- invalidation hooks ----------------------------------------------------
-
-    def note_formula_change(self) -> None:
-        """A formula was added, replaced, or cleared: ownership and the
-        resident formula planes are stale — re-bootstrap before the
-        next sharded dispatch.  (Pure value edits never land here; the
-        version stamps carry those as plane deltas.)"""
-        self._stale = True
-
-    def note_structural_change(self) -> None:
-        """Rows/columns moved: every resident's geometry is wrong.
-        The store epoch also moved, but the flag keeps the trigger
-        explicit."""
-        self._stale = True
 
     # -- bootstrap -------------------------------------------------------------
 
@@ -508,19 +506,13 @@ class ShardRuntime:
             records.append(owned)
         return owner, closures, records
 
-    def _bootstrap(self, engine: "RecalcEngine", only=None) -> None:
+    def _bootstrap(self, engine: "RecalcEngine", stamp, only=None) -> None:
         """(Re)ship residents.  ``only`` restricts to lost shards after a
-        fault; any staleness or epoch move forces the full pass, which
-        recomputes ownership from scratch (resharding *is* a new
-        bootstrap)."""
+        fault; a moved ``stamp`` forces the full pass, which recomputes
+        ownership from scratch (resharding *is* a new bootstrap)."""
         sheet = engine.sheet
         store = sheet._cells
-        epoch = store.epoch
-        full = (
-            only is None or self._stale or self._owner is None
-            or epoch != self._boot_epoch
-        )
-        if full:
+        if only is None or stamp != self._boot_stamp:
             self._owner, self._closures, self._records = (
                 self._assign_ownership(engine)
             )
@@ -549,8 +541,7 @@ class ShardRuntime:
             replica.down = None
             engine.eval_stats.shard_bootstraps += 1
 
-        self._boot_epoch = epoch
-        self._stale = False
+        self._boot_stamp = stamp
         self._lost.clear()
 
     def _disown(self, j: int, reason: str) -> None:
@@ -577,11 +568,9 @@ class ShardRuntime:
         sheet = engine.sheet
         store = sheet._cells
         stats = engine.eval_stats
-        if (
-            self._stale or self._owner is None or self._lost
-            or store.epoch != self._boot_epoch
-        ):
-            self._bootstrap(engine, only=self._lost or None)
+        stamp = (store.epoch, store.formula_version)
+        if self._lost or stamp != self._boot_stamp:
+            self._bootstrap(engine, stamp, only=self._lost or None)
         owner = self._owner
 
         node_shard = []

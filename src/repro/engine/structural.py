@@ -200,12 +200,6 @@ def apply_structural_edit(
     if lookup_cache is not None:
         lookup_cache.drop_all()
 
-    # Resident shard replicas hold pre-edit geometry; mark the runtime
-    # for a full re-bootstrap (resharding) before its next dispatch.
-    shard_rt = engine.shard_runtime
-    if shard_rt is not None:
-        shard_rt.note_structural_change()
-
     stats, repacked = _maintain_graph(
         engine, op, index, count, repack_fraction, repack_min
     )

@@ -36,8 +36,8 @@ preserves the interpreter's iteration-order-dependent choice of *which*
 error propagates.
 
 :func:`evaluate_elementwise_run` is the other kernel: a run of pure
-float arithmetic over cell references as one numpy sweep, written
-through the same band primitive.
+float arithmetic over cell references as one numpy sweep, read and
+written through the same band primitives.
 
 The caller (the strip planner, :meth:`repro.engine.recalc.RecalcEngine._make_strip`)
 is responsible for run *safety* — window rows may only touch cells that
@@ -58,15 +58,7 @@ except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
 from ..formula.compile import CompiledTemplate, WindowSpec
-from ..sheet.columnar import (
-    TAG_BOOL,
-    TAG_EMPTY,
-    TAG_ERROR,
-    TAG_NUMBER,
-    TAG_OBJECT,
-    ColumnarStore,
-    square_off,
-)
+from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_ERROR, TAG_NUMBER, TAG_OBJECT, square_off
 from ..sheet.sheet import Sheet
 
 __all__ = [
@@ -335,27 +327,23 @@ def evaluate_elementwise_run(
     """Evaluate a consecutive same-template run as one numpy array sweep.
 
     ``rows`` must be ascending and consecutive, and ``template.elementwise``
-    non-None.  Reads go straight to the columnar store's buffers
-    (zero-copy ``frombuffer`` views); results land through
-    ``ColumnarStore.write_band``, one write when no lane is masked.  Lanes
-    whose inputs are not
-    empty/number/bool (string coercion, error propagation), whose
-    denominators are zero, or whose
-    relative reference falls off the sheet top are delegated to
-    ``fallback`` — exactly the cases where per-cell semantics are not
-    plain float arithmetic.  The caller is responsible for run *safety*
+    non-None.  Each operand column is read as one band
+    (``Sheet.read_band``, wrapped with ``frombuffer``) and results land
+    through ``Sheet.write_band``, one write when no lane is masked.
+    Lanes whose inputs are not empty/number/bool (string coercion, error
+    propagation), whose denominators are zero, or whose relative
+    reference falls off the sheet top are delegated to ``fallback`` —
+    exactly the cases where per-cell semantics are not plain float
+    arithmetic.  The caller is responsible for run *safety*
     (no reference may resolve into the run itself; the strip planner,
     ``RecalcEngine._make_strip``, sweeps only strips nothing lands in).
 
     Returns the number of cells the sweep wrote, or ``None`` when the
-    sweep cannot run at all (no numpy, non-columnar store, a scalar
-    input that is a string/error, a reference off the sheet's left edge)
-    — the caller then evaluates every cell through the fallback.
+    sweep cannot run at all (no numpy, a scalar input that is a
+    string/error, a reference off the sheet's left edge) — the caller
+    then evaluates every cell through the fallback.
     """
     if _np is None:
-        return None
-    store = sheet._cells
-    if type(store) is not ColumnarStore:
         return None
     first, last = rows[0], rows[-1]
     n = last - first + 1
@@ -368,7 +356,7 @@ def evaluate_elementwise_run(
         if row_axis.fixed:
             if row_axis.value < 1:
                 return None              # #REF! on every lane
-            value = store.read_value(c, row_axis.value)
+            value = sheet.raw_value(c, row_axis.value)
             if value is None:
                 operands.append(0.0)
             elif value is True or value is False:
@@ -381,19 +369,12 @@ def evaluate_elementwise_run(
         lo = first + row_axis.value      # source row of the first lane
         values = _np.zeros(n, dtype=_np.float64)
         tags = _np.zeros(n, dtype=_np.uint8)
-        if lo < 1:
-            mask[: min(1 - lo, n)] = True    # sub-row-1 lanes #REF!
-        buffers = store.column_buffers(c)
-        if buffers is not None:
-            src_values = _np.frombuffer(buffers[0], dtype=_np.float64)
-            src_tags = _np.frombuffer(buffers[1], dtype=_np.uint8)
-            i0 = lo - 1
-            s0 = max(i0, 0)
-            s1 = min(i0 + n, len(src_tags))
-            if s1 > s0:
-                d0 = s0 - i0
-                values[d0:d0 + (s1 - s0)] = src_values[s0:s1]
-                tags[d0:d0 + (s1 - s0)] = src_tags[s0:s1]
+        above = min(max(1 - lo, 0), n)   # lanes whose source is above row 1: #REF!
+        mask[:above] = True
+        band_values, band_tags = sheet.read_band(c, lo + above, lo + n - 1)
+        end = above + len(band_tags)     # the band is cut where the column ends
+        values[above:end] = _np.frombuffer(band_values, dtype=_np.float64)
+        tags[above:end] = _np.frombuffer(band_tags, dtype=_np.uint8)
         # EMPTY lanes are already 0.0 (= to_number(None)) and BOOL lanes
         # already 1.0/0.0 (= to_number(bool)) in the value plane; any
         # other non-number tag needs per-cell semantics.
@@ -408,9 +389,9 @@ def evaluate_elementwise_run(
     delegated = _np.flatnonzero(mask)
     start = 0
     for lane in delegated:
-        store.write_band(col, first + start, result[start:lane])
+        sheet.write_band(col, first + start, result[start:lane])
         start = int(lane) + 1
-    store.write_band(col, first + start, result[start:])
+    sheet.write_band(col, first + start, result[start:])
     for lane in delegated:
         fallback((col, first + int(lane)))
     return n - len(delegated)

@@ -76,15 +76,6 @@ class RangeSet:
     def overlaps(self, rng: Range) -> bool:
         return bool(self._tree.search(rng))
 
-    def overlapping_members(self, rng: Range) -> "list[Range]":
-        """The stored member ranges intersecting ``rng`` (one search).
-
-        Members are returned as stored — the disjoint pieces ``add`` /
-        ``add_new`` kept — so callers can key per-piece bookkeeping (the
-        grouped dependents BFS maps each piece to its seed group).
-        """
-        return [entry.key for entry in self._tree.search(rng)]
-
     def covers_cell(self, col: int, row: int) -> bool:
         return bool(self._tree.search(Range.cell(col, row)))
 

@@ -85,7 +85,7 @@ from ..formula.errors import ExcelError
 from ..formula.parser import parse_formula
 from ..formula.template import intern_template
 from ..grid.ref import MAX_COL, MAX_ROW
-from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_NUMBER, ColumnarStore
+from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_NUMBER
 from ..sheet.sheet import Sheet
 from ..sheet.workbook import Workbook
 
@@ -292,10 +292,9 @@ def _restore_value_column(workbook: "Workbook | None", payload: bytes) -> None:
         values.byteswap()
     sheet = _sheet_for(workbook, {"sheet": name})
     side = {int(i): decode_value(v) for i, v in side_record.items()}
-    cells = sheet._cells
-    if isinstance(cells, ColumnarStore) and not cells.formula_count:
+    if sheet.store_kind == "columnar" and not sheet.formula_count:
         try:
-            cells.import_column(col, start_row, bytes(tags), values, side)
+            sheet._cells.import_column(col, start_row, bytes(tags), values, side)
         except ValueError as exc:
             raise SnapshotFormatError(f"bad VCOL section: {exc}") from exc
         return
@@ -349,8 +348,7 @@ def save_snapshot(
         # Provenance only: restored sheets use the restoring session's
         # store default, whatever the saving session ran on.
         "stores": {
-            sheet.name: getattr(sheet, "store_kind", "object")
-            for sheet in workbook.sheets()
+            sheet.name: sheet.store_kind for sheet in workbook.sheets()
         },
     }
 
@@ -367,7 +365,7 @@ def save_snapshot(
             if graph is None:
                 graph = build_from_sheet(sheet)
             stats_cells += len(sheet)
-            if isinstance(sheet._cells, ColumnarStore):
+            if sheet.store_kind == "columnar":
                 for payload in _value_column_payloads(sheet):
                     written += _write_section(out, _TAG_VALUE_COLUMN, payload)
             else:

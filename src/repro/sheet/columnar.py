@@ -39,11 +39,11 @@ arrays like any other value.  ``Sheet.formula_at`` / ``cell_at`` hand out
 a transient :class:`ColumnarCell` *view* of a position, whose ``value``
 is a write-through property over the arrays.
 
-:class:`ColumnarStore` also speaks the small mapping dialect the sheet
-layer uses (``items``/``get``/``pop``/``__setitem__``/...), so
-``Sheet`` code written against the dict-of-Cells store runs against it
-unchanged.  Numbers are canonicalised to float64 on write (``42`` comes
-back as ``42.0``), exactly as a host spreadsheet stores them.
+:class:`ColumnarStore` is one of the two implementations of the store
+surface ``Sheet`` calls; the other is the dict-of-Cells
+:class:`~repro.sheet.object_store.ObjectStore`.  Numbers are
+canonicalised to float64 on write (``42`` comes back as ``42.0``),
+exactly as a host spreadsheet stores them.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ class ColumnarCell(Cell):
 
 
 class ColumnarStore:
-    """Per-sheet columnar backing store with a dict-of-Cells facade."""
+    """Per-sheet columnar backing store."""
 
     __slots__ = ("_columns", "_runs", "_joined", "_count", "epoch", "formula_version")
 
@@ -291,7 +291,7 @@ class ColumnarStore:
         #: cached value is None (their tag is EMPTY but they exist).
         self._count = 0
         #: Store generation: bumped by whole-store reshapes (structural
-        #: edits, clear, plane installs) that move values *between*
+        #: edits, plane installs) that move values *between*
         #: columns, which per-column versions cannot express.
         self.epoch = 0
 
@@ -563,13 +563,10 @@ class ColumnarStore:
             memo = self._joined = (self.formula_version, index)
         return memo[1]
 
-    # -- mapping facade (the dialect Sheet code speaks) ------------------------
+    # -- positions -------------------------------------------------------------
 
     def __len__(self) -> int:
         return self._count
-
-    def __bool__(self) -> bool:
-        return self._count > 0
 
     def _occupied(self, pos: tuple[int, int]) -> bool:
         column = self._columns.get(pos[0])
@@ -580,61 +577,12 @@ class ColumnarStore:
             return True
         return self._record_at(*pos) is not None
 
-    def __contains__(self, pos) -> bool:
-        return self._occupied(pos)
-
-    def get(self, pos, default=None):
+    def cell_at(self, pos: tuple[int, int]) -> ColumnarCell | None:
+        """A view of whatever occupies ``pos`` — formula or value — or None."""
         cell = self.formula_at(pos)
-        if cell is not None:
-            return cell
-        if self._occupied(pos):
-            return ColumnarCell(self, pos[0], pos[1])
-        return default
-
-    def __getitem__(self, pos):
-        cell = self.get(pos)
-        if cell is None:
-            raise KeyError(pos)
+        if cell is None and self._occupied(pos):
+            cell = ColumnarCell(self, pos[0], pos[1])
         return cell
-
-    def __setitem__(self, pos, cell) -> None:
-        """Adopt a ``Cell`` (or view): formulas register, values inline.
-
-        The cell's current value is read *before* any store mutation, so
-        adopting a view of this very store is safe.
-        """
-        value = cell.value
-        if cell.is_formula:
-            # The formula the cell shows at *its* host lands here verbatim
-            # (source text if it has any, else its own AST).
-            text = cell.source_text
-            self.put_formula(
-                pos,
-                formula_text=text,
-                formula_ast=None if text is not None else cell.formula_ast,
-                value=value,
-            )
-        else:
-            self.write_pure(pos[0], pos[1], value)
-
-    def pop(self, pos, default=None):
-        cell = self.get(pos)
-        if cell is None:
-            return default
-        self.write_pure(pos[0], pos[1], None)
-        return cell
-
-    def __delitem__(self, pos) -> None:
-        if not self._occupied(pos):
-            raise KeyError(pos)
-        self.write_pure(pos[0], pos[1], None)
-
-    def clear(self) -> None:
-        self._columns.clear()
-        self._runs.clear()
-        self._count = 0
-        self.epoch += 1
-        self.formula_version += 1
 
     def column_version(self, col: int) -> int:
         """Content-write counter of ``col`` (-1 when the column does not

@@ -1,18 +1,18 @@
 """The sheet: a sparse grid of cells plus dependency enumeration.
 
-A :class:`Sheet` stores cells sparsely — by default in the typed
-columnar store (:mod:`repro.sheet.columnar`), optionally in a plain
-dict keyed by ``(col, row)`` (``store="object"``).  Both stores speak
-the same mapping dialect, so everything above the accessors is
-store-agnostic.  Besides the value/formula accessors the sheet provides
-:meth:`Sheet.iter_dependencies`, which enumerates the raw formula-graph
-edges (referenced range -> formula cell) together with their dollar-sign
-cues — exactly the stream that both NoComp and TACO ingest.
+A :class:`Sheet` stores cells sparsely in one of two stores that speak
+the same surface — by default the typed columnar store
+(:mod:`repro.sheet.columnar`), or one boxed cell per position
+(:mod:`repro.sheet.object_store`, ``store="object"``) — so nothing above
+the store asks which one it holds.  Besides the value/formula accessors
+the sheet provides :meth:`Sheet.iter_dependencies`, which enumerates the
+raw formula-graph edges (referenced range -> formula cell) together with
+their dollar-sign cues — exactly the stream that both NoComp and TACO
+ingest.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from array import array
 from typing import Iterator
@@ -22,15 +22,18 @@ from ..formula.template import FormulaTemplate
 from ..grid.range import Range
 from ..grid.ref import parse_cell
 from .cell import Cell
-from .columnar import ColumnarStore, RunIndex, _classify, scan_formula_runs
+from .columnar import ColumnarStore, RunIndex
+from .object_store import ObjectStore
 
 __all__ = ["Sheet", "Dependency", "DEFAULT_STORE", "STORE_KINDS"]
 
-#: Valid ``Sheet(store=...)`` kinds.
-STORE_KINDS = ("columnar", "object")
+_STORES = {"columnar": ColumnarStore, "object": ObjectStore}
 
-#: The store used when ``Sheet(store=None)``; overridable for A/B runs.
-DEFAULT_STORE = os.environ.get("REPRO_SHEET_STORE", "columnar")
+#: Valid ``Sheet(store=...)`` kinds.
+STORE_KINDS = tuple(_STORES)
+
+#: The store used when ``Sheet(store=None)``.
+DEFAULT_STORE = "columnar"
 
 
 class Dependency:
@@ -88,19 +91,16 @@ class Sheet:
     def __init__(self, name: str = "Sheet1", store: str | None = None):
         self.name = name
         kind = DEFAULT_STORE if store is None else store
-        if kind == "columnar":
-            self._cells = ColumnarStore()
-            # Bind the hot-loop accessor straight to the store: instance
-            # attributes win over plain methods, so the per-call branch
-            # below disappears for columnar sheets.
-            self.raw_value = self._cells.read_value
-        elif kind == "object":
-            self._cells: dict[tuple[int, int], Cell] = {}
-        else:
+        if kind not in _STORES:
             raise ValueError(
                 f"unknown store kind {kind!r}; expected one of {STORE_KINDS}"
             )
+        self._cells = _STORES[kind]()
         self.store_kind = kind
+        #: ``raw_value(col, row)``: the value at bare integer coordinates,
+        #: the hot-loop accessor (no target coercion) — bound straight to
+        #: the store.
+        self.raw_value = self._cells.read_value
         # Open BatchEditSessions register here (on the sheet, not their
         # engine, so sessions from throwaway engines over the same sheet
         # are visible too); structural edits refuse to run while any is
@@ -115,103 +115,46 @@ class Sheet:
     # -- cell access -----------------------------------------------------------
 
     def cell_at(self, target) -> Cell | None:
-        return self._cells.get(_coerce_pos(target))
+        return self._cells.cell_at(_coerce_pos(target))
 
     def formula_at(self, target) -> Cell | None:
         """The formula cell at ``target``, or None for blank/pure-value
         positions.  On a columnar sheet: a transient view of the
         position's run record, found by bisect — readers of many cells
         use :meth:`run_index` or :meth:`formula_positions` instead."""
-        pos = _coerce_pos(target)
-        cells = self._cells
-        if type(cells) is dict:
-            cell = cells.get(pos)
-            return cell if cell is not None and cell.is_formula else None
-        return cells.formula_at(pos)
+        return self._cells.formula_at(_coerce_pos(target))
 
     def formula_positions(self, ranges) -> set[tuple[int, int]]:
         """The positions inside ``ranges`` that hold a formula."""
-        cells = self._cells
-        if type(cells) is not dict:
-            return cells.formula_positions(ranges)
-        return {
-            pos for rng in ranges for pos in rng.cells()
-            if pos in cells and cells[pos].is_formula
-        }
+        return self._cells.formula_positions(ranges)
 
     def get_value(self, target):
-        pos = _coerce_pos(target)
-        cells = self._cells
-        if type(cells) is dict:
-            cell = cells.get(pos)
-            return None if cell is None else cell.value
-        return cells.read_value(pos[0], pos[1])
-
-    def raw_value(self, col: int, row: int):
-        """Value at bare integer coordinates — the hot-loop accessor.
-
-        Skips target coercion; the windowed evaluation runs call this
-        once per (cell, window-entry) pair.  On columnar sheets an
-        instance attribute rebinds this name to ``store.read_value``.
-        """
-        cell = self._cells.get((col, row))
-        return None if cell is None else cell.value
+        col, row = _coerce_pos(target)
+        return self._cells.read_value(col, row)
 
     def read_band(self, col: int, first_row: int, last_row: int) -> tuple[array, bytearray]:
         """Rows ``first_row..last_row`` of ``col`` as flat ``(values,
         tags)`` copies — :meth:`ColumnarStore.read_band`, which see; the
         object store assembles the same thing cell by cell."""
-        cells = self._cells
-        if type(cells) is not dict:
-            return cells.read_band(col, first_row, last_row)
-        first_row = max(first_row, 1)
-        n = max(last_row - first_row + 1, 0)
-        values, tags = array("d", bytes(8 * n)), bytearray(n)
-        for k in range(n):
-            cell = cells.get((col, first_row + k))
-            if cell is not None:
-                tags[k], values[k], _ = _classify(cell.value)
-        return values, tags
+        return self._cells.read_band(col, first_row, last_row)
 
     def write_band(self, col: int, first_row: int, values) -> None:
-        """Make ``values`` the cached numbers of the formula cells at
-        rows ``first_row..`` of ``col`` (:meth:`ColumnarStore.write_band`)."""
-        cells = self._cells
-        if type(cells) is not dict:
-            cells.write_band(col, first_row, values)
-        else:
-            for k, value in enumerate(values):
-                cells[(col, first_row + k)].value = value
+        """Make ``values`` the cached numbers of the formula cells at rows
+        ``first_row..`` of ``col`` (:meth:`ColumnarStore.write_band`)."""
+        self._cells.write_band(col, first_row, values)
 
     def set_value(self, target, value) -> None:
-        pos = _coerce_pos(target)
-        cells = self._cells
-        if type(cells) is dict:
-            if value is None:
-                cells.pop(pos, None)
-            else:
-                cells[pos] = Cell(value=value)
-        else:
-            cells.write_pure(pos[0], pos[1], value)
+        col, row = _coerce_pos(target)
+        self._cells.write_pure(col, row, value)
 
     def set_formula(self, target, text: str) -> None:
         """Set a formula from text (leading ``=`` optional)."""
-        pos = _coerce_pos(target)
         body = text[1:] if text.startswith("=") else text
-        cells = self._cells
-        if type(cells) is dict:
-            cells[pos] = Cell(formula_text=body, host=pos)
-        else:
-            cells.put_formula(pos, formula_text=body)
+        self._cells.put_formula(_coerce_pos(target), formula_text=body)
 
     def set_formula_ast(self, target, ast: Node) -> None:
         """Set a formula from a pre-built AST written for ``target``."""
-        pos = _coerce_pos(target)
-        cells = self._cells
-        if type(cells) is dict:
-            cells[pos] = Cell(formula_ast=ast, host=pos)
-        else:
-            cells.put_formula(pos, formula_ast=ast)
+        self._cells.put_formula(_coerce_pos(target), formula_ast=ast)
 
     def set_formula_template(self, target, template: FormulaTemplate) -> None:
         """Make ``target`` a member of ``template``'s autofill family.
@@ -225,11 +168,7 @@ class Sheet:
         if not template.admits(*pos):
             self.set_formula_ast(pos, template.ast_at(*pos))
             return
-        cells = self._cells
-        if type(cells) is dict:
-            cells[pos] = Cell(template=template, host=pos)
-        else:
-            cells.put_formula(pos, template=template)
+        self._cells.put_formula(pos, template=template)
 
     def attach_formula_run(
         self, col: int, first_row: int, last_row: int,
@@ -246,36 +185,14 @@ class Sheet:
         """
         if template is None and (text is None or last_row != first_row):
             raise ValueError("only a single typed cell can do without its template")
-        cells = self._cells
-        if type(cells) is not dict:
-            cells.attach_run(col, first_row, last_row, template, text)
-            return
-        for row in range(first_row, last_row + 1):
-            held = cells.get((col, row))
-            cells[(col, row)] = Cell(
-                None if held is None else held.value, text,
-                template=template, host=(col, row),
-            )
-            text = None
+        self._cells.attach_run(col, first_row, last_row, template, text)
 
     def clear_cell(self, target) -> None:
-        pos = _coerce_pos(target)
-        cells = self._cells
-        if type(cells) is dict:
-            cells.pop(pos, None)
-        else:
-            cells.write_pure(pos[0], pos[1], None)
+        col, row = _coerce_pos(target)
+        self._cells.write_pure(col, row, None)
 
     def clear_range(self, rng: Range) -> None:
-        cells = self._cells
-        if type(cells) is not dict:
-            cells.clear_range(rng.c1, rng.r1, rng.c2, rng.r2)
-        elif rng.size < len(cells):
-            for pos in list(rng.cells()):
-                cells.pop(pos, None)
-        else:
-            for pos in [p for p in cells if rng.contains_cell(*p)]:
-                del cells[pos]
+        self._cells.clear_range(rng.c1, rng.r1, rng.c2, rng.r2)
 
     # -- iteration ------------------------------------------------------------
 
@@ -283,28 +200,16 @@ class Sheet:
         return iter(self._cells)
 
     def items(self) -> Iterator[tuple[tuple[int, int], Cell]]:
-        return iter(self._cells.items())
+        return self._cells.items()
 
     def iter_values(self) -> Iterator[tuple[int, int, object]]:
         """Every non-blank value as ``(col, row, value)``, column-major —
         formula cached values included — without a cell object per
-        position."""
-        cells = self._cells
-        if type(cells) is not dict:
-            return cells.iter_values()
-        return iter(sorted(
-            (col, row, cell.value)
-            for (col, row), cell in cells.items() if cell.value is not None
-        ))
+        position on a columnar sheet."""
+        return self._cells.iter_values()
 
     def formula_cells(self) -> Iterator[tuple[tuple[int, int], Cell]]:
-        cells = self._cells
-        if type(cells) is dict:
-            for pos, cell in cells.items():
-                if cell.is_formula:
-                    yield pos, cell
-        else:
-            yield from cells.formula_items()
+        return self._cells.formula_items()
 
     def run_index(self, join: bool = True) -> RunIndex:
         """Every maximal vertical run of formula cells sharing a template,
@@ -323,10 +228,7 @@ class Sheet:
         is rebuilt from them once per :attr:`formula_version`; the object
         store scans its cells per call.  Read-only.
         """
-        cells = self._cells
-        if type(cells) is not dict:
-            return cells.run_index(join)
-        return scan_formula_runs(self.formula_cells(), join)
+        return self._cells.run_index(join)
 
     def formula_runs(self) -> Iterator[tuple[FormulaTemplate, int, int, int]]:
         """:meth:`run_index` flattened: ``(template, col, first_row,
@@ -336,30 +238,20 @@ class Sheet:
                 yield template, col, first, last
 
     @property
-    def formula_version(self) -> int | None:
+    def formula_version(self) -> int:
         """A counter that moves exactly when the set of formula cells or
-        any cell's formula changes (never on a value write), or None on
-        the object store, which keeps none."""
-        cells = self._cells
-        return None if type(cells) is dict else cells.formula_version
+        any cell's formula changes (never on a value write): what every
+        plan kept across edits is stamped with."""
+        return self._cells.formula_version
 
     @property
     def formula_count(self) -> int:
-        cells = self._cells
-        if type(cells) is dict:
-            return sum(1 for _, cell in self.formula_cells())
-        return cells.formula_count
+        return self._cells.formula_count
 
     def used_range(self) -> Range | None:
         """Bounding box of all occupied cells, or None for an empty sheet."""
-        cells = self._cells
-        if not cells:
-            return None
-        if type(cells) is not dict:
-            return Range(*cells.bounds())
-        cols = [pos[0] for pos in cells]
-        rows = [pos[1] for pos in cells]
-        return Range(min(cols), min(rows), max(cols), max(rows))
+        bounds = self._cells.bounds()
+        return None if bounds is None else Range(*bounds)
 
     # -- batched editing ---------------------------------------------------------
 
@@ -442,23 +334,7 @@ class Sheet:
         """
         if sheet is not None and sheet != self.name:
             return
-        cells = self._cells
-        if type(cells) is not dict:
-            yield from cells.iter_range(rng)
-        elif rng.size <= len(cells):
-            for pos in rng.cells():
-                cell = cells.get(pos)
-                if cell is not None and cell.value is not None:
-                    yield pos[0], pos[1], cell.value
-        else:
-            found = [
-                (row, col, cell.value)
-                for (col, row), cell in cells.items()
-                if rng.contains_cell(col, row) and cell.value is not None
-            ]
-            found.sort(key=lambda item: (item[0], item[1]))
-            for row, col, value in found:
-                yield col, row, value
+        yield from self._cells.iter_range(rng)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Sheet({self.name!r}, {len(self._cells)} cells)"
@@ -474,10 +350,10 @@ class SheetResolver:
 
     ``range_numbers`` is the same kind of hook for range aggregates
     (``RangeValue.iter_numbers``): ``(sheet, rng) -> floats | None``,
-    the rectangle's numbers off the columnar planes by slice, None when
-    only the ordered per-cell walk can answer.  Armed by
-    :meth:`read_by_plane`; an unarmed resolver (the interpreter oracle,
-    the object store) always walks.
+    the rectangle's numbers off the store's planes by slice, None when
+    only the ordered per-cell walk can answer (always, on the object
+    store).  Armed by :meth:`read_by_plane`; an unarmed resolver (the
+    interpreter oracle) always walks.
     """
 
     __slots__ = ("_sheet", "lookup_probe", "range_numbers")
@@ -488,8 +364,6 @@ class SheetResolver:
         self.range_numbers = None
 
     def read_by_plane(self) -> None:
-        if self._sheet.store_kind != "columnar":
-            return
         # (a closure over the store, not a method of this resolver: no
         # reference cycle keeps an evicted workbook's planes waiting for
         # the cycle collector)

@@ -43,6 +43,7 @@ from ..formula.template import FormulaTemplate, intern_template
 from ..grid.range import Range
 from ..grid.ref import CellRef, letters_to_col
 from .cell import Cell
+from .object_store import position_mover
 from .sheet import Sheet
 
 __all__ = [
@@ -387,74 +388,55 @@ class _Report:
         return SheetEditReport(*self.sets, removed)
 
 
-def _apply_structural(
-    sheet: Sheet, move_cell, transform_ref, geometry
-) -> SheetEditReport:
-    """Apply the structural edit ``geometry`` — ``(axis, mode, index,
-    count)`` — to ``sheet``'s cells.
+def _apply_structural(sheet: Sheet, axis: str, mode: str, index: int, count: int) -> SheetEditReport:
+    """Insert ``count`` blank rows (``axis="row"``) or columns before
+    ``index``, or delete ``count`` of them from ``index`` on — ``mode``
+    — and rewrite ``sheet``'s formulas to match.
 
-    ``move_cell(pos) -> pos | None`` relocates each physical cell;
-    ``transform_ref(range) -> Range | None`` rewrites formula references.
     Only references *into this sheet* (unqualified, or qualified with the
     sheet's own name) are rewritten; sheet-qualified references into
     other sheets never shift under an edit here.
 
-    Cells that neither move nor change keep their cell object; every
-    other surviving formula is re-installed at its post-edit position
-    from its :func:`_outcome`, so nothing position-dependent travels.
-
-    On the columnar store values move wholesale inside the column arrays
-    (:meth:`~repro.sheet.columnar.ColumnarStore.structural_edit` splices
-    them in O(column length) memmoves and rekeys the formula registry),
-    so only the *formula* population is walked here.  Outcomes are
-    decided *before* the splice — it rebinds registered cells to their
-    new hosts, where a template member would read a different formula —
-    and installed after it.  The dict store is rebuilt cell by cell.
+    Values move inside the store wholesale
+    (:meth:`~repro.sheet.columnar.ColumnarStore.structural_edit`: array
+    splices on the columnar store, a rekeyed dict on the object store),
+    so only the *formula* population is walked here.  Each surviving
+    formula's :func:`_outcome` is decided *before* the move — after it,
+    a template member would read a different formula at its new host —
+    and every formula that moves or changes is re-installed from its
+    outcome after it, so nothing position-dependent travels.
     """
+    if count < 1 or index < 1:
+        raise ValueError(f"{axis} and count must be positive")
     name = sheet.name
 
     def applies(node) -> bool:
         return node.sheet is None or node.sheet == name
 
-    report = _Report()
-    prescreen = (geometry[0], geometry[2])      # the edit line
-    if type(sheet._cells) is not dict:
-        store = sheet._cells
-        pending = []
-        for pos, cell in store.formula_items():
-            new_pos = move_cell(pos)
-            if new_pos is None:
-                continue
-            outcome = _outcome(cell, pos, new_pos, transform_ref, applies, prescreen)
-            if outcome is not None:
-                pending.append((new_pos, new_pos != pos, outcome))
-        removed = store.structural_edit(*geometry)
-        for new_pos, did_move, outcome in pending:
-            # The cached value already sits at new_pos (the splice moved
-            # it); read it out before put_formula resets the slot.
-            store.put_formula(new_pos, formula_text=outcome.text, template=outcome.template,
-                              value=store.read_value(*new_pos))
-            report.note(new_pos, did_move, outcome)
-        return report.done(removed)
+    shift = shift_range_for_insert if mode == "insert" else shift_range_for_delete
 
-    removed = 0
-    old_cells = dict(sheet.items())
-    sheet._cells.clear()
-    for pos, cell in old_cells.items():
+    def transform_ref(rng: Range) -> Range | None:
+        return shift(rng, index, count, axis)
+
+    move_cell = position_mover(axis, mode, index, count)
+    report = _Report()
+    prescreen = (axis, index)       # the edit line
+    store = sheet._cells
+    pending = []
+    for pos, cell in store.formula_items():
         new_pos = move_cell(pos)
         if new_pos is None:
-            removed += 1
             continue
-        outcome = None
-        if cell.is_formula:
-            outcome = _outcome(cell, pos, new_pos, transform_ref, applies, prescreen)
-        if outcome is None:
-            sheet._cells[new_pos] = cell
-            continue
-        sheet._cells[new_pos] = Cell(
-            cell.value, outcome.text, template=outcome.template, host=new_pos
-        )
-        report.note(new_pos, new_pos != pos, outcome)
+        outcome = _outcome(cell, pos, new_pos, transform_ref, applies, prescreen)
+        if outcome is not None:
+            pending.append((new_pos, new_pos != pos, outcome))
+    removed = store.structural_edit(axis, mode, index, count)
+    for new_pos, did_move, outcome in pending:
+        # The cached value already sits at new_pos (the edit moved it);
+        # read it out before put_formula resets it.
+        store.put_formula(new_pos, formula_text=outcome.text, template=outcome.template,
+                          value=store.read_value(*new_pos))
+        report.note(new_pos, did_move, outcome)
     return report.done(removed)
 
 
@@ -538,65 +520,19 @@ def rewrite_siblings(
 
 def insert_rows(sheet: Sheet, row: int, count: int = 1) -> SheetEditReport:
     """Insert ``count`` blank rows before ``row``."""
-    if count < 1 or row < 1:
-        raise ValueError("row and count must be positive")
-
-    def move(pos):
-        col, r = pos
-        return (col, r + count) if r >= row else pos
-
-    return _apply_structural(
-        sheet, move, lambda rng: shift_range_for_insert(rng, row, count, "row"),
-        ("row", "insert", row, count),
-    )
+    return _apply_structural(sheet, "row", "insert", row, count)
 
 
 def delete_rows(sheet: Sheet, row: int, count: int = 1) -> SheetEditReport:
     """Delete rows ``[row, row+count)``; references into them go #REF!."""
-    if count < 1 or row < 1:
-        raise ValueError("row and count must be positive")
-    end = row + count - 1
-
-    def move(pos):
-        col, r = pos
-        if row <= r <= end:
-            return None
-        return (col, r - count) if r > end else pos
-
-    return _apply_structural(
-        sheet, move, lambda rng: shift_range_for_delete(rng, row, count, "row"),
-        ("row", "delete", row, count),
-    )
+    return _apply_structural(sheet, "row", "delete", row, count)
 
 
 def insert_columns(sheet: Sheet, col: int, count: int = 1) -> SheetEditReport:
     """Insert ``count`` blank columns before ``col``."""
-    if count < 1 or col < 1:
-        raise ValueError("col and count must be positive")
-
-    def move(pos):
-        c, row = pos
-        return (c + count, row) if c >= col else pos
-
-    return _apply_structural(
-        sheet, move, lambda rng: shift_range_for_insert(rng, col, count, "col"),
-        ("col", "insert", col, count),
-    )
+    return _apply_structural(sheet, "col", "insert", col, count)
 
 
 def delete_columns(sheet: Sheet, col: int, count: int = 1) -> SheetEditReport:
     """Delete columns ``[col, col+count)``."""
-    if count < 1 or col < 1:
-        raise ValueError("col and count must be positive")
-    end = col + count - 1
-
-    def move(pos):
-        c, row = pos
-        if col <= c <= end:
-            return None
-        return (c - count, row) if c > end else pos
-
-    return _apply_structural(
-        sheet, move, lambda rng: shift_range_for_delete(rng, col, count, "col"),
-        ("col", "delete", col, count),
-    )
+    return _apply_structural(sheet, "col", "delete", col, count)

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.sheet.sheet as sheet_module
 from repro.engine.recalc import RecalcEngine
 from repro.io.snapshot import load_snapshot, save_snapshot
 from repro.sheet.sheet import Sheet
@@ -23,6 +22,7 @@ from repro.spatial.registry import available_indexes
 
 from helpers import (
     assert_same_values,
+    default_store,
     engine_for,
     realize_program as realize,
     sheet_programs as programs,
@@ -119,12 +119,8 @@ def test_snapshot_restore_identical(data):
         save_snapshot(workbook, buffer)
         payload = buffer.getvalue()
         for dst_store in ("columnar", "object"):
-            original = sheet_module.DEFAULT_STORE
-            sheet_module.DEFAULT_STORE = dst_store
-            try:
+            with default_store(dst_store):
                 restored = load_snapshot(io.BytesIO(payload)).workbook.sheet("S")
-            finally:
-                sheet_module.DEFAULT_STORE = original
             assert restored.store_kind == dst_store
             assert_same_values(restored, source)   # cached values survive
             RecalcEngine(restored).recalculate_all()

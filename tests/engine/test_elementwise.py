@@ -208,16 +208,21 @@ def test_incremental_broadcast_edit_resweeps():
         assert s.get_value((3, r)) == fresh.get_value((3, r)), r
 
 
-def test_object_store_declines_but_matches():
+@sweeps_available
+def test_object_store_sweeps_and_matches():
+    """The sweep reads and writes through the sheet's bands, so the
+    object store sweeps too; a masked lane (the string in A7) still
+    goes through the closure."""
     def build():
         s = Sheet("S", store="object")
         for r in range(1, 41):
             s.set_value((1, r), float(r) / 7.0)
+        s.set_value((1, 7), "text")
         fill_formula_column(s, 2, 1, 40, "=A1*2")
         return s
 
-    engine = compare(build, expect_swept=0)
-    assert engine.eval_stats.compiled_cells == 40
+    engine = compare(build, expect_swept=39)
+    assert engine.eval_stats.compiled_cells == 1
 
 
 def test_interpreter_mode_never_sweeps():

@@ -115,10 +115,10 @@ def test_fallback_is_exercised_alongside_fast_paths():
     stats = engine.eval_stats
     assert stats.windowed_cells == 30
     assert stats.interpreted_cells == 30
-    # The elementwise column sweeps on columnar-backed sheets; without
-    # the typed arrays (or numpy) it lands on the compiled path instead.
+    # The elementwise column sweeps; without numpy it lands on the
+    # compiled path instead.
     assert stats.elementwise_cells + stats.compiled_cells == 60
-    if subject.store_kind == "columnar" and vectorized._np is not None:
+    if vectorized._np is not None:
         assert stats.elementwise_cells == 30
         assert stats.compiled_cells == 30
 

@@ -50,16 +50,16 @@ class TestProbeAttachment:
         engine = RecalcEngine(build_lookup_sheet(), lookup_indexes=False)
         assert engine.cell_evaluator.resolver.lookup_probe is None
 
-    def test_env_toggle_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LOOKUP_INDEX", "0")
-        engine = RecalcEngine(build_lookup_sheet())
+    def test_env_toggle_disables(self):
+        """No environment variable switches indexes: ``lookup_indexes=``
+        does, for a plan executor as for an engine."""
+        engine = RecalcEngine.plan_executor(build_lookup_sheet(), lookup_indexes=False)
         assert engine.cell_evaluator.resolver.lookup_probe is None
 
     @pytest.mark.parametrize("dispatch", [{"workers": 2}, {"shards": 2}])
     def test_dispatched_plans_keep_the_engines_setting(self, dispatch):
-        """Thread shadows and residents used to consult the environment
-        toggle alone, so a ``lookup_indexes=False`` engine indexed anyway
-        wherever it dispatched."""
+        """Thread shadows and residents are told the engine's setting: a
+        ``lookup_indexes=False`` engine indexes nowhere it dispatches."""
         from repro.engine import shutdown_pools
 
         try:

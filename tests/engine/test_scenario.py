@@ -160,6 +160,25 @@ def test_structural_staleness_guard():
         whatif.run([{"B1": 1.05}], ["I2"])
 
 
+def test_formula_staleness_guard():
+    """A formula edit after planning leaves the plan replaying the old
+    formula; the sweep refuses, as after a structural edit."""
+    def model():
+        sheet = Sheet("S", store="columnar")
+        sheet.set_value("A1", 1.0)
+        fill_formula_column(sheet, 2, 1, 20, "=$A$1*10")
+        engine = engine_for(sheet)
+        engine.recalculate_all()
+        return engine
+
+    engine = model()
+    whatif = ScenarioEngine(engine, ["A1"])
+    engine.set_formula("B5", "=$A$1*1000")
+    with pytest.raises(RuntimeError, match="scenario plan is stale"):
+        whatif.run([[3.0]], ["B5"])
+    assert ScenarioEngine(engine, ["A1"]).run([[3.0]], ["B5"]) == [{"B5": 3000.0}]
+
+
 def test_open_batch_guard():
     whatif, engine = whatif_for()
     batch = engine.begin_batch()

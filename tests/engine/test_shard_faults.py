@@ -184,3 +184,28 @@ def test_forked_child_inherits_no_slot_pools():
         assert os.waitpid(pid, 0)[1] == 0
     finally:
         shutdown_slot_pools()
+
+
+def test_a_collected_runtime_never_waits_on_a_pool_lock():
+    """A collection can run a runtime's finalizer inside ``submit`` on
+    that very slot pool, with the pool's (non-reentrant) lock held by the
+    same thread: the finalizer must not take the lock, or that submit
+    never returns.  Its drops go out ahead of the next message."""
+    import threading
+
+    from repro.engine import shard
+
+    shutdown_slot_pools()
+    try:
+        engine = engine_for(build_corpus(), shards=2, parallel_min_dirty=1)
+        engine.recalculate_all()
+        with shard._SLOT_POOLS[0]._shutdown_lock:
+            finalizer = threading.Thread(target=shard._send_drops, args=(-1, 2))
+            finalizer.start()
+            finalizer.join(timeout=10)
+            assert not finalizer.is_alive()
+        assert (-1, 0) in shard._DROPS
+        engine.set_value((1, 1), 2.0)
+        assert not shard._DROPS
+    finally:
+        shutdown_slot_pools()

@@ -15,6 +15,7 @@ import pytest
 from repro.engine import journal
 from repro.engine.recalc import RecalcEngine
 from repro.engine.shard import ShardRuntime
+from repro.grid.range import Range
 from repro.io.snapshot import save_snapshot
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
@@ -29,8 +30,7 @@ from helpers import (
 
 
 def mixed(rows=30):
-    """The mixed corpus, pinned to the columnar store regardless of the
-    ``REPRO_SHEET_STORE`` matrix leg."""
+    """The mixed corpus on the columnar store, whatever the default."""
     return clone_sheet(build_mixed_sheet(rows=rows), store="columnar")
 
 
@@ -183,11 +183,33 @@ def test_clearing_a_formula_invalidates_residents():
     engine.recalculate_all()
     boots = engine.eval_stats.shard_bootstraps
     engine.clear_cell((3, 5))
-    # Invalidation is lazy: the stale mark is set now, the re-bootstrap
-    # happens at the next dispatch.
-    assert engine.shard_runtime._stale
+    # Invalidation is lazy: the clear moved the sheet's formula version,
+    # the next dispatch sees it and re-bootstraps.
     engine.set_value((1, 3), 77.0)
     assert engine.eval_stats.shard_bootstraps > boots
+
+
+def test_formula_edit_behind_the_engines_back_reaches_the_residents():
+    """A formula changed on the sheet itself, not through the engine,
+    moves the sheet's formula version all the same: the residents are
+    re-booted with it before the next dispatch."""
+    def build():
+        sheet = Sheet("S", store="columnar")
+        for r in range(1, 201):
+            sheet.set_value((1, r), float(r))
+        fill_formula_column(sheet, 2, 1, 200, "=A1*2")
+        fill_formula_column(sheet, 3, 1, 200, "=B1+1")
+        return sheet
+
+    engines = [engine_for(build()), sharded_engine(build())]
+    for engine in engines:
+        engine.recalculate_all()
+        engine.sheet.set_formula("B5", "=A5*100")
+        engine.recompute([Range.from_a1("B5:C5")], extra=[(2, 5)])
+    serial, sharded = engines
+    assert [serial.sheet.get_value(c) for c in ("B5", "C5")] == [500.0, 501.0]
+    assert_same_values(sharded.sheet, serial.sheet)
+    assert sharded.eval_stats.shard_fallbacks == 0
 
 
 def test_structural_edit_rebootstraps_with_identical_values():

@@ -12,6 +12,7 @@ differential against the same oracle semantics.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
@@ -21,6 +22,7 @@ from repro.formula.errors import ExcelError
 from repro.graphs.base import expand_cells
 from repro.graphs.nocomp import NoCompGraph
 from repro.grid.range import Range
+from repro.sheet import sheet as sheet_module
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 
@@ -183,6 +185,18 @@ def realize_program(program, store: str = "object",
     for col, first, last, template in fills:
         fill_formula_column(sheet, col, first, last, template)
     return sheet
+
+
+@contextmanager
+def default_store(kind: str):
+    """Make ``kind`` the store of every ``Sheet()`` built inside the
+    block without naming one — a snapshot load's sheets, say."""
+    original = sheet_module.DEFAULT_STORE
+    sheet_module.DEFAULT_STORE = kind
+    try:
+        yield kind
+    finally:
+        sheet_module.DEFAULT_STORE = original
 
 
 def clone_sheet(sheet: Sheet, store: str | None = None) -> Sheet:

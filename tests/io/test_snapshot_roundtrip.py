@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_fig2_sheet, build_mixed_sheet
+from helpers import build_fig2_sheet, build_mixed_sheet, default_store
 
 from repro.core.patterns.registry import (
     default_patterns,
@@ -91,14 +91,8 @@ def template_keys(sheet: Sheet) -> dict:
 
 def restore_into(payload: bytes, store: str):
     """Load ``payload`` in a session whose default store is ``store``."""
-    import repro.sheet.sheet as sheet_module
-
-    original = sheet_module.DEFAULT_STORE
-    sheet_module.DEFAULT_STORE = store
-    try:
+    with default_store(store):
         return load_snapshot(io.BytesIO(payload))
-    finally:
-        sheet_module.DEFAULT_STORE = original
 
 
 # -- stream surgery: take a snapshot apart and put one together ----------------
@@ -227,7 +221,10 @@ def test_roundtrip_restored_graph_stays_maintainable():
     sheet = workbook.add_sheet("Mixed")
     source = build_mixed_sheet(seed=11, rows=12)
     for pos, cell in source.items():
-        sheet._cells[pos] = cell
+        if cell.is_formula:
+            sheet.set_formula(pos, cell.formula_text)
+        else:
+            sheet.set_value(pos, cell.value)
     graph = build_graph(sheet, "rtree", "extended")
     RecalcEngine(sheet, graph).recalculate_all()
 

@@ -112,7 +112,7 @@ def test_the_memo_equals_a_fresh_grouping(store, program, reads):
             sheet.run_index()
         before = sheet.formula_version
         moved = apply(sheet, edit)
-        if store == "columnar" and moved is not None:
+        if moved is not None:
             assert (sheet.formula_version != before) == moved, edit
         assert sheet.run_index() == brute_force(sheet), edit
         assert list(sheet.formula_runs()) == [
