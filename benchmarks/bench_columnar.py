@@ -24,8 +24,9 @@ the typed columnar store (:mod:`repro.sheet.columnar`) buys, two ways:
 * **throughput**: a broadcast-input edit (``$F$1``) dirties an entire
   ``=A1*$F$1+B1`` column; the columnar engine re-evaluates it as one
   numpy array sweep over plane slices, the object store runs the same
-  sweep over bands it assembles cell by cell, the interpreter walks the
-  tree per cell.  All three
+  sweep over bands it assembles cell by cell, the columnar engine with
+  the sweep refused (as without numpy) falls back to the compiled
+  per-cell closure, the interpreter walks the tree per cell.  All four
   arms must end bit-identical; the sweep speedups are reported (and the
   sweep must actually dispatch when numpy is available).
 
@@ -40,6 +41,7 @@ import os
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 
 from _common import RESULTS_DIR, emit
 
@@ -160,6 +162,19 @@ def time_broadcast_edits(engine: RecalcEngine) -> float:
     return time.perf_counter() - start
 
 
+@contextmanager
+def sweeps_refused(refused: bool):
+    """Inside the block, the elementwise sweep declines as it does without
+    numpy, so every lane takes the compiled per-cell closure."""
+    saved = vectorized._np
+    if refused:
+        vectorized._np = None
+    try:
+        yield
+    finally:
+        vectorized._np = saved
+
+
 def test_columnar_store_memory_and_throughput(benchmark):
     def run():
         # Memory: same dense population, both stores.
@@ -173,20 +188,21 @@ def test_columnar_store_memory_and_throughput(benchmark):
         fill_us = fill_us_per_member(FORMULA_ROWS)
 
         # Throughput: broadcast edit over an elementwise column.
-        engines = {}
+        engines, timings = {}, {}
         for arm, (store, mode) in {
             "columnar-sweep": ("columnar", "auto"),
             "object-sweep": ("object", "auto"),
+            "columnar-compiled": ("columnar", "auto"),
             "interpreter": ("columnar", "interpreter"),
         }.items():
-            engine = RecalcEngine(build_formula_sheet(store, ROWS),
-                                  evaluation=mode)
-            engine.recalculate_all()
+            with sweeps_refused(arm == "columnar-compiled"):
+                engine = RecalcEngine(build_formula_sheet(store, ROWS),
+                                      evaluation=mode)
+                engine.recalculate_all()
+                timings[arm] = time_broadcast_edits(engine)
             engines[arm] = engine
-        timings = {arm: time_broadcast_edits(engine)
-                   for arm, engine in engines.items()}
         reference = engines["interpreter"].sheet
-        for arm in ("columnar-sweep", "object-sweep"):
+        for arm in ("columnar-sweep", "object-sweep", "columnar-compiled"):
             subject = engines[arm].sheet
             for r in range(1, ROWS + 1):
                 got, want = subject.get_value((3, r)), reference.get_value((3, r))
@@ -194,6 +210,7 @@ def test_columnar_store_memory_and_throughput(benchmark):
         swept = engines["columnar-sweep"].eval_stats.elementwise_cells
         if vectorized._np is not None:
             assert swept > 0, "sweep never dispatched despite numpy"
+        assert engines["columnar-compiled"].eval_stats.elementwise_cells == 0
 
         return {
             "rows": ROWS,
@@ -218,6 +235,8 @@ def test_columnar_store_memory_and_throughput(benchmark):
             "seconds": timings,
             "sweep_speedup_vs_object":
                 timings["object-sweep"] / timings["columnar-sweep"],
+            "sweep_speedup_vs_compiled":
+                timings["columnar-compiled"] / timings["columnar-sweep"],
             "sweep_speedup_vs_interpreter":
                 timings["interpreter"] / timings["columnar-sweep"],
         }
@@ -255,6 +274,8 @@ def test_columnar_store_memory_and_throughput(benchmark):
              "1.0x"],
             ["object-sweep", format_ms(results["seconds"]["object-sweep"]),
              f"{results['sweep_speedup_vs_object']:.1f}x"],
+            ["columnar-compiled", format_ms(results["seconds"]["columnar-compiled"]),
+             f"{results['sweep_speedup_vs_compiled']:.1f}x"],
             ["interpreter", format_ms(results["seconds"]["interpreter"]),
              f"{results['sweep_speedup_vs_interpreter']:.1f}x"],
         ],
@@ -272,6 +293,7 @@ def test_columnar_store_memory_and_throughput(benchmark):
         f"{results['formula_bytes_per_cell_settled']:.0f} B after build + recalc) "
         f"and {results['fill_us_per_member']:.3f} us to fill; "
         f"elementwise sweep "
+        f"{results['sweep_speedup_vs_compiled']:.1f}x vs compiled per-cell, "
         f"{results['sweep_speedup_vs_object']:.1f}x vs the object store, "
         f"{results['sweep_speedup_vs_interpreter']:.1f}x vs interpreter"
     )

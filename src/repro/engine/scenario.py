@@ -19,9 +19,9 @@ not of the trial values.  :class:`ScenarioEngine` exploits that:
    sweeps, interpreter fallback).  Replays after the first count one
    ``EvalStats.scenario_plan_reuses`` each.
 3. **Restore** — the base seed values and every dirty cell's cached
-   value are snapshotted before the first replay and restored
-   afterwards, so a sweep leaves the sheet bit-identical to how it found
-   it, even on error.
+   value are snapshotted before the first replay (typed column packs on
+   columnar sheets) and restored afterwards, so a sweep leaves the sheet
+   bit-identical to how it found it, even on error.
 
 ``workers=N`` fans the scenario list across *resident replicas*
 (:class:`repro.engine.shard.ScenarioReplicas`): the first fanned-out
@@ -283,19 +283,15 @@ class ScenarioEngine:
         self._replays += count
 
     def _snapshot(self):
-        get_value = self.sheet.get_value
-        return (
-            [(pos, get_value(pos)) for pos in self.seeds],
-            [(pos, get_value(pos)) for pos in self.dirty],
-        )
+        sheet = self.sheet
+        seeds = [(pos, sheet.get_value(pos)) for pos in self.seeds]
+        return seeds, sheet._cells.pack_result_columns(self.dirty)
 
-    def _restore(self, seeds, dirty) -> None:
+    def _restore(self, seeds, packed) -> None:
         sheet = self.sheet
         for pos, value in seeds:
             sheet.set_value(pos, value)
-        formula_at = sheet.formula_at
-        for pos, value in dirty:
-            formula_at(pos).value = value
+        sheet._cells.merge_result_columns(packed)
 
     def _resolve(self, rows, seeds_base):
         base = dict(seeds_base)

@@ -957,7 +957,10 @@ class ColumnarStore:
 
         The worker-side half of the parallel result protocol — shipping
         tag+plane bytes instead of per-cell Python objects keeps the
-        return payload ~9 bytes per number.  Inverse:
+        return payload ~9 bytes per number — and a scenario sweep's
+        snapshot.  A formula never evaluated may sit past its column's
+        value plane; the plane grows to cover it, so a later merge (and
+        any write in between) never reallocates.  Inverse:
         :meth:`merge_result_columns`.
         """
         by_col: dict[int, list[int]] = {}
@@ -966,7 +969,7 @@ class ColumnarStore:
         packed = []
         for col in sorted(by_col):
             rows = sorted(by_col[col])
-            column = self._columns[col]
+            column = self._column_for(col, rows[-1])
             tags = bytearray(len(rows))
             values = array("d", bytes(8 * len(rows)))
             side = []

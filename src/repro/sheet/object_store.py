@@ -150,6 +150,18 @@ class ObjectStore:
         for k, value in enumerate(values):
             cells[(col, first_row + k)].value = float(value)
 
+    def pack_result_columns(self, positions) -> list[tuple[tuple[int, int], object]]:
+        """The cached values of formula ``positions`` as ``(pos, value)``
+        pairs — :meth:`ColumnarStore.pack_result_columns` without planes
+        to pack; only :meth:`merge_result_columns` reads them."""
+        cells = self._cells
+        return [(pos, cells[pos].value) for pos in positions]
+
+    def merge_result_columns(self, packed) -> None:
+        cells = self._cells
+        for pos, value in packed:
+            cells[pos].value = value
+
     def range_numbers(self, c1: int, r1: int, c2: int, r2: int) -> None:
         """No planes to slice: every range aggregate takes the ordered walk."""
         return None
@@ -208,21 +220,18 @@ class ObjectStore:
 
     def structural_edit(self, axis: str, mode: str, index: int, count: int) -> int:
         """Rekey every cell for a row/column insert or delete (see
-        :meth:`ColumnarStore.structural_edit`); a formula that moves is
-        re-hosted with its template, so it reads its formula autofill-
-        shifted with the move until the sheet-level pass re-installs it.
-        Returns the number of cells removed with the deleted band."""
+        :meth:`ColumnarStore.structural_edit`).  Only the keys move: a
+        moved formula keeps its old host until the sheet-level pass
+        re-installs it, as it does every formula that moves.  Returns the
+        number of cells removed with the deleted band."""
         self.epoch += 1
         self.formula_version += 1
         move = position_mover(axis, mode, index, count)
         kept: dict[tuple[int, int], Cell] = {}
         for pos, cell in self._cells.items():
             new_pos = move(pos)
-            if new_pos is None:
-                continue
-            if new_pos != pos and cell.is_formula:
-                cell = Cell(cell.value, cell.source_text, template=cell._template, host=new_pos)
-            kept[new_pos] = cell
+            if new_pos is not None:
+                kept[new_pos] = cell
         removed = len(self._cells) - len(kept)
         self._cells = kept
         return removed

@@ -33,7 +33,7 @@ from repro.sheet.autofill import autofill, fill_formula_column
 from repro.sheet.sheet import STORE_KINDS, Sheet
 from repro.spatial.registry import available_indexes
 
-from helpers import assert_same_values, build_ledger_sheet
+from helpers import assert_same_values, build_ledger_sheet, same_value
 
 BACKENDS = available_indexes()
 ROWS = 24
@@ -409,19 +409,32 @@ def test_deferred_steps_identical(store, index, program, data):
         while engine.pending:
             engine.step(7)
 
+    # Settled edit by edit, a cell downstream of a cycle is #CYCLE! only
+    # until a later edit that misses the cycle recomputes it; the merged
+    # backlog holds it #CYCLE! for the whole batch.  Once an edit follows
+    # one that reported a cycle, the engine's #CYCLE! cells (and nothing
+    # else) are exempt from the comparison.
+    exempt = False
     for _ in range(data.draw(st.integers(1, 3))):
         raised = isinstance(want, type)
+        cycled = False
         for _ in range(data.draw(st.integers(1, 3))):
             pos = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, ROWS)))
             value = float(data.draw(st.integers(-30, 30)))
             engine.set_value(pos, value)
-            # A cycle counts too: settled edit by edit, what lies downstream
-            # of it is #CYCLE! only in the edits that dirtied it; in the
-            # merged backlog, in all of them.
-            raised |= settle(lambda: oracle.set_value(pos, value)) is not None
+            outcome = settle(lambda: oracle.set_value(pos, value))
+            raised |= isinstance(outcome, type)
+            exempt |= cycled
+            cycled |= outcome is not None
         if raised | isinstance(settle(drain), type):
             return      # one settle per edit and one per slice stop at different cells
-        assert_same_values(engine.sheet, oracle.sheet)
+        if not exempt:
+            assert_same_values(engine.sheet, oracle.sheet)
+            continue
+        for pos in set(engine.sheet.positions()) | set(oracle.sheet.positions()):
+            got = engine.sheet.get_value(pos)
+            if not (isinstance(got, ExcelError) and got.code == CYCLE_ERROR.code):
+                assert same_value(got, oracle.sheet.get_value(pos)), pos
 
 
 # -- pinned facts -----------------------------------------------------------------
