@@ -117,6 +117,14 @@ def _parse_assignment(spec: str) -> tuple[str, str]:
     return cell, value
 
 
+def _literal(text: str):
+    """A command-line value: the number it spells, else the text itself."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 class _StructuralFlag(argparse.Action):
     """Collect every structural flag into one list, preserving the order
     the flags appeared on the command line (each op's index is
@@ -161,6 +169,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     """Apply a stream of edits and recalculate, per-edit or batched."""
     import time
 
+    from .engine.edits import ClearCell, SetFormula, SetValue, Structural
     from .engine.recalc import CircularReferenceError, RecalcEngine
 
     workbook = read_xlsx(args.file)
@@ -174,21 +183,17 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         return 1
 
     # Structural ops were collected in command-line order (one shared
-    # list): each op's index is interpreted after the previous ones.
-    structural: list[tuple[str, int, int]] = []
+    # list): each op's index is interpreted after the previous ones, and
+    # all of them before the cell edits.
+    edits: list = []
     for op, spec in getattr(args, "structural_ops", None) or ():
-        index, count = _parse_structural(spec, column="columns" in op)
-        structural.append((op, index, count))
-
-    ops: list[tuple[str, str, str | None]] = []
+        edits.append(Structural(op, *_parse_structural(spec, column="columns" in op)))
     for spec in args.set or ():
         cell, value = _parse_assignment(spec)
-        ops.append(("value", cell, value))
+        edits.append(SetValue(cell, _literal(value)))
     for spec in args.formula or ():
-        cell, text = _parse_assignment(spec)
-        ops.append(("formula", cell, text))
-    for cell in args.clear or ():
-        ops.append(("clear", cell, None))
+        edits.append(SetFormula(*_parse_assignment(spec)))
+    edits.extend(ClearCell(cell) for cell in args.clear or ())
     if args.random:
         rng = random.Random(args.seed)
         values = [pos for pos, cell in sheet.items() if not cell.is_formula]
@@ -196,20 +201,12 @@ def _cmd_edit(args: argparse.Namespace) -> int:
             print("error: --random needs value cells to edit", file=sys.stderr)
             return 2
         for _ in range(args.random):
-            col, row = rng.choice(values)
-            ops.append(("value", Range.cell(col, row).to_a1(),
-                        str(float(rng.randrange(1000)))))
-    if not ops and not structural:
+            edits.append(SetValue(rng.choice(values), float(rng.randrange(1000))))
+    if not edits:
         print("error: no edits given (--set/--formula/--clear/--random/"
               "--insert-rows/--delete-rows/--insert-cols/--delete-cols)",
               file=sys.stderr)
         return 2
-
-    def coerce(value: str):
-        try:
-            return float(value)
-        except ValueError:
-            return value
 
     # Attach the journal only now, after every no-op/validation early
     # return: from here each committed edit appends one durable record.
@@ -245,15 +242,8 @@ def _cmd_edit(args: argparse.Namespace) -> int:
     try:
         if args.batch:
             with engine.begin_batch(workbook=workbook) as batch:
-                for op, index, count in structural:
-                    getattr(batch, op)(index, count)
-                for kind, cell, payload in ops:
-                    if kind == "value":
-                        batch.set_value(cell, coerce(payload))
-                    elif kind == "formula":
-                        batch.set_formula(cell, payload)
-                    else:
-                        batch.clear_cell(cell)
+                for edit in edits:
+                    batch.apply(edit)
             result = batch.result
             recomputed = result.recomputed
             print(
@@ -264,23 +254,18 @@ def _cmd_edit(args: argparse.Namespace) -> int:
                 f"repacked={result.repacked}"
             )
         else:
-            for op, index, count in structural:
-                result = getattr(engine, op)(index, count, workbook=workbook)
+            for edit in edits:
+                result = engine.apply(edit, workbook=workbook)
                 recomputed += result.recomputed
-                print(
-                    f"{op} {index}:{count} -> {result.moved_cells} cells moved, "
-                    f"{result.rewritten_formulas} formulas rewritten "
-                    f"({result.cross_sheet_rewrites} cross-sheet), "
-                    f"{result.ref_errors} #REF!, "
-                    f"{result.maintenance.edges_touched} edges touched"
-                )
-            for kind, cell, payload in ops:
-                if kind == "value":
-                    recomputed += engine.set_value(cell, coerce(payload)).recomputed
-                elif kind == "formula":
-                    recomputed += engine.set_formula(cell, payload).recomputed
-                else:
-                    recomputed += engine.clear_cell(cell).recomputed
+                if type(edit) is Structural:
+                    print(
+                        f"{edit.op} {edit.index}:{edit.count} -> "
+                        f"{result.moved_cells} cells moved, "
+                        f"{result.rewritten_formulas} formulas rewritten "
+                        f"({result.cross_sheet_rewrites} cross-sheet), "
+                        f"{result.ref_errors} #REF!, "
+                        f"{result.maintenance.edges_touched} edges touched"
+                    )
     except CircularReferenceError as err:
         print(f"error: {err}", file=sys.stderr)
         if journal is not None:
@@ -288,7 +273,7 @@ def _cmd_edit(args: argparse.Namespace) -> int:
         return 1
     elapsed = time.perf_counter() - start
     mode = "batched" if args.batch else "per-edit"
-    print(f"{mode}: {len(ops) + len(structural)} edits, "
+    print(f"{mode}: {len(edits)} edits, "
           f"{recomputed} cells recomputed in {elapsed * 1000:.1f} ms")
     if journal is not None:
         journal.close()
@@ -387,12 +372,6 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
         print(f"error: workbook has a pre-existing {err}", file=sys.stderr)
         return 1
 
-    def coerce(value: str):
-        try:
-            return float(value)
-        except ValueError:
-            return value
-
     scenarios: list[dict[str, object]] = []
     seeds: list[str] = []
     uniforms: list[tuple[str, float, float]] = []
@@ -408,7 +387,7 @@ def _cmd_whatif(args: argparse.Namespace) -> int:
             overrides: dict[str, object] = {}
             for part in spec.split(","):
                 cell, value = _parse_assignment(part)
-                overrides[cell] = coerce(value)
+                overrides[cell] = _literal(value)
                 if cell not in seeds:
                     seeds.append(cell)
             scenarios.append(overrides)

@@ -12,7 +12,9 @@ and two choices about *when* work happens.
   pending (:class:`UpdateTicket`), and ``step()`` / ``drain()`` execute
   slices of the same plan afterwards.
 
-Structural edits (row/column inserts and deletes) run through
+Every update is one frozen edit of :mod:`repro.engine.edits`, applied
+by ``engine.apply`` (the named methods spell it).  Structural edits
+(row/column inserts and deletes) run through
 :mod:`repro.engine.structural`: ``engine.insert_rows(...)`` and friends
 rewrite the sheet (workbook-wide with ``workbook=``), maintain the
 compressed graph incrementally, and re-evaluate just the dirty set.

@@ -55,19 +55,14 @@ from typing import NamedTuple
 
 from ..core import maintain
 from ..core.query import dependents_of_seeds
-from ..formula.parser import parse_formula
 from ..grid.range import Range
 from ..grid.rangeset import merge_ranges
-from ..io.snapshot import encode_value
 from ..sheet.sheet import Dependency
+from .edits import ClearCell, ClearRange, Edit, SetFormula, SetValue, Structural
 from .recalc import RecalcEngine
 from .structural import apply_structural_edit, shift_dirty_ranges
 
 __all__ = ["BatchEditSession", "BatchResult"]
-
-_VALUE = "value"
-_FORMULA = "formula"
-_CLEAR = "clear"
 
 
 class BatchResult(NamedTuple):
@@ -128,9 +123,9 @@ class BatchEditSession:
         self.workbook = workbook
         self.result: BatchResult | None = None
         self._ops = 0
-        self._pending: dict[tuple[int, int], tuple[str, object]] = {}
-        self._range_clears: list[Range] = []
-        self._structural: list[tuple[str, int, int]] = []
+        self._pending: dict[tuple[int, int], SetValue | SetFormula | ClearCell] = {}
+        self._range_clears: list[ClearRange] = []
+        self._structural: list[Structural] = []
         self._closed = False
         # Register on the *sheet* (any engine over it sees us) so
         # structural edits refuse to run underneath this session's
@@ -139,73 +134,68 @@ class BatchEditSession:
 
     # -- recording ---------------------------------------------------------------
 
-    def set_value(self, target, value) -> None:
-        """Buffer a pure-value write (None clears, as on the sheet)."""
-        self._record(target, (_VALUE, value))
+    def apply(self, edit: Edit) -> None:
+        """Buffer one :mod:`~repro.engine.edits` edit.
 
-    def set_formula(self, target, text: str) -> None:
-        """Buffer a formula write (leading ``=`` optional)."""
-        self._record(target, (_FORMULA, text))
-
-    def clear_cell(self, target) -> None:
-        """Buffer erasing one cell."""
-        self._record(target, (_CLEAR, None))
-
-    def clear_range(self, rng: Range) -> None:
-        """Buffer erasing a whole range.
-
-        Pending per-cell edits inside the range are dropped (the clear
-        supersedes them); edits recorded *after* this call win over the
-        clear for their cell, preserving order semantics.
-        """
-        self._check_open()
-        self._ops += 1
-        for pos in [p for p in self._pending if rng.contains_cell(*p)]:
-            del self._pending[pos]
-        self._range_clears.append(rng)
-
-    def _record(self, target, op: tuple[str, object]) -> None:
-        self._check_open()
-        self._ops += 1
-        self._pending[RecalcEngine._position(target)] = op
-
-    # -- structural edits ---------------------------------------------------------
-
-    def insert_rows(self, row: int, count: int = 1) -> None:
-        """Buffer inserting ``count`` blank rows before ``row``.
-
+        Re-edits of one cell coalesce (last writer wins).  A range clear
+        drops the pending cell edits inside it; edits recorded *after* it
+        win over it for their cell, preserving order semantics.
         Structural ops are applied *first* at commit, before the buffered
-        cell edits — so cell edits recorded after this call use post-edit
+        cell edits — so cell edits recorded after one use post-edit
         addresses.  Recording a structural op when cell edits are already
         buffered raises: their addresses would silently straddle the
         shift (record structural ops first, or use separate batches).
+        Validation waits for :meth:`commit`.
         """
-        self._record_structural("insert_rows", row, count)
+        self._check_open()
+        if isinstance(edit, Structural):
+            if self._pending or self._range_clears:
+                raise RuntimeError(
+                    f"cannot record {edit.op} after cell edits in the same batch: "
+                    "the buffered addresses would straddle the shift; record "
+                    "structural ops first (they commit first), or use a new batch"
+                )
+            self._structural.append(edit)
+        elif isinstance(edit, ClearRange):
+            rng = edit.rng
+            for pos in [p for p in self._pending if rng.contains_cell(*p)]:
+                del self._pending[pos]
+            self._range_clears.append(edit)
+        else:
+            self._pending[edit.pos] = edit
+        self._ops += 1
+
+    def set_value(self, target, value) -> None:
+        """Buffer a pure-value write (None clears, as on the sheet)."""
+        self.apply(SetValue(target, value))
+
+    def set_formula(self, target, text: str) -> None:
+        """Buffer a formula write (leading ``=`` optional)."""
+        self.apply(SetFormula(target, text))
+
+    def clear_cell(self, target) -> None:
+        """Buffer erasing one cell."""
+        self.apply(ClearCell(target))
+
+    def clear_range(self, rng: Range) -> None:
+        """Buffer erasing a whole range."""
+        self.apply(ClearRange(rng))
+
+    def insert_rows(self, row: int, count: int = 1) -> None:
+        """Buffer inserting ``count`` blank rows before ``row``."""
+        self.apply(Structural("insert_rows", row, count))
 
     def delete_rows(self, row: int, count: int = 1) -> None:
-        """Buffer deleting rows ``[row, row+count)`` (see :meth:`insert_rows`)."""
-        self._record_structural("delete_rows", row, count)
+        """Buffer deleting rows ``[row, row+count)``."""
+        self.apply(Structural("delete_rows", row, count))
 
     def insert_columns(self, col: int, count: int = 1) -> None:
         """Buffer inserting ``count`` blank columns before ``col``."""
-        self._record_structural("insert_columns", col, count)
+        self.apply(Structural("insert_columns", col, count))
 
     def delete_columns(self, col: int, count: int = 1) -> None:
         """Buffer deleting columns ``[col, col+count)``."""
-        self._record_structural("delete_columns", col, count)
-
-    def _record_structural(self, op: str, index: int, count: int) -> None:
-        self._check_open()
-        if index < 1 or count < 1:
-            raise ValueError("index and count must be positive")
-        if self._pending or self._range_clears:
-            raise RuntimeError(
-                f"cannot record {op} after cell edits in the same batch: the "
-                "buffered addresses would straddle the shift; record "
-                "structural ops first (they commit first), or use a new batch"
-            )
-        self._ops += 1
-        self._structural.append((op, index, count))
+        self.apply(Structural("delete_columns", col, count))
 
     def _check_open(self) -> None:
         if self._closed:
@@ -253,16 +243,11 @@ class BatchEditSession:
         getattr(sheet, "_open_batches", set()).discard(self)
         # Validate every buffered edit *before* applying anything, so a
         # failure cannot leave the batch half-applied (or, journaled, live
-        # state the journal never recorded).  Formulas always — they parse
-        # lazily, i.e. only after the sheet and graph were already touched
-        # (memoised, so the apply step below pays nothing extra); values
-        # only against a journal, whose record format they must fit.
+        # state the journal never recorded).
         journaled = engine.journal is not None
-        for kind, payload in self._pending.values():
-            if kind == _FORMULA:
-                parse_formula(payload)
-            elif kind == _VALUE and journaled:
-                encode_value(payload)
+        edits = [*self._structural, *self._range_clears, *self._pending.values()]
+        for edit in edits:
+            edit.check(journaled)
         start = time.perf_counter()
 
         # 0. Structural edits (always recorded before cell edits) are
@@ -271,11 +256,10 @@ class BatchEditSession:
         # later shift — and re-evaluated together with the cell edits'
         # dirty set in the single recompute below.
         structural_dirty: list[Range] = []
-        for op, index, count in self._structural:
-            structural_dirty = shift_dirty_ranges(structural_dirty, op, index, count)
+        for edit in self._structural:
+            structural_dirty = shift_dirty_ranges(structural_dirty, edit)
             structural_result = apply_structural_edit(
-                engine, op, index, count, recalc=False, journal=False,
-                workbook=self.workbook,
+                engine, edit, workbook=self.workbook, batched=True,
                 repack_fraction=self.repack_fraction, repack_min=self.repack_min,
             )
             structural_dirty.extend(structural_result.dirty_ranges)
@@ -283,22 +267,16 @@ class BatchEditSession:
         # 1. Sheet state: range clears first (in order), then the
         # surviving per-cell edits — by construction the per-cell buffer
         # already reflects in-order semantics.
-        for rng in self._range_clears:
-            sheet.clear_range(rng)
-        for pos, (kind, payload) in self._pending.items():
-            if kind == _VALUE:
-                sheet.set_value(pos, payload)
-            elif kind == _FORMULA:
-                sheet.set_formula(pos, payload)
-            else:
-                sheet.clear_cell(pos)
+        for edit in edits[len(self._structural):]:
+            edit.write(sheet)
 
         # 2. Graph maintenance, one deferred wave over the exact cover.
-        cleared = maintain.coalesce_cells(self._pending) + self._range_clears
+        cleared = maintain.coalesce_cells(self._pending)
+        cleared += [edit.rng for edit in self._range_clears]
         new_deps: list[Dependency] = []
         formula_positions: set[tuple[int, int]] = set()
-        for pos, (kind, _) in self._pending.items():
-            if kind != _FORMULA:
+        for pos, edit in self._pending.items():
+            if type(edit) is not SetFormula:
                 continue
             cell = sheet.formula_at(pos)
             if cell is None:
@@ -313,17 +291,10 @@ class BatchEditSession:
 
         # The batch is now committed (sheet + graph); make it durable
         # before recomputing dependents.  One record carries the whole
-        # commit: structural ops, range clears, and the surviving
-        # coalesced cell edits, in commit order.
-        journal = getattr(engine, "journal", None)
-        if journal is not None:
-            journal.record_batch(
-                sheet.name,
-                self._structural,
-                self._range_clears,
-                [(pos, kind, payload)
-                 for pos, (kind, payload) in self._pending.items()],
-                cross_sheet=self.workbook is not None,
+        # commit, in commit order; a commit of nothing writes nothing.
+        if journaled and edits:
+            engine.journal.append_edits(
+                sheet.name, edits, batch=True, cross_sheet=self.workbook is not None
             )
 
         # 3. Dirty set by one BFS over the compressed graph, merged with

@@ -21,20 +21,13 @@ never raised: :func:`read_journal` returns the decoded prefix plus a
 ``torn`` flag.  A journal whose header names a newer format version is
 rejected with an error naming both versions.
 
-Record kinds (see the docs for the field tables):
-
-* ``cell`` — one committed ``set_value`` / ``set_formula`` /
-  ``clear_cell`` through :class:`~repro.engine.recalc.RecalcEngine`;
-* ``batch`` — one committed batch: its structural ops, range clears,
-  and surviving coalesced cell edits, in commit order (a fill-down is
-  its N formulas: unlike the snapshot's run records, journal records
-  stay per cell until the batch pipeline has a run-shaped edit);
-* ``structural`` — one standalone row/column insert/delete through
-  :func:`~repro.engine.structural.apply_structural_edit`.
+A record is a serialised list of edits, in the format
+:mod:`repro.engine.edits` owns; a fresh journal starts with an ``open``
+record pairing it with its snapshot.
 
 Recovery (:func:`recover`, surfaced as ``Workbook.restore``) loads the
-snapshot, replays the record prefix through the *existing* batch and
-structural pipelines with recalculation deferred, and then recomputes
+snapshot, decodes each record back into edits and applies them through
+the same engine and batch paths with recalculation deferred, then recomputes
 only the journal-dirtied cells: one multi-seed BFS over each touched
 sheet's compressed graph, one topological re-evaluation.  Untouched
 sheets keep their snapshot values and graphs unread.
@@ -51,17 +44,11 @@ from typing import IO, NamedTuple
 from ..core.query import dependents_of_seeds
 from ..grid.range import Range
 from ..grid.rangeset import merge_ranges
-from ..io.snapshot import (
-    Snapshot,
-    decode_value,
-    encode_value,
-    fsync_directory,
-    load_snapshot,
-)
-from ..sheet.structural import STRUCTURAL_OPS
+from ..io.snapshot import Snapshot, fsync_directory, load_snapshot
 from ..sheet.workbook import Workbook
+from .edits import JournalFormatError, Structural, cell_edit, from_record, to_records
 from .recalc import CircularReferenceError, RecalcEngine
-from .structural import apply_structural_edit, shift_dirty_ranges
+from .structural import shift_dirty_ranges
 
 __all__ = [
     "Journal",
@@ -78,12 +65,6 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<8sI")
 _FRAME = struct.Struct("<2sII")
 _RECORD_MARK = b"JR"
-
-
-class JournalFormatError(ValueError):
-    """Raised when a journal's *header* is unusable (wrong magic, or a
-    format version newer than this build).  Torn or corrupt record tails
-    are never an error — they are cut at the last complete record."""
 
 
 class Journal:
@@ -198,51 +179,19 @@ class Journal:
         if self._fsync:
             os.fsync(self._handle.fileno())
 
-    # -- typed records (the engine commit hooks call these) --------------------
+    # -- edit records (the engine commit hooks call these) ----------------------
+
+    def append_edits(self, sheet: str, edits, *, batch: bool = False,
+                     cross_sheet: bool = False) -> None:
+        """Journal committed edits (:func:`~repro.engine.edits.to_records`):
+        one ``batch`` record for a batch commit, else one record per edit
+        (``cross_sheet``: a workbook-wide reference rewrite ran with them)."""
+        for record in to_records(sheet, edits, batch=batch, cross_sheet=cross_sheet):
+            self.append(record)
 
     def record_cell(self, sheet: str, op: str, pos: tuple[int, int], payload=None) -> None:
-        """One committed per-cell edit (``op`` in value/formula/clear)."""
-        record = {"kind": "cell", "sheet": sheet, "op": op, "cell": [pos[0], pos[1]]}
-        if op == "value":
-            record["payload"] = encode_value(payload)
-        elif op == "formula":
-            record["payload"] = payload
-        self.append(record)
-
-    def record_structural(
-        self, sheet: str, op: str, index: int, count: int, *, cross_sheet: bool = False
-    ) -> None:
-        """One standalone structural op (``cross_sheet``: a workbook-wide
-        reference rewrite ran with it)."""
-        self.append({
-            "kind": "structural", "sheet": sheet, "op": op,
-            "index": index, "count": count, "cross_sheet": cross_sheet,
-        })
-
-    def record_batch(
-        self,
-        sheet: str,
-        structural,
-        clears,
-        ops,
-        *,
-        cross_sheet: bool = False,
-    ) -> None:
-        """One committed batch: structural ops, range clears, then the
-        surviving coalesced cell edits (``(pos, kind, payload)``)."""
-        encoded_ops = []
-        for pos, kind, payload in ops:
-            entry = [pos[0], pos[1], kind,
-                     encode_value(payload) if kind == "value" else payload]
-            encoded_ops.append(entry)
-        self.append({
-            "kind": "batch",
-            "sheet": sheet,
-            "cross_sheet": cross_sheet,
-            "structural": [[op, index, count] for op, index, count in structural],
-            "clears": [[r.c1, r.r1, r.c2, r.r2] for r in clears],
-            "ops": encoded_ops,
-        })
+        """One committed cell edit, spelled with its op string."""
+        self.append_edits(sheet, (cell_edit(op, pos, payload),))
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -394,7 +343,26 @@ def recover(
                 )
             continue
         try:
-            _apply_record(workbook, engine_for, seeds, record)
+            name, edits, batch, cross_sheet = from_record(record)
+            if not isinstance(name, str) or name not in workbook:
+                raise JournalFormatError(f"journal record names unknown sheet {name!r}")
+            engine = engine_for(name)
+            if not batch and type(edits[0]) is not Structural:
+                # A point edit: the live path's mutation, minus its BFS
+                # and recompute — those are paid once per sheet below.
+                engine.mutate(edits[0])
+                seeds[name].append(Range.cell(*edits[0].pos))
+            else:
+                # A batch commit, or a standalone structural op: the same
+                # sheet and graph work as the one-op batch it replays as.
+                for edit in edits:
+                    if type(edit) is Structural:
+                        seeds[name] = shift_dirty_ranges(seeds[name], edit)
+                scope = workbook if cross_sheet else None
+                with engine.begin_batch(recalc=False, workbook=scope) as session:
+                    for edit in edits:
+                        session.apply(edit)
+                seeds[name] += session.result.cleared_ranges + session.result.dirty_ranges
         except JournalFormatError:
             raise
         except (KeyError, IndexError, TypeError, ValueError) as exc:
@@ -433,76 +401,3 @@ def recover(
         recomputed=recomputed,
         cycle_errors=cycle_errors,
     )
-
-
-def _apply_record(workbook: Workbook, engine_for, seeds: dict, record: dict) -> None:
-    kind = record.get("kind")
-    name = record.get("sheet")
-    if not isinstance(name, str) or name not in workbook:
-        raise JournalFormatError(f"journal record names unknown sheet {name!r}")
-    engine = engine_for(name)
-    if kind == "cell":
-        _apply_cell(engine, record)
-        col, row = record["cell"]
-        seeds[name].append(Range.cell(int(col), int(row)))
-    elif kind == "structural":
-        op, index, count = record["op"], int(record["index"]), int(record["count"])
-        if op not in STRUCTURAL_OPS:
-            raise JournalFormatError(f"unknown structural op {op!r} in journal")
-        seeds[name] = shift_dirty_ranges(seeds[name], op, index, count)
-        result = apply_structural_edit(
-            engine, op, index, count, recalc=False, journal=False,
-            workbook=workbook if record.get("cross_sheet") else None,
-        )
-        seeds[name].extend(result.dirty_ranges)
-    elif kind == "batch":
-        structural = [(op, int(i), int(n)) for op, i, n in record.get("structural", [])]
-        for op, _, _ in structural:
-            # Validate before dispatch: op names come from file bytes and
-            # must never select an arbitrary session method.
-            if op not in STRUCTURAL_OPS:
-                raise JournalFormatError(f"unknown structural op {op!r} in journal")
-        for op, index, count in structural:
-            seeds[name] = shift_dirty_ranges(seeds[name], op, index, count)
-        with engine.begin_batch(
-            recalc=False,
-            workbook=workbook if record.get("cross_sheet") else None,
-        ) as batch:
-            for op, index, count in structural:
-                getattr(batch, op)(index, count)
-            for c1, r1, c2, r2 in record.get("clears", []):
-                batch.clear_range(Range(int(c1), int(r1), int(c2), int(r2)))
-            for col, row, op, payload in record.get("ops", []):
-                pos = (int(col), int(row))
-                if op == "value":
-                    batch.set_value(pos, decode_value(payload))
-                elif op == "formula":
-                    batch.set_formula(pos, payload)
-                else:
-                    batch.clear_cell(pos)
-        result = batch.result
-        seeds[name].extend(result.cleared_ranges)
-        seeds[name].extend(result.dirty_ranges)
-    else:
-        raise JournalFormatError(f"unknown journal record kind {kind!r}")
-
-
-def _apply_cell(engine: RecalcEngine, record: dict) -> None:
-    """Replay one per-cell edit: sheet + graph maintenance, no recalc.
-
-    Delegates to :meth:`RecalcEngine.apply_cell_mutation` — the same
-    code the live edit paths run minus the dependents BFS and the
-    re-evaluation, which recovery batches into one pass at the end.
-    """
-    col, row = record["cell"]
-    pos = (int(col), int(row))
-    op = record.get("op")
-    if op == "value":
-        payload = decode_value(record.get("payload"))
-    elif op == "formula":
-        payload = record["payload"]
-    elif op == "clear":
-        payload = None
-    else:
-        raise JournalFormatError(f"unknown cell op {op!r}")
-    engine.apply_cell_mutation(pos, op, payload)

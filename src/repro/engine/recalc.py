@@ -36,12 +36,12 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from ..core.taco_graph import build_from_sheet
 from ..formula.compile import CompilingEvaluator, TemplateRegistry
 from ..formula.errors import CYCLE_ERROR
-from ..formula.parser import parse_formula
 from ..graphs.base import FormulaGraph
 from ..grid.range import Range
-from ..io.snapshot import encode_value
 from ..sheet.sheet import Sheet, SheetResolver, _coerce_pos
 from . import lookup, vectorized
+from .edits import ClearCell, ClearRange, Edit, SetFormula, SetValue, Structural, cell_edit
+from .structural import apply_structural_edit
 
 if TYPE_CHECKING:  # pragma: no cover
     from .batch import BatchEditSession
@@ -309,47 +309,34 @@ class RecalcEngine:
 
     # -- updates ------------------------------------------------------------------
 
-    def set_value(self, target, value) -> "RecalcResult | UpdateTicket":
-        """Change a pure value and refresh its dependents.
+    def apply(self, edit: Edit, *, workbook=None, **kwargs):
+        """Apply one :mod:`~repro.engine.edits` edit end to end.
 
-        Overwriting a formula cell with a value also clears the cell's
-        dependencies from the graph — otherwise stale edges would keep
-        reporting dependents of a formula that no longer exists.
+        A cell edit validates, mutates sheet and graph, journals, finds
+        its dependents and settles them (:class:`RecalcResult`) or,
+        deferred, marks them (:class:`UpdateTicket`); it moves nothing,
+        so it ignores ``workbook=`` and takes no other keyword.  A
+        :class:`Structural` edit runs
+        :func:`~repro.engine.structural.apply_structural_edit` with the
+        keywords.  A :class:`ClearRange` exists only inside a batch
+        (:meth:`begin_batch`).
         """
-        return self._edit(target, "value", value)
-
-    def set_formula(self, target, text: str) -> "RecalcResult | UpdateTicket":
-        """Change a formula: maintain the graph (clear + insert, Sec.
-        IV-C), then refresh the cell and its dependents."""
-        return self._edit(target, "formula", text)
-
-    def clear_cell(self, target) -> "RecalcResult | UpdateTicket":
-        """Erase a cell entirely and refresh its dependents."""
-        return self._edit(target, "clear", None)
-
-    def _edit(self, target, op: str, payload) -> "RecalcResult | UpdateTicket":
-        """The one point-update path: validate, mutate sheet + graph,
-        journal, find dependents, then settle them (:class:`RecalcResult`)
-        or, deferred, mark them (:class:`UpdateTicket`)."""
+        if isinstance(edit, Structural):
+            return apply_structural_edit(self, edit, workbook=workbook, **kwargs)
+        if isinstance(edit, ClearRange):
+            raise TypeError("a range clear is a batch edit: use begin_batch()")
+        if kwargs:
+            raise TypeError(f"a cell edit takes no {sorted(kwargs)} keywords")
         start = time.perf_counter()
-        pos = self._position(target)
-        # Validate before anything mutates.  Formulas parse lazily, so an
-        # unparseable one would otherwise fail only after the cell's graph
-        # edges were cleared and the bad text stored (the parse is
-        # memoised: the later one is free).  Values must be representable
-        # in the journal's record format, or sheet and journal diverge.
-        if op == "formula":
-            parse_formula(payload)
-        elif op == "value" and self.journal is not None:
-            encode_value(payload)
-        self.apply_cell_mutation(pos, op, payload)
+        edit.check(self.journal is not None)
+        self.mutate(edit)
         if self.journal is not None:
-            if op == "formula":
-                payload = self.sheet.cell_at(pos).formula_text
-            self.journal.record_cell(self.sheet.name, op, pos, payload)
-        dirty_ranges = self.graph.find_dependents(Range.cell(*pos))
+            self.journal.append_edits(self.sheet.name, (edit,))
+        dirty_ranges = self.graph.find_dependents(Range.cell(*edit.pos))
         control_return = time.perf_counter() - start
-        dirty = self._formula_cells(dirty_ranges, (pos,) if op == "formula" else ())
+        dirty = self._formula_cells(
+            dirty_ranges, (edit.pos,) if type(edit) is SetFormula else ()
+        )
         done = self._settle_or_mark(dirty)
         total = time.perf_counter() - start
         if self.deferred:
@@ -359,42 +346,45 @@ class RecalcEngine:
             control_return, total,
         )
 
+    def set_value(self, target, value) -> "RecalcResult | UpdateTicket":
+        """Change a pure value and refresh its dependents."""
+        return self.apply(SetValue(target, value))
+
+    def set_formula(self, target, text: str) -> "RecalcResult | UpdateTicket":
+        """Change a formula: maintain the graph (clear + insert, Sec.
+        IV-C), then refresh the cell and its dependents."""
+        return self.apply(SetFormula(target, text))
+
+    def clear_cell(self, target) -> "RecalcResult | UpdateTicket":
+        """Erase a cell entirely and refresh its dependents."""
+        return self.apply(ClearCell(target))
+
     # -- shared mutation core ------------------------------------------------------
 
-    def apply_cell_mutation(self, pos: tuple[int, int], op: str, payload) -> None:
+    def mutate(self, edit: "SetValue | SetFormula | ClearCell") -> None:
         """Sheet write + graph maintenance for one cell edit — no journal
         record, no recomputation.
 
-        The shared core of :meth:`set_value` / :meth:`set_formula` /
-        :meth:`clear_cell` *and* of journal replay
+        The shared core of the point edits *and* of journal replay
         (:mod:`repro.engine.journal`), so a recovered graph is maintained
-        by definition exactly like the live one was.  ``op`` is
-        ``"value"`` / ``"formula"`` / ``"clear"``; ``payload`` is the
-        value or formula text (ignored for clears).
+        by definition exactly like the live one was.
         """
-        cell_range = Range.cell(*pos)
-        if op == "value":
-            previous = self.sheet.cell_at(pos)
-            if previous is not None and previous.is_formula:
-                # Stale edges would keep reporting dependents of a
-                # formula that no longer exists.
-                self._pending.discard(pos)
-                self.graph.clear_cells(cell_range)
-            self.sheet.set_value(pos, payload)
-        elif op == "formula":
-            # (a new formula is re-marked by its own edit)
+        pos = edit.pos
+        if type(edit) is not SetValue or self.sheet.formula_at(pos) is not None:
+            # A formula's stale edges would keep reporting dependents of
+            # a formula that no longer exists (a new formula is re-marked
+            # by its own edit).
             self._pending.discard(pos)
-            self.graph.clear_cells(cell_range)
-            self.sheet.set_formula(pos, payload)
+            self.graph.clear_cells(Range.cell(*pos))
+        edit.write(self.sheet)
+        if type(edit) is SetFormula:
             template = self.sheet.formula_at(pos).template
             for dep in self.sheet.dependencies_at(template, *pos):
                 self.graph.add_dependency(dep)
-        elif op == "clear":
-            self._pending.discard(pos)
-            self.graph.clear_cells(cell_range)
-            self.sheet.clear_cell(pos)
-        else:
-            raise ValueError(f"unknown cell op {op!r}")
+
+    def apply_cell_mutation(self, pos: tuple[int, int], op: str, payload) -> None:
+        """:meth:`mutate` spelled with the journal's op strings."""
+        self.mutate(cell_edit(op, pos, payload))
 
     # -- batched editing ---------------------------------------------------------
 
@@ -412,36 +402,23 @@ class RecalcEngine:
     # -- structural edits ---------------------------------------------------------
 
     def insert_rows(self, row: int, count: int = 1, **kwargs):
-        """Insert ``count`` blank rows before ``row``, end-to-end.
-
-        Sheet rewrite, incremental graph maintenance, and dirty
-        recalculation in one pass — see
-        :func:`repro.engine.structural.apply_structural_edit` (which
-        also documents ``workbook=`` for cross-sheet reference
-        rewriting).  Returns a
-        :class:`~repro.engine.structural.StructuralEditResult`.
-        """
-        from .structural import apply_structural_edit
-
-        return apply_structural_edit(self, "insert_rows", row, count, **kwargs)
+        """Insert ``count`` blank rows before ``row``, end-to-end: sheet
+        rewrite, incremental graph maintenance and dirty recalculation
+        (``workbook=`` rewrites sibling sheets' references too).  Returns
+        a :class:`~repro.engine.structural.StructuralEditResult`."""
+        return self.apply(Structural("insert_rows", row, count), **kwargs)
 
     def delete_rows(self, row: int, count: int = 1, **kwargs):
         """Delete rows ``[row, row+count)``; references into them go ``#REF!``."""
-        from .structural import apply_structural_edit
-
-        return apply_structural_edit(self, "delete_rows", row, count, **kwargs)
+        return self.apply(Structural("delete_rows", row, count), **kwargs)
 
     def insert_columns(self, col: int, count: int = 1, **kwargs):
         """Insert ``count`` blank columns before ``col``, end-to-end."""
-        from .structural import apply_structural_edit
-
-        return apply_structural_edit(self, "insert_columns", col, count, **kwargs)
+        return self.apply(Structural("insert_columns", col, count), **kwargs)
 
     def delete_columns(self, col: int, count: int = 1, **kwargs):
         """Delete columns ``[col, col+count)``; references into them go ``#REF!``."""
-        from .structural import apply_structural_edit
-
-        return apply_structural_edit(self, "delete_columns", col, count, **kwargs)
+        return self.apply(Structural("delete_columns", col, count), **kwargs)
 
     # -- dirty-set recomputation ---------------------------------------------------
 

@@ -39,7 +39,7 @@ issuing one while a :class:`~repro.engine.batch.BatchEditSession` is open
 on the engine, or while the graph is inside a deferred-maintenance
 window, raises ``RuntimeError`` instead of silently corrupting buffered
 positions (record the structural op *through* the batch instead — see
-:meth:`~repro.engine.batch.BatchEditSession.insert_rows`).
+:meth:`~repro.engine.batch.BatchEditSession.apply`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from ..core.taco_graph import dependencies_column_major
 from ..grid.range import Range
 from ..grid.rangeset import merge_ranges
 from ..sheet import structural as sheet_structural
-from ..sheet.structural import STRUCTURAL_OPS, SheetEditReport, edit_transform
+from ..sheet.structural import SheetEditReport, edit_transform
+from .edits import Structural
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sheet.workbook import Workbook
@@ -130,25 +131,22 @@ def _maintain_graph(
 
 def apply_structural_edit(
     engine: "RecalcEngine",
-    op: str,
-    index: int,
-    count: int = 1,
+    edit: Structural,
     *,
     workbook: "Workbook | None" = None,
     repack_fraction: float = 0.25,
     repack_min: int = 64,
-    recalc: bool = True,
-    journal: bool = True,
+    batched: bool = False,
 ) -> StructuralEditResult:
-    """Perform one structural edit end-to-end on ``engine``'s sheet.
+    """Perform one :class:`~repro.engine.edits.Structural` edit
+    end-to-end on ``engine``'s sheet.
 
     ``workbook`` (optional) extends the reference rewrite to every other
     sheet that references the edited one; graph maintenance and
     recalculation stay per-sheet, matching the paper's per-sheet formula
-    graphs.  ``recalc=False`` skips the re-evaluation and leaves
-    ``dirty_ranges`` for a caller that batches several edits before one
-    recompute.  ``journal=False`` suppresses the write-ahead journal
-    record (used by batch commits, whose own record covers the op).
+    graphs.  ``batched=True`` runs the edit as one op of a batch commit:
+    no journal record and no re-evaluation — the batch's own record
+    covers the op, and its single recompute takes ``dirty_ranges``.
 
     Raises ``RuntimeError`` when a batch session is open on the engine
     or the graph is inside a deferred-maintenance window — buffered cell
@@ -156,8 +154,9 @@ def apply_structural_edit(
     coordinates otherwise.
     """
     sheet = engine.sheet
-    if op not in STRUCTURAL_OPS:
-        raise ValueError(f"unknown structural op {op!r}")
+    journal = None if batched else getattr(engine, "journal", None)
+    edit.check(journal is not None)
+    op, index, count = edit.op, edit.index, edit.count
     if getattr(sheet, "_open_batches", None):
         raise RuntimeError(
             "structural edit with an open batch session on this sheet: "
@@ -207,11 +206,8 @@ def apply_structural_edit(
 
     # Committed (sheet rewritten, graph maintained): make the op durable
     # before the recalculation tail.
-    engine_journal = getattr(engine, "journal", None)
-    if journal and engine_journal is not None:
-        engine_journal.record_structural(
-            sheet.name, op, index, count, cross_sheet=workbook is not None
-        )
+    if journal is not None:
+        journal.append_edits(sheet.name, (edit,), cross_sheet=workbook is not None)
 
     recalc_start = time.perf_counter()
     seeds = report.dirty_seeds
@@ -221,7 +217,7 @@ def apply_structural_edit(
         index=getattr(engine.graph, "index_spec", "rtree"),
     )
     recomputed = 0
-    if recalc:
+    if not batched:
         recomputed = engine.recompute(dirty_ranges)
     recalc_seconds = time.perf_counter() - recalc_start
 
@@ -247,15 +243,15 @@ def apply_structural_edit(
     )
 
 
-def shift_dirty_ranges(ranges: list[Range], op: str, index: int, count: int) -> list[Range]:
-    """Map dirty ranges recorded *before* a later structural edit into
-    that edit's post-edit coordinates (ranges wholly deleted drop out).
+def shift_dirty_ranges(ranges: list[Range], edit: Structural) -> list[Range]:
+    """Map dirty ranges recorded *before* a later structural ``edit`` into
+    its post-edit coordinates (ranges wholly deleted drop out).
 
     Used by :class:`~repro.engine.batch.BatchEditSession` when several
     structural ops are committed back to back: op ``k``'s dirty set must
     be re-expressed after op ``k+1`` moves the grid under it.
     """
-    transform = edit_transform(op, index, count)
+    transform = edit_transform(edit.op, edit.index, edit.count)
     out: list[Range] = []
     for rng in ranges:
         moved = transform(rng)

@@ -1,4 +1,4 @@
-"""Multi-tenant asyncio workbook service (ROADMAP item 1).
+"""Multi-tenant asyncio workbook service.
 
 The paper's host model (Sec. I, VI-A) returns control to the user as
 soon as an update's dependents are identified; recomputation happens
@@ -38,7 +38,9 @@ Durability
 ----------
 Every committed write appends one journal record *at commit time*,
 before recomputation, through the engine's own journal hook — point
-edits, batch commits and structural ops alike.
+edits, batch commits and structural ops alike (a batch of no edits
+appends nothing).  Validation happens before the op is enqueued: the
+catalog turns its parameters into :mod:`repro.engine.edits` edits.
 At any instant, snapshot + journal prefix reproduces every acknowledged
 write.  An eviction that has edits to fold in snapshots first and
 rotates the journal second; a crash between the two leaves a journal
@@ -57,14 +59,21 @@ import time
 from collections import OrderedDict
 
 from ..core.query import dependents_of_seeds
+from ..engine.edits import Structural
 from ..engine.journal import Journal, JournalFormatError, read_journal, recover
 from ..engine.recalc import CircularReferenceError, RecalcEngine
-from ..engine.structural import apply_structural_edit
-from ..formula.errors import FormulaSyntaxError
 from ..grid.range import Range
 from ..io.snapshot import encode_value, load_snapshot
 from ..sheet.workbook import Workbook
-from .catalog import CATALOG, TOOL_CATALOG, OpValidationError, validate_op
+from .catalog import (
+    CATALOG,
+    TOOL_CATALOG,
+    OpValidationError,
+    parse_cell,
+    parse_edits,
+    parse_range,
+    validate_op,
+)
 from .metrics import ServiceMetrics
 
 __all__ = ["WorkbookService"]
@@ -72,10 +81,6 @@ __all__ = ["WorkbookService"]
 _EVICT = "__evict__"
 _MAX_RANGE_CELLS = 65536
 _ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-
-_ROW_OPS = {"insert_rows", "delete_rows"}
-_COL_OPS = {"insert_columns", "delete_columns"}
-_STRUCTURAL = _ROW_OPS | _COL_OPS
 
 
 class _Resident:
@@ -203,12 +208,13 @@ class WorkbookService:
         stats = self.metrics.op(op)
         start = time.perf_counter()
         try:
+            edits = parse_edits(op, params)
             res = await self._ensure_resident(wb_id)
             if CATALOG[op]["read_only"]:
                 result = self._apply_read(res, op, params)
             else:
                 future = asyncio.get_running_loop().create_future()
-                res.queue.put_nowait((op, params, future))
+                res.queue.put_nowait((op, params, edits, future))
                 self.metrics.sample_queue_depth(res.queue.qsize())
                 result = await future
         except Exception:
@@ -360,7 +366,7 @@ class WorkbookService:
             if res is None:
                 return
             future = asyncio.get_running_loop().create_future()
-            res.queue.put_nowait((_EVICT, None, future))
+            res.queue.put_nowait((_EVICT, None, None, future))
             try:
                 await future
             finally:
@@ -401,7 +407,7 @@ class WorkbookService:
                 self.metrics.background_cells += self._pump(res)
                 await asyncio.sleep(0)
                 continue
-            op, params, future = await queue.get()
+            op, params, edits, future = await queue.get()
             if op is _EVICT:
                 try:
                     self._evict_to_disk(res)
@@ -413,7 +419,7 @@ class WorkbookService:
                         future.set_result(None)
                 return
             try:
-                result = self._apply_write(res, op, params)
+                result = self._apply_write(res, op, params, edits)
             except Exception as exc:
                 if not future.done():
                     future.set_exception(exc)
@@ -454,22 +460,12 @@ class WorkbookService:
             )
         return res.engines[sheet_name]
 
-    @staticmethod
-    def _cell_pos(text: str) -> tuple[int, int]:
-        try:
-            rng = Range.from_a1(text)
-        except ValueError as exc:
-            raise OpValidationError(str(exc)) from exc
-        if not rng.is_cell:
-            raise OpValidationError(f"expected a single cell, got range {text!r}")
-        return rng.head
-
     def _apply_read(self, res: _Resident, op: str, params: dict) -> dict:
         engine = self._engine(res, params.get("sheet"))
         sheet = engine.sheet
         base = {"workbook": res.wb_id, "sheet": sheet.name}
         if op == "get_cell":
-            pos = self._cell_pos(params["cell"])
+            pos = parse_cell(params["cell"])
             view = engine.read(pos)
             base.update(
                 cell=Range.cell(*pos).to_a1(),
@@ -478,10 +474,7 @@ class WorkbookService:
             )
             return base
         if op == "get_range":
-            try:
-                rng = Range.from_a1(params["range_ref"])
-            except ValueError as exc:
-                raise OpValidationError(str(exc)) from exc
+            rng = parse_range(params["range_ref"])
             if rng.size > _MAX_RANGE_CELLS:
                 raise OpValidationError(
                     f"range {rng.to_a1()} spans {rng.size} cells "
@@ -517,7 +510,7 @@ class WorkbookService:
         )
         return base
 
-    def _apply_write(self, res: _Resident, op: str, params: dict) -> dict:
+    def _apply_write(self, res: _Resident, op: str, params: dict, edits: list) -> dict:
         engine = self._engine(res, params.get("sheet"))
         if op == "recalculate":
             recomputed = self._drain(res)
@@ -527,29 +520,23 @@ class WorkbookService:
                 "pending": res.pending(),
             }
         start = time.perf_counter()
-        if op in _STRUCTURAL:
-            result = self._apply_structural(res, engine, op, params)
-        elif op == "batch_edit":
-            result = self._apply_batch(res, engine, params["edits"])
+        records = res.journal.records_written
+        if op == "batch_edit":
+            with engine.begin_batch(workbook=res.workbook) as batch:
+                for edit in edits:
+                    batch.apply(edit)
+            # On a deferred engine the commit marks its dirty set (edited
+            # formulas + transitive dependents) and reports how many.
+            result = {"edits": len(edits), "dirty_count": batch.result.recomputed}
+        elif type(edits[0]) is Structural:
+            result = self._apply_structural(res, engine, edits[0])
         else:
-            # The engine validates (parse / journalable value) before it
-            # mutates, journals after, and returns once dependents are
-            # marked.
-            pos = self._cell_pos(params["cell"])
-            try:
-                if op == "set_cell":
-                    ticket = engine.set_value(pos, params["value"])
-                elif op == "set_formula":
-                    ticket = engine.set_formula(pos, params["formula"])
-                else:
-                    ticket = engine.clear_cell(pos)
-            except FormulaSyntaxError as exc:
-                raise OpValidationError(str(exc)) from exc
+            ticket = engine.apply(edits[0])
             result = {
-                "cell": Range.cell(*pos).to_a1(),
+                "cell": Range.cell(*edits[0].pos).to_a1(),
                 "dirty_count": ticket.dirty_count,
             }
-        self.metrics.journal_records += 1
+        self.metrics.journal_records += res.journal.records_written - records
         return {
             "workbook": res.wb_id,
             "sheet": engine.sheet.name,
@@ -558,59 +545,14 @@ class WorkbookService:
             "control_return_seconds": time.perf_counter() - start,
         }
 
-    def _apply_batch(self, res: _Resident, engine: RecalcEngine, edits: list) -> dict:
-        staged = [self._parse_batch_edit(i, edit) for i, edit in enumerate(edits)]
-        try:
-            with engine.begin_batch(workbook=res.workbook) as batch:
-                for kind, target, payload in staged:
-                    getattr(batch, kind)(target, *payload)
-        except FormulaSyntaxError as exc:
-            # Raised by the commit's validation pass, before any edit lands.
-            raise OpValidationError(f"batch_edit: {exc}") from exc
-        # On a deferred engine the commit marks its dirty set (edited
-        # formulas + transitive dependents) and reports how many it marked.
-        return {"edits": len(edits), "dirty_count": batch.result.recomputed}
-
-    @staticmethod
-    def _parse_batch_edit(index: int, edit) -> tuple[str, object, tuple]:
-        if not isinstance(edit, dict):
-            raise OpValidationError(f"batch_edit: edit {index} is not an object")
-        kind = edit.get("op")
-        if kind == "set_value":
-            return (
-                "set_value", WorkbookService._cell_pos(edit.get("cell", "")),
-                (edit.get("value"),),
-            )
-        if kind == "set_formula":
-            text = edit.get("formula")
-            if not isinstance(text, str):
-                raise OpValidationError(f"batch_edit: edit {index} needs a 'formula' string")
-            return "set_formula", WorkbookService._cell_pos(edit.get("cell", "")), (text,)
-        if kind == "clear_cell":
-            return "clear_cell", WorkbookService._cell_pos(edit.get("cell", "")), ()
-        if kind == "clear_range":
-            try:
-                rng = Range.from_a1(edit.get("range_ref", ""))
-            except ValueError as exc:
-                raise OpValidationError(f"batch_edit: edit {index}: {exc}") from exc
-            return "clear_range", rng, ()
-        raise OpValidationError(
-            f"batch_edit: edit {index} has unknown op {kind!r} "
-            "(set_value/set_formula/clear_cell/clear_range)"
-        )
-
     def _apply_structural(
-        self, res: _Resident, engine: RecalcEngine, op: str, params: dict
+        self, res: _Resident, engine: RecalcEngine, edit: Structural
     ) -> dict:
-        index = params["row"] if op in _ROW_OPS else params["col"]
-        count = params["count"]
         # The engine would settle its own backlog before shifting anyway
         # (pending positions predate the shift); doing it here counts the
         # cells as background work.
         self.metrics.background_cells += engine.drain()
-        result = apply_structural_edit(
-            engine, op, index, count, workbook=res.workbook
-        )
+        result = engine.apply(edit, workbook=res.workbook)
         marked = result.recomputed
         # Sibling sheets whose cross-sheet references were rewritten
         # re-evaluate through their own engines.
@@ -622,9 +564,9 @@ class WorkbookService:
                     seeds + dependents_of_seeds(sibling.graph, seeds)
                 )
         return {
-            "op": op,
-            "index": index,
-            "count": count,
+            "op": edit.op,
+            "index": edit.index,
+            "count": edit.count,
             "moved_cells": result.moved_cells,
             "rewritten_formulas": result.rewritten_formulas,
             "ref_errors": result.ref_errors,

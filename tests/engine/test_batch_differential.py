@@ -16,68 +16,33 @@ Hypothesis drives random edit sequences; the whole contract is asserted
 for every registered spatial-index backend, on both the delete-replay
 and bulk-repack commit paths.
 
-Formula references always point to columns strictly left of the formula
-cell, so no edit sequence can create a cycle — per-edit and batched
-application then terminate identically and the comparison is total.
+Edits come from :func:`helpers.edits`; formulas read only columns left
+of their own, so no sequence creates a cycle and the comparison is
+total.  The per-edit side clears a range cell by cell, an independent
+check of the batch's range-clear path.
 """
 
 import pytest
+from helpers import dependency_set, edits
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.taco_graph import TacoGraph, dependencies_column_major
+from repro.engine.edits import ClearCell, ClearRange
 from repro.engine.recalc import RecalcEngine
+from repro.graphs.base import expand_cells
 from repro.grid.range import Range
 from repro.sheet.sheet import Sheet
 from repro.spatial.registry import available_indexes
 
 BACKENDS = available_indexes()
-
-DATA_COLS = (1, 2)          # A, B hold pure values
-FORMULA_COLS = (3, 4, 5)    # C, D, E hold formulas
-ROWS = range(1, 7)
-
-COL_NAMES = "ABCDE"
-
-
-def _a1(col: int, row: int) -> str:
-    return f"{COL_NAMES[col - 1]}{row}"
-
-
-@st.composite
-def edit_ops(draw):
-    """One buffered edit: value write, formula write, or a clear."""
-    kind = draw(st.sampled_from(("value", "value", "formula", "formula",
-                                 "clear", "clear_range")))
-    if kind == "clear_range":
-        c1 = draw(st.sampled_from(DATA_COLS + FORMULA_COLS))
-        r1 = draw(st.sampled_from(list(ROWS)))
-        c2 = min(5, c1 + draw(st.integers(0, 2)))
-        r2 = min(6, r1 + draw(st.integers(0, 2)))
-        return ("clear_range", Range(c1, r1, c2, r2), None)
-    if kind == "value":
-        pos = (draw(st.sampled_from(DATA_COLS)), draw(st.sampled_from(list(ROWS))))
-        return ("value", pos, float(draw(st.integers(-50, 50))))
-    if kind == "clear":
-        col = draw(st.sampled_from(DATA_COLS + FORMULA_COLS))
-        return ("clear", (col, draw(st.sampled_from(list(ROWS)))), None)
-    # Formula referencing only columns strictly to the left (no cycles).
-    col = draw(st.sampled_from(FORMULA_COLS))
-    row = draw(st.sampled_from(list(ROWS)))
-    ref_col = draw(st.integers(1, col - 1))
-    ref_row = draw(st.sampled_from(list(ROWS)))
-    if draw(st.booleans()):
-        text = f"={_a1(ref_col, ref_row)}+{draw(st.integers(0, 9))}"
-    else:
-        end_row = draw(st.integers(ref_row, 6))
-        text = f"=SUM({_a1(ref_col, ref_row)}:{_a1(ref_col, end_row)})"
-    return ("formula", (col, row), text)
+ROWS = 6
 
 
 def build_base_sheet() -> Sheet:
     sheet = Sheet("diff")
-    for col in DATA_COLS:
-        for row in ROWS:
+    for col in (1, 2):
+        for row in range(1, ROWS + 1):
             sheet.set_value((col, row), float(col * 10 + row))
     sheet.set_formula("C1", "=A1+B1")
     sheet.set_formula("C3", "=SUM(A1:A6)")
@@ -95,46 +60,14 @@ def make_engine(backend: str) -> RecalcEngine:
     return engine
 
 
-def apply_one_by_one(engine: RecalcEngine, ops) -> None:
-    for kind, target, payload in ops:
-        if kind == "value":
-            engine.set_value(target, payload)
-        elif kind == "formula":
-            engine.set_formula(target, payload)
-        elif kind == "clear":
-            engine.clear_cell(target)
-        else:  # clear_range, cell by cell — the per-edit equivalent
-            for pos in target.cells():
-                engine.clear_cell(pos)
-
-
 def apply_batched(engine: RecalcEngine, ops, **kwargs) -> None:
     with engine.begin_batch(**kwargs) as batch:
-        for kind, target, payload in ops:
-            if kind == "value":
-                batch.set_value(target, payload)
-            elif kind == "formula":
-                batch.set_formula(target, payload)
-            elif kind == "clear":
-                batch.clear_cell(target)
-            else:
-                batch.clear_range(target)
+        for edit in ops:
+            batch.apply(edit)
 
 
 def all_values(sheet: Sheet) -> dict:
     return {pos: cell.value for pos, cell in sheet.items()}
-
-
-def dependency_set(graph) -> list:
-    return sorted(
-        (d.prec.as_tuple(), d.dep.as_tuple()) for d in graph.decompress()
-    )
-
-
-def ground_truth_deps(sheet: Sheet) -> list:
-    return sorted(
-        (d.prec.as_tuple(), d.dep.as_tuple()) for d in sheet.iter_dependencies()
-    )
 
 
 def assert_indexes_consistent(graph: TacoGraph) -> None:
@@ -146,20 +79,26 @@ def assert_indexes_consistent(graph: TacoGraph) -> None:
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@given(ops=st.lists(edit_ops(), min_size=1, max_size=20))
+@given(ops=st.lists(edits(ROWS, ranges=True), min_size=1, max_size=20))
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_batched_commit_equals_one_by_one(backend, ops):
     sequential = make_engine(backend)
     batched = make_engine(backend)
 
-    apply_one_by_one(sequential, ops)
+    for edit in ops:
+        if isinstance(edit, ClearRange):
+            for pos in edit.rng.cells():
+                sequential.apply(ClearCell(pos))
+        else:
+            sequential.apply(edit)
     apply_batched(batched, ops)
 
     # Values: every cell in either sheet, compared on both.
     assert all_values(batched.sheet) == all_values(sequential.sheet)
     # Graph: both decompress to the final sheet's exact dependency set.
-    truth = ground_truth_deps(sequential.sheet)
+    truth = {(d.prec.as_tuple(), d.dep.as_tuple())
+             for d in sequential.sheet.iter_dependencies()}
     assert dependency_set(sequential.graph) == truth
     assert dependency_set(batched.graph) == truth
     # Spatial indexes: no stale entries, every edge indexed once per side.
@@ -167,17 +106,12 @@ def test_batched_commit_equals_one_by_one(backend, ops):
     assert_indexes_consistent(batched.graph)
     # Queries answer identically on both graphs.
     for probe in (Range.from_a1("A1"), Range.from_a1("B3"), Range(1, 1, 2, 6)):
-        seq_cells = {
-            pos for rng in sequential.graph.find_dependents(probe) for pos in rng.cells()
-        }
-        bat_cells = {
-            pos for rng in batched.graph.find_dependents(probe) for pos in rng.cells()
-        }
-        assert bat_cells == seq_cells
+        assert expand_cells(batched.graph.find_dependents(probe)) == \
+            expand_cells(sequential.graph.find_dependents(probe))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-@given(ops=st.lists(edit_ops(), min_size=5, max_size=20))
+@given(ops=st.lists(edits(ROWS, ranges=True), min_size=5, max_size=20))
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 def test_repack_path_matches_replay_path(backend, ops):

@@ -2,59 +2,28 @@
 
 One hypothesis state machine drives ``RecalcEngine(deferred=True)`` and
 an immediate ``evaluation="interpreter"`` engine over twin sheets
-through random interleavings of every update path — point edits, batch
-commits (with range clears), row inserts/deletes — and ``step(k)`` with
-random budgets.  After every rule the deferred engine may be *behind*
-the oracle, but never silently: a cell whose value differs is reported
-dirty, and the backlog only ever counts formula cells.  After a drain
-the two are bit-identical — values, ``#CYCLE!`` cells and decompressed
-dependency sets.
+through random interleavings of every update path — single edits
+(structural ones included) and batch commits, drawn from the shared
+:func:`helpers.edits` strategy — and ``step(k)`` with random budgets.
+After every rule the deferred engine may be *behind* the oracle, but
+never silently: a differing cell is reported dirty, and the backlog only
+ever counts formula cells.  After a drain the two are bit-identical —
+values, ``#CYCLE!`` cells and decompressed dependency sets.
 
 Formulas may point anywhere, so the mixes close and break cycles; the
 initial sheet carries a windowed column, an elementwise column and a
 recurrence so every plan-node kind is sliced by ``step``.
 """
 
+from helpers import assert_same_values, dependency_set, edits, same_value
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from helpers import assert_same_values, dependency_set, same_value
-
 from repro.engine.recalc import CircularReferenceError, RecalcEngine
-from repro.grid.range import Range
 from repro.sheet.sheet import Sheet
 
 ROWS = 12
-COLS = "ABCDE"
-rows = st.integers(1, ROWS)
-formula_cols = st.sampled_from((3, 4, 5))
-any_cols = st.integers(1, 5)
-numbers = st.integers(-20, 20).map(float)
-
-
-@st.composite
-def formulas(draw):
-    col = COLS[draw(any_cols) - 1]
-    r1 = draw(rows)
-    r2 = min(ROWS, r1 + draw(st.integers(0, 4)))
-    return draw(st.sampled_from((
-        f"=SUM({col}{r1}:{col}{r2})",
-        f"=SUM($A$1:A{r1})",
-        f"={col}{r1}*2+B{r2}",
-        f"=A{r1}*B{r1}",
-        f"=IF({col}{r1}>0,{col}{r2},-1)",
-    )))
-
-
-cell_edits = st.one_of(
-    st.tuples(st.just("set_value"), st.tuples(any_cols, rows), numbers),
-    st.tuples(st.just("set_formula"), st.tuples(formula_cols, rows), formulas()),
-    st.tuples(st.just("clear_cell"), st.tuples(any_cols, rows), st.none()),
-)
-range_clears = st.tuples(any_cols, rows, st.integers(0, 1), st.integers(0, 3)).map(
-    lambda t: ("clear_range", Range(t[0], t[1], min(5, t[0] + t[2]), t[1] + t[3]), None)
-)
 
 
 def build_sheet(store: str) -> Sheet:
@@ -85,25 +54,17 @@ class DeferredVsImmediate(RuleBasedStateMachine):
         except CircularReferenceError:
             pass                             # trapped cells are #CYCLE! on the oracle now
 
-    @rule(edit=cell_edits)
+    @rule(edit=edits(ROWS, acyclic=False, structural=True))
     def point_edit(self, edit):
-        kind, pos, payload = edit
-        args = (pos,) if payload is None else (pos, payload)
-        self.both(lambda engine: getattr(engine, kind)(*args))
+        self.both(lambda engine: engine.apply(edit))
 
-    @rule(edits=st.lists(st.one_of(cell_edits, range_clears), min_size=1, max_size=6))
-    def batch(self, edits):
+    @rule(batch=st.lists(edits(ROWS, acyclic=False, ranges=True), min_size=1, max_size=6))
+    def batch(self, batch):
         def apply(engine):
             with engine.begin_batch() as session:
-                for kind, target, payload in edits:
-                    args = (target,) if payload is None else (target, payload)
-                    getattr(session, kind)(*args)
+                for edit in batch:
+                    session.apply(edit)
         self.both(apply)
-
-    @rule(op=st.sampled_from(("insert_rows", "delete_rows")), row=rows,
-          count=st.integers(1, 2))
-    def structural(self, op, row, count):
-        self.both(lambda engine: getattr(engine, op)(row, count))
 
     @rule(budget=st.integers(1, 20))
     def step(self, budget):

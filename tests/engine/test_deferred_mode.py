@@ -12,6 +12,7 @@ import time
 import pytest
 from helpers import assert_same_values, build_ledger_sheet, clone_sheet, dependency_set
 
+from repro.engine.edits import ClearCell, SetFormula, SetValue
 from repro.engine.recalc import CircularReferenceError, RecalcEngine, UpdateTicket
 from repro.formula.errors import CYCLE_ERROR, FormulaSyntaxError
 from repro.sheet.autofill import fill_formula_column
@@ -244,22 +245,21 @@ class TestContractsPerMode:
         seen = []
 
         class SpyJournal:
-            def record_cell(self, name, op, pos, payload=None):
-                seen.append((op, pos, payload, sheet.get_value(pos), sheet.get_value("B3")))
+            def append_edits(self, name, edits, *, batch=False, cross_sheet=False):
+                seen.extend((edit, sheet.get_value(edit.pos), sheet.get_value("B3"))
+                            for edit in edits)
 
         engine = RecalcEngine(sheet, deferred=deferred)
         engine.recalculate_all()
         engine.journal = SpyJournal()
         engine.set_value("A1", 10.0)
         # A1 already holds the new value, B3 still the old one.
-        assert seen == [("value", (1, 1), 10.0, 10.0, 3.0)]
+        assert seen == [(SetValue("A1", 10.0), 10.0, 3.0)]
         engine.drain()
         assert sheet.get_value("B3") == 12.0
         engine.set_formula("C1", "=B3*2")
         engine.clear_cell("C1")
-        assert [(op, pos) for op, pos, *_ in seen[1:]] == [
-            ("formula", (3, 1)), ("clear", (3, 1)),
-        ]
+        assert [edit for edit, *_ in seen[1:]] == [SetFormula("C1", "B3*2"), ClearCell("C1")]
 
     def test_cycles_raise_immediately_or_surface_deferred(self):
         def build():

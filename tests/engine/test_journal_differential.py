@@ -6,15 +6,17 @@ plus the recorded journal must land in exactly the live state — values,
 decompressed dependency sets, and ``find_dependents`` answers — for
 every registered spatial-index backend.
 
-Formula references always point to columns strictly left of the formula
-cell, so no mix can create a cycle and both sides terminate identically
-(cycle behaviour itself is covered by ``test_recovery_cycles`` below).
+A step is one :func:`helpers.edits` edit (a ``cell`` or ``structural``
+record) or a batch of them, range clears included (a ``batch`` record).
+Formulas read only columns left of their own, so no mix closes a cycle
+(``test_recovery_cycles`` below covers cycles).
 """
 
 import io
 import os
 
 import pytest
+from helpers import dependency_set, edits
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -29,95 +31,30 @@ from repro.sheet.workbook import Workbook
 from repro.spatial.registry import available_indexes
 
 BACKENDS = available_indexes()
-
-DATA_COLS = (1, 2)          # A, B hold pure values
-FORMULA_COLS = (3, 4, 5)    # C, D, E hold formulas
-ROWS = range(1, 7)
-COL_NAMES = "ABCDE"
-
-
-def _a1(col: int, row: int) -> str:
-    return f"{COL_NAMES[col - 1]}{row}"
-
-
-@st.composite
-def journal_steps(draw):
-    """One journaled operation: a cell edit, a batch, or a structural op."""
-    kind = draw(st.sampled_from((
-        "value", "value", "formula", "clear", "batch", "structural",
-    )))
-    if kind == "value":
-        pos = (draw(st.sampled_from(DATA_COLS)), draw(st.sampled_from(list(ROWS))))
-        return ("value", pos, float(draw(st.integers(-50, 50))))
-    if kind == "formula":
-        col = draw(st.sampled_from(FORMULA_COLS))
-        row = draw(st.sampled_from(list(ROWS)))
-        src = draw(st.sampled_from(DATA_COLS + tuple(c for c in FORMULA_COLS if c < col)))
-        r1 = draw(st.sampled_from(list(ROWS)))
-        r2 = min(6, r1 + draw(st.integers(0, 2)))
-        text = draw(st.sampled_from((
-            f"=SUM({_a1(src, r1)}:{_a1(src, r2)})",
-            f"={_a1(src, r1)}*2",
-            f"=COUNT({_a1(src, r1)}:{_a1(src, r2)})+{_a1(1, r1)}",
-        )))
-        return ("formula", (col, row), text)
-    if kind == "clear":
-        pos = (draw(st.sampled_from(DATA_COLS + FORMULA_COLS)),
-               draw(st.sampled_from(list(ROWS))))
-        return ("clear", pos, None)
-    if kind == "structural":
-        op = draw(st.sampled_from(
-            ("insert_rows", "delete_rows", "insert_columns", "delete_columns")
-        ))
-        index = draw(st.integers(1, 6))
-        return ("structural", op, index)
-    ops = draw(st.lists(st.tuples(
-        st.sampled_from(DATA_COLS), st.sampled_from(list(ROWS)),
-        st.integers(-9, 9),
-    ), min_size=1, max_size=4))
-    return ("batch", ops, None)
+ROWS = 6
+STEPS = st.one_of(edits(ROWS, structural=True),
+                  st.lists(edits(ROWS, ranges=True), min_size=1, max_size=4))
 
 
 def build_sheet() -> Sheet:
     sheet = Sheet("Diff")
-    for r in ROWS:
+    for r in range(1, ROWS + 1):
         sheet.set_value((1, r), float(r))
         sheet.set_value((2, r), float(r * 2))
-    for r in ROWS:
         sheet.set_formula((3, r), f"=A{r}+B{r}")
     sheet.set_formula((4, 1), "=SUM(A1:A6)")
     sheet.set_formula((5, 2), "=SUM(C1:C3)*B1")
     return sheet
 
 
-def apply_step(engine: RecalcEngine, workbook: Workbook, step) -> None:
-    kind, a, b = step
-    if kind == "value":
-        engine.set_value(a, b)
-    elif kind == "formula":
-        engine.set_formula(a, b)
-    elif kind == "clear":
-        engine.clear_cell(a)
-    elif kind == "structural":
-        getattr(engine, a)(b, 1, workbook=workbook)
-    else:
-        with engine.begin_batch(workbook=workbook) as batch:
-            for col, row, value in a:
-                batch.set_value((col, row), float(value))
-
-
 def state(sheet: Sheet) -> dict:
     return {pos: (cell.formula_text, cell.value) for pos, cell in sheet.items()}
-
-
-def dependency_set(graph) -> set:
-    return {(d.prec.as_tuple(), d.dep.as_tuple()) for d in graph.decompress()}
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(steps=st.lists(journal_steps(), min_size=1, max_size=8))
+@given(steps=st.lists(STEPS, min_size=1, max_size=8))
 def test_replay_equals_live(backend, steps, tmp_path_factory):
     workdir = tmp_path_factory.mktemp("journaldiff")
     journal_path = str(workdir / "diff.wal")
@@ -134,7 +71,12 @@ def test_replay_equals_live(backend, steps, tmp_path_factory):
     save_snapshot(workbook, snapshot, {sheet.name: graph})
     engine.journal = Journal(journal_path, truncate=True, fsync=False)
     for step in steps:
-        apply_step(engine, workbook, step)
+        if isinstance(step, list):
+            with engine.begin_batch(workbook=workbook) as batch:
+                for edit in step:
+                    batch.apply(edit)
+        else:
+            engine.apply(step, workbook=workbook)
     engine.journal.close()
 
     snapshot.seek(0)

@@ -1,117 +1,58 @@
-"""Crash-point fuzz: recovery from every possible torn journal.
-
-A crash can cut the journal anywhere: exactly between records, inside a
-record's frame header, mid-payload, or by corrupting bytes in place.
-Whatever the cut, recovery must restore *exactly the prefix of committed
-operations before it* — values, graphs, and queries identical to a live
-workbook that stopped after the same operations — and must never raise
-on the torn tail.
-
-The scripted scenario covers every record kind (cell value/formula/
-clear, one batch with structural + range clear + cell ops, standalone
-structural inserts and deletes), and the truncation sweep hits every
-record boundary plus offsets inside every record (all offsets when
-``REPRO_JOURNAL_FUZZ=exhaustive``, a deterministic sample otherwise —
-the CI smoke job runs the exhaustive sweep).
+"""Crash-point fuzz over the golden version-1 journal
+(``fixtures/make_journal_v1.py``: every record shape, two sheets, and
+the live state after every complete-record prefix).  Wherever a crash
+cuts the journal — between records, in a frame header, mid-payload, or
+by corrupting bytes — recovery must restore exactly the state of the
+complete-record prefix before the cut, and never raise on the torn tail.
+Offsets inside records are sampled, or all swept under
+``REPRO_JOURNAL_FUZZ=exhaustive`` (the CI journal-fuzz job).
 """
 
 import io
+import json
 import os
 import random
+import sys
 
 import pytest
 
-from repro.core.taco_graph import build_from_sheet
-from repro.engine.journal import (
-    Journal,
-    JournalFormatError,
-    read_journal,
-    recover,
-)
+from repro.engine.journal import Journal, JournalFormatError, read_journal, recover
 from repro.engine.recalc import RecalcEngine
-from repro.grid.range import Range
 from repro.io.snapshot import save_snapshot
-from repro.sheet.autofill import fill_formula_column
 from repro.sheet.workbook import Workbook
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "fixtures"))
+import make_journal_v1 as golden  # noqa: E402
 
 EXHAUSTIVE = os.environ.get("REPRO_JOURNAL_FUZZ", "") == "exhaustive"
 
 
 def build_workbook() -> tuple[Workbook, RecalcEngine]:
-    workbook = Workbook("crash")
-    sheet = workbook.add_sheet("Main")
-    for r in range(1, 13):
-        sheet.set_value((1, r), float(r))
-        sheet.set_value((2, r), float(r % 4))
-    fill_formula_column(sheet, 3, 1, 12, "=SUM($A$1:A1)")   # FR running total
-    fill_formula_column(sheet, 4, 1, 12, "=A1+B1")          # RR pair
-    sheet.set_formula("E1", "=SUM(C1:C12)")
-    engine = RecalcEngine(sheet, build_from_sheet(sheet))
+    workbook = golden.build_workbook()
+    engine = RecalcEngine(workbook["Main"])
     engine.recalculate_all()
     return workbook, engine
 
 
-#: (description, callable(engine, workbook)) — one journal record each.
-SCRIPT = [
-    ("value edit", lambda e, w: e.set_value("A3", 99.0)),
-    ("formula edit", lambda e, w: e.set_formula("F1", "=C12*2")),
-    ("clear cell", lambda e, w: e.clear_cell("B2")),
-    ("batch commit", lambda e, w: _commit_batch(e, w)),
-    ("structural insert", lambda e, w: e.insert_rows(5, 2, workbook=w)),
-    ("value after insert", lambda e, w: e.set_value("A5", -7.0)),
-    ("structural delete", lambda e, w: e.delete_rows(9, 1, workbook=w)),
-    ("value string", lambda e, w: e.set_value("G1", "note")),
-]
-
-
-def _commit_batch(engine, workbook):
-    with engine.begin_batch(workbook=workbook) as batch:
-        batch.insert_rows(3, 1)
-        batch.clear_range(Range.from_a1("B5:B6"))
-        batch.set_value("A2", 41.0)
-        batch.set_formula("F2", "=A2+1")
-        batch.clear_cell("D4")
-    return batch.result
-
-
 def sheet_values(workbook: Workbook) -> dict:
-    sheet = workbook.active_sheet
-    return {pos: cell.value for pos, cell in sheet.items()}
-
-
-def dependency_set(graph) -> set:
-    return {(d.prec.as_tuple(), d.dep.as_tuple()) for d in graph.decompress()}
+    return {pos: cell.value for pos, cell in workbook.active_sheet.items()}
 
 
 @pytest.fixture(scope="module")
 def scenario(tmp_path_factory):
-    """Snapshot + journal + the expected state after every prefix."""
-    workdir = tmp_path_factory.mktemp("crash")
-    snapshot_path = str(workdir / "crash.snap")
-    journal_path = str(workdir / "crash.wal")
-
-    workbook, engine = build_workbook()
-    save_snapshot(workbook, snapshot_path, {"Main": engine.graph})
-    engine.journal = Journal(journal_path, truncate=True)
-
-    boundaries = [os.path.getsize(journal_path)]
-    states = [sheet_values(workbook)]       # state after i records
-    graphs = [dependency_set(engine.graph)]
-    for _, step in SCRIPT:
-        step(engine, workbook)
-        boundaries.append(os.path.getsize(journal_path))
-        states.append(sheet_values(workbook))
-        graphs.append(dependency_set(engine.graph))
-    engine.journal.close()
-    data = open(journal_path, "rb").read()
+    """The golden snapshot + journal, each record's end offset, and the
+    recorded state after every complete-record prefix."""
+    with open(golden.EXPECTED, encoding="utf-8") as handle:
+        expected = json.load(handle)
+    with open(golden.JOURNAL, "rb") as handle:
+        data = handle.read()
     return {
-        "snapshot": snapshot_path,
-        "journal": journal_path,
+        "snapshot": golden.SNAPSHOT,
+        "journal": golden.JOURNAL,
         "data": data,
-        "boundaries": boundaries,
-        "states": states,
-        "graphs": graphs,
-        "workdir": str(workdir),
+        "boundaries": expected["record_ends"],     # the header's end first
+        "states": expected["prefixes"],
+        "workdir": str(tmp_path_factory.mktemp("crash")),
     }
 
 
@@ -123,34 +64,33 @@ def recover_truncated(scenario, cut: int, tag: str):
 
 
 def prefix_index(scenario, cut: int) -> int:
-    """How many complete records survive a cut at byte ``cut``."""
-    return sum(1 for b in scenario["boundaries"][1:] if b <= cut)
+    """The boundary a cut at byte ``cut`` falls back to.  Edit records
+    applied are one fewer: the first record is the ``open`` stamp."""
+    return max(sum(1 for b in scenario["boundaries"] if b <= cut) - 1, 0)
 
 
 def test_journal_has_one_record_per_step(scenario):
     read = read_journal(scenario["journal"])
-    assert len(read.records) == len(SCRIPT)
-    assert not read.torn
+    assert [record["kind"] for record in read.records] == (
+        ["open"] + ["cell"] * 5 + ["batch", "structural", "structural", "cell"]
+    )
+    assert not read.torn and golden.record_ends(scenario["data"]) == scenario["boundaries"]
 
 
 def test_full_replay_matches_live(scenario):
     result = recover(scenario["snapshot"], scenario["journal"])
-    assert result.records_applied == len(SCRIPT)
+    assert result.records_applied == len(scenario["boundaries"]) - 2
     assert not result.torn_tail
-    assert sheet_values(result.workbook) == scenario["states"][-1]
-    assert dependency_set(result.graphs["Main"]) == scenario["graphs"][-1]
+    assert golden.observed_state(result.workbook, result.graphs) == scenario["states"][-1]
 
 
 def test_truncation_at_every_record_boundary(scenario):
     for i, cut in enumerate(scenario["boundaries"]):
         result = recover_truncated(scenario, cut, f"bound{i}")
-        assert result.records_applied == i, SCRIPT[i - 1]
+        assert result.records_applied == max(i - 1, 0)
         assert not result.torn_tail
-        assert sheet_values(result.workbook) == scenario["states"][i], \
+        assert golden.observed_state(result.workbook, result.graphs) == scenario["states"][i], \
             f"after {i} records ({cut} bytes)"
-        assert dependency_set(result.graphs.get("Main")
-                              or result.engines["Main"].graph) \
-            == scenario["graphs"][i]
 
 
 def test_truncation_mid_record_recovers_previous_prefix(scenario):
@@ -167,9 +107,27 @@ def test_truncation_mid_record_recovers_previous_prefix(scenario):
         result = recover_truncated(scenario, cut, f"mid{cut}")
         i = prefix_index(scenario, cut)
         assert result.torn_tail, f"cut at {cut} should read as torn"
-        assert result.records_applied == i
-        assert sheet_values(result.workbook) == scenario["states"][i], \
+        assert result.records_applied == max(i - 1, 0)
+        assert golden.observed_state(result.workbook, result.graphs) == scenario["states"][i], \
             f"mid-record cut at byte {cut}"
+
+
+def test_repeated_calls_write_the_same_bytes_but_one_spelling(scenario, tmp_path):
+    """The one difference: a batch record's formula payload drops its
+    leading ``=``, as a cell record's always did."""
+    path = str(tmp_path / "again.wal")
+    # The recorded prefixes (after the `open` stamp, then per call) are live states too.
+    assert golden.journal_edits(scenario["snapshot"], path) == scenario["states"][1:]
+    with open(path, "rb") as handle:
+        again = handle.read()
+    old, ends = scenario["data"], scenario["boundaries"]
+    new_ends = golden.record_ends(again)
+    old = [old[:12]] + [old[a:b] for a, b in zip(ends, ends[1:])]
+    new = [again[:12]] + [again[a:b] for a, b in zip(new_ends, new_ends[1:])]
+    assert len(new) == len(old)
+    assert [i for i, (a, b) in enumerate(zip(old, new)) if a != b] == [7]
+    # Record 7 is the batch; its frame (length, CRC) follows the payload.
+    assert new[7][10:] == old[7][10:].replace(b'"formula","=A1*3"', b'"formula","A1*3"')
 
 
 def test_corrupt_byte_cuts_at_last_complete_record(scenario):
@@ -183,8 +141,8 @@ def test_corrupt_byte_cuts_at_last_complete_record(scenario):
         handle.write(bytes(data))
     result = recover(scenario["snapshot"], path)
     assert result.torn_tail
-    assert result.records_applied == 3
-    assert sheet_values(result.workbook) == scenario["states"][3]
+    assert result.records_applied == 2
+    assert golden.observed_state(result.workbook, result.graphs) == scenario["states"][3]
 
 
 def test_empty_and_missing_journal(scenario, tmp_path):
@@ -192,14 +150,14 @@ def test_empty_and_missing_journal(scenario, tmp_path):
     Journal(empty).close()
     result = recover(scenario["snapshot"], empty)
     assert result.records_applied == 0 and not result.torn_tail
-    assert sheet_values(result.workbook) == scenario["states"][0]
+    assert golden.observed_state(result.workbook, result.graphs) == scenario["states"][0]
 
     result = recover(scenario["snapshot"], str(tmp_path / "missing.wal"))
     assert result.records_applied == 0
     # No journal at all is also fine.
     result = recover(scenario["snapshot"])
     assert result.records_applied == 0
-    assert sheet_values(result.workbook) == scenario["states"][0]
+    assert golden.observed_state(result.workbook, result.graphs) == scenario["states"][0]
 
 
 def test_torn_header_reads_as_empty(scenario, tmp_path):
@@ -232,20 +190,30 @@ def test_unparseable_formula_rejected_before_any_mutation(scenario, tmp_path):
 
 
 def test_bogus_structural_op_in_record_rejected(scenario, tmp_path):
-    """Op names come from file bytes; a CRC-valid record naming a
-    non-structural method must raise JournalFormatError, not dispatch."""
+    """Op names come from file bytes: a CRC-valid record naming an unknown
+    op raises JournalFormatError in every record shape — never dispatching
+    a method, never replaying a mistyped cell op as a clear."""
     for bad in (
         {"kind": "structural", "sheet": "Main", "op": "commit",
          "index": 1, "count": 1, "cross_sheet": False},
         {"kind": "batch", "sheet": "Main", "cross_sheet": False,
          "structural": [["discard", 1, 1]], "clears": [], "ops": []},
+        {"kind": "batch", "sheet": "Main", "cross_sheet": False,
+         "structural": [], "clears": [], "ops": [[1, 1, "valu", 5.0]]},
+        {"kind": "cell", "sheet": "Main", "op": "valu", "cell": [1, 1], "payload": 5.0},
     ):
-        path = str(tmp_path / f"bogus-{bad['kind']}.wal")
-        journal = Journal(path, truncate=True)
-        journal.append(bad)
-        journal.close()
-        with pytest.raises(JournalFormatError, match="structural op"):
+        path = str(tmp_path / "bogus.wal")
+        with Journal(path, truncate=True) as journal:
+            journal.append(bad)
+        with pytest.raises(JournalFormatError, match="unknown (structural|cell) op"):
             recover(scenario["snapshot"], path)
+
+
+def test_empty_commit_appends_nothing(tmp_path):
+    with Journal(str(tmp_path / "empty.wal"), truncate=True) as journal:
+        with RecalcEngine(golden.build_workbook()["Main"], journal=journal).begin_batch():
+            pass
+        assert (journal.records_written, journal.edit_records) == (0, 0)
 
 
 def test_mismatched_snapshot_journal_pair_rejected(scenario, tmp_path):
@@ -353,7 +321,7 @@ def test_reopen_after_torn_tail_cuts_then_appends(scenario, tmp_path):
     # The restarted process recovers (2 complete records) and continues
     # editing against the recovered state, appending to the same journal.
     result = recover(scenario["snapshot"], path)
-    assert result.records_applied == 2 and result.torn_tail
+    assert result.records_applied == 1 and result.torn_tail
     engine = result.engines["Main"]
     engine.journal = Journal(path)                   # cuts the torn tail
     engine.set_value("A1", 555.0)
@@ -364,7 +332,7 @@ def test_reopen_after_torn_tail_cuts_then_appends(scenario, tmp_path):
     assert not read.torn
     assert len(read.records) == 4                    # 2 old + 2 new
     final = recover(scenario["snapshot"], path)
-    assert final.records_applied == 4
+    assert final.records_applied == 3                # the `open` stamp applies nothing
     assert final.workbook["Main"].get_value("A1") == 555.0
     assert final.workbook["Main"].get_value("G9") == 7.0
 

@@ -15,6 +15,7 @@ from repro.engine.batch import BatchEditSession
 from repro.engine.recalc import RecalcEngine
 from repro.formula.errors import REF_ERROR
 from repro.graphs.nocomp import NoCompGraph
+from repro.grid.range import Range
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
@@ -150,12 +151,16 @@ class TestEndToEnd:
 
     def test_invalid_op_and_args(self):
         engine = RecalcEngine(Sheet("s"))
-        from repro.engine.structural import apply_structural_edit
+        from repro.engine.edits import ClearRange, SetValue, Structural
 
         with pytest.raises(ValueError):
-            apply_structural_edit(engine, "transpose", 1, 1)
+            engine.apply(Structural("transpose", 1, 1))
         with pytest.raises(ValueError):
             engine.insert_rows(0)
+        with pytest.raises(TypeError, match="batch"):     # a range clear is batch-only
+            engine.apply(ClearRange(Range.from_a1("A1:B2")))
+        with pytest.raises(TypeError, match="recalc"):    # a cell edit takes no options
+            engine.apply(SetValue("A1", 1.0), recalc=False)
 
     def test_nocomp_graph_falls_back_to_rebuild(self):
         sheet = ledger()

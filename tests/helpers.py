@@ -2,7 +2,8 @@
 
 Besides the corpus builders, this module owns the differential-test
 toolkit the ``tests/engine/test_*_differential.py`` suites share: a
-hypothesis strategy for store-agnostic *sheet programs*, factories that
+hypothesis strategy for store-agnostic *sheet programs*, one for the
+edits applied to them (:func:`edits`), factories that
 realize a program into either backing store and wrap it in an engine
 parameterized by evaluation mode / index backend / worker pool, and the
 bitwise value comparator.  One definition here keeps every suite
@@ -17,6 +18,7 @@ from contextlib import contextmanager
 from hypothesis import strategies as st
 
 from repro.core.taco_graph import TacoGraph, dependencies_column_major
+from repro.engine.edits import ClearCell, ClearRange, SetFormula, SetValue, Structural
 from repro.engine.recalc import RecalcEngine
 from repro.formula.errors import ExcelError
 from repro.graphs.base import expand_cells
@@ -25,6 +27,7 @@ from repro.grid.range import Range
 from repro.sheet import sheet as sheet_module
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
+from repro.sheet.structural import STRUCTURAL_OPS
 
 
 def build_fig2_sheet(rows: int = 50) -> Sheet:
@@ -173,6 +176,40 @@ def sheet_programs(draw, rows: int = 20,
                       draw(st.integers(rows - 3, rows)),
                       draw(st.sampled_from(templates))))
     return values, fills
+
+
+#: The formulas :func:`edits` writes, over a column ``x`` and rows
+#: ``r1 <= r2``: a window, a running total, arithmetic, a branch.
+EDIT_FORMULAS = ("=SUM({x}{r1}:{x}{r2})", "=SUM($A$1:A{r1})", "={x}{r1}*2+B{r2}",
+                 "=A{r1}*B{r1}", "=IF({x}{r1}>0,{x}{r2},-1)")
+
+
+@st.composite
+def edits(draw, rows: int, *, acyclic: bool = True, structural: bool = False,
+          ranges: bool = False):
+    """One :mod:`repro.engine.edits` edit over columns A-E, rows
+    ``1..rows``: a value or a clear anywhere, a formula in C-E (reading
+    only columns left of its own when ``acyclic``, so no sequence closes
+    a cycle), with ``ranges`` a range clear (a batch-only edit), and with
+    ``structural`` a row/column insert or delete."""
+    kinds = ("value", "value", "formula", "formula", "clear")
+    kind = draw(st.sampled_from(kinds + ("range",) * ranges + ("structural",) * structural))
+    col, row = draw(st.integers(1, 5)), draw(st.integers(1, rows))
+    if kind == "value":
+        return SetValue((col, row), float(draw(st.integers(-20, 20))))
+    if kind == "clear":
+        return ClearCell((col, row))
+    if kind == "range":
+        wide, tall = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+        return ClearRange(Range(col, row, min(5, col + wide), row + tall))
+    if kind == "structural":
+        return Structural(draw(st.sampled_from(sorted(STRUCTURAL_OPS))), row,
+                          draw(st.integers(1, 2)))
+    col = draw(st.integers(3, 5))
+    x = "ABCDE"[draw(st.integers(0, col - 2 if acyclic else 4))]
+    r1 = draw(st.integers(1, rows))
+    r2 = min(rows, r1 + draw(st.integers(0, 3)))
+    return SetFormula((col, row), draw(st.sampled_from(EDIT_FORMULAS)).format(x=x, r1=r1, r2=r2))
 
 
 def realize_program(program, store: str = "object",

@@ -1,8 +1,10 @@
 """The typed operation catalog and its validation choke point."""
 
+import json
+
 import pytest
 
-from repro.server.catalog import CATALOG, TOOL_CATALOG, OpValidationError, validate_op
+from repro.server.catalog import BATCH_EDITS, CATALOG, TOOL_CATALOG, OpValidationError, validate_op
 
 
 class TestCatalogShape:
@@ -15,6 +17,7 @@ class TestCatalogShape:
             assert schema["type"] == "object"
             assert isinstance(schema["properties"], dict)
             assert set(schema["required"]) <= set(schema["properties"])
+        json.dumps([TOOL_CATALOG, BATCH_EDITS])         # plain data
 
     def test_names_are_unique_and_indexed(self):
         names = [entry["name"] for entry in TOOL_CATALOG]

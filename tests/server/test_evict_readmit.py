@@ -16,6 +16,7 @@ import pytest
 from repro.engine.journal import read_journal
 from repro.engine.recalc import RecalcEngine
 from repro.server import WorkbookService
+from repro.server.catalog import parse_edits
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
@@ -37,11 +38,8 @@ def seed_edits(rows: int = 12) -> list[dict]:
 def oracle_sheet(point_writes) -> Sheet:
     """The same workbook built through the synchronous engine."""
     sheet = Sheet("Sheet1")
-    for edit in seed_edits():
-        if edit["op"] == "set_value":
-            sheet.set_value(edit["cell"], edit["value"])
-        else:
-            sheet.set_formula(edit["cell"], edit["formula"])
+    for edit in parse_edits("batch_edit", {"edits": seed_edits()}):
+        edit.write(sheet)
     engine = RecalcEngine(sheet)
     engine.recalculate_all()
     for cell, value in point_writes:
@@ -426,9 +424,10 @@ class TestCleanEviction:
                     assert again == before
                     await svc.execute("wb", "get_cell", {"cell": "D24"})
                     await svc.execute("wb", "summarize_sheet")
+                    await svc.execute("wb", "batch_edit", {"edits": []})   # commits nothing
                     await self.evict(svc)
                     assert self.disk(tmp_path) == created
-                assert svc.metrics.readmissions == 3
+                assert svc.metrics.readmissions == 3 and svc.metrics.journal_records == 0
             assert self.disk(tmp_path) == created           # and close() wrote nothing
 
         run(scenario())

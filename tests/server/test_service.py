@@ -264,6 +264,24 @@ class TestBatchAndStructural:
 
         run(scenario())
 
+    @pytest.mark.parametrize("edit", [
+        {"op": "set_value", "cell": "A1"},
+        {"op": "set_value", "cell": "A1", "value": [1, 2]},
+        {"op": "set_value", "cell": "A1", "value": 1, "formula": "=2"},
+    ], ids=["missing_value", "list_value", "unknown_key"])
+    def test_batch_sub_edits_are_validated_like_top_level_ops(self, tmp_path, edit):
+        async def scenario():
+            async with WorkbookService(str(tmp_path), fsync=False) as svc:
+                await svc.create_workbook("wb")
+                await svc.execute("wb", "set_cell", {"cell": "A1", "value": 5})
+                journaled = svc.metrics.journal_records
+                with pytest.raises(OpValidationError, match="batch_edit: edit 0"):
+                    await svc.execute("wb", "batch_edit", {"edits": [edit]})
+                assert svc.metrics.journal_records == journaled
+                assert (await svc.execute("wb", "get_cell", {"cell": "A1"}))["value"] == 5
+
+        run(scenario())
+
     def test_structural_edit_shifts_and_rewrites(self, tmp_path):
         async def scenario():
             async with WorkbookService(str(tmp_path), fsync=False) as svc:
