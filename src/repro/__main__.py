@@ -591,8 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="delete N columns starting at COL (repeatable)")
     edit.add_argument("--seed", type=int, default=7)
     edit.add_argument("--workers", type=int, default=None, metavar="N",
-                      help="recalculate independent dirty regions on N "
-                           "workers (default: REPRO_RECALC_WORKERS)")
+                      help="recalculate column shards of the dirty set on "
+                           "N resident workers (default: REPRO_RECALC_SHARDS)")
     edit.add_argument("--batch", action="store_true",
                       help="commit all edits as one batched session "
                            "(coalesced maintenance + single recalc)")
@@ -623,8 +623,8 @@ def build_parser() -> argparse.ArgumentParser:
     restore.add_argument("--journal", default=None, metavar="WAL",
                          help="replay this journal's complete-record prefix")
     restore.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="replay recalculation on N workers "
-                              "(default: REPRO_RECALC_WORKERS)")
+                         help="replay recalculation on N resident workers "
+                              "(default: REPRO_RECALC_SHARDS)")
     restore.add_argument("--out", default=None,
                          help="write the restored workbook to OUT (.xlsx)")
     restore.set_defaults(fn=_cmd_restore)
@@ -655,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: 0)")
     whatif.add_argument("--workers", type=int, default=None, metavar="N",
                         help="replay scenarios on N process workers "
-                             "(default: REPRO_RECALC_WORKERS)")
+                             "(default: REPRO_RECALC_SHARDS)")
     add_index_option(whatif)
     whatif.set_defaults(fn=_cmd_whatif)
 
@@ -691,9 +691,9 @@ def main(argv: "list[str] | None" = None) -> int:
     try:
         return args.fn(args)
     finally:
-        # Commands that recalculated with workers= or shards= left process
-        # pools resident for reuse; a CLI invocation is one-shot.
-        from .engine.parallel import shutdown_pools
+        # Commands that recalculated with workers= left process pools
+        # resident for reuse; a CLI invocation is one-shot.
+        from .engine.shard import shutdown_pools
 
         shutdown_pools()
 

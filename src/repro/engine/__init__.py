@@ -33,7 +33,6 @@ from .journal import (
     read_journal,
     recover,
 )
-from .parallel import shutdown_pools
 from .recalc import (
     CellView,
     CircularReferenceError,
@@ -42,7 +41,7 @@ from .recalc import (
     UpdateTicket,
 )
 from .scenario import ScenarioEngine
-from .shard import ShardRuntime
+from .shard import ShardRuntime, shutdown_pools
 from .structural import StructuralEditResult, apply_structural_edit
 
 __all__ = [

@@ -292,7 +292,6 @@ def recover(
     *,
     evaluation: str = "auto",
     workers: int | None = None,
-    worker_mode: str | None = None,
 ) -> RecoveryResult:
     """Restore a workbook from ``snapshot`` plus the ``journal`` prefix.
 
@@ -316,12 +315,11 @@ def recover(
         engine = engines.get(name)
         if engine is None:
             sheet = workbook[name]
-            # Replay rides the same partitioned recompute path as live
-            # edits when workers are configured (the engine resolves
-            # REPRO_RECALC_WORKERS itself when workers is None).
+            # Replay rides the same resident recompute path as live edits
+            # when workers are configured (the engine resolves
+            # REPRO_RECALC_SHARDS itself when workers is None).
             engine = RecalcEngine(
-                sheet, graphs.get(name), evaluation=evaluation,
-                workers=workers, worker_mode=worker_mode,
+                sheet, graphs.get(name), evaluation=evaluation, workers=workers,
             )
             graphs[name] = engine.graph
             engines[name] = engine

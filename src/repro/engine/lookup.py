@@ -171,12 +171,13 @@ class VectorIndex:
 class LookupCache:
     """Per-sheet store of vector indexes, keyed by range bounds.
 
-    Thread-safe build-once: PR 7's thread-pool shadow engines share the
-    host sheet (and therefore this cache), so the first prober builds
-    under the lock and the rest reuse.  Staleness is impossible even
-    under racy version bumps — versions are monotonic, so any write
-    concurrent with a build leaves the recorded stamp behind the
-    column's, and the next probe rebuilds.
+    Build-once under a lock.  Nothing in this package probes one sheet
+    from two threads (residents are processes with private caches), so
+    the lock is insurance for a host that shares a sheet across its own
+    threads: the first prober builds and the rest reuse.  Staleness is
+    impossible even under racy version bumps — versions are monotonic, so
+    any write concurrent with a build leaves the recorded stamp behind
+    the column's, and the next probe rebuilds.
     """
 
     __slots__ = ("_indexes", "_lock")
@@ -215,8 +216,8 @@ class LookupProbe:
     not qualify (foreign sheet, two-dimensional) — in which case the
     caller falls back to the reference linear scan.  Each served probe
     counts one ``lookup_index_hits``; hits are deterministic (eligibility
-    depends only on geometry), so the PR 7 counter-snapshot identity
-    across serial/thread/process execution extends to them.  Builds are
+    depends only on geometry), so the counter-snapshot identity between
+    serial and resident execution extends to them.  Builds are
     environment-dependent (process workers rebuild privately) and
     tracked outside the identity set, like ``serial_fallbacks``.
 

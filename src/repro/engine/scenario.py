@@ -142,7 +142,8 @@ class ScenarioEngine:
         after each replay; results are dicts keyed by the output spec as
         given (A1 strings stay strings, everything else keys by its
         ``(col, row)``).  ``workers=None`` inherits the engine's
-        configured worker count; ``0``/``1`` forces serial replay.
+        dispatch count (``engine.workers``: its ``shards`` / ``workers``,
+        else ``REPRO_RECALC_SHARDS``); ``0``/``1`` forces serial replay.
 
         Values and per-cell eval counters are identical across serial
         and fan-out execution; the sheet is restored to its base state

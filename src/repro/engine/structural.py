@@ -26,9 +26,9 @@ workload).  One :func:`apply_structural_edit` call runs, in order:
    compressed graph; :meth:`~repro.engine.recalc.RecalcEngine.recompute`
    re-evaluates exactly those cells, on the ``evaluation="auto"`` path —
    filled columns stay single plan nodes even after the edit, and on engines
-   configured with ``workers=N`` the dirty set is partitioned into
-   independent regions and recalculated in parallel
-   (:mod:`repro.engine.parallel`) with no change to the result.
+   configured with ``workers=N`` the residents re-boot for the new layout
+   and recalculate their column shards (:mod:`repro.engine.shard`) with no
+   change to the result.
 
 On a deferred engine the edit first settles the engine's pending
 backlog (its positions predate the shift) and step 5 marks the dirty

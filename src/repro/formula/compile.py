@@ -686,7 +686,7 @@ class EvalStats:
                  "serial_fallbacks", "fallback_reason",
                  "shard_bootstraps", "shard_delta_bytes", "shard_fallbacks")
 
-    #: The per-cell counters every engine accumulates.  Parallel region
+    #: The per-cell counters every engine accumulates.  Resident
     #: execution merges exactly these from worker stats (summation is
     #: commutative, so merge order cannot change the totals).
     #: ``lookup_index_hits`` belongs here because probe eligibility is a
@@ -709,9 +709,9 @@ class EvalStats:
         self.lookup_index_hits = 0
         self.lookup_index_builds = 0
         self.scenario_plan_reuses = 0
-        # Parallel-recalc bookkeeping (repro.engine.parallel): regions the
-        # partitioner produced, regions actually dispatched to workers, and
-        # regions that fell back to serial re-execution (with the *last*
+        # Dispatch bookkeeping (repro.engine.shard, repro.engine.scenario):
+        # shard batches planned, batches actually run by residents, and
+        # batches that fell back to serial re-execution (with the *last*
         # fallback's reason, or None when everything ran as planned).
         self.parallel_regions = 0
         self.parallel_dispatches = 0

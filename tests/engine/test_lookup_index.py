@@ -81,10 +81,9 @@ class TestProbeAttachment:
 def serial_engine(sheet: Sheet) -> RecalcEngine:
     """Build-accounting tests must evaluate in-process: worker processes
     count their own index builds, and only the geometry-deterministic
-    cell counters fold back (pinning workers=0 and shards=0 keeps these
-    assertions meaningful under the CI matrices'
-    REPRO_RECALC_WORKERS=4 / REPRO_RECALC_SHARDS=4)."""
-    return RecalcEngine(sheet, workers=0, shards=0)
+    cell counters fold back (pinning shards=0 keeps these assertions
+    meaningful under the CI matrix's REPRO_RECALC_SHARDS=4)."""
+    return RecalcEngine(sheet, shards=0)
 
 
 class TestInvalidation:

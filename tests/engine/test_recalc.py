@@ -7,7 +7,8 @@ from helpers import build_fig2_sheet
 from repro.engine.recalc import CircularReferenceError, RecalcEngine
 from repro.formula.errors import CYCLE_ERROR, ExcelError
 from repro.graphs.nocomp import NoCompGraph
-from repro.core.taco_graph import dependencies_column_major
+from repro.core.taco_graph import build_from_sheet, dependencies_column_major
+from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 
 
@@ -89,6 +90,25 @@ class TestIncremental:
         result = engine.set_value("A2", 9999.0)
         assert engine.sheet.get_value("C1") == 9999.0
         assert result.dirty_count > 0
+
+    def test_same_template_formula_edit_keeps_graph_compact(self, store):
+        """Re-setting formulas to their own text moves no edge: the graph
+        stays the size of a fresh build, and the cell and its dependents
+        are still recomputed."""
+        sheet = Sheet("S")
+        for r in range(1, 301):
+            sheet.set_value((1, r), float(r))
+        fill_formula_column(sheet, 2, 1, 300, "=A1*2")
+        fill_formula_column(sheet, 3, 1, 300, "=SUM($B$1:B1)")
+        engine = RecalcEngine(sheet)
+        engine.recalculate_all()
+        for row in range(2, 300, 3):
+            for pos in ((2, row), (3, row)):
+                result = engine.set_formula(pos, sheet.formula_at(pos).formula_text)
+                assert result.recomputed >= 1
+        assert len(engine.graph) == len(build_from_sheet(sheet))
+        engine.set_value("A1", 7.0)
+        assert sheet.get_value("C300") == 300 * 301 - 2.0 + 14.0
 
     def test_clear_cell(self):
         engine = RecalcEngine(build_sales_sheet())

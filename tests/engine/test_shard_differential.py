@@ -1,14 +1,12 @@
-"""Differential suite: resident runtime ≡ thread scheduler ≡ serial.
+"""Differential suite: resident runtime ≡ serial.
 
-The resident runtime (``repro.engine.shard``) makes the same promise the
-thread scheduler does, with residency on top: for any sheet program, an
-``evaluation="auto"`` engine with ``shards=N`` — or, the other spelling,
-``workers=N, worker_mode="process"`` — produces exactly the values —
-including errors and ``#CYCLE!`` propagation — and exactly the
-:class:`EvalStats` cell counters of the serial auto engine and of the
-threaded ``workers=N`` engine, which in turn match the tree-walking
-interpreter oracle.  Pinned here across both backing stores and point /
-batch / structural edit paths.  (On the object store the runtime never
+For any sheet program, an ``evaluation="auto"`` engine with ``shards=N``
+— or, the other spelling, ``workers=N`` under any ``worker_mode`` —
+produces exactly the values — including errors and ``#CYCLE!``
+propagation — and exactly the :class:`EvalStats` cell counters of the
+serial auto engine, which in turn match the tree-walking interpreter
+oracle.  Pinned here across both backing stores and point / batch /
+structural edit paths.  (On the object store the runtime never
 constructs — ``shards=N`` engines degrade to plain serial — so the
 identity is trivially exercised there too.)
 
@@ -22,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine.recalc import CircularReferenceError
+from repro.engine.recalc import CircularReferenceError, RecalcEngine
 from repro.formula.errors import ExcelError
 from repro.grid.ref import col_to_letters
 from repro.sheet.autofill import fill_formula_column
@@ -43,28 +41,15 @@ def sharded(sheet, shards=2):
     return engine_for(sheet, shards=shards, parallel_min_dirty=1)
 
 
-def pooled(sheet):
-    return engine_for(
-        sheet, workers=2, worker_mode="thread", parallel_min_dirty=1
-    )
-
-
-def by_worker_mode(sheet, shards=2):
-    """The same runtime under its other spelling."""
-    return engine_for(
-        sheet, workers=shards, worker_mode="process", parallel_min_dirty=1,
-        shards=0,
-    )
-
-
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_full_recalc_identical(shards, data):
-    """serial auto ≡ threaded ≡ sharded (either spelling) ≡ interpreter,
-    values and stats."""
+    """serial auto ≡ sharded (either spelling, any worker mode) ≡
+    interpreter, values and stats."""
     program = data.draw(sheet_programs())
+    mode = data.draw(st.sampled_from((None, "thread", "process")))
     oracle = realize_program(program, "object")
     engine_for(oracle, "interpreter").recalculate_all()
     for store in STORES:
@@ -72,35 +57,31 @@ def test_full_recalc_identical(shards, data):
         serial = engine_for(serial_sheet)
         serial.recalculate_all()
 
-        pool_sheet = realize_program(program, store)
-        pool = pooled(pool_sheet)
-        pool.recalculate_all()
-
         shard_sheet = realize_program(program, store)
         shard = sharded(shard_sheet, shards)
         shard.recalculate_all()
 
         assert_same_values(shard_sheet, serial_sheet)
-        assert_same_values(shard_sheet, pool_sheet)
         assert_same_values(shard_sheet, oracle)
         assert (shard.eval_stats.counter_snapshot()
                 == serial.eval_stats.counter_snapshot()), store
-        assert (shard.eval_stats.counter_snapshot()
-                == pool.eval_stats.counter_snapshot()), store
         assert shard.eval_stats.shard_fallbacks == 0, store
 
         alias_sheet = realize_program(program, store)
-        alias = by_worker_mode(alias_sheet, shards)
+        alias = RecalcEngine(
+            alias_sheet, workers=shards, worker_mode=mode, parallel_min_dirty=1,
+        )
         alias.recalculate_all()
-        assert type(alias.shard_runtime) is type(shard.shard_runtime), store
-        assert alias.parallel is None and shard.parallel is None, store
+        assert (alias.shard_runtime is None) == (store == "object"), (store, mode)
+        if alias.shard_runtime is not None:
+            assert alias.shard_runtime.shards == shards
         assert_same_values(alias_sheet, shard_sheet)
         for stat in ("shard_bootstraps", "parallel_dispatches",
                      "serial_fallbacks", "shard_fallbacks"):
             assert (getattr(alias.eval_stats, stat)
-                    == getattr(shard.eval_stats, stat)), (store, stat)
+                    == getattr(shard.eval_stats, stat)), (store, mode, stat)
         assert (alias.eval_stats.counter_snapshot()
-                == shard.eval_stats.counter_snapshot()), store
+                == shard.eval_stats.counter_snapshot()), (store, mode)
 
 
 @settings(max_examples=8, deadline=None,

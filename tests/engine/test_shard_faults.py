@@ -4,7 +4,7 @@ Every failure mode must degrade to serial re-execution of the affected
 shard's nodes with *identical values* and an honest ``EvalStats``
 trail: ``serial_fallbacks``/``shard_fallbacks`` count the shards that
 fell back and ``fallback_reason`` names the last cause.  The injection
-hook is the same ``REPRO_PARALLEL_FAULT`` the thread scheduler uses,
+hook is ``REPRO_PARALLEL_FAULT`` (``repro.engine.shard.FAULT_ENV``),
 read inside the resident worker at exec/replay time (never at boot, so
 a fault always hits a *resident* shard): ``"die"`` kills the worker
 mid-delta, ``"stale"`` makes the resident disclaim its bootstrap token
@@ -21,9 +21,8 @@ inheriting poisoned workers).
 
 import pytest
 
-from repro.engine.parallel import FAULT_ENV
 from repro.engine.scenario import ScenarioEngine
-from repro.engine.shard import shutdown_slot_pools
+from repro.engine.shard import FAULT_ENV, shutdown_pools
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 
@@ -54,13 +53,13 @@ def reference_values():
 ])
 def test_exec_fault_falls_back_serial(fault, reason, monkeypatch):
     monkeypatch.setenv(FAULT_ENV, fault)
-    shutdown_slot_pools()
+    shutdown_pools()
     try:
         sheet = build_corpus()
         engine = engine_for(sheet, shards=2, parallel_min_dirty=1)
         engine.recalculate_all()
     finally:
-        shutdown_slot_pools()
+        shutdown_pools()
     stats = engine.eval_stats
     assert stats.serial_fallbacks >= 1
     assert stats.shard_fallbacks >= 1
@@ -73,7 +72,7 @@ def test_recovery_after_worker_death(monkeypatch):
     """After a fault strands its shards, healthy pools re-bootstrap on
     the next dispatch and the runtime resumes shipping deltas."""
     monkeypatch.setenv(FAULT_ENV, "die")
-    shutdown_slot_pools()
+    shutdown_pools()
     try:
         sheet = build_corpus()
         engine = engine_for(sheet, shards=2, parallel_min_dirty=1)
@@ -81,7 +80,7 @@ def test_recovery_after_worker_death(monkeypatch):
         assert engine.eval_stats.fallback_reason == "worker-died"
         fallbacks = engine.eval_stats.shard_fallbacks
     finally:
-        shutdown_slot_pools()
+        shutdown_pools()
     monkeypatch.delenv(FAULT_ENV)
     engine.set_value((1, 3), 99.0)
     try:
@@ -93,7 +92,7 @@ def test_recovery_after_worker_death(monkeypatch):
         serial.set_value((1, 3), 99.0)
         assert_same_values(sheet, twin)
     finally:
-        shutdown_slot_pools()
+        shutdown_pools()
 
 
 def test_unpicklable_delta_falls_back_serial():
@@ -132,14 +131,14 @@ def test_unpicklable_delta_falls_back_serial():
             for r in range(1, 41):
                 assert sheet.get_value((col, r)) == twin.get_value((col, r))
     finally:
-        shutdown_slot_pools()
+        shutdown_pools()
 
 
 def test_scenario_replay_stale_falls_back_serial(monkeypatch):
     """A resident scenario replica that disclaims its bootstrap token
     mid-sweep falls back chunk-by-chunk with identical results."""
     monkeypatch.setenv(FAULT_ENV, "stale")
-    shutdown_slot_pools()
+    shutdown_pools()
     try:
         sheet = build_corpus()
         engine = engine_for(sheet)
@@ -148,7 +147,7 @@ def test_scenario_replay_stale_falls_back_serial(monkeypatch):
         scenarios = [{"A1": float(i), "A2": float(i * 2)} for i in range(8)]
         results = whatif.run(scenarios, ["E1", "G5"], workers=2)
     finally:
-        shutdown_slot_pools()
+        shutdown_pools()
     stats = engine.eval_stats
     assert stats.serial_fallbacks >= 1
     assert stats.fallback_reason == "stale-epoch"
@@ -173,7 +172,7 @@ def test_forked_child_inherits_no_slot_pools():
 
     from repro.engine import shard
 
-    shutdown_slot_pools()
+    shutdown_pools()
     try:
         engine = engine_for(build_corpus(), shards=2, parallel_min_dirty=1)
         engine.recalculate_all()
@@ -183,7 +182,7 @@ def test_forked_child_inherits_no_slot_pools():
             os._exit(1 if shard._SLOT_POOLS else 0)
         assert os.waitpid(pid, 0)[1] == 0
     finally:
-        shutdown_slot_pools()
+        shutdown_pools()
 
 
 def test_a_collected_runtime_never_waits_on_a_pool_lock():
@@ -195,7 +194,7 @@ def test_a_collected_runtime_never_waits_on_a_pool_lock():
 
     from repro.engine import shard
 
-    shutdown_slot_pools()
+    shutdown_pools()
     try:
         engine = engine_for(build_corpus(), shards=2, parallel_min_dirty=1)
         engine.recalculate_all()
@@ -208,4 +207,4 @@ def test_a_collected_runtime_never_waits_on_a_pool_lock():
         engine.set_value((1, 1), 2.0)
         assert not shard._DROPS
     finally:
-        shutdown_slot_pools()
+        shutdown_pools()

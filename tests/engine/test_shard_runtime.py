@@ -12,7 +12,6 @@ import io
 
 import pytest
 
-from repro.engine import journal
 from repro.engine.recalc import RecalcEngine
 from repro.engine.shard import ShardRuntime
 from repro.grid.range import Range
@@ -58,15 +57,15 @@ def test_runtime_only_for_columnar_auto():
 
 
 def test_worker_mode_process_is_the_same_runtime():
-    """``workers=N, worker_mode="process"`` is ``shards=N`` spelled the
-    other way; either way an engine holds at most one dispatcher."""
-    alias = engine_for(mixed(rows=10), workers=3, worker_mode="process", shards=0)
-    assert isinstance(alias.shard_runtime, ShardRuntime)
-    assert alias.shard_runtime.shards == 3 and alias.parallel is None
-    both = engine_for(mixed(rows=10), workers=2, worker_mode="thread", shards=2)
-    assert both.shard_runtime.shards == 2 and both.parallel is None
-    threaded = engine_for(mixed(rows=10), workers=2, worker_mode="thread", shards=0)
-    assert threaded.shard_runtime is None and threaded.parallel is not None
+    """``workers=N`` is ``shards=N`` spelled the other way, whatever
+    ``worker_mode`` says; either way an engine holds one dispatcher."""
+    for mode in (None, "process", "thread"):
+        alias = RecalcEngine(mixed(rows=10), workers=3, worker_mode=mode, shards=0)
+        assert isinstance(alias.shard_runtime, ShardRuntime)
+        assert alias.shard_runtime.shards == 3 and alias.workers == 3
+        assert not hasattr(alias, "parallel")
+    both = RecalcEngine(mixed(rows=10), workers=4, worker_mode="thread", shards=2)
+    assert both.shard_runtime.shards == 2 and both.workers == 2
 
 
 @pytest.mark.parametrize("store,evaluation", [
@@ -75,11 +74,11 @@ def test_worker_mode_process_is_the_same_runtime():
 def test_worker_mode_process_without_planes_or_tiers_stays_serial(store, evaluation):
     """The object store has no planes to ship and the interpreter is the
     oracle: ``"process"`` there dispatches nothing and is no fallback."""
-    engine = engine_for(
-        clone_sheet(build_mixed_sheet(rows=30), store=store), evaluation,
-        workers=2, worker_mode="process", parallel_min_dirty=1, shards=0,
+    engine = RecalcEngine(
+        clone_sheet(build_mixed_sheet(rows=30), store=store), evaluation=evaluation,
+        workers=2, worker_mode="process", parallel_min_dirty=1,
     )
-    assert engine.shard_runtime is None and engine.parallel is None
+    assert engine.shard_runtime is None
     engine.recalculate_all()
     stats = engine.eval_stats
     assert (stats.parallel_dispatches, stats.shard_bootstraps) == (0, 0)
@@ -87,19 +86,10 @@ def test_worker_mode_process_without_planes_or_tiers_stays_serial(store, evaluat
     assert_same_values(engine.sheet, serial_twin(mixed(rows=30)))
 
 
-def test_unknown_worker_mode_is_rejected_whatever_workers_is(tmp_path):
+def test_unknown_worker_mode_is_rejected_whatever_workers_is():
     for workers in (None, 0, 1, 4):
         with pytest.raises(ValueError, match="worker mode"):
             RecalcEngine(mixed(rows=5), workers=workers, worker_mode="bogus")
-    snapshot, wal = tmp_path / "book.snap", tmp_path / "book.wal"
-    workbook = Workbook("W")
-    workbook.attach_sheet(mixed(rows=5))
-    workbook.snapshot(str(snapshot))
-    log = journal.Journal(str(wal), fsync=False)
-    log.record_cell("mixed", "value", (1, 1), 2.0)
-    log.close()
-    with pytest.raises(ValueError, match="worker mode"):
-        journal.recover(str(snapshot), str(wal), worker_mode="bogus")
 
 
 def test_env_var_configures_shards(monkeypatch):

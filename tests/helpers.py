@@ -248,24 +248,20 @@ def clone_sheet(sheet: Sheet, store: str | None = None) -> Sheet:
 
 
 def engine_for(sheet: Sheet, mode: str = "auto", index: str = "rtree",
-               *, workers: int = 0, worker_mode: str | None = None,
-               parallel_min_dirty: int | None = None,
+               *, parallel_min_dirty: int | None = None,
                lookup_indexes: bool | None = None,
                shards: "int | None" = None) -> RecalcEngine:
     """An engine over a fresh compressed graph for ``sheet``.
 
-    ``workers``/``worker_mode`` pick the dispatcher — the thread region
-    scheduler, or for ``"process"`` the resident runtime, which
-    ``shards`` also names — and ``parallel_min_dirty=1`` forces it even
-    for tiny differential corpora;
-    ``lookup_indexes=False`` pins the engine to the reference linear
-    scans regardless of the environment toggle.
+    ``shards`` sizes the resident runtime (None: ``REPRO_RECALC_SHARDS``)
+    and ``parallel_min_dirty=1`` forces it even for tiny differential
+    corpora; ``lookup_indexes=False`` pins the engine to the reference
+    linear scans regardless of the environment toggle.
     """
     graph = TacoGraph.full(index=index)
     graph.build(dependencies_column_major(sheet))
     return RecalcEngine(
-        sheet, graph, evaluation=mode, workers=workers,
-        worker_mode=worker_mode, parallel_min_dirty=parallel_min_dirty,
+        sheet, graph, evaluation=mode, parallel_min_dirty=parallel_min_dirty,
         lookup_indexes=lookup_indexes, shards=shards,
     )
 
