@@ -27,14 +27,14 @@ Evaluation must follow it as well — cost per *strip*, not per cell.  A
 fourth sheet (``strip_costs``) holds one autofilled column per strip
 kind, ``REPRO_RECALC_MIXED_ROWS`` rows each: growing and sliding windows
 (kind ``w``), an elementwise product (``e``), an RR chain and an ``IF``
-(scalar closures, ``s``) and exact-match ``VLOOKUP`` over a 16-row and a
-2,000-row table (``s``, answered by one index probe per lane).  Each
-strip is executed alone, best of five, and reported as µs per cell; the
-growing window and the 16-row lookup are also run cell by cell through
-the per-cell fallback (``RecalcEngine._evaluate_cell``: the compiled
-closure, a fresh ``RangeValue`` per cell), and the strip kernel must be
-**>= 3x** faster than that — a ratio inside one process, so box noise
-cancels.
+(scans, ``c``) and exact-match ``VLOOKUP`` over a 16-row and a 2,000-row
+table (``s``, answered by one index probe per lane).  Each strip is
+executed alone, best of five, and reported as µs per cell; the growing
+window, both scans and the 16-row lookup are also run cell by cell
+through the per-cell fallback (``RecalcEngine._evaluate_cell``: the
+compiled closure, a fresh ``RangeValue`` per cell), and the strip kernel
+must be **>= 3x** faster than that — a ratio inside one process, so box
+noise cancels.  The two scans must also stay **under 1.0 µs** per cell.
 
 Besides the ASCII artifact, the run writes machine-readable JSON to
 ``benchmarks/results/recalc_throughput.json`` (per-workload timings,
@@ -63,6 +63,8 @@ RUNNING_TOTAL_GATE = 5.0
 MIXED_GATE = 1.5
 #: A strip kernel against its own per-cell fallback, same process.
 STRIP_KERNEL_GATE = 3.0
+#: Most µs per cell a scan strip may cost.
+SCAN_US_GATE = 1.0
 #: Most plan nodes a whole-sheet plan may have, per workload.
 PLAN_NODE_CAPS = {"running_total": 1, "sliding_window": 1, "mixed_corpus": 8}
 
@@ -119,12 +121,13 @@ STRIPS = {
     "w growing": (3, "=SUM($A$1:A1)"),
     "w sliding": (4, "=SUM(A1:B4)"),
     "e product": (5, "=A1*B1"),
-    "s chain": (6, "=F1+A2"),
-    "s if": (7, "=IF(A2>B2,G1+A2,B2)"),
+    "c chain": (6, "=F1+A2"),
+    "c if": (7, "=IF(A2>B2,G1+A2,B2)"),
     "s lookup 16": (8, "=VLOOKUP(J1,$L$1:$M$16,2,FALSE)"),
     "s lookup 2000": (9, "=VLOOKUP(J1,$O$1:$P$2000,2,FALSE)"),
 }
-PER_CELL = ("w growing", "s lookup 16")
+PER_CELL = ("w growing", "c chain", "c if", "s lookup 16")
+SCANS = ("c chain", "c if")
 
 
 def build_strips(rows: int) -> Sheet:
@@ -138,7 +141,7 @@ def build_strips(rows: int) -> Sheet:
             sheet.set_value((c, r), float(r - 1))
             sheet.set_value((c + 1, r), float(r) * 1.5)
     for label, (col, text) in STRIPS.items():
-        first = 2 if label in ("s chain", "s if") else 1
+        first = 2 if label in SCANS else 1
         if first == 2:
             sheet.set_formula((col, 1), "=A1")
         fill_formula_column(sheet, col, first, rows, text)
@@ -277,6 +280,14 @@ def test_recalc_throughput(benchmark):
         verdicts.append(
             f"{'OK' if passed else 'REGRESSION'}: the {label!r} strip runs "
             f"{ratio:.1f}x faster than its cells one by one, gate {STRIP_KERNEL_GATE:.1f}x"
+        )
+    for label in SCANS:
+        cost = strips["strip"][label]
+        passed = cost < SCAN_US_GATE
+        ok = ok and passed
+        verdicts.append(
+            f"{'OK' if passed else 'REGRESSION'}: the {label!r} strip costs "
+            f"{cost:.2f} µs per cell, gate < {SCAN_US_GATE:.1f}"
         )
     lines.append("\n" + "\n".join(verdicts))
     emit("recalc_throughput", "\n".join(lines))

@@ -82,6 +82,7 @@ class _Strip:
 
     ``kind`` says how: ``"w"`` rolls a windowed aggregate along the
     strip, ``"e"`` sweeps pure float arithmetic as one array operation,
+    ``"c"`` scans a recurrence on the row before down one float loop,
     ``"s"`` — any other template — loops over the members with the
     compiled closure (``template``; None when the formula does not
     compile and the interpreter runs it).  References that land inside
@@ -465,15 +466,16 @@ class RecalcEngine:
         The slice is cut from the plan an immediate engine would have
         executed for the same dirty set — cells and column strips in
         dependency order.  A scalar strip is just ordered cells and is
-        split at the budget; a windowed or elementwise strip never is
-        (its count may overshoot ``max_cells`` by the tail of the
-        strip).  The plan is ordered once and kept across steps; only an
-        update that adds a cell to the backlog or changes a formula —
-        through this engine or behind its back, which the sheet's
-        formula-plane version gives away — makes the next step order it
-        again.  Cells in or downstream of a dependency cycle are assigned
-        ``#CYCLE!`` once everything computable has been computed; a
-        deferred engine never raises for them.
+        split at the budget, and so is a scan, whose later slice seeds
+        from the row the earlier one wrote; a windowed or elementwise
+        strip never is (its count may overshoot ``max_cells`` by the
+        tail of the strip).  The plan is ordered once and kept across
+        steps; only an update that adds a cell to the backlog or changes
+        a formula — through this engine or behind its back, which the
+        sheet's formula-plane version gives away — makes the next step
+        order it again.  Cells in or downstream of a dependency cycle are
+        assigned ``#CYCLE!`` once everything computable has been
+        computed; a deferred engine never raises for them.
         """
         computed = 0
         pending = self._pending
@@ -499,7 +501,7 @@ class RecalcEngine:
                 pending.discard(node)
             else:
                 room = max_cells - computed
-                if node.kind == "s" and len(node.rows) > room:
+                if node.kind in ("s", "c") and len(node.rows) > room:
                     rows = node.rows
                     now, later = (
                         (rows[-room:], rows[:-room]) if node.descending
@@ -694,10 +696,12 @@ class RecalcEngine:
         itself through — raises :class:`_SelfReference`.
 
         A windowed template rolls if its geometry does and the rolling
-        direction is the one required; an elementwise one sweeps if
-        nothing lands inside (the sweep reads every lane before it
-        writes any); otherwise — and below ``MIN_RUN`` cells — the strip
-        is scalar.
+        direction is the one required; an arithmetic elementwise one
+        sweeps if nothing lands inside (the sweep reads every lane before
+        it writes any), and any elementwise one scans if all that lands
+        inside is its own column one row back in the strip's direction
+        (:func:`vectorized.scans`); otherwise — and below ``MIN_RUN``
+        cells — the strip is scalar.
         """
         name = self.sheet.name
         down = up = False
@@ -734,7 +738,7 @@ class RecalcEngine:
         )
         kind, descending = "s", up
         if compiled is not None and last - first + 1 >= vectorized.MIN_RUN:
-            window = compiled.window
+            window, ir = compiled.window, compiled.elementwise
             if window is not None:
                 rolls_up = window.tail_row.fixed and not window.head_row.fixed
                 if (
@@ -742,8 +746,11 @@ class RecalcEngine:
                     and not (down and rolls_up) and not (up and not rolls_up)
                 ):
                     kind, descending = "w", rolls_up
-            elif compiled.elementwise is not None and not (down or up):
-                kind = "e"
+            elif ir is not None and not (down or up):
+                if ir.arithmetic:
+                    kind = "e"
+            elif ir is not None and vectorized.scans(ir, col, first, last, up):
+                kind = "c"
         return _Strip(kind, col, range(first, last + 1), compiled, descending)
 
     def _order_entries(self, entries: list[tuple]):
@@ -860,6 +867,21 @@ class RecalcEngine:
             rows = node.rows
             if node.kind == "s":
                 count += self._run_scalar(node)
+                continue
+            if node.kind == "c":
+                done = vectorized.evaluate_scan_run(
+                    self.sheet, node.template, node.col, rows, node.descending
+                )
+                if done:
+                    stats.elementwise_cells += done
+                    stats.elementwise_runs += 1
+                if done < len(rows):
+                    # The kernel stopped at a lane that is not plain float
+                    # arithmetic: that lane and the rest are the closure's.
+                    self._run_scalar(node.cut(
+                        rows[:len(rows) - done] if node.descending else rows[done:]
+                    ))
+                count += len(rows)
                 continue
             if node.kind == "e":
                 done = vectorized.evaluate_elementwise_run(

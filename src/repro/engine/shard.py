@@ -101,26 +101,20 @@ class CrossSheetRegion(Exception):
 
 
 def _spec_for(nodes) -> list[tuple]:
-    """Plan nodes as picklable freight: ``("c", col, row)`` cells and
-    :meth:`_Strip.spec` strips — ``(kind, col, first_row, last_row,
-    descending)`` with ``kind`` one of ``"w"`` / ``"e"`` / ``"s"`` — in
-    plan order.  A chain of any length is one tuple."""
-    return [
-        ("c", node[0], node[1]) if type(node) is tuple else node.spec()
-        for node in nodes
-    ]
+    """Plan nodes as picklable freight: ``(col, row)`` cells as they are
+    and :meth:`_Strip.spec` strips — ``(kind, col, first_row, last_row,
+    descending)`` with ``kind`` one of ``"w"`` / ``"e"`` / ``"c"`` /
+    ``"s"`` — in plan order.  A chain of any length is one tuple."""
+    return [node if type(node) is tuple else node.spec() for node in nodes]
 
 
 def _plan_from_spec(engine, spec):
     """:func:`_spec_for` freight back into executable nodes, worker side:
-    cells become position tuples, strips go through
+    cells stay position tuples, strips go through
     :meth:`RecalcEngine.strip_from_spec` (one registry lookup each).
     Ordering was resolved by the parent — the spec's sequence *is* the
     plan order."""
-    return [
-        (node[1], node[2]) if node[0] == "c" else engine.strip_from_spec(node)
-        for node in spec
-    ]
+    return [node if len(node) == 2 else engine.strip_from_spec(node) for node in spec]
 
 
 def _node_members(node):
@@ -310,8 +304,8 @@ _RESIDENTS: dict[tuple[int, int], _Resident] = {}
 def _spec_positions(spec) -> list[tuple[int, int]]:
     positions: list[tuple[int, int]] = []
     for node in spec:
-        if node[0] == "c":
-            positions.append((node[1], node[2]))
+        if len(node) == 2:
+            positions.append(node)
         else:
             positions.extend((node[1], row) for row in range(node[2], node[3] + 1))
     return positions

@@ -35,21 +35,26 @@ are delegated back to the per-cell ``fallback`` callable, which
 preserves the interpreter's iteration-order-dependent choice of *which*
 error propagates.
 
-:func:`evaluate_elementwise_run` is the other kernel: a run of pure
+:func:`evaluate_elementwise_run` is the second kernel: a run of pure
 float arithmetic over cell references as one numpy sweep, read and
-written through the same band primitives.
+written through the same band primitives.  :func:`evaluate_scan_run` is
+the third: a recurrence down the strip's own column (``=C1+A2`` filled
+down C, the paper's Fig. 2 ``IF``) as one sequential float loop over the
+same bands, in pure Python.
 
 The caller (the strip planner, :meth:`repro.engine.recalc.RecalcEngine._make_strip`)
 is responsible for run *safety* — window rows may only touch cells that
 are clean or already-evaluated run members; this module only checks
-geometry (:func:`rolling_cols`, which the planner asks first).
+geometry (:func:`rolling_cols` and :func:`scans`, which the planner asks
+first).
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import deque
-from operator import gt, lt
+from itertools import accumulate, islice, repeat
+from operator import add, gt, lt, mul, sub, truediv
 from typing import Callable
 
 try:  # numpy is optional: without it elementwise sweeps just decline.
@@ -57,7 +62,7 @@ try:  # numpy is optional: without it elementwise sweeps just decline.
 except ImportError:  # pragma: no cover - exercised on numpy-free installs
     _np = None
 
-from ..formula.compile import CompiledTemplate, WindowSpec
+from ..formula.compile import CompiledTemplate, ElementwiseIR, WindowSpec
 from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_ERROR, TAG_NUMBER, TAG_OBJECT, square_off
 from ..sheet.sheet import Sheet
 
@@ -65,7 +70,9 @@ __all__ = [
     "MIN_RUN",
     "evaluate_elementwise_run",
     "evaluate_run",
+    "evaluate_scan_run",
     "rolling_cols",
+    "scans",
     "window_rows_at",
     "window_cols",
 ]
@@ -395,3 +402,257 @@ def evaluate_elementwise_run(
     for lane in delegated:
         fallback((col, first + int(lane)))
     return n - len(delegated)
+
+
+# ---------------------------------------------------------------------------
+# scans: a recurrence down the strip's own column
+
+
+def _recurrence(ir: ElementwiseIR, col: int, descending: bool) -> int | None:
+    """Index into ``ir.refs`` of the reference, from ``col``, to its own
+    column one row back in the strip's direction (ahead when
+    ``descending``), or None."""
+    back = 1 if descending else -1
+    for i, (col_axis, row_axis) in enumerate(ir.refs):
+        if col_axis.at(col) == col and not row_axis.fixed and row_axis.value == back:
+            return i
+    return None
+
+
+def scans(ir: ElementwiseIR, col: int, first: int, last: int, descending: bool) -> bool:
+    """Whether rows ``first..last`` of ``col`` can run under ``ir`` as a
+    scan: the one reference landing inside them is their own column one
+    row back in the strip's direction.  (A fixed row inside the strip is
+    a self-reference, which the planner has turned away already.)"""
+    back = _recurrence(ir, col, descending)
+    return back is not None and all(
+        i == back or col_axis.at(col) != col or row_axis.fixed
+        or abs(row_axis.value) > last - first
+        for i, (col_axis, row_axis) in enumerate(ir.refs)
+    )
+
+
+#: How strictly an operand lane must be a plain float, by where the IR
+#: reads it: ``_COERCED`` under arithmetic or as an ``IF`` condition
+#: (``to_number`` / ``to_bool`` make a blank 0.0 and a logical 1.0 /
+#: 0.0, as the plane holds them); ``_COMPARED`` as a side of a comparison
+#: (a logical ranks above every number); ``_CHOSEN`` as an ``IF`` branch,
+#: which yields the value itself — the plane's float only for a number.
+_COERCED, _COMPARED, _CHOSEN = range(3)
+#: Per level, 1 for every tag a lane read at that level may not hold.
+_REFUSED = tuple(
+    bytes(0 if tag in allowed else 1 for tag in range(256))
+    for allowed in ((TAG_EMPTY, TAG_NUMBER, TAG_BOOL), (TAG_EMPTY, TAG_NUMBER), (TAG_NUMBER,))
+)
+_ARITHMETIC = ("add", "sub", "mul", "div")
+_COMPARISONS = ("eq", "ne", "lt", "le", "gt", "ge")
+#: The IR's operators on floats.  Comparisons are what
+#: ``compare_values`` makes of two numbers — NaN ranks above everything,
+#: itself included — read as 1.0 / 0.0, as ``to_number`` reads a logical.
+_SCAN_OPS = {
+    "add": add, "sub": sub, "mul": mul, "div": truediv,
+    "eq": lambda a, b: 1.0 if a == b else 0.0,
+    "ne": lambda a, b: 0.0 if a == b else 1.0,
+    "lt": lambda a, b: 1.0 if a < b else 0.0,
+    "le": lambda a, b: 1.0 if a <= b else 0.0,
+    "gt": lambda a, b: 0.0 if a <= b else 1.0,
+    "ge": lambda a, b: 0.0 if a < b else 1.0,
+    "neg": lambda a: -a,
+    "pct": lambda a: a / 100.0,
+    "if": lambda cond, then, otherwise: then if cond else otherwise,
+}
+
+
+def _read_levels(node, level: int, levels: dict[int, int]) -> None:
+    """Record in ``levels``, per reference index, the strictest level
+    ``node`` (read at ``level``) reads it at."""
+    op = node[0]
+    if op == "ref":
+        levels[node[1]] = max(levels.get(node[1], level), level)
+    elif op == "if":
+        _read_levels(node[1], _COERCED, levels)
+        _read_levels(node[2], _CHOSEN, levels)
+        _read_levels(node[3], _CHOSEN, levels)
+    elif op != "const":
+        inner = _COMPARED if op in _COMPARISONS else _COERCED
+        for child in node[1:]:
+            _read_levels(child, inner, levels)
+
+
+def _reads(node, prev: int) -> bool:
+    """Whether ``node`` reads reference ``prev``."""
+    if node[0] == "ref":
+        return node[1] == prev
+    return node[0] != "const" and any(_reads(child, prev) for child in node[1:])
+
+
+def _previous(p, k):
+    """The recurrence's step term: the lane before's value."""
+    return p
+
+
+def _stepwise(term):
+    """A :func:`_scan_term` as a step function ``(p, k) -> float``."""
+    if callable(term):
+        return term
+    if type(term) is float:
+        return lambda p, k: term
+    return lambda p, k: term[k]
+
+
+def _swept(fn, *args):
+    """``fn`` lane by lane over floats (broadcast) and per-lane buffers."""
+    if all(type(arg) is float for arg in args):
+        return fn(*args)
+    return list(map(fn, *(repeat(arg) if type(arg) is float else arg for arg in args)))
+
+
+def _up_to_zero(denominator, limit: list[int]):
+    """A swept denominator cut before its first zero lane, ``limit[0]``
+    moved down to that lane (the closure's ``#DIV/0!``)."""
+    if type(denominator) is float:
+        if denominator == 0:
+            limit[0] = 0
+            return []
+        return denominator
+    try:
+        zero = denominator.index(0.0)
+    except ValueError:
+        return denominator
+    limit[0] = min(limit[0], zero)
+    return denominator[:zero]
+
+
+def _scan_term(node, lanes: dict, prev: int, limit: list[int]):
+    """``node`` over the lanes: swept — a float, or one float per lane —
+    where it does not read the recurrence ``prev``, else a step function
+    ``(previous lane's value, lane) -> float``.  An ``IF`` swept takes
+    both branches (harmless: they are floats), a stepped one only the
+    chosen branch, as the closure does."""
+    op = node[0]
+    if op == "const":
+        return node[1]
+    if op == "ref":
+        return _previous if node[1] == prev else lanes[node[1]]
+    args = [_scan_term(child, lanes, prev, limit) for child in node[1:]]
+    fn = _SCAN_OPS[op]
+    if op == "div" and not callable(args[1]):
+        args[1] = _up_to_zero(args[1], limit)
+    if not any(callable(arg) for arg in args):
+        return _swept(fn, *args)
+    if op == "if":
+        cond, then, otherwise = args
+        then, otherwise = _stepwise(then), _stepwise(otherwise)
+        if callable(cond) or type(cond) is float:
+            cond = _stepwise(cond)
+            return lambda p, k: then(p, k) if cond(p, k) else otherwise(p, k)
+        return lambda p, k: then(p, k) if cond[k] else otherwise(p, k)
+    if len(args) == 1:
+        (f,) = args
+        return lambda p, k: fn(f(p, k))
+    left, right = args
+    if left is _previous and not callable(right) and type(right) is not float:
+        return lambda p, k: fn(p, right[k])
+    if right is _previous and not callable(left) and type(left) is not float:
+        return lambda p, k: fn(left[k], p)
+    f, g = _stepwise(left), _stepwise(right)
+    return lambda p, k: fn(f(p, k), g(p, k))
+
+
+def evaluate_scan_run(
+    sheet: Sheet,
+    template: CompiledTemplate,
+    col: int,
+    rows: range,
+    descending: bool,
+) -> int:
+    """Evaluate ``rows`` of ``col`` (ascending and consecutive; a strip
+    :func:`scans` admits) as one sequential loop in the strip's direction.
+
+    Each operand is read as one band, the recurrence is seeded from the
+    cell just outside the strip, and every lane does the closure's
+    IEEE-754 operations in the closure's order, so per-step rounding is
+    bit-identical; the lanes computed land as one band write.  The loop
+    stops at the first lane whose inputs are not plain floats where the
+    template reads them (``_REFUSED``), that divides by zero, or whose
+    reference falls off the sheet: that lane, and — a recurrence — every
+    lane after it, is the closure's.  Returns how many lanes the kernel
+    computed, a prefix in the strip's direction; 0 when a reference is
+    off the sheet for the first lane, or when a branch yields a referenced
+    value on the object store, which may hand back an int.
+    """
+    ir = template.elementwise
+    first, last, n = rows[0], rows[-1], len(rows)
+    prev = _recurrence(ir, col, descending)
+    levels: dict[int, int] = {}
+    _read_levels(ir.root, _CHOSEN, levels)
+    if sheet.store_kind != "columnar" and _CHOSEN in levels.values():
+        return 0
+    seed_row = last + 1 if descending else first - 1
+    if seed_row < 1:
+        return 0
+    seed = sheet.read_band(col, seed_row, seed_row)
+    square_off([seed], 1)
+    if _REFUSED[levels[prev]][seed[1][0]]:
+        return 0
+    limit = [n]
+    lanes: dict[int, object] = {}
+    for i, (col_axis, row_axis) in enumerate(ir.refs):
+        if i == prev:
+            continue
+        c = col_axis.at(col)
+        if c < 1:
+            return 0                            # #REF! on every lane
+        refused = _REFUSED[levels[i]]
+        if row_axis.fixed:
+            if row_axis.value < 1:
+                return 0
+            band = sheet.read_band(c, row_axis.value, row_axis.value)
+            square_off([band], 1)
+            if refused[band[1][0]]:
+                return 0
+            lanes[i] = band[0][0]
+            continue
+        lo = first + row_axis.value
+        above = max(1 - lo, 0)                  # source rows above the sheet: #REF!
+        if above and not descending:
+            return 0                            # ... from the first lane on
+        limit[0] = min(limit[0], n - above)
+        if limit[0] <= 0:
+            return 0
+        band = sheet.read_band(c, lo + above, last + row_axis.value)
+        square_off([band], n - above)
+        values, tags = band
+        if descending:
+            values, tags = values[::-1], tags[::-1]
+        bad = tags.translate(refused).find(1)
+        if bad >= 0:
+            limit[0] = min(limit[0], bad)
+        lanes[i] = values
+
+    root, p = ir.root, seed[0][0]
+    if root[0] in _ARITHMETIC and root[1] == ("ref", prev) and not _reads(root[2], prev):
+        # prev ∘ g(lane): one C-level accumulate over the swept g.
+        operand = _scan_term(root[2], lanes, prev, limit)
+        if root[0] == "div":
+            operand = _up_to_zero(operand, limit)
+        if type(operand) is float:
+            operand = repeat(operand)
+        out = array("d", islice(accumulate(operand, _SCAN_OPS[root[0]], initial=p),
+                                1, limit[0] + 1))
+    else:
+        step = _scan_term(root, lanes, prev, limit)
+        out = array("d")
+        append = out.append
+        try:
+            for k in range(limit[0]):
+                p = step(p, k)
+                append(p)
+        except ZeroDivisionError:
+            pass                                # the closure's #DIV/0!, from here on
+    done = len(out)
+    if done:
+        if descending:
+            out.reverse()
+        sheet.write_band(col, last - done + 1 if descending else first, out)
+    return done

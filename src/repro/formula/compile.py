@@ -114,38 +114,65 @@ _WINDOW_FUNCS = {
 }
 
 
+#: IR operator names: arithmetic (a float from numbers) and comparisons
+#: (a logical, read as 1.0 / 0.0 where arithmetic coerces it).
+_ARITHMETIC_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+_COMPARISON_OPS = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
+
+
 class ElementwiseIR(NamedTuple):
-    """A template body that is pure float64 arithmetic over cell refs.
+    """A template body that is float64 arithmetic over cell refs.
 
     ``root`` is a tuple tree — ``("const", x)``, ``("ref", i)`` (an index
-    into ``refs``), ``("neg", a)``, ``("pct", a)``, and ``("add" | "sub"
-    | "mul" | "div", a, b)`` — mirroring the compiled closure tree node
-    for node, so an array evaluation of it performs exactly the same
-    IEEE-754 operations in exactly the same order as the per-cell
-    closure.  ``refs`` are the distinct cell references as ``(col_axis,
-    row_axis)`` :class:`AxisRef` pairs.
+    into ``refs``), ``("neg", a)``, ``("pct", a)``, ``("add" | "sub" |
+    "mul" | "div", a, b)``, the comparisons ``("eq" | "ne" | "lt" | "le"
+    | "gt" | "ge", a, b)`` and ``("if", cond, then, otherwise)`` —
+    mirroring the compiled closure tree node for node, so a lane-wise
+    evaluation of it performs exactly the same IEEE-754 operations in
+    exactly the same order as the per-cell closure.  ``refs`` are the
+    distinct cell references as ``(col_axis, row_axis)`` :class:`AxisRef`
+    pairs.
 
     The subset is chosen so a whole same-template run can evaluate as
-    one numpy sweep (:func:`repro.engine.vectorized.evaluate_elementwise_run`)
-    with bit-identical results on lanes whose inputs are empty/number/
-    bool — any other lane (strings that might coerce, errors that must
-    propagate, ``/0`` lanes, off-sheet rows) is masked out and delegated
-    to the per-cell path.  ``^`` is deliberately *out* of the subset:
-    the four basic operations are single correctly-rounded IEEE-754
-    instructions everywhere, but ``pow`` is a libm call whose vectorised
-    numpy implementation may differ from the scalar one in the last ULP.
+    one column kernel (:mod:`repro.engine.vectorized`) with bit-identical
+    results on lanes whose inputs are empty/number/bool — any other lane
+    (strings that might coerce, errors that must propagate, ``/0``
+    lanes, off-sheet rows) goes back to the per-cell path.  A comparison
+    yields a logical, so it may be an ``IF`` condition or an arithmetic
+    operand (``to_number`` makes it 1.0 / 0.0) but not a value or a side
+    of another comparison; an ``IF`` branch that is a bare reference
+    yields the referenced value itself, which matches a float only where
+    it is a number.  ``^`` is deliberately *out* of the subset: the four
+    basic operations are single correctly-rounded IEEE-754 instructions
+    everywhere, but ``pow`` is a libm call whose vectorised numpy
+    implementation may differ from the scalar one in the last ULP.
     """
 
     root: object
     refs: tuple[tuple[AxisRef, AxisRef], ...]
 
+    @property
+    def arithmetic(self) -> bool:
+        """Whether the tree is arithmetic alone — what the numpy sweep
+        (:func:`repro.engine.vectorized.evaluate_elementwise_run`) takes."""
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            if node[0] == "if" or node[0] in _COMPARISON_OPS.values():
+                return False
+            if node[0] not in ("const", "ref"):
+                stack.extend(node[1:])
+        return True
+
 
 def _elementwise_node(node: Node, host_col: int, host_row: int,
                       refs: list[tuple[AxisRef, AxisRef]]):
+    """``(ir node, logical)``: the lowered node, and whether the closure
+    makes a logical of it (a comparison or a TRUE / FALSE literal)."""
     if isinstance(node, Number):
-        return ("const", float(node.value))
+        return ("const", float(node.value)), False
     if isinstance(node, Boolean):
-        return ("const", 1.0 if node.value else 0.0)
+        return ("const", 1.0 if node.value else 0.0), True
     if isinstance(node, CellNode):
         if node.sheet is not None:
             raise _Unsupported("elementwise: sheet-qualified reference")
@@ -155,37 +182,58 @@ def _elementwise_node(node: Node, host_col: int, host_row: int,
         except ValueError:
             index = len(refs)
             refs.append(pair)
-        return ("ref", index)
+        return ("ref", index), False
     if isinstance(node, UnaryOp):
-        operand = _elementwise_node(node.operand, host_col, host_row, refs)
+        operand, _ = _elementwise_node(node.operand, host_col, host_row, refs)
         if node.op == "-":
-            return ("neg", operand)
+            return ("neg", operand), False
         if node.op == "%":
-            return ("pct", operand)
-        return operand                   # unary + is to_number, masked numeric
-    if isinstance(node, BinaryOp) and node.op in ("+", "-", "*", "/"):
-        left = _elementwise_node(node.left, host_col, host_row, refs)
-        right = _elementwise_node(node.right, host_col, host_row, refs)
-        op = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[node.op]
-        return (op, left, right)
+            return ("pct", operand), False
+        return operand, False            # unary + is to_number, masked numeric
+    if isinstance(node, BinaryOp) and node.op in _ARITHMETIC_OPS:
+        left, _ = _elementwise_node(node.left, host_col, host_row, refs)
+        right, _ = _elementwise_node(node.right, host_col, host_row, refs)
+        return (_ARITHMETIC_OPS[node.op], left, right), False
+    if isinstance(node, BinaryOp) and node.op in _COMPARISON_OPS:
+        left, logical_left = _elementwise_node(node.left, host_col, host_row, refs)
+        right, logical_right = _elementwise_node(node.right, host_col, host_row, refs)
+        if logical_left or logical_right:
+            raise _Unsupported("elementwise: a logical compared")   # logicals rank above numbers
+        return (_COMPARISON_OPS[node.op], left, right), True
+    if isinstance(node, FunctionCall) and node.name == "IF" and len(node.args) == 3:
+        cond, _ = _elementwise_node(node.args[0], host_col, host_row, refs)
+        then, logical_then = _elementwise_node(node.args[1], host_col, host_row, refs)
+        otherwise, logical_otherwise = _elementwise_node(node.args[2], host_col, host_row, refs)
+        if logical_then or logical_otherwise:
+            raise _Unsupported("elementwise: IF yielding a logical")
+        return ("if", cond, then, otherwise), False
     raise _Unsupported(f"elementwise: {type(node).__name__}")
+
+
+def _bare(node) -> bool:
+    """Whether every value ``node`` can yield is a leaf itself: a
+    constant, a referenced value, or an ``IF`` choosing among those."""
+    if node[0] == "if":
+        return _bare(node[2]) and _bare(node[3])
+    return node[0] in ("const", "ref")
 
 
 def elementwise_ir(ast: Node, host_col: int, host_row: int) -> ElementwiseIR | None:
     """The template's :class:`ElementwiseIR`, or None if out of subset.
 
-    Bare roots are excluded even when representable: ``=A1`` yields the
-    referenced value itself (None for a blank), not its numeric
-    coercion, so it has no array equivalent; templates with no
+    Bare roots are excluded even when representable: ``=A1`` — or an
+    ``IF`` choosing between bare references — yields the referenced
+    value itself (None for a blank), not its numeric coercion, so it has
+    no array equivalent; so is a logical root.  Templates with no
     row-relative reference produce a constant column, which the per-cell
     closure already evaluates in O(1) each.
     """
     refs: list[tuple[AxisRef, AxisRef]] = []
     try:
-        root = _elementwise_node(ast, host_col, host_row, refs)
+        root, logical = _elementwise_node(ast, host_col, host_row, refs)
     except _Unsupported:
         return None
-    if root[0] in ("const", "ref"):
+    if logical or _bare(root):
         return None
     if not any(not row_axis.fixed for _, row_axis in refs):
         return None
@@ -571,11 +619,12 @@ class CompiledTemplate:
     """One compiled formula template: closure + optional fast shapes.
 
     ``window`` marks a pure windowed aggregate (one column kernel per
-    strip); ``elementwise`` marks pure float arithmetic over cell refs
-    (numpy array sweep); ``lookup`` marks a lookup of one relative cell
-    in a fixed range (one index per strip).  Mutually exclusive by
-    construction — window and lookup roots are calls of different
-    functions, and the elementwise subset rejects calls.
+    strip); ``elementwise`` marks float arithmetic over cell refs (numpy
+    array sweep, or a scan down a recurrence); ``lookup`` marks a lookup
+    of one relative cell in a fixed range (one index per strip).
+    Mutually exclusive by construction — window and lookup roots are
+    calls of different functions, and the elementwise subset rejects
+    every call but ``IF``.
     """
 
     __slots__ = ("key", "fn", "window", "elementwise", "lookup")

@@ -213,8 +213,8 @@ class TestDrainUsesTheFastTiers:
         slices = []
         while engine.pending:
             slices.append(engine.step(1))
-        # The running total rolls as one node; the chain is a scalar
-        # strip, which a budget of one cuts into cells.
+        # The running total rolls as one node; the chain is a scan,
+        # which a budget of one cuts into cells.
         assert sorted(set(slices)) == [1, 300]
         assert sum(slices) == 602
 

@@ -163,18 +163,20 @@ def test_string_broadcast_scalar_declines_whole_run():
     assert engine.eval_stats.compiled_cells == ROWS
 
 
-@sweeps_available
 def test_in_run_recurrence_is_rejected():
     """``=C1+A2`` filled down C reads the cell above — a recurrence the
-    sweep cannot vectorise; run detection must refuse it."""
+    numpy sweep cannot vectorise, so it refuses it, and the planner scans
+    it instead: one sequential loop, numpy or not."""
     def build():
         s = data_sheet(noise=False)
         s.set_formula((3, 1), "=A1")
         fill_formula_column(s, 3, 2, ROWS, "=C1+A2")
         return s
 
-    engine = compare(build, expect_swept=0)
-    assert engine.eval_stats.elementwise_runs == 0
+    engine = compare(build, expect_swept=ROWS - 1)
+    plan = engine._build_plan(None, False)[0]
+    assert [node.kind for node in plan if not isinstance(node, tuple)] == ["c"]
+    assert engine.eval_stats.elementwise_runs == 1
 
 
 @sweeps_available
@@ -298,6 +300,19 @@ class TestElementwiseIR:
     def test_unsupported_constructs_rejected(self):
         for text in ("SUM(A1:A3)", "IF(A1>0,A1,B1)", 'A1&"x"',
                      "Other!A1*2", "A1=B1", "A1^2-B1"):
+            assert self.ir(text) is None, text
+
+    def test_comparisons_and_if_lower_for_the_scan_only(self):
+        # The paper's Fig. 2 and a logical used as a number lower; the
+        # numpy sweep takes neither.
+        for text in ("IF(A2=A1,C1+B2,B2)", "(A1>B1)*C1", "IF(B1,A1*2,-A1)"):
+            ir = self.ir(text)
+            assert ir is not None and not ir.arithmetic, text
+        assert self.ir("A1*B1+C1/2").arithmetic
+        # A value that is a logical — a comparison root or IF branch, a
+        # TRUE compared — has no float equivalent.
+        for text in ("A1>B1", "IF(A1>0,A1>B1,B1+1)", "IF(A1>0,TRUE,B1+1)",
+                     "(A1>B1)=B1", "IF(A1>0,A1+1)"):
             assert self.ir(text) is None, text
 
     def test_reference_dedup(self):

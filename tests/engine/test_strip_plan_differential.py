@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.taco_graph import TacoGraph, dependencies_column_major
+from repro.engine import vectorized
 from repro.engine.recalc import CircularReferenceError, RecalcEngine, _Strip
 from repro.formula.errors import CYCLE_ERROR, ExcelError
 from repro.graphs.nocomp import NoCompGraph
@@ -175,6 +176,48 @@ def lookup(sheet, col, r0, r1, s, variant):
     return 1
 
 
+#: Recurrences down their own column — ``{c}{p}`` the row before (after,
+#: for the ones that run bottom-up: ``{c}{n}``), ``{h}`` the host row.
+#: ``+ - * /`` both ways round, the paper's Fig. 2 and other ``IF``s
+#: (comparisons on inputs and on the recurrence, a bare condition,
+#: logicals as operands), and magnitudes that overflow to ``inf`` and
+#: then ``nan``.
+RECURRENCES = (
+    "={c}{p}+{s}{h}",
+    "={c}{p}-{s}{h}",
+    "={c}{p}*B{h}",
+    "={c}{p}/B{h}",
+    "={s}{h}/{c}{p}",
+    "={c}{n}+{s}{h}",
+    "={c}{n}*B{h}-{s}{h}",
+    "=IF({s}{h}={s}{p},{c}{p}+B{h},B{h})",
+    "=IF({s}{h}>B{h},{c}{p}+{s}{h},B{h})",
+    "=IF({s}{h}<=B{h},{c}{n}-{s}{h},{s}{h})",
+    "=IF({c}{p}>50,{c}{p}/2,{c}{p}+{s}{h})",
+    "=IF(B{h},{c}{p}+{s}{h},{s}{h}*2)",
+    "=IF({c}{p}<>{s}{h},-{c}{p}*10%,B{h}/{s}{h})",
+    "=({s}{h}>=B{h})*{c}{p}+1",
+    "=({c}{p}+{s}{h})*1E308-{s}{h}*1E308",
+)
+
+
+def recurrence(sheet, col, r0, r1, s, variant):
+    """A recurrence seeded from the neighbour (a text, logical, blank or
+    error there is a seed the scan refuses), and in every other variant a
+    hand-typed input cutting it at the fifth row."""
+    c = col_to_letters(col)
+    text = RECURRENCES[variant % len(RECURRENCES)]
+    if "{n}" in text:
+        sheet.set_formula((col, r1), f"={s}{r1}")
+        fill_formula_column(sheet, col, r0, r1 - 1, text.format(c=c, s=s, n=r0 + 1, h=r0))
+    else:
+        sheet.set_formula((col, r0), f"={s}{r0}")
+        fill_formula_column(sheet, col, r0 + 1, r1, text.format(c=c, s=s, p=r0, h=r0 + 1))
+    if variant // len(RECURRENCES) % 2:
+        sheet.set_value((col, r0 + 4), SALT[variant % len(SALT)])
+    return 1
+
+
 def amortisation(sheet, col, r0, r1, s):
     # interest / principal / balance: three columns that feed each other
     # row by row — a cycle of strips, no cycle of cells.
@@ -254,9 +297,10 @@ BLOCKS = {
     "window_own_above": window_own_above,
     "window_own_below": window_own_below,
     "lookup": lookup,
+    "recurrence": recurrence,
 }
 VARIANTS = {"window": 40, "window_own_above": 20, "window_own_below": 10,
-            "lookup": 3 * len(LOOKUPS)}
+            "lookup": 3 * len(LOOKUPS), "recurrence": 2 * len(RECURRENCES)}
 # The blocks that come in variants are drawn as often as all others together.
 KINDS = sorted(BLOCKS) + 5 * sorted(VARIANTS)
 
@@ -437,18 +481,48 @@ def test_deferred_steps_identical(store, index, program, data):
                 assert same_value(got, oracle.sheet.get_value(pos)), pos
 
 
+@settings(**{**COMMON, "max_examples": 15})
+@given(program=fill_programs(), data=st.data())
+def test_residents_identical(program, data):
+    """Two residents (every strip kind travels as ``_Strip.spec()``
+    freight) against the serial engine and the oracle: the same values,
+    and the same tier counters as the serial engine."""
+    serial, oracle = both_sides(program, "columnar", "rtree")
+    sharded = RecalcEngine(realize(program, "columnar"), shards=2, parallel_min_dirty=1)
+    engines = (sharded, serial, oracle)
+    width = serial.sheet.used_range().c2
+    for stripe in (None, Range(FIRST_COL, data.draw(st.integers(1, ROWS)), width, ROWS)):
+        if stripe is None:
+            outcomes = [settle(engine.recalculate_all) for engine in engines]
+        else:
+            # A new input behind the engines' backs, then a dirty stripe.
+            pos = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, ROWS)))
+            for engine in engines:
+                engine.sheet.set_value(pos, -7.0)
+            outcomes = [settle(lambda: engine.recompute([stripe])) for engine in engines]
+        if any(isinstance(outcome, type) for outcome in outcomes):
+            return      # raised part-way: test_recalculate_all_identical's business
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        assert_same_values(sharded.sheet, oracle.sheet)
+        assert_same_values(serial.sheet, oracle.sheet)
+        assert sharded.eval_stats.counter_snapshot() == serial.eval_stats.counter_snapshot()
+
+
 # -- pinned facts -----------------------------------------------------------------
 
 def test_the_ledger_plans_as_a_handful_of_nodes():
     engine = RecalcEngine(build_ledger_sheet())
     plan, succs, cycle = engine._build_plan(None, False)
     assert cycle is None and len(plan) <= 6
-    assert sorted(node.kind for node in plan if type(node) is _Strip) == ["e", "s", "w"]
+    assert sorted(node.kind for node in plan if type(node) is _Strip) == ["c", "e", "w"]
     assert engine.recalculate_all() == 901
     stats = engine.eval_stats
-    assert (stats.compiled_cells, stats.interpreted_cells) == (301, 0)
+    # The chain scans in pure Python; the product sweeps with numpy, or
+    # without it lands on the closure.
+    swept = 300 if vectorized._np is not None else 0
+    assert (stats.compiled_cells, stats.interpreted_cells) == (302 - swept, 0)
     assert (stats.windowed_cells, stats.windowed_runs) == (300, 1)
-    assert (stats.elementwise_cells, stats.elementwise_runs) == (300, 1)
+    assert (stats.elementwise_cells, stats.elementwise_runs) == (299 + swept, 1 + bool(swept))
     # The dirty-set entrance lays the same cells out the same way.
     everything = {pos for pos, _ in engine.sheet.formula_cells()}
     again = engine._build_plan(everything, False)[0]
@@ -516,11 +590,67 @@ def test_a_chain_is_split_at_the_budget():
     engine = RecalcEngine(sheet, deferred=True)
     engine.recalculate_all()
     assert engine.set_value("A1", 5.0).dirty_count == 1000
+    plan = engine._build_plan(engine._pending, False)[0]
+    assert [node.kind for node in plan if type(node) is _Strip] == ["c"]
+    stats = engine.eval_stats
+    scanned, scans = stats.elementwise_cells, stats.elementwise_runs
     slices = []
     while engine.pending:
         slices.append(engine.step(256))
     assert slices == [256, 256, 256, 232]
+    # Every slice of B2:B1000 scans, seeded from the row the one before wrote.
+    assert (stats.elementwise_cells - scanned, stats.elementwise_runs - scans) == (999, 4)
     assert engine.read("B1000") == (1004.0, False)
+
+
+#: ``(template filled down C3:C30 over A/B, what is typed where, lanes
+#: scanned)``: the scan stops at the first lane that is not plain float
+#: arithmetic, and the closure makes the rest.
+SCAN_STOPS = [
+    ("=C2+A3", {}, 28),
+    ("=C2+A3", {"A10": "txt"}, 7),
+    ("=C2+A3", {"A10": ExcelError("#N/A")}, 7),
+    ("=C2+A3", {"A10": True, "A11": None}, 28),         # to_number makes them floats
+    ("=C2+A3", {"C12": 5.0}, 27),                       # a hand-typed cut: two scans
+    ("=C2+A3", {"C2": "txt"}, 0),                       # a seed that is no number
+    ("=C2/B3", {"B10": 0.0}, 7),
+    ("=A3/C2", {"A10": 0.0}, 8),                        # C10 is 0: /0 in C11
+    ("=C2*1E308", {}, 28),                              # to inf ...
+    ("=C2*1E308-C2*1E308", {"C2": 1E300}, 28),          # ... and to nan
+    ("=IF(A3=A2,C2+B3,B3)", {}, 28),
+    ("=IF(A3=A2,C2+B3,B3)", {"A10": True}, 7),          # a logical compared
+    ("=IF(A3=A2,C2+B3,B3)", {"B10": None}, 7),          # a blank chosen
+    ("=IF(A3>B3,C2+A3,B3)", {"B10": "3"}, 7),
+    ("=IF(A3>B3,C2+A3,B3)", {"A10": float("nan")}, 28),    # NaN ranks above all
+    ("=IF(A3>=B3,C2+A3,B3)", {"B10": float("nan")}, 28),
+    ("=IF(B3,C2+A3,A3*2)", {"B10": True, "B11": None}, 28),
+]
+
+
+@pytest.mark.parametrize("store", STORE_KINDS)
+@pytest.mark.parametrize("text,typed,scanned", SCAN_STOPS)
+def test_a_scan_hands_the_rest_to_the_closure(store, text, typed, scanned):
+    def build():
+        sheet = Sheet("S", store=store)
+        for r in range(1, 31):
+            sheet.set_value((1, r), float(r // 3))
+            sheet.set_value((2, r), float(r % 4) + 1.0)
+        sheet.set_formula("C2", "=A2+1")
+        fill_formula_column(sheet, 3, 3, 30, text)
+        for target, value in typed.items():
+            sheet.set_value(target, value)
+        return sheet
+
+    engine = RecalcEngine(build())
+    engine.recalculate_all()
+    reference = oracle_for(build())
+    reference.recalculate_all()
+    assert_same_values(engine.sheet, reference.sheet)
+    if store == "object" and text.startswith("=IF(A3"):
+        scanned = 0             # a branch that is a bare reference: ints may hide there
+    stats = engine.eval_stats
+    assert stats.elementwise_cells == scanned
+    assert stats.compiled_cells == engine.sheet.formula_count - scanned
 
 
 @pytest.mark.parametrize("store", STORE_KINDS)
