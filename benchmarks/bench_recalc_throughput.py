@@ -30,11 +30,12 @@ kind, ``REPRO_RECALC_MIXED_ROWS`` rows each: growing and sliding windows
 (scans, ``c``) and exact-match ``VLOOKUP`` over a 16-row and a 2,000-row
 table (``s``, answered by one index probe per lane).  Each strip is
 executed alone, best of five, and reported as µs per cell; the growing
-window, both scans and the 16-row lookup are also run cell by cell
-through the per-cell fallback (``RecalcEngine._evaluate_cell``: the
-compiled closure, a fresh ``RangeValue`` per cell), and the strip kernel
-must be **>= 3x** faster than that — a ratio inside one process, so box
-noise cancels.  The two scans must also stay **under 1.0 µs** per cell.
+window, the product, both scans and the 16-row lookup are also run cell
+by cell through the per-cell fallback (``RecalcEngine._evaluate_cell``:
+the compiled closure, a fresh ``RangeValue`` per cell), and the strip
+kernel must be **>= 3x** faster than that — a ratio inside one process,
+so box noise cancels.  The two scans must also stay **under 1.0 µs** per
+cell, and the sweep **under 0.15 µs**.
 
 Besides the ASCII artifact, the run writes machine-readable JSON to
 ``benchmarks/results/recalc_throughput.json`` (per-workload timings,
@@ -63,8 +64,8 @@ RUNNING_TOTAL_GATE = 5.0
 MIXED_GATE = 1.5
 #: A strip kernel against its own per-cell fallback, same process.
 STRIP_KERNEL_GATE = 3.0
-#: Most µs per cell a scan strip may cost.
-SCAN_US_GATE = 1.0
+#: Most µs per cell a strip of each kind may cost.
+US_PER_CELL_GATES = {"e product": 0.15, "c chain": 1.0, "c if": 1.0}
 #: Most plan nodes a whole-sheet plan may have, per workload.
 PLAN_NODE_CAPS = {"running_total": 1, "sliding_window": 1, "mixed_corpus": 8}
 
@@ -126,7 +127,7 @@ STRIPS = {
     "s lookup 16": (8, "=VLOOKUP(J1,$L$1:$M$16,2,FALSE)"),
     "s lookup 2000": (9, "=VLOOKUP(J1,$O$1:$P$2000,2,FALSE)"),
 }
-PER_CELL = ("w growing", "c chain", "c if", "s lookup 16")
+PER_CELL = ("w growing", "e product", "c chain", "c if", "s lookup 16")
 SCANS = ("c chain", "c if")
 
 
@@ -281,13 +282,13 @@ def test_recalc_throughput(benchmark):
             f"{'OK' if passed else 'REGRESSION'}: the {label!r} strip runs "
             f"{ratio:.1f}x faster than its cells one by one, gate {STRIP_KERNEL_GATE:.1f}x"
         )
-    for label in SCANS:
+    for label, gate in US_PER_CELL_GATES.items():
         cost = strips["strip"][label]
-        passed = cost < SCAN_US_GATE
+        passed = cost < gate
         ok = ok and passed
         verdicts.append(
             f"{'OK' if passed else 'REGRESSION'}: the {label!r} strip costs "
-            f"{cost:.2f} µs per cell, gate < {SCAN_US_GATE:.1f}"
+            f"{cost:.3f} µs per cell, gate < {gate:.2f}"
         )
     lines.append("\n" + "\n".join(verdicts))
     emit("recalc_throughput", "\n".join(lines))

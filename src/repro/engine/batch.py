@@ -83,7 +83,7 @@ class BatchResult(NamedTuple):
     windowed_cells: int = 0       # cells evaluated by rolling-window runs
     compiled_cells: int = 0       # cells evaluated by compiled templates
     structural_ops: int = 0       # row/column inserts/deletes applied first
-    elementwise_cells: int = 0    # cells evaluated by numpy sweeps and scans
+    elementwise_cells: int = 0    # cells evaluated by sweeps and scans
     parallel_regions: int = 0     # independent regions the recalc partitioned into
     lookup_index_hits: int = 0    # lookups served by lookaside indexes
     lookup_index_builds: int = 0  # lookaside indexes (re)built by the recalc

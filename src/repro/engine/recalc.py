@@ -81,9 +81,10 @@ class _Strip:
     of one template and all dirty, executed as a unit.
 
     ``kind`` says how: ``"w"`` rolls a windowed aggregate along the
-    strip, ``"e"`` sweeps pure float arithmetic as one array operation,
-    ``"c"`` scans a recurrence on the row before down one float loop,
-    ``"s"`` — any other template — loops over the members with the
+    strip, ``"e"`` sweeps float arithmetic, comparisons and ``IF`` over
+    every lane at once, ``"c"`` scans a recurrence on the row before
+    down one float loop, ``"s"`` — any other template — loops over the
+    members with the
     compiled closure (``template``; None when the formula does not
     compile and the interpreter runs it).  References that land inside
     the strip itself are ordered by the direction of that loop, bottom-up
@@ -696,10 +697,10 @@ class RecalcEngine:
         itself through — raises :class:`_SelfReference`.
 
         A windowed template rolls if its geometry does and the rolling
-        direction is the one required; an arithmetic elementwise one
-        sweeps if nothing lands inside (the sweep reads every lane before
-        it writes any), and any elementwise one scans if all that lands
-        inside is its own column one row back in the strip's direction
+        direction is the one required; an elementwise one sweeps if
+        nothing lands inside (the sweep reads every lane before it writes
+        any), and scans if all that lands inside is its own column one row
+        back in the strip's direction
         (:func:`vectorized.scans`); otherwise — and below ``MIN_RUN``
         cells — the strip is scalar.
         """
@@ -747,8 +748,7 @@ class RecalcEngine:
                 ):
                     kind, descending = "w", rolls_up
             elif ir is not None and not (down or up):
-                if ir.arithmetic:
-                    kind = "e"
+                kind = "e"
             elif ir is not None and vectorized.scans(ir, col, first, last, up):
                 kind = "c"
         return _Strip(kind, col, range(first, last + 1), compiled, descending)
@@ -900,10 +900,9 @@ class RecalcEngine:
                     stats.windowed_cells += done
                     stats.windowed_runs += 1
             if done is None:
-                # Refused at the last moment (no numpy, an unsweepable
-                # scalar): per cell, in the strip's direction.
-                for row in (reversed(rows) if node.descending else rows):
-                    self._evaluate_cell((node.col, row))
+                # Refused wholesale (a fixed cell the sweep cannot take,
+                # geometry that does not roll): the closure loop.
+                self._run_scalar(node)
             count += len(rows)
         return count
 

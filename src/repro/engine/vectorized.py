@@ -35,12 +35,14 @@ are delegated back to the per-cell ``fallback`` callable, which
 preserves the interpreter's iteration-order-dependent choice of *which*
 error propagates.
 
-:func:`evaluate_elementwise_run` is the second kernel: a run of pure
-float arithmetic over cell references as one numpy sweep, read and
+:func:`evaluate_elementwise_run` is the second kernel: a run of float
+arithmetic, comparisons and ``IF`` over cell references that reads
+nothing of its own strip, swept over every lane at once, read and
 written through the same band primitives.  :func:`evaluate_scan_run` is
 the third: a recurrence down the strip's own column (``=C1+A2`` filled
 down C, the paper's Fig. 2 ``IF``) as one sequential float loop over the
-same bands, in pure Python.
+same bands.  The two share their lane operations and tag screening; all
+three are pure Python.
 
 The caller (the strip planner, :meth:`repro.engine.recalc.RecalcEngine._make_strip`)
 is responsible for run *safety* — window rows may only touch cells that
@@ -56,11 +58,6 @@ from collections import deque
 from itertools import accumulate, islice, repeat
 from operator import add, gt, lt, mul, sub, truediv
 from typing import Callable
-
-try:  # numpy is optional: without it elementwise sweeps just decline.
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 from ..formula.compile import CompiledTemplate, ElementwiseIR, WindowSpec
 from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_ERROR, TAG_NUMBER, TAG_OBJECT, square_off
@@ -291,120 +288,6 @@ def evaluate_run(
 
 
 # ---------------------------------------------------------------------------
-# elementwise array sweeps
-
-
-def _sweep(node, operands, mask):
-    """Evaluate one :class:`~repro.formula.compile.ElementwiseIR` node
-    over numpy lanes, mirroring the compiled closure operation for
-    operation (same IEEE-754 ops, same order) so unmasked lanes are
-    bit-identical to per-cell evaluation — the IR subset is restricted to
-    the four correctly-rounded basic operations for exactly this reason.
-    ``mask`` accumulates lanes that must be delegated: ``/0`` lanes (the
-    closure returns #DIV/0! where the array division would emit inf).
-    """
-    op = node[0]
-    if op == "const":
-        return node[1]
-    if op == "ref":
-        return operands[node[1]]
-    if op == "neg":
-        return -_sweep(node[1], operands, mask)
-    if op == "pct":
-        return _sweep(node[1], operands, mask) / 100.0
-    left = _sweep(node[1], operands, mask)
-    right = _sweep(node[2], operands, mask)
-    if op == "add":
-        return left + right
-    if op == "sub":
-        return left - right
-    if op == "mul":
-        return left * right
-    mask |= (right == 0.0)          # div: the only remaining operator
-    return left / right
-
-
-def evaluate_elementwise_run(
-    sheet: Sheet,
-    template: CompiledTemplate,
-    col: int,
-    rows: list[int],
-    fallback: Callable[[tuple[int, int]], None],
-) -> int | None:
-    """Evaluate a consecutive same-template run as one numpy array sweep.
-
-    ``rows`` must be ascending and consecutive, and ``template.elementwise``
-    non-None.  Each operand column is read as one band
-    (``Sheet.read_band``, wrapped with ``frombuffer``) and results land
-    through ``Sheet.write_band``, one write when no lane is masked.
-    Lanes whose inputs are not empty/number/bool (string coercion, error
-    propagation), whose denominators are zero, or whose relative
-    reference falls off the sheet top are delegated to ``fallback`` —
-    exactly the cases where per-cell semantics are not plain float
-    arithmetic.  The caller is responsible for run *safety*
-    (no reference may resolve into the run itself; the strip planner,
-    ``RecalcEngine._make_strip``, sweeps only strips nothing lands in).
-
-    Returns the number of cells the sweep wrote, or ``None`` when the
-    sweep cannot run at all (no numpy, a scalar input that is a
-    string/error, a reference off the sheet's left edge) — the caller
-    then evaluates every cell through the fallback.
-    """
-    if _np is None:
-        return None
-    first, last = rows[0], rows[-1]
-    n = last - first + 1
-    mask = _np.zeros(n, dtype=bool)
-    operands: list[object] = []
-    for col_axis, row_axis in template.elementwise.refs:
-        c = col_axis.at(col)
-        if c < 1:
-            return None                  # #REF! on every lane
-        if row_axis.fixed:
-            if row_axis.value < 1:
-                return None              # #REF! on every lane
-            value = sheet.raw_value(c, row_axis.value)
-            if value is None:
-                operands.append(0.0)
-            elif value is True or value is False:
-                operands.append(1.0 if value else 0.0)
-            elif isinstance(value, (int, float)):
-                operands.append(float(value))
-            else:
-                return None              # string/error broadcast: slow path
-            continue
-        lo = first + row_axis.value      # source row of the first lane
-        values = _np.zeros(n, dtype=_np.float64)
-        tags = _np.zeros(n, dtype=_np.uint8)
-        above = min(max(1 - lo, 0), n)   # lanes whose source is above row 1: #REF!
-        mask[:above] = True
-        band_values, band_tags = sheet.read_band(c, lo + above, lo + n - 1)
-        end = above + len(band_tags)     # the band is cut where the column ends
-        values[above:end] = _np.frombuffer(band_values, dtype=_np.float64)
-        tags[above:end] = _np.frombuffer(band_tags, dtype=_np.uint8)
-        # EMPTY lanes are already 0.0 (= to_number(None)) and BOOL lanes
-        # already 1.0/0.0 (= to_number(bool)) in the value plane; any
-        # other non-number tag needs per-cell semantics.
-        mask |= (tags != TAG_EMPTY) & (tags != TAG_NUMBER) & (tags != TAG_BOOL)
-        operands.append(values)
-    with _np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        result = _sweep(template.elementwise.root, operands, mask)
-    if not isinstance(result, _np.ndarray):  # pragma: no cover - all-scalar tree
-        result = _np.full(n, float(result))
-    # Each stretch of swept lanes lands as one band write; the lanes in
-    # between are the fallback's.
-    delegated = _np.flatnonzero(mask)
-    start = 0
-    for lane in delegated:
-        sheet.write_band(col, first + start, result[start:lane])
-        start = int(lane) + 1
-    sheet.write_band(col, first + start, result[start:])
-    for lane in delegated:
-        fallback((col, first + int(lane)))
-    return n - len(delegated)
-
-
-# ---------------------------------------------------------------------------
 # scans: a recurrence down the strip's own column
 
 
@@ -477,6 +360,24 @@ def _read_levels(node, level: int, levels: dict[int, int]) -> None:
         inner = _COMPARED if op in _COMPARISONS else _COERCED
         for child in node[1:]:
             _read_levels(child, inner, levels)
+
+
+def _lane_levels(sheet: Sheet, ir: ElementwiseIR) -> dict[int, int] | None:
+    """Per reference index, the level its lanes are read at — or None on
+    the object store when an ``IF`` branch yields a referenced value,
+    which may be an int there."""
+    levels: dict[int, int] = {}
+    _read_levels(ir.root, _CHOSEN, levels)
+    if sheet.store_kind != "columnar" and _CHOSEN in levels.values():
+        return None
+    return levels
+
+
+def _cell_lane(sheet: Sheet, col: int, row: int) -> tuple[float, int]:
+    """One cell as a lane: its plane float and its tag."""
+    band = sheet.read_band(col, row, row)
+    square_off([band], 1)
+    return band[0][0], band[1][0]
 
 
 def _reads(node, prev: int) -> bool:
@@ -584,16 +485,14 @@ def evaluate_scan_run(
     ir = template.elementwise
     first, last, n = rows[0], rows[-1], len(rows)
     prev = _recurrence(ir, col, descending)
-    levels: dict[int, int] = {}
-    _read_levels(ir.root, _CHOSEN, levels)
-    if sheet.store_kind != "columnar" and _CHOSEN in levels.values():
+    levels = _lane_levels(sheet, ir)
+    if levels is None:
         return 0
     seed_row = last + 1 if descending else first - 1
     if seed_row < 1:
         return 0
-    seed = sheet.read_band(col, seed_row, seed_row)
-    square_off([seed], 1)
-    if _REFUSED[levels[prev]][seed[1][0]]:
+    p, tag = _cell_lane(sheet, col, seed_row)
+    if _REFUSED[levels[prev]][tag]:
         return 0
     limit = [n]
     lanes: dict[int, object] = {}
@@ -607,11 +506,9 @@ def evaluate_scan_run(
         if row_axis.fixed:
             if row_axis.value < 1:
                 return 0
-            band = sheet.read_band(c, row_axis.value, row_axis.value)
-            square_off([band], 1)
-            if refused[band[1][0]]:
+            lanes[i], tag = _cell_lane(sheet, c, row_axis.value)
+            if refused[tag]:
                 return 0
-            lanes[i] = band[0][0]
             continue
         lo = first + row_axis.value
         above = max(1 - lo, 0)                  # source rows above the sheet: #REF!
@@ -630,7 +527,7 @@ def evaluate_scan_run(
             limit[0] = min(limit[0], bad)
         lanes[i] = values
 
-    root, p = ir.root, seed[0][0]
+    root = ir.root
     if root[0] in _ARITHMETIC and root[1] == ("ref", prev) and not _reads(root[2], prev):
         # prev ∘ g(lane): one C-level accumulate over the swept g.
         operand = _scan_term(root[2], lanes, prev, limit)
@@ -656,3 +553,117 @@ def evaluate_scan_run(
             out.reverse()
         sheet.write_band(col, last - done + 1 if descending else first, out)
     return done
+
+
+# ---------------------------------------------------------------------------
+# elementwise sweeps: nothing of the strip's own lanes is read
+
+
+def _nonzero(denominator, masked: bytearray):
+    """``denominator`` with every ±0.0 lane made 1.0 and marked in
+    ``masked``: those lanes are the closure's (``#DIV/0!``)."""
+    if type(denominator) is float:
+        if denominator:
+            return denominator
+        masked[:] = b"\x01" * len(masked)
+        return 1.0
+    if 0.0 not in denominator:
+        return denominator
+    out = list(denominator)
+    for k, d in enumerate(out):
+        if not d:
+            masked[k] = 1
+            out[k] = 1.0
+    return out
+
+
+def _sweep(node, lanes: dict, masked: bytearray):
+    """``node`` over every lane at once — a float, or one float per lane —
+    doing the closure's IEEE-754 operations in the closure's order.  An
+    ``IF`` takes both branches: a lane masked by the branch it does not
+    take costs a closure call, never a wrong value."""
+    op = node[0]
+    if op == "const":
+        return node[1]
+    if op == "ref":
+        return lanes[node[1]]
+    args = [_sweep(child, lanes, masked) for child in node[1:]]
+    if op == "div":
+        args[1] = _nonzero(args[1], masked)
+    return _swept(_SCAN_OPS[op], *args)
+
+
+def evaluate_elementwise_run(
+    sheet: Sheet,
+    template: CompiledTemplate,
+    col: int,
+    rows: range,
+    fallback: Callable[[tuple[int, int]], None],
+) -> int | None:
+    """Evaluate ``rows`` of ``col`` (ascending and consecutive) under
+    ``template.elementwise`` as one sweep over every lane.
+
+    Each operand is read as one band; every lane does the closure's
+    IEEE-754 operations in the closure's order, so it is bit-identical to
+    per-cell evaluation.  The sweep has no recurrence, so a lane that is
+    not plain float arithmetic stops nothing: it is masked and handed to
+    ``fallback`` — a lane whose inputs are not plain floats where the
+    template reads them (``_REFUSED``), that divides by ±0.0, or whose
+    reference falls above row 1.  Each stretch of unmasked lanes lands as
+    one ``Sheet.write_band``.  The caller is responsible for run *safety*:
+    no reference may land inside the strip (the strip planner,
+    ``RecalcEngine._make_strip``, sweeps only strips nothing lands in).
+
+    Returns the number of cells the sweep wrote, or ``None`` when it
+    declines the strip wholesale — a reference off the sheet's left or top
+    edge, a fixed cell it refuses, a branch that yields a referenced value
+    on the object store (which may hand back an int), or no lane left to
+    land — and the caller runs every cell through the closure.
+    """
+    ir = template.elementwise
+    first, last, n = rows[0], rows[-1], len(rows)
+    levels = _lane_levels(sheet, ir)
+    if levels is None:
+        return None
+    masked = bytearray(n)                       # 1: the fallback's lane
+    lanes: dict[int, object] = {}
+    for i, (col_axis, row_axis) in enumerate(ir.refs):
+        c = col_axis.at(col)
+        if c < 1:
+            return None                         # #REF! on every lane
+        refused = _REFUSED[levels[i]]
+        if row_axis.fixed:
+            if row_axis.value < 1:
+                return None
+            lanes[i], tag = _cell_lane(sheet, c, row_axis.value)
+            if refused[tag]:
+                return None
+            continue
+        lo = first + row_axis.value             # source row of the first lane
+        above = min(max(1 - lo, 0), n)          # lanes reading above row 1: #REF!
+        band = sheet.read_band(c, lo + above, last + row_axis.value)
+        square_off([band], n - above)
+        values, tags = band
+        if above:
+            masked[:above] = b"\x01" * above
+            values[:0] = array("d", bytes(8 * above))
+            tags[:0] = bytes(above)
+        bad = tags.translate(refused)
+        at = bad.find(1)
+        while at >= 0:
+            masked[at] = 1
+            at = bad.find(1, at + 1)
+        lanes[i] = values
+    out = array("d", _sweep(ir.root, lanes, masked))
+    if 0 not in masked:
+        return None                             # no lane left to land
+    delegated = []
+    start = 0
+    while (lane := masked.find(1, start)) >= 0:
+        sheet.write_band(col, first + start, out[start:lane])
+        delegated.append(lane)
+        start = lane + 1
+    sheet.write_band(col, first + start, out[start:])
+    for lane in delegated:
+        fallback((col, first + lane))
+    return n - len(delegated)

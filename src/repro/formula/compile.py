@@ -121,7 +121,8 @@ _COMPARISON_OPS = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le", ">": "gt", ">="
 
 
 class ElementwiseIR(NamedTuple):
-    """A template body that is float64 arithmetic over cell refs.
+    """A template body that is float64 arithmetic, comparisons and ``IF``
+    over cell refs.
 
     ``root`` is a tuple tree — ``("const", x)``, ``("ref", i)`` (an index
     into ``refs``), ``("neg", a)``, ``("pct", a)``, ``("add" | "sub" |
@@ -134,35 +135,24 @@ class ElementwiseIR(NamedTuple):
     pairs.
 
     The subset is chosen so a whole same-template run can evaluate as
-    one column kernel (:mod:`repro.engine.vectorized`) with bit-identical
-    results on lanes whose inputs are empty/number/bool — any other lane
+    one column kernel (:mod:`repro.engine.vectorized`: a sweep when
+    nothing the run reads lies inside it, a scan when its own column one
+    row back does) with bit-identical results on lanes whose inputs are
+    plain floats where the tree reads them — any other lane
     (strings that might coerce, errors that must propagate, ``/0``
     lanes, off-sheet rows) goes back to the per-cell path.  A comparison
     yields a logical, so it may be an ``IF`` condition or an arithmetic
     operand (``to_number`` makes it 1.0 / 0.0) but not a value or a side
     of another comparison; an ``IF`` branch that is a bare reference
     yields the referenced value itself, which matches a float only where
-    it is a number.  ``^`` is deliberately *out* of the subset: the four
-    basic operations are single correctly-rounded IEEE-754 instructions
-    everywhere, but ``pow`` is a libm call whose vectorised numpy
-    implementation may differ from the scalar one in the last ULP.
+    it is a number.  ``^`` is deliberately *out* of the subset: the
+    closure maps its overflow, domain and complex results to ``#NUM!``,
+    an error no plain float operation produces, so a lane-wise ``pow``
+    would have to mirror those checks lane by lane.
     """
 
     root: object
     refs: tuple[tuple[AxisRef, AxisRef], ...]
-
-    @property
-    def arithmetic(self) -> bool:
-        """Whether the tree is arithmetic alone — what the numpy sweep
-        (:func:`repro.engine.vectorized.evaluate_elementwise_run`) takes."""
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node[0] == "if" or node[0] in _COMPARISON_OPS.values():
-                return False
-            if node[0] not in ("const", "ref"):
-                stack.extend(node[1:])
-        return True
 
 
 def _elementwise_node(node: Node, host_col: int, host_row: int,
@@ -619,8 +609,9 @@ class CompiledTemplate:
     """One compiled formula template: closure + optional fast shapes.
 
     ``window`` marks a pure windowed aggregate (one column kernel per
-    strip); ``elementwise`` marks float arithmetic over cell refs (numpy
-    array sweep, or a scan down a recurrence); ``lookup`` marks a lookup
+    strip); ``elementwise`` marks float arithmetic, comparisons and
+    ``IF`` over cell refs (one sweep over every lane, or a scan down a
+    recurrence); ``lookup`` marks a lookup
     of one relative cell in a fixed range (one index per strip).
     Mutually exclusive by construction — window and lookup roots are
     calls of different functions, and the elementwise subset rejects

@@ -19,11 +19,8 @@ tag     name        payload
 
 Each column is one ``array('d')`` of values plus one ``bytearray`` of
 tags (9 bytes per cell before growth headroom) and a sparse ``side``
-dict for the rare non-numeric payloads.  The store is pure stdlib — no
-numpy required — but its buffers expose the buffer protocol, so the
-elementwise sweep (:mod:`repro.engine.vectorized`) wraps them zero-copy
-with ``numpy.frombuffer`` when numpy is available.  Whole bands of a
-column move through :meth:`ColumnarStore.read_band` (flat slices of
+dict for the rare non-numeric payloads.  The store is pure stdlib, as
+is everything that reads it.  Whole bands of a column move through :meth:`ColumnarStore.read_band` (flat slices of
 both planes) and :meth:`ColumnarStore.write_band` (cached numbers of a
 strip of formula cells: one write, one version step) — what the strip
 kernels are built on.

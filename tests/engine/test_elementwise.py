@@ -1,4 +1,4 @@
-"""The elementwise array-sweep fast path, shape by shape.
+"""The elementwise sweep fast path, shape by shape.
 
 Same discipline as ``test_vectorized.py``: build the sheet twice,
 recalculate once with ``evaluation="auto"`` (asserting via ``eval_stats``
@@ -8,25 +8,27 @@ compiled closure operation for operation in IEEE-754 float64, so no
 tolerance is needed — equality is exact or the path is broken.
 """
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.engine import vectorized
 from repro.engine.recalc import RecalcEngine
 from repro.formula.compile import compile_template, elementwise_ir
-from repro.formula.errors import ExcelError
 from repro.formula.parser import parse_formula
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 
-sweeps_available = pytest.mark.skipif(
-    vectorized._np is None, reason="elementwise sweeps require numpy"
-)
+from helpers import assert_same_values
 
 ROWS = 80
 
 
-def data_sheet(rows=ROWS, noise=True):
-    s = Sheet("S", store="columnar")
+def data_sheet(rows=ROWS, noise=True, store="columnar"):
+    s = Sheet("S", store=store)
     for r in range(1, rows + 1):
         s.set_value((1, r), float((r * 37) % 101) / 3.0)
         s.set_value((2, r), float(r % 13) - 6.0)
@@ -45,13 +47,7 @@ def compare(build, *, expect_swept=None):
     eb = RecalcEngine(sb)
     ea.recalculate_all()
     eb.recalculate_all()
-    for pos, cell in sa.items():
-        got = sb.get_value(pos)
-        want = cell.value
-        if isinstance(want, ExcelError):
-            assert isinstance(got, ExcelError) and got.code == want.code, pos
-        else:
-            assert type(got) is type(want) and got == want, pos
+    assert_same_values(sb, sa)
     if expect_swept is not None:
         assert eb.eval_stats.elementwise_cells == expect_swept, eb.eval_stats
     return eb
@@ -66,7 +62,6 @@ TEMPLATES = {
 }
 
 
-@sweeps_available
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
 def test_template_shapes_match_interpreter(name):
     formula = TEMPLATES[name]
@@ -86,7 +81,6 @@ def test_template_shapes_match_interpreter(name):
         + stats.interpreted_cells == ROWS
 
 
-@sweeps_available
 def test_masked_lanes_carry_interpreter_errors():
     def build():
         s = data_sheet()
@@ -101,7 +95,6 @@ def test_masked_lanes_carry_interpreter_errors():
     assert engine.eval_stats.elementwise_cells < ROWS
 
 
-@sweeps_available
 def test_error_inputs_delegate_lanes():
     def build():
         s = data_sheet(noise=False)
@@ -114,11 +107,10 @@ def test_error_inputs_delegate_lanes():
     assert engine.eval_stats.elementwise_cells == ROWS - 1
 
 
-@sweeps_available
 def test_pow_stays_off_the_sweep():
-    """``^`` is out of the IR subset (numpy's vectorised pow is not
-    ULP-identical to libm's scalar pow): the run must decline the sweep
-    and still match bitwise through the per-cell paths."""
+    """``^`` is out of the IR subset (the closure turns its overflow and
+    domain errors into ``#NUM!``): the run must decline the sweep and
+    still match bitwise through the per-cell paths."""
     def build():
         s = data_sheet(noise=False)
         s.set_value((1, 5), -2.0)
@@ -133,7 +125,6 @@ def test_pow_stays_off_the_sweep():
     assert engine.sheet.get_value((3, 9)).code == "#NUM!"
 
 
-@sweeps_available
 def test_empty_and_bool_lanes_sweep_without_fallback():
     """EMPTY coerces to 0.0 and BOOL to 0/1 directly in the value plane,
     so holes and booleans stay on the fast path."""
@@ -150,7 +141,6 @@ def test_empty_and_bool_lanes_sweep_without_fallback():
     compare(build, expect_swept=40)
 
 
-@sweeps_available
 def test_string_broadcast_scalar_declines_whole_run():
     def build():
         s = data_sheet(noise=False)
@@ -165,8 +155,8 @@ def test_string_broadcast_scalar_declines_whole_run():
 
 def test_in_run_recurrence_is_rejected():
     """``=C1+A2`` filled down C reads the cell above — a recurrence the
-    numpy sweep cannot vectorise, so it refuses it, and the planner scans
-    it instead: one sequential loop, numpy or not."""
+    sweep, which reads every lane before it writes any, cannot take, so
+    the planner scans it instead: one sequential loop."""
     def build():
         s = data_sheet(noise=False)
         s.set_formula((3, 1), "=A1")
@@ -179,7 +169,6 @@ def test_in_run_recurrence_is_rejected():
     assert engine.eval_stats.elementwise_runs == 1
 
 
-@sweeps_available
 def test_dependent_sweeps_order_topologically():
     """A sweep column feeding another sweep column: the doubles must be
     written before the quadruples read them."""
@@ -192,7 +181,6 @@ def test_dependent_sweeps_order_topologically():
     compare(build, expect_swept=2 * ROWS)
 
 
-@sweeps_available
 def test_incremental_broadcast_edit_resweeps():
     s = data_sheet(noise=False)
     fill_formula_column(s, 3, 1, ROWS, "=A1*$F$1+B1")
@@ -210,7 +198,6 @@ def test_incremental_broadcast_edit_resweeps():
         assert s.get_value((3, r)) == fresh.get_value((3, r)), r
 
 
-@sweeps_available
 def test_object_store_sweeps_and_matches():
     """The sweep reads and writes through the sheet's bands, so the
     object store sweeps too; a masked lane (the string in A7) still
@@ -225,6 +212,58 @@ def test_object_store_sweeps_and_matches():
 
     engine = compare(build, expect_swept=39)
     assert engine.eval_stats.compiled_cells == 1
+
+
+@pytest.mark.parametrize("store", ["columnar", "object"])
+def test_comparisons_and_if_sweep(store):
+    """A non-recurrent ``IF`` over comparisons is one sweep; a lane that
+    divides by zero in the branch it does not take, or compares a NaN,
+    still matches — the former through the closure."""
+    def build():
+        s = data_sheet(noise=False, store=store)
+        s.set_value((1, 4), 0.0)                 # A4 > B4: B4/A4 is not taken
+        s.set_value((1, 9), float("nan"))        # NaN compares above everything
+        fill_formula_column(s, 3, 1, ROWS, "=IF(A1>B1,A1-B1,B1/A1*2)")
+        fill_formula_column(s, 4, 1, ROWS, "=(A1<=B1)*3+(A1<>B1)")
+        return s
+
+    engine = compare(build)
+    plan = engine._build_plan(None, False)[0]
+    assert [node.kind for node in plan if not isinstance(node, tuple)] == ["e", "e"]
+    assert engine.eval_stats.elementwise_runs == 2
+    assert engine.eval_stats.elementwise_cells == 2 * ROWS - 1
+    assert engine.eval_stats.compiled_cells == 1
+
+
+def test_a_bare_branch_declines_on_the_object_store_only():
+    """An ``IF`` that may hand back a referenced value: the object store
+    can hold an int there, so its strip is the closure loop's."""
+    def build(store):
+        def make():
+            s = Sheet("S", store=store)
+            for r in range(1, 41):
+                s.set_value((1, r), float(r % 9))
+                s.set_value((2, r), float(r % 5))
+            fill_formula_column(s, 3, 1, 40, "=IF(A1>B1,A1,B1*2)")
+            return s
+        return make
+
+    assert compare(build("columnar"), expect_swept=40).eval_stats.compiled_cells == 0
+    assert compare(build("object"), expect_swept=0).eval_stats.compiled_cells == 40
+
+
+def test_lanes_reading_above_row_1_are_the_fallbacks():
+    """The kernel, called straight: a strip at rows 1..10 whose template
+    reads two rows up hands its first two lanes to the fallback."""
+    s = data_sheet(noise=False)
+    template = compile_template(parse_formula("A1*2"), 3, 3)
+    for r in range(1, 11):
+        s.set_formula((3, r), "=1")
+    delegated = []
+    done = vectorized.evaluate_elementwise_run(s, template, 3, range(1, 11), delegated.append)
+    assert done == 8 and delegated == [(3, 1), (3, 2)]
+    assert [s.get_value((3, r)) for r in range(3, 11)] == \
+        [s.get_value((1, r)) * 2 for r in range(1, 9)]
 
 
 def test_interpreter_mode_never_sweeps():
@@ -255,7 +294,6 @@ def lookup_over_a_swept_column(mode="auto"):
     return engine, versions
 
 
-@sweeps_available
 def test_a_sweep_invalidates_the_lookup_index_over_its_column():
     """Regression: the sweep rewrote B's planes without moving B's
     version, so the index over $B$1:$B$40 still mapped 20 to row 10."""
@@ -267,7 +305,6 @@ def test_a_sweep_invalidates_the_lookup_index_over_its_column():
     assert oracle.sheet.get_value("F1") == 131.0
 
 
-@sweeps_available
 def test_a_sweep_ships_its_column_in_the_plane_delta():
     """Same cause, second symptom: a resident that reads B got no new
     plane for it although every lane changed."""
@@ -275,6 +312,46 @@ def test_a_sweep_ships_its_column_in_the_plane_delta():
     assert engine.sheet.get_value("B1") == 80.0
     planes, _ = engine.sheet._cells.export_plane_delta(versions)
     assert sorted(planes) == [1, 2, 6]
+
+
+#: Every strip kind on both stores, in a process of its own.
+NO_NUMPY = """
+import sys
+
+from repro.engine.recalc import RecalcEngine, _Strip
+from repro.sheet.autofill import fill_formula_column
+from repro.sheet.sheet import Sheet
+
+for store in ("columnar", "object"):
+    s = Sheet("S", store=store)
+    for r in range(1, 41):
+        s.set_value((1, r), float(r))
+        s.set_value((2, r), float(r % 7))
+    fill_formula_column(s, 3, 1, 40, "=SUM($A$1:A1)")
+    fill_formula_column(s, 4, 1, 40, "=A1*B1")
+    s.set_formula((5, 1), "=A1")
+    fill_formula_column(s, 5, 2, 40, "=E1+A2")
+    fill_formula_column(s, 6, 1, 40, "=IF(A1>9,B1,A1)")
+    engine = RecalcEngine(s, workers=0, shards=0)
+    plan = engine._build_plan(None, False)[0]
+    kinds = sorted(node.kind for node in plan if type(node) is _Strip)
+    assert kinds == ["c", "e", "s", "w"], kinds
+    assert engine.recalculate_all() == 160
+    stats = engine.eval_stats
+    assert (stats.windowed_cells, stats.elementwise_cells) == (40, 79), stats
+assert "numpy" not in sys.modules, "numpy was imported"
+"""
+
+
+def test_the_runtime_never_imports_numpy():
+    """``import repro`` and a recalculation through every kernel, in a
+    fresh interpreter, leave numpy unimported."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    result = subprocess.run(
+        [sys.executable, "-c", "import repro\n" + NO_NUMPY],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestElementwiseIR:
@@ -302,13 +379,11 @@ class TestElementwiseIR:
                      "Other!A1*2", "A1=B1", "A1^2-B1"):
             assert self.ir(text) is None, text
 
-    def test_comparisons_and_if_lower_for_the_scan_only(self):
-        # The paper's Fig. 2 and a logical used as a number lower; the
-        # numpy sweep takes neither.
+    def test_comparisons_and_if_lower(self):
+        # The paper's Fig. 2 and a logical used as a number lower: the
+        # sweep and the scan take both.
         for text in ("IF(A2=A1,C1+B2,B2)", "(A1>B1)*C1", "IF(B1,A1*2,-A1)"):
-            ir = self.ir(text)
-            assert ir is not None and not ir.arithmetic, text
-        assert self.ir("A1*B1+C1/2").arithmetic
+            assert self.ir(text) is not None, text
         # A value that is a logical — a comparison root or IF branch, a
         # TRUE compared — has no float equivalent.
         for text in ("A1>B1", "IF(A1>0,A1>B1,B1+1)", "IF(A1>0,TRUE,B1+1)",

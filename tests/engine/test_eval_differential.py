@@ -16,7 +16,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import vectorized
 from repro.engine.recalc import CircularReferenceError, RecalcEngine
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
@@ -115,12 +114,8 @@ def test_fallback_is_exercised_alongside_fast_paths():
     stats = engine.eval_stats
     assert stats.windowed_cells == 30
     assert stats.interpreted_cells == 30
-    # The elementwise column sweeps; without numpy it lands on the
-    # compiled path instead.
-    assert stats.elementwise_cells + stats.compiled_cells == 60
-    if vectorized._np is not None:
-        assert stats.elementwise_cells == 30
-        assert stats.compiled_cells == 30
+    assert stats.elementwise_cells == 30
+    assert stats.compiled_cells == 30
 
 
 def test_batched_commit_uses_fast_paths():

@@ -14,7 +14,8 @@ a neighbour's, columns that feed each other row by row, families cut by
 a typed cell or an off-grid head — the ordinary input of a planner that
 works by families.  The strips' kernels ride along: every window
 function in every shape, windows into their own strip, lookups of every
-mode over fixed tables and over computed key columns, all of them over
+mode over fixed tables and over computed key columns, sweeps and scans
+of arithmetic, comparisons and ``IF``, all of them over
 inputs salted with text, booleans, blanks, errors, signed zeros,
 non-finite numbers and magnitudes that cancel.
 """
@@ -24,7 +25,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.taco_graph import TacoGraph, dependencies_column_major
-from repro.engine import vectorized
 from repro.engine.recalc import CircularReferenceError, RecalcEngine, _Strip
 from repro.formula.errors import CYCLE_ERROR, ExcelError
 from repro.graphs.nocomp import NoCompGraph
@@ -218,6 +218,27 @@ def recurrence(sheet, col, r0, r1, s, variant):
     return 1
 
 
+#: Sweeps — nothing of their own column read: zero denominators (B holds
+#: 0 often), broadcasts of a salted cell, magnitudes that overflow to
+#: ``inf`` and then ``nan``, comparisons and ``IF`` (a branch that is a
+#: bare reference, one that divides where it is not taken).
+SWEEPS = (
+    "={s}{h}/B{h}",
+    "=A{h}/{s}{h}-B{h}",
+    "={s}{h}*$B$3+A{h}",
+    "=A{h}/$B$5",
+    "=({s}{h}+A{h})*1E308*10-A{h}*1E308*10",
+    "=IF(A{h}=B{h},{s}{h},B{h}*2)",
+    "=IF({s}{h}<B{h},A{h}/B{h},-A{h})",
+    "=({s}{h}>=B{h})*A{h}+(A{h}<>{s}{h})",
+)
+
+
+def sweep(sheet, col, r0, r1, s, variant):
+    fill_formula_column(sheet, col, r0, r1, SWEEPS[variant % len(SWEEPS)].format(s=s, h=r0))
+    return 1
+
+
 def amortisation(sheet, col, r0, r1, s):
     # interest / principal / balance: three columns that feed each other
     # row by row — a cycle of strips, no cycle of cells.
@@ -298,9 +319,11 @@ BLOCKS = {
     "window_own_below": window_own_below,
     "lookup": lookup,
     "recurrence": recurrence,
+    "sweep": sweep,
 }
 VARIANTS = {"window": 40, "window_own_above": 20, "window_own_below": 10,
-            "lookup": 3 * len(LOOKUPS), "recurrence": 2 * len(RECURRENCES)}
+            "lookup": 3 * len(LOOKUPS), "recurrence": 2 * len(RECURRENCES),
+            "sweep": len(SWEEPS)}
 # The blocks that come in variants are drawn as often as all others together.
 KINDS = sorted(BLOCKS) + 5 * sorted(VARIANTS)
 
@@ -517,12 +540,10 @@ def test_the_ledger_plans_as_a_handful_of_nodes():
     assert sorted(node.kind for node in plan if type(node) is _Strip) == ["c", "e", "w"]
     assert engine.recalculate_all() == 901
     stats = engine.eval_stats
-    # The chain scans in pure Python; the product sweeps with numpy, or
-    # without it lands on the closure.
-    swept = 300 if vectorized._np is not None else 0
-    assert (stats.compiled_cells, stats.interpreted_cells) == (302 - swept, 0)
+    # The chain scans and the product sweeps.
+    assert (stats.compiled_cells, stats.interpreted_cells) == (2, 0)
     assert (stats.windowed_cells, stats.windowed_runs) == (300, 1)
-    assert (stats.elementwise_cells, stats.elementwise_runs) == (299 + swept, 1 + bool(swept))
+    assert (stats.elementwise_cells, stats.elementwise_runs) == (599, 2)
     # The dirty-set entrance lays the same cells out the same way.
     everything = {pos for pos, _ in engine.sheet.formula_cells()}
     again = engine._build_plan(everything, False)[0]
@@ -651,6 +672,68 @@ def test_a_scan_hands_the_rest_to_the_closure(store, text, typed, scanned):
     stats = engine.eval_stats
     assert stats.elementwise_cells == scanned
     assert stats.compiled_cells == engine.sheet.formula_count - scanned
+
+
+#: ``(template filled down C1:C30 over A/B and the broadcast F1, what is
+#: typed where, lanes swept)``: a sweep masks the lanes that are not plain
+#: float arithmetic — first, middle or last — and the closure makes them;
+#: a strip with no lane left to land, or a fixed cell it refuses, is the
+#: closure loop's.
+SWEEP_MASKS = [
+    ("=A1*B1", {}, 30),
+    ("=A1*B1", {"A1": "txt", "A15": ExcelError("#N/A"), "B30": "3"}, 27),
+    ("=A1*B1", {"A1": True, "A16": None, "B30": False}, 30),   # to_number makes them floats
+    ("=A1/B1", {"B1": 0.0, "B15": -0.0, "B30": 0.0}, 27),
+    ("=A1*$F$1", {"F1": None}, 30),
+    ("=A1*$F$1", {"F1": True}, 30),
+    ("=A1*$F$1", {"F1": "2"}, 0),
+    ("=A1*$F$1", {"F1": ExcelError("#DIV/0!")}, 0),
+    ("=A1/$F$1", {"F1": -0.0}, 0),
+    ("=A1*1E308*10", {}, 30),                                   # to inf ...
+    ("=A1*1E308*10-A1*1E308*10", {}, 30),                       # ... and to nan
+    ("=IF(B1>A1,B1*2,A1/B1)", {"B15": 0.0}, 29),                # /0 where taken
+    ("=IF(A1>0,B1/A1,-B1)", {}, 28),                            # /0 where not taken
+    ("=IF(A1>B1,A1-B1,B1*2)", {"A10": float("nan"), "B20": float("nan")}, 30),
+    ("=(A1=B1)+(A1<>B1)*2+(A1<B1)*4", {"A5": float("nan"), "B5": float("nan")}, 30),
+    ("=(A1<B1)*3", {"A10": True, "A11": None}, 29),             # a logical compared
+    ("=IF(A1>=0,A1,B1*2)", {"A12": 2.5, "A13": None, "A30": True}, 28),  # a bare branch
+]
+
+
+def sweep_sheet(store, text, typed):
+    sheet = Sheet("S", store=store)
+    for r in range(1, 31):
+        sheet.set_value((1, r), float(r // 3))
+        sheet.set_value((2, r), float(r % 4) + 1.0)
+    sheet.set_value("F1", 4.0)
+    fill_formula_column(sheet, 3, 1, 30, text)
+    for target, value in typed.items():
+        sheet.set_value(target, value)
+    return sheet
+
+
+@pytest.mark.parametrize("store", STORE_KINDS)
+@pytest.mark.parametrize("text,typed,swept", SWEEP_MASKS)
+def test_a_sweep_hands_its_masked_lanes_to_the_closure(store, text, typed, swept):
+    engine = RecalcEngine(sweep_sheet(store, text, typed), workers=0, shards=0)
+    plan = engine._build_plan(None, False)[0]
+    assert [node.kind for node in plan] == ["e"]
+    engine.recalculate_all()
+    reference = oracle_for(sweep_sheet(store, text, typed))
+    reference.recalculate_all()
+    assert_same_values(engine.sheet, reference.sheet)
+    if store == "object" and text.startswith("=IF(A1>=0,A1"):
+        swept = 0               # a branch that is a bare reference: ints may hide there
+    stats = engine.eval_stats
+    assert (stats.elementwise_cells, stats.elementwise_runs) == (swept, int(swept > 0))
+    assert stats.compiled_cells == 30 - swept
+    if store == "columnar":
+        # Two residents sweep the strip as the serial engine does.
+        sharded = RecalcEngine(sweep_sheet(store, text, typed), shards=2, parallel_min_dirty=1)
+        sharded.recalculate_all()
+        assert sharded.eval_stats.parallel_dispatches == 1
+        assert_same_values(sharded.sheet, reference.sheet)
+        assert sharded.eval_stats.counter_snapshot() == stats.counter_snapshot()
 
 
 @pytest.mark.parametrize("store", STORE_KINDS)
