@@ -69,12 +69,13 @@ class NoCompGraph(FormulaGraph):
         inserting every vertex one at a time.  A formula cell is indexed
         under the host range the stream brought it with."""
         adjacency, reverse = self._adjacency, self._reverse
-        hosts: dict[tuple[int, int], Range] = {}
-        for dep in deps:
+        # every formula cell's index key, in the order of ``reverse``
+        hosts = {cell: Range.cell(*cell) for cell in reverse}
+        edges = 0
+        for prec, host, _ in deps:
             if budget is not None:
                 budget.check()
-            prec, host = dep.prec, dep.dep
-            cell = (host.c1, host.r1)
+            cell = host[:2]
             dependents = adjacency.get(prec)
             if dependents is None:
                 adjacency[prec] = [cell]
@@ -86,11 +87,10 @@ class NoCompGraph(FormulaGraph):
                 hosts[cell] = host
             else:
                 precs.append(prec)
-            self._edge_count += 1
-        self._prec_index.bulk_load((prec, prec) for prec in adjacency)
-        self._dep_index.bulk_load(
-            (hosts.get(cell) or Range.cell(*cell), cell) for cell in reverse
-        )
+            edges += 1
+        self._edge_count += edges
+        self._prec_index.bulk_load(zip(adjacency, adjacency))
+        self._dep_index.bulk_load(zip(hosts.values(), hosts))
 
     def clear_cells(self, rng: Range, budget: Budget | None = None) -> None:
         self._stats.index_searches += 1

@@ -10,10 +10,15 @@ All coordinates are 1-based ``(col, row)`` pairs.  The algebra implemented
 here — bounding box (the paper's ``(+)`` operator), intersection,
 containment, subtraction into maximal sub-rectangles, and adjacency — is
 everything the patterns and the BFS query need.
+
+A :class:`Range` is a value: a ``tuple`` of its four corners, so that
+construction, hashing, equality and ordering — paid by the tens of
+thousands in every build, query and maintenance step — run in C.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Iterator
 
 from .ref import col_to_letters, format_cell, parse_cell
@@ -24,24 +29,34 @@ __all__ = ["Range", "Offset", "cell_range"]
 # stays explicit at call sites.
 Offset = tuple[int, int]
 
+# The corner fields are namedtuple's C item getters, borrowed rather than
+# inherited: a namedtuple's ``_make`` / ``_replace`` / ``_asdict`` iterate
+# the tuple, and iterating a Range walks its cells.
+_Corners = namedtuple("_Corners", "c1 r1 c2 r2")
+# Builds a Range whose corners are valid by construction, skipping the checks.
+_new = tuple.__new__
 
-class Range:
-    """An immutable rectangular range ``[head=(c1,r1), tail=(c2,r2)]``."""
 
-    __slots__ = ("c1", "r1", "c2", "r2")
+class Range(tuple):
+    """An immutable rectangular range ``[head=(c1,r1), tail=(c2,r2)]``.
 
-    def __init__(self, c1: int, r1: int, c2: int, r2: int):
+    The tuple ``(c1, r1, c2, r2)``: equal to, hashed and ordered as its
+    corners, but iterating (``list``, unpacking, ``in``) its *cells*.
+    """
+
+    __slots__ = ()
+    c1, r1, c2, r2 = _Corners.c1, _Corners.r1, _Corners.c2, _Corners.r2
+
+    def __new__(cls, c1: int, r1: int, c2: int, r2: int):
         if c1 > c2 or r1 > r2:
             raise ValueError(f"invalid range corners: ({c1},{r1})..({c2},{r2})")
         if c1 < 1 or r1 < 1:
             raise ValueError(f"range out of sheet bounds: ({c1},{r1})..({c2},{r2})")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "r1", r1)
-        object.__setattr__(self, "c2", c2)
-        object.__setattr__(self, "r2", r2)
+        return _new(cls, (c1, r1, c2, r2))
 
-    def __setattr__(self, name: str, value) -> None:  # pragma: no cover
-        raise AttributeError("Range is immutable")
+    def __getnewargs__(self) -> tuple[int, int, int, int]:
+        # Pickle and copy as the four corners: tuple's own would iterate.
+        return self[:]
 
     # -- construction ------------------------------------------------------
 
@@ -135,16 +150,16 @@ class Range:
         r2 = self.r2 if self.r2 < other.r2 else other.r2
         if c1 > c2 or r1 > r2:
             return None
-        return Range(c1, r1, c2, r2)
+        return _new(Range, (c1, r1, c2, r2))
 
     def bounding(self, other: "Range") -> "Range":
         """The minimal bounding range of both inputs (the paper's ``(+)``)."""
-        return Range(
+        return _new(Range, (
             self.c1 if self.c1 < other.c1 else other.c1,
             self.r1 if self.r1 < other.r1 else other.r1,
             self.c2 if self.c2 > other.c2 else other.c2,
             self.r2 if self.r2 > other.r2 else other.r2,
-        )
+        ))
 
     def subtract(self, other: "Range") -> "list[Range]":
         """Maximal sub-rectangles of ``self`` not covered by ``other``.
@@ -158,13 +173,13 @@ class Range:
             return [self]
         pieces: list[Range] = []
         if self.r1 < inter.r1:  # strip above
-            pieces.append(Range(self.c1, self.r1, self.c2, inter.r1 - 1))
+            pieces.append(_new(Range, (self.c1, self.r1, self.c2, inter.r1 - 1)))
         if inter.r2 < self.r2:  # strip below
-            pieces.append(Range(self.c1, inter.r2 + 1, self.c2, self.r2))
+            pieces.append(_new(Range, (self.c1, inter.r2 + 1, self.c2, self.r2)))
         if self.c1 < inter.c1:  # strip left (middle band)
-            pieces.append(Range(self.c1, inter.r1, inter.c1 - 1, inter.r2))
+            pieces.append(_new(Range, (self.c1, inter.r1, inter.c1 - 1, inter.r2)))
         if inter.c2 < self.c2:  # strip right (middle band)
-            pieces.append(Range(inter.c2 + 1, inter.r1, self.c2, inter.r2))
+            pieces.append(_new(Range, (inter.c2 + 1, inter.r1, self.c2, inter.r2)))
         return pieces
 
     def shift(self, dc: int, dr: int) -> "Range":
@@ -204,23 +219,8 @@ class Range:
     # -- dunder ------------------------------------------------------------
 
     def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.c1, self.r1, self.c2, self.r2)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Range):
-            return NotImplemented
-        return (
-            self.c1 == other.c1
-            and self.r1 == other.r1
-            and self.c2 == other.c2
-            and self.r2 == other.r2
-        )
-
-    def __lt__(self, other: "Range") -> bool:
-        return self.as_tuple() < other.as_tuple()
-
-    def __hash__(self) -> int:
-        return hash((self.c1, self.r1, self.c2, self.r2))
+        """The corners as a plain tuple."""
+        return self[:]
 
     def __repr__(self) -> str:
         return f"Range({self.to_a1()})"
@@ -231,7 +231,7 @@ class Range:
     def __contains__(self, item: object) -> bool:
         if isinstance(item, Range):
             return self.contains(item)
-        if isinstance(item, tuple) and len(item) == 2:
+        if isinstance(item, tuple) and len(item) == 2:  # a position, never a Range
             return self.contains_cell(item[0], item[1])
         return False
 

@@ -17,6 +17,31 @@ from .range import Range
 __all__ = ["RangeSet", "merge_ranges"]
 
 
+def _uncovered(rng: Range, members: list[Range]) -> list[Range]:
+    """The maximal sub-rectangles of ``rng`` outside every member."""
+    pieces = [rng]
+    for member in members:
+        next_pieces: list[Range] = []
+        for piece in pieces:
+            next_pieces.extend(piece.subtract(member))
+        pieces = next_pieces
+        if not pieces:
+            break
+    return pieces
+
+
+def _join(a: Range, b: Range) -> "Range | None":
+    """The union of two disjoint ranges when it is a rectangle — they
+    share a whole edge — else None."""
+    if a.c1 == b.c1 and a.c2 == b.c2:
+        if a.r2 + 1 == b.r1 or b.r2 + 1 == a.r1:
+            return a.bounding(b)
+    elif a.r1 == b.r1 and a.r2 == b.r2:
+        if a.c2 + 1 == b.c1 or b.c2 + 1 == a.c1:
+            return a.bounding(b)
+    return None
+
+
 def merge_ranges(groups, index: IndexFactory = "rtree") -> "list[Range]":
     """Disjoint union of possibly-overlapping range lists.
 
@@ -42,7 +67,9 @@ class RangeSet:
 
     def __init__(self, initial: "list[Range] | None" = None, index: IndexFactory = "rtree"):
         self._tree = make_index(index)
-        self._ranges: list[Range] = []
+        # The members, in the order they became members (a dict: merging
+        # in add_new removes members by value).
+        self._ranges: dict[Range, None] = {}
         self._cell_count = 0
         if initial:
             for rng in initial:
@@ -68,10 +95,18 @@ class RangeSet:
         return self._cell_count
 
     def add(self, rng: Range) -> None:
-        """Add a range without any overlap checking."""
+        """Add a range without any overlap checking (a range that is
+        already a member is not added twice)."""
+        if rng in self._ranges:
+            return
         self._tree.insert(rng, rng)
-        self._ranges.append(rng)
+        self._ranges[rng] = None
         self._cell_count += rng.size
+
+    def _discard(self, member: Range) -> None:
+        self._tree.delete(member, member)
+        del self._ranges[member]
+        self._cell_count -= member.size
 
     def overlaps(self, rng: Range) -> bool:
         return bool(self._tree.search(rng))
@@ -90,24 +125,34 @@ class RangeSet:
         yet been visited" step.  Pieces are produced by successive
         rectangle subtraction against each overlapping member.
         """
-        overlapping = [entry.key for entry in self._tree.search(rng)]
-        if not overlapping:
-            return [rng]
-        pieces = [rng]
-        for member in overlapping:
-            next_pieces: list[Range] = []
-            for piece in pieces:
-                next_pieces.extend(piece.subtract(member))
-            pieces = next_pieces
-            if not pieces:
-                break
-        return pieces
+        return _uncovered(rng, [entry.key for entry in self._tree.search(rng)])
 
     def add_new(self, rng: Range) -> list[Range]:
-        """Add only the uncovered parts of ``rng``; return the parts added."""
-        fresh = self.subtract_covered(rng)
+        """Add only the uncovered parts of ``rng``; return the parts added.
+
+        Members stay disjoint and few: a fresh piece is stored merged
+        with every member it shares a whole edge with — only the members
+        ``rng`` overlaps are candidates, which is where the cuts that
+        made the pieces came from — so a column visited in scattered
+        order stays one member.  When ``rng`` overlaps nothing it is
+        stored as it is, with no search beyond the one that found that.
+        """
+        neighbours = [entry.key for entry in self._tree.search(rng)]
+        if not neighbours:
+            self.add(rng)
+            return [rng]
+        fresh = _uncovered(rng, neighbours)
         for piece in fresh:
+            i = 0
+            while i < len(neighbours):
+                joined = _join(piece, neighbours[i])
+                if joined is None:
+                    i += 1
+                else:
+                    self._discard(neighbours.pop(i))
+                    piece, i = joined, 0
             self.add(piece)
+            neighbours.append(piece)
         return fresh
 
     def expand_cells(self) -> set[tuple[int, int]]:

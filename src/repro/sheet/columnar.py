@@ -320,7 +320,10 @@ class ColumnarStore:
 
     def _write_raw(self, column: _Column, i: int, value) -> int:
         """Write one value into the arrays; returns the *old* tag."""
-        tag, payload, side = _classify(value)
+        if type(value) is float:
+            tag, payload, side = TAG_NUMBER, value, None
+        else:
+            tag, payload, side = _classify(value)
         column.version += 1
         old = column.tags[i]
         if old in _SIDE_TAGS:
@@ -345,7 +348,9 @@ class ColumnarStore:
             if old != TAG_EMPTY or formula:
                 self._count -= 1
             return
-        column = self._column_for(col, row)
+        column = self._columns.get(col)
+        if column is None or row > len(column.tags):
+            column = self._column_for(col, row)
         old = self._write_raw(column, row - 1, value)
         if old == TAG_EMPTY and not formula:
             self._count += 1

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import weakref
 from array import array
+from collections import namedtuple
 from typing import Iterator
 
 from ..formula.ast_nodes import Node
@@ -36,29 +37,35 @@ STORE_KINDS = tuple(_STORES)
 DEFAULT_STORE = "columnar"
 
 
-class Dependency:
-    """One raw formula-graph dependency: ``prec -> dep`` with its cue."""
+class Dependency(namedtuple("Dependency", "prec dep cue", defaults=("RR",))):
+    """One raw formula-graph dependency: ``prec -> dep`` with its cue.
 
-    __slots__ = ("prec", "dep", "cue")
+    The tuple ``(prec, dep, cue)``, equal to and hashed as ``(prec,
+    dep)``: the cue says how the reference was written, not what it is.
+    """
 
-    def __init__(self, prec: Range, dep: Range, cue: str = "RR"):
-        self.prec = prec
-        self.dep = dep
-        self.cue = cue
+    __slots__ = ()
 
     def as_tuple(self) -> tuple[Range, Range]:
-        return (self.prec, self.dep)
+        return self[:2]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dependency):
             return NotImplemented
-        return self.prec == other.prec and self.dep == other.dep
+        return self[0] == other[0] and self[1] == other[1]
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
     def __hash__(self) -> int:
-        return hash((self.prec, self.dep))
+        return hash(self[:2])
 
     def __repr__(self) -> str:
         return f"Dependency({self.prec.to_a1()} -> {self.dep.to_a1()}, cue={self.cue})"
+
+
+_new = tuple.__new__
 
 
 def _coerce_pos(target) -> tuple[int, int]:
@@ -72,17 +79,16 @@ def _coerce_pos(target) -> tuple[int, int]:
     return (col, row)
 
 
-def _member_dependencies(refs: list[tuple], col: int, row: int) -> list[Dependency]:
-    """The dependencies of the member at ``(col, row)``, given its
-    piece's :meth:`Sheet._own_refs`."""
-    dep = Range(col, row, col, row)
-    return [
-        Dependency(
-            Range(c1, top if top_fixed else row + top, c2, low if low_fixed else row + low),
-            dep, cue,
-        )
-        for c1, c2, (top_fixed, top), (low_fixed, low), cue in refs
-    ]
+def _piece_dependencies(refs: list[tuple], col: int, first: int, last: int) -> Iterator[Dependency]:
+    """The dependencies of the members at rows ``first..last`` of
+    ``col``, member by member, given their piece's :meth:`Sheet._own_refs`
+    (which checked every range at both ends of the piece, so none is
+    checked again here)."""
+    for row in range(first, last + 1):
+        dep = _new(Range, (col, row, col, row))
+        for c1, c2, (top_fixed, top), (low_fixed, low), cue in refs:
+            prec = (c1, top if top_fixed else row + top, c2, low if low_fixed else row + low)
+            yield _new(Dependency, (_new(Range, prec), dep, cue))
 
 
 class Sheet:
@@ -144,7 +150,7 @@ class Sheet:
         self._cells.write_band(col, first_row, values)
 
     def set_value(self, target, value) -> None:
-        col, row = _coerce_pos(target)
+        col, row = target if type(target) is tuple else _coerce_pos(target)
         self._cells.write_pure(col, row, value)
 
     def set_formula(self, target, text: str) -> None:
@@ -288,16 +294,17 @@ class Sheet:
                 if last > first:
                     pieces = template.run_pieces(col, first, last, self.name)
                 for a, b in pieces:
-                    refs = self._own_refs(template, col, a, b)
-                    for row in range(a, b + 1):
-                        yield from _member_dependencies(refs, col, row)
+                    yield from _piece_dependencies(self._own_refs(template, col, a, b), col, a, b)
 
     def _own_refs(self, template: FormulaTemplate, col: int, first: int, last: int) -> list[tuple]:
         """``template``'s references into this sheet (a qualifier naming
         it is no qualifier) as the members at rows ``first..last`` of
         ``col`` state them — one piece (:meth:`FormulaTemplate.run_pieces`),
         so all alike: ``(c1, c2, top row axis, bottom row axis, cue)`` in
-        formula order, coinciding references collapsed onto the first."""
+        formula order, coinciding references collapsed onto the first.
+        Each range is checked (``Range`` raises) at both ends of the
+        piece: its corners move linearly with the row, so it is then a
+        valid range at every member."""
         refs: dict[tuple, tuple] = {}
         for spec in template.refs:
             if spec.sheet in (None, self.name):
@@ -306,6 +313,8 @@ class Sheet:
                 if top.at(first) + top.at(last) > low.at(first) + low.at(last):
                     top, low = low, top
                 _, c1, r1, c2, r2 = spec.span_at(col, first)
+                for end in (first, last):
+                    Range(c1, top.at(end), c2, low.at(end))
                 refs.setdefault((c1, r1, c2, r2), (c1, c2, top, low, spec.cue))
         return list(refs.values())
 
@@ -313,7 +322,7 @@ class Sheet:
         """The same-sheet dependencies a member of ``template`` hosted at
         ``(col, row)`` states, in formula order.  References that
         coincide at this host are one dependency (the first one's cue)."""
-        return _member_dependencies(self._own_refs(template, col, row, row), col, row)
+        return list(_piece_dependencies(self._own_refs(template, col, row, row), col, row, row))
 
     def dependency_count(self) -> int:
         return sum(1 for _ in self.iter_dependencies())

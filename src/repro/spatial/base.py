@@ -22,6 +22,7 @@ consumers hold a :class:`SpatialIndex` and never a concrete class.
 from __future__ import annotations
 
 import abc
+from collections import namedtuple
 from typing import Any, Iterable, Iterator
 
 from ..grid.range import Range
@@ -29,24 +30,17 @@ from ..grid.range import Range
 __all__ = ["IndexEntry", "SpatialIndex"]
 
 
-class IndexEntry:
-    """A stored item: an exact range key and its payload.
+class IndexEntry(namedtuple("IndexEntry", "key payload", defaults=(None,))):
+    """A stored item: an exact range key and its payload — the pair
+    ``(key, payload)``, so call sites may unpack it.
 
-    Iterable as a ``(key, payload)`` pair so call sites may unpack it.
+    Entries compare by value, which is what a bucket's ``list.remove``
+    matches on.  Graph payloads (edges) compare by identity, so only an
+    entry's twin could match instead of it — and equal keys sit in the
+    same buckets, so removing either leaves the same contents.
     """
 
-    __slots__ = ("key", "payload")
-
-    def __init__(self, key: Range, payload: Any = None):
-        self.key = key
-        self.payload = payload
-
-    def __iter__(self) -> Iterator[Any]:
-        yield self.key
-        yield self.payload
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"IndexEntry({self.key}, {self.payload!r})"
+    __slots__ = ()
 
 
 class SpatialIndex(abc.ABC):

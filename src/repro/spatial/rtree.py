@@ -16,6 +16,7 @@ tighter tree than one-at-a-time insertion of a known vertex set.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Iterable, Iterator
 
 from ..grid.range import Range
@@ -27,6 +28,9 @@ DEFAULT_MAX_ENTRIES = 8
 
 # Historical name; R-Tree leaf entries are plain index entries.
 RTreeEntry = IndexEntry
+
+# (key, payload) -> entry, in C: what bulk loading makes its entries with.
+_entry = partial(tuple.__new__, IndexEntry)
 
 
 class _Node:
@@ -60,20 +64,25 @@ class _Node:
             self.r2 = r2
 
     def recompute_mbr(self) -> None:
-        boxes = [entry.key for entry in self.entries] if self.leaf else self.children
+        # Boxes as (c1, r1, c2, r2) tuples read by index: a leaf's keys
+        # already are (a Range is the tuple of its corners).
+        if self.leaf:
+            boxes = [entry[0] for entry in self.entries]
+        else:
+            boxes = [(child.c1, child.r1, child.c2, child.r2) for child in self.children]
         c1 = r1 = 1
         c2 = r2 = 0
         if boxes:
-            c1, r1, c2, r2 = boxes[0].c1, boxes[0].r1, boxes[0].c2, boxes[0].r2
+            c1, r1, c2, r2 = boxes[0][:]
             for box in boxes:
-                if box.c1 < c1:
-                    c1 = box.c1
-                if box.r1 < r1:
-                    r1 = box.r1
-                if box.c2 > c2:
-                    c2 = box.c2
-                if box.r2 > r2:
-                    r2 = box.r2
+                if box[0] < c1:
+                    c1 = box[0]
+                if box[1] < r1:
+                    r1 = box[1]
+                if box[2] > c2:
+                    c2 = box[2]
+                if box[3] > r2:
+                    r2 = box[3]
         self.c1, self.r1, self.c2, self.r2 = c1, r1, c2, r2
 
     def overlaps(self, c1: int, r1: int, c2: int, r2: int) -> bool:
@@ -150,12 +159,14 @@ class RTree(SpatialIndex):
         stack = [self._root]
         while stack:
             node = stack.pop()
-            if not node.overlaps(qc1, qr1, qc2, qr2):
+            # node.overlaps inlined (an empty node's box, (1, 1, 0, 0),
+            # overlaps no range)
+            if not (node.c1 <= qc2 and qc1 <= node.c2 and node.r1 <= qr2 and qr1 <= node.r2):
                 continue
             if node.leaf:
                 for entry in node.entries:
-                    key = entry.key
-                    if key.c1 <= qc2 and qc1 <= key.c2 and key.r1 <= qr2 and qr1 <= key.r2:
+                    key = entry[0]  # (c1, r1, c2, r2), read by index
+                    if key[0] <= qc2 and qc1 <= key[2] and key[1] <= qr2 and qr1 <= key[3]:
                         out.append(entry)
             else:
                 stack.extend(node.children)
@@ -404,20 +415,25 @@ class RTree(SpatialIndex):
         vertex arrived one at a time.
         """
         self.bulk_loads += 1
-        entries = [RTreeEntry(key, payload) for key, payload in items]
+        entries = list(map(_entry, items))
         self._size = len(entries)
         if not entries:
             self._root = _Node(leaf=True)
             return
         level: list[_Node] = []
-        for group in self._str_tiles(entries, [entry.key for entry in entries]):
+        keys = [entry[0] for entry in entries]
+        for group in self._str_tiles(
+            entries, [k[0] + k[2] for k in keys], [k[1] + k[3] for k in keys]
+        ):
             leaf = _Node(leaf=True)
             leaf.entries = group
             leaf.recompute_mbr()
             level.append(leaf)
         while len(level) > 1:
             parents: list[_Node] = []
-            for group in self._str_tiles(level, level):
+            for group in self._str_tiles(
+                level, [n.c1 + n.c2 for n in level], [n.r1 + n.r2 for n in level]
+            ):
                 parent = _Node(leaf=False)
                 parent.children = group
                 for child in group:
@@ -428,20 +444,18 @@ class RTree(SpatialIndex):
         self._root = level[0]
         self._root.parent = None
 
-    def _str_tiles(self, items: list, boxes: list) -> list[list]:
+    def _str_tiles(self, items: list, centre_col: list, centre_row: list) -> list[list]:
         """Partition ``items`` into node-sized groups by the STR recipe.
 
-        ``boxes[i]`` is the box of ``items[i]``.  Each centre is worked
-        out once, as two plain integers, and the items' *indices* are
-        sorted on them (ties stay in input order) — no key tuple, nothing
-        for the collector to track.  Groups are evenly sized, which keeps
-        every group within ``[self._min, self._max]`` whenever more than
-        one is needed.
+        ``centre_col[i]`` / ``centre_row[i]`` are twice the centre of
+        ``items[i]``'s box, as plain integers, and the items' *indices*
+        are sorted on them (ties stay in input order) — no key tuple,
+        nothing for the collector to track.  Groups are evenly sized,
+        which keeps every group within ``[self._min, self._max]``
+        whenever more than one is needed.
         """
         slabs = [list(range(len(items)))]
         if len(items) > self._max:
-            centre_col = [box.c1 + box.c2 for box in boxes]
-            centre_row = [box.r1 + box.r2 for box in boxes]
             node_count = -(-len(items) // self._max)
             slab_count = max(1, round(node_count**0.5))
             slabs[0].sort(key=centre_col.__getitem__)

@@ -8,10 +8,12 @@ from helpers import (
     build_mixed_sheet,
 )
 
-from repro.core.taco_graph import TacoGraph
+from repro.core.query import find_dependents_multi
+from repro.core.taco_graph import TacoGraph, build_from_sheet
 from repro.graphs.base import expand_cells, total_cells
 from repro.grid.range import Range
-from repro.sheet.sheet import Dependency
+from repro.sheet.autofill import fill_formula_column
+from repro.sheet.sheet import Dependency, Sheet
 
 
 def dep(prec: str, dep_cell: str) -> Dependency:
@@ -64,6 +66,31 @@ class TestSmallGraphs:
         assert total_cells(graph.find_dependents(Range.from_a1("A1"))) == 99
         assert total_cells(graph.find_dependents(Range.from_a1("A50"))) == 50
 
+    def test_scattered_seeds_keep_the_visited_set_compact(self, monkeypatch):
+        """Seeds scattered up a column, each dirtying a growing tail of
+        an FR run (B) and of the RR run over it (C): every fresh piece
+        of B joins the member it was cut from, so B stays one member and
+        later arrivals are cut against it alone.  Without the joins the
+        same query makes 2 200 subtractions into 86 members."""
+        sheet = Sheet()
+        for row in range(1, 301):
+            sheet.set_value((1, row), float(row))
+        fill_formula_column(sheet, 2, 1, 300, "=SUM(A$1:A1)")
+        fill_formula_column(sheet, 3, 1, 300, "=B1*2")
+        graph = build_from_sheet(sheet)
+        subtract, calls = Range.subtract, []
+
+        def counting(rng, other):
+            calls.append(rng)
+            return subtract(rng, other)
+
+        monkeypatch.setattr(Range, "subtract", counting)
+        got = find_dependents_multi(graph, [Range.cell(1, row) for row in range(300, 0, -7)])
+        assert expand_cells(got) == expand_cells([Range(2, 6, 3, 300)])
+        assert total_cells(got) == 590  # disjoint
+        assert Range(2, 6, 2, 300) in got and len(got) == 44
+        assert len(calls) == 42
+
     def test_chain_edge_accessed_constant_times(self):
         graph = TacoGraph.full()
         for i in range(1, 200):
@@ -98,6 +125,17 @@ class TestEquivalenceWithNoComp:
         taco, nocomp = build_graph_pair(sheet)
         for probe in ("C10", "D20", "E5", "F12", "G25"):
             assert_same_precedents(taco, nocomp, Range.from_a1(probe))
+
+    def test_multi_seed_matches_per_seed_nocomp(self):
+        sheet = build_mixed_sheet(seed=4)
+        taco, nocomp = build_graph_pair(sheet)
+        seeds = [Range.from_a1(a1) for a1 in ("A30", "A3", "B17", "A12", "B2", "G4")]
+        want = set()
+        for seed in seeds:
+            want |= expand_cells(nocomp.find_dependents(seed))
+        got = find_dependents_multi(taco, seeds)
+        assert expand_cells(got) == want
+        assert total_cells(got) == len(want)  # members are disjoint
 
     def test_decompression_is_lossless(self):
         sheet = build_mixed_sheet(seed=5)

@@ -1,5 +1,8 @@
 """Unit tests for Range geometry and algebra."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.grid.range import Range, cell_range, column_span, row_span
@@ -164,3 +167,52 @@ class TestIterationAndDunder:
         assert Range(1, 1, 5, 1).is_row_slice
         assert Range.cell(1, 1).is_column_slice and Range.cell(1, 1).is_row_slice
         assert not Range(1, 1, 2, 5).is_column_slice
+
+
+class TestValueContract:
+    """A Range is the tuple of its corners — compared, ordered and hashed
+    by tuple's own C code — that iterates its cells."""
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickles_as_its_corners(self, protocol):
+        rng = Range(2, 3, 4, 9)
+        # rebuilt through __new__ from the four corners, not from its cells
+        assert rng.__reduce_ex__(protocol)[1] == (Range, 2, 3, 4, 9)
+        back = pickle.loads(pickle.dumps(rng, protocol))
+        assert back == rng and type(back) is Range
+        assert back.c1 == 2 and back.r2 == 9
+
+    def test_copies(self):
+        rng = Range(2, 3, 4, 9)
+        for dup in (copy.copy(rng), copy.deepcopy(rng), copy.deepcopy([rng])[0]):
+            assert dup == rng and type(dup) is Range
+
+    def test_equal_to_and_hashed_as_its_corners(self):
+        rng = Range(1, 2, 3, 4)
+        assert rng == (1, 2, 3, 4) and hash(rng) == hash((1, 2, 3, 4))
+        assert rng.as_tuple() == (1, 2, 3, 4) and type(rng.as_tuple()) is tuple
+        assert {rng: "x"}[(1, 2, 3, 4)] == "x"
+
+    def test_no_hand_written_value_dunders(self):
+        for name in ("__hash__", "__eq__", "__ne__", "__lt__", "__le__", "__gt__", "__ge__"):
+            assert getattr(Range, name) is getattr(tuple, name), name
+        assert "__init__" not in vars(Range) and "__setattr__" not in vars(Range)
+
+    def test_orders_as_its_corners(self):
+        ranges = [Range(2, 1, 2, 1), Range(1, 1, 1, 3), Range(1, 1, 1, 2)]
+        assert sorted(ranges) == sorted(ranges, key=Range.as_tuple)
+
+    def test_iterates_its_cells(self):
+        rng = Range(1, 1, 2, 2)
+        assert list(rng) == [(1, 1), (2, 1), (1, 2), (2, 2)] == list(rng.cells())
+        first, *_, last = rng
+        assert (first, last) == ((1, 1), (2, 2))
+        assert (2, 2) in rng and (3, 3) not in rng
+
+    def test_corners_still_checked(self):
+        with pytest.raises(ValueError):
+            Range(3, 1, 2, 1)
+        with pytest.raises(ValueError):
+            Range(1, 0, 1, 1)
+        with pytest.raises(ValueError):
+            Range.cell(0, 4)

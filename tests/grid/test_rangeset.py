@@ -74,14 +74,50 @@ def test_subtract_covered_matches_brute_force(members, probe):
 
 @given(st.lists(small_ranges(), min_size=1, max_size=10))
 def test_add_new_members_are_disjoint(ranges_list):
+    """The visited-set invariant: members disjoint, the same cells as the
+    inputs, no more members than fresh pieces handed out — and each
+    call hands out exactly the cells it newly covered."""
     rs = RangeSet()
+    covered: set = set()
+    handed_out = 0
     for rng in ranges_list:
-        rs.add_new(rng)
+        fresh = rs.add_new(rng)
+        handed_out += len(fresh)
+        fresh_cells = [cell for piece in fresh for cell in piece.cells()]
+        assert len(fresh_cells) == len(set(fresh_cells))
+        assert set(fresh_cells) == set(rng.cells()) - covered
+        covered |= set(fresh_cells)
     members = rs.ranges
     for i, a in enumerate(members):
         for b in members[i + 1:]:
             assert not a.overlaps(b)
-    expected = set()
-    for rng in ranges_list:
-        expected |= set(rng.cells())
-    assert rs.expand_cells() == expected
+    assert rs.expand_cells() == covered
+    assert rs.cell_count == len(covered)
+    assert len(rs) <= handed_out
+
+
+class TestCompactMembers:
+    def test_scattered_column_stays_one_member(self):
+        rs = RangeSet()
+        for a1 in ("A3", "A7", "A5"):
+            rs.add_new(Range.from_a1(a1))
+        assert sorted(rs.add_new(Range.from_a1("A1:A9"))) == [
+            Range.from_a1(a1) for a1 in ("A1:A2", "A4", "A6", "A8:A9")
+        ]
+        assert rs.ranges == [Range.from_a1("A1:A9")]
+        assert not rs.subtract_covered(Range.from_a1("A1:A9"))
+
+    def test_rows_join_across_columns(self):
+        rs = RangeSet([Range.from_a1("B2:B4")])
+        rs.add_new(Range.from_a1("A2:C4"))
+        assert rs.ranges == [Range.from_a1("A2:C4")]
+
+    def test_partial_edges_do_not_join(self):
+        rs = RangeSet([Range.from_a1("B2:B3")])
+        rs.add_new(Range.from_a1("B3:C4"))
+        assert sorted(rs.ranges) == sorted(Range.from_a1(a1) for a1 in ("B2:B3", "B4:C4", "C3"))
+
+    def test_disjoint_arrival_is_stored_as_is(self):
+        rs = RangeSet([Range.from_a1("A1:A5")])
+        assert rs.add_new(Range.from_a1("A6:A9")) == [Range.from_a1("A6:A9")]
+        assert len(rs) == 2  # adjacency alone is not searched for

@@ -77,6 +77,32 @@ class TestTagPlane:
         assert column.side == {}
         assert store.read_value(2, 1) == 7.0
 
+    def test_point_write_fast_path_matches_the_general_one(self):
+        """A ``(col, row)`` target and a plain float take a shortcut past
+        target coercion, classification and column growth; tags, values,
+        side tables, column versions and the cell count come out as
+        through an A1 target and a float subclass, which take none."""
+
+        class Float(float):
+            pass
+
+        writes = [((2, 3), 1.5), ((2, 40), 2.5), ((2, 3), "s"), ((2, 3), 4.0),
+                  ((2, 1), None), ((2, 2), 0.0), ((3, 1), -1.0), ((2, 40), None)]
+        fast, general = columnar_sheet(), columnar_sheet()
+        general.set_formula("B2", "=1+1")
+        fast.set_formula("B2", "=1+1")
+        for pos, value in writes:
+            fast.set_value(pos, value)
+            slow_value = Float(value) if type(value) is float else value
+            general.set_value(Range.cell(*pos).to_a1(), slow_value)
+            for col in (2, 3):
+                a, b = fast._cells, general._cells
+                assert a.column_version(col) == b.column_version(col)
+                assert a.column_buffers(col) == b.column_buffers(col)
+                assert a.ensure_column(col, 1).side == b.ensure_column(col, 1).side
+            assert len(fast) == len(general)
+        assert type(fast.get_value((3, 1))) is float and fast.get_value((3, 1)) == -1.0
+
     def test_out_of_band_reads_are_none(self):
         store = ColumnarStore()
         store.write_pure(1, 1, 1.0)

@@ -1,5 +1,8 @@
 """Unit tests for the sheet model and dependency enumeration."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.grid.range import Range
@@ -90,6 +93,20 @@ class TestDependencies:
         b = Dependency(Range.from_a1("A1"), Range.from_a1("B1"), cue="FF")
         assert a == b  # cue does not affect identity
         assert len({a, b}) == 1
+
+    def test_dependency_value_contract(self):
+        p, d = Range.from_a1("A1:A3"), Range.from_a1("B1")
+        rr, ff, other = Dependency(p, d, "RR"), Dependency(p, d, "FF"), Dependency(d, p)
+        assert rr == ff and not (rr != ff)  # tuple's own __ne__ would see the cue
+        assert rr != other and not (rr == other)
+        assert hash(rr) == hash(ff) and rr.as_tuple() == (p, d)
+        assert Dependency(p, d).cue == "RR" and tuple(rr) == (p, d, "RR")
+        for protocol in (2, 3, 4, 5):
+            back = pickle.loads(pickle.dumps(ff, protocol))
+            assert back == ff and type(back) is Dependency and back.cue == "FF"
+            assert type(back.prec) is Range and back.prec == p
+        dup = copy.deepcopy(ff)
+        assert dup == ff and type(dup) is Dependency and dup.cue == "FF"
 
     def test_formula_count(self):
         sheet = Sheet()
