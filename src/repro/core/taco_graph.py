@@ -183,17 +183,17 @@ class TacoGraph(FormulaGraph):
 
     def prec_overlapping(self, rng: Range) -> list[CompressedEdge]:
         """Edges whose precedent range overlaps ``rng`` (one index search)."""
-        entries = self._prec_index.search(rng)
+        edges = self._prec_index.search_payloads(rng)
         if self._deferred:
-            return [e.payload for e in entries if e.payload in self._edges]
-        return [entry.payload for entry in entries]
+            return [edge for edge in edges if edge in self._edges]
+        return edges
 
     def dep_overlapping(self, rng: Range) -> list[CompressedEdge]:
         """Edges whose dependent range overlaps ``rng`` (one index search)."""
-        entries = self._dep_index.search(rng)
+        edges = self._dep_index.search_payloads(rng)
         if self._deferred:
-            return [e.payload for e in entries if e.payload in self._edges]
-        return [entry.payload for entry in entries]
+            return [edge for edge in edges if edge in self._edges]
+        return edges
 
     def candidate_edges(self, cell: tuple[int, int]) -> list[CompressedEdge]:
         """Edges whose dependent is adjacent to ``cell`` on a row/column axis.
@@ -217,16 +217,15 @@ class TacoGraph(FormulaGraph):
         out: list[CompressedEdge] = []
         seen: set[int] = set()
         deferred = self._deferred
-        for entry in self._dep_index.search(probe):
-            dep_range = entry.key
-            if id(entry.payload) in seen:
+        for dep_range, edge in self._dep_index.search_items(probe):
+            if id(edge) in seen:
                 continue
-            if deferred and entry.payload not in self._edges:
+            if deferred and edge not in self._edges:
                 continue
             for ncol, nrow in neighbours:
                 if ncol >= 1 and nrow >= 1 and dep_range.contains_cell(ncol, nrow):
-                    seen.add(id(entry.payload))
-                    out.append(entry.payload)
+                    seen.add(id(edge))
+                    out.append(edge)
                     break
         return out
 

@@ -149,14 +149,18 @@ class Journal:
                 )
         self._handle: IO[bytes] | None = open(path, "ab")
         if fresh:
+            # The header and the pairing stamp are committed together: a
+            # crash leaves nothing, a torn or header-only file (no record
+            # ever committed), or the full pair — each one read_journal
+            # already handles.
             self._handle.write(_HEADER.pack(MAGIC, FORMAT_VERSION))
+            if snapshot_id:
+                self._write({"kind": "open", "snapshot": snapshot_id})
             self._commit()
             # Make the file's *directory entry* durable too: fsync'd
             # records are worthless if the file itself vanishes.
             if self._fsync:
                 fsync_directory(path)
-            if snapshot_id:
-                self.append({"kind": "open", "snapshot": snapshot_id})
 
     # -- low-level append ------------------------------------------------------
 
@@ -164,12 +168,16 @@ class Journal:
         """Frame, append, and (by default) fsync one record."""
         if self._handle is None:
             raise RuntimeError("journal is closed")
+        self._write(record)
+        self._commit()
+
+    def _write(self, record: dict) -> None:
+        """Frame one record into the file buffer (not yet committed)."""
         payload = json.dumps(record, separators=(",", ":")).encode("utf-8")
         self._handle.write(
             _FRAME.pack(_RECORD_MARK, len(payload), zlib.crc32(payload) & 0xFFFFFFFF)
         )
         self._handle.write(payload)
-        self._commit()
         self.records_written += 1
         if record.get("kind") != "open":
             self.edit_records += 1

@@ -125,7 +125,7 @@ class NoCompGraph(FormulaGraph):
         while queue:
             frontier = queue.popleft()
             self._stats.index_searches += 1
-            for prec, _ in self._prec_index.search_items(frontier):
+            for prec in self._prec_index.search_keys(frontier):
                 for cell in self._adjacency[prec]:
                     self._stats.edge_accesses += 1
                     if budget is not None:
@@ -155,7 +155,7 @@ class NoCompGraph(FormulaGraph):
         """One-hop dependents (no transitive closure)."""
         out: list[Range] = []
         seen: set[tuple[int, int]] = set()
-        for prec, _ in self._prec_index.search_items(rng):
+        for prec in self._prec_index.search_keys(rng):
             for cell in self._adjacency[prec]:
                 if cell not in seen:
                     seen.add(cell)

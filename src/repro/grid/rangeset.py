@@ -109,10 +109,10 @@ class RangeSet:
         self._cell_count -= member.size
 
     def overlaps(self, rng: Range) -> bool:
-        return bool(self._tree.search(rng))
+        return bool(self._tree.search_keys(rng))
 
     def covers_cell(self, col: int, row: int) -> bool:
-        return bool(self._tree.search(Range.cell(col, row)))
+        return bool(self._tree.search_keys(Range.cell(col, row)))
 
     def covers(self, rng: Range) -> bool:
         """True when every cell of ``rng`` is covered by some member."""
@@ -125,7 +125,7 @@ class RangeSet:
         yet been visited" step.  Pieces are produced by successive
         rectangle subtraction against each overlapping member.
         """
-        return _uncovered(rng, [entry.key for entry in self._tree.search(rng)])
+        return _uncovered(rng, self._tree.search_keys(rng))
 
     def add_new(self, rng: Range) -> list[Range]:
         """Add only the uncovered parts of ``rng``; return the parts added.
@@ -137,7 +137,7 @@ class RangeSet:
         order stays one member.  When ``rng`` overlaps nothing it is
         stored as it is, with no search beyond the one that found that.
         """
-        neighbours = [entry.key for entry in self._tree.search(rng)]
+        neighbours = self._tree.search_keys(rng)
         if not neighbours:
             self.add(rng)
             return [rng]

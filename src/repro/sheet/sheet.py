@@ -16,7 +16,8 @@ from __future__ import annotations
 import weakref
 from array import array
 from collections import namedtuple
-from typing import Iterator
+from itertools import chain, repeat
+from typing import Iterable, Iterator
 
 from ..formula.ast_nodes import Node
 from ..formula.template import FormulaTemplate
@@ -79,16 +80,42 @@ def _coerce_pos(target) -> tuple[int, int]:
     return (col, row)
 
 
-def _piece_dependencies(refs: list[tuple], col: int, first: int, last: int) -> Iterator[Dependency]:
+def _row_dependencies(refs: list[tuple], col: int, row: int) -> list[Dependency]:
+    """The dependencies of the member at ``(col, row)``, in formula order."""
+    dep = _new(Range, (col, row, col, row))
+    return [
+        _new(Dependency, (
+            _new(Range, (c1, top if top_fixed else row + top, c2, low if low_fixed else row + low)),
+            dep, cue,
+        ))
+        for c1, c2, (top_fixed, top), (low_fixed, low), cue in refs
+    ]
+
+
+def _piece_dependencies(refs: list[tuple], col: int, first: int, last: int) -> Iterable[Dependency]:
     """The dependencies of the members at rows ``first..last`` of
     ``col``, member by member, given their piece's :meth:`Sheet._own_refs`
     (which checked every range at both ends of the piece, so none is
-    checked again here)."""
-    for row in range(first, last + 1):
-        dep = _new(Range, (col, row, col, row))
-        for c1, c2, (top_fixed, top), (low_fixed, low), cue in refs:
-            prec = (c1, top if top_fixed else row + top, c2, low if low_fixed else row + low)
-            yield _new(Dependency, (_new(Range, prec), dep, cue))
+    checked again here).
+
+    A piece of several rows is built by C iterators: one precedent
+    column per reference, zipped member by member and chained, with no
+    Python frame per dependency.  A reference fixed at both ends is one
+    shared range down the whole column."""
+    if first == last:
+        return _row_dependencies(refs, col, first)
+    rows = range(first, last + 1)
+    deps = list(map(_new, repeat(Range), zip(repeat(col), rows, repeat(col), rows)))
+    columns = []
+    for c1, c2, (top_fixed, top), (low_fixed, low), cue in refs:
+        if top_fixed and low_fixed:
+            precs = repeat(_new(Range, (c1, top, c2, low)))
+        else:
+            tops = repeat(top) if top_fixed else range(first + top, last + 1 + top)
+            lows = repeat(low) if low_fixed else range(first + low, last + 1 + low)
+            precs = map(_new, repeat(Range), zip(repeat(c1), tops, repeat(c2), lows))
+        columns.append(map(_new, repeat(Dependency), zip(precs, deps, repeat(cue))))
+    return chain.from_iterable(zip(*columns))
 
 
 class Sheet:
@@ -322,7 +349,7 @@ class Sheet:
         """The same-sheet dependencies a member of ``template`` hosted at
         ``(col, row)`` states, in formula order.  References that
         coincide at this host are one dependency (the first one's cue)."""
-        return list(_piece_dependencies(self._own_refs(template, col, row, row), col, row, row))
+        return _row_dependencies(self._own_refs(template, col, row, row), col, row)
 
     def dependency_count(self) -> int:
         return sum(1 for _ in self.iter_dependencies())

@@ -9,7 +9,9 @@ backends with different performance profiles (R-Tree, grid buckets,
 Calc-style containers, future sorted interval lists) are interchangeable:
 
 * ``insert(key, payload)`` / ``delete(key, payload)`` — dynamic updates;
-* ``search(query)`` — all entries whose key overlaps the query range;
+* ``search(query)`` — all entries whose key overlaps the query range,
+  and its leaner variants ``search_keys`` / ``search_payloads`` /
+  ``search_items``, which return just that part of each hit;
 * ``covering(query)`` — entries whose key fully contains the query;
 * ``bulk_load(items)`` — rebuild from a known item set, letting backends
   use packing algorithms (e.g. sort-tile-recursive for the R-Tree);
@@ -144,6 +146,13 @@ class SpatialIndex(abc.ABC):
         return entry
 
     # -- derived helpers -----------------------------------------------------
+
+    # The search variants return one part of each hit, in ``search``'s
+    # order.  These defaults go through ``search``; a backend that stores
+    # no entry objects (the R-Tree) answers them without building any.
+
+    def search_keys(self, query: Range) -> list[Range]:
+        return [entry.key for entry in self.search(query)]
 
     def search_payloads(self, query: Range) -> list[Any]:
         return [entry.payload for entry in self.search(query)]

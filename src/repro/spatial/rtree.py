@@ -26,24 +26,38 @@ __all__ = ["RTree", "RTreeEntry"]
 
 DEFAULT_MAX_ENTRIES = 8
 
-# Historical name; R-Tree leaf entries are plain index entries.
+# Historical name; the entries an R-Tree search builds are plain index entries.
 RTreeEntry = IndexEntry
 
-# (key, payload) -> entry, in C: what bulk loading makes its entries with.
+# (key, payload) -> entry, in C: how search and iteration build entries.
 _entry = partial(tuple.__new__, IndexEntry)
 
 
 class _Node:
-    __slots__ = ("leaf", "children", "entries", "c1", "r1", "c2", "r2", "parent")
+    """An R-Tree node and its bounding box.
 
-    def __init__(self, leaf: bool):
-        self.leaf = leaf
-        self.children: list[_Node] = []
-        self.entries: list[RTreeEntry] = []
-        self.parent: _Node | None = None
-        # Degenerate empty box; fixed on first insert.
-        self.c1 = self.r1 = 1
-        self.c2 = self.r2 = 0
+    A leaf holds its items as two parallel columns — ``keys[i]`` is the
+    range ``payloads[i]`` was inserted under — and no per-item object; an
+    inner node holds only ``children`` (the slots of the other kind stay
+    unset).  One class for both kinds keeps every attribute read in the
+    search loop monomorphic.  No node points at its parent: the
+    operations that walk upwards carry their root-to-leaf path, so a tree
+    holds no reference cycle and a dropped one is freed by reference
+    counting alone.
+    """
+
+    __slots__ = ("leaf", "children", "keys", "payloads", "c1", "r1", "c2", "r2")
+
+    def __init__(self, contents: list, payloads: "list | None" = None):
+        """A leaf over ``contents`` keys and their ``payloads``, or, with
+        no payloads, an inner node over ``contents`` children."""
+        self.leaf = payloads is not None
+        if self.leaf:
+            self.keys: list[Range] = contents
+            self.payloads: list = payloads
+        else:
+            self.children: list[_Node] = contents
+        self.recompute_mbr()
 
     # -- bounding-box helpers ---------------------------------------------
 
@@ -65,9 +79,10 @@ class _Node:
 
     def recompute_mbr(self) -> None:
         # Boxes as (c1, r1, c2, r2) tuples read by index: a leaf's keys
-        # already are (a Range is the tuple of its corners).
+        # already are (a Range is the tuple of its corners).  An empty
+        # node gets the degenerate box (1, 1, 0, 0).
         if self.leaf:
-            boxes = [entry[0] for entry in self.entries]
+            boxes = self.keys
         else:
             boxes = [(child.c1, child.r1, child.c2, child.r2) for child in self.children]
         c1 = r1 = 1
@@ -100,7 +115,11 @@ class _Node:
         return (self.c2 - self.c1 + 1) * (self.r2 - self.r1 + 1)
 
     def count(self) -> int:
-        return len(self.entries) if self.leaf else len(self.children)
+        return len(self.keys) if self.leaf else len(self.children)
+
+
+def _empty_leaf() -> _Node:
+    return _Node([], [])
 
 
 def _even_chunks(seq: list, capacity: int) -> list[list]:
@@ -143,7 +162,7 @@ class RTree(SpatialIndex):
             raise ValueError("max_entries must be >= 4")
         self._max = max_entries
         self._min = max(2, max_entries // 2)
-        self._root = _Node(leaf=True)
+        self._root = _empty_leaf()
         self._size = 0
 
     def __len__(self) -> int:
@@ -151,23 +170,68 @@ class RTree(SpatialIndex):
 
     # -- search ------------------------------------------------------------
 
+    # The search variants share one descent with the node and key
+    # overlap tests inlined (an empty node's box, (1, 1, 0, 0), overlaps
+    # no range; keys are (c1, r1, c2, r2), read by index); each builds
+    # only what its caller asked for.  A leaf's keys are walked alone and
+    # a payload fetched by position on a hit: cheaper than zipping the
+    # two columns, since most keys a search visits miss.
+
     def search(self, query: Range) -> list[RTreeEntry]:
-        """All entries whose key overlaps ``query``."""
+        """All entries whose key overlaps ``query``, built on request."""
+        return list(map(_entry, self.search_items(query)))
+
+    def search_items(self, query: Range) -> list[tuple[Range, Any]]:
         self.search_ops += 1
-        out: list[RTreeEntry] = []
-        qc1, qr1, qc2, qr2 = query.c1, query.r1, query.c2, query.r2
+        qc1, qr1, qc2, qr2 = query[:]
+        out: list[tuple[Range, Any]] = []
         stack = [self._root]
         while stack:
             node = stack.pop()
-            # node.overlaps inlined (an empty node's box, (1, 1, 0, 0),
-            # overlaps no range)
             if not (node.c1 <= qc2 and qc1 <= node.c2 and node.r1 <= qr2 and qr1 <= node.r2):
                 continue
             if node.leaf:
-                for entry in node.entries:
-                    key = entry[0]  # (c1, r1, c2, r2), read by index
+                payloads, i = node.payloads, 0
+                for key in node.keys:
                     if key[0] <= qc2 and qc1 <= key[2] and key[1] <= qr2 and qr1 <= key[3]:
-                        out.append(entry)
+                        out.append((key, payloads[i]))
+                    i += 1
+            else:
+                stack.extend(node.children)
+        return out
+
+    def search_payloads(self, query: Range) -> list[Any]:
+        self.search_ops += 1
+        qc1, qr1, qc2, qr2 = query[:]
+        out: list[Any] = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if not (node.c1 <= qc2 and qc1 <= node.c2 and node.r1 <= qr2 and qr1 <= node.r2):
+                continue
+            if node.leaf:
+                payloads, i = node.payloads, 0
+                for key in node.keys:
+                    if key[0] <= qc2 and qc1 <= key[2] and key[1] <= qr2 and qr1 <= key[3]:
+                        out.append(payloads[i])
+                    i += 1
+            else:
+                stack.extend(node.children)
+        return out
+
+    def search_keys(self, query: Range) -> list[Range]:
+        self.search_ops += 1
+        qc1, qr1, qc2, qr2 = query[:]
+        out: list[Range] = []
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if not (node.c1 <= qc2 and qc1 <= node.c2 and node.r1 <= qr2 and qr1 <= node.r2):
+                continue
+            if node.leaf:
+                for key in node.keys:
+                    if key[0] <= qc2 and qc1 <= key[2] and key[1] <= qr2 and qr1 <= key[3]:
+                        out.append(key)
             else:
                 stack.extend(node.children)
         return out
@@ -177,7 +241,7 @@ class RTree(SpatialIndex):
         while stack:
             node = stack.pop()
             if node.leaf:
-                yield from node.entries
+                yield from map(_entry, zip(node.keys, node.payloads))
             else:
                 stack.extend(node.children)
 
@@ -186,33 +250,33 @@ class RTree(SpatialIndex):
     def insert(self, key: Range, payload: Any = None) -> None:
         self.insert_ops += 1
         self._size += 1
-        self._insert_entry(RTreeEntry(key, payload))
+        self._insert_item(key, payload)
 
-    def _insert_entry(self, entry: RTreeEntry) -> None:
-        """Place an entry without touching counters; also the re-insert
+    def _insert_item(self, key: Range, payload: Any) -> None:
+        """Place an item without touching counters; also the re-insert
         path used by :meth:`_condense`, so ``insert_ops`` and ``_size``
         reflect caller operations only."""
-        key = entry.key
-        leaf = self._choose_leaf(self._root, key)
-        leaf.entries.append(entry)
-        leaf.include(key.c1, key.r1, key.c2, key.r2)
-        if len(leaf.entries) > self._max:
-            self._split(leaf)
-        else:
-            self._propagate_mbr(leaf.parent, key)
+        path = self._choose_path(key)
+        c1, r1, c2, r2 = key[:]
+        for node in path:
+            node.include(c1, r1, c2, r2)
+        leaf = path[-1]
+        leaf.keys.append(key)
+        leaf.payloads.append(payload)
+        if len(leaf.keys) > self._max:
+            self._split(path)
 
-    def _propagate_mbr(self, node: _Node | None, key: Range) -> None:
-        while node is not None:
-            node.include(key.c1, key.r1, key.c2, key.r2)
-            node = node.parent
-
-    def _choose_leaf(self, node: _Node, key: Range) -> _Node:
+    def _choose_path(self, key: Range) -> list[_Node]:
+        """Root-to-leaf path of the least-enlargement descent for ``key``."""
+        c1, r1, c2, r2 = key[:]
+        node = self._root
+        path = [node]
         while not node.leaf:
             best = None
             best_growth = None
             best_area = None
             for child in node.children:
-                growth = _enlargement(child, key.c1, key.r1, key.c2, key.r2)
+                growth = _enlargement(child, c1, r1, c2, r2)
                 area = child.area()
                 if (
                     best is None
@@ -221,21 +285,23 @@ class RTree(SpatialIndex):
                 ):
                     best, best_growth, best_area = child, growth, area
             node = best
-        return node
+            path.append(node)
+        return path
 
-    def _split(self, node: _Node) -> None:
-        """Quadratic split of an overfull node, propagating upwards."""
+    def _split(self, path: list[_Node]) -> None:
+        """Quadratic split of the overfull node ending ``path``,
+        propagating upwards.  A split regroups a node's contents without
+        changing their union, so no ancestor's box moves."""
+        node = path[-1]
         if node.leaf:
-            items = node.entries
-            boxes = [(e.key.c1, e.key.r1, e.key.c2, e.key.r2) for e in items]
+            boxes = node.keys
         else:
-            items = node.children
-            boxes = [(c.c1, c.r1, c.c2, c.r2) for c in items]
+            boxes = [(c.c1, c.r1, c.c2, c.r2) for c in node.children]
 
         seed_a, seed_b = self._pick_seeds(boxes)
-        group_a, group_b = [items[seed_a]], [items[seed_b]]
-        box_a, box_b = list(boxes[seed_a]), list(boxes[seed_b])
-        remaining = [i for i in range(len(items)) if i not in (seed_a, seed_b)]
+        group_a, group_b = [seed_a], [seed_b]
+        box_a, box_b = list(boxes[seed_a][:]), list(boxes[seed_b][:])
+        remaining = [i for i in range(len(boxes)) if i not in (seed_a, seed_b)]
 
         def grow(box: list[int], other: tuple[int, int, int, int]) -> int:
             nc1 = min(box[0], other[0])
@@ -256,16 +322,10 @@ class RTree(SpatialIndex):
             # Force-assign when one group must take all the rest to reach
             # the minimum fill factor.
             if len(group_a) + len(remaining) == self._min:
-                for i in remaining:
-                    group_a.append(items[i])
-                    absorb(box_a, boxes[i])
-                remaining = []
+                group_a.extend(remaining)
                 break
             if len(group_b) + len(remaining) == self._min:
-                for i in remaining:
-                    group_b.append(items[i])
-                    absorb(box_b, boxes[i])
-                remaining = []
+                group_b.extend(remaining)
                 break
             # Pick the item with the largest preference for one group.
             best_i = None
@@ -277,43 +337,30 @@ class RTree(SpatialIndex):
                     best_i, best_diff, best_pair = i, diff, (d1, d2)
             remaining.remove(best_i)
             if best_pair[0] <= best_pair[1]:
-                group_a.append(items[best_i])
+                group_a.append(best_i)
                 absorb(box_a, boxes[best_i])
             else:
-                group_b.append(items[best_i])
+                group_b.append(best_i)
                 absorb(box_b, boxes[best_i])
 
-        sibling = _Node(leaf=node.leaf)
         if node.leaf:
-            node.entries = group_a
-            sibling.entries = group_b
+            keys, payloads = node.keys, node.payloads
+            sibling = _Node([keys[i] for i in group_b], [payloads[i] for i in group_b])
+            node.keys = [keys[i] for i in group_a]
+            node.payloads = [payloads[i] for i in group_a]
         else:
-            node.children = group_a
-            sibling.children = group_b
-            for child in group_b:
-                child.parent = sibling
+            children = node.children
+            sibling = _Node([children[i] for i in group_b])
+            node.children = [children[i] for i in group_a]
         node.recompute_mbr()
-        sibling.recompute_mbr()
 
-        parent = node.parent
-        if parent is None:
-            new_root = _Node(leaf=False)
-            new_root.children = [node, sibling]
-            node.parent = new_root
-            sibling.parent = new_root
-            new_root.recompute_mbr()
-            self._root = new_root
+        if len(path) == 1:
+            self._root = _Node([node, sibling])
             return
+        parent = path[-2]
         parent.children.append(sibling)
-        sibling.parent = parent
-        parent.recompute_mbr()
         if len(parent.children) > self._max:
-            self._split(parent)
-        else:
-            node2 = parent.parent
-            while node2 is not None:
-                node2.recompute_mbr()
-                node2 = node2.parent
+            self._split(path[:-1])
 
     @staticmethod
     def _pick_seeds(boxes: list[tuple[int, int, int, int]]) -> tuple[int, int]:
@@ -347,60 +394,65 @@ class RTree(SpatialIndex):
         condensed by reinserting their survivors, per Guttman.
         """
         self.delete_ops += 1
-        leaf, index = self._find_entry(self._root, key, payload)
-        if leaf is None:
+        path, index = self._find_item(key, payload)
+        if path is None:
             return False
-        leaf.entries.pop(index)
+        leaf = path[-1]
+        del leaf.keys[index]
+        del leaf.payloads[index]
         self._size -= 1
-        self._condense(leaf)
+        self._condense(path)
         return True
 
-    def _find_entry(
-        self, node: _Node, key: Range, payload: Any
-    ) -> tuple[_Node | None, int]:
-        stack = [node]
+    def _find_item(self, key: Range, payload: Any) -> tuple[list[_Node] | None, int]:
+        """Root-to-leaf path to the first matching item and its index in
+        that leaf (depth-first, last child first)."""
+        c1, r1, c2, r2 = key[:]
+        path: list[_Node] = []
+        stack = [(self._root, 0)]
         while stack:
-            current = stack.pop()
-            if not current.overlaps(key.c1, key.r1, key.c2, key.r2):
+            node, depth = stack.pop()
+            del path[depth:]
+            path.append(node)
+            if not node.overlaps(c1, r1, c2, r2):
                 continue
-            if current.leaf:
-                for i, entry in enumerate(current.entries):
-                    if entry.key == key and (payload is None or entry.payload is payload):
-                        return current, i
+            if node.leaf:
+                payloads = node.payloads
+                for i, stored in enumerate(node.keys):
+                    if stored == key and (payload is None or payloads[i] is payload):
+                        return path, i
             else:
-                stack.extend(current.children)
+                stack.extend((child, depth + 1) for child in node.children)
         return None, -1
 
-    def _condense(self, leaf: _Node) -> None:
-        orphans: list[RTreeEntry] = []
-        node = leaf
-        while node.parent is not None:
-            parent = node.parent
+    def _condense(self, path: list[_Node]) -> None:
+        """Guttman's CondenseTree along ``path``: prune underfull nodes
+        bottom-up, tighten the boxes of the rest, re-place the orphans."""
+        orphan_keys: list[Range] = []
+        orphan_payloads: list = []
+        for depth in range(len(path) - 1, 0, -1):
+            node = path[depth]
             if node.count() < self._min:
-                parent.children.remove(node)
-                if node.leaf:
-                    orphans.extend(node.entries)
-                else:
-                    # Collect all leaf entries under the pruned subtree.
-                    stack = list(node.children)
-                    while stack:
-                        sub = stack.pop()
-                        if sub.leaf:
-                            orphans.extend(sub.entries)
-                        else:
-                            stack.extend(sub.children)
+                path[depth - 1].children.remove(node)
+                # Collect all leaf items under the pruned subtree.
+                stack = [node]
+                while stack:
+                    sub = stack.pop()
+                    if sub.leaf:
+                        orphan_keys.extend(sub.keys)
+                        orphan_payloads.extend(sub.payloads)
+                    else:
+                        stack.extend(sub.children)
             else:
                 node.recompute_mbr()
-            node = parent
         self._root.recompute_mbr()
         if not self._root.leaf and len(self._root.children) == 1:
             self._root = self._root.children[0]
-            self._root.parent = None
         # Orphans never left the tree from the caller's point of view:
         # re-place them through the internal path so neither ``_size`` nor
         # ``insert_ops`` records the restructuring.
-        for entry in orphans:
-            self._insert_entry(entry)
+        for key, payload in zip(orphan_keys, orphan_payloads):
+            self._insert_item(key, payload)
 
     # -- bulk loading --------------------------------------------------------
 
@@ -412,60 +464,54 @@ class RTree(SpatialIndex):
         full nodes; repeat level by level.  The result is a near-fully
         packed tree, much tighter than the one incremental insertion
         leaves behind — ideal after a column-major build where every
-        vertex arrived one at a time.
+        vertex arrived one at a time.  The items are read into a key and
+        a payload column in one loop; leaves take their slices of both.
         """
         self.bulk_loads += 1
-        entries = list(map(_entry, items))
-        self._size = len(entries)
-        if not entries:
-            self._root = _Node(leaf=True)
-            return
-        level: list[_Node] = []
-        keys = [entry[0] for entry in entries]
-        for group in self._str_tiles(
-            entries, [k[0] + k[2] for k in keys], [k[1] + k[3] for k in keys]
-        ):
-            leaf = _Node(leaf=True)
-            leaf.entries = group
-            leaf.recompute_mbr()
-            level.append(leaf)
+        keys: list[Range] = []
+        payloads: list = []
+        add_key, add_payload = keys.append, payloads.append
+        for key, payload in items:
+            add_key(key)
+            add_payload(payload)
+        self._size = len(keys)
+        level: list[_Node] = [
+            _Node([keys[i] for i in chunk], [payloads[i] for i in chunk])
+            for chunk in self._str_tiles(
+                len(keys), [k[0] + k[2] for k in keys], [k[1] + k[3] for k in keys]
+            )
+        ]
         while len(level) > 1:
-            parents: list[_Node] = []
-            for group in self._str_tiles(
-                level, [n.c1 + n.c2 for n in level], [n.r1 + n.r2 for n in level]
-            ):
-                parent = _Node(leaf=False)
-                parent.children = group
-                for child in group:
-                    child.parent = parent
-                parent.recompute_mbr()
-                parents.append(parent)
-            level = parents
-        self._root = level[0]
-        self._root.parent = None
+            level = [
+                _Node([level[i] for i in chunk])
+                for chunk in self._str_tiles(
+                    len(level), [n.c1 + n.c2 for n in level], [n.r1 + n.r2 for n in level]
+                )
+            ]
+        self._root = level[0] if level else _empty_leaf()
 
-    def _str_tiles(self, items: list, centre_col: list, centre_row: list) -> list[list]:
-        """Partition ``items`` into node-sized groups by the STR recipe.
+    def _str_tiles(self, count: int, centre_col: list, centre_row: list) -> list[list[int]]:
+        """Partition the indices ``0..count-1`` into node-sized groups by
+        the STR recipe.
 
-        ``centre_col[i]`` / ``centre_row[i]`` are twice the centre of
-        ``items[i]``'s box, as plain integers, and the items' *indices*
-        are sorted on them (ties stay in input order) — no key tuple,
-        nothing for the collector to track.  Groups are evenly sized,
-        which keeps every group within ``[self._min, self._max]``
-        whenever more than one is needed.
+        ``centre_col[i]`` / ``centre_row[i]`` are twice the centre of item
+        ``i``'s box, as plain integers, and the indices are sorted on them
+        (ties stay in input order) — no key tuple, nothing for the
+        collector to track.  Groups are evenly sized, which keeps every
+        group within ``[self._min, self._max]`` whenever more than one is
+        needed.
         """
-        slabs = [list(range(len(items)))]
-        if len(items) > self._max:
-            node_count = -(-len(items) // self._max)
+        if not count:
+            return []
+        slabs = [list(range(count))]
+        if count > self._max:
+            node_count = -(-count // self._max)
             slab_count = max(1, round(node_count**0.5))
             slabs[0].sort(key=centre_col.__getitem__)
-            slabs = _even_chunks(slabs[0], -(-len(items) // slab_count))
+            slabs = _even_chunks(slabs[0], -(-count // slab_count))
             for slab in slabs:
                 slab.sort(key=centre_row.__getitem__)
-        return [
-            [items[i] for i in chunk]
-            for slab in slabs for chunk in _even_chunks(slab, self._max)
-        ]
+        return [chunk for slab in slabs for chunk in _even_chunks(slab, self._max)]
 
     # -- diagnostics ---------------------------------------------------------
 
@@ -502,14 +548,13 @@ class RTree(SpatialIndex):
                 f"node fill {node.count()} outside [{self._min}, {self._max}]"
             )
         if node.leaf:
-            for entry in node.entries:
-                key = entry.key
+            assert len(node.keys) == len(node.payloads), "leaf key/payload columns differ"
+            for key in node.keys:
                 assert node.c1 <= key.c1 and key.c2 <= node.c2
                 assert node.r1 <= key.r1 and key.r2 <= node.r2
-            return len(node.entries)
+            return len(node.keys)
         total = 0
         for child in node.children:
-            assert child.parent is node, "broken parent pointer"
             assert node.c1 <= child.c1 and child.c2 <= node.c2
             assert node.r1 <= child.r1 and child.r2 <= node.r2
             total += self._check_node(child)

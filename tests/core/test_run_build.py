@@ -274,6 +274,46 @@ def test_a_reference_qualified_with_the_sheets_own_name_is_one_dependency(store)
     assert multiset(graph)[(Range.cell(1, 5), Range.cell(2, 5))] == 1
 
 
+def every_pattern_sheet(store: str) -> Sheet:
+    """FF, FR, RF and RR columns, a chain, a Fig. 2 IF-chain, cells with
+    several references (repeats and a typed cell among them) and a lone
+    formula: each run streams through the piece path, each lone cell
+    through the one-row path."""
+    sheet = Sheet("S", store=store)
+    for row in range(1, 41):
+        sheet.set_value((1, row), float(row % 5))
+        sheet.set_value((2, row), float(row))
+    fill_formula_column(sheet, 3, 1, 30, "=SUM($A$1:$B$4)")             # FF
+    fill_formula_column(sheet, 4, 1, 30, "=SUM($A$1:A1)")               # FR
+    fill_formula_column(sheet, 5, 1, 30, "=SUM(A1:$B$40)")              # RF
+    fill_formula_column(sheet, 6, 1, 30, "=A1+B2*SUM(A1:B3)")           # RR, several
+    sheet.set_value((7, 1), 0.0)
+    fill_formula_column(sheet, 7, 2, 30, "=G1+A2")                      # chain
+    sheet.set_formula((8, 2), "=B2")
+    fill_formula_column(sheet, 8, 3, 30, "=IF(A3=A2,H2+B3,B3)")        # Fig. 2
+    fill_formula_column(sheet, 9, 1, 30, "=$B$1+A1+$B$1+S!A1+B$3")      # repeats
+    sheet.set_formula((9, 12), "=A12*2")                                # typed cell
+    sheet.set_formula((10, 7), "=SUM(A1:B9)+C7")                        # lone cell
+    return sheet
+
+
+@pytest.mark.parametrize("store", ["columnar", "object"])
+def test_the_stream_of_every_pattern_is_the_per_cell_oracle(store):
+    """Member-major and, inside a member, formula order — on the piece
+    path (C iterators) and the one-row path alike."""
+    sheet = every_pattern_sheet(store)
+    stream = streamed(sheet)
+    assert stream == per_cell_stream(sheet)
+    # C, D, E: one each; F: three; G: two; H: one, then four; I: three
+    # (S!A1 is A1), the typed cell one; J: two
+    assert len(stream) == 3 * 30 + 3 * 30 + 2 * 29 + 1 + 4 * 28 + 3 * 29 + 1 + 2
+    for (col, row), cell in sheet.formula_cells():
+        assert [(d.prec, d.dep, d.cue) for d in sheet.dependencies_at(cell.template, col, row)] \
+            == [dep for dep in stream if dep[1] == Range.cell(col, row)]
+    # a reference fixed at both ends is one range down its whole column
+    assert len({id(d.prec) for d in dependencies_column_major(sheet) if d.dep.c1 == 3}) == 1
+
+
 # -- what the run path costs ---------------------------------------------------
 
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.engine.journal import Journal, JournalFormatError, read_journal, recover
 from repro.engine.recalc import RecalcEngine
-from repro.io.snapshot import save_snapshot
+from repro.io.snapshot import load_snapshot, save_snapshot
 from repro.sheet.workbook import Workbook
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "fixtures"))
@@ -385,3 +385,37 @@ def test_journal_append_reopens(tmp_path):
     result = recover(snapshot, path)
     assert result.records_applied == 2
     assert sheet_values(result.workbook) == sheet_values(workbook)
+
+
+def test_a_fresh_stamped_journal_is_one_commit_of_the_same_bytes(scenario, tmp_path, monkeypatch):
+    """The header and the ``open`` stamp reach the disk in one commit —
+    one file fsync, then one of the directory — and are the bytes the
+    golden journal starts with; recovery pairs the journal as before."""
+    snapshot_id = load_snapshot(scenario["snapshot"]).meta["snapshot_id"]
+    wal = str(tmp_path / "fresh.wal")
+    synced = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: (synced.append(fd), real_fsync(fd))[1])
+    journal = Journal(wal, truncate=True, snapshot_id=snapshot_id)
+    monkeypatch.undo()
+    assert len(synced) == 2
+    assert (journal.records_written, journal.edit_records) == (1, 0)
+    journal.close()
+    with open(wal, "rb") as handle:
+        assert handle.read() == scenario["data"][: scenario["boundaries"][1]]
+    assert read_journal(wal).records == [{"kind": "open", "snapshot": snapshot_id}]
+
+    result = recover(scenario["snapshot"], wal)
+    assert result.records_applied == 0
+    assert sheet_values(result.workbook) == \
+        sheet_values(load_snapshot(scenario["snapshot"]).workbook)
+    with pytest.raises(JournalFormatError, match="does not match"):
+        recover(io.BytesIO(_other_snapshot(tmp_path)), wal)
+
+
+def _other_snapshot(tmp_path) -> bytes:
+    workbook, engine = build_workbook()
+    path = str(tmp_path / "other.snap")
+    save_snapshot(workbook, path, {"Main": engine.graph})
+    with open(path, "rb") as handle:
+        return handle.read()

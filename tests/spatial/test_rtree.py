@@ -207,7 +207,7 @@ class TestBulkLoad:
         items += [(Range(7, 7, 7, 7), 1000 + i) for i in range(20)]
 
         def shape(node):
-            below = (tuple(e.payload for e in node.entries) if node.leaf
+            below = (tuple(node.payloads) if node.leaf
                      else tuple(shape(child) for child in node.children))
             return (node.c1, node.r1, node.c2, node.r2, below)
 
