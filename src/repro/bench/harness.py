@@ -9,10 +9,11 @@ a DNF marker, which the reporting layer renders as the paper's red X.
 
 from __future__ import annotations
 
-import gc
 import time
+from contextlib import nullcontext
 from typing import Callable, NamedTuple
 
+from ..bulk import bulk
 from ..graphs.base import Budget, DNFError
 
 __all__ = ["Measurement", "measure", "time_call", "best_of"]
@@ -56,22 +57,18 @@ def measure(
     ``fn`` is called as ``fn(budget)`` when a budget is given and the
     callable accepts it, else as ``fn()``.  A raised
     :class:`~repro.graphs.base.DNFError` or :class:`MemoryError` becomes a
-    DNF measurement rather than an exception.
+    DNF measurement rather than an exception.  ``disable_gc`` runs
+    ``fn`` as a bulk build (:func:`repro.bulk.bulk`).
     """
     budget = Budget(budget_seconds, operation) if budget_seconds is not None else None
-    gc_was_enabled = gc.isenabled()
-    if disable_gc:
-        gc.disable()
     start = time.perf_counter()
     try:
-        result = fn(budget) if budget is not None else fn()
+        with bulk() if disable_gc else nullcontext():
+            result = fn(budget) if budget is not None else fn()
     except DNFError as exc:
         return Measurement(time.perf_counter() - start, True, None, str(exc))
     except MemoryError as exc:
         return Measurement(time.perf_counter() - start, True, None, f"memory: {exc}")
-    finally:
-        if disable_gc and gc_was_enabled:
-            gc.enable()
     return Measurement(time.perf_counter() - start, False, result)
 
 

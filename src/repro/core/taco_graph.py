@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Iterable, Iterator
 
+from ..bulk import bulk
 from ..graphs.base import Budget, FormulaGraph, GraphStats
 from ..grid.range import Range
 from ..sheet.sheet import Dependency, Sheet
@@ -326,6 +327,7 @@ class TacoGraph(FormulaGraph):
         )
 
 
+@bulk()
 def dependencies_column_major(sheet: Sheet) -> list[Dependency]:
     """The sheet's dependency stream in column-major dependent order.
 
@@ -333,7 +335,8 @@ def dependencies_column_major(sheet: Sheet) -> list[Dependency]:
     feeding dependents column-by-column maximises the chance that each
     dependency finds its already-inserted neighbour.  That is the order
     :meth:`Sheet.iter_dependencies` reads the runs in, the multiple
-    references of one formula in formula order.
+    references of one formula in formula order.  The list is built with
+    the cycle collector paused (:mod:`repro.bulk`).
     """
     return list(sheet.iter_dependencies())
 
@@ -392,7 +395,7 @@ def _build_from_runs(graph: TacoGraph, sheet: Sheet, budget: Budget | None) -> N
             if compress.insert_run(graph, sheet.dependencies_at(template, col, r0), second, last):
                 return
         for row in range(r0, r1 + 1):
-            graph.build(sheet.dependencies_at(template, col, row), budget)
+            graph.add_dependencies(sheet.dependencies_at(template, col, row), budget)
 
     for template, col, r0, r1 in sheet.formula_runs():
         if budget is not None:

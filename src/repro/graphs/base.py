@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from typing import Iterable, Iterator
 
+from ..bulk import bulk
 from ..grid.range import Range
 from ..sheet.sheet import Dependency
 
@@ -88,8 +89,15 @@ class FormulaGraph:
     def add_dependency(self, dep: Dependency, budget: Budget | None = None) -> None:
         raise NotImplementedError
 
+    @bulk()
     def build(self, deps: Iterable[Dependency], budget: Budget | None = None) -> None:
-        """Insert a stream of dependencies (the paper's graph construction)."""
+        """Insert a stream of dependencies (the paper's graph construction)
+        with the cycle collector paused (:mod:`repro.bulk`)."""
+        self.add_dependencies(deps, budget)
+
+    def add_dependencies(self, deps: Iterable[Dependency], budget: Budget | None = None) -> None:
+        """Insert dependencies one at a time, the collector untouched —
+        how the run build streams a handful of cells."""
         for dep in deps:
             if budget is not None:
                 budget.check()

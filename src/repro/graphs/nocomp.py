@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
+from ..bulk import bulk
 from ..grid.range import Range
 from ..grid.rangeset import RangeSet
 from ..sheet.sheet import Dependency
@@ -62,12 +63,14 @@ class NoCompGraph(FormulaGraph):
             precs.append(prec)
         self._edge_count += 1
 
+    @bulk()
     def build(self, deps: Iterable[Dependency], budget: Budget | None = None) -> None:
         """Bulk construction: fill the adjacency first — one loop, no
         call per dependency — then bulk-load the vertex indexes over the
         settled key sets (STR packing for the R-Tree) instead of
         inserting every vertex one at a time.  A formula cell is indexed
-        under the host range the stream brought it with."""
+        under the host range the stream brought it with.  The cycle
+        collector is paused throughout (:mod:`repro.bulk`)."""
         adjacency, reverse = self._adjacency, self._reverse
         # every formula cell's index key, in the order of ``reverse``
         hosts = {cell: Range.cell(*cell) for cell in reverse}

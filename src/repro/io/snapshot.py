@@ -292,15 +292,15 @@ def _restore_value_column(workbook: "Workbook | None", payload: bytes) -> None:
         values.byteswap()
     sheet = _sheet_for(workbook, {"sheet": name})
     side = {int(i): decode_value(v) for i, v in side_record.items()}
-    if sheet.store_kind == "columnar" and not sheet.formula_count:
+    if not sheet.formula_count:
         try:
-            sheet._cells.import_column(col, start_row, bytes(tags), values, side)
+            sheet.import_column(col, start_row, bytes(tags), values, side)
         except ValueError as exc:
             raise SnapshotFormatError(f"bad VCOL section: {exc}") from exc
         return
-    # Expand the run per cell: an object-store sheet has no planes, and a
-    # version-2 stream registered its formulas first — its runs are blank
-    # on their rows, and a slice install would blank their cached values.
+    # Expand the run per cell: a version-2 stream registered its formulas
+    # first — its runs are blank on their rows, and a slice install would
+    # blank their cached values.
     for i in range(count):
         tag = tags[i]
         if tag == TAG_EMPTY:

@@ -24,6 +24,7 @@ import zipfile
 from typing import IO
 from xml.etree import ElementTree
 
+from ..bulk import bulk
 from ..formula.errors import ExcelError
 from ..formula.template import FormulaTemplate
 from ..grid.ref import parse_cell
@@ -38,8 +39,10 @@ class XlsxFormatError(ValueError):
     """Raised for files that are not parseable xlsx archives."""
 
 
+@bulk()
 def read_xlsx(source: "str | IO[bytes]") -> Workbook:
-    """Read an ``.xlsx`` file (path or binary stream) into a Workbook."""
+    """Read an ``.xlsx`` file (path or binary stream) into a Workbook,
+    with the cycle collector paused (:mod:`repro.bulk`)."""
     try:
         archive = zipfile.ZipFile(source)
     except zipfile.BadZipFile as exc:

@@ -21,7 +21,7 @@ from ..formula.ast_nodes import Node
 from ..formula.template import FormulaTemplate
 from ..grid.range import Range
 from .cell import Cell
-from .columnar import RunIndex, _classify, scan_formula_runs
+from .columnar import TAG_BOOL, TAG_EMPTY, TAG_NUMBER, RunIndex, _classify, scan_formula_runs
 
 __all__ = ["ObjectStore", "position_mover"]
 
@@ -90,6 +90,26 @@ class ObjectStore:
         self._drop((col, row))
         if value is not None:
             self._cells[(col, row)] = Cell(value=value)
+
+    def import_column(self, col: int, start_row: int, tags: bytes,
+                      values: array, side: dict[int, object]) -> None:
+        """:meth:`ColumnarStore.import_column` cell by cell: the same
+        checks, then one boxed cell per occupied row."""
+        if len(tags) != len(values):
+            raise ValueError("columnar run: tags/values length mismatch")
+        cells = self._cells
+        if any((col, row) in cells for row in range(start_row, start_row + len(tags))):
+            raise ValueError("columnar run: rows already occupied")
+        for i, tag in enumerate(tags):
+            if tag == TAG_EMPTY:
+                continue
+            if tag == TAG_NUMBER:
+                value = values[i]
+            elif tag == TAG_BOOL:
+                value = values[i] != 0.0
+            else:
+                value = side[i]
+            cells[(col, start_row + i)] = Cell(value=value)
 
     def clear_range(self, c1: int, r1: int, c2: int, r2: int) -> None:
         rng, cells = Range(c1, r1, c2, r2), self._cells

@@ -180,6 +180,17 @@ class Sheet:
         col, row = target if type(target) is tuple else _coerce_pos(target)
         self._cells.write_pure(col, row, value)
 
+    def import_column(self, col: int, start_row: int, tags: bytes,
+                      values: array, side: dict[int, object]) -> None:
+        """Install a column run of values in one call: row
+        ``start_row + i`` gets tag ``tags[i]`` (``repro.sheet.columnar``'s
+        ``TAG_*``) with its number ``values[i]`` or, for strings, errors
+        and objects, ``side[i]``.  Every row must be vacant (ValueError
+        otherwise).  Two slice copies on the columnar store
+        (:meth:`ColumnarStore.import_column`); the object store writes
+        the cells one by one."""
+        self._cells.import_column(col, start_row, tags, values, side)
+
     def set_formula(self, target, text: str) -> None:
         """Set a formula from text (leading ``=`` optional)."""
         body = text[1:] if text.startswith("=") else text

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.patterns.registry import extended_patterns
 from repro.core.taco_graph import TacoGraph, dependencies_column_major
+from repro.datasets import RegionSpec, SheetSpec, generate_sheet, regions
 from repro.datasets.regions import REGION_BUILDERS, build_region
 from repro.sheet.sheet import Sheet
 
@@ -86,3 +87,26 @@ class TestRegionPatterns:
         count = build_region(sheet, kind, 1, 2, 10, random.Random(1))
         assert count > 0
         assert sheet.formula_count > 0
+
+
+def _fill_cell_by_cell(sheet, col, r1, r2, rng):
+    for row in range(r1, r2 + 1):
+        sheet.set_value((col, row), round(rng.uniform(1.0, 500.0), 2))
+
+
+@pytest.mark.usefixtures("store")
+@pytest.mark.parametrize("size", [1, 2, 9, 40])
+def test_data_columns_in_one_call_match_cell_by_cell_writes(size, monkeypatch):
+    """A data column lands in one ``Sheet.import_column`` call: the same
+    draws in the same order as writing it cell by cell, so the same
+    sheet — and the same RNG state for what the region draws next."""
+    spec = SheetSpec("S", tuple(RegionSpec(kind, size) for kind in sorted(REGION_BUILDERS)), 3)
+    fast = generate_sheet(spec)
+    monkeypatch.setattr(regions, "_fill_data_column", _fill_cell_by_cell)
+    slow = generate_sheet(spec)
+
+    def state(sheet):
+        return [(pos, repr(cell.value), cell.formula_text) for pos, cell in sorted(sheet.items())]
+
+    assert state(fast) == state(slow)
+    assert len(fast) == len(slow) and fast.used_range() == slow.used_range()

@@ -379,6 +379,24 @@ class TestSheetParity:
             sheet.attach_formula_run(4, 1, 2, None, "A1")
 
 
+    @pytest.mark.parametrize("kind", ["columnar", "object"])
+    def test_import_column_lands_every_kind_into_vacant_rows(self, kind):
+        sheet = Sheet("P", store=kind)
+        sheet.set_value("B1", 9.0)
+        tags = bytes((TAG_NUMBER, TAG_EMPTY, TAG_BOOL, TAG_STRING, TAG_ERROR))
+        values = array("d", [1.5, 0.0, 1.0, 0.0, 0.0])
+        side = {3: "txt", 4: ExcelError("#N/A")}
+        sheet.import_column(2, 2, tags, values, side)
+        assert len(sheet) == 5
+        assert [sheet.get_value((2, r)) for r in range(1, 7)] == \
+            [9.0, 1.5, None, True, "txt", ExcelError("#N/A")]
+        with pytest.raises(ValueError, match="occupied"):
+            sheet.import_column(2, 6, b"\x01\x01", array("d", [1.0, 2.0]), {})
+        with pytest.raises(ValueError, match="length"):
+            sheet.import_column(3, 1, b"\x01\x01", array("d", [1.0]), {})
+        assert len(sheet) == 5 and sheet.get_value((2, 7)) is None
+
+
 class TestBounds:
     """``bounds()`` reads column extents off the tag buffers; the oracle
     is the per-cell loop it replaced."""
