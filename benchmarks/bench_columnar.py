@@ -6,11 +6,12 @@ cell — on dense corpora that per-cell object overhead dominated both
 resident memory and recalculation time.  This benchmark quantifies what
 the typed columnar store (:mod:`repro.sheet.columnar`) buys, two ways:
 
-* **memory**: build the same dense value population on both stores and
-  measure the allocation delta with ``tracemalloc``, cross-checked by a
-  deterministic ``sys.getsizeof`` walk over each store's internals.
-  Gate: the object store allocates **>= 5x** the columnar store's bytes
-  per value cell.
+* **memory**: build the same dense value population on the columnar
+  store and on the seed's dict-of-Cells model
+  (:mod:`repro.baselines.object_store`) and measure the allocation delta
+  with ``tracemalloc``, cross-checked by a deterministic
+  ``sys.getsizeof`` walk over each store's internals.  Gate: the object
+  store allocates **>= 5x** the columnar store's bytes per value cell.
 * **formula memory**: two autofilled columns (``=A1*$F$1+B1``,
   ``=SUM($A$1:A1)``) on the columnar store, ``tracemalloc`` bytes per
   formula cell straight after the fill and again after
@@ -22,12 +23,11 @@ the typed columnar store (:mod:`repro.sheet.columnar`) buys, two ways:
   each also owned a shifted AST, a reference list and a key string).  The
   fill itself is timed per member, untraced.
 * **throughput**: a broadcast-input edit (``$F$1``) dirties an entire
-  ``=A1*$F$1+B1`` column; the columnar engine re-evaluates it as one
-  sweep over plane slices, the object store runs the same sweep over
-  bands it assembles cell by cell, the columnar engine with the sweep
-  declining runs the compiled closure loop, the interpreter walks the
-  tree per cell.  All four arms must end bit-identical; the sweep
-  speedups are reported (and the sweep must actually dispatch).
+  ``=A1*$F$1+B1`` column; the engine re-evaluates it as one sweep over
+  plane slices, the engine with the sweep declining runs the compiled
+  closure loop, the interpreter walks the tree per cell.  All three arms
+  must end bit-identical; the sweep speedups are reported (and the sweep
+  must actually dispatch).
 
 Besides the ASCII artifact, the run writes machine-readable JSON to
 ``benchmarks/results/columnar_store.json`` (per-arm bytes, bytes/cell,
@@ -44,6 +44,7 @@ from contextlib import contextmanager
 
 from _common import RESULTS_DIR, emit
 
+from repro.baselines.object_store import ObjectSheet
 from repro.bench.reporting import ascii_table, banner, format_ms
 from repro.core.taco_graph import build_from_sheet
 from repro.engine import vectorized
@@ -69,12 +70,12 @@ def fill_values(sheet: Sheet, rows: int) -> int:
     return VALUE_COLS * rows
 
 
-def traced_build(store: str, rows: int) -> tuple[Sheet, int]:
+def traced_build(sheet_class: type[Sheet], rows: int) -> tuple[Sheet, int]:
     """Build the population and return (sheet, allocated bytes)."""
     gc.collect()
     tracemalloc.start()
     before, _ = tracemalloc.get_traced_memory()
-    sheet = Sheet("M", store=store)
+    sheet = sheet_class("M")
     fill_values(sheet, rows)
     after, _ = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -86,23 +87,23 @@ def sized_store_bytes(sheet: Sheet) -> int:
     (cross-check for the tracemalloc delta; excludes interpreter
     overheads like small-int caches either way)."""
     cells = sheet._cells
-    if sheet.store_kind == "columnar":
-        total = sys.getsizeof(cells._columns)
-        for column in cells._columns.values():
-            total += (sys.getsizeof(column) + sys.getsizeof(column.values)
-                      + sys.getsizeof(column.tags) + sys.getsizeof(column.side))
+    if isinstance(sheet, ObjectSheet):
+        total = sys.getsizeof(cells._cells)
+        for pos, cell in cells.items():
+            total += sys.getsizeof(pos) + sys.getsizeof(cell)
+            total += sys.getsizeof(cell.value)
         return total
-    total = sys.getsizeof(cells._cells)
-    for pos, cell in cells.items():
-        total += sys.getsizeof(pos) + sys.getsizeof(cell)
-        total += sys.getsizeof(cell.value)
+    total = sys.getsizeof(cells._columns)
+    for column in cells._columns.values():
+        total += (sys.getsizeof(column) + sys.getsizeof(column.values)
+                  + sys.getsizeof(column.tags) + sys.getsizeof(column.side))
     return total
 
 
 # -- formula memory arm --------------------------------------------------------
 
 def formula_inputs(rows: int) -> Sheet:
-    sheet = Sheet("F", store="columnar")
+    sheet = Sheet("F")
     for r in range(1, rows + 1):
         sheet.set_value((1, r), float((r * 37) % 101) / 3.0)
         sheet.set_value((2, r), float(r % 13) - 6.5)
@@ -144,8 +145,8 @@ def traced_formula_bytes(rows: int) -> tuple[float, float]:
 
 # -- throughput arm ------------------------------------------------------------
 
-def build_formula_sheet(store: str, rows: int) -> Sheet:
-    sheet = Sheet("T", store=store)
+def build_formula_sheet(rows: int) -> Sheet:
+    sheet = Sheet("T")
     for r in range(1, rows + 1):
         sheet.set_value((1, r), float((r * 37) % 101) / 3.0)
         sheet.set_value((2, r), float(r % 13) - 6.5)
@@ -177,8 +178,8 @@ def sweeps_refused(refused: bool):
 def test_columnar_store_memory_and_throughput(benchmark):
     def run():
         # Memory: same dense population, both stores.
-        columnar_sheet, columnar_bytes = traced_build("columnar", ROWS)
-        object_sheet, object_bytes = traced_build("object", ROWS)
+        columnar_sheet, columnar_bytes = traced_build(Sheet, ROWS)
+        object_sheet, object_bytes = traced_build(ObjectSheet, ROWS)
         cells = VALUE_COLS * ROWS
         sized_columnar = sized_store_bytes(columnar_sheet)
         sized_object = sized_store_bytes(object_sheet)
@@ -188,20 +189,18 @@ def test_columnar_store_memory_and_throughput(benchmark):
 
         # Throughput: broadcast edit over an elementwise column.
         engines, timings = {}, {}
-        for arm, (store, mode) in {
-            "columnar-sweep": ("columnar", "auto"),
-            "object-sweep": ("object", "auto"),
-            "columnar-compiled": ("columnar", "auto"),
-            "interpreter": ("columnar", "interpreter"),
+        for arm, mode in {
+            "columnar-sweep": "auto",
+            "columnar-compiled": "auto",
+            "interpreter": "interpreter",
         }.items():
             with sweeps_refused(arm == "columnar-compiled"):
-                engine = RecalcEngine(build_formula_sheet(store, ROWS),
-                                      evaluation=mode)
+                engine = RecalcEngine(build_formula_sheet(ROWS), evaluation=mode)
                 engine.recalculate_all()
                 timings[arm] = time_broadcast_edits(engine)
             engines[arm] = engine
         reference = engines["interpreter"].sheet
-        for arm in ("columnar-sweep", "object-sweep", "columnar-compiled"):
+        for arm in ("columnar-sweep", "columnar-compiled"):
             subject = engines[arm].sheet
             for r in range(1, ROWS + 1):
                 got, want = subject.get_value((3, r)), reference.get_value((3, r))
@@ -230,8 +229,6 @@ def test_columnar_store_memory_and_throughput(benchmark):
             "edit_rounds": EDIT_ROUNDS,
             "elementwise_cells": swept,
             "seconds": timings,
-            "sweep_speedup_vs_object":
-                timings["object-sweep"] / timings["columnar-sweep"],
             "sweep_speedup_vs_compiled":
                 timings["columnar-compiled"] / timings["columnar-sweep"],
             "sweep_speedup_vs_interpreter":
@@ -269,8 +266,6 @@ def test_columnar_store_memory_and_throughput(benchmark):
         [
             ["columnar-sweep", format_ms(results["seconds"]["columnar-sweep"]),
              "1.0x"],
-            ["object-sweep", format_ms(results["seconds"]["object-sweep"]),
-             f"{results['sweep_speedup_vs_object']:.1f}x"],
             ["columnar-compiled", format_ms(results["seconds"]["columnar-compiled"]),
              f"{results['sweep_speedup_vs_compiled']:.1f}x"],
             ["interpreter", format_ms(results["seconds"]["interpreter"]),
@@ -291,7 +286,6 @@ def test_columnar_store_memory_and_throughput(benchmark):
         f"and {results['fill_us_per_member']:.3f} us to fill; "
         f"elementwise sweep "
         f"{results['sweep_speedup_vs_compiled']:.1f}x vs the compiled closure loop, "
-        f"{results['sweep_speedup_vs_object']:.1f}x vs the object store, "
         f"{results['sweep_speedup_vs_interpreter']:.1f}x vs interpreter"
     )
     lines.append("\n" + verdict)

@@ -62,7 +62,7 @@ def build_corpus(rows: int) -> tuple[Sheet, list[Range]]:
     arms disagree loudly if a probe goes wrong."""
     rng = random.Random(7)
     keys = [float(k) for k in rng.sample(range(10 * rows), rows)]
-    sheet = Sheet("lookup", store="columnar")
+    sheet = Sheet("lookup")
     for r, key in enumerate(keys, start=1):
         sheet.set_value((1, r), key)             # A: shuffled keys
         sheet.set_value((2, r), key * 3.0 + 1.0)  # B: payloads

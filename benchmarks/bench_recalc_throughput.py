@@ -132,7 +132,7 @@ SCANS = ("c chain", "c if")
 
 
 def build_strips(rows: int) -> Sheet:
-    sheet = Sheet("throughput", store="columnar")
+    sheet = Sheet("throughput")
     for r in range(1, rows + 5):
         sheet.set_value((1, r), float((r * 31) % 101) + 0.25)
         sheet.set_value((2, r), float((r * 17) % 13) + 1.0)

@@ -57,7 +57,7 @@ def usable_cores() -> int:
 def build_dashboard() -> Sheet:
     """The what-if dashboard: an assumptions block (growth, cost ratio,
     fx) driving MONTHS of revenue/costs/profit/cumulative projections."""
-    sheet = Sheet("plan", store="columnar")
+    sheet = Sheet("plan")
     sheet.set_value("B1", 1.02)
     sheet.set_value("B2", 0.62)
     sheet.set_value("B3", 1.08)

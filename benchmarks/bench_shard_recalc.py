@@ -108,7 +108,7 @@ def compare(serial: dict, resident: dict) -> dict:
 def wide_corpus() -> tuple[Sheet, list[Range]]:
     """Two value columns feeding one interpreter-bound formula column per
     block, no cross-block references: every block is its own shard's."""
-    sheet = Sheet("wide", store="columnar")
+    sheet = Sheet("wide")
     ranges = []
     for b in range(WIDE_BLOCKS):
         cx, cy, cz = 3 * b + 1, 3 * b + 2, 3 * b + 3
@@ -145,7 +145,7 @@ def run_wide() -> dict:
 def hot_corpus() -> Sheet:
     """A big static data column feeding windowed formulas scaled by one
     hot control cell, per block."""
-    sheet = Sheet("hot", store="columnar")
+    sheet = Sheet("hot")
     for b in range(BLOCKS):
         cx, cy, cz = 3 * b + 1, 3 * b + 2, 3 * b + 3
         x, y = col_to_letters(cx), col_to_letters(cy)

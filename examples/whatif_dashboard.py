@@ -22,7 +22,7 @@ MONTHS = 120  # ten years of monthly projections
 
 
 def build_dashboard() -> Sheet:
-    sheet = Sheet("plan", store="columnar")
+    sheet = Sheet("plan")
     # Assumptions block (B1:B3) — fixed references from everywhere below.
     sheet.set_value("A1", "growth")
     sheet.set_value("B1", 1.02)

@@ -1,51 +1,37 @@
-"""The object store: one boxed :class:`Cell` per occupied position.
+"""The seed's sheet model: one boxed :class:`Cell` per occupied position.
 
-The second implementation of the store surface a
-:class:`~repro.sheet.sheet.Sheet` calls — the first, and the default, is
-the typed columnar store (:mod:`repro.sheet.columnar`).  Values and
-formulas live in a dict keyed by ``(col, row)``; a formula cell is a
-``Cell`` holding its template and host.  There are no value planes, so
-nothing here answers a range by slice (:meth:`ObjectStore.range_numbers`
-always declines) and bands are assembled cell by cell.  The store keeps
-the same two stamps as the columnar one — ``epoch`` for whole-store
-reshapes, ``formula_version`` for any change to the set of formulas —
-and is the differential oracle the columnar store is checked against.
+Before the typed columnar store (:mod:`repro.sheet.columnar`) a sheet
+was a dict keyed by ``(col, row)`` whose values are ``Cell`` objects, a
+formula cell holding its template and host.  It survives here for two
+jobs:
+
+* the **memory baseline** — what a cell costs as an object, against
+  which the columnar store's footprint is gated (``bench_columnar.py``);
+* the **store-layer oracle** — :class:`ObjectSheet` is a
+  :class:`~repro.sheet.sheet.Sheet` over this store, and the tests that
+  check the columnar store itself (its values, formula plane, run
+  records and structural moves) compare the two.
+
+:class:`ObjectStore` answers only what the sheet's store-layer methods
+and the structural pass (:mod:`repro.sheet.structural`) call.  It has no
+value planes and no bands, so engines, kernels, lookup indexes, the
+resident runtime and the snapshot writer run over the columnar store
+only; the interpreter over a columnar sheet is their oracle.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator
 
 from ..formula.ast_nodes import Node
 from ..formula.template import FormulaTemplate
 from ..grid.range import Range
-from .cell import Cell
-from .columnar import TAG_BOOL, TAG_EMPTY, TAG_NUMBER, RunIndex, _classify, scan_formula_runs
+from ..sheet.cell import Cell
+from ..sheet.columnar import RunIndex
+from ..sheet.sheet import Sheet
+from ..sheet.structural import position_mover
 
-__all__ = ["ObjectStore", "position_mover"]
-
-
-def position_mover(axis: str, mode: str, index: int, count: int):
-    """``pos -> pos | None``: where a structural edit — ``count`` rows
-    (``axis="row"``) or columns inserted before / deleted from ``index``
-    — takes a position; None when it is deleted."""
-    at = 1 if axis == "row" else 0
-    end = index + count - 1
-
-    def move(pos):
-        line = pos[at]
-        if line < index:
-            return pos
-        if mode == "insert":
-            line += count
-        elif line > end:
-            line -= count
-        else:
-            return None
-        return (pos[0], line) if at else (line, pos[1])
-
-    return move
+__all__ = ["ObjectSheet", "ObjectStore"]
 
 
 class ObjectStore:
@@ -91,26 +77,6 @@ class ObjectStore:
         if value is not None:
             self._cells[(col, row)] = Cell(value=value)
 
-    def import_column(self, col: int, start_row: int, tags: bytes,
-                      values: array, side: dict[int, object]) -> None:
-        """:meth:`ColumnarStore.import_column` cell by cell: the same
-        checks, then one boxed cell per occupied row."""
-        if len(tags) != len(values):
-            raise ValueError("columnar run: tags/values length mismatch")
-        cells = self._cells
-        if any((col, row) in cells for row in range(start_row, start_row + len(tags))):
-            raise ValueError("columnar run: rows already occupied")
-        for i, tag in enumerate(tags):
-            if tag == TAG_EMPTY:
-                continue
-            if tag == TAG_NUMBER:
-                value = values[i]
-            elif tag == TAG_BOOL:
-                value = values[i] != 0.0
-            else:
-                value = side[i]
-            cells[(col, start_row + i)] = Cell(value=value)
-
     def clear_range(self, c1: int, r1: int, c2: int, r2: int) -> None:
         rng, cells = Range(c1, r1, c2, r2), self._cells
         if rng.size < len(cells):
@@ -150,41 +116,6 @@ class ObjectStore:
         cols = [col for col, _ in self._cells]
         rows = [row for _, row in self._cells]
         return (min(cols), min(rows), max(cols), max(rows))
-
-    def read_band(self, col: int, first_row: int, last_row: int) -> tuple[array, bytearray]:
-        """:meth:`ColumnarStore.read_band`'s ``(values, tags)``, assembled
-        cell by cell (never cut short: there is no physical end)."""
-        first_row = max(first_row, 1)
-        n = max(last_row - first_row + 1, 0)
-        values, tags = array("d", bytes(8 * n)), bytearray(n)
-        for k in range(n):
-            cell = self._cells.get((col, first_row + k))
-            if cell is not None:
-                tags[k], values[k], _ = _classify(cell.value)
-        return values, tags
-
-    def write_band(self, col: int, first_row: int, values) -> None:
-        """Make ``values`` the cached numbers of the formula cells at rows
-        ``first_row..`` of ``col``."""
-        cells = self._cells
-        for k, value in enumerate(values):
-            cells[(col, first_row + k)].value = float(value)
-
-    def pack_result_columns(self, positions) -> list[tuple[tuple[int, int], object]]:
-        """The cached values of formula ``positions`` as ``(pos, value)``
-        pairs — :meth:`ColumnarStore.pack_result_columns` without planes
-        to pack; only :meth:`merge_result_columns` reads them."""
-        cells = self._cells
-        return [(pos, cells[pos].value) for pos in positions]
-
-    def merge_result_columns(self, packed) -> None:
-        cells = self._cells
-        for pos, value in packed:
-            cells[pos].value = value
-
-    def range_numbers(self, c1: int, r1: int, c2: int, r2: int) -> None:
-        """No planes to slice: every range aggregate takes the ordered walk."""
-        return None
 
     # -- formulas --------------------------------------------------------------
 
@@ -233,8 +164,35 @@ class ObjectStore:
         return sum(1 for _ in self.formula_items())
 
     def run_index(self, join: bool = True) -> RunIndex:
-        """The formula cells grouped into runs, scanned per call."""
-        return scan_formula_runs(self.formula_items(), join)
+        """The formula cells grouped into maximal vertical runs sharing a
+        template, scanned per call.
+
+        Members of a family hold the *same* interned template object, so
+        a run is found by pointer compares.  With ``join`` every cell set
+        from text parses and joins its template first (adjacent typed
+        cells that say the same thing in R1C1 are then one run).  Without
+        it the records are the ones the columnar store keeps
+        (:data:`~repro.sheet.columnar.RunIndex`): a typed cell starts a
+        record carrying its source text, and one never parsed reads None.
+        """
+        by_col: dict[int, list] = {}
+        for (col, row), cell in self.formula_items():
+            by_col.setdefault(col, []).append((row, cell))
+        index: RunIndex = {}
+        for col in sorted(by_col):
+            cells = by_col[col]
+            cells.sort()                    # rows are unique: cells never compare
+            runs = index[col] = []
+            for row, cell in cells:
+                template = cell.template if join else cell._template
+                text = None if join else cell.source_text
+                run = runs[-1] if runs else None
+                if (run is not None and run[1] == row - 1 and run[2] is template
+                        and template is not None and text is None):
+                    runs[-1] = (run[0], row, *run[2:])
+                else:
+                    runs.append((row, row, template) if join else (row, row, template, text))
+        return index
 
     # -- structural edits ------------------------------------------------------
 
@@ -258,3 +216,9 @@ class ObjectStore:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ObjectStore({len(self._cells)} cells)"
+
+
+class ObjectSheet(Sheet):
+    """A :class:`~repro.sheet.sheet.Sheet` over :class:`ObjectStore`."""
+
+    _store_class = ObjectStore

@@ -320,15 +320,9 @@ def _sheet_cache(sheet) -> LookupCache:
 
 
 def attach_probe(cell_evaluator, sheet) -> None:
-    """Arm ``cell_evaluator``'s resolver with a lookaside probe.
-
-    Columnar sheets only — an index is built from and stamped with the
-    value planes, which the object store does not have, so it stays on
-    the (identical-by-contract) linear scan and doubles as the
-    differential oracle.  The evaluator's interpreter shares the same
-    resolver object, so both evaluation tiers of one engine see the
-    probe.
+    """Arm ``cell_evaluator``'s resolver with a lookaside probe, built
+    from and stamped with ``sheet``'s value planes.  The evaluator's
+    interpreter shares the same resolver object, so both evaluation
+    tiers of one engine see the probe.
     """
-    if sheet.store_kind != "columnar":
-        return
     cell_evaluator.resolver.lookup_probe = LookupProbe(sheet, cell_evaluator.stats)

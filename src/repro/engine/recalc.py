@@ -234,11 +234,10 @@ class RecalcEngine:
         self.workers = int(shards or workers or 0)
         #: The resident runtime (``repro.engine.shard``), the one
         #: dispatcher: auto mode only (the interpreter is the differential
-        #: oracle and is never itself partitioned), on a columnar sheet
-        #: (the object store has no planes to ship and stays serial).
-        #: Dirty sets under ``parallel_min_dirty`` (default 64) run serially.
+        #: oracle and is never itself partitioned).  Dirty sets under
+        #: ``parallel_min_dirty`` (default 64) run serially.
         self.shard_runtime = None
-        if self.workers > 1 and self.evaluation == "auto" and sheet.store_kind == "columnar":
+        if self.workers > 1 and self.evaluation == "auto":
             from .shard import ShardRuntime
 
             self.shard_runtime = ShardRuntime(
@@ -914,9 +913,8 @@ class RecalcEngine:
         col = node.col
         rows = reversed(node.rows) if node.descending else node.rows
         compiled = node.template
-        if compiled is None or self.sheet.store_kind != "columnar":
-            # The interpreter's templates, and the object store, which has
-            # no planes to write into.
+        if compiled is None:
+            # The interpreter's templates.
             for row in rows:
                 self._evaluate_cell((col, row))
             return len(node.rows)

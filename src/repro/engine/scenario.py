@@ -19,8 +19,8 @@ not of the trial values.  :class:`ScenarioEngine` exploits that:
    sweeps, interpreter fallback).  Replays after the first count one
    ``EvalStats.scenario_plan_reuses`` each.
 3. **Restore** — the base seed values and every dirty cell's cached
-   value are snapshotted before the first replay (typed column packs on
-   columnar sheets) and restored afterwards, so a sweep leaves the sheet
+   value are snapshotted before the first replay (typed column packs)
+   and restored afterwards, so a sweep leaves the sheet
    bit-identical to how it found it, even on error.
 
 ``workers=N`` fans the scenario list across *resident replicas*
@@ -158,12 +158,7 @@ class ScenarioEngine:
         if workers is None:
             workers = self.engine.workers
         values = None
-        if (
-            int(workers) > 1
-            and len(rows) > 1
-            and self.engine.evaluation == "auto"
-            and self.sheet.store_kind == "columnar"
-        ):
+        if int(workers) > 1 and len(rows) > 1 and self.engine.evaluation == "auto":
             values = self._run_process(rows, out_pos, int(workers))
         if values is None:
             values = self._run_serial(rows, out_pos)

@@ -362,14 +362,10 @@ def _read_levels(node, level: int, levels: dict[int, int]) -> None:
             _read_levels(child, inner, levels)
 
 
-def _lane_levels(sheet: Sheet, ir: ElementwiseIR) -> dict[int, int] | None:
-    """Per reference index, the level its lanes are read at — or None on
-    the object store when an ``IF`` branch yields a referenced value,
-    which may be an int there."""
+def _lane_levels(ir: ElementwiseIR) -> dict[int, int]:
+    """Per reference index, the level its lanes are read at."""
     levels: dict[int, int] = {}
     _read_levels(ir.root, _CHOSEN, levels)
-    if sheet.store_kind != "columnar" and _CHOSEN in levels.values():
-        return None
     return levels
 
 
@@ -479,15 +475,12 @@ def evaluate_scan_run(
     reference falls off the sheet: that lane, and — a recurrence — every
     lane after it, is the closure's.  Returns how many lanes the kernel
     computed, a prefix in the strip's direction; 0 when a reference is
-    off the sheet for the first lane, or when a branch yields a referenced
-    value on the object store, which may hand back an int.
+    off the sheet for the first lane.
     """
     ir = template.elementwise
     first, last, n = rows[0], rows[-1], len(rows)
     prev = _recurrence(ir, col, descending)
-    levels = _lane_levels(sheet, ir)
-    if levels is None:
-        return 0
+    levels = _lane_levels(ir)
     seed_row = last + 1 if descending else first - 1
     if seed_row < 1:
         return 0
@@ -616,15 +609,12 @@ def evaluate_elementwise_run(
 
     Returns the number of cells the sweep wrote, or ``None`` when it
     declines the strip wholesale — a reference off the sheet's left or top
-    edge, a fixed cell it refuses, a branch that yields a referenced value
-    on the object store (which may hand back an int), or no lane left to
-    land — and the caller runs every cell through the closure.
+    edge, a fixed cell it refuses, or no lane left to land — and the
+    caller runs every cell through the closure.
     """
     ir = template.elementwise
     first, last, n = rows[0], rows[-1], len(rows)
-    levels = _lane_levels(sheet, ir)
-    if levels is None:
-        return None
+    levels = _lane_levels(ir)
     masked = bytearray(n)                       # 1: the fallback's lane
     lanes: dict[int, object] = {}
     for i, (col_axis, row_axis) in enumerate(ir.refs):

@@ -10,8 +10,8 @@ it — as *one* object:
   values included (:meth:`ColumnarStore.export_planes`, the surface the
   worker freight ships), so nothing is encoded per cell;
 * the formula plane as **run records** ``[col, first_row, last_row,
-  text]``, one per autofill run (:meth:`Sheet.run_index`, unjoined — on
-  a columnar sheet the records are the formula plane itself): the first
+  text]``, one per autofill run (:meth:`Sheet.run_index`, unjoined — the
+  records are the formula plane itself): the first
   cell's formula text plus the rows of the members that share its
   template.  Loading parses and interns once per run and attaches the
   members by template pointer, so a restored family is joined from the
@@ -28,18 +28,14 @@ Wire format (version 3), little-endian::
     ...
     end      tag b"END."  crc32(b"") u32  length=0 u64
 
-Sections: ``META`` (workbook name + sheet order + per-sheet store
-kinds), then per sheet its values, a ``RUNS`` section and a ``GRPH``
+Sections: ``META`` (workbook name + sheet order), then per sheet its values, a ``RUNS`` section and a ``GRPH``
 section, in that order — planes land first, runs attach over them.
 
-``VCOL`` (one per occupied column of a columnar sheet)
+``VCOL`` (one per occupied column)
     name_len u16, sheet name, col u32, start_row u32, count u32, then
     ``count`` tag bytes, ``count`` float64 values and a JSON side table
     (strings/errors by 0-based offset, length-prefixed u32).  The run is
     the column's plane trimmed to its first and last occupied row.
-``CELL`` (object-store sheets, which have no planes)
-    JSON ``{"sheet", "cells": [[col, row, null, value], ...]}``: every
-    non-blank value, formula cached values included.
 ``RUNS``
     JSON ``{"sheet", "runs": [[col, first_row, last_row, text], ...]}``
     in column-major order, disjoint.  ``text`` is the first cell's
@@ -53,12 +49,14 @@ section, in that order — planes land first, runs attach over them.
     something needs its template — and saving never parses either, so
     such a column costs what a ``CELL`` record per formula used to.
 
-Restored sheets always use the *restoring* session's store default, so
-an object-store snapshot restores into columnar-backed sheets and vice
-versa.  Version-1 and version-2 streams still load: there a ``CELL``
-record ``[col, row, formula, value]`` may carry a formula (set from
-text, parsed lazily) with its cached value, and a version-2 ``VCOL`` run
-is blank on formula rows.  The writer emits version 3 only.
+Older streams still load.  A ``CELL`` section, JSON ``{"sheet",
+"cells": [[col, row, formula, value], ...]}``, carries values cell by
+cell: version-3 writers emitted it, formula ``null``, for sheets on the
+per-cell object store (and ``META`` named each sheet's store under
+``"stores"``, which no loader reads); in version 1 and 2 a record may
+carry a formula (set from text, parsed lazily) with its cached value,
+and a version-2 ``VCOL`` run is blank on formula rows.  The writer
+emits version 3, ``VCOL`` only.
 
 Readers skip sections with unknown tags, so future versions can add
 sections without breaking old readers; every payload is protected by
@@ -226,16 +224,8 @@ def _run_records(sheet: Sheet) -> list:
     ]
 
 
-def _value_records(sheet: Sheet) -> list:
-    """An object-store sheet's non-blank values, formula cached values
-    included, as ``CELL`` records."""
-    return [
-        [col, row, None, encode_value(value)] for col, row, value in sheet.iter_values()
-    ]
-
-
 def _value_column_payloads(sheet: Sheet) -> "Iterator[bytes]":
-    """One VCOL payload per occupied column of a columnar sheet.
+    """One VCOL payload per occupied column of ``sheet``.
 
     Each plane is trimmed to its occupied rows (the arrays carry growth
     headroom) and written as raw little-endian bytes; the sparse side
@@ -345,11 +335,6 @@ def save_snapshot(
         "workbook": workbook.name,
         "sheets": workbook.sheet_names,
         "snapshot_id": snapshot_id,
-        # Provenance only: restored sheets use the restoring session's
-        # store default, whatever the saving session ran on.
-        "stores": {
-            sheet.name: sheet.store_kind for sheet in workbook.sheets()
-        },
     }
 
     def write_to(out: IO[bytes]) -> int:
@@ -365,14 +350,8 @@ def save_snapshot(
             if graph is None:
                 graph = build_from_sheet(sheet)
             stats_cells += len(sheet)
-            if sheet.store_kind == "columnar":
-                for payload in _value_column_payloads(sheet):
-                    written += _write_section(out, _TAG_VALUE_COLUMN, payload)
-            else:
-                written += _write_section(
-                    out, _TAG_CELLS,
-                    _json_payload({"sheet": sheet.name, "cells": _value_records(sheet)}),
-                )
+            for payload in _value_column_payloads(sheet):
+                written += _write_section(out, _TAG_VALUE_COLUMN, payload)
             runs = _run_records(sheet)
             stats_records += len(runs)
             written += _write_section(

@@ -36,10 +36,9 @@ arrays like any other value.  ``Sheet.formula_at`` / ``cell_at`` hand out
 a transient :class:`ColumnarCell` *view* of a position, whose ``value``
 is a write-through property over the arrays.
 
-:class:`ColumnarStore` is one of the two implementations of the store
-surface ``Sheet`` calls; the other is the dict-of-Cells
-:class:`~repro.sheet.object_store.ObjectStore`.  Numbers are
-canonicalised to float64 on write (``42`` comes back as ``42.0``),
+:class:`ColumnarStore` is the store every ``Sheet`` holds; the seed's
+dict-of-Cells model survives as a reference to check it against
+(:mod:`repro.baselines.object_store`).  Numbers are canonicalised to float64 on write (``42`` comes back as ``42.0``),
 exactly as a host spreadsheet stores them.
 """
 
@@ -48,7 +47,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import chain, compress, repeat
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..formula.ast_nodes import Node
 from ..formula.errors import ExcelError
@@ -65,7 +64,6 @@ __all__ = [
     "ColumnarCell",
     "ColumnarStore",
     "RunIndex",
-    "scan_formula_runs",
     "square_off",
 ]
 
@@ -130,46 +128,13 @@ class _Column:
 #: ``{col: [record, ...]}`` — columns ascending, each column's records
 #: disjoint and ascending by row.  Joined, a record is ``(first_row,
 #: last_row, template)``; unjoined it also carries the first row's source
-#: text, ``(first_row, last_row, template | None, text | None)``.
+#: text, ``(first_row, last_row, template | None, text | None)``: a typed
+#: cell always starts a record, and until something parses it that is a
+#: record of one whose template reads None — so that saving a snapshot
+#: is not what parses an untouched typed cell.
 RunIndex = dict[int, list[tuple]]
 
 _INF = float("inf")     # (row, _INF) bisects past every record starting at row
-
-
-def scan_formula_runs(
-    formula_items: Iterable[tuple[tuple[int, int], Cell]], join: bool = True
-) -> RunIndex:
-    """Group formula cells into maximal vertical runs sharing a template
-    — how the object store, a cell per formula, answers
-    :meth:`Sheet.run_index`.
-
-    Members of a family hold the *same* interned template object, so a
-    run is found by pointer compares.  With ``join`` every cell set from
-    text parses and joins its template first (adjacent typed cells that
-    say the same thing in R1C1 are then one run).  Without it the records
-    are what the columnar store keeps: a typed cell always starts one,
-    which carries its source text, and until something parses it is a
-    record of one whose template reads None — so that saving a snapshot
-    is not what parses an untouched typed cell.
-    """
-    by_col: dict[int, list] = {}
-    for (col, row), cell in formula_items:
-        by_col.setdefault(col, []).append((row, cell))
-    index: RunIndex = {}
-    for col in sorted(by_col):
-        cells = by_col[col]
-        cells.sort()                    # rows are unique: cells never compare
-        runs = index[col] = []
-        for row, cell in cells:
-            template = cell.template if join else cell._template
-            text = None if join else cell.source_text
-            run = runs[-1] if runs else None
-            if (run is not None and run[1] == row - 1 and run[2] is template
-                    and template is not None and text is None):
-                runs[-1] = (run[0], row, *run[2:])
-            else:
-                runs.append((row, row, template) if join else (row, row, template, text))
-    return index
 
 
 def _absorb_next(runs: list, i: int) -> None:
@@ -539,7 +504,7 @@ class ColumnarStore:
 
     def run_index(self, join: bool = True) -> RunIndex:
         """The formula plane as runs.  Unjoined it *is* the storage (see
-        :func:`scan_formula_runs` for the record shape).  Joined, every
+        :data:`RunIndex` for the record shape).  Joined, every
         typed cell has parsed and adjacent records of one template are
         one ``(first_row, last_row, template)`` run: a view rebuilt in
         O(records) once per :attr:`formula_version`.  Callers must not
@@ -641,9 +606,9 @@ class ColumnarStore:
 
     def iter_range(self, rng) -> Iterator[tuple[int, int, object]]:
         """Non-blank cells of ``rng`` as (col, row, value), row-major —
-        the same geometric order the object store's resolver uses, so
+        the order a per-cell walk of the rectangle gives, on which
         iteration-order-dependent choices (which error an aggregate
-        propagates) are store-independent."""
+        propagates) rely."""
         columns = []
         for col in range(rng.c1, rng.c2 + 1):
             column = self._columns.get(col)

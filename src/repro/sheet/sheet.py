@@ -1,10 +1,8 @@
 """The sheet: a sparse grid of cells plus dependency enumeration.
 
-A :class:`Sheet` stores cells sparsely in one of two stores that speak
-the same surface — by default the typed columnar store
-(:mod:`repro.sheet.columnar`), or one boxed cell per position
-(:mod:`repro.sheet.object_store`, ``store="object"``) — so nothing above
-the store asks which one it holds.  Besides the value/formula accessors
+A :class:`Sheet` stores cells sparsely in the typed columnar store
+(:mod:`repro.sheet.columnar`): value planes per column and a formula
+plane of run records.  Besides the value/formula accessors
 the sheet provides :meth:`Sheet.iter_dependencies`, which enumerates the
 raw formula-graph edges (referenced range -> formula cell) together with
 their dollar-sign cues — exactly the stream that both NoComp and TACO
@@ -25,17 +23,8 @@ from ..grid.range import Range
 from ..grid.ref import parse_cell
 from .cell import Cell
 from .columnar import ColumnarStore, RunIndex
-from .object_store import ObjectStore
 
-__all__ = ["Sheet", "Dependency", "DEFAULT_STORE", "STORE_KINDS"]
-
-_STORES = {"columnar": ColumnarStore, "object": ObjectStore}
-
-#: Valid ``Sheet(store=...)`` kinds.
-STORE_KINDS = tuple(_STORES)
-
-#: The store used when ``Sheet(store=None)``.
-DEFAULT_STORE = "columnar"
+__all__ = ["Sheet", "Dependency"]
 
 
 class Dependency(namedtuple("Dependency", "prec dep cue", defaults=("RR",))):
@@ -121,15 +110,14 @@ def _piece_dependencies(refs: list[tuple], col: int, first: int, last: int) -> I
 class Sheet:
     """A sparse spreadsheet grid."""
 
-    def __init__(self, name: str = "Sheet1", store: str | None = None):
+    #: The store every sheet builds.  The per-cell reference store
+    #: (:class:`repro.baselines.object_store.ObjectSheet`) swaps it in a
+    #: subclass, for the tests that check the columnar store against it.
+    _store_class = ColumnarStore
+
+    def __init__(self, name: str = "Sheet1"):
         self.name = name
-        kind = DEFAULT_STORE if store is None else store
-        if kind not in _STORES:
-            raise ValueError(
-                f"unknown store kind {kind!r}; expected one of {STORE_KINDS}"
-            )
-        self._cells = _STORES[kind]()
-        self.store_kind = kind
+        self._cells = self._store_class()
         #: ``raw_value(col, row)``: the value at bare integer coordinates,
         #: the hot-loop accessor (no target coercion) — bound straight to
         #: the store.
@@ -152,8 +140,7 @@ class Sheet:
 
     def formula_at(self, target) -> Cell | None:
         """The formula cell at ``target``, or None for blank/pure-value
-        positions.  On a columnar sheet: a transient view of the
-        position's run record, found by bisect — readers of many cells
+        positions: a transient view of the position's run record, found by bisect — readers of many cells
         use :meth:`run_index` or :meth:`formula_positions` instead."""
         return self._cells.formula_at(_coerce_pos(target))
 
@@ -167,8 +154,7 @@ class Sheet:
 
     def read_band(self, col: int, first_row: int, last_row: int) -> tuple[array, bytearray]:
         """Rows ``first_row..last_row`` of ``col`` as flat ``(values,
-        tags)`` copies — :meth:`ColumnarStore.read_band`, which see; the
-        object store assembles the same thing cell by cell."""
+        tags)`` copies — :meth:`ColumnarStore.read_band`, which see."""
         return self._cells.read_band(col, first_row, last_row)
 
     def write_band(self, col: int, first_row: int, values) -> None:
@@ -186,9 +172,8 @@ class Sheet:
         ``start_row + i`` gets tag ``tags[i]`` (``repro.sheet.columnar``'s
         ``TAG_*``) with its number ``values[i]`` or, for strings, errors
         and objects, ``side[i]``.  Every row must be vacant (ValueError
-        otherwise).  Two slice copies on the columnar store
-        (:meth:`ColumnarStore.import_column`); the object store writes
-        the cells one by one."""
+        otherwise).  Two slice copies
+        (:meth:`ColumnarStore.import_column`)."""
         self._cells.import_column(col, start_row, tags, values, side)
 
     def set_formula(self, target, text: str) -> None:
@@ -221,8 +206,8 @@ class Sheet:
         """Make rows ``first_row..last_row`` of ``col`` members of
         ``template``, keeping the cached values they hold — the inverse of
         one :meth:`run_index` record, and how a fill, an xlsx shared group
-        and a snapshot load create a family: one record on a columnar
-        sheet, however long the run.  ``text`` becomes the first member's
+        and a snapshot load create a family: one record, however long
+        the run.  ``text`` becomes the first member's
         source text.  Every row must be one ``template`` admits.  A run
         of one cell may come without its template: it is then just its
         ``text``, like any typed cell, and parses if something needs more.
@@ -249,7 +234,7 @@ class Sheet:
     def iter_values(self) -> Iterator[tuple[int, int, object]]:
         """Every non-blank value as ``(col, row, value)``, column-major —
         formula cached values included — without a cell object per
-        position on a columnar sheet."""
+        position."""
         return self._cells.iter_values()
 
     def formula_cells(self) -> Iterator[tuple[tuple[int, int], Cell]]:
@@ -267,10 +252,9 @@ class Sheet:
         groups are written as.  With ``join=False`` nothing parses and
         the records are what a snapshot writes — ``(first_row, last_row,
         template | None, text | None)``, cut at every typed cell
-        (:func:`~repro.sheet.columnar.scan_formula_runs`).  On a columnar
-        sheet those *are* the formula plane's storage and the joined view
-        is rebuilt from them once per :attr:`formula_version`; the object
-        store scans its cells per call.  Read-only.
+        (:data:`~repro.sheet.columnar.RunIndex`).  Those *are*
+        the formula plane's storage, and the joined view is rebuilt from
+        them once per :attr:`formula_version`.  Read-only.
         """
         return self._cells.run_index(join)
 
@@ -376,8 +360,8 @@ class Sheet:
         """Non-blank cells of ``rng`` in row-major geometric order.
 
         The order is part of the contract: aggregate evaluation picks
-        the *first* error a range yields, so both stores must enumerate
-        identically for evaluation to be store-independent.
+        the *first* error a range yields, so the plane slices
+        (:meth:`SheetResolver.read_by_plane`) and this walk must agree.
         """
         if sheet is not None and sheet != self.name:
             return
@@ -398,8 +382,7 @@ class SheetResolver:
     ``range_numbers`` is the same kind of hook for range aggregates
     (``RangeValue.iter_numbers``): ``(sheet, rng) -> floats | None``,
     the rectangle's numbers off the store's planes by slice, None when
-    only the ordered per-cell walk can answer (always, on the object
-    store).  Armed by :meth:`read_by_plane`; an unarmed resolver (the
+    only the ordered per-cell walk can answer.  Armed by :meth:`read_by_plane`; an unarmed resolver (the
     interpreter oracle) always walks.
     """
 

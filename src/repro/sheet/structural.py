@@ -43,7 +43,6 @@ from ..formula.template import FormulaTemplate, intern_template
 from ..grid.range import Range
 from ..grid.ref import CellRef, letters_to_col
 from .cell import Cell
-from .object_store import position_mover
 from .sheet import Sheet
 
 __all__ = [
@@ -388,6 +387,28 @@ class _Report:
         return SheetEditReport(*self.sets, removed)
 
 
+def position_mover(axis: str, mode: str, index: int, count: int):
+    """``pos -> pos | None``: where a structural edit — ``count`` rows
+    (``axis="row"``) or columns inserted before / deleted from ``index``
+    — takes a position; None when it is deleted."""
+    at = 1 if axis == "row" else 0
+    end = index + count - 1
+
+    def move(pos):
+        line = pos[at]
+        if line < index:
+            return pos
+        if mode == "insert":
+            line += count
+        elif line > end:
+            line -= count
+        else:
+            return None
+        return (pos[0], line) if at else (line, pos[1])
+
+    return move
+
+
 def _apply_structural(sheet: Sheet, axis: str, mode: str, index: int, count: int) -> SheetEditReport:
     """Insert ``count`` blank rows (``axis="row"``) or columns before
     ``index``, or delete ``count`` of them from ``index`` on — ``mode``
@@ -399,8 +420,7 @@ def _apply_structural(sheet: Sheet, axis: str, mode: str, index: int, count: int
 
     Values move inside the store wholesale
     (:meth:`~repro.sheet.columnar.ColumnarStore.structural_edit`: array
-    splices on the columnar store, a rekeyed dict on the object store),
-    so only the *formula* population is walked here.  Each surviving
+    splices), so only the *formula* population is walked here.  Each surviving
     formula's :func:`_outcome` is decided *before* the move — after it,
     a template member would read a different formula at its new host —
     and every formula that moves or changes is re-installed from its

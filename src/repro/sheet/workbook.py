@@ -27,10 +27,10 @@ class Workbook:
         self._sheets: dict[str, Sheet] = {}
         self._order: list[str] = []
 
-    def add_sheet(self, name: str = "Sheet1", store: str | None = None) -> Sheet:
+    def add_sheet(self, name: str = "Sheet1") -> Sheet:
         if name in self._sheets:
             raise ValueError(f"sheet {name!r} already exists")
-        sheet = Sheet(name, store=store)
+        sheet = Sheet(name)
         self._sheets[name] = sheet
         self._order.append(name)
         return sheet

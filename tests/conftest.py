@@ -7,8 +7,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from helpers import build_fig2_sheet, build_mixed_sheet, default_store  # noqa: E402
-from repro.sheet.sheet import STORE_KINDS  # noqa: E402
+from helpers import build_fig2_sheet, build_mixed_sheet  # noqa: E402
 
 
 @pytest.fixture
@@ -19,10 +18,3 @@ def fig2_sheet():
 @pytest.fixture
 def mixed_sheet():
     return build_mixed_sheet()
-
-
-@pytest.fixture(params=STORE_KINDS)
-def store(request):
-    """Each store kind in turn, as the default of every ``Sheet()``."""
-    with default_store(request.param):
-        yield request.param

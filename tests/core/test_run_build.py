@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.object_store import ObjectSheet
 from repro.core.patterns import extended_patterns
 from repro.core.taco_graph import TacoGraph, build_from_sheet, dependencies_column_major
 from repro.engine.recalc import RecalcEngine
@@ -93,10 +94,15 @@ FILLS = st.tuples(
 )
 
 
+#: The store-layer oracle: every stream below is read off the columnar
+#: store and off the seed's per-cell store alike.
+SHEETS = {"columnar": Sheet, "object": ObjectSheet}
+
+
 @st.composite
 def sheets(draw) -> Sheet:
     pool = draw(st.lists(TEMPLATES, min_size=1, max_size=4))
-    sheet = Sheet("S", store=draw(st.sampled_from(["columnar", "object"])))
+    sheet = draw(st.sampled_from(list(SHEETS.values())))("S")
     for kind, which, col, row, length, width in draw(st.lists(FILLS, min_size=1, max_size=8)):
         if kind == "blank":     # a gap punched into whatever was filled before
             sheet.clear_cell((col, row))
@@ -244,7 +250,7 @@ def test_the_stream_is_the_per_cell_oracle_in_column_major_order(sheet):
     ("=A3+B4", (4, 9)),                  # filled up as well: a #REF! head
 ])
 def test_the_stream_on_the_shapes_that_break_a_run(store, text, rows):
-    sheet = Sheet("S", store=store)
+    sheet = SHEETS[store]("S")
     first, last = rows
     sheet.set_formula((3, first), text)
     autofill(sheet, (3, first), Range(3, 1, 3, last))
@@ -254,10 +260,9 @@ def test_the_stream_on_the_shapes_that_break_a_run(store, text, rows):
     assert edge_list(build_from_sheet(sheet)) == edge_list(stream_built("full", sheet))
 
 
-@pytest.mark.parametrize("store", ["columnar", "object"])
-def test_a_reference_qualified_with_the_sheets_own_name_is_one_dependency(store):
+def test_a_reference_qualified_with_the_sheets_own_name_is_one_dependency():
     """``=A1+S!A1`` on sheet ``S`` used to stream ``A1 -> B1`` twice."""
-    sheet = Sheet("S", store=store)
+    sheet = Sheet("S")
     fill_formula_column(sheet, 2, 1, 9, "=A1+S!A$5")
     assert [d.prec.to_a1() for d in sheet.dependencies_at(sheet.formula_at("B5").template, 2, 5)] \
         == ["A5"]
@@ -279,7 +284,7 @@ def every_pattern_sheet(store: str) -> Sheet:
     several references (repeats and a typed cell among them) and a lone
     formula: each run streams through the piece path, each lone cell
     through the one-row path."""
-    sheet = Sheet("S", store=store)
+    sheet = SHEETS[store]("S")
     for row in range(1, 41):
         sheet.set_value((1, row), float(row % 5))
         sheet.set_value((2, row), float(row))
@@ -363,7 +368,7 @@ def test_formula_runs_equal_a_brute_force_grouping(sheet):
 
 @pytest.mark.parametrize("store", ["columnar", "object"])
 def test_formula_runs_after_an_insert_through_a_family(store):
-    sheet = Sheet("S", store=store)
+    sheet = SHEETS[store]("S")
     fill_formula_column(sheet, 2, 1, 10, "=A1*2")
     fill_formula_column(sheet, 3, 1, 10, "=SUM(A$1:A1)")
     assert [(col, r0, r1) for _, col, r0, r1 in sheet.formula_runs()] == [(2, 1, 10), (3, 1, 10)]

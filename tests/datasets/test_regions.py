@@ -94,7 +94,6 @@ def _fill_cell_by_cell(sheet, col, r1, r2, rng):
         sheet.set_value((col, row), round(rng.uniform(1.0, 500.0), 2))
 
 
-@pytest.mark.usefixtures("store")
 @pytest.mark.parametrize("size", [1, 2, 9, 40])
 def test_data_columns_in_one_call_match_cell_by_cell_writes(size, monkeypatch):
     """A data column lands in one ``Sheet.import_column`` call: the same

@@ -1,11 +1,12 @@
-"""Differential suite: the columnar store ≡ the object store.
+"""Differential suite: the fast tiers over the columnar store ≡ the interpreter.
 
-The columnar backing store promises *observational identity* with the
-dict-of-Cells store: for any sheet program — values, formula columns,
-point edits, structural edits, snapshot round-trips — both stores leave
-bit-identical values under both evaluation modes, for every registered
-spatial-index backend.  The object-store interpreter engine is the
-oracle everything else is compared against.
+For any sheet program — values, formula columns, point edits,
+structural edits, snapshot round-trips — an auto engine (kernels,
+compiled closures, plane slices) leaves bit-identical values to an
+interpreter engine over its own copy of the sheet, for every registered
+spatial-index backend.  The interpreter engine is the oracle.  (The
+columnar store itself is checked against the seed's per-cell store in
+``tests/sheet``.)
 """
 
 import io
@@ -16,13 +17,11 @@ from hypothesis import strategies as st
 
 from repro.engine.recalc import RecalcEngine
 from repro.io.snapshot import load_snapshot, save_snapshot
-from repro.sheet.sheet import Sheet
 from repro.sheet.workbook import Workbook
 from repro.spatial.registry import available_indexes
 
 from helpers import (
     assert_same_values,
-    default_store,
     engine_for,
     realize_program as realize,
     sheet_programs as programs,
@@ -39,15 +38,13 @@ ROWS = 20
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_full_recalc_all_stores_and_modes(index, data):
+def test_full_recalc_all_modes(index, data):
     program = data.draw(programs())
-    oracle = realize(program, "object")
+    oracle = realize(program)
     engine_for(oracle, "interpreter", index).recalculate_all()
-    for store in ("columnar", "object"):
-        for mode in MODES:
-            subject = realize(program, store)
-            engine_for(subject, mode, index).recalculate_all()
-            assert_same_values(subject, oracle)
+    subject = realize(program)
+    engine_for(subject, "auto", index).recalculate_all()
+    assert_same_values(subject, oracle)
 
 
 @pytest.mark.parametrize("index", BACKENDS)
@@ -56,11 +53,7 @@ def test_full_recalc_all_stores_and_modes(index, data):
 @given(data=st.data())
 def test_point_edits_identical(index, data):
     program = data.draw(programs())
-    engines = [
-        engine_for(realize(program, store), mode, index)
-        for store in ("columnar", "object")
-        for mode in MODES
-    ]
+    engines = [engine_for(realize(program), mode, index) for mode in MODES]
     for engine in engines:
         engine.recalculate_all()
     for _ in range(data.draw(st.integers(1, 3))):
@@ -85,43 +78,34 @@ def test_structural_edits_identical(index, data):
     at = data.draw(st.integers(1, ROWS + 2))
     count = data.draw(st.integers(1, 3))
 
-    oracle = engine_for(realize(program, "object"), "interpreter", index)
+    oracle = engine_for(realize(program), "interpreter", index)
     oracle.recalculate_all()
     getattr(oracle, op)(at, count)
 
-    for store in ("columnar", "object"):
-        for mode in MODES:
-            engine = engine_for(realize(program, store), mode, index)
-            engine.recalculate_all()
-            getattr(engine, op)(at, count)
-            assert_same_values(engine.sheet, oracle.sheet)
-            # Recalculate from scratch on the edited sheet too: the
-            # rewritten formulas must *stay* in agreement.
-            engine.recalculate_all()
-            assert_same_values(engine.sheet, oracle.sheet)
+    engine = engine_for(realize(program), "auto", index)
+    engine.recalculate_all()
+    getattr(engine, op)(at, count)
+    assert_same_values(engine.sheet, oracle.sheet)
+    # Recalculate from scratch on the edited sheet too: the rewritten
+    # formulas must *stay* in agreement.
+    engine.recalculate_all()
+    assert_same_values(engine.sheet, oracle.sheet)
 
 
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_snapshot_restore_identical(data):
-    """Any store's snapshot restores into any store — and the restored
-    workbook recalculates to the same values (satellite: an object-store
-    snapshot must restore into a columnar-backed workbook and vice
-    versa)."""
+    """A snapshot restores the cached values — and the restored workbook
+    recalculates to the same values."""
     program = data.draw(programs())
-    for src_store in ("columnar", "object"):
-        source = realize(program, src_store)
-        RecalcEngine(source).recalculate_all()
-        workbook = Workbook("W")
-        workbook.attach_sheet(source)
-        buffer = io.BytesIO()
-        save_snapshot(workbook, buffer)
-        payload = buffer.getvalue()
-        for dst_store in ("columnar", "object"):
-            with default_store(dst_store):
-                restored = load_snapshot(io.BytesIO(payload)).workbook.sheet("S")
-            assert restored.store_kind == dst_store
-            assert_same_values(restored, source)   # cached values survive
-            RecalcEngine(restored).recalculate_all()
-            assert_same_values(restored, source)   # ...and recompute equal
+    source = realize(program)
+    RecalcEngine(source).recalculate_all()
+    workbook = Workbook("W")
+    workbook.attach_sheet(source)
+    buffer = io.BytesIO()
+    save_snapshot(workbook, buffer)
+    restored = load_snapshot(io.BytesIO(buffer.getvalue())).workbook.sheet("S")
+    assert_same_values(restored, source)   # cached values survive
+    RecalcEngine(restored).recalculate_all()
+    assert_same_values(restored, source)   # ...and recompute equal

@@ -26,8 +26,8 @@ from repro.sheet.sheet import Sheet
 ROWS = 12
 
 
-def build_sheet(store: str) -> Sheet:
-    sheet = Sheet("S", store=store)
+def build_sheet() -> Sheet:
+    sheet = Sheet("S")
     for r in range(1, ROWS + 1):
         sheet.set_value((1, r), float(r))
         sheet.set_value((2, r), float(r % 4))
@@ -38,13 +38,11 @@ def build_sheet(store: str) -> Sheet:
 
 
 class DeferredVsImmediate(RuleBasedStateMachine):
-    store = "columnar"
-
     def __init__(self):
         super().__init__()
-        self.deferred = RecalcEngine(build_sheet(self.store), deferred=True)
+        self.deferred = RecalcEngine(build_sheet(), deferred=True)
         self.deferred.recalculate_all()
-        self.oracle = RecalcEngine(build_sheet(self.store), evaluation="interpreter")
+        self.oracle = RecalcEngine(build_sheet(), evaluation="interpreter")
         self.oracle.recalculate_all()
 
     def both(self, apply) -> None:
@@ -103,15 +101,9 @@ class DeferredVsImmediate(RuleBasedStateMachine):
         assert got == want
 
 
-class DeferredVsImmediateObjectStore(DeferredVsImmediate):
-    store = "object"
-
-
 _settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 TestColumnar = DeferredVsImmediate.TestCase
 TestColumnar.settings = _settings
-TestObject = DeferredVsImmediateObjectStore.TestCase
-TestObject.settings = _settings

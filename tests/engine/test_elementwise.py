@@ -27,8 +27,8 @@ from helpers import assert_same_values
 ROWS = 80
 
 
-def data_sheet(rows=ROWS, noise=True, store="columnar"):
-    s = Sheet("S", store=store)
+def data_sheet(rows=ROWS, noise=True):
+    s = Sheet("S")
     for r in range(1, rows + 1):
         s.set_value((1, r), float((r * 37) % 101) / 3.0)
         s.set_value((2, r), float(r % 13) - 6.0)
@@ -129,7 +129,7 @@ def test_empty_and_bool_lanes_sweep_without_fallback():
     """EMPTY coerces to 0.0 and BOOL to 0/1 directly in the value plane,
     so holes and booleans stay on the fast path."""
     def build():
-        s = Sheet("S", store="columnar")
+        s = Sheet("S")
         for r in range(1, 41):
             s.set_value((1, r), float(r))
         s.set_value((1, 10), None)
@@ -198,29 +198,12 @@ def test_incremental_broadcast_edit_resweeps():
         assert s.get_value((3, r)) == fresh.get_value((3, r)), r
 
 
-def test_object_store_sweeps_and_matches():
-    """The sweep reads and writes through the sheet's bands, so the
-    object store sweeps too; a masked lane (the string in A7) still
-    goes through the closure."""
-    def build():
-        s = Sheet("S", store="object")
-        for r in range(1, 41):
-            s.set_value((1, r), float(r) / 7.0)
-        s.set_value((1, 7), "text")
-        fill_formula_column(s, 2, 1, 40, "=A1*2")
-        return s
-
-    engine = compare(build, expect_swept=39)
-    assert engine.eval_stats.compiled_cells == 1
-
-
-@pytest.mark.parametrize("store", ["columnar", "object"])
-def test_comparisons_and_if_sweep(store):
+def test_comparisons_and_if_sweep():
     """A non-recurrent ``IF`` over comparisons is one sweep; a lane that
     divides by zero in the branch it does not take, or compares a NaN,
     still matches — the former through the closure."""
     def build():
-        s = data_sheet(noise=False, store=store)
+        s = data_sheet(noise=False)
         s.set_value((1, 4), 0.0)                 # A4 > B4: B4/A4 is not taken
         s.set_value((1, 9), float("nan"))        # NaN compares above everything
         fill_formula_column(s, 3, 1, ROWS, "=IF(A1>B1,A1-B1,B1/A1*2)")
@@ -233,23 +216,6 @@ def test_comparisons_and_if_sweep(store):
     assert engine.eval_stats.elementwise_runs == 2
     assert engine.eval_stats.elementwise_cells == 2 * ROWS - 1
     assert engine.eval_stats.compiled_cells == 1
-
-
-def test_a_bare_branch_declines_on_the_object_store_only():
-    """An ``IF`` that may hand back a referenced value: the object store
-    can hold an int there, so its strip is the closure loop's."""
-    def build(store):
-        def make():
-            s = Sheet("S", store=store)
-            for r in range(1, 41):
-                s.set_value((1, r), float(r % 9))
-                s.set_value((2, r), float(r % 5))
-            fill_formula_column(s, 3, 1, 40, "=IF(A1>B1,A1,B1*2)")
-            return s
-        return make
-
-    assert compare(build("columnar"), expect_swept=40).eval_stats.compiled_cells == 0
-    assert compare(build("object"), expect_swept=0).eval_stats.compiled_cells == 40
 
 
 def test_lanes_reading_above_row_1_are_the_fallbacks():
@@ -277,7 +243,7 @@ def test_interpreter_mode_never_sweeps():
 
 def lookup_over_a_swept_column(mode="auto"):
     """B = A*2 swept; F1 looks 20 up in B; then one batch reverses A."""
-    s = Sheet("S", store="columnar")
+    s = Sheet("S")
     for r in range(1, 41):
         s.set_value((1, r), float(r))
         s.set_value((3, r), float(100 + r))
@@ -314,7 +280,7 @@ def test_a_sweep_ships_its_column_in_the_plane_delta():
     assert sorted(planes) == [1, 2, 6]
 
 
-#: Every strip kind on both stores, in a process of its own.
+#: Every strip kind, in a process of its own.
 NO_NUMPY = """
 import sys
 
@@ -322,23 +288,22 @@ from repro.engine.recalc import RecalcEngine, _Strip
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 
-for store in ("columnar", "object"):
-    s = Sheet("S", store=store)
-    for r in range(1, 41):
-        s.set_value((1, r), float(r))
-        s.set_value((2, r), float(r % 7))
-    fill_formula_column(s, 3, 1, 40, "=SUM($A$1:A1)")
-    fill_formula_column(s, 4, 1, 40, "=A1*B1")
-    s.set_formula((5, 1), "=A1")
-    fill_formula_column(s, 5, 2, 40, "=E1+A2")
-    fill_formula_column(s, 6, 1, 40, "=IF(A1>9,B1,A1)")
-    engine = RecalcEngine(s, workers=0, shards=0)
-    plan = engine._build_plan(None, False)[0]
-    kinds = sorted(node.kind for node in plan if type(node) is _Strip)
-    assert kinds == ["c", "e", "s", "w"], kinds
-    assert engine.recalculate_all() == 160
-    stats = engine.eval_stats
-    assert (stats.windowed_cells, stats.elementwise_cells) == (40, 79), stats
+s = Sheet("S")
+for r in range(1, 41):
+    s.set_value((1, r), float(r))
+    s.set_value((2, r), float(r % 7))
+fill_formula_column(s, 3, 1, 40, "=SUM($A$1:A1)")
+fill_formula_column(s, 4, 1, 40, "=A1*B1")
+s.set_formula((5, 1), "=A1")
+fill_formula_column(s, 5, 2, 40, "=E1+A2")
+fill_formula_column(s, 6, 1, 40, "=IF(A1>9,B1,A1)")
+engine = RecalcEngine(s, workers=0, shards=0)
+plan = engine._build_plan(None, False)[0]
+kinds = sorted(node.kind for node in plan if type(node) is _Strip)
+assert kinds == ["c", "e", "s", "w"], kinds
+assert engine.recalculate_all() == 160
+stats = engine.eval_stats
+assert (stats.windowed_cells, stats.elementwise_cells) == (40, 79), stats
 assert "numpy" not in sys.modules, "numpy was imported"
 """
 

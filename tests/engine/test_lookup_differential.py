@@ -3,12 +3,11 @@
 The lookaside indexes (:mod:`repro.engine.lookup`) promise bit-identical
 results to the linear reference scans they replace, on arbitrary
 unsorted mixed-type data, through every mutation path that can
-invalidate them.  Four engines evaluate every program:
+invalidate them.  Three engines evaluate every program:
 
-* columnar / auto / indexes on  — hash + binary-search probes;
-* columnar / auto / indexes off — same tiers, reference scans;
-* object   / auto               — no probe attaches (no write counters);
-* object   / interpreter        — the tree-walking oracle.
+* auto / indexes on  — hash + binary-search probes;
+* auto / indexes off — same tiers, reference scans;
+* interpreter / indexes off — the tree-walking oracle.
 
 Every 1-D vector is indexed, these 20-row ones included, and each suite
 asserts the probes actually fired — a silently scan-only "differential"
@@ -35,17 +34,11 @@ ROWS = 20  # LOOKUP_TEMPLATES hard-code their table bounds to 20 rows
 
 
 def engines_for(program, index: str):
-    """(engine, sheet) per lane: indexed, scan, object-auto, oracle."""
-    lanes = []
-    for store, mode, indexes in (
-        ("columnar", "auto", True),
-        ("columnar", "auto", False),
-        ("object", "auto", None),
-        ("object", "interpreter", None),
-    ):
-        sheet = realize_program(program, store=store)
-        lanes.append(engine_for(sheet, mode, index, lookup_indexes=indexes))
-    return lanes
+    """One engine per lane: indexed, scan, oracle."""
+    return [
+        engine_for(realize_program(program), mode, index, lookup_indexes=indexes)
+        for mode, indexes in (("auto", True), ("auto", False), ("interpreter", False))
+    ]
 
 
 def assert_lanes_identical(lanes):

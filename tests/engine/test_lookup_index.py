@@ -19,9 +19,9 @@ from helpers import assert_same_values, clone_sheet, engine_for
 TABLE_ROWS = 40
 
 
-def build_lookup_sheet(store: str = "columnar", rows: int = TABLE_ROWS) -> Sheet:
+def build_lookup_sheet(rows: int = TABLE_ROWS) -> Sheet:
     rng = random.Random(11)
-    sheet = Sheet("L", store=store)
+    sheet = Sheet("L")
     keys = [float(k) for k in rng.sample(range(1000), rows)]
     for r, key in enumerate(keys, start=1):
         sheet.set_value((1, r), key)                    # A: shuffled keys
@@ -40,10 +40,6 @@ class TestProbeAttachment:
 
     def test_interpreter_engine_stays_scan_only(self):
         engine = RecalcEngine(build_lookup_sheet(), evaluation="interpreter")
-        assert engine.cell_evaluator.resolver.lookup_probe is None
-
-    def test_object_store_stays_scan_only(self):
-        engine = RecalcEngine(build_lookup_sheet(store="object"))
         assert engine.cell_evaluator.resolver.lookup_probe is None
 
     def test_explicit_flag_wins(self):
@@ -128,13 +124,13 @@ class TestInvalidation:
         # The pre-edit vectors were dropped whole (the post-edit recalc
         # builds fresh indexes over the rewritten, longer bounds).
         assert not stale & set(engine.sheet._lookup_cache._indexes)
-        reference = clone_sheet(engine.sheet, store="object")
+        reference = clone_sheet(engine.sheet)
         engine_for(reference, "interpreter").recalculate_all()
         assert_same_values(engine.sheet, reference)
 
     def test_cache_eviction_is_bounded(self, monkeypatch):
         monkeypatch.setattr(lookup, "MAX_CACHED_INDEXES", 2)
-        sheet = Sheet("L", store="columnar")
+        sheet = Sheet("L")
         for r in range(1, 9):
             for c in range(1, 5):
                 sheet.set_value((c, r), float(c * 10 + r))
@@ -154,7 +150,7 @@ class TestVectorIndexContract:
         rng = random.Random(5)
         pool = [None, True, False, "ab", "AB", "zz", 0.0, -3.5, 7.0,
                 7.0, 12.25, float("nan")]
-        sheet = Sheet("V", store="columnar")
+        sheet = Sheet("V")
         entries = [rng.choice(pool) for _ in range(64)]
         for r, value in enumerate(entries, start=1):
             sheet.set_value((1, r), value)
@@ -171,7 +167,7 @@ class TestVectorIndexContract:
                     assert got == want, (needle, side, tie)
 
     def test_row_vector_indexing(self):
-        sheet = Sheet("V", store="columnar")
+        sheet = Sheet("V")
         for c in range(1, 41):
             sheet.set_value((c, 2), float((c * 13) % 40))
         sheet.set_formula((1, 5), "=MATCH(26,A2:AN2,0)")

@@ -16,7 +16,7 @@ from helpers import build_mixed_sheet, clone_sheet
 
 
 def run_sharded(**dispatch):
-    sheet = clone_sheet(build_mixed_sheet(rows=30), store="columnar")
+    sheet = clone_sheet(build_mixed_sheet(rows=30))
     engine = RecalcEngine(sheet, parallel_min_dirty=1, **dispatch)
     engine.recalculate_all()
     assert engine.eval_stats.parallel_dispatches >= 1

@@ -91,7 +91,7 @@ class TestIncremental:
         assert engine.sheet.get_value("C1") == 9999.0
         assert result.dirty_count > 0
 
-    def test_same_template_formula_edit_keeps_graph_compact(self, store):
+    def test_same_template_formula_edit_keeps_graph_compact(self):
         """Re-setting formulas to their own text moves no edge: the graph
         stays the size of a fresh build, and the cell and its dependents
         are still recomputed."""

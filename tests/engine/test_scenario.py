@@ -13,9 +13,9 @@ from helpers import assert_same_values, clone_sheet, engine_for
 MONTHS = 30
 
 
-def build_model(store: str = "columnar") -> Sheet:
+def build_model() -> Sheet:
     """A small planning model: recurrence + elementwise + windowed tiers."""
-    sheet = Sheet("plan", store=store)
+    sheet = Sheet("plan")
     sheet.set_value("B1", 1.02)                                  # growth
     sheet.set_value("B2", 0.62)                                  # cost ratio
     sheet.set_value("B3", "label")                               # non-numeric seed
@@ -28,9 +28,8 @@ def build_model(store: str = "columnar") -> Sheet:
     return sheet
 
 
-def whatif_for(store: str = "columnar", mode: str = "auto",
-               seeds=("B1", "B2")):
-    engine = engine_for(build_model(store), mode)
+def whatif_for(mode: str = "auto", seeds=("B1", "B2")):
+    engine = engine_for(build_model(), mode)
     engine.recalculate_all()
     return ScenarioEngine(engine, seeds), engine
 
@@ -44,23 +43,22 @@ SCENARIOS = [
 ]
 
 
-def oracle(store: str, mode: str, scenario: dict, outputs):
+def oracle(mode: str, scenario: dict, outputs):
     """Independent engine per scenario — the semantics being promised."""
-    engine = engine_for(build_model(store), mode)
+    engine = engine_for(build_model(), mode)
     engine.recalculate_all()
     for cell, value in scenario.items():
         engine.set_value(cell, value)
     return [engine.sheet.get_value(out) for out in outputs]
 
 
-@pytest.mark.parametrize("store", ["columnar", "object"])
 @pytest.mark.parametrize("mode", ["auto", "interpreter"])
-def test_sweep_matches_independent_recalcs(store, mode):
-    whatif, _engine = whatif_for(store, mode)
+def test_sweep_matches_independent_recalcs(mode):
+    whatif, _engine = whatif_for(mode)
     outputs = ["I1", "G5", "F1"]
     results = whatif.run(SCENARIOS, outputs)
     for scenario, result in zip(SCENARIOS, results):
-        want = oracle(store, mode, scenario, outputs)
+        want = oracle(mode, scenario, outputs)
         for out, expected in zip(outputs, want):
             got = result[out]
             if isinstance(expected, ExcelError):
@@ -70,16 +68,13 @@ def test_sweep_matches_independent_recalcs(store, mode):
                     (scenario, out)
 
 
-@pytest.mark.parametrize("store", ["columnar", "object"])
-def test_sheet_restored_bit_identically(store):
-    whatif, engine = whatif_for(store)
+def test_sheet_restored_bit_identically():
+    whatif, engine = whatif_for()
     reference = clone_sheet(engine.sheet)
     engine_for(reference).recalculate_all()
     whatif.run(SCENARIOS, ["I1"])
     assert_same_values(engine.sheet, reference)
-    if store == "columnar":
-        assert engine.sheet._cells.export_planes() == \
-            reference._cells.export_planes()
+    assert engine.sheet._cells.export_planes() == reference._cells.export_planes()
 
 
 def test_plan_reuse_counter():
@@ -93,8 +88,7 @@ def test_plan_reuse_counter():
 def test_sequence_scenarios_and_tuple_keys():
     whatif, _engine = whatif_for()
     results = whatif.run([(1.05, 0.62)], [(9, 1)])
-    assert results[0][(9, 1)] == oracle("columnar", "auto", {"B1": 1.05},
-                                        ["I1"])[0]
+    assert results[0][(9, 1)] == oracle("auto", {"B1": 1.05}, ["I1"])[0]
     with pytest.raises(ValueError, match="2 seeds"):
         whatif.run([(1.05,)], ["I1"])
 
@@ -113,7 +107,7 @@ def test_monte_carlo_is_deterministic():
 
 def test_goal_seek():
     whatif, engine = whatif_for()
-    target = oracle("columnar", "auto", {"B1": 1.04}, ["I1"])[0]
+    target = oracle("auto", {"B1": 1.04}, ["I1"])[0]
     found = whatif.solve("B1", "I1", target, 0.9, 1.2, tol=1e-12)
     assert found == pytest.approx(1.04, abs=1e-9)
     # the search itself must not leak state
@@ -164,7 +158,7 @@ def test_formula_staleness_guard():
     """A formula edit after planning leaves the plan replaying the old
     formula; the sweep refuses, as after a structural edit."""
     def model():
-        sheet = Sheet("S", store="columnar")
+        sheet = Sheet("S")
         sheet.set_value("A1", 1.0)
         fill_formula_column(sheet, 2, 1, 20, "=$A$1*10")
         engine = engine_for(sheet)
@@ -221,12 +215,6 @@ class TestProcessFanOut:
                    workers=2)
         assert engine.sheet._cells.export_planes() == \
             reference._cells.export_planes()
-
-    def test_object_store_falls_back_to_serial(self):
-        whatif, engine = whatif_for("object")
-        results = whatif.run([{"B1": 1.05}, {"B2": 0.8}], ["I1"], workers=4)
-        assert engine.eval_stats.parallel_dispatches == 0
-        assert results == whatif.run([{"B1": 1.05}, {"B2": 0.8}], ["I1"])
 
     def test_cross_sheet_formula_falls_back(self):
         sheet = build_model()

@@ -5,10 +5,7 @@ For any sheet program, an ``evaluation="auto"`` engine with ``shards=N``
 produces exactly the values — including errors and ``#CYCLE!``
 propagation — and exactly the :class:`EvalStats` cell counters of the
 serial auto engine, which in turn match the tree-walking interpreter
-oracle.  Pinned here across both backing stores and point / batch /
-structural edit paths.  (On the object store the runtime never
-constructs — ``shards=N`` engines degrade to plain serial — so the
-identity is trivially exercised there too.)
+oracle.  Pinned here across the point / batch / structural edit paths.
 
 ``parallel_min_dirty=1`` forces the sharded path even for these
 deliberately small corpora; the hot-loop tests assert residency held
@@ -33,7 +30,6 @@ from helpers import (
     sheet_programs,
 )
 
-STORES = ("columnar", "object")
 SHARD_COUNTS = (2, 4)
 
 
@@ -50,38 +46,34 @@ def test_full_recalc_identical(shards, data):
     interpreter, values and stats."""
     program = data.draw(sheet_programs())
     mode = data.draw(st.sampled_from((None, "thread", "process")))
-    oracle = realize_program(program, "object")
+    oracle = realize_program(program)
     engine_for(oracle, "interpreter").recalculate_all()
-    for store in STORES:
-        serial_sheet = realize_program(program, store)
-        serial = engine_for(serial_sheet)
-        serial.recalculate_all()
+    serial_sheet = realize_program(program)
+    serial = engine_for(serial_sheet)
+    serial.recalculate_all()
 
-        shard_sheet = realize_program(program, store)
-        shard = sharded(shard_sheet, shards)
-        shard.recalculate_all()
+    shard_sheet = realize_program(program)
+    shard = sharded(shard_sheet, shards)
+    shard.recalculate_all()
 
-        assert_same_values(shard_sheet, serial_sheet)
-        assert_same_values(shard_sheet, oracle)
-        assert (shard.eval_stats.counter_snapshot()
-                == serial.eval_stats.counter_snapshot()), store
-        assert shard.eval_stats.shard_fallbacks == 0, store
+    assert_same_values(shard_sheet, serial_sheet)
+    assert_same_values(shard_sheet, oracle)
+    assert shard.eval_stats.counter_snapshot() == serial.eval_stats.counter_snapshot()
+    assert shard.eval_stats.shard_fallbacks == 0
 
-        alias_sheet = realize_program(program, store)
-        alias = RecalcEngine(
-            alias_sheet, workers=shards, worker_mode=mode, parallel_min_dirty=1,
-        )
-        alias.recalculate_all()
-        assert (alias.shard_runtime is None) == (store == "object"), (store, mode)
-        if alias.shard_runtime is not None:
-            assert alias.shard_runtime.shards == shards
-        assert_same_values(alias_sheet, shard_sheet)
-        for stat in ("shard_bootstraps", "parallel_dispatches",
-                     "serial_fallbacks", "shard_fallbacks"):
-            assert (getattr(alias.eval_stats, stat)
-                    == getattr(shard.eval_stats, stat)), (store, mode, stat)
-        assert (alias.eval_stats.counter_snapshot()
-                == shard.eval_stats.counter_snapshot()), (store, mode)
+    alias_sheet = realize_program(program)
+    alias = RecalcEngine(
+        alias_sheet, workers=shards, worker_mode=mode, parallel_min_dirty=1,
+    )
+    alias.recalculate_all()
+    assert alias.shard_runtime.shards == shards, mode
+    assert_same_values(alias_sheet, shard_sheet)
+    for stat in ("shard_bootstraps", "parallel_dispatches",
+                 "serial_fallbacks", "shard_fallbacks"):
+        assert (getattr(alias.eval_stats, stat)
+                == getattr(shard.eval_stats, stat)), (mode, stat)
+    assert (alias.eval_stats.counter_snapshot()
+            == shard.eval_stats.counter_snapshot()), mode
 
 
 @settings(max_examples=8, deadline=None,
@@ -91,28 +83,26 @@ def test_point_edits_identical(data):
     """Resident deltas across a point-edit sequence stay bit-identical,
     with no re-bootstraps between pure value edits."""
     program = data.draw(sheet_programs())
-    for store in STORES:
-        serial = engine_for(realize_program(program, store))
-        shard = sharded(realize_program(program, store))
-        serial.recalculate_all()
-        shard.recalculate_all()
-        boots = shard.eval_stats.shard_bootstraps
-        value_edits_only = True
-        for _ in range(data.draw(st.integers(1, 3))):
-            pos = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 20)))
-            value = data.draw(st.sampled_from(
-                [float(data.draw(st.integers(-30, 30))), "edit", True, None]
-            ))
-            if value is None:
-                value_edits_only = False    # clears can strike formulas
-            result_s = serial.set_value(pos, value)
-            result_h = shard.set_value(pos, value)
-            assert result_s.recomputed == result_h.recomputed
-            assert_same_values(shard.sheet, serial.sheet)
-            assert (shard.eval_stats.counter_snapshot()
-                    == serial.eval_stats.counter_snapshot()), store
-        if store == "columnar" and value_edits_only:
-            assert shard.eval_stats.shard_bootstraps == boots
+    serial = engine_for(realize_program(program))
+    shard = sharded(realize_program(program))
+    serial.recalculate_all()
+    shard.recalculate_all()
+    boots = shard.eval_stats.shard_bootstraps
+    value_edits_only = True
+    for _ in range(data.draw(st.integers(1, 3))):
+        pos = (data.draw(st.integers(1, 2)), data.draw(st.integers(1, 20)))
+        value = data.draw(st.sampled_from(
+            [float(data.draw(st.integers(-30, 30))), "edit", True, None]
+        ))
+        if value is None:
+            value_edits_only = False    # clears can strike formulas
+        result_s = serial.set_value(pos, value)
+        result_h = shard.set_value(pos, value)
+        assert result_s.recomputed == result_h.recomputed
+        assert_same_values(shard.sheet, serial.sheet)
+        assert shard.eval_stats.counter_snapshot() == serial.eval_stats.counter_snapshot()
+    if value_edits_only:
+        assert shard.eval_stats.shard_bootstraps == boots
 
 
 @settings(max_examples=6, deadline=None,
@@ -125,21 +115,19 @@ def test_batch_commit_identical(data):
          float(data.draw(st.integers(-30, 30))))
         for _ in range(data.draw(st.integers(2, 6)))
     ]
-    for store in STORES:
-        serial = engine_for(realize_program(program, store))
-        shard = sharded(realize_program(program, store))
-        serial.recalculate_all()
-        shard.recalculate_all()
-        with serial.begin_batch() as batch_s:
-            for pos, value in edits:
-                batch_s.set_value(pos, value)
-        with shard.begin_batch() as batch_h:
-            for pos, value in edits:
-                batch_h.set_value(pos, value)
-        assert batch_s.result.recomputed == batch_h.result.recomputed
-        assert_same_values(shard.sheet, serial.sheet)
-        assert (shard.eval_stats.counter_snapshot()
-                == serial.eval_stats.counter_snapshot()), store
+    serial = engine_for(realize_program(program))
+    shard = sharded(realize_program(program))
+    serial.recalculate_all()
+    shard.recalculate_all()
+    with serial.begin_batch() as batch_s:
+        for pos, value in edits:
+            batch_s.set_value(pos, value)
+    with shard.begin_batch() as batch_h:
+        for pos, value in edits:
+            batch_h.set_value(pos, value)
+    assert batch_s.result.recomputed == batch_h.result.recomputed
+    assert_same_values(shard.sheet, serial.sheet)
+    assert shard.eval_stats.counter_snapshot() == serial.eval_stats.counter_snapshot()
 
 
 @settings(max_examples=10, deadline=None,
@@ -166,19 +154,17 @@ def test_formula_edit_then_value_batch_identical(data):
         ((2, data.draw(st.integers(1, 20))), float(data.draw(st.integers(-30, 30))))
         for _ in range(data.draw(st.integers(1, 6)))
     ]
-    for store in STORES:
-        serial = engine_for(realize_program(program, store))
-        shard = sharded(realize_program(program, store))
-        for engine in (serial, shard):
-            engine.recalculate_all()
-            engine.set_formula(edit_at, edit_text)
-            with engine.begin_batch() as batch:
-                for pos, value in writes:
-                    batch.set_value(pos, value)
-        assert_same_values(shard.sheet, serial.sheet)
-        assert (shard.eval_stats.counter_snapshot()
-                == serial.eval_stats.counter_snapshot()), store
-        assert shard.eval_stats.shard_fallbacks == 0, store
+    serial = engine_for(realize_program(program))
+    shard = sharded(realize_program(program))
+    for engine in (serial, shard):
+        engine.recalculate_all()
+        engine.set_formula(edit_at, edit_text)
+        with engine.begin_batch() as batch:
+            for pos, value in writes:
+                batch.set_value(pos, value)
+    assert_same_values(shard.sheet, serial.sheet)
+    assert shard.eval_stats.counter_snapshot() == serial.eval_stats.counter_snapshot()
+    assert shard.eval_stats.shard_fallbacks == 0
 
 
 @settings(max_examples=6, deadline=None,
@@ -193,25 +179,23 @@ def test_structural_edits_identical(data):
     ))
     at = data.draw(st.integers(1, 22))
     count = data.draw(st.integers(1, 3))
-    for store in STORES:
-        serial = engine_for(realize_program(program, store))
-        shard = sharded(realize_program(program, store))
-        serial.recalculate_all()
-        shard.recalculate_all()
-        getattr(serial, op)(at, count)
-        getattr(shard, op)(at, count)
-        assert_same_values(shard.sheet, serial.sheet)
-        assert (shard.eval_stats.counter_snapshot()
-                == serial.eval_stats.counter_snapshot()), store
-        # A follow-up edit exercises the re-bootstrapped residents.
-        serial.set_value((1, 1), 5.5)
-        shard.set_value((1, 1), 5.5)
-        assert_same_values(shard.sheet, serial.sheet)
+    serial = engine_for(realize_program(program))
+    shard = sharded(realize_program(program))
+    serial.recalculate_all()
+    shard.recalculate_all()
+    getattr(serial, op)(at, count)
+    getattr(shard, op)(at, count)
+    assert_same_values(shard.sheet, serial.sheet)
+    assert shard.eval_stats.counter_snapshot() == serial.eval_stats.counter_snapshot()
+    # A follow-up edit exercises the re-bootstrapped residents.
+    serial.set_value((1, 1), 5.5)
+    shard.set_value((1, 1), 5.5)
+    assert_same_values(shard.sheet, serial.sheet)
 
 
-def build_cycle_corpus(store):
+def build_cycle_corpus():
     """Two healthy independent blocks plus a 3-cell reference cycle."""
-    sheet = Sheet("S", store=store)
+    sheet = Sheet("S")
     for r in range(1, 21):
         sheet.set_value((1, r), float(r))
         sheet.set_value((4, r), float(r % 7))
@@ -223,24 +207,22 @@ def build_cycle_corpus(store):
     return sheet
 
 
-@pytest.mark.parametrize("store", STORES)
-def test_cycle_parity(store):
+def test_cycle_parity():
     """A cycle anywhere in the dirty set bails out of the sharded path:
     both engines raise, mark ``#CYCLE!`` identically, and the bail-out
     is visible in the stats."""
-    serial_sheet = build_cycle_corpus(store)
+    serial_sheet = build_cycle_corpus()
     serial = engine_for(serial_sheet)
     with pytest.raises(CircularReferenceError):
         serial.recalculate_all()
 
-    shard_sheet = build_cycle_corpus(store)
+    shard_sheet = build_cycle_corpus()
     shard = sharded(shard_sheet)
     with pytest.raises(CircularReferenceError):
         shard.recalculate_all()
 
-    if store == "columnar":
-        assert shard.eval_stats.serial_fallbacks == 1
-        assert shard.eval_stats.fallback_reason == "cycle"
+    assert shard.eval_stats.serial_fallbacks == 1
+    assert shard.eval_stats.fallback_reason == "cycle"
     assert isinstance(shard_sheet.get_value((7, 1)), ExcelError)
     assert_same_values(shard_sheet, serial_sheet)
     assert (shard.eval_stats.counter_snapshot()
@@ -255,7 +237,6 @@ def test_shards_env_var(monkeypatch):
         ([((1, r), float(r)) for r in range(1, 21)]
          + [((2, r), float(r % 5)) for r in range(1, 21)],
          [(3, 1, 20, "=A1+B1")]),
-        "columnar",
     )
     engine = engine_for(sheet, parallel_min_dirty=1)
     assert engine.shard_runtime is not None
@@ -265,7 +246,6 @@ def test_shards_env_var(monkeypatch):
         ([((1, r), float(r)) for r in range(1, 21)]
          + [((2, r), float(r % 5)) for r in range(1, 21)],
          [(3, 1, 20, "=A1+B1")]),
-        "columnar",
     )
     monkeypatch.delenv("REPRO_RECALC_SHARDS")
     engine_for(twin).recalculate_all()

@@ -30,7 +30,7 @@ from helpers import assert_same_values, engine_for
 
 
 def build_corpus():
-    sheet = Sheet("S", store="columnar")
+    sheet = Sheet("S")
     for r in range(1, 41):
         sheet.set_value((1, r), float(r % 23))
         sheet.set_value((4, r), float(r % 7) + 1.0)

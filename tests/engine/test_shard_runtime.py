@@ -29,8 +29,8 @@ from helpers import (
 
 
 def mixed(rows=30):
-    """The mixed corpus on the columnar store, whatever the default."""
-    return clone_sheet(build_mixed_sheet(rows=rows), store="columnar")
+    """The mixed corpus, its formulas typed cell by cell."""
+    return clone_sheet(build_mixed_sheet(rows=rows))
 
 
 def sharded_engine(sheet, shards=2):
@@ -47,10 +47,6 @@ def serial_twin(sheet):
 def test_runtime_only_for_columnar_auto():
     columnar = engine_for(mixed(rows=10), shards=2)
     assert isinstance(columnar.shard_runtime, ShardRuntime)
-    objstore = engine_for(
-        clone_sheet(build_mixed_sheet(rows=10), store="object"), shards=2
-    )
-    assert objstore.shard_runtime is None
     interp = engine_for(mixed(rows=10), "interpreter", shards=2)
     assert interp.shard_runtime is None
     assert engine_for(mixed(rows=10), shards=1).shard_runtime is None
@@ -68,14 +64,11 @@ def test_worker_mode_process_is_the_same_runtime():
     assert both.shard_runtime.shards == 2 and both.workers == 2
 
 
-@pytest.mark.parametrize("store,evaluation", [
-    ("object", "auto"), ("columnar", "interpreter"),
-])
-def test_worker_mode_process_without_planes_or_tiers_stays_serial(store, evaluation):
-    """The object store has no planes to ship and the interpreter is the
-    oracle: ``"process"`` there dispatches nothing and is no fallback."""
+def test_worker_mode_process_on_the_interpreter_stays_serial():
+    """The interpreter is the oracle: ``"process"`` there dispatches
+    nothing and is no fallback."""
     engine = RecalcEngine(
-        clone_sheet(build_mixed_sheet(rows=30), store=store), evaluation=evaluation,
+        mixed(rows=30), evaluation="interpreter",
         workers=2, worker_mode="process", parallel_min_dirty=1,
     )
     assert engine.shard_runtime is None
@@ -129,7 +122,7 @@ def test_reboot_for_a_partial_recompute_keeps_clean_formula_values():
     (dirty: C was rewritten) reads column B (clean) in its own shard:
     the boot has to ship B's cached values along with its formulas."""
     def build():
-        sheet = Sheet("S", store="columnar")
+        sheet = Sheet("S")
         for r in range(1, 201):
             sheet.set_value((1, r), float(r))
             sheet.set_value((3, r), 1.0)
@@ -184,7 +177,7 @@ def test_formula_edit_behind_the_engines_back_reaches_the_residents():
     moves the sheet's formula version all the same: the residents are
     re-booted with it before the next dispatch."""
     def build():
-        sheet = Sheet("S", store="columnar")
+        sheet = Sheet("S")
         for r in range(1, 201):
             sheet.set_value((1, r), float(r))
         fill_formula_column(sheet, 2, 1, 200, "=A1*2")
@@ -283,8 +276,8 @@ def test_cross_sheet_columns_stay_parent_owned():
 
     def build():
         workbook = Workbook("W")
-        sheet = Sheet("main", store="columnar")
-        other = Sheet("other", store="columnar")
+        sheet = Sheet("main")
+        other = Sheet("other")
         workbook.attach_sheet(sheet)
         workbook.attach_sheet(other)
         for r in range(1, 41):

@@ -31,7 +31,7 @@ from repro.graphs.nocomp import NoCompGraph
 from repro.grid.range import Range
 from repro.grid.ref import col_to_letters
 from repro.sheet.autofill import autofill, fill_formula_column
-from repro.sheet.sheet import STORE_KINDS, Sheet
+from repro.sheet.sheet import Sheet
 from repro.spatial.registry import available_indexes
 
 from helpers import assert_same_values, build_ledger_sheet, same_value
@@ -360,9 +360,9 @@ def fill_programs(draw):
     return values, blocks, lone
 
 
-def realize(program, store: str) -> Sheet:
+def realize(program) -> Sheet:
     values, blocks, lone = program
-    sheet = Sheet("S", store=store)
+    sheet = Sheet("S")
     for r, (a, b) in enumerate(values, start=1):
         sheet.set_value((1, r), a)
         sheet.set_value((2, r), b)
@@ -408,8 +408,8 @@ def assert_same_outcome(got, want, engine, oracle) -> None:
         assert_same_values(engine.sheet, oracle.sheet)
 
 
-def both_sides(program, store, index, **subject_kwargs):
-    subject, reference = realize(program, store), realize(program, store)
+def both_sides(program, index, **subject_kwargs):
+    subject, reference = realize(program), realize(program)
     graph = TacoGraph.full(index=index)
     graph.build(dependencies_column_major(subject))
     return RecalcEngine(subject, graph, **subject_kwargs), oracle_for(reference)
@@ -419,23 +419,21 @@ COMMON = dict(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
 
-@pytest.mark.parametrize("store", STORE_KINDS)
 @pytest.mark.parametrize("index", BACKENDS)
 @settings(**COMMON)
 @given(program=fill_programs())
-def test_recalculate_all_identical(store, index, program):
-    engine, oracle = both_sides(program, store, index)
+def test_recalculate_all_identical(index, program):
+    engine, oracle = both_sides(program, index)
     got = settle(engine.recalculate_all)
     want = settle(oracle.recalculate_all)
     assert_same_outcome(got, want, engine, oracle)
 
 
-@pytest.mark.parametrize("store", STORE_KINDS)
 @pytest.mark.parametrize("index", BACKENDS)
 @settings(**COMMON)
 @given(program=fill_programs(), data=st.data())
-def test_dirty_subset_identical(store, index, program, data):
-    engine, oracle = both_sides(program, store, index)
+def test_dirty_subset_identical(index, program, data):
+    engine, oracle = both_sides(program, index)
     if isinstance(settle(engine.recalculate_all), type) | isinstance(
             settle(oracle.recalculate_all), type):
         return          # raised part-way: test_recalculate_all_identical's business
@@ -462,12 +460,11 @@ def test_dirty_subset_identical(store, index, program, data):
             return
 
 
-@pytest.mark.parametrize("store", STORE_KINDS)
 @pytest.mark.parametrize("index", BACKENDS)
 @settings(**COMMON)
 @given(program=fill_programs(), data=st.data())
-def test_deferred_steps_identical(store, index, program, data):
-    engine, oracle = both_sides(program, store, index, deferred=True)
+def test_deferred_steps_identical(index, program, data):
+    engine, oracle = both_sides(program, index, deferred=True)
     got = settle(engine.recalculate_all)
     want = settle(oracle.recalculate_all)
     assert_same_outcome(got, want, engine, oracle)
@@ -510,8 +507,8 @@ def test_residents_identical(program, data):
     """Two residents (every strip kind travels as ``_Strip.spec()``
     freight) against the serial engine and the oracle: the same values,
     and the same tier counters as the serial engine."""
-    serial, oracle = both_sides(program, "columnar", "rtree")
-    sharded = RecalcEngine(realize(program, "columnar"), shards=2, parallel_min_dirty=1)
+    serial, oracle = both_sides(program, "rtree")
+    sharded = RecalcEngine(realize(program), shards=2, parallel_min_dirty=1)
     engines = (sharded, serial, oracle)
     width = serial.sheet.used_range().c2
     for stripe in (None, Range(FIRST_COL, data.draw(st.integers(1, ROWS)), width, ROWS)):
@@ -555,7 +552,7 @@ def test_a_knot_of_strips_comes_apart_alone():
     """The amortisation table stalls the strip order; the running total
     beside it — downstream of the knot, not in it — still rolls."""
     def build():
-        sheet = Sheet("S", store="columnar")
+        sheet = Sheet("S")
         for r in range(1, 41):
             sheet.set_value((1, r), float(r))
             sheet.set_value((2, r), 30.0)
@@ -591,7 +588,7 @@ def test_a_resident_booted_for_a_dirty_stripe_keeps_clean_values():
         [("amortisation", 1, 21, False, 0)] * 4 + [("both_ways", 1, 21, False, 0)],
         None,
     )
-    engine, oracle = both_sides(program, "columnar", "rtree", shards=2)
+    engine, oracle = both_sides(program, "rtree", shards=2)
     assert settle(engine.recalculate_all) == settle(oracle.recalculate_all)
     assert engine.eval_stats.shard_bootstraps == 0
     stripe = [Range(3, 1, 7, 14)]
@@ -648,11 +645,10 @@ SCAN_STOPS = [
 ]
 
 
-@pytest.mark.parametrize("store", STORE_KINDS)
 @pytest.mark.parametrize("text,typed,scanned", SCAN_STOPS)
-def test_a_scan_hands_the_rest_to_the_closure(store, text, typed, scanned):
+def test_a_scan_hands_the_rest_to_the_closure(text, typed, scanned):
     def build():
-        sheet = Sheet("S", store=store)
+        sheet = Sheet("S")
         for r in range(1, 31):
             sheet.set_value((1, r), float(r // 3))
             sheet.set_value((2, r), float(r % 4) + 1.0)
@@ -667,8 +663,6 @@ def test_a_scan_hands_the_rest_to_the_closure(store, text, typed, scanned):
     reference = oracle_for(build())
     reference.recalculate_all()
     assert_same_values(engine.sheet, reference.sheet)
-    if store == "object" and text.startswith("=IF(A3"):
-        scanned = 0             # a branch that is a bare reference: ints may hide there
     stats = engine.eval_stats
     assert stats.elementwise_cells == scanned
     assert stats.compiled_cells == engine.sheet.formula_count - scanned
@@ -700,8 +694,8 @@ SWEEP_MASKS = [
 ]
 
 
-def sweep_sheet(store, text, typed):
-    sheet = Sheet("S", store=store)
+def sweep_sheet(text, typed):
+    sheet = Sheet("S")
     for r in range(1, 31):
         sheet.set_value((1, r), float(r // 3))
         sheet.set_value((2, r), float(r % 4) + 1.0)
@@ -712,37 +706,32 @@ def sweep_sheet(store, text, typed):
     return sheet
 
 
-@pytest.mark.parametrize("store", STORE_KINDS)
 @pytest.mark.parametrize("text,typed,swept", SWEEP_MASKS)
-def test_a_sweep_hands_its_masked_lanes_to_the_closure(store, text, typed, swept):
-    engine = RecalcEngine(sweep_sheet(store, text, typed), workers=0, shards=0)
+def test_a_sweep_hands_its_masked_lanes_to_the_closure(text, typed, swept):
+    engine = RecalcEngine(sweep_sheet(text, typed), workers=0, shards=0)
     plan = engine._build_plan(None, False)[0]
     assert [node.kind for node in plan] == ["e"]
     engine.recalculate_all()
-    reference = oracle_for(sweep_sheet(store, text, typed))
+    reference = oracle_for(sweep_sheet(text, typed))
     reference.recalculate_all()
     assert_same_values(engine.sheet, reference.sheet)
-    if store == "object" and text.startswith("=IF(A1>=0,A1"):
-        swept = 0               # a branch that is a bare reference: ints may hide there
     stats = engine.eval_stats
     assert (stats.elementwise_cells, stats.elementwise_runs) == (swept, int(swept > 0))
     assert stats.compiled_cells == 30 - swept
-    if store == "columnar":
-        # Two residents sweep the strip as the serial engine does.
-        sharded = RecalcEngine(sweep_sheet(store, text, typed), shards=2, parallel_min_dirty=1)
-        sharded.recalculate_all()
-        assert sharded.eval_stats.parallel_dispatches == 1
-        assert_same_values(sharded.sheet, reference.sheet)
-        assert sharded.eval_stats.counter_snapshot() == stats.counter_snapshot()
+    # Two residents sweep the strip as the serial engine does.
+    sharded = RecalcEngine(sweep_sheet(text, typed), shards=2, parallel_min_dirty=1)
+    sharded.recalculate_all()
+    assert sharded.eval_stats.parallel_dispatches == 1
+    assert_same_values(sharded.sheet, reference.sheet)
+    assert sharded.eval_stats.counter_snapshot() == stats.counter_snapshot()
 
 
-@pytest.mark.parametrize("store", STORE_KINDS)
-def test_a_kept_plan_never_runs_against_a_changed_plane(store):
+def test_a_kept_plan_never_runs_against_a_changed_plane():
     """Formula edits, clears and row inserts interleaved with ``step``,
     through the engine and behind its back: every slice is cut from a
     plan of the plane as it is."""
     def build():
-        sheet = Sheet("S", store=store)
+        sheet = Sheet("S")
         for r in range(1, 61):
             sheet.set_value((1, r), float(r))
         chain_down(sheet, 2, 1, 60, "A")

@@ -267,7 +267,7 @@ def test_a_window_strip_writes_its_band_once(monkeypatch):
     from repro.formula.errors import ExcelError as Error
     from repro.sheet import columnar
 
-    s = Sheet("S", store="columnar")
+    s = Sheet("S")
     for r in range(1, 301):
         s.set_value((1, r), float(r) / 7.0)
     fill_formula_column(s, 2, 1, 300, "=SUM($A$1:A1)")

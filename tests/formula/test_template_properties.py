@@ -62,11 +62,10 @@ def anchors(draw, cols=COLS, rows=ROWS):
 
 
 @settings(max_examples=300, deadline=None)
-@given(anchor=anchors(), ac=COLS, ar=ROWS, mc=COLS, mr=ROWS,
-       store=st.sampled_from(["columnar", "object"]))
-def test_member_equals_per_cell_oracle(anchor, ac, ar, mc, mr, store):
+@given(anchor=anchors(), ac=COLS, ar=ROWS, mc=COLS, mr=ROWS)
+def test_member_equals_per_cell_oracle(anchor, ac, ar, mc, mr):
     oracle = anchor.shifted(mc - ac, mr - ar)
-    sheet = Sheet("S", store=store)
+    sheet = Sheet("S")
     sheet.set_formula_ast((ac, ar), anchor)
     family = sheet.formula_at((ac, ar)).template
     sheet.set_formula_template((mc, mr), family)

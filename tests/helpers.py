@@ -2,10 +2,10 @@
 
 Besides the corpus builders, this module owns the differential-test
 toolkit the ``tests/engine/test_*_differential.py`` suites share: a
-hypothesis strategy for store-agnostic *sheet programs*, one for the
-edits applied to them (:func:`edits`), factories that
-realize a program into either backing store and wrap it in an engine
-parameterized by evaluation mode / index backend / worker pool, and the
+hypothesis strategy for *sheet programs*, one for the edits applied to
+them (:func:`edits`), factories that realize a program into a sheet and
+wrap it in an engine parameterized by evaluation mode / index backend /
+resident shards, and the
 bitwise value comparator.  One definition here keeps every suite
 differential against the same oracle semantics.
 """
@@ -13,7 +13,6 @@ differential against the same oracle semantics.
 from __future__ import annotations
 
 import random
-from contextlib import contextmanager
 
 from hypothesis import strategies as st
 
@@ -24,7 +23,6 @@ from repro.formula.errors import ExcelError
 from repro.graphs.base import expand_cells
 from repro.graphs.nocomp import NoCompGraph
 from repro.grid.range import Range
-from repro.sheet import sheet as sheet_module
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
 from repro.sheet.structural import STRUCTURAL_OPS
@@ -63,7 +61,7 @@ def build_mixed_sheet(seed: int = 0, rows: int = 30) -> Sheet:
 def build_ledger_sheet(rows: int = 300) -> Sheet:
     """The served benchmark's sheet: a recurrence, a running total, an
     elementwise product and a whole-column sentinel."""
-    sheet = Sheet("Ledger", store="columnar")        # elementwise sweeps need planes
+    sheet = Sheet("Ledger")
     for r in range(1, rows + 1):
         sheet.set_value((1, r), float(r % 17) + 1.0)
         sheet.set_value((2, r), float((r * 7) % 23) + 1.0)
@@ -154,7 +152,7 @@ LOOKUP_TEMPLATES = (
 def sheet_programs(draw, rows: int = 20,
                    templates: tuple = DIFFERENTIAL_TEMPLATES,
                    max_fills: int = 3):
-    """One store-agnostic sheet program: ``(values, fills)``.
+    """One sheet program: ``(values, fills)``.
 
     Column A mixes floats, text, booleans and holes; column B is always
     numeric; ``fills`` stamps 1..max_fills formula columns (3, 4, ...)
@@ -212,11 +210,10 @@ def edits(draw, rows: int, *, acyclic: bool = True, structural: bool = False,
     return SetFormula((col, row), draw(st.sampled_from(EDIT_FORMULAS)).format(x=x, r1=r1, r2=r2))
 
 
-def realize_program(program, store: str = "object",
-                    name: str = "S") -> Sheet:
+def realize_program(program, name: str = "S") -> Sheet:
     """Build a fresh sheet from a :func:`sheet_programs` draw."""
     values, fills = program
-    sheet = Sheet(name, store=store)
+    sheet = Sheet(name)
     for pos, value in values:
         sheet.set_value(pos, value)
     for col, first, last, template in fills:
@@ -224,21 +221,9 @@ def realize_program(program, store: str = "object",
     return sheet
 
 
-@contextmanager
-def default_store(kind: str):
-    """Make ``kind`` the store of every ``Sheet()`` built inside the
-    block without naming one — a snapshot load's sheets, say."""
-    original = sheet_module.DEFAULT_STORE
-    sheet_module.DEFAULT_STORE = kind
-    try:
-        yield kind
-    finally:
-        sheet_module.DEFAULT_STORE = original
-
-
-def clone_sheet(sheet: Sheet, store: str | None = None) -> Sheet:
-    """An independent copy (optionally into the other backing store)."""
-    copy = Sheet(sheet.name, store=store or sheet.store_kind)
+def clone_sheet(sheet: Sheet) -> Sheet:
+    """An independent copy."""
+    copy = Sheet(sheet.name)
     for pos, cell in sheet.items():
         if cell.is_formula:
             copy.set_formula(pos, cell.formula_text)

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import build_fig2_sheet, build_mixed_sheet, default_store
+from helpers import build_fig2_sheet, build_mixed_sheet
 
 from repro.core.patterns.registry import (
     default_patterns,
@@ -45,6 +45,10 @@ from repro.sheet.sheet import Sheet
 from repro.sheet.structural import delete_rows, insert_rows
 from repro.sheet.workbook import Workbook
 from repro.spatial.registry import available_indexes
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+sys.path.insert(0, FIXTURES)
+import make_snapshot_cells_v3 as cells_v3  # noqa: E402
 
 BACKENDS = available_indexes()
 REGISTRIES = {
@@ -87,12 +91,6 @@ def template_keys(sheet: Sheet) -> dict:
         pos: cell.template_key(*pos)
         for pos, cell in sheet.formula_cells()
     }
-
-
-def restore_into(payload: bytes, store: str):
-    """Load ``payload`` in a session whose default store is ``store``."""
-    with default_store(store):
-        return load_snapshot(io.BytesIO(payload))
 
 
 # -- stream surgery: take a snapshot apart and put one together ----------------
@@ -352,53 +350,20 @@ class TestFormatValidation:
 # -- the wire sections: value planes, run records, older versions --------------
 
 class TestColumnarSections:
-    """The ``VCOL``/``RUNS`` wire sections and store-independent restore."""
+    """The ``VCOL``/``RUNS`` wire sections, and the older streams that
+    still load into them."""
 
-    def build_workbook(self, store: str) -> Workbook:
-        workbook = Workbook("v3")
-        sheet = workbook.add_sheet("S", store=store)
-        for r in range(1, 31):
-            sheet.set_value((1, r), float(r) / 7.0)
-        sheet.set_value((1, 5), "five")
-        sheet.set_value((1, 9), True)
-        sheet.set_value((1, 11), None)          # hole
-        sheet.set_value((3, 2), NA_ERROR)
-        for r in range(1, 11):
-            sheet.set_formula((2, r), f"=A{r}*2")           # hand-typed: a record each
-        fill_formula_column(sheet, 2, 11, 30, "=A11*2")     # one run
-        fill_formula_column(sheet, 4, 1, 30, "=SUM($A$1:A1)")
-        sheet.set_formula("D7", "=A7+1")                    # a lone formula cuts the run
-        sheet.set_formula("A31", "=SUM(B1:B30)")            # a formula under a value column
-        RecalcEngine(sheet).recalculate_all()
-        return workbook
+    def snapshot_bytes(self) -> bytes:
+        return snapshot_bytes(cells_v3.build_workbook())
 
-    def snapshot_bytes(self, store: str) -> bytes:
-        return snapshot_bytes(self.build_workbook(store))
+    def test_snapshots_carry_vcol_sections_only(self):
+        tags = {tag for tag, _ in split_stream(self.snapshot_bytes())[1]}
+        assert b"VCOL" in tags and b"CELL" not in tags
 
-    @pytest.mark.parametrize("src", ["columnar", "object"])
-    @pytest.mark.parametrize("dst", ["columnar", "object"])
-    def test_cross_store_restore(self, src, dst):
-        """Either store's snapshot restores into either store — in
-        particular an object-store snapshot into a columnar-backed
-        workbook (the store swap is invisible to the format)."""
-        source = self.build_workbook(src)["S"]
-        restored = restore_into(self.snapshot_bytes(src), dst)
-        rsheet = restored.workbook["S"]
-        assert rsheet.store_kind == dst
-        assert restored.meta["stores"] == {"S": src}
-        assert cell_state(rsheet) == cell_state(source)
-        assert len(rsheet) == len(source)
-
-    def test_columnar_snapshots_carry_vcol_sections(self):
-        assert b"VCOL" in self.snapshot_bytes("columnar")
-        assert b"VCOL" not in self.snapshot_bytes("object")
-
-    @pytest.mark.parametrize("store", ["columnar", "object"])
-    def test_formulas_travel_as_run_records(self, store):
-        """One formula path for both stores: version 3, a record per run,
-        a record per hand-typed cell, no formula text anywhere else."""
-        data = self.snapshot_bytes(store)
-        version, sections = split_stream(data)
+    def test_formulas_travel_as_run_records(self):
+        """Version 3, a record per run, a record per hand-typed cell."""
+        data = self.snapshot_bytes()
+        version, _ = split_stream(data)
         assert version == 3
         records = run_records(data, "S")
         assert [r[:3] for r in records] == (
@@ -407,31 +372,26 @@ class TestColumnarSections:
             + [[4, 1, 6], [4, 7, 7], [4, 8, 30]]
         )
         assert records[11] == [2, 11, 30, "A11*2"]
-        for tag, payload in sections:
-            if tag == b"CELL":
-                assert all(rec[2] is None for rec in json.loads(payload)["cells"])
 
     def test_stats_count_every_occupied_cell_once(self):
         """``SnapshotStats.cells`` is ``sum(len(sheet))`` — the ledger's
         ``io.snapshot.bytes_per_cell`` divides by it — and a plane landing
         under a formula run does not count its rows twice."""
-        for store in ("columnar", "object"):
-            workbook = self.build_workbook(store)
-            workbook.add_sheet("T", store=store).set_formula("B2", "=1+1")  # cached None
-            buffer = io.BytesIO()
-            stats = save_snapshot(workbook, buffer)
-            assert stats.cells == sum(len(sheet) for sheet in workbook.sheets())
-            assert stats.cells == 29 + 1 + 30 + 30 + 1 + 1
-            for dst in ("columnar", "object"):
-                restored = restore_into(buffer.getvalue(), dst).workbook
-                assert [len(restored[n]) for n in ("S", "T")] == \
-                    [len(workbook[n]) for n in ("S", "T")]
+        workbook = cells_v3.build_workbook()
+        workbook.add_sheet("T").set_formula("B2", "=1+1")  # cached None
+        buffer = io.BytesIO()
+        stats = save_snapshot(workbook, buffer)
+        assert stats.cells == sum(len(sheet) for sheet in workbook.sheets())
+        assert stats.cells == 29 + 1 + 30 + 30 + 1 + 1
+        restored = load_snapshot(io.BytesIO(buffer.getvalue())).workbook
+        assert [len(restored[n]) for n in ("S", "T")] == \
+            [len(workbook[n]) for n in ("S", "T")]
 
     def test_version1_streams_still_load(self):
         """A version-1 stream is ``META`` + per sheet one ``CELL`` section
         of ``[col, row, formula, value]`` records + ``GRPH``; built by
         hand here, since no writer emits it any more."""
-        source = self.build_workbook("object")["S"]
+        source = cells_v3.build_workbook()["S"]
         cells = [
             [col, row, cell.formula_text, encode_value(cell.value)]
             for (col, row), cell in sorted(source.items())
@@ -444,28 +404,27 @@ class TestColumnarSections:
                                "graph": graph_payload(build_from_sheet(source))})),
             (b"END.", b""),
         ])
-        for dst in ("columnar", "object"):
-            restored = restore_into(stream, dst)
-            rsheet = restored.workbook["S"]
-            assert cell_state(rsheet) == cell_state(source)
-            assert template_keys(rsheet) == template_keys(source)
-            assert dependency_set(restored.graphs["S"]) == \
-                dependency_set(build_from_sheet(source))
+        restored = load_snapshot(io.BytesIO(stream))
+        rsheet = restored.workbook["S"]
+        assert cell_state(rsheet) == cell_state(source)
+        assert template_keys(rsheet) == template_keys(source)
+        assert dependency_set(restored.graphs["S"]) == \
+            dependency_set(build_from_sheet(source))
 
     @pytest.mark.parametrize("src", ["columnar", "object"])
-    @pytest.mark.parametrize("dst", ["columnar", "object"])
-    def test_version2_fixtures_still_load(self, src, dst):
+    def test_version2_fixtures_still_load(self, src):
         """Byte fixtures the parent commit's writer produced from
-        :func:`legacy_workbook`: ``CELL`` sections carrying formula text
-        per cell, and (columnar) ``VCOL`` runs blank on formula rows."""
-        path = os.path.join(os.path.dirname(__file__), "fixtures", f"snapshot_v2_{src}.snap")
+        :func:`legacy_workbook` on either store: ``CELL`` sections
+        carrying formula text per cell, and (columnar) ``VCOL`` runs
+        blank on formula rows."""
+        path = os.path.join(FIXTURES, f"snapshot_v2_{src}.snap")
         with open(path, "rb") as handle:
             data = handle.read()
         version, sections = split_stream(data)
         assert version == 2 and b"RUNS" not in {tag for tag, _ in sections}
-        restored = restore_into(data, dst)
+        restored = load_snapshot(io.BytesIO(data))
         assert restored.meta["stores"] == {"Data": src, "Notes": src}
-        expected = legacy_workbook(dst)
+        expected = legacy_workbook()
         for name in ("Data", "Notes"):
             sheet, rsheet = expected[name], restored.workbook[name]
             assert cell_state(rsheet) == cell_state(sheet)
@@ -474,26 +433,51 @@ class TestColumnarSections:
             assert dependency_set(restored.graphs[name]) == \
                 dependency_set(build_from_sheet(sheet))
 
+    def test_version3_cell_sections_still_load(self):
+        """``snapshot_cells_v3.snap``: a version-3 stream whose values
+        travel as ``CELL`` sections (the per-cell store's, written by the
+        last writer that had one) and whose ``META`` names the store.  It
+        loads into columnar sheets holding what the columnar-built
+        workbook holds, and saves again as that workbook's snapshot."""
+        with open(os.path.join(FIXTURES, "snapshot_cells_v3.snap"), "rb") as handle:
+            data = handle.read()
+        version, sections = split_stream(data)
+        tags = [tag for tag, _ in sections]
+        assert version == 3 and b"CELL" in tags and b"VCOL" not in tags
+        restored = load_snapshot(io.BytesIO(data))
+        assert restored.meta["stores"] == {"S": "object"}
+        expected = cells_v3.build_workbook()["S"]
+        rsheet = restored.workbook["S"]
+        assert cell_state(rsheet) == cell_state(expected)
+        assert template_keys(rsheet) == template_keys(expected)
+        assert len(rsheet) == len(expected)
+        assert run_shapes(rsheet) == run_shapes(expected)
+        assert dependency_set(restored.graphs["S"]) == \
+            dependency_set(build_from_sheet(expected))
+        again = snapshot_bytes(restored.workbook, restored.graphs)
+        assert strip_id(again) == strip_id(self.snapshot_bytes())
+
     def test_crash_point_truncation_fuzz(self):
         """A snapshot cut at *any* byte offset — inside a plane, between
-        two run records, anywhere — is a clean
-        :class:`SnapshotFormatError`: never a partial workbook, never a
-        stray exception type."""
-        for store in ("columnar", "object"):
-            data = self.snapshot_bytes(store)
+        two run records, inside a legacy ``CELL`` section, anywhere — is a
+        clean :class:`SnapshotFormatError`: never a partial workbook,
+        never a stray exception type."""
+        with open(os.path.join(FIXTURES, "snapshot_cells_v3.snap"), "rb") as handle:
+            legacy = handle.read()
+        for data in (self.snapshot_bytes(), legacy):
             for cut in range(len(data)):
                 with pytest.raises(SnapshotFormatError):
                     load_snapshot(io.BytesIO(data[:cut]))
 
     def test_vcol_payload_corruption_detected(self):
-        data = bytearray(self.snapshot_bytes("columnar"))
+        data = bytearray(self.snapshot_bytes())
         at = data.index(b"VCOL") + 20       # inside the section payload
         data[at] ^= 0xFF
         with pytest.raises(SnapshotFormatError):
             load_snapshot(io.BytesIO(bytes(data)))
 
     def test_runs_payload_corruption_detected(self):
-        data = bytearray(self.snapshot_bytes("columnar"))
+        data = bytearray(self.snapshot_bytes())
         section = data.index(b"RUNS")
         for at in range(section + 16, section + 16 + 120, 7):   # bytes of the records
             flipped = bytearray(data)
@@ -504,18 +488,19 @@ class TestColumnarSections:
     def test_duplicate_value_column_is_refused(self):
         """A plane may only land on vacant rows: a second copy would
         count them twice."""
-        version, sections = split_stream(self.snapshot_bytes("columnar"))
+        version, sections = split_stream(self.snapshot_bytes())
         first = next(i for i, (tag, _) in enumerate(sections) if tag == b"VCOL")
         sections.insert(first, sections[first])
         with pytest.raises(SnapshotFormatError, match="VCOL"):
-            restore_into(join_stream(version, sections), "columnar")
+            load_snapshot(io.BytesIO(join_stream(version, sections)))
 
 
-def legacy_workbook(store: str) -> Workbook:
+def legacy_workbook() -> Workbook:
     """What ``tests/io/fixtures/snapshot_v2_<store>.snap`` hold: this
-    function, run at the last commit whose writer emitted version 2."""
+    function, run on either store at the last commit whose writer
+    emitted version 2."""
     workbook = Workbook("legacy")
-    data = workbook.add_sheet("Data", store=store)
+    data = workbook.add_sheet("Data")
     for r in range(1, 13):
         data.set_value((1, r), r / 7.0)
         data.set_value((2, r), float(r % 4))
@@ -530,7 +515,7 @@ def legacy_workbook(store: str) -> Workbook:
     data.set_formula("E2", '="x"&A5')                # a string
     data.set_formula("E3", "=A1>B1")                 # a bool
     RecalcEngine(data).recalculate_all()
-    notes = workbook.add_sheet("Notes", store=store)
+    notes = workbook.add_sheet("Notes")
     notes.set_value("A1", "label")
     notes.set_formula("B2", "=Data!A1*2")            # never evaluated
     return workbook
@@ -655,12 +640,12 @@ TYPED = ("=A{r}*2", "= A{r} + B{r}", "=sum(A{r}:B{r})")   # kept exactly as type
 
 
 @st.composite
-def family_workbooks(draw, store):
+def family_workbooks(draw):
     """A sheet whose formula columns mix everything that makes or breaks
     a run; returns the workbook.  Graphs are left to the writer."""
     rows = draw(st.integers(6, 14))
     workbook = Workbook("fam")
-    sheet = workbook.add_sheet("Fam", store=store)
+    sheet = workbook.add_sheet("Fam")
     for r in range(1, rows + 1):
         sheet.set_value((1, r), float(draw(st.integers(-9, 9))))
         sheet.set_value((2, r), float(draw(st.integers(0, 3))))
@@ -706,23 +691,20 @@ def strip_id(data: bytes) -> bytes:
     return join_stream(version, [(b"META", as_json(meta))] + sections[1:])
 
 
-@pytest.mark.parametrize("src", ["columnar", "object"])
-@pytest.mark.parametrize("dst", ["columnar", "object"])
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_families_round_trip(src, dst, data):
-    workbook = data.draw(family_workbooks(src))
+def test_families_round_trip(data):
+    workbook = data.draw(family_workbooks())
     sheet = workbook["Fam"]
     saved = snapshot_bytes(workbook)
     records = run_records(saved, "Fam")
 
     parse_formula.cache_clear()
-    restored = restore_into(saved, dst)
+    restored = load_snapshot(io.BytesIO(saved))
     # Parsed once per record at most (equal texts share one parse) ...
     assert parse_formula.cache_info().misses <= len(records)
     rsheet = restored.workbook["Fam"]
-    assert rsheet.store_kind == dst
 
     anchors = {(col, first) for col, first, _, _ in records}
     for pos, cell in rsheet.formula_cells():
@@ -739,9 +721,9 @@ def test_families_round_trip(src, dst, data):
     state, rstate = cell_state(sheet), cell_state(rsheet)
     assert rstate == state
     for pos, (_, value) in state.items():       # == is too kind: 1 == 1.0 == True
-        assert type(rstate[pos][1]) is type(value) or dst != src
+        assert type(rstate[pos][1]) is type(value)
     assert dependency_set(restored.graphs["Fam"]) == dependency_set(build_from_sheet(sheet))
 
-    if dst == src:      # save -> load -> save: the same bytes but for the id
-        again = snapshot_bytes(restored.workbook, restored.graphs)
-        assert strip_id(again) == strip_id(saved)
+    # save -> load -> save: the same bytes but for the id
+    again = snapshot_bytes(restored.workbook, restored.graphs)
+    assert strip_id(again) == strip_id(saved)

@@ -167,11 +167,10 @@ class TestSharedFormulas:
 class TestWhatTheEngineCanHold:
     """Values the engine itself produces or accepts must export."""
 
-    @pytest.mark.parametrize("store", ["columnar", "object"])
-    def test_non_finite_numbers_are_num_errors(self, store):
+    def test_non_finite_numbers_are_num_errors(self):
         from repro.engine.recalc import RecalcEngine
 
-        sheet = Sheet("S", store=store)
+        sheet = Sheet("S")
         sheet.set_value("A1", 1e308)
         sheet.set_formula("B1", "=A1*10")               # inf
         sheet.set_formula("B2", "=A1*10-A1*10")         # nan

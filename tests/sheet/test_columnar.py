@@ -1,7 +1,8 @@
 """Unit tests for the typed columnar value store.
 
 The store promises two things: the Sheet accessor surface behaves
-identically on it and on the object store, and *write-through* views —
+identically on it and on the seed's per-cell store
+(:mod:`repro.baselines.object_store`), and *write-through* views —
 a ``ColumnarCell`` can never go stale relative to the arrays, because
 it has no shadow storage of its own.
 """
@@ -10,6 +11,7 @@ from array import array
 
 import pytest
 
+from repro.baselines.object_store import ObjectSheet
 from repro.formula.errors import ExcelError
 from repro.grid.range import Range
 from repro.sheet.columnar import (
@@ -24,10 +26,8 @@ from repro.sheet.columnar import (
 from repro.sheet.sheet import Sheet
 
 
-def columnar_sheet(name="S"):
-    sheet = Sheet(name, store="columnar")
-    assert sheet.store_kind == "columnar"
-    return sheet
+#: Either store behind the same ``Sheet`` surface.
+SHEETS = {"columnar": Sheet, "object": ObjectSheet}
 
 
 class TestTagPlane:
@@ -88,7 +88,7 @@ class TestTagPlane:
 
         writes = [((2, 3), 1.5), ((2, 40), 2.5), ((2, 3), "s"), ((2, 3), 4.0),
                   ((2, 1), None), ((2, 2), 0.0), ((3, 1), -1.0), ((2, 40), None)]
-        fast, general = columnar_sheet(), columnar_sheet()
+        fast, general = Sheet("S"), Sheet("S")
         general.set_formula("B2", "=1+1")
         fast.set_formula("B2", "=1+1")
         for pos, value in writes:
@@ -115,7 +115,7 @@ class TestBands:
     of a column as flat buffers."""
 
     def filled(self):
-        sheet = columnar_sheet()
+        sheet = Sheet("S")
         for r, value in enumerate((1.5, "txt", True, None, -0.0, 4.0), start=1):
             sheet.set_value((1, r), value)
         for r in range(1, 7):
@@ -168,7 +168,7 @@ class TestWriteThroughViews:
     def test_view_write_is_visible_to_bulk_reads(self):
         """Satellite regression: assigning ``cell.value`` on a
         materialised view must update the arrays, not a shadow slot."""
-        sheet = columnar_sheet()
+        sheet = Sheet("S")
         sheet.set_value("A1", 10.0)
         view = sheet.cell_at("A1")
         view.value = 99.0
@@ -182,14 +182,14 @@ class TestWriteThroughViews:
         assert sheet.cell_at("A1").value == 99.0
 
     def test_store_write_is_visible_to_old_views(self):
-        sheet = columnar_sheet()
+        sheet = Sheet("S")
         sheet.set_value("A1", 1.0)
         view = sheet.cell_at("A1")
         sheet.set_value("A1", 2.0)
         assert view.value == 2.0
 
     def test_formula_cell_value_writes_through(self):
-        sheet = columnar_sheet()
+        sheet = Sheet("S")
         sheet.set_formula("B1", "=A1+1")
         cell = sheet.cell_at("B1")
         assert cell.is_formula and cell.value is None
@@ -200,7 +200,7 @@ class TestWriteThroughViews:
         assert sheet.formula_at("B1").formula_text == "A1+1" and len(sheet) == 1
 
     def test_view_none_write_erases_pure_cell(self):
-        sheet = columnar_sheet()
+        sheet = Sheet("S")
         sheet.set_value("A1", 1.0)
         sheet.cell_at("A1").value = None
         assert sheet.cell_at("A1") is None
@@ -209,7 +209,7 @@ class TestWriteThroughViews:
     def test_a_formula_view_is_a_snapshot_of_its_record(self):
         """Views are transient: a structural edit moves the run record,
         not the view taken before it."""
-        sheet = columnar_sheet()
+        sheet = Sheet("S")
         sheet.set_formula("A5", "=1+1")
         cell = sheet.formula_at("A5")
         assert sheet.formula_at("A5") is not cell
@@ -325,7 +325,7 @@ class TestSheetParity:
     )
 
     def build(self, kind):
-        sheet = Sheet("P", store=kind)
+        sheet = SHEETS[kind]("P")
         for target, value in self.OPS:
             sheet.set_value(target, value)
         sheet.set_formula("D1", "=B1*2")
@@ -350,16 +350,12 @@ class TestSheetParity:
             b.resolver_iter_cells(None, rng)
         )
 
-    def test_unknown_store_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Sheet("S", store="arrow")
-
     @pytest.mark.parametrize("kind", ["columnar", "object"])
     def test_attach_formula_run_keeps_values_and_counts_once(self, kind):
         from repro.formula.parser import parse_formula
         from repro.formula.template import intern_template
 
-        sheet = Sheet("P", store=kind)
+        sheet = SHEETS[kind]("P")
         for r in (1, 2, 4):
             sheet.set_value((2, r), float(r * 10))      # cached values, row 3 never evaluated
         sheet.set_value((3, 1), "keep")
@@ -379,9 +375,8 @@ class TestSheetParity:
             sheet.attach_formula_run(4, 1, 2, None, "A1")
 
 
-    @pytest.mark.parametrize("kind", ["columnar", "object"])
-    def test_import_column_lands_every_kind_into_vacant_rows(self, kind):
-        sheet = Sheet("P", store=kind)
+    def test_import_column_lands_every_kind_into_vacant_rows(self):
+        sheet = Sheet("P")
         sheet.set_value("B1", 9.0)
         tags = bytes((TAG_NUMBER, TAG_EMPTY, TAG_BOOL, TAG_STRING, TAG_ERROR))
         values = array("d", [1.5, 0.0, 1.0, 0.0, 0.0])
@@ -453,7 +448,7 @@ class TestBounds:
             assert store.bounds() == self.loop_bounds(store)
 
     def test_sheet_used_range_agrees_across_stores(self):
-        sheets = [Sheet("S", store=kind) for kind in ("columnar", "object")]
+        sheets = [Sheet("S"), ObjectSheet("S")]
         for sheet in sheets:
             sheet.set_value("C4", 1.0)
             sheet.set_formula("H2", "=C4")

@@ -2,7 +2,8 @@
 
 A columnar sheet keeps no object per formula cell: its formula plane is,
 per column, a sorted list of run records that every mutation splits,
-moves and merges in place.  The object store keeps a ``Cell`` per
+moves and merges in place.  The seed's per-cell store
+(:class:`repro.baselines.object_store.ObjectSheet`) keeps a ``Cell`` per
 formula and is the oracle.  The machine drives both with the same
 mutations — values over blanks, values, run heads, interiors and tails;
 typed formulas; template members; clears; fills down, up and right;
@@ -18,6 +19,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.baselines.object_store import ObjectSheet
 from repro.formula.parser import parse_formula
 from repro.formula.template import intern_template
 from repro.grid.range import Range
@@ -45,7 +47,7 @@ def formula(text: str, row: int) -> str:
 class FormulaPlane(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
-        self.sheets = [Sheet("S", store="columnar"), Sheet("S", store="object")]
+        self.sheets = [Sheet("S"), ObjectSheet("S")]
         for sheet in self.sheets:
             for r in range(1, ROWS + 1):
                 sheet.set_value((1, r), float(r))

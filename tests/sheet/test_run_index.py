@@ -7,19 +7,21 @@ sheet — values over values and over formulas, typed formulas, clears,
 fills, attached runs, structural edits — the index must equal a
 from-scratch grouping, and the version that stamps it must move exactly
 when a formula came, went or changed.  (The record-level differential
-against the object store is ``test_formula_plane_machine.py``.)
+against the seed's per-cell store is ``test_formula_plane_machine.py``;
+the memo is checked on both.)
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.object_store import ObjectSheet
 from repro.formula.parser import parse_formula
 from repro.formula.template import intern_template
 from repro.grid.range import Range
 from repro.sheet import structural
 from repro.sheet.autofill import autofill, fill_formula_column
-from repro.sheet.sheet import STORE_KINDS, Sheet
+from repro.sheet.sheet import Sheet
 
 COLS, ROWS = 5, 12
 TEXTS = ("=A{r}*2", "=SUM($A$1:A{r})", "=B{r}+A{r}", "= A{r} + 1")
@@ -96,11 +98,11 @@ def apply(sheet: Sheet, edit) -> bool | None:
     return None
 
 
-@pytest.mark.parametrize("store", STORE_KINDS)
+@pytest.mark.parametrize("store", ["columnar", "object"])
 @settings(max_examples=120, deadline=None)
 @given(program=st.lists(edits(), min_size=1, max_size=14), reads=st.data())
 def test_the_memo_equals_a_fresh_grouping(store, program, reads):
-    sheet = Sheet("S", store=store)
+    sheet = {"columnar": Sheet, "object": ObjectSheet}[store]("S")
     for r in range(1, ROWS + 1):
         sheet.set_value((1, r), float(r))
     fill_formula_column(sheet, 2, 1, ROWS, "=A1*2")
@@ -123,7 +125,7 @@ def test_the_memo_equals_a_fresh_grouping(store, program, reads):
 
 
 def test_value_writes_share_one_scan():
-    sheet = Sheet("S", store="columnar")
+    sheet = Sheet("S")
     fill_formula_column(sheet, 2, 1, 50, "=A1*2")
     index = sheet.run_index()
     for r in range(1, 51):
@@ -136,7 +138,7 @@ def test_value_writes_share_one_scan():
 
 
 def test_an_unjoined_read_parses_nothing():
-    sheet = Sheet("S", store="columnar")
+    sheet = Sheet("S")
     for r in range(1, 9):
         sheet.set_formula((2, r), f"=A{r} * {r}")
     parse_formula.cache_clear()

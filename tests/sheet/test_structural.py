@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.object_store import ObjectSheet
 from repro.formula.errors import REF_ERROR
 from repro.grid.range import Range
 from repro.sheet.sheet import Sheet
@@ -253,11 +254,13 @@ class TestEditsThroughAFamily:
     individually typed formulas would say."""
 
     ROWS = 10
+    #: The columnar store, and the seed's per-cell store as its oracle.
+    SHEETS = {"columnar": Sheet, "object": ObjectSheet}
 
     def filled(self, store) -> Sheet:
         from repro.sheet.autofill import fill_formula_column
 
-        sheet = Sheet("s", store=store)
+        sheet = self.SHEETS[store]("s")
         for r in range(1, self.ROWS + 1):
             sheet.set_value((1, r), float(r))
         sheet.set_value("F1", 3.0)
@@ -268,7 +271,7 @@ class TestEditsThroughAFamily:
 
     def typed(self, store) -> Sheet:
         """The same sheet with every formula typed in by hand."""
-        sheet = Sheet("s", store=store)
+        sheet = self.SHEETS[store]("s")
         for pos, cell in self.filled(store).items():
             if cell.is_formula:
                 sheet.set_formula(pos, cell.formula_text)
