@@ -7,6 +7,7 @@ engine exists for, and the contracts it must keep.
 * ticket counts, journal order and cycle handling per mode.
 """
 
+import gc
 import time
 
 import pytest
@@ -26,6 +27,24 @@ def build_chain_sheet(rows: int) -> Sheet:
     for r in range(2, rows + 1):
         sheet.set_formula((2, r), f"=B{r - 1}+1")
     return sheet
+
+
+def best_wall(edit, values=(5.0, 6.0, 7.0)) -> float:
+    """The least wall time of ``edit(value)`` over ``values``, each timed
+    with the cycle collector paused."""
+    walls = []
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for value in values:
+            start = time.perf_counter()
+            edit(value)
+            walls.append(time.perf_counter() - start)
+    finally:
+        if enabled:
+            gc.enable()
+    return min(walls)
 
 
 def state(engine: RecalcEngine) -> tuple:
@@ -77,21 +96,26 @@ class TestBadFormulaLeavesNoTornState:
 
 class TestDrainCost:
     def test_chain_drain_is_within_10x_of_the_immediate_update(self):
-        """608x at the parent: every pick re-scanned the whole dirty set."""
+        """608x at the parent: every pick re-scanned the whole dirty set.
+
+        Each side is the best of three edits timed with the cycle
+        collector paused, as ``timeit`` does: a single ~10 ms sample
+        inside a long suite can catch a full collection of everything
+        earlier tests left on the heap, which says nothing of the drain.
+        """
         rows = 4000
         immediate = RecalcEngine(build_chain_sheet(rows))
         immediate.recalculate_all()
-        start = time.perf_counter()
-        immediate.set_value("A1", 5.0)
-        immediate_wall = time.perf_counter() - start
-
         deferred = RecalcEngine(build_chain_sheet(rows), deferred=True)
         deferred.recalculate_all()
-        start = time.perf_counter()
-        deferred.set_value("A1", 5.0)
-        while deferred.pending:
-            deferred.step(256)
-        deferred_wall = time.perf_counter() - start
+
+        def drain(value):
+            deferred.set_value("A1", value)
+            while deferred.pending:
+                deferred.step(256)
+
+        immediate_wall = best_wall(lambda value: immediate.set_value("A1", value))
+        deferred_wall = best_wall(drain)
 
         assert_same_values(deferred.sheet, immediate.sheet)
         assert deferred_wall < 10 * immediate_wall

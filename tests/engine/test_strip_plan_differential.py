@@ -408,11 +408,16 @@ def assert_same_outcome(got, want, engine, oracle) -> None:
         assert_same_values(engine.sheet, oracle.sheet)
 
 
+def engine_over(sheet: Sheet, index: str, **kwargs) -> RecalcEngine:
+    """An engine over a TACO graph built on the ``index`` backend."""
+    graph = TacoGraph.full(index=index)
+    graph.build(dependencies_column_major(sheet))
+    return RecalcEngine(sheet, graph, **kwargs)
+
+
 def both_sides(program, index, **subject_kwargs):
     subject, reference = realize(program), realize(program)
-    graph = TacoGraph.full(index=index)
-    graph.build(dependencies_column_major(subject))
-    return RecalcEngine(subject, graph, **subject_kwargs), oracle_for(reference)
+    return engine_over(subject, index, **subject_kwargs), oracle_for(reference)
 
 
 COMMON = dict(max_examples=40, deadline=None,
@@ -645,8 +650,9 @@ SCAN_STOPS = [
 ]
 
 
+@pytest.mark.parametrize("index", BACKENDS)
 @pytest.mark.parametrize("text,typed,scanned", SCAN_STOPS)
-def test_a_scan_hands_the_rest_to_the_closure(text, typed, scanned):
+def test_a_scan_hands_the_rest_to_the_closure(text, typed, scanned, index):
     def build():
         sheet = Sheet("S")
         for r in range(1, 31):
@@ -658,7 +664,7 @@ def test_a_scan_hands_the_rest_to_the_closure(text, typed, scanned):
             sheet.set_value(target, value)
         return sheet
 
-    engine = RecalcEngine(build())
+    engine = engine_over(build(), index)
     engine.recalculate_all()
     reference = oracle_for(build())
     reference.recalculate_all()
@@ -706,9 +712,10 @@ def sweep_sheet(text, typed):
     return sheet
 
 
+@pytest.mark.parametrize("index", BACKENDS)
 @pytest.mark.parametrize("text,typed,swept", SWEEP_MASKS)
-def test_a_sweep_hands_its_masked_lanes_to_the_closure(text, typed, swept):
-    engine = RecalcEngine(sweep_sheet(text, typed), workers=0, shards=0)
+def test_a_sweep_hands_its_masked_lanes_to_the_closure(text, typed, swept, index):
+    engine = engine_over(sweep_sheet(text, typed), index, workers=0, shards=0)
     plan = engine._build_plan(None, False)[0]
     assert [node.kind for node in plan] == ["e"]
     engine.recalculate_all()
@@ -719,7 +726,7 @@ def test_a_sweep_hands_its_masked_lanes_to_the_closure(text, typed, swept):
     assert (stats.elementwise_cells, stats.elementwise_runs) == (swept, int(swept > 0))
     assert stats.compiled_cells == 30 - swept
     # Two residents sweep the strip as the serial engine does.
-    sharded = RecalcEngine(sweep_sheet(text, typed), shards=2, parallel_min_dirty=1)
+    sharded = engine_over(sweep_sheet(text, typed), index, shards=2, parallel_min_dirty=1)
     sharded.recalculate_all()
     assert sharded.eval_stats.parallel_dispatches == 1
     assert_same_values(sharded.sheet, reference.sheet)
