@@ -22,6 +22,11 @@ linearly in sheet size but the rebuild's constant (re-compressing every
 dependency plus recomputing every cell) dominates at any size — so CI
 runs it on a small ``REPRO_STRUCTURAL_ROWS``.
 
+A second, deterministic gate watches the sheet pass alone: it decides
+per piece of a run record, so the formulas it rewrites and the templates
+it interns depend on where the edit line cuts the families, not on how
+long they are.  Both counts must be equal at ``ROWS`` and ``10 * ROWS``.
+
 Besides the ASCII artifact, the run writes machine-readable JSON to
 ``benchmarks/results/structural_edits.json`` in the same shape as
 ``bench_recalc_throughput.py``'s artifact (per-workload timings,
@@ -31,6 +36,7 @@ speedups, maintenance counters).
 import json
 import os
 import time
+from unittest import mock
 
 from _common import RESULTS_DIR, emit
 
@@ -89,6 +95,23 @@ def time_incremental(op: str, at: int, count: int):
     return time.perf_counter() - start, result
 
 
+def sheet_pass_counts(rows: int, op: str, at: int, count: int) -> tuple[int, int]:
+    """``(rewritten formulas, templates interned)`` of the sheet pass
+    alone, on a fresh ``rows``-row corpus."""
+    sheet = build_corpus(rows)
+    interned = 0
+    intern = sheet_structural.intern_template
+
+    def counting(*args):
+        nonlocal interned
+        interned += 1
+        return intern(*args)
+
+    with mock.patch.object(sheet_structural, "intern_template", counting):
+        report = getattr(sheet_structural, op)(sheet, at, count)
+    return sum(rng.size for rng in report.rewritten), interned
+
+
 def test_structural_edit_throughput(benchmark):
     def run():
         results = {}
@@ -97,6 +120,10 @@ def test_structural_edit_throughput(benchmark):
             full_s, full_recomputed = time_full_rebuild(op, at, count)
             inc_s, inc_result = time_incremental(op, at, count)
             m = inc_result.maintenance
+            sizes = (ROWS, 10 * ROWS)
+            rewritten, interned = zip(*(
+                sheet_pass_counts(rows, op, position(rows), count) for rows in sizes
+            ))
             results[name] = {
                 "rows": ROWS,
                 "op": op,
@@ -115,6 +142,11 @@ def test_structural_edit_throughput(benchmark):
                     "reinserted_dependencies": m.reinserted,
                     "repacked": inc_result.repacked,
                     "dirty_cells": inc_result.dirty_count,
+                },
+                "sheet_pass": {
+                    "rows": list(sizes),
+                    "rewritten_formulas": list(rewritten),
+                    "templates_interned": list(interned),
                 },
             }
         return results
@@ -152,6 +184,15 @@ def test_structural_edit_throughput(benchmark):
         verdicts.append(
             f"{'OK' if passed else 'REGRESSION'}: {name} "
             f"{data['speedup']:.1f}x vs gate {data['gate']:.1f}x"
+        )
+        counts = data["sheet_pass"]
+        flat = all(len(set(counts[key])) == 1
+                   for key in ("rewritten_formulas", "templates_interned"))
+        ok = ok and flat
+        verdicts.append(
+            f"{'OK' if flat else 'REGRESSION'}: {name} sheet pass at rows "
+            f"{counts['rows']}: rewritten {counts['rewritten_formulas']}, "
+            f"interned {counts['templates_interned']} (must not grow)"
         )
     lines.append("\n" + "\n".join(verdicts))
     emit("structural_edits", "\n".join(lines))

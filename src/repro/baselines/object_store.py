@@ -198,18 +198,21 @@ class ObjectStore:
 
     def structural_edit(self, axis: str, mode: str, index: int, count: int) -> int:
         """Rekey every cell for a row/column insert or delete (see
-        :meth:`ColumnarStore.structural_edit`).  Only the keys move: a
-        moved formula keeps its old host until the sheet-level pass
-        re-installs it, as it does every formula that moves.  Returns the
-        number of cells removed with the deleted band."""
+        :meth:`ColumnarStore.structural_edit`): a formula that moves is
+        re-hosted with its template and text, so it reads its formula at
+        the new host, autofill-shifted with the move.  Returns the number
+        of cells removed with the deleted band."""
         self.epoch += 1
         self.formula_version += 1
         move = position_mover(axis, mode, index, count)
         kept: dict[tuple[int, int], Cell] = {}
         for pos, cell in self._cells.items():
             new_pos = move(pos)
-            if new_pos is not None:
-                kept[new_pos] = cell
+            if new_pos is None:
+                continue
+            if new_pos != pos and cell.is_formula:
+                cell = Cell(cell.value, cell.source_text, template=cell._template, host=new_pos)
+            kept[new_pos] = cell
         removed = len(self._cells) - len(kept)
         self._cells = kept
         return removed

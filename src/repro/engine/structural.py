@@ -5,10 +5,12 @@ This is the pipeline that makes the compressed formula graph survive the
 most destructive edits a host spreadsheet performs (TACO's maintenance
 workload).  One :func:`apply_structural_edit` call runs, in order:
 
-1. **Sheet rewrite** — the edited sheet's cells move and its formulas'
-   references into itself shift/stretch/collapse
-   (:mod:`repro.sheet.structural`); sheet-qualified references into
-   *other* sheets are untouched.
+1. **Sheet rewrite** — the edited sheet's store moves its cells and run
+   records wholesale, and its formulas' references into itself
+   shift/stretch/collapse (:mod:`repro.sheet.structural`), decided once
+   per piece of a run record: only pieces whose template changed are
+   re-installed.  Sheet-qualified references into *other* sheets are
+   untouched.
 2. **Cross-sheet rewrite** — when a :class:`~repro.sheet.workbook.Workbook`
    is supplied, formulas on every sibling sheet that reference the
    edited sheet are rewritten too (:func:`~repro.sheet.structural.rewrite_for_edit`).
@@ -17,16 +19,14 @@ workload).  One :func:`apply_structural_edit` call runs, in order:
    deferred-maintenance window: index deletes are queued and settled
    once, with an STR bulk repack when the edit touched a large share of
    the graph (the same policy as batched value edits).
-4. **Cache invalidation** — moved or rewritten formulas received fresh
-   :class:`~repro.sheet.cell.Cell` objects in step 1/2, so their
-   memoised references and R1C1 template keys cannot go stale.
-5. **Dirty recalculation** — the dirty set is the edit's seed cells
-   (shifted formulas, rewritten formulas, ``#REF!``-struck formulas)
-   plus their transitive dependents from one multi-seed BFS over the
+4. **Dirty recalculation** — the dirty set is the edit's seed ranges
+   (formulas whose range stretched or shrank, moved or rewritten
+   formulas asking ``ROW``/``COLUMN``, ``#REF!``-struck formulas) plus
+   their transitive dependents from one multi-seed BFS over the
    compressed graph; :meth:`~repro.engine.recalc.RecalcEngine.recompute`
    re-evaluates exactly those cells, on the ``evaluation="auto"`` path —
    filled columns stay single plan nodes even after the edit, and on engines
-   configured with ``workers=N`` the residents re-boot for the new layout
+   configured with ``shards=N`` the residents re-boot for the new layout
    and recalculate their column shards (:mod:`repro.engine.shard`) with no
    change to the result.
 
@@ -47,7 +47,6 @@ from __future__ import annotations
 import time
 from typing import TYPE_CHECKING, NamedTuple
 
-from ..core import maintain
 from ..core import structural as graph_structural
 from ..core.query import dependents_of_seeds
 from ..core.structural import StructuralMaintenanceStats
@@ -55,7 +54,7 @@ from ..core.taco_graph import dependencies_column_major
 from ..grid.range import Range
 from ..grid.rangeset import merge_ranges
 from ..sheet import structural as sheet_structural
-from ..sheet.structural import SheetEditReport, edit_transform
+from ..sheet.structural import SheetEditReport, _tally, edit_transform
 from .edits import Structural
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -73,7 +72,7 @@ class StructuralEditResult(NamedTuple):
     index: int
     count: int
     moved_cells: int               # formula cells relocated on the edited sheet
-    rewritten_formulas: int        # formulas whose AST changed (all sheets)
+    rewritten_formulas: int        # formulas whose template changed (all sheets)
     ref_errors: int                # formulas that gained a #REF! (all sheets)
     cross_sheet_rewrites: int      # rewritten formulas on *other* sheets
     removed_cells: int             # cells deleted with the edited band
@@ -187,8 +186,7 @@ def apply_structural_edit(
         sibling_reports = sheet_structural.rewrite_siblings(
             workbook, sheet, op, index, count
         )
-    cross_rewrites = sum(len(r.rewritten) for r in sibling_reports.values())
-    cross_struck = sum(len(r.ref_struck) for r in sibling_reports.values())
+    moved, rewritten, ref_errors, cross_rewrites = _tally(report, sibling_reports)
 
     # Structural edits reshape every vector a lookaside index was built
     # over; drop the sheet's whole index cache rather than splicing.
@@ -210,8 +208,7 @@ def apply_structural_edit(
         journal.append_edits(sheet.name, (edit,), cross_sheet=workbook is not None)
 
     recalc_start = time.perf_counter()
-    seeds = report.dirty_seeds
-    seed_ranges = maintain.coalesce_cells(seeds)
+    seed_ranges = report.dirty_seeds
     dirty_ranges = merge_ranges(
         (seed_ranges, dependents_of_seeds(engine.graph, seed_ranges)),
         index=getattr(engine.graph, "index_spec", "rtree"),
@@ -226,9 +223,9 @@ def apply_structural_edit(
         sheet=sheet.name,
         index=index,
         count=count,
-        moved_cells=len(report.moved),
-        rewritten_formulas=len(report.rewritten) + cross_rewrites,
-        ref_errors=len(report.ref_struck) + cross_struck,
+        moved_cells=moved,
+        rewritten_formulas=rewritten,
+        ref_errors=ref_errors,
         cross_sheet_rewrites=cross_rewrites,
         removed_cells=report.removed,
         maintenance=stats,

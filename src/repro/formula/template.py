@@ -69,7 +69,7 @@ class FormulaTemplate:
         return c_lo <= col <= c_hi and r_lo <= row <= r_hi
 
     def run_pieces(
-        self, col: int, r0: int, r1: int, sheet: str | None = None
+        self, col: int, r0: int, r1: int, sheet: str | None = None, cuts=()
     ) -> list[tuple[int, int]]:
         """Cut the members at rows ``r0..r1`` of column ``col`` into
         pieces ``(first_row, last_row)`` within which every member states
@@ -83,8 +83,10 @@ class FormulaTemplate:
         its own.  An autofilled column with neither is one piece.
         ``sheet`` names the hosts' sheet: a reference qualified with it
         coincides with an unqualified one (``A1+S!A$5`` on sheet ``S``).
+        ``cuts`` adds rows after which a piece must end anyway (the lines
+        of a structural edit, :mod:`repro.sheet.structural`).
         """
-        cuts: set[int] = set()      # rows after which a new piece starts
+        cuts = set(cuts)            # rows after which a new piece starts
 
         def meeting(a, b) -> int | None:
             # A fixed row and a relative one agree at exactly one host.

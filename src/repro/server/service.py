@@ -557,7 +557,7 @@ class WorkbookService:
         # Sibling sheets whose cross-sheet references were rewritten
         # re-evaluate through their own engines.
         for name, report in (result.sibling_reports or {}).items():
-            seeds = [Range.cell(*pos) for pos in report.dirty_seeds]
+            seeds = report.dirty_seeds
             if seeds:
                 sibling = res.engines[name]
                 marked += sibling.recompute(

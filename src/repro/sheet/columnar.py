@@ -738,11 +738,12 @@ class ColumnarStore:
         of O(cells) dict rebuilds), side tables are rekeyed, and the
         formula plane moves by its run bounds: a run the edit line cuts
         through splits there, a run a deleted band cuts through closes up.
-        A member that moved still holds its template and so reads its
-        formula at the new host (autofill-shifted with the move); what
-        each moved formula *should* say after the edit is the sheet-level
-        pass's business (:mod:`repro.sheet.structural`), which
-        re-installs every one of them.  Returns the number of occupied
+        A member that moved still holds its template (and a typed first
+        member its text) and so reads its formula at the new host,
+        autofill-shifted with the move — which is what a member that moved
+        in lockstep with everything it reads should say.  The sheet-level
+        pass (:mod:`repro.sheet.structural`) re-installs only the pieces
+        whose template the edit changes.  Returns the number of occupied
         positions removed with the deleted band (0 for inserts).
         """
         self.epoch += 1

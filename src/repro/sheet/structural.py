@@ -17,6 +17,9 @@ references point into the edited sheet — is :func:`rewrite_for_edit`,
 which the workbook-level pipeline (:mod:`repro.engine.structural`) runs
 over every sibling sheet.
 
+Both passes walk run records, not members, and rewrite each piece of a
+record once (:func:`_edit_records`).
+
 Every operation returns a :class:`SheetEditReport` so callers (the
 recalculation pipeline in particular) know exactly which cells moved,
 which formulas were rewritten, and which references were struck to
@@ -39,10 +42,10 @@ from ..formula.ast_nodes import (
     walk,
 )
 from ..formula.errors import REF_ERROR
+from ..formula.parser import parse_formula
 from ..formula.template import FormulaTemplate, intern_template
 from ..grid.range import Range
 from ..grid.ref import CellRef, letters_to_col
-from .cell import Cell
 from .sheet import Sheet
 
 __all__ = [
@@ -72,20 +75,26 @@ STRUCTURAL_OPS = {
 class SheetEditReport(NamedTuple):
     """What one structural edit did to one sheet.
 
-    All positions are *post-edit* coordinates.  ``moved``, ``rewritten``
-    and ``resized`` overlap freely: a shifted formula whose straddling
-    range stretched appears in all three.
+    Every field but ``removed`` lists formula cells as *post-edit* column
+    ranges, one per piece of a run record the edit decided on whole
+    (:func:`repro.graphs.base.expand_cells` lists their cells).  The
+    lists overlap freely: a shifted formula whose straddling range
+    stretched appears in ``moved``, ``rewritten`` and ``resized``.
+    ``rewritten`` means the member's template changed — a formula that
+    moved in lockstep with everything it reads is only ``moved``, and a
+    typed cell the text screen passes over is never parsed and counts as
+    unchanged.
     """
 
-    moved: set[tuple[int, int]]        # formula cells whose position changed
-    rewritten: set[tuple[int, int]]    # formula cells whose AST changed
-    resized: set[tuple[int, int]]      # formulas with a stretched/shrunk range
-    volatile: set[tuple[int, int]]     # moved/rewritten formulas using ROW/COLUMN
-    ref_struck: set[tuple[int, int]]   # formulas that gained a #REF! here
-    removed: int                       # cells deleted with the edited band
+    moved: list[Range]        # formula cells whose position changed
+    rewritten: list[Range]    # formula cells whose template changed
+    resized: list[Range]      # formulas with a stretched/shrunk range
+    volatile: list[Range]     # moved/rewritten formulas using ROW/COLUMN
+    ref_struck: list[Range]   # formulas that gained a #REF! here
+    removed: int              # cells deleted with the edited band
 
     @property
-    def dirty_seeds(self) -> set[tuple[int, int]]:
+    def dirty_seeds(self) -> list[Range]:
         """Formula cells whose *value* may have changed.
 
         A structural edit translates whole bands of the grid: a formula
@@ -97,15 +106,11 @@ class SheetEditReport(NamedTuple):
         band — size-sensitive functions like ``ROWS`` and any aggregate
         over deleted values see the difference), where a moved or
         rewritten formula asks about *position* itself (``ROW``/
-        ``COLUMN`` — the ``volatile`` set), or where a reference
+        ``COLUMN`` — the ``volatile`` list), or where a reference
         collapsed to ``#REF!``.  Their transitive dependents come from
         the graph, not from this report.
         """
-        return self.resized | self.volatile | self.ref_struck
-
-    @property
-    def changed_formulas(self) -> int:
-        return len(self.moved | self.rewritten)
+        return list(dict.fromkeys(self.resized + self.volatile + self.ref_struck))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +247,14 @@ def _rewrite(node: Node, transform, applies) -> Node:
             return ErrorLiteral(REF_ERROR.code)
         if moved == node.to_range():
             return node
+        # Each corner keeps its own $ flags: the head of a crossed range
+        # (written below or right of its tail) is the far corner.
         head, tail = node.head, node.tail
+        hc, tc = (moved.c1, moved.c2) if head.col <= tail.col else (moved.c2, moved.c1)
+        hr, tr = (moved.r1, moved.r2) if head.row <= tail.row else (moved.r2, moved.r1)
         return RangeNode(
-            CellRef(moved.c1, moved.r1, head.col_fixed, head.row_fixed),
-            CellRef(moved.c2, moved.r2, tail.col_fixed, tail.row_fixed),
+            CellRef(hc, hr, head.col_fixed, head.row_fixed),
+            CellRef(tc, tr, tail.col_fixed, tail.row_fixed),
             node.sheet,
         )
     if isinstance(node, FunctionCall):
@@ -311,82 +320,6 @@ class _TransformWatcher:
 # sheet-level operations
 
 
-class _Outcome(NamedTuple):
-    """What a structural edit makes of one surviving formula cell that
-    cannot simply stay as it is: the formula to install at its new
-    position — source ``text`` when the AST is provably untouched, else
-    the ``template`` the rewritten AST interned as — and what the
-    rewrite observed."""
-
-    text: str | None
-    template: FormulaTemplate | None
-    rewritten: bool = False
-    resized: bool = False
-    volatile: bool = False
-    struck: bool = False
-
-
-def _outcome(cell: Cell, pos, new_pos, transform_ref, applies, prescreen) -> _Outcome | None:
-    """Decide one formula cell's fate, reading it at its *pre-edit* host.
-
-    None means the cell keeps its object untouched: it stays where it is
-    and no reference of it changes.  A formula cell is a (template, host)
-    pair, so its AST is materialised here — once — rewritten, and
-    re-interned for the new position (a family that moves together with
-    what it references lands back on one shared template); ``rewritten``
-    is the identity test of :func:`_rewrite` against that one
-    materialisation.
-
-    ``prescreen`` (optional) is the edit line as ``(axis, index)``.  A
-    formula that still carries its source text is put to the conservative
-    textual test of :func:`_may_touch`: one that provably cannot be
-    affected skips parsing entirely and moves as text, which makes an
-    edit on a lazily parsed sheet (a fresh xlsx read) cost ``O(cells)``
-    text scans instead of ``O(cells)`` formula parses.  A template member
-    has no text to scan, but its references are arithmetic on the
-    template's specs: one that stays put and reaches nothing at or
-    beyond the line is untouched, without its AST ever being built — the
-    same saving for an autofilled column, live or restored from a
-    snapshot's run records.
-    """
-    text = cell.source_text
-    if prescreen is not None:
-        axis, index = prescreen
-        if text is not None:
-            if not _may_touch(text, axis, index):
-                return None if new_pos == pos else _Outcome(text, None)
-        elif new_pos == pos:
-            far = 4 if axis == "row" else 3     # r2 / c2 of a (sheet, c1, r1, c2, r2) span
-            if all(span[far] < index for span in cell.template.spans_at(*pos)):
-                return None
-    watcher = _TransformWatcher(transform_ref)
-    ast = cell.formula_ast
-    new_ast = _rewrite(ast, watcher, applies)
-    if new_ast is ast and new_pos == pos:
-        return None
-    return _Outcome(
-        None, intern_template(new_ast, *new_pos), new_ast is not ast,
-        bool(watcher.resized), _position_sensitive(new_ast), bool(watcher.strikes),
-    )
-
-
-class _Report:
-    """Accumulates a :class:`SheetEditReport` as outcomes are installed."""
-
-    def __init__(self):
-        # moved, rewritten, resized, volatile, ref_struck — the report's
-        # set fields, which _Outcome's flags follow in the same order.
-        self.sets = tuple(set() for _ in range(5))
-
-    def note(self, new_pos, did_move: bool, outcome: _Outcome) -> None:
-        for hit, positions in zip((did_move, *outcome[2:]), self.sets):
-            if hit:
-                positions.add(new_pos)
-
-    def done(self, removed: int) -> SheetEditReport:
-        return SheetEditReport(*self.sets, removed)
-
-
 def position_mover(axis: str, mode: str, index: int, count: int):
     """``pos -> pos | None``: where a structural edit — ``count`` rows
     (``axis="row"``) or columns inserted before / deleted from ``index``
@@ -409,55 +342,121 @@ def position_mover(axis: str, mode: str, index: int, count: int):
     return move
 
 
-def _apply_structural(sheet: Sheet, axis: str, mode: str, index: int, count: int) -> SheetEditReport:
-    """Insert ``count`` blank rows (``axis="row"``) or columns before
-    ``index``, or delete ``count`` of them from ``index`` on — ``mode``
-    — and rewrite ``sheet``'s formulas to match.
+def _edit_cuts(template: FormulaTemplate, in_scope, index: int, end: int | None,
+               hosts_move: bool, r0: int, r1: int) -> set[int]:
+    """Rows after which a piece of the record ``r0..r1`` ends for a row
+    edit at ``index`` (an insert, ``end`` None, or the delete of
+    ``index..end``): where the hosts or an in-scope relative row end cross
+    a line.  A host whose end falls into the deleted band clamps to the
+    band's edge, so it is a piece of one."""
+    lines = (index,) if end is None else (index, end + 1)
+    cuts = {line - 1 for line in lines} if hosts_move else set()
+    for spec in template.refs:
+        for corner in (spec.head_row, spec.tail_row) if in_scope(spec) else ():
+            if corner.fixed:
+                continue
+            if end is None:
+                cuts.add(index - 1 - corner.value)
+            else:
+                cuts.update(range(max(r0, index - corner.value) - 1,
+                                  min(r1, end - corner.value) + 1))
+    return cuts
 
-    Only references *into this sheet* (unqualified, or qualified with the
-    sheet's own name) are rewritten; sheet-qualified references into
-    other sheets never shift under an edit here.
 
-    Values move inside the store wholesale
-    (:meth:`~repro.sheet.columnar.ColumnarStore.structural_edit`: array
-    splices), so only the *formula* population is walked here.  Each surviving
-    formula's :func:`_outcome` is decided *before* the move — after it,
-    a template member would read a different formula at its new host —
-    and every formula that moves or changes is re-installed from its
-    outcome after it, so nothing position-dependent travels.
+def _edit_records(sheet: Sheet, op: str, index: int, count: int,
+                  in_scope, screen, hosts_move: bool):
+    """Decide every formula of ``sheet`` for one structural edit from its
+    *pre-edit* run records: the pieces to re-install once the store has
+    moved, as ``(post-edit range, template, text)``, and the report's five
+    range lists.
+
+    Each record is cut into pieces (:func:`_edit_cuts` and
+    :meth:`~repro.formula.template.FormulaTemplate.run_pieces`) within
+    which every member lands each in-scope reference end on the same side
+    of the edit, so one rewrite and one intern decide a piece.  A piece
+    that keeps its template needs nothing (``structural_edit`` moves
+    records with their templates) unless its typed first member's text
+    went stale.  ``in_scope(node_or_spec)`` picks the references the edit
+    moves by their ``sheet``; a typed cell nothing has parsed is first
+    put to ``screen(text)``, and ``hosts_move`` is False for the
+    cross-sheet pass.
+    """
+    axis, mode = STRUCTURAL_OPS[op]
+    transform = edit_transform(op, index, count)
+    move = position_mover(axis, mode, index, count) if hosts_move else (lambda pos: pos)
+    end = None if mode == "insert" else index + count - 1
+    installs: list = []
+    ranges = moved, rewritten, resized, volatile, struck = ([], [], [], [], [])
+    for col, records in sheet.run_index(join=False).items():
+        for first, last, stored, text in records:
+            template = stored
+            if template is None:
+                if not screen(text):
+                    to = move((col, first))
+                    if to is not None and to != (col, first):
+                        moved.append(Range.cell(*to))
+                    continue
+                template = intern_template(parse_formula(text), col, first)
+            elif move((col, last)) == (col, last) and not any(map(in_scope, template.refs)):
+                continue
+            cuts = _edit_cuts(template, in_scope, index, end, hosts_move, first, last) \
+                if axis == "row" else ()
+            for a, b in template.run_pieces(col, first, last, sheet.name, cuts):
+                head = move((col, a))
+                if head is None:
+                    continue                # deleted with the band
+                watcher = _TransformWatcher(transform)
+                ast = template.ast_at(col, a)
+                new_ast = _rewrite(ast, watcher, in_scope)
+                if new_ast is ast and head == (col, a):
+                    continue
+                piece = Range(*head, *move((col, b)))
+                new = intern_template(new_ast, *head)
+                held = text if a == first else None
+                keep = held if new_ast is ast else None     # the text still says it
+                if new is not stored or keep is not held:
+                    installs.append((piece, new, keep))
+                for hit, out in zip((head != (col, a), new is not template, watcher.resized,
+                                     _position_sensitive(new_ast), watcher.strikes), ranges):
+                    if hit:
+                        out.append(piece)
+    return installs, ranges
+
+
+def _install(store, installs) -> None:
+    """Make each decided piece one run of its template, keeping cached
+    values; a member a relative reference would take off the grid gets
+    its own ``#REF!`` formula (:meth:`Sheet.set_formula_template`'s rule)."""
+    for piece, template, text in installs:
+        col, first, last = piece.c1, piece.r1, piece.r2
+        if template.admits(col, first) and template.admits(col, last):
+            store.attach_run(col, first, last, template, text)
+        else:
+            for row in range(first, last + 1):
+                store.put_formula((col, row), formula_ast=template.ast_at(col, row),
+                                  value=store.read_value(col, row))
+
+
+def _apply_structural(sheet: Sheet, op: str, index: int, count: int) -> SheetEditReport:
+    """Run the structural ``op`` on ``sheet`` and rewrite its references
+    into itself (unqualified or self-qualified) to match.
+
+    The store moves values and run records wholesale (``structural_edit``:
+    array splices, records keeping their templates); the pieces are
+    decided from the records before that move — after it a member would
+    read a different formula at its new host — and installed after it.
     """
     if count < 1 or index < 1:
-        raise ValueError(f"{axis} and count must be positive")
+        raise ValueError(f"{op}: index and count must be positive")
+    axis, mode = STRUCTURAL_OPS[op]
     name = sheet.name
-
-    def applies(node) -> bool:
-        return node.sheet is None or node.sheet == name
-
-    shift = shift_range_for_insert if mode == "insert" else shift_range_for_delete
-
-    def transform_ref(rng: Range) -> Range | None:
-        return shift(rng, index, count, axis)
-
-    move_cell = position_mover(axis, mode, index, count)
-    report = _Report()
-    prescreen = (axis, index)       # the edit line
-    store = sheet._cells
-    pending = []
-    for pos, cell in store.formula_items():
-        new_pos = move_cell(pos)
-        if new_pos is None:
-            continue
-        outcome = _outcome(cell, pos, new_pos, transform_ref, applies, prescreen)
-        if outcome is not None:
-            pending.append((new_pos, new_pos != pos, outcome))
-    removed = store.structural_edit(axis, mode, index, count)
-    for new_pos, did_move, outcome in pending:
-        # The cached value already sits at new_pos (the edit moved it);
-        # read it out before put_formula resets it.
-        store.put_formula(new_pos, formula_text=outcome.text, template=outcome.template,
-                          value=store.read_value(*new_pos))
-        report.note(new_pos, did_move, outcome)
-    return report.done(removed)
+    installs, ranges = _edit_records(
+        sheet, op, index, count, lambda ref: ref.sheet is None or ref.sheet == name,
+        lambda text: _may_touch(text, axis, index), True,
+    )
+    removed = sheet._cells.structural_edit(axis, mode, index, count)
+    _install(sheet._cells, installs)
+    return SheetEditReport(*ranges, removed)
 
 
 def rewrite_for_edit(
@@ -468,46 +467,37 @@ def rewrite_for_edit(
 
     No cell on ``sheet`` moves — only sheet-qualified references that
     point into the edited sheet shift (or collapse to ``#REF!`` when the
-    referenced band was deleted).  Formulas whose AST changes are
-    replaced wholesale (the rewritten AST interns as its own template);
-    cached values are carried over (they are stale until the owner
-    recalculates, exactly like any other dependent).
+    referenced band was deleted), decided per run record as on the edited
+    sheet.  Cached values are carried over (they are stale until the
+    owner recalculates, exactly like any other dependent).
     """
     if sheet.name == target:
         raise ValueError(
             "rewrite_for_edit is the cross-sheet pass; "
             f"use {op} directly on the edited sheet {target!r}"
         )
-    transform = edit_transform(op, index, count)
     # In formula source a quoted sheet name doubles its apostrophes
     # ('It''s'!A1): a name containing one never appears verbatim, so the
-    # textual shortcut below must look for the escaped spelling too.
+    # textual screen must look for the escaped spelling too.  (A name
+    # that happens to appear in a string literal just forces a parse.)
     quoted_target = target.replace("'", "''")
+    installs, ranges = _edit_records(
+        sheet, op, index, count, lambda ref: ref.sheet == target,
+        lambda text: target in text or quoted_target in text, False,
+    )
+    _install(sheet._cells, installs)
+    return SheetEditReport(*ranges, 0)
 
-    def applies(node) -> bool:
-        return node.sheet == target
 
-    report = _Report()
-    for pos, cell in list(sheet.formula_cells()):
-        text = cell.source_text
-        if text is not None:
-            # A reference into ``target`` must spell its name (possibly
-            # apostrophe-escaped); a formula whose text never mentions it
-            # cannot be affected.  (A name that happens to appear in a
-            # string literal just forces the slow path — conservative,
-            # never wrong.)
-            if target not in text and quoted_target not in text:
-                continue
-        elif not any(ref.sheet == target for ref in cell.template.refs):
-            continue
-        outcome = _outcome(cell, pos, pos, transform, applies, None)
-        if outcome is None:
-            continue
-        value = cell.value
-        sheet.set_formula_template(pos, outcome.template)
-        sheet.formula_at(pos).value = value
-        report.note(pos, False, outcome)
-    return report.done(0)
+def _tally(report: SheetEditReport, siblings: dict[str, SheetEditReport]) -> tuple[int, ...]:
+    """``(moved, rewritten, ref_errors, cross_sheet_rewrites)`` cell counts
+    of one edit over the edited sheet's report and its siblings'."""
+    def cells(field: str, reports) -> int:
+        return sum(rng.size for one in reports for rng in getattr(one, field))
+
+    cross = cells("rewritten", siblings.values())
+    return (cells("moved", [report]), cells("rewritten", [report]) + cross,
+            cells("ref_struck", [report, *siblings.values()]), cross)
 
 
 def rewrite_siblings(
@@ -540,19 +530,19 @@ def rewrite_siblings(
 
 def insert_rows(sheet: Sheet, row: int, count: int = 1) -> SheetEditReport:
     """Insert ``count`` blank rows before ``row``."""
-    return _apply_structural(sheet, "row", "insert", row, count)
+    return _apply_structural(sheet, "insert_rows", row, count)
 
 
 def delete_rows(sheet: Sheet, row: int, count: int = 1) -> SheetEditReport:
     """Delete rows ``[row, row+count)``; references into them go #REF!."""
-    return _apply_structural(sheet, "row", "delete", row, count)
+    return _apply_structural(sheet, "delete_rows", row, count)
 
 
 def insert_columns(sheet: Sheet, col: int, count: int = 1) -> SheetEditReport:
     """Insert ``count`` blank columns before ``col``."""
-    return _apply_structural(sheet, "col", "insert", col, count)
+    return _apply_structural(sheet, "insert_columns", col, count)
 
 
 def delete_columns(sheet: Sheet, col: int, count: int = 1) -> SheetEditReport:
     """Delete columns ``[col, col+count)``."""
-    return _apply_structural(sheet, "col", "delete", col, count)
+    return _apply_structural(sheet, "delete_columns", col, count)

@@ -119,16 +119,7 @@ class Workbook:
             raise ValueError(f"sheet {target.name!r} is not part of this workbook")
         report = getattr(structural, op)(target, index, count)
         siblings = structural.rewrite_siblings(self, target, op, index, count)
-        cross_rewritten = sum(len(r.rewritten) for r in siblings.values())
-        cross_struck = sum(len(r.ref_struck) for r in siblings.values())
-        return WorkbookEditReport(
-            sheet=target.name,
-            moved=len(report.moved),
-            rewritten=len(report.rewritten) + cross_rewritten,
-            ref_errors=len(report.ref_struck) + cross_struck,
-            cross_sheet_rewrites=cross_rewritten,
-            removed=report.removed,
-        )
+        return WorkbookEditReport(target.name, *structural._tally(report, siblings), report.removed)
 
     # -- persistence --------------------------------------------------------------
 

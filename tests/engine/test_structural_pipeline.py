@@ -100,7 +100,7 @@ class TestEndToEnd:
         # The affected sibling cells are enumerable (their cached values
         # stay stale until Summary's own engine recalculates).
         assert set(result.sibling_reports) == {"Summary"}
-        assert result.sibling_reports["Summary"].rewritten == {(1, 1)}
+        assert result.sibling_reports["Summary"].rewritten == [Range.cell(1, 1)]
 
     def test_dirty_set_is_incremental(self):
         # An insert near the bottom leaves formulas above the edit alone.

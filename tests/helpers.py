@@ -25,7 +25,17 @@ from repro.graphs.nocomp import NoCompGraph
 from repro.grid.range import Range
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
-from repro.sheet.structural import STRUCTURAL_OPS
+from repro.formula.parser import parse_formula
+from repro.formula.template import intern_template
+from repro.sheet.structural import (
+    STRUCTURAL_OPS,
+    _may_touch,
+    _position_sensitive,
+    _rewrite,
+    _TransformWatcher,
+    edit_transform,
+    position_mover,
+)
 
 
 def build_fig2_sheet(rows: int = 50) -> Sheet:
@@ -273,3 +283,103 @@ def dependency_set(graph) -> set:
     return {(d.prec.as_tuple(), d.dep.as_tuple()) for d in graph.decompress()}
 
 
+
+
+# ---------------------------------------------------------------------------
+# structural edits, member by member
+
+
+def structural_reference(sheet: Sheet, op: str, index: int, count: int,
+                         target: str | None = None):
+    """What one structural edit must make of ``sheet``, decided member by
+    member: each pre-edit formula's own AST at its host, rewritten and
+    rendered at the host the edit moves it to.  Read it *before* the
+    edit.  ``target`` names the edited sheet for the cross-sheet pass (no
+    cell moves, only references qualified with ``target`` shift); by
+    default the edit is on ``sheet`` itself.
+
+    Returns ``(values, formulas, cells)``: post-edit position -> cached
+    value for every occupied position, post-edit position -> formula text
+    by meaning, and the report's five cell sets plus ``removed``.  A
+    member is ``rewritten`` when its template changed, except a typed
+    cell nothing has parsed whose text the edit's screen passes over.
+    """
+    axis, mode = STRUCTURAL_OPS[op]
+    transform = edit_transform(op, index, count)
+    if target is None:
+        move = position_mover(axis, mode, index, count)
+
+        def applies(node):
+            return node.sheet in (None, sheet.name)
+
+        def screened(text):
+            return not _may_touch(text, axis, index)
+    else:
+        def move(pos):
+            return pos
+
+        def applies(node):
+            return node.sheet == target
+
+        def screened(text):
+            return target not in text and target.replace("'", "''") not in text
+    values, removed = {}, 0
+    for pos, cell in sheet.items():
+        to = move(pos)
+        if to is None:
+            removed += 1
+        else:
+            values[to] = cell.value
+    formulas, sets = {}, tuple(set() for _ in range(5))
+    for col, records in sheet.run_index(join=False).items():
+        for first, last, template, text in records:
+            for row in range(first, last + 1):
+                pos, to = (col, row), move((col, row))
+                if to is None:
+                    continue
+                ast = parse_formula(text) if template is None else template.ast_at(*pos)
+                watcher = _TransformWatcher(transform)
+                new_ast = _rewrite(ast, watcher, applies)
+                formulas[to] = canonical(new_ast.to_formula())
+                if to == pos and new_ast is ast:
+                    continue
+                before = template or intern_template(ast, *pos)
+                rewritten = intern_template(new_ast, *to) is not before and not (
+                    template is None and screened(text))
+                flags = (to != pos, rewritten, watcher.resized,
+                         _position_sensitive(new_ast), watcher.strikes)
+                for hit, out in zip(flags, sets):
+                    if hit:
+                        out.add(to)
+    return values, formulas, (*sets, removed)
+
+
+def canonical(text: str) -> str:
+    """A formula text by meaning: parsed and rendered back."""
+    return parse_formula(text).to_formula()
+
+
+def report_cells(report) -> tuple:
+    """A :class:`~repro.sheet.structural.SheetEditReport` as cell sets."""
+    return (*(expand_cells(ranges) for ranges in report[:5]), report.removed)
+
+
+def assert_matches_reference(sheet: Sheet, report, reference) -> None:
+    """``sheet`` after the edit (and the edit's report) against
+    :func:`structural_reference` taken before it: values, formula texts by
+    meaning, report cells, and run records equal to a fresh grouping of
+    the reference's formulas."""
+    values, formulas, cells = reference
+    assert {pos: cell.value for pos, cell in sheet.items()} == values
+    assert {pos: canonical(cell.formula_text)
+            for pos, cell in sheet.formula_cells()} == formulas
+    assert report_cells(report) == cells
+    fresh = Sheet(sheet.name)
+    for pos, text in formulas.items():
+        fresh.set_formula(pos, text)
+
+    def runs(of: Sheet) -> dict:
+        return {col: [(a, b, t.key) for a, b, t in records]
+                for col, records in of.run_index().items()}
+
+    assert runs(sheet) == runs(fresh)

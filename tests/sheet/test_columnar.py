@@ -375,6 +375,26 @@ class TestSheetParity:
             sheet.attach_formula_run(4, 1, 2, None, "A1")
 
 
+    def test_structural_edit_alone_moves_formulas_with_their_templates(self):
+        """The contract the structural pass builds on: ``structural_edit``
+        by itself re-hosts every moved member with its template (a typed
+        one with its text too), so a member reads its formula at the new
+        host, autofill-shifted with the move — on both stores alike."""
+        from repro.sheet.autofill import fill_formula_column
+
+        texts = []
+        for kind in ("columnar", "object"):
+            sheet = SHEETS[kind]("P")
+            fill_formula_column(sheet, 2, 1, 6, "=A1*$C$1")
+            sheet.set_formula("D4", "=A4+1")
+            sheet._cells.structural_edit("row", "insert", 3, 2)
+            texts.append({pos: cell.formula_text for pos, cell in sheet.formula_cells()})
+        assert texts[0] == texts[1] == {
+            (2, 1): "A1*$C$1", (2, 2): "(A2*$C$1)",
+            **{(2, r): f"(A{r}*$C$1)" for r in range(5, 9)},
+            (4, 6): "A4+1",
+        }
+
     def test_import_column_lands_every_kind_into_vacant_rows(self):
         sheet = Sheet("P")
         sheet.set_value("B1", 9.0)

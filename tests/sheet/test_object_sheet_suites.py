@@ -19,6 +19,7 @@ from test_autofill import TestAutofill, TestFillHelpers  # noqa: F401
 from test_sheet import TestCellAccess, TestDependencies, TestResolver  # noqa: F401
 from test_structural import (  # noqa: F401
     TestColumns,
+    TestCrossedRanges,
     TestCrossSheetReferences,
     TestEditReports,
     TestSheetDeleteRows,

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.baselines.object_store import ObjectSheet
+from helpers import report_cells
+
 from repro.formula.errors import REF_ERROR
+from repro.graphs.base import expand_cells
 from repro.grid.range import Range
 from repro.sheet.sheet import Sheet
 from repro.sheet.structural import (
@@ -146,7 +149,7 @@ class TestCrossSheetReferences:
         report = rewrite_for_edit(other, "Sheet1", "insert_rows", 3, 2)
         assert other.cell_at("B1").formula_text == "(Sheet1!A7*2)"
         assert other.cell_at("B2").formula_text == "Sheet2!C1+A9"  # untouched
-        assert report.rewritten == {(2, 1)}
+        assert expand_cells(report.rewritten) == {(2, 1)}
         assert not report.moved and not report.ref_struck
 
     def test_rewrite_for_edit_strikes_deleted_band(self):
@@ -154,7 +157,7 @@ class TestCrossSheetReferences:
         other.set_formula("B1", "=Sheet1!A5")
         report = rewrite_for_edit(other, "Sheet1", "delete_rows", 5, 1)
         assert other.cell_at("B1").formula_text == REF_ERROR.code
-        assert report.ref_struck == {(2, 1)}
+        assert expand_cells(report.ref_struck) == {(2, 1)}
 
     def test_rewrite_for_edit_rejects_the_edited_sheet(self):
         sheet = Sheet("Sheet1")
@@ -206,13 +209,15 @@ class TestEditReports:
         sheet.set_formula("B5", "=A5")       # moves and rewrites
         sheet.set_formula("C1", "=SUM(A1:A5)")  # stretches in place
         report = insert_rows(sheet, 3, 2)
-        assert report.moved == {(2, 7)}
-        assert report.rewritten == {(2, 7), (3, 1)}
-        assert report.resized == {(3, 1)}   # only the straddling SUM stretched
-        assert report.ref_struck == set() and report.removed == 0
-        # B5 translated in lockstep with A5 — its value cannot change; the
-        # stretched SUM is the only dirty seed.
-        assert report.dirty_seeds == {(3, 1)}
+        moved, rewritten, resized, _, struck, removed = report_cells(report)
+        assert moved == {(2, 7)}
+        # B5 translated in lockstep with A5: same template, only moved.
+        assert rewritten == {(3, 1)}
+        assert resized == {(3, 1)}   # only the straddling SUM stretched
+        assert struck == set() and removed == 0
+        # B5's value cannot change either; the stretched SUM is the only
+        # dirty seed.
+        assert expand_cells(report.dirty_seeds) == {(3, 1)}
         # The untouched formula keeps its very Cell object (memos intact).
         assert sheet.cell_at("B1").formula_text == "A1"
 
@@ -223,7 +228,22 @@ class TestEditReports:
         sheet.set_formula("B1", "=A4")
         report = delete_rows(sheet, 3, 2)
         assert report.removed == 2
-        assert report.ref_struck == {(2, 1)}
+        assert expand_cells(report.ref_struck) == {(2, 1)}
+
+
+class TestCrossedRanges:
+    """A range written with its corners crossed (head below its tail)
+    keeps each corner's ``$`` flags with that corner when it moves."""
+
+    @pytest.mark.parametrize("row,host,text", [
+        (28, "E13", "SUM($C$34:C15)"),     # stretches: the fixed head moves
+        (1, "E14", "SUM($C$34:C16)"),      # shifts whole, host too
+    ])
+    def test_each_corner_keeps_its_flags(self, row, host, text):
+        sheet = Sheet("s")
+        sheet.set_formula("E13", "=SUM($C$33:C15)")
+        insert_rows(sheet, row, 1)
+        assert sheet.cell_at(host).formula_text == text
 
 
 class TestColumns:
@@ -292,7 +312,7 @@ class TestEditsThroughAFamily:
         assert self.formulas(filled) == self.formulas(typed)
         report, oracle = op(filled, index, count), op(typed, index, count)
         assert self.formulas(filled) == self.formulas(typed)
-        assert report == oracle
+        assert report_cells(report) == report_cells(oracle)
         for pos, cell in filled.formula_cells():
             assert cell.references == typed.formula_at(pos).references
             assert cell.template_key(*pos) == typed.formula_at(pos).template_key(*pos)
@@ -306,7 +326,8 @@ class TestEditsThroughAFamily:
         assert sheet.cell_at("C9").formula_text == "SUM($A$1:A9)"    # was C7, stretched
         assert sheet.cell_at("D7").formula_text == "(A7-A4)"         # was D5: straddles
         assert sheet.cell_at("B5") is None and sheet.cell_at("B6") is None
-        assert (2, 4) not in report.moved and (2, 7) in report.moved
+        moved = expand_cells(report.moved)
+        assert (2, 4) not in moved and (2, 7) in moved
         # Members that moved together with what they reference land back
         # on one shared template; the straddling one is on its own.
         assert sheet.formula_at("B7").template is sheet.formula_at("B4").template
@@ -319,5 +340,5 @@ class TestEditsThroughAFamily:
         assert sheet.cell_at("D5").formula_text == "(A5-A4)"         # was D7 = A7-A6
         assert sheet.cell_at("D3").formula_text == "(A3-A2)"
         assert sheet.cell_at("C4").formula_text == "SUM($A$1:A4)"    # was C6, shrunk
-        assert report.ref_struck == {(4, 4)}
+        assert expand_cells(report.ref_struck) == {(4, 4)}
         assert len(sheet) == 1 + (self.ROWS - 2) * 4 - 1

@@ -1,27 +1,28 @@
-"""The prescreen never changes a structural edit's outcome.
+"""The screens never change a structural edit's outcome.
 
-``sheet.structural._may_touch`` lets an edit skip parsing formulas whose
-source text provably cannot be affected, and a template member that
-stays put and reaches nothing at or beyond the edit line is skipped on
-its reference geometry alone.  The differential here pins the contract
-against the real oracle: one arm edits with the prescreen active (fast
-paths taken wherever text or geometry allows), the other with it
-switched off — every formula goes down the full AST-rewrite path,
-exactly the pre-prescreen behaviour.  Cells, formula texts-by-meaning,
-values, and report sets must be identical for every op, over formulas
-and autofilled columns chosen to sit on both sides of the screen.  (Both
-arms must *not* share a code path: sanity tests below prove the fast
-paths really engage — untouched formulas stay unparsed, untouched
-members never have their AST built.)
+``sheet.structural`` decides each run record piece by piece, and two
+screens let it skip work: ``_may_touch`` passes over typed formulas whose
+source text provably cannot be affected (they are never parsed), and a
+record that stays put with no reference the edit moves is passed over on
+its template.  The differential here pins the contract against a
+per-member reference (``helpers.structural_reference``): every pre-edit
+formula's own AST at its host, rewritten and rendered at the host the
+edit moves it to.  Values, formula texts by meaning, report cells and run
+records must match for every op, over formulas and autofilled columns
+chosen to sit on both sides of the screens.  The sanity tests below prove
+the fast paths really engage — untouched formulas stay unparsed, and a
+family that moves whole builds no member AST.
 """
 
 from unittest import mock
 
 import pytest
+from helpers import assert_matches_reference, structural_reference
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.formula.template import FormulaTemplate
+from repro.graphs.base import expand_cells
 from repro.sheet import structural
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
@@ -62,47 +63,16 @@ def build(formulas) -> Sheet:
     return sheet
 
 
-def run_op(sheet: Sheet, op: str, index: int, count: int, *, prescreen: bool):
-    """Apply one op with the prescreen active, or forced off (every
-    formula takes the full AST-rewrite path — the oracle)."""
-    if prescreen:
-        return getattr(structural, op)(sheet, index, count)
-    decide = structural._outcome
-    with mock.patch.object(structural, "_outcome",
-                           lambda *args: decide(*args[:-1], None)):
-        return getattr(structural, op)(sheet, index, count)
-
-
-def outcome(sheet: Sheet, report):
-    return (
-        {pos: (cell.formula_text if cell.is_formula else None, cell.value)
-         for pos, cell in sheet.items()},
-        report.moved, report.rewritten, report.resized,
-        report.volatile, report.ref_struck, report.removed,
-    )
-
-
-def canonicalize(state):
-    """Formula text compared by parsed meaning: the fast path keeps the
-    verbatim source, the AST path renders canonically."""
-    from repro.formula.parser import parse_formula
-
-    cells, *rest = state
-    canon = {}
-    for pos, (text, value) in cells.items():
-        key = parse_formula(text).to_formula() if text is not None else None
-        canon[pos] = (key, value)
-    return (canon, *rest)
+def run_op(sheet: Sheet, op: str, index: int, count: int) -> None:
+    """Apply one op, checking it against the per-member reference."""
+    reference = structural_reference(sheet, op, index, count)
+    report = getattr(structural, op)(sheet, index, count)
+    assert_matches_reference(sheet, report, reference)
 
 
 @pytest.mark.parametrize("op,index,count", OPS)
 def test_prescreened_equals_full_ast_path(op, index, count):
-    fast_sheet = build(FORMULAS)
-    oracle_sheet = build(FORMULAS)
-    fast_report = run_op(fast_sheet, op, index, count, prescreen=True)
-    oracle_report = run_op(oracle_sheet, op, index, count, prescreen=False)
-    assert canonicalize(outcome(fast_sheet, fast_report)) == \
-        canonicalize(outcome(oracle_sheet, oracle_report))
+    run_op(build(FORMULAS), op, index, count)
 
 
 @settings(max_examples=40, deadline=None,
@@ -114,12 +84,7 @@ def test_prescreened_equals_full_ast_path_generated(data):
     op = data.draw(st.sampled_from([o for o, _, _ in OPS]))
     index = data.draw(st.integers(1, 8))
     count = data.draw(st.integers(1, 3))
-    fast_sheet = build(formulas)
-    oracle_sheet = build(formulas)
-    fast_report = run_op(fast_sheet, op, index, count, prescreen=True)
-    oracle_report = run_op(oracle_sheet, op, index, count, prescreen=False)
-    assert canonicalize(outcome(fast_sheet, fast_report)) == \
-        canonicalize(outcome(oracle_sheet, oracle_report))
+    run_op(build(formulas), op, index, count)
 
 
 def test_fast_path_really_engages():
@@ -142,23 +107,34 @@ def test_fast_path_really_engages():
 
 
 def test_fast_path_engages_for_template_members():
-    """Members of an autofilled column that sit above the edit line and
-    reference nothing at or below it stay as they are (one run record on
-    a columnar sheet), and no AST is materialised for them; the ones the
-    line reaches are rewritten."""
+    """An autofilled column is decided per piece of its run record, not
+    per member.  The members above the edit line stay one record with
+    their text, the ones below are one piece with one AST built, and a
+    family that moves whole builds no member AST at all: its one piece
+    starts at the template's anchor."""
     sheet = Sheet("Main")
-    fill_formula_column(sheet, 2, 1, 40, "=A1*2")
-    before = {pos: cell for pos, cell in sheet.formula_cells()}
+    # Formulas no other test interns: each template is anchored here.
+    fill_formula_column(sheet, 2, 1, 40, "=A1*413")
+    fill_formula_column(sheet, 3, 33, 40, "=A33*709+B33*3")
+    template = sheet.formula_at("B1").template
     built = []
     ast_at = FormulaTemplate.ast_at
-    with mock.patch.object(FormulaTemplate, "ast_at",
-                           lambda self, col, row: built.append(row) or ast_at(self, col, row)):
+
+    def spy(self, col, row):
+        if (col, row) != (self.col, self.row):
+            built.append((col, row))
+        return ast_at(self, col, row)
+
+    with mock.patch.object(FormulaTemplate, "ast_at", spy):
         report = structural.insert_rows(sheet, 31, 2)
-    assert sorted(built) == list(range(31, 41))        # only the members that move
-    template = before[(2, 1)].template
-    assert sheet.run_index(join=False)[2][0] == (1, 30, template, "A1*2")
-    assert report.moved == {(2, r) for r in range(33, 43)}
-    assert sheet.cell_at("B42").formula_text == "(A42*2)"
+    assert built == [(2, 31)]
+    assert sheet.run_index(join=False)[2][0] == (1, 30, template, "A1*413")
+    assert expand_cells(report.moved) == {
+        (col, r) for col, top in ((2, 33), (3, 35)) for r in range(top, 43)
+    }
+    assert not report.rewritten
+    assert sheet.cell_at("B42").formula_text == "(A42*413)"
+    assert sheet.cell_at("C35").formula_text == "((A35*709)+(B35*3))"
 
 
 def test_cross_sheet_prescreen_sees_escaped_sheet_names():
@@ -172,7 +148,7 @@ def test_cross_sheet_prescreen_sees_escaped_sheet_names():
     # Parse first so the stored text is the canonical rendering.
     assert sheet.cell_at("A1").references[0].sheet == "It's"
     report = rewrite_for_edit(sheet, "It's", "insert_rows", 2, 3)
-    assert report.rewritten == {(1, 1)}
+    assert expand_cells(report.rewritten) == {(1, 1)}
     assert sheet.cell_at("A1").references[0].range.r1 == 8
 
 
