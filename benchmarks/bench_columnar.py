@@ -47,7 +47,7 @@ from _common import RESULTS_DIR, emit
 from repro.baselines.object_store import ObjectSheet
 from repro.bench.reporting import ascii_table, banner, format_ms
 from repro.core.taco_graph import build_from_sheet
-from repro.engine import vectorized
+from repro.engine import recalc
 from repro.engine.recalc import RecalcEngine
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
@@ -162,17 +162,23 @@ def time_broadcast_edits(engine: RecalcEngine) -> float:
     return time.perf_counter() - start
 
 
+def _leave_every_lane(engine, node, leave) -> int:
+    """A sweep kernel that declines: every lane is the closure's."""
+    leave(node.lanes())
+    return 0
+
+
 @contextmanager
 def sweeps_refused(refused: bool):
     """Inside the block, the elementwise sweep declines every strip, so
     every lane takes the compiled closure loop."""
-    saved = vectorized.evaluate_elementwise_run
+    saved = recalc._KINDS["e"]
     if refused:
-        vectorized.evaluate_elementwise_run = lambda *args: None
+        recalc._KINDS["e"] = saved._replace(kernel=_leave_every_lane)
     try:
         yield
     finally:
-        vectorized.evaluate_elementwise_run = saved
+        recalc._KINDS["e"] = saved
 
 
 def test_columnar_store_memory_and_throughput(benchmark):

@@ -28,7 +28,7 @@ fourth sheet (``strip_costs``) holds one autofilled column per strip
 kind, ``REPRO_RECALC_MIXED_ROWS`` rows each: growing and sliding windows
 (kind ``w``), an elementwise product (``e``), an RR chain and an ``IF``
 (scans, ``c``) and exact-match ``VLOOKUP`` over a 16-row and a 2,000-row
-table (``s``, answered by one index probe per lane).  Each strip is
+table (``l``, answered by one index probe per lane).  Each strip is
 executed alone, best of five, and reported as µs per cell; the growing
 window, the product, both scans and the 16-row lookup are also run cell
 by cell through the per-cell fallback (``RecalcEngine._evaluate_cell``:
@@ -124,10 +124,10 @@ STRIPS = {
     "e product": (5, "=A1*B1"),
     "c chain": (6, "=F1+A2"),
     "c if": (7, "=IF(A2>B2,G1+A2,B2)"),
-    "s lookup 16": (8, "=VLOOKUP(J1,$L$1:$M$16,2,FALSE)"),
-    "s lookup 2000": (9, "=VLOOKUP(J1,$O$1:$P$2000,2,FALSE)"),
+    "l lookup 16": (8, "=VLOOKUP(J1,$L$1:$M$16,2,FALSE)"),
+    "l lookup 2000": (9, "=VLOOKUP(J1,$O$1:$P$2000,2,FALSE)"),
 }
-PER_CELL = ("w growing", "e product", "c chain", "c if", "s lookup 16")
+PER_CELL = ("w growing", "e product", "c chain", "c if", "l lookup 16")
 SCANS = ("c chain", "c if")
 
 

@@ -128,15 +128,13 @@ def batch_update(
     cleared_ranges: Iterable[Range],
     new_dependencies: Iterable[Dependency],
     budget: Budget | None = None,
-    repack_fraction: float = 0.25,
-    repack_min: int = 64,
 ) -> BatchMaintenanceResult:
     """Apply a coalesced wave of clears and inserts in one deferred pass.
 
     Works on any :class:`~repro.graphs.base.FormulaGraph`; graphs that
     expose ``begin/end_deferred_maintenance`` (TACO) get their vertex
     index deletes queued and settled once — replayed when few, bulk
-    repacked when the touched share exceeds ``repack_fraction`` (see
+    repacked when the touched share is large (see
     :meth:`TacoGraph.end_deferred_maintenance`).  Insertions are sorted
     into column-major dependent order first, the same order a full build
     uses, so neighbouring formulas merge into compressed runs regardless
@@ -160,7 +158,7 @@ def batch_update(
             graph.add_dependency(dep, budget)
     finally:
         if deferred:
-            repacked = end(repack_fraction, repack_min)
+            repacked = end()
     return BatchMaintenanceResult(
         cleared_ranges=len(ranges),
         edges_touched=touched,

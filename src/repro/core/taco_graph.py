@@ -46,6 +46,12 @@ from .patterns.single import SINGLE
 
 __all__ = ["TacoGraph", "build_from_sheet", "dependencies_column_major"]
 
+#: A deferred-maintenance window settles its queued index deletes by one
+#: bulk repack when they reach ``REPACK_FRACTION`` of the live edges and
+#: at least ``REPACK_MIN`` (:meth:`TacoGraph.end_deferred_maintenance`).
+REPACK_FRACTION = 0.25
+REPACK_MIN = 64
+
 
 class TacoGraph(FormulaGraph):
     """Compressed formula graph with pattern-based edges."""
@@ -151,14 +157,12 @@ class TacoGraph(FormulaGraph):
             raise RuntimeError("deferred maintenance is already active")
         self._deferred = True
 
-    def end_deferred_maintenance(
-        self, repack_fraction: float = 0.25, repack_min: int = 64
-    ) -> bool:
+    def end_deferred_maintenance(self) -> bool:
         """Leave deferred mode and settle the vertex indexes.
 
         When the queued deletes amount to a large share of the graph
-        (``>= repack_fraction`` of the live edges, and at least
-        ``repack_min``), both indexes are rebuilt from the live edge set
+        (``>= REPACK_FRACTION`` of the live edges, and at least
+        ``REPACK_MIN``), both indexes are rebuilt from the live edge set
         in one bulk load — STR packing on the R-Tree — which is ``O(n
         log n)`` total instead of ``O(k log n)`` scattered deletes and
         leaves the tightest layout the backend supports.  Otherwise the
@@ -171,7 +175,7 @@ class TacoGraph(FormulaGraph):
         pending, self._pending_index_deletes = self._pending_index_deletes, []
         if not pending:
             return False
-        threshold = max(repack_min, repack_fraction * max(len(self._edges), 1))
+        threshold = max(REPACK_MIN, REPACK_FRACTION * max(len(self._edges), 1))
         if len(pending) >= threshold:
             self.rebuild_indexes()
             return True

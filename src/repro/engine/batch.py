@@ -80,14 +80,7 @@ class BatchResult(NamedTuple):
     maintain_seconds: float       # sheet apply + graph maintenance
     recalc_seconds: float         # dirty BFS + topological re-evaluation
     total_seconds: float
-    windowed_cells: int = 0       # cells evaluated by rolling-window runs
-    compiled_cells: int = 0       # cells evaluated by compiled templates
     structural_ops: int = 0       # row/column inserts/deletes applied first
-    elementwise_cells: int = 0    # cells evaluated by sweeps and scans
-    parallel_regions: int = 0     # independent regions the recalc partitioned into
-    lookup_index_hits: int = 0    # lookups served by lookaside indexes
-    lookup_index_builds: int = 0  # lookaside indexes (re)built by the recalc
-    scenario_plan_reuses: int = 0 # scenario replays that reused a shared plan
 
 
 class BatchEditSession:
@@ -98,9 +91,6 @@ class BatchEditSession:
     :meth:`discard` (or an exception in the ``with`` block) the buffered
     edits are dropped and nothing was applied.
 
-    ``repack_fraction`` / ``repack_min`` tune when the commit's index
-    settle switches from replaying individual deletes to one bulk repack
-    (see :meth:`~repro.core.taco_graph.TacoGraph.end_deferred_maintenance`);
     ``recalc=False`` commits maintenance only, leaving stale values (for
     callers that drive recomputation themselves).
     """
@@ -109,14 +99,10 @@ class BatchEditSession:
         self,
         engine: RecalcEngine,
         *,
-        repack_fraction: float = 0.25,
-        repack_min: int = 64,
         recalc: bool = True,
         workbook=None,
     ):
         self.engine = engine
-        self.repack_fraction = repack_fraction
-        self.repack_min = repack_min
         self.recalc = recalc
         #: Optional Workbook: structural ops recorded on this session then
         #: rewrite references on sibling sheets too (see engine.structural).
@@ -260,7 +246,6 @@ class BatchEditSession:
             structural_dirty = shift_dirty_ranges(structural_dirty, edit)
             structural_result = apply_structural_edit(
                 engine, edit, workbook=self.workbook, batched=True,
-                repack_fraction=self.repack_fraction, repack_min=self.repack_min,
             )
             structural_dirty.extend(structural_result.dirty_ranges)
 
@@ -283,10 +268,7 @@ class BatchEditSession:
                 continue
             formula_positions.add(pos)
             new_deps.extend(sheet.dependencies_at(cell.template, *pos))
-        graph_result = maintain.batch_update(
-            engine.graph, cleared, new_deps,
-            repack_fraction=self.repack_fraction, repack_min=self.repack_min,
-        )
+        graph_result = maintain.batch_update(engine.graph, cleared, new_deps)
         maintain_seconds = time.perf_counter() - start
 
         # The batch is now committed (sheet + graph); make it durable
@@ -308,14 +290,6 @@ class BatchEditSession:
                 index=getattr(engine.graph, "index_spec", "rtree"),
             )
         recomputed = 0
-        stats = engine.eval_stats
-        windowed_before = stats.windowed_cells
-        compiled_before = stats.compiled_cells
-        elementwise_before = stats.elementwise_cells
-        regions_before = stats.parallel_regions
-        hits_before = stats.lookup_index_hits
-        builds_before = stats.lookup_index_builds
-        reuses_before = stats.scenario_plan_reuses
         if self.recalc:
             recomputed = engine.recompute(dirty_ranges, extra=formula_positions)
         recalc_seconds = time.perf_counter() - recalc_start
@@ -333,14 +307,7 @@ class BatchEditSession:
             maintain_seconds=maintain_seconds,
             recalc_seconds=recalc_seconds,
             total_seconds=time.perf_counter() - start,
-            windowed_cells=stats.windowed_cells - windowed_before,
-            compiled_cells=stats.compiled_cells - compiled_before,
             structural_ops=len(self._structural),
-            elementwise_cells=stats.elementwise_cells - elementwise_before,
-            parallel_regions=stats.parallel_regions - regions_before,
-            lookup_index_hits=stats.lookup_index_hits - hits_before,
-            lookup_index_builds=stats.lookup_index_builds - builds_before,
-            scenario_plan_reuses=stats.scenario_plan_reuses - reuses_before,
         )
         return self.result
 

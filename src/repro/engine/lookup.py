@@ -34,6 +34,10 @@ The engine attaches a :class:`LookupProbe` to its resolver
 ``lookup_indexes=False``; interpreter-mode engines and bare evaluators
 keep the attribute ``None`` and stay on the reference scan, which keeps
 them valid differential oracles.
+
+A strip of one lookup template is one strip kernel,
+:func:`evaluate_lookup_run`, under :mod:`repro.engine.vectorized`'s
+contract.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ __all__ = [
     "LookupProbe",
     "VectorIndex",
     "attach_probe",
+    "evaluate_lookup_run",
 ]
 
 
@@ -220,10 +225,6 @@ class LookupProbe:
     serial and resident execution extends to them.  Builds are
     environment-dependent (process workers rebuild privately) and
     tracked outside the identity set, like ``serial_fallbacks``.
-
-    A whole strip of lookups (:class:`~repro.formula.compile.LookupSpec`)
-    is answered by :meth:`run_strip`: the index resolved once, the needle
-    column read by slice.
     """
 
     __slots__ = ("_sheet_name", "_store", "_cache", "_stats")
@@ -246,70 +247,75 @@ class LookupProbe:
             stats.lookup_index_builds += 1
         return index
 
-    def run_strip(self, spec, col: int, rows: range, closure) -> None:
-        """Evaluate the members at ``rows`` of ``col`` of a lookup
-        template: one index for the strip, one ``find`` and one result
-        read per lane, each lane's value what the compiled closure makes
-        of it — to which (``closure(row)`` evaluates and writes one
-        member) go the lanes whose needle is an error, off the sheet's
-        top, or nothing the index keys (NaN, an object).  The strip must
-        not hold its own needles: they are read before any lane is
-        written.  Counts one hit per lane served, as the closure's own
-        probe would have.
-        """
-        offset = spec.needle_row.value
-        off_top = min(max(1 - (rows[0] + offset), 0), len(rows))
-        for row in rows[:off_top]:
-            closure(row)                    # a needle above row 1: #REF!
+
+def evaluate_lookup_run(engine, node, leave) -> int:
+    """The lookup kernel: the ``l`` strip ``node`` against one index,
+    resolved once, its needle column read by slice, one ``find`` and one
+    result read per lane — what the closure would make of it.  A needle
+    that is an error, above row 1, or nothing the index keys (NaN, an
+    object) is left, and so is every lane without a probe.  The needles
+    lie outside the strip (the planner sees to it), so lanes run
+    top-down.  Counts one hit per lane served, as the closure's probe
+    would have."""
+    probe = engine.cell_evaluator.resolver.lookup_probe
+    spec, col, rows = node.template.shape, node.col, node.rows
+    if probe is None:
+        leave(node.lanes())
+        return 0
+    offset = spec.needle_row.value
+    off_top = min(max(1 - (rows[0] + offset), 0), len(rows))
+    if off_top:
+        leave(rows[:off_top])               # a needle above row 1: #REF!
         rows = rows[off_top:]
         if not rows:
-            return
-        store = self._store
-        c1, r1 = spec.vector[:2]
-        side, tie, across, vertical = spec.side, spec.tie, spec.across, spec.vertical
-        index, built = self._cache.get_or_build(store, spec.vector)
-        find = index.find
-        read = store.read_value
-        write = store._write_raw
-        column = store.ensure_column(col, rows[-1])
-        # The needle column by slice; rows it ends short of are blank.
-        needles = spec.needle_col.at(col)
-        values, tags = store.read_band(needles, rows[0] + offset, rows[-1] + offset)
-        tags.extend(bytes(len(rows) - len(tags)))
-        texts = store.ensure_column(needles, 1).side if tags.count(TAG_STRING) else None
-        served = 0
-        for k, row in enumerate(rows):
-            tag = tags[k]
-            if tag == TAG_NUMBER:
-                x = values[k]
-                if x != x:
-                    closure(row)
-                    continue
-                key = (_CLS_NUM, x)
-            elif tag == TAG_EMPTY:
-                key = _BLANK_NEEDLE
-            elif tag == TAG_BOOL:
-                key = (_CLS_BOOL, values[k] != 0.0)
-            elif tag == TAG_STRING:
-                key = (_CLS_TEXT, texts[row + offset - 1].lower())
-            else:
-                closure(row)
+            return 0
+    store = probe._store
+    c1, r1 = spec.vector[:2]
+    side, tie, across, vertical = spec.side, spec.tie, spec.across, spec.vertical
+    index, built = probe._cache.get_or_build(store, spec.vector)
+    find = index.find
+    read = store.read_value
+    write = store._write_raw
+    column = store.ensure_column(col, rows[-1])
+    # The needle column by slice; rows it ends short of are blank.
+    needles = spec.needle_col.at(col)
+    values, tags = store.read_band(needles, rows[0] + offset, rows[-1] + offset)
+    tags.extend(bytes(len(rows) - len(tags)))
+    texts = store.ensure_column(needles, 1).side if tags.count(TAG_STRING) else None
+    served = 0
+    for k, row in enumerate(rows):
+        tag = tags[k]
+        if tag == TAG_NUMBER:
+            x = values[k]
+            if x != x:
+                leave((row,))
                 continue
-            hit = find(key, side, tie)
-            if hit is None:
-                value = NA_ERROR
-            elif across is None:
-                value = float(hit + 1)
-            elif vertical:
-                value = read(c1 + across, r1 + hit)
-            else:
-                value = read(c1 + hit, r1 + across)
-            write(column, row - 1, value)
-            served += 1
-        stats = self._stats
-        stats.lookup_index_hits += served
-        if built:
-            stats.lookup_index_builds += 1
+            key = (_CLS_NUM, x)
+        elif tag == TAG_EMPTY:
+            key = _BLANK_NEEDLE
+        elif tag == TAG_BOOL:
+            key = (_CLS_BOOL, values[k] != 0.0)
+        elif tag == TAG_STRING:
+            key = (_CLS_TEXT, texts[row + offset - 1].lower())
+        else:
+            leave((row,))
+            continue
+        hit = find(key, side, tie)
+        if hit is None:
+            value = NA_ERROR
+        elif across is None:
+            value = float(hit + 1)
+        elif vertical:
+            value = read(c1 + across, r1 + hit)
+        else:
+            value = read(c1 + hit, r1 + across)
+        write(column, row - 1, value)
+        served += 1
+    stats = probe._stats
+    stats.lookup_index_hits += served
+    if built:
+        stats.lookup_index_builds += 1
+    return served
 
 
 def _sheet_cache(sheet) -> LookupCache:

@@ -104,7 +104,7 @@ def _spec_for(nodes) -> list[tuple]:
     """Plan nodes as picklable freight: ``(col, row)`` cells as they are
     and :meth:`_Strip.spec` strips — ``(kind, col, first_row, last_row,
     descending)`` with ``kind`` one of ``"w"`` / ``"e"`` / ``"c"`` /
-    ``"s"`` — in plan order.  A chain of any length is one tuple."""
+    ``"l"`` / ``"s"`` — in plan order.  A chain of any length is one tuple."""
     return [node if type(node) is tuple else node.spec() for node in nodes]
 
 

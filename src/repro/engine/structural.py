@@ -95,7 +95,6 @@ class StructuralEditResult(NamedTuple):
 
 def _maintain_graph(
     engine: "RecalcEngine", op: str, index: int, count: int,
-    repack_fraction: float, repack_min: int,
 ) -> tuple[StructuralMaintenanceStats, bool]:
     """Incremental graph maintenance, or a rebuild for graphs without
     compressed-edge storage (NoComp and friends)."""
@@ -109,7 +108,7 @@ def _maintain_graph(
             try:
                 stats = getattr(graph_structural, op)(graph, index, count)
             finally:
-                repacked = end(repack_fraction, repack_min)
+                repacked = end()
         else:
             stats = getattr(graph_structural, op)(graph, index, count)
         return stats, repacked
@@ -133,8 +132,6 @@ def apply_structural_edit(
     edit: Structural,
     *,
     workbook: "Workbook | None" = None,
-    repack_fraction: float = 0.25,
-    repack_min: int = 64,
     batched: bool = False,
 ) -> StructuralEditResult:
     """Perform one :class:`~repro.engine.edits.Structural` edit
@@ -197,9 +194,7 @@ def apply_structural_edit(
     if lookup_cache is not None:
         lookup_cache.drop_all()
 
-    stats, repacked = _maintain_graph(
-        engine, op, index, count, repack_fraction, repack_min
-    )
+    stats, repacked = _maintain_graph(engine, op, index, count)
     maintain_seconds = time.perf_counter() - start
 
     # Committed (sheet rewritten, graph maintained): make the op durable

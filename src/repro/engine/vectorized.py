@@ -29,20 +29,29 @@ correctly rounded ``int / int``: bit-identical to ``math.fsum`` over that
 cell's window, the value the interpreter computes.  MIN/MAX use running
 extrema (growing) or a monotonic deque (sliding), ties going to the
 first candidate in row-major order as ``min()`` / ``max()`` do; COUNT is
-integer arithmetic.  Cells whose window contains an error value (or a
+integer arithmetic.  A lane whose window contains an error value (or a
 number the scaling does not cover: NaN, infinities, absurd magnitudes)
-are delegated back to the per-cell ``fallback`` callable, which
-preserves the interpreter's iteration-order-dependent choice of *which*
-error propagates.
+is left to the per-cell closure, which preserves the interpreter's
+iteration-order-dependent choice of *which* error propagates.
 
 :func:`evaluate_elementwise_run` is the second kernel: a run of float
 arithmetic, comparisons and ``IF`` over cell references that reads
-nothing of its own strip, swept over every lane at once, read and
-written through the same band primitives.  :func:`evaluate_scan_run` is
-the third: a recurrence down the strip's own column (``=C1+A2`` filled
-down C, the paper's Fig. 2 ``IF``) as one sequential float loop over the
-same bands.  The two share their lane operations and tag screening; all
-three are pure Python.
+nothing of its own strip, swept over every lane at once.
+:func:`evaluate_scan_run` is the third: a recurrence down the strip's
+own column (``=C1+A2`` filled down C, the paper's Fig. 2 ``IF``) as one
+sequential float loop.  Both read their operands through one lane reader
+(:func:`_operand_lanes`) and share their lane operations; all three are
+pure Python.
+
+Every strip kernel — these three and
+:func:`repro.engine.lookup.evaluate_lookup_run` — keeps one contract:
+``kernel(engine, node, leave) -> lanes computed``.  ``node`` is the
+plan's strip (rows, column, direction, compiled template, whose
+``shape`` the kernel reads); ``leave(rows)`` runs the compiled closure
+over the rows the kernel will not take, in the strip's direction, and
+counts them as the closure does.  The return value counts only the lanes
+the kernel computed itself; a kernel that can take nothing leaves every
+lane and returns 0.
 
 The caller (the strip planner, :meth:`repro.engine.recalc.RecalcEngine._make_strip`)
 is responsible for run *safety* — window rows may only touch cells that
@@ -57,9 +66,9 @@ from array import array
 from collections import deque
 from itertools import accumulate, islice, repeat
 from operator import add, gt, lt, mul, sub, truediv
-from typing import Callable
+from typing import Callable, Sequence
 
-from ..formula.compile import CompiledTemplate, ElementwiseIR, WindowSpec
+from ..formula.compile import AxisRef, ElementwiseIR, WindowSpec
 from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_ERROR, TAG_NUMBER, TAG_OBJECT, square_off
 from ..sheet.sheet import Sheet
 
@@ -70,9 +79,10 @@ __all__ = [
     "evaluate_scan_run",
     "rolling_cols",
     "scans",
-    "window_rows_at",
-    "window_cols",
 ]
+
+#: What a kernel hands the rows it will not take to (module docstring).
+Leave = Callable[[Sequence[int]], None]
 
 #: Shortest run worth dispatching to a strip kernel; shorter runs go
 #: through the compiled per-cell closure, whose constant factor wins.
@@ -87,58 +97,37 @@ _HUGE = 2.0 ** 500
 _FINEST = 500
 
 
-def window_cols(spec: WindowSpec, col: int) -> tuple[int, int] | None:
-    """The window's column span for a host in column ``col`` (normalised)."""
-    c1 = spec.head_col.at(col)
-    c2 = spec.tail_col.at(col)
-    if c1 > c2:
-        c1, c2 = c2, c1
-    if c1 < 1:
-        return None
-    return c1, c2
-
-
-def window_rows_at(spec: WindowSpec, row: int) -> tuple[int, int]:
-    """The window's raw row span for a host in row ``row`` (unnormalised)."""
-    return spec.head_row.at(row), spec.tail_row.at(row)
-
-
 def rolling_cols(spec: WindowSpec, col: int, first: int, last: int) -> tuple[int, int] | None:
     """The window's column span if rows ``first..last`` of ``col`` can
     roll under ``spec``, else None: windows that would need corner
     normalisation anywhere along the run, or that fall off the sheet's
     top or left edge, are evaluated per cell."""
-    cols = window_cols(spec, col)
-    lo_first, hi_first = window_rows_at(spec, first)
-    lo_last, hi_last = window_rows_at(spec, last)
-    if lo_first > hi_first or lo_last > hi_last or min(lo_first, lo_last) < 1:
+    c1, c2 = sorted((spec.head_col.at(col), spec.tail_col.at(col)))
+    lo_first, hi_first = spec.head_row.at(first), spec.tail_row.at(first)
+    lo_last, hi_last = spec.head_row.at(last), spec.tail_row.at(last)
+    if c1 < 1 or lo_first > hi_first or lo_last > hi_last or min(lo_first, lo_last) < 1:
         return None
-    return cols
+    return c1, c2
 
 
-def evaluate_run(
-    sheet: Sheet,
-    spec: WindowSpec,
-    col: int,
-    rows: range,
-    fallback: Callable[[tuple[int, int]], None],
-) -> int | None:
-    """Evaluate ``rows`` of ``col`` (ascending and consecutive) under
-    ``spec`` as one column kernel.
+def evaluate_run(engine, node, leave: Leave) -> int:
+    """The window kernel: the ``w`` strip ``node`` as one column roll.
 
     Lanes run in the strip's direction, bottom-up for a shrinking window,
     and a lane's value lands in the kernel's copy of its own column as
     soon as it is known, so a window reaching into the strip
-    (``SUM(B$1:B1)`` filled down B) reads the lanes just computed.
-    Returns the number of cells the kernel itself computed — cells
-    delegated to ``fallback`` are *not* counted, the fallback accounts
-    for those — or ``None`` when the geometry does not roll (the caller
-    then evaluates every cell through the fallback).
+    (``SUM(B$1:B1)`` filled down B) reads the lanes just computed.  A
+    lane whose window holds an error or a number the scaling does not
+    cover is left (``leave``) where the roll meets it, and what the
+    closure made of it is read back into the kernel's band.  Geometry
+    that does not roll leaves every lane.  Returns the lanes computed.
     """
+    sheet, spec, col, rows = engine.sheet, node.template.shape, node.col, node.rows
     first, last = rows[0], rows[-1]
     cols = rolling_cols(spec, col, first, last)
     if cols is None:
-        return None
+        leave(node.lanes())
+        return 0
     func = spec.func
     head, tail = spec.head_row, spec.tail_row
     sliding = not head.fixed and not tail.fixed
@@ -185,7 +174,7 @@ def evaluate_run(
     lo, hi = head.at(row) - base, tail.at(row) - base
     lo_step, hi_step = (0 if head.fixed else step), (0 if tail.fixed else step)
     enter = min(hi, height - 1) if descending else 0
-    leave = 0
+    drop = 0
     for lane in range(row - first, -1 if descending else len(rows), step):
         # (rows past ``height`` are blank: nothing of them enters)
         stop = min(lo - 1, enter) if descending else max(min(hi, height - 1) + 1, enter)
@@ -241,12 +230,12 @@ def evaluate_run(
                 row_bad[i] = errors
         enter = stop
         if sliding:
-            while leave < lo and leave < enter:
-                count -= row_count[leave]
-                bad -= row_bad[leave]
+            while drop < lo and drop < enter:
+                count -= row_count[drop]
+                bad -= row_bad[drop]
                 if summing:
                     total -= row_totals.popleft()
-                leave += 1
+                drop += 1
             while ranked and ranked[0][0] < lo:
                 ranked.popleft()
 
@@ -259,7 +248,7 @@ def evaluate_run(
             if held is not None:
                 write_held(held, lane)
                 held = None
-            fallback((col, first + lane))
+            leave((first + lane,))
             if own is not None and 0 <= lane + ahead < height:
                 at = lane + ahead
                 (own[0][at],), (own[1][at],) = sheet.read_band(col, first + lane, first + lane)
@@ -376,6 +365,56 @@ def _cell_lane(sheet: Sheet, col: int, row: int) -> tuple[float, int]:
     return band[0][0], band[1][0]
 
 
+def _operand_lanes(sheet: Sheet, ir: ElementwiseIR, col: int, rows: range,
+                   descending: bool, seed: tuple[int, int] | None = None):
+    """The one lane reader of the sweep and the scan: every reference
+    of ``ir`` over the strip ``rows`` of ``col``, as ``(lanes, masked)``
+    in the strip's direction, or None when no lane can be taken (a
+    reference off the sheet's left edge, a fixed cell off its top or
+    refused).  ``lanes`` maps a reference index to a float (a fixed
+    cell, broadcast) or one float per lane; ``masked`` has a 1 per lane
+    whose input is not a plain float where the template reads it
+    (``_REFUSED``) or whose source row is above row 1.  A scan's
+    recurrence, ``seed = (reference index, row)``, reads one cell: the
+    seed."""
+    first, last, n = rows[0], rows[-1], len(rows)
+    levels = _lane_levels(ir)
+    masked = bytearray(n)
+    lanes: dict[int, object] = {}
+    for i, (col_axis, row_axis) in enumerate(ir.refs):
+        c = col_axis.at(col)
+        if c < 1:
+            return None                         # #REF! on every lane
+        refused = _REFUSED[levels[i]]
+        if seed is not None and i == seed[0]:
+            row_axis = AxisRef(True, seed[1])
+        if row_axis.fixed:
+            if row_axis.value < 1:
+                return None
+            lanes[i], tag = _cell_lane(sheet, c, row_axis.value)
+            if refused[tag]:
+                return None
+            continue
+        lo = first + row_axis.value             # source row of the first lane
+        above = min(max(1 - lo, 0), n)          # lanes reading above row 1
+        band = sheet.read_band(c, lo + above, last + row_axis.value)
+        square_off([band], n - above)
+        values, tags = band
+        bad = tags.translate(refused)
+        if above:
+            values[:0] = array("d", bytes(8 * above))
+            bad[:0] = b"\x01" * above
+        if descending:
+            values.reverse()
+            bad.reverse()
+        at = bad.find(1)
+        while at >= 0:
+            masked[at] = 1
+            at = bad.find(1, at + 1)
+        lanes[i] = values
+    return lanes, masked
+
+
 def _reads(node, prev: int) -> bool:
     """Whether ``node`` reads reference ``prev``."""
     if node[0] == "ref":
@@ -456,70 +495,30 @@ def _scan_term(node, lanes: dict, prev: int, limit: list[int]):
     return lambda p, k: fn(f(p, k), g(p, k))
 
 
-def evaluate_scan_run(
-    sheet: Sheet,
-    template: CompiledTemplate,
-    col: int,
-    rows: range,
-    descending: bool,
-) -> int:
-    """Evaluate ``rows`` of ``col`` (ascending and consecutive; a strip
-    :func:`scans` admits) as one sequential loop in the strip's direction.
+def evaluate_scan_run(engine, node, leave: Leave) -> int:
+    """The scan: the ``c`` strip ``node`` as one sequential loop in the
+    strip's direction.
 
-    Each operand is read as one band, the recurrence is seeded from the
-    cell just outside the strip, and every lane does the closure's
-    IEEE-754 operations in the closure's order, so per-step rounding is
-    bit-identical; the lanes computed land as one band write.  The loop
-    stops at the first lane whose inputs are not plain floats where the
-    template reads them (``_REFUSED``), that divides by zero, or whose
-    reference falls off the sheet: that lane, and — a recurrence — every
-    lane after it, is the closure's.  Returns how many lanes the kernel
-    computed, a prefix in the strip's direction; 0 when a reference is
-    off the sheet for the first lane.
+    The recurrence is seeded from the cell just outside the strip, and
+    every lane does the closure's IEEE-754 operations in the closure's
+    order, so per-step rounding is bit-identical; the lanes computed land
+    as one band write.  The loop stops at the first masked lane, or one
+    that divides by zero: that lane and — a recurrence — every lane
+    after it are left.  An unreadable seed or operand leaves every lane.
     """
-    ir = template.elementwise
+    sheet, ir, col, rows = engine.sheet, node.template.shape, node.col, node.rows
+    descending = node.descending
     first, last, n = rows[0], rows[-1], len(rows)
     prev = _recurrence(ir, col, descending)
-    levels = _lane_levels(ir)
-    seed_row = last + 1 if descending else first - 1
-    if seed_row < 1:
+    read = _operand_lanes(sheet, ir, col, rows, descending,
+                          (prev, last + 1 if descending else first - 1))
+    if read is None:
+        leave(node.lanes())
         return 0
-    p, tag = _cell_lane(sheet, col, seed_row)
-    if _REFUSED[levels[prev]][tag]:
-        return 0
-    limit = [n]
-    lanes: dict[int, object] = {}
-    for i, (col_axis, row_axis) in enumerate(ir.refs):
-        if i == prev:
-            continue
-        c = col_axis.at(col)
-        if c < 1:
-            return 0                            # #REF! on every lane
-        refused = _REFUSED[levels[i]]
-        if row_axis.fixed:
-            if row_axis.value < 1:
-                return 0
-            lanes[i], tag = _cell_lane(sheet, c, row_axis.value)
-            if refused[tag]:
-                return 0
-            continue
-        lo = first + row_axis.value
-        above = max(1 - lo, 0)                  # source rows above the sheet: #REF!
-        if above and not descending:
-            return 0                            # ... from the first lane on
-        limit[0] = min(limit[0], n - above)
-        if limit[0] <= 0:
-            return 0
-        band = sheet.read_band(c, lo + above, last + row_axis.value)
-        square_off([band], n - above)
-        values, tags = band
-        if descending:
-            values, tags = values[::-1], tags[::-1]
-        bad = tags.translate(refused).find(1)
-        if bad >= 0:
-            limit[0] = min(limit[0], bad)
-        lanes[i] = values
-
+    lanes, masked = read
+    p = lanes[prev]
+    stop = masked.find(1)
+    limit = [n if stop < 0 else stop]
     root = ir.root
     if root[0] in _ARITHMETIC and root[1] == ("ref", prev) and not _reads(root[2], prev):
         # prev ∘ g(lane): one C-level accumulate over the swept g.
@@ -545,6 +544,8 @@ def evaluate_scan_run(
         if descending:
             out.reverse()
         sheet.write_band(col, last - done + 1 if descending else first, out)
+    if done < n:
+        leave(rows[:n - done][::-1] if descending else rows[done:])
     return done
 
 
@@ -586,74 +587,33 @@ def _sweep(node, lanes: dict, masked: bytearray):
     return _swept(_SCAN_OPS[op], *args)
 
 
-def evaluate_elementwise_run(
-    sheet: Sheet,
-    template: CompiledTemplate,
-    col: int,
-    rows: range,
-    fallback: Callable[[tuple[int, int]], None],
-) -> int | None:
-    """Evaluate ``rows`` of ``col`` (ascending and consecutive) under
-    ``template.elementwise`` as one sweep over every lane.
+def evaluate_elementwise_run(engine, node, leave: Leave) -> int:
+    """The sweep: the ``e`` strip ``node`` over every lane at once.
 
-    Each operand is read as one band; every lane does the closure's
-    IEEE-754 operations in the closure's order, so it is bit-identical to
-    per-cell evaluation.  The sweep has no recurrence, so a lane that is
-    not plain float arithmetic stops nothing: it is masked and handed to
-    ``fallback`` — a lane whose inputs are not plain floats where the
-    template reads them (``_REFUSED``), that divides by ±0.0, or whose
-    reference falls above row 1.  Each stretch of unmasked lanes lands as
-    one ``Sheet.write_band``.  The caller is responsible for run *safety*:
-    no reference may land inside the strip (the strip planner,
-    ``RecalcEngine._make_strip``, sweeps only strips nothing lands in).
-
-    Returns the number of cells the sweep wrote, or ``None`` when it
-    declines the strip wholesale — a reference off the sheet's left or top
-    edge, a fixed cell it refuses, or no lane left to land — and the
-    caller runs every cell through the closure.
+    Every lane does the closure's IEEE-754 operations in the closure's
+    order, so it is bit-identical to per-cell evaluation.  With no
+    recurrence, a lane the sweep cannot take stops nothing: a masked
+    lane, or one that divides by ±0.0, is left once every stretch of the
+    others has landed as one ``Sheet.write_band``.  An unreadable
+    operand, or no lane to land, leaves every lane.  Nothing may land
+    inside the strip (the planner sweeps only strips nothing lands in).
     """
-    ir = template.elementwise
-    first, last, n = rows[0], rows[-1], len(rows)
-    levels = _lane_levels(ir)
-    masked = bytearray(n)                       # 1: the fallback's lane
-    lanes: dict[int, object] = {}
-    for i, (col_axis, row_axis) in enumerate(ir.refs):
-        c = col_axis.at(col)
-        if c < 1:
-            return None                         # #REF! on every lane
-        refused = _REFUSED[levels[i]]
-        if row_axis.fixed:
-            if row_axis.value < 1:
-                return None
-            lanes[i], tag = _cell_lane(sheet, c, row_axis.value)
-            if refused[tag]:
-                return None
-            continue
-        lo = first + row_axis.value             # source row of the first lane
-        above = min(max(1 - lo, 0), n)          # lanes reading above row 1: #REF!
-        band = sheet.read_band(c, lo + above, last + row_axis.value)
-        square_off([band], n - above)
-        values, tags = band
-        if above:
-            masked[:above] = b"\x01" * above
-            values[:0] = array("d", bytes(8 * above))
-            tags[:0] = bytes(above)
-        bad = tags.translate(refused)
-        at = bad.find(1)
-        while at >= 0:
-            masked[at] = 1
-            at = bad.find(1, at + 1)
-        lanes[i] = values
-    out = array("d", _sweep(ir.root, lanes, masked))
-    if 0 not in masked:
-        return None                             # no lane left to land
-    delegated = []
+    sheet, ir, col, rows = engine.sheet, node.template.shape, node.col, node.rows
+    first = rows[0]
+    read = _operand_lanes(sheet, ir, col, rows, False)
+    if read is not None:
+        lanes, masked = read
+        out = array("d", _sweep(ir.root, lanes, masked))
+    if read is None or 0 not in masked:
+        leave(rows)
+        return 0
+    left = []
     start = 0
     while (lane := masked.find(1, start)) >= 0:
         sheet.write_band(col, first + start, out[start:lane])
-        delegated.append(lane)
+        left.append(first + lane)
         start = lane + 1
     sheet.write_band(col, first + start, out[start:])
-    for lane in delegated:
-        fallback((col, first + lane))
-    return n - len(delegated)
+    if left:
+        leave(left)
+    return len(rows) - len(left)

@@ -24,10 +24,13 @@ the interpreter, so results (values *and* error propagation) are
 observationally identical; ``tests/engine/test_eval_differential.py``
 pins this.
 
-Templates whose whole body is one aggregate over one sliding/growing
-range additionally expose a :class:`WindowSpec`, which is what lets the
-recalculation engine evaluate a whole run of cells with rolling
-aggregates (:mod:`repro.engine.vectorized`) instead of per-cell windows.
+A template may also carry one *shape* (:attr:`CompiledTemplate.shape`):
+a :class:`WindowSpec` for one aggregate over one sliding or growing
+range, an :class:`ElementwiseIR` for float arithmetic over cell refs, a
+:class:`LookupSpec` for a lookup of one relative cell in a fixed table.
+The shape is what lets the recalculation engine run a whole strip of
+cells as one kernel (:mod:`repro.engine.vectorized`,
+:mod:`repro.engine.lookup`) instead of one closure call per cell.
 """
 
 from __future__ import annotations
@@ -255,7 +258,7 @@ class LookupSpec(NamedTuple):
     one cell — on the host's sheet, its row relative — in a range fixed
     on all four corners of that sheet, every other argument a constant:
     a column of them is probe-many against one build-once index
-    (:meth:`repro.engine.lookup.LookupProbe.run_strip`).
+    (:func:`repro.engine.lookup.evaluate_lookup_run`).
 
     ``vector`` is the ``(c1, r1, c2, r2)`` the match is sought in (the
     table's first column or row, the MATCH range), ``vertical`` whether
@@ -606,28 +609,25 @@ def _compile(node: Node, host_col: int, host_row: int) -> _Closure:
 
 
 class CompiledTemplate:
-    """One compiled formula template: closure + optional fast shapes.
+    """One compiled formula template: closure + at most one fast shape.
 
-    ``window`` marks a pure windowed aggregate (one column kernel per
-    strip); ``elementwise`` marks float arithmetic, comparisons and
-    ``IF`` over cell refs (one sweep over every lane, or a scan down a
-    recurrence); ``lookup`` marks a lookup
-    of one relative cell in a fixed range (one index per strip).
-    Mutually exclusive by construction — window and lookup roots are
-    calls of different functions, and the elementwise subset rejects
-    every call but ``IF``.
+    ``shape`` is what a strip of the template can run as, or None: a
+    :class:`WindowSpec` (a pure windowed aggregate, one column kernel per
+    strip), an :class:`ElementwiseIR` (float arithmetic, comparisons and
+    ``IF`` over cell refs: one sweep over every lane, or a scan down a
+    recurrence) or a :class:`LookupSpec` (a lookup of one relative cell
+    in a fixed range: one index per strip).  The three are exclusive by
+    construction — window and lookup roots are calls of different
+    functions, and the elementwise subset rejects every call but ``IF``.
     """
 
-    __slots__ = ("key", "fn", "window", "elementwise", "lookup")
+    __slots__ = ("key", "fn", "shape")
 
-    def __init__(self, key: str, fn: _Closure, window: WindowSpec | None,
-                 elementwise: ElementwiseIR | None = None,
-                 lookup: LookupSpec | None = None):
+    def __init__(self, key: str, fn: _Closure,
+                 shape: "WindowSpec | ElementwiseIR | LookupSpec | None" = None):
         self.key = key
         self.fn = fn
-        self.window = window
-        self.elementwise = elementwise
-        self.lookup = lookup
+        self.shape = shape
 
     def run(self, resolver: CellResolver, sheet: str | None, col: int, row: int):
         """Evaluate at a host cell; same top-level contract as
@@ -646,7 +646,7 @@ class CompiledTemplate:
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        tag = f", window={self.window.func}" if self.window else ""
+        tag = f", {type(self.shape).__name__}" if self.shape is not None else ""
         return f"CompiledTemplate({self.key!r}{tag})"
 
 
@@ -666,9 +666,9 @@ def compile_template(ast: Node, host_col: int, host_row: int,
         return None
     return CompiledTemplate(
         key, fn,
-        window_spec(ast, host_col, host_row),
-        elementwise_ir(ast, host_col, host_row),
-        lookup_spec(ast, host_col, host_row),
+        window_spec(ast, host_col, host_row)
+        or elementwise_ir(ast, host_col, host_row)
+        or lookup_spec(ast, host_col, host_row),
     )
 
 

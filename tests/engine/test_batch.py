@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.maintain import coalesce_cells
+from repro.core import taco_graph
 from repro.core.taco_graph import TacoGraph, build_from_sheet
 from repro.engine.batch import BatchEditSession
 from repro.engine.recalc import CircularReferenceError, RecalcEngine
@@ -131,11 +132,12 @@ class TestBatchSession:
         engine.recompute(batch.result.dirty_ranges)
         assert engine.sheet.get_value("B1") == 200.0
 
-    def test_large_batch_triggers_repack(self):
+    def test_large_batch_triggers_repack(self, monkeypatch):
+        monkeypatch.setattr(taco_graph, "REPACK_MIN", 4)
         sheet = build_board(rows=60)
         engine = RecalcEngine(sheet)
         engine.recalculate_all()
-        with engine.begin_batch(repack_min=4) as batch:
+        with engine.begin_batch() as batch:
             for r in range(1, 61):
                 batch.set_formula((2, r), f"=A{r}*3")
         assert batch.result.repacked
@@ -145,10 +147,11 @@ class TestBatchSession:
         cells = {pos for rng in dependents for pos in rng.cells()}
         assert (2, 7) in cells
 
-    def test_small_batch_replays_deletes(self):
+    def test_small_batch_replays_deletes(self, monkeypatch):
+        monkeypatch.setattr(taco_graph, "REPACK_MIN", 1000)
         engine = RecalcEngine(build_board(rows=40))
         engine.recalculate_all()
-        with engine.begin_batch(repack_min=1000) as batch:
+        with engine.begin_batch() as batch:
             batch.set_formula("B3", "=A3*5")
         assert not batch.result.repacked
         graph = engine.graph

@@ -27,6 +27,7 @@ from helpers import dependency_set, edits
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import taco_graph
 from repro.core.taco_graph import TacoGraph, dependencies_column_major
 from repro.engine.edits import ClearCell, ClearRange
 from repro.engine.recalc import RecalcEngine
@@ -119,8 +120,13 @@ def test_repack_path_matches_replay_path(backend, ops):
     replayed = make_engine(backend)
     repacked = make_engine(backend)
 
-    apply_batched(replayed, ops, repack_min=10**9)   # always replay deletes
-    apply_batched(repacked, ops, repack_min=0, repack_fraction=0.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(taco_graph, "REPACK_MIN", 10**9)     # always replay deletes
+        apply_batched(replayed, ops)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(taco_graph, "REPACK_MIN", 0)
+        mp.setattr(taco_graph, "REPACK_FRACTION", 0.0)
+        apply_batched(repacked, ops)
 
     assert all_values(repacked.sheet) == all_values(replayed.sheet)
     assert dependency_set(repacked.graph) == dependency_set(replayed.graph)

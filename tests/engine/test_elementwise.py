@@ -16,8 +16,8 @@ import pytest
 
 import repro
 from repro.engine import vectorized
-from repro.engine.recalc import RecalcEngine
-from repro.formula.compile import compile_template, elementwise_ir
+from repro.engine.recalc import RecalcEngine, _Strip
+from repro.formula.compile import ElementwiseIR, WindowSpec, compile_template, elementwise_ir
 from repro.formula.parser import parse_formula
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet
@@ -220,14 +220,15 @@ def test_comparisons_and_if_sweep():
 
 def test_lanes_reading_above_row_1_are_the_fallbacks():
     """The kernel, called straight: a strip at rows 1..10 whose template
-    reads two rows up hands its first two lanes to the fallback."""
+    reads two rows up leaves its first two lanes."""
     s = data_sheet(noise=False)
     template = compile_template(parse_formula("A1*2"), 3, 3)
     for r in range(1, 11):
         s.set_formula((3, r), "=1")
-    delegated = []
-    done = vectorized.evaluate_elementwise_run(s, template, 3, range(1, 11), delegated.append)
-    assert done == 8 and delegated == [(3, 1), (3, 2)]
+    left = []
+    node = _Strip("e", 3, range(1, 11), template, False)
+    done = vectorized.evaluate_elementwise_run(RecalcEngine(s), node, left.append)
+    assert done == 8 and left == [[1, 2]]
     assert [s.get_value((3, r)) for r in range(3, 11)] == \
         [s.get_value((1, r)) * 2 for r in range(1, 9)]
 
@@ -361,6 +362,6 @@ class TestElementwiseIR:
 
     def test_compile_template_attaches_ir(self):
         template = compile_template(parse_formula("A1*2"), 3, 1)
-        assert template.elementwise is not None
+        assert type(template.shape) is ElementwiseIR
         windowed = compile_template(parse_formula("SUM($A$1:A1)"), 3, 1)
-        assert windowed.elementwise is None and windowed.window is not None
+        assert type(windowed.shape) is WindowSpec
