@@ -14,7 +14,8 @@ vs ``evaluation="auto"``:
   O(run x window) shape with a constant window.
 * **mixed_corpus** — a realistic sheet mixing value columns, arithmetic
   chains, running totals, sliding averages, MIN/MAX windows, IF logic
-  and interpreter-fallback XOR columns.  Gate: **>= 1.5x**.
+  and a lazy XOR column, which only the compiled closure runs.  Gate:
+  **>= 1.5x**.
 
 Planning must follow the compressed structure too: the optimized arm
 plans by column strips, one node per autofilled column whatever its
@@ -96,7 +97,7 @@ def build_mixed_corpus(rows: int) -> Sheet:
     fill_formula_column(sheet, 5, 1, rows, "=AVERAGE(A1:A25)")     # sliding average
     fill_formula_column(sheet, 6, 1, rows, "=MIN(B1:B40)")         # sliding min
     fill_formula_column(sheet, 7, 1, rows, "=IF(A1>B1,C1,D1/B1)")  # lazy logic
-    fill_formula_column(sheet, 8, 1, rows, "=XOR(A1>50,B1>6)")     # interpreter fallback
+    fill_formula_column(sheet, 8, 1, rows, "=XOR(A1>50,B1>6)")     # compiled closure
     return sheet
 
 
@@ -306,5 +307,9 @@ def test_recalc_throughput(benchmark):
     assert ok, "\n".join(verdicts)
     # The fast paths must actually engage, or the speedup is a fluke.
     assert results["running_total"]["eval_paths"]["windowed_cells"] == ROWS
-    assert results["mixed_corpus"]["eval_paths"]["interpreted_cells"] > 0
+    # Every formula compiles: the XOR column, which no strip kernel
+    # takes, is the mixed corpus's compiled cells, and nothing falls to
+    # the interpreter.
+    assert results["mixed_corpus"]["eval_paths"]["interpreted_cells"] == 0
+    assert results["mixed_corpus"]["eval_paths"]["compiled_cells"] == MIXED_ROWS
     assert [strips["kinds"][label][0] for label in STRIPS] == [label[0] for label in STRIPS]

@@ -6,8 +6,9 @@ same runtime — is the one dispatch path that leaves the process
 
 * **wide** — one recompute of ``REPRO_PARALLEL_BLOCKS`` spatially
   separated blocks (default 8), each a pair of value columns plus one
-  interpreter-bound formula column (``IF(XOR(...))`` over ``SUM``
-  windows — uncompilable, so every cell pays real tree-walking work),
+  closure-bound formula column (``IF(XOR(...))`` over ``SUM`` windows —
+  no strip kernel takes it, so every cell pays a compiled closure call
+  and two window sums),
   ``REPRO_PARALLEL_ROWS`` rows per block (default 12,500 — ~100k formula
   cells).  One untimed warm pass per arm (template memos; the residents'
   bootstrap), then one timed ``recompute`` over the same dirty ranges.
@@ -102,11 +103,11 @@ def compare(serial: dict, resident: dict) -> dict:
     }
 
 
-# -- wide: one recompute of many independent interpreter-bound blocks -----------
+# -- wide: one recompute of many independent closure-bound blocks ---------------
 
 
 def wide_corpus() -> tuple[Sheet, list[Range]]:
-    """Two value columns feeding one interpreter-bound formula column per
+    """Two value columns feeding one closure-bound formula column per
     block, no cross-block references: every block is its own shard's."""
     sheet = Sheet("wide")
     ranges = []
@@ -210,7 +211,7 @@ def test_shard_recalc(benchmark):
     lines = [
         banner(
             "Resident runtime vs serial: one wide recompute",
-            f"{wide['cells']:,} interpreter-bound cells in {WIDE_BLOCKS} blocks, "
+            f"{wide['cells']:,} closure-bound cells in {WIDE_BLOCKS} blocks, "
             f"window={WIDE_WINDOW}, shards={WORKERS}, {cores} usable cores",
         ),
         ascii_table(header, rows(wide, 1)),

@@ -92,8 +92,7 @@ class _Strip:
     arithmetic, comparisons and ``IF`` over every lane at once, ``"c"``
     scans a recurrence on the row before down one float loop, ``"l"``
     probes one lookup index per lane, ``"s"`` — any other template —
-    loops over the members with the compiled closure (``template``; None
-    when the formula does not compile and the interpreter runs it).
+    loops over the members with the compiled closure (``template``).
     References that land inside the strip itself are ordered by the
     direction of that loop, bottom-up when ``descending``; everything
     else a member reads is a predecessor *node* in the plan.
@@ -272,9 +271,8 @@ class RecalcEngine:
         #: sheet's formula-plane version it was laid out against.
         self._plan: list | None = None
         self._plan_version: int | None = None
-        #: ``"auto"`` — compiled templates and strip kernels with
-        #: transparent interpreter fallback; ``"interpreter"`` —
-        #: tree-walker only (the differential oracle).
+        #: ``"auto"`` — compiled templates and strip kernels;
+        #: ``"interpreter"`` — tree-walker only (the differential oracle).
         self.evaluation = evaluation
         self.cell_evaluator = CompilingEvaluator(SheetResolver(sheet), registry=registry)
         self.eval_stats = self.cell_evaluator.stats
@@ -302,7 +300,7 @@ class RecalcEngine:
 
         Plan execution in resident workers (:mod:`repro.engine.shard`)
         needs the evaluation tiers — compiled templates, windowed rolls,
-        elementwise sweeps, interpreter fallback — without graph
+        elementwise sweeps, scans, lookup probes — without graph
         maintenance, journaling, or further partitioning.  The shadow
         shares the parent's template registry (pass ``registry=``) so
         compilation work is not repeated per region, and its setting for
@@ -771,7 +769,7 @@ class RecalcEngine:
             family.key, family.ast, family.col, family.row
         )
         kind, descending = "s", up
-        shape = compiled.shape if compiled is not None else None
+        shape = compiled.shape
         if type(shape) is LookupSpec:
             if shape.needle_col.at(col) != col:
                 kind = "l"
@@ -920,11 +918,6 @@ class RecalcEngine:
         would have."""
         col = node.col
         compiled = node.template
-        if compiled is None:
-            # The interpreter's templates.
-            for row in rows:
-                self._evaluate_cell((col, row))
-            return
         store = self.sheet._cells
         run = compiled.run
         resolver = self.cell_evaluator.resolver

@@ -16,7 +16,7 @@ not of the trial values.  :class:`ScenarioEngine` exploits that:
 2. **Replay per scenario** — :meth:`run` writes each scenario's seed
    values and re-executes the frozen plan through the engine's normal
    tier dispatch (compiled templates, windowed rolls, elementwise
-   sweeps, interpreter fallback).  Replays after the first count one
+   sweeps, scans, lookup probes).  Replays after the first count one
    ``EvalStats.scenario_plan_reuses`` each.
 3. **Restore** — the base seed values and every dirty cell's cached
    value are snapshotted before the first replay (typed column packs)

@@ -65,10 +65,11 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from itertools import accumulate, islice, repeat
-from operator import add, gt, lt, mul, sub, truediv
+from operator import gt, lt
 from typing import Callable, Sequence
 
 from ..formula.compile import AxisRef, ElementwiseIR, WindowSpec
+from ..formula.functions import Operator
 from ..sheet.columnar import TAG_BOOL, TAG_EMPTY, TAG_ERROR, TAG_NUMBER, TAG_OBJECT, square_off
 from ..sheet.sheet import Sheet
 
@@ -316,23 +317,11 @@ _REFUSED = tuple(
     bytes(0 if tag in allowed else 1 for tag in range(256))
     for allowed in ((TAG_EMPTY, TAG_NUMBER, TAG_BOOL), (TAG_EMPTY, TAG_NUMBER), (TAG_NUMBER,))
 )
-_ARITHMETIC = ("add", "sub", "mul", "div")
-_COMPARISONS = ("eq", "ne", "lt", "le", "gt", "ge")
-#: The IR's operators on floats.  Comparisons are what
-#: ``compare_values`` makes of two numbers — NaN ranks above everything,
-#: itself included — read as 1.0 / 0.0, as ``to_number`` reads a logical.
-_SCAN_OPS = {
-    "add": add, "sub": sub, "mul": mul, "div": truediv,
-    "eq": lambda a, b: 1.0 if a == b else 0.0,
-    "ne": lambda a, b: 0.0 if a == b else 1.0,
-    "lt": lambda a, b: 1.0 if a < b else 0.0,
-    "le": lambda a, b: 1.0 if a <= b else 0.0,
-    "gt": lambda a, b: 0.0 if a <= b else 1.0,
-    "ge": lambda a, b: 0.0 if a < b else 1.0,
-    "neg": lambda a: -a,
-    "pct": lambda a: a / 100.0,
-    "if": lambda cond, then, otherwise: then if cond else otherwise,
-}
+
+
+def _choose(cond, then, otherwise):
+    """The lane form of ``IF`` (an operator's is in its ``OPERATORS`` entry)."""
+    return then if cond else otherwise
 
 
 def _read_levels(node, level: int, levels: dict[int, int]) -> None:
@@ -346,7 +335,7 @@ def _read_levels(node, level: int, levels: dict[int, int]) -> None:
         _read_levels(node[2], _CHOSEN, levels)
         _read_levels(node[3], _CHOSEN, levels)
     elif op != "const":
-        inner = _COMPARED if op in _COMPARISONS else _COERCED
+        inner = _COMPARED if op.compares else _COERCED
         for child in node[1:]:
             _read_levels(child, inner, levels)
 
@@ -471,9 +460,12 @@ def _scan_term(node, lanes: dict, prev: int, limit: list[int]):
     if op == "ref":
         return _previous if node[1] == prev else lanes[node[1]]
     args = [_scan_term(child, lanes, prev, limit) for child in node[1:]]
-    fn = _SCAN_OPS[op]
-    if op == "div" and not callable(args[1]):
-        args[1] = _up_to_zero(args[1], limit)
+    if op == "if":
+        fn = _choose
+    else:
+        fn = op.lane
+        if op.divides and not callable(args[1]):
+            args[1] = _up_to_zero(args[1], limit)
     if not any(callable(arg) for arg in args):
         return _swept(fn, *args)
     if op == "if":
@@ -520,14 +512,16 @@ def evaluate_scan_run(engine, node, leave: Leave) -> int:
     stop = masked.find(1)
     limit = [n if stop < 0 else stop]
     root = ir.root
-    if root[0] in _ARITHMETIC and root[1] == ("ref", prev) and not _reads(root[2], prev):
+    op = root[0]
+    if (type(op) is Operator and op.arity == 2 and root[1] == ("ref", prev)
+            and not _reads(root[2], prev)):
         # prev ∘ g(lane): one C-level accumulate over the swept g.
         operand = _scan_term(root[2], lanes, prev, limit)
-        if root[0] == "div":
+        if op.divides:
             operand = _up_to_zero(operand, limit)
         if type(operand) is float:
             operand = repeat(operand)
-        out = array("d", islice(accumulate(operand, _SCAN_OPS[root[0]], initial=p),
+        out = array("d", islice(accumulate(operand, op.lane, initial=p),
                                 1, limit[0] + 1))
     else:
         step = _scan_term(root, lanes, prev, limit)
@@ -582,9 +576,11 @@ def _sweep(node, lanes: dict, masked: bytearray):
     if op == "ref":
         return lanes[node[1]]
     args = [_sweep(child, lanes, masked) for child in node[1:]]
-    if op == "div":
+    if op == "if":
+        return _swept(_choose, *args)
+    if op.divides:
         args[1] = _nonzero(args[1], masked)
-    return _swept(_SCAN_OPS[op], *args)
+    return _swept(op.lane, *args)
 
 
 def evaluate_elementwise_run(engine, node, leave: Leave) -> int:

@@ -16,13 +16,17 @@ per cell.  This module removes the repeated discovery:
 * every later cell with the same key (the other 9,999 rows) reuses the
   compiled closure from a bounded :class:`TemplateRegistry`.
 
-Compilation is *transparent*: constructs the compiler does not cover —
-uncommon lazy builtins, unknown function names — yield an unsupported
-marker and the cell falls back to the tree-walking interpreter.  The
-compiled closure calls the same coercions and the same function impls as
-the interpreter, so results (values *and* error propagation) are
-observationally identical; ``tests/engine/test_eval_differential.py``
-pins this.
+Every formula that parses compiles.  Operators and builtins are declared
+once, in :mod:`repro.formula.functions` (``OPERATORS``, ``REGISTRY``):
+an operator's closure calls its table entry's scalar form, an eager call
+its impl, and a lazy call (IF, AND, ROW, ...) its one definition, handed
+the argument nodes and a context whose ``eval`` runs each argument's
+precompiled closure.  An unknown name compiles to a closure that raises
+``#NAME?``, a wrong argument count to one that raises ``#VALUE!``.  The
+tree-walking interpreter runs the same declarations, so results (values
+*and* error propagation) are observationally identical; it stays as the
+``evaluation="interpreter"`` oracle, and
+``tests/engine/test_eval_differential.py`` pins the identity.
 
 A template may also carry one *shape* (:attr:`CompiledTemplate.shape`):
 a :class:`WindowSpec` for one aggregate over one sliding or growing
@@ -50,21 +54,12 @@ from .ast_nodes import (
     String,
     UnaryOp,
 )
-from .errors import REF_ERROR, VALUE_ERROR, ExcelError
-from .evaluator import Evaluator
-from .functions import REGISTRY, _truthy_for_logical
+from .errors import NAME_ERROR, REF_ERROR, VALUE_ERROR, ExcelError
+from .evaluator import EvalContext, Evaluator
+from .functions import OPERATORS, REGISTRY
 from .r1c1 import to_r1c1
 from .references import AxisRef, axis_refs
-from .values import (
-    CellResolver,
-    ErrorSignal,
-    RangeValue,
-    compare_values,
-    safe_divide,
-    to_bool,
-    to_number,
-    to_text,
-)
+from .values import CellResolver, ErrorSignal, RangeValue, to_number
 
 __all__ = [
     "AxisRef",
@@ -87,7 +82,7 @@ _Closure = Callable[[CellResolver, "str | None", int, int], object]
 
 
 class _Unsupported(Exception):
-    """Internal: the compiler does not cover this construct."""
+    """Internal: the template has no fast shape of this kind."""
 
 
 class WindowSpec(NamedTuple):
@@ -117,20 +112,14 @@ _WINDOW_FUNCS = {
 }
 
 
-#: IR operator names: arithmetic (a float from numbers) and comparisons
-#: (a logical, read as 1.0 / 0.0 where arithmetic coerces it).
-_ARITHMETIC_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
-_COMPARISON_OPS = {"=": "eq", "<>": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
-
-
 class ElementwiseIR(NamedTuple):
     """A template body that is float64 arithmetic, comparisons and ``IF``
     over cell refs.
 
     ``root`` is a tuple tree — ``("const", x)``, ``("ref", i)`` (an index
-    into ``refs``), ``("neg", a)``, ``("pct", a)``, ``("add" | "sub" |
-    "mul" | "div", a, b)``, the comparisons ``("eq" | "ne" | "lt" | "le"
-    | "gt" | "ge", a, b)`` and ``("if", cond, then, otherwise)`` —
+    into ``refs``), ``(operator, a)`` and ``(operator, a, b)`` for an
+    :class:`~repro.formula.functions.Operator` entry of ``OPERATORS``
+    that has a lane form, and ``("if", cond, then, otherwise)`` —
     mirroring the compiled closure tree node for node, so a lane-wise
     evaluation of it performs exactly the same IEEE-754 operations in
     exactly the same order as the per-cell closure.  ``refs`` are the
@@ -148,10 +137,8 @@ class ElementwiseIR(NamedTuple):
     operand (``to_number`` makes it 1.0 / 0.0) but not a value or a side
     of another comparison; an ``IF`` branch that is a bare reference
     yields the referenced value itself, which matches a float only where
-    it is a number.  ``^`` is deliberately *out* of the subset: the
-    closure maps its overflow, domain and complex results to ``#NUM!``,
-    an error no plain float operation produces, so a lane-wise ``pow``
-    would have to mirror those checks lane by lane.
+    it is a number.  An operator is in the subset if and only if its
+    entry has a lane form (``^`` and ``&`` have none).
     """
 
     root: object
@@ -176,23 +163,15 @@ def _elementwise_node(node: Node, host_col: int, host_row: int,
             index = len(refs)
             refs.append(pair)
         return ("ref", index), False
-    if isinstance(node, UnaryOp):
-        operand, _ = _elementwise_node(node.operand, host_col, host_row, refs)
-        if node.op == "-":
-            return ("neg", operand), False
-        if node.op == "%":
-            return ("pct", operand), False
-        return operand, False            # unary + is to_number, masked numeric
-    if isinstance(node, BinaryOp) and node.op in _ARITHMETIC_OPS:
-        left, _ = _elementwise_node(node.left, host_col, host_row, refs)
-        right, _ = _elementwise_node(node.right, host_col, host_row, refs)
-        return (_ARITHMETIC_OPS[node.op], left, right), False
-    if isinstance(node, BinaryOp) and node.op in _COMPARISON_OPS:
-        left, logical_left = _elementwise_node(node.left, host_col, host_row, refs)
-        right, logical_right = _elementwise_node(node.right, host_col, host_row, refs)
-        if logical_left or logical_right:
+    if isinstance(node, (UnaryOp, BinaryOp)):
+        operands = node.children()
+        operator = OPERATORS[node.op, len(operands)]
+        if operator.lane is None:
+            raise _Unsupported(f"elementwise: operator {node.op!r}")
+        lowered = [_elementwise_node(child, host_col, host_row, refs) for child in operands]
+        if operator.compares and any(logical for _, logical in lowered):
             raise _Unsupported("elementwise: a logical compared")   # logicals rank above numbers
-        return (_COMPARISON_OPS[node.op], left, right), True
+        return (operator, *(ir for ir, _ in lowered)), operator.compares
     if isinstance(node, FunctionCall) and node.name == "IF" and len(node.args) == 3:
         cond, _ = _elementwise_node(node.args[0], host_col, host_row, refs)
         then, logical_then = _elementwise_node(node.args[1], host_col, host_row, refs)
@@ -238,7 +217,7 @@ def window_spec(ast: Node, host_col: int, host_row: int) -> WindowSpec | None:
 
     Only same-sheet single-range aggregates qualify; anything else —
     extra arguments, scalar arguments, cross-sheet ranges — evaluates
-    through the compiled closure (or the interpreter) per cell.
+    through the compiled closure per cell.
     """
     if not isinstance(ast, FunctionCall):
         return None
@@ -380,188 +359,67 @@ def _compile_range(node: RangeNode, host_col: int, host_row: int) -> _Closure:
     return closure
 
 
-def _compile_unary(node: UnaryOp, host_col: int, host_row: int) -> _Closure:
-    operand = _compile(node.operand, host_col, host_row)
-    if node.op == "-":
-        return lambda res, sheet, col, row: -to_number(operand(res, sheet, col, row))
-    if node.op == "%":
-        return lambda res, sheet, col, row: to_number(operand(res, sheet, col, row)) / 100.0
-    return lambda res, sheet, col, row: to_number(operand(res, sheet, col, row))
-
-
-_COMPARATORS: dict[str, Callable[[int], bool]] = {
-    "=": lambda cmp: cmp == 0,
-    "<>": lambda cmp: cmp != 0,
-    "<": lambda cmp: cmp < 0,
-    "<=": lambda cmp: cmp <= 0,
-    ">": lambda cmp: cmp > 0,
-    ">=": lambda cmp: cmp >= 0,
-}
-
-
-def _compile_binary(node: BinaryOp, host_col: int, host_row: int) -> _Closure:
-    # The interpreter evaluates BOTH operands before any coercion
-    # (_eval_binary), so when the left operand coerces to one error and
-    # the right operand *evaluates* to another, the right one wins.  The
-    # compiled closures must keep that order: evaluate left, evaluate
-    # right, then coerce.
-    left = _compile(node.left, host_col, host_row)
-    right = _compile(node.right, host_col, host_row)
-    op = node.op
-    if op == "&":
-
-        def concat(res, sheet, col, row):
-            lhs = left(res, sheet, col, row)
-            rhs = right(res, sheet, col, row)
-            return to_text(lhs) + to_text(rhs)
-
-        return concat
-    if op in _COMPARATORS:
-        verdict = _COMPARATORS[op]
-        return lambda res, sheet, col, row: verdict(
-            compare_values(left(res, sheet, col, row), right(res, sheet, col, row))
-        )
-    if op == "+":
-
-        def add(res, sheet, col, row):
-            lhs = left(res, sheet, col, row)
-            rhs = right(res, sheet, col, row)
-            return to_number(lhs) + to_number(rhs)
-
-        return add
-    if op == "-":
-
-        def sub(res, sheet, col, row):
-            lhs = left(res, sheet, col, row)
-            rhs = right(res, sheet, col, row)
-            return to_number(lhs) - to_number(rhs)
-
-        return sub
-    if op == "*":
-
-        def mul(res, sheet, col, row):
-            lhs = left(res, sheet, col, row)
-            rhs = right(res, sheet, col, row)
-            return to_number(lhs) * to_number(rhs)
-
-        return mul
-    if op == "/":
-
-        def div(res, sheet, col, row):
-            lhs = left(res, sheet, col, row)
-            rhs = right(res, sheet, col, row)
-            return safe_divide(to_number(lhs), to_number(rhs))
-
-        return div
-    if op == "^":
-
-        def power(res, sheet, col, row):
-            lhs = left(res, sheet, col, row)
-            rhs = right(res, sheet, col, row)
-            lnum = to_number(lhs)
-            rnum = to_number(rhs)
-            try:
-                result = lnum ** rnum
-            except (OverflowError, ZeroDivisionError, ValueError):
-                raise ErrorSignal(ExcelError("#NUM!")) from None
-            if isinstance(result, complex):
-                raise ErrorSignal(ExcelError("#NUM!"))
-            return float(result)
-
-        return power
-    raise _Unsupported(f"operator {op!r}")
-
-
-def _compile_if(args: list[_Closure]) -> _Closure:
-    cond, then = args[0], args[1]
-    otherwise = args[2] if len(args) >= 3 else None
+def _raising(error: ExcelError) -> _Closure:
+    """A closure that raises ``error`` wherever it runs."""
 
     def closure(res, sheet, col, row):
-        if to_bool(cond(res, sheet, col, row)):
-            return then(res, sheet, col, row)
-        if otherwise is not None:
-            return otherwise(res, sheet, col, row)
-        return False
+        raise ErrorSignal(error)
 
     return closure
 
 
-def _compile_and(args: list[_Closure]) -> _Closure:
-    def closure(res, sheet, col, row):
-        for arg in args:
-            if not _truthy_for_logical(arg(res, sheet, col, row)):
-                return False
-        return True
-
-    return closure
-
-
-def _compile_or(args: list[_Closure]) -> _Closure:
-    def closure(res, sheet, col, row):
-        for arg in args:
-            if _truthy_for_logical(arg(res, sheet, col, row)):
-                return True
-        return False
-
-    return closure
+def _compile_operator(node: "UnaryOp | BinaryOp", host_col: int, host_row: int) -> _Closure:
+    operands = [_compile(child, host_col, host_row) for child in node.children()]
+    scalar = OPERATORS[node.op, len(operands)].scalar
+    if len(operands) == 1:
+        (operand,) = operands
+        return lambda res, sheet, col, row: scalar(operand(res, sheet, col, row))
+    # The interpreter evaluates BOTH operands before any coercion, so
+    # when the left operand coerces to one error and the right operand
+    # *evaluates* to another, the right one wins.  The closure keeps that
+    # order: evaluate left, evaluate right, then the scalar form coerces.
+    left, right = operands
+    return lambda res, sheet, col, row: scalar(
+        left(res, sheet, col, row), right(res, sheet, col, row)
+    )
 
 
-def _compile_iferror(args: list[_Closure]) -> _Closure:
-    attempt, recover = args
+class _CallContext(EvalContext):
+    """:class:`EvalContext`'s surface for one compiled lazy call at one
+    member: ``eval(node)`` runs that argument's precompiled closure, and
+    ``eval_reference`` (inherited) resolves a reference argument
+    displaced from the template's host to the member."""
 
-    def closure(res, sheet, col, row):
-        try:
-            value = attempt(res, sheet, col, row)
-        except ErrorSignal:
-            return recover(res, sheet, col, row)
-        if isinstance(value, ExcelError):
-            return recover(res, sheet, col, row)
-        return value
+    __slots__ = ("closures", "res")
 
-    return closure
+    def __init__(self, closures: dict, res, sheet, col: int, row: int, dc: int, dr: int):
+        self.closures = closures
+        self.res = res
+        self.sheet = sheet
+        self.col = col
+        self.row = row
+        self.dc = dc
+        self.dr = dr
 
-
-def _compile_iserror(args: list[_Closure]) -> _Closure:
-    (attempt,) = args
-
-    def closure(res, sheet, col, row):
-        try:
-            value = attempt(res, sheet, col, row)
-        except ErrorSignal:
-            return True
-        return isinstance(value, ExcelError)
-
-    return closure
-
-
-# Lazy builtins the compiler short-circuits natively.  The remaining lazy
-# functions (XOR, ROW/COLUMN/ROWS/COLUMNS, future registrations) fall
-# back to the interpreter — that keeps the fallback path genuinely alive.
-_LAZY_COMPILERS: dict[str, Callable[[list[_Closure]], _Closure]] = {
-    "IF": _compile_if,
-    "AND": _compile_and,
-    "OR": _compile_or,
-    "IFERROR": _compile_iferror,
-    "ISERROR": _compile_iserror,
-}
+    def eval(self, node: Node):
+        return self.closures[id(node)](self.res, self.sheet, self.col, self.row)
 
 
 def _compile_call(node: FunctionCall, host_col: int, host_row: int) -> _Closure:
     spec = REGISTRY.get(node.name)
     if spec is None:
-        raise _Unsupported(f"unknown function {node.name}")
+        return _raising(NAME_ERROR)
     arity = len(node.args)
     if arity < spec.min_args or (spec.max_args is not None and arity > spec.max_args):
-        def arity_error(res, sheet, col, row):
-            raise ErrorSignal(VALUE_ERROR)
-
-        return arity_error
-    if spec.lazy:
-        lazy_compiler = _LAZY_COMPILERS.get(node.name)
-        if lazy_compiler is None:
-            raise _Unsupported(f"lazy function {node.name}")
-        return lazy_compiler([_compile(arg, host_col, host_row) for arg in node.args])
+        return _raising(VALUE_ERROR)
     impl = spec.impl
+    if spec.lazy:
+        nodes = node.args
+        closures = {id(arg): _compile(arg, host_col, host_row) for arg in nodes}
+        return lambda res, sheet, col, row: impl(
+            _CallContext(closures, res, sheet, col, row, col - host_col, row - host_row),
+            nodes,
+        )
     args = tuple(_compile(arg, host_col, host_row) for arg in node.args)
     # Eager impls never touch the context argument (only lazy ones need
     # it for sub-evaluation), so the compiled call passes None.
@@ -589,23 +447,16 @@ def _compile(node: Node, host_col: int, host_row: int) -> _Closure:
         value = node.value
         return lambda res, sheet, col, row: value
     if isinstance(node, ErrorLiteral):
-        error = ExcelError(node.code)
-
-        def raise_literal(res, sheet, col, row):
-            raise ErrorSignal(error)
-
-        return raise_literal
+        return _raising(ExcelError(node.code))
     if isinstance(node, CellNode):
         return _compile_cell(node, host_col, host_row)
     if isinstance(node, RangeNode):
         return _compile_range(node, host_col, host_row)
-    if isinstance(node, UnaryOp):
-        return _compile_unary(node, host_col, host_row)
-    if isinstance(node, BinaryOp):
-        return _compile_binary(node, host_col, host_row)
+    if isinstance(node, (UnaryOp, BinaryOp)):
+        return _compile_operator(node, host_col, host_row)
     if isinstance(node, FunctionCall):
         return _compile_call(node, host_col, host_row)
-    raise _Unsupported(f"node {type(node).__name__}")
+    return _raising(VALUE_ERROR)
 
 
 class CompiledTemplate:
@@ -651,8 +502,8 @@ class CompiledTemplate:
 
 
 def compile_template(ast: Node, host_col: int, host_row: int,
-                     key: str | None = None) -> CompiledTemplate | None:
-    """Compile one formula AST into a template, or None if unsupported.
+                     key: str | None = None) -> CompiledTemplate:
+    """Compile one formula AST into a template; every AST compiles.
 
     ``key`` is the template's R1C1 rendering (computed when omitted);
     the closure is position-independent — any host cell whose formula
@@ -660,12 +511,8 @@ def compile_template(ast: Node, host_col: int, host_row: int,
     """
     if key is None:
         key = to_r1c1(ast, host_col, host_row)
-    try:
-        fn = _compile(ast, host_col, host_row)
-    except _Unsupported:
-        return None
     return CompiledTemplate(
-        key, fn,
+        key, _compile(ast, host_col, host_row),
         window_spec(ast, host_col, host_row)
         or elementwise_ir(ast, host_col, host_row)
         or lookup_spec(ast, host_col, host_row),
@@ -676,21 +523,20 @@ class TemplateRegistry:
     """Bounded cache of compiled templates keyed by R1C1 text.
 
     10,000 autofilled cells share one key and therefore compile exactly
-    once; unsupported templates are negatively cached so the registry is
-    consulted, not the compiler.  FIFO eviction keeps the registry
-    bounded under adversarial churn (every formula unique).
+    once.  FIFO eviction keeps the registry bounded under adversarial
+    churn (every formula unique).
     """
 
     def __init__(self, max_templates: int = 4096):
         self.max_templates = max_templates
-        self._templates: dict[str, CompiledTemplate | None] = {}
+        self._templates: dict[str, CompiledTemplate] = {}
         self.compilations = 0
 
     def __len__(self) -> int:
         return len(self._templates)
 
     def template_for(self, key: str, ast: Node, host_col: int,
-                     host_row: int) -> CompiledTemplate | None:
+                     host_row: int) -> CompiledTemplate:
         """The compiled template for ``key``, compiling on first sight."""
         try:
             return self._templates[key]
@@ -795,10 +641,8 @@ class CompilingEvaluator:
     """Per-cell evaluation through the template registry.
 
     The front door the recalculation engines use for a single formula
-    cell: compiled closure when the template is covered, tree-walking
-    interpreter otherwise.  Exposes the interpreter too, so callers can
-    force it (``evaluation="interpreter"``) or use it as the fallback
-    inside the windowed fast path.
+    cell: the template's compiled closure.  Exposes the tree-walking
+    interpreter too, for the ``evaluation="interpreter"`` oracle.
     """
 
     __slots__ = ("resolver", "interpreter", "registry", "stats")
@@ -814,24 +658,19 @@ class CompilingEvaluator:
         self.registry = default_registry() if registry is None else registry
         self.stats = stats if stats is not None else EvalStats()
 
-    def template_for_cell(self, cell) -> CompiledTemplate | None:
-        """The cell's compiled template (None when uncompilable).
+    def template_for_cell(self, cell) -> CompiledTemplate:
+        """The formula cell's compiled template.
 
         Compiles from the family's anchor AST — closures are
         position-free — so no member's own AST is ever rendered here.
         """
         family = cell.template
-        if family is None:
-            return None
         return self.registry.template_for(family.key, family.ast, family.col, family.row)
 
     def evaluate_cell(self, cell, sheet: str | None, col: int, row: int):
         """Evaluate one formula cell to a value."""
-        template = self.template_for_cell(cell)
-        if template is not None:
-            self.stats.compiled_cells += 1
-            return template.run(self.resolver, sheet, col, row)
-        return self.interpret_cell(cell, sheet, col, row)
+        self.stats.compiled_cells += 1
+        return self.template_for_cell(cell).run(self.resolver, sheet, col, row)
 
     def interpret_cell(self, cell, sheet: str | None, col: int, row: int):
         """Evaluate one cell strictly through the tree-walking interpreter

@@ -5,6 +5,11 @@ The evaluator walks a parsed AST and produces a scalar value (or an
 independent of the sheet model: any object satisfying
 :class:`~repro.formula.values.CellResolver` can back it, which is what
 lets the recalculation engine, the examples, and the tests share it.
+Operators and builtins are the ones :mod:`repro.formula.functions`
+declares; the template compiler (:mod:`repro.formula.compile`) runs the
+same declarations, and this tree-walker is the
+``evaluation="interpreter"`` oracle that the compiled path is checked
+against.
 """
 
 from __future__ import annotations
@@ -24,16 +29,8 @@ from .ast_nodes import (
 )
 from .errors import NAME_ERROR, VALUE_ERROR, ExcelError
 from .parser import parse_formula
-from .values import (
-    CellResolver,
-    ErrorSignal,
-    RangeValue,
-    compare_values,
-    safe_divide,
-    to_number,
-    to_text,
-)
-from .functions import REGISTRY
+from .values import CellResolver, ErrorSignal, RangeValue
+from .functions import OPERATORS, REGISTRY
 
 __all__ = ["Evaluator", "EvalContext"]
 
@@ -125,49 +122,15 @@ class Evaluator:
             sheet = node.sheet if node.sheet is not None else ctx.sheet
             return RangeValue(node.to_range(ctx.dc, ctx.dr), sheet, self._resolver)
         if isinstance(node, UnaryOp):
-            operand = self._eval(node.operand, ctx)
-            if node.op == "-":
-                return -to_number(operand)
-            if node.op == "%":
-                return to_number(operand) / 100.0
-            return to_number(operand)
+            return OPERATORS[node.op, 1].scalar(self._eval(node.operand, ctx))
         if isinstance(node, BinaryOp):
-            return self._eval_binary(node, ctx)
+            # Both operands are evaluated, left first, before either is
+            # coerced: the right operand's own error wins over the left's
+            # coercion error.
+            return OPERATORS[node.op, 2].scalar(self._eval(node.left, ctx),
+                                                self._eval(node.right, ctx))
         if isinstance(node, FunctionCall):
             return self._eval_call(node, ctx)
-        raise ErrorSignal(VALUE_ERROR)
-
-    def _eval_binary(self, node: BinaryOp, ctx: EvalContext):
-        op = node.op
-        left = self._eval(node.left, ctx)
-        right = self._eval(node.right, ctx)
-        if op == "&":
-            return to_text(left) + to_text(right)
-        if op in ("=", "<>", "<", "<=", ">", ">="):
-            cmp = compare_values(left, right)
-            return {
-                "=": cmp == 0, "<>": cmp != 0,
-                "<": cmp < 0, "<=": cmp <= 0,
-                ">": cmp > 0, ">=": cmp >= 0,
-            }[op]
-        lnum = to_number(left)
-        rnum = to_number(right)
-        if op == "+":
-            return lnum + rnum
-        if op == "-":
-            return lnum - rnum
-        if op == "*":
-            return lnum * rnum
-        if op == "/":
-            return safe_divide(lnum, rnum)
-        if op == "^":
-            try:
-                result = lnum ** rnum
-            except (OverflowError, ZeroDivisionError, ValueError):
-                raise ErrorSignal(ExcelError("#NUM!")) from None
-            if isinstance(result, complex):
-                raise ErrorSignal(ExcelError("#NUM!"))
-            return float(result)
         raise ErrorSignal(VALUE_ERROR)
 
     def _eval_call(self, node: FunctionCall, ctx: EvalContext):

@@ -7,13 +7,17 @@ statistical and lookup builtins needed to evaluate realistic spreadsheets.
 Functions are registered in :data:`REGISTRY`.  Eager functions receive
 pre-evaluated values (scalars or :class:`RangeValue`); *lazy* functions
 (IF, AND, IFERROR, ...) receive the evaluation context and unevaluated AST
-nodes so they can short-circuit and tolerate errors.
+nodes so they can short-circuit and tolerate errors.  Operators are
+declared once in :data:`OPERATORS`.  The interpreter, the template
+compiler and the strip kernels all read these two tables; none of them
+spells out a function or an operator again.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import math
+from operator import add, mul, neg, pos, sub, truediv
 from typing import Callable, NamedTuple
 
 from ..grid.range import Range
@@ -29,7 +33,7 @@ from .values import (
     to_text,
 )
 
-__all__ = ["REGISTRY", "FunctionSpec", "parse_criteria"]
+__all__ = ["OPERATORS", "REGISTRY", "FunctionSpec", "Operator", "parse_criteria"]
 
 
 class FunctionSpec(NamedTuple):
@@ -54,6 +58,74 @@ def _register(name: str, *, lazy: bool = False, min_args: int = 0, max_args: int
 def _alias(name: str, target: str) -> None:
     spec = REGISTRY[target]
     REGISTRY[name] = spec._replace(name=name)
+
+
+class Operator(NamedTuple):
+    """One formula operator.
+
+    ``scalar`` takes the evaluated operands and does the operator's
+    coercion and error mapping.  ``lane`` is the same operation on plain
+    floats, for the strip kernels (:mod:`repro.engine.vectorized`), or
+    None where a float lane cannot follow the scalar form.  A comparison
+    (``compares``) yields a logical, which a lane reads as 1.0 / 0.0, as
+    ``to_number`` does; NaN ranks above everything, itself included, as
+    in ``compare_values``.  A zero right operand of an operator that
+    ``divides`` is the scalar form's ``#DIV/0!``: the kernels leave that
+    lane to the closure.
+    """
+
+    symbol: str
+    arity: int
+    scalar: Callable
+    lane: Callable | None = None
+    compares: bool = False
+    divides: bool = False
+
+
+#: Every operator, keyed by ``(symbol, arity)``.
+OPERATORS: dict[tuple[str, int], Operator] = {}
+
+
+def _operator(symbol: str, arity: int, scalar: Callable, lane: Callable | None = None,
+              *, compares: bool = False, divides: bool = False) -> None:
+    OPERATORS[symbol, arity] = Operator(symbol, arity, scalar, lane, compares, divides)
+
+
+def _power(left, right) -> float:
+    base, exponent = to_number(left), to_number(right)
+    try:
+        result = base ** exponent
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise ErrorSignal(NUM_ERROR) from None
+    if isinstance(result, complex):
+        raise ErrorSignal(NUM_ERROR)
+    return float(result)
+
+
+_operator("+", 2, lambda left, right: to_number(left) + to_number(right), add)
+_operator("-", 2, lambda left, right: to_number(left) - to_number(right), sub)
+_operator("*", 2, lambda left, right: to_number(left) * to_number(right), mul)
+_operator("/", 2, lambda left, right: safe_divide(to_number(left), to_number(right)),
+          truediv, divides=True)
+# ``^`` maps overflow, domain and complex results to #NUM!, an error no
+# float operation produces; ``&`` makes text.  Neither has a lane.
+_operator("^", 2, _power)
+_operator("&", 2, lambda left, right: to_text(left) + to_text(right))
+_operator("=", 2, lambda left, right: compare_values(left, right) == 0,
+          lambda a, b: 1.0 if a == b else 0.0, compares=True)
+_operator("<>", 2, lambda left, right: compare_values(left, right) != 0,
+          lambda a, b: 0.0 if a == b else 1.0, compares=True)
+_operator("<", 2, lambda left, right: compare_values(left, right) < 0,
+          lambda a, b: 1.0 if a < b else 0.0, compares=True)
+_operator("<=", 2, lambda left, right: compare_values(left, right) <= 0,
+          lambda a, b: 1.0 if a <= b else 0.0, compares=True)
+_operator(">", 2, lambda left, right: compare_values(left, right) > 0,
+          lambda a, b: 0.0 if a <= b else 1.0, compares=True)
+_operator(">=", 2, lambda left, right: compare_values(left, right) >= 0,
+          lambda a, b: 0.0 if a < b else 1.0, compares=True)
+_operator("-", 1, lambda value: -to_number(value), neg)
+_operator("%", 1, lambda value: to_number(value) / 100.0, lambda a: a / 100.0)
+_operator("+", 1, to_number, pos)
 
 
 # ---------------------------------------------------------------------------

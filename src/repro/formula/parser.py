@@ -4,6 +4,8 @@ Operator precedence follows Excel: comparisons bind loosest, then text
 concatenation ``&``, additive, multiplicative, exponentiation (which Excel
 evaluates *left*-associatively, unlike mathematical convention), prefix
 sign, and postfix percent.  Range construction ``A1:B2`` binds tightest.
+Function calls and parenthesised groups nest at most ``MAX_NESTING``
+deep, Excel's limit; deeper input is a :class:`FormulaSyntaxError`.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from .ast_nodes import (
 from .errors import FormulaSyntaxError
 from .tokenizer import Token, TokenKind, tokenize
 
-__all__ = ["parse_formula", "Parser"]
+__all__ = ["MAX_NESTING", "parse_formula", "Parser"]
 
-_COMPARISON_OPS = {"=", "<>", "<", "<=", ">", ">="}
+#: How deep function calls and parenthesised groups may nest (Excel's 64).
+MAX_NESTING = 64
+
 _BINARY_PRECEDENCE = {
     "=": 1, "<>": 1, "<": 1, "<=": 1, ">": 1, ">=": 1,
     "&": 2,
@@ -68,6 +72,7 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._i = 0
+        self._depth = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -87,6 +92,14 @@ class Parser:
                 f"expected {kind}, found {token.kind} {token.text!r}", token.pos
             )
         return self._advance()
+
+    def _nested(self, opener: Token) -> None:
+        """Enter one more call or group, opened at ``opener``."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"more than {MAX_NESTING} nested calls and parentheses", opener.pos
+            )
 
     # -- grammar ---------------------------------------------------------------
 
@@ -143,8 +156,10 @@ class Parser:
             return ErrorLiteral(token.text)
         if token.kind == TokenKind.LPAREN:
             self._advance()
+            self._nested(token)
             inner = self._parse_expression(0)
             self._expect(TokenKind.RPAREN)
+            self._depth -= 1
             return inner
         if token.kind == TokenKind.SHEET:
             self._advance()
@@ -172,6 +187,7 @@ class Parser:
         name = token.text.upper()
         if self._peek().kind == TokenKind.LPAREN:
             self._advance()
+            self._nested(token)
             args: list[Node] = []
             if self._peek().kind != TokenKind.RPAREN:
                 args.append(self._parse_expression(0))
@@ -179,6 +195,7 @@ class Parser:
                     self._advance()
                     args.append(self._parse_expression(0))
             self._expect(TokenKind.RPAREN)
+            self._depth -= 1
             return FunctionCall(name, args)
         if name == "TRUE":
             return Boolean(True)

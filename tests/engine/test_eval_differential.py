@@ -94,15 +94,16 @@ def test_full_corpus_recalculate_all_every_backend():
         assert engine.eval_stats.windowed_cells > 0, index
 
 
-def test_fallback_is_exercised_alongside_fast_paths():
-    """One sheet drives all four paths at once, identically."""
+def test_every_tier_runs_side_by_side():
+    """One sheet drives the window, sweep and closure tiers at once,
+    identically; the lazy XOR column compiles like any other."""
     def build():
         sheet = Sheet("S")
         for r in range(1, 31):
             sheet.set_value((1, r), float(r))
         fill_formula_column(sheet, 2, 1, 30, "=SUM($A$1:A1)")   # windowed
         fill_formula_column(sheet, 3, 1, 30, "=B1*2")           # elementwise
-        fill_formula_column(sheet, 4, 1, 30, "=XOR(A1>9,B1>9)")  # interpreter
+        fill_formula_column(sheet, 4, 1, 30, "=XOR(A1>9,B1>9)")  # compiled
         fill_formula_column(sheet, 5, 1, 30, "=IF(A1>9,B1,A1)")  # compiled
         return sheet
 
@@ -113,9 +114,9 @@ def test_fallback_is_exercised_alongside_fast_paths():
     assert_same_values(subject, reference)
     stats = engine.eval_stats
     assert stats.windowed_cells == 30
-    assert stats.interpreted_cells == 30
+    assert stats.interpreted_cells == 0
     assert stats.elementwise_cells == 30
-    assert stats.compiled_cells == 30
+    assert stats.compiled_cells == 60
 
 
 def test_batched_commit_uses_fast_paths():

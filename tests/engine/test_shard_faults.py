@@ -34,7 +34,7 @@ def build_corpus():
     for r in range(1, 41):
         sheet.set_value((1, r), float(r % 23))
         sheet.set_value((4, r), float(r % 7) + 1.0)
-    fill_formula_column(sheet, 2, 1, 40, "=XOR(A1>4,A1>17)")   # interpreter
+    fill_formula_column(sheet, 2, 1, 40, "=XOR(A1>4,A1>17)")   # closure
     fill_formula_column(sheet, 5, 1, 40, "=SUM(D1:D5)/D1")     # windowed
     fill_formula_column(sheet, 7, 1, 40, "=B1+0")              # chained block
     return sheet

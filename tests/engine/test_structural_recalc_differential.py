@@ -32,7 +32,7 @@ TEMPLATES = (
     "=MIN(A1:B2)",
     "=A1*2+B1",
     "=IF(A1>B1,A1-B1,B1+1)",
-    "=XOR(A1>5,B1>5)",        # interpreter-fallback builtin
+    "=XOR(A1>5,B1>5)",        # lazy builtin, per-cell closure
     "=ROWS($A$1:A1)",         # size-sensitive: changes on pure inserts
     "=ROW(A1)*10+B1",         # position-sensitive: changes on pure shifts
 )

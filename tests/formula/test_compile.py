@@ -1,12 +1,15 @@
 """The template compiler: closures ≡ interpreter, compile-once registry.
 
 Observational identity of the compiled closures with the tree-walking
-evaluator is pinned here on a hand-picked battery (the hypothesis-driven
-engine-level differential lives in
-``tests/engine/test_eval_differential.py``), alongside the registry
-contract (one compilation per template key, bounded size, negative
-caching of unsupported templates) and window-spec detection.
+evaluator is pinned here on a hand-picked battery and on every name in
+the function registry (the hypothesis-driven engine-level differential
+lives in ``tests/engine/test_eval_differential.py``), alongside the
+registry contract (one compilation per template key, bounded size) and
+window-spec detection.
 """
+
+import math
+import struct
 
 import pytest
 
@@ -18,6 +21,7 @@ from repro.formula.compile import (
 )
 from repro.formula.errors import ExcelError
 from repro.formula.evaluator import Evaluator
+from repro.formula.functions import REGISTRY
 from repro.formula.parser import parse_formula
 from repro.sheet.autofill import fill_formula_column
 from repro.sheet.sheet import Sheet, SheetResolver
@@ -123,10 +127,11 @@ def test_relative_refs_shift_with_host(sheet):
         assert template.run(resolver, "S", 2, row) == float(row) * 10
 
 
-def test_unsupported_templates_return_none():
-    assert compile_template(parse_formula("=NOSUCHFN(1)"), 1, 1) is None
-    assert compile_template(parse_formula("=XOR(TRUE,FALSE)"), 1, 1) is None
-    assert compile_template(parse_formula("=ROWS(A1:A5)"), 1, 1) is None
+def test_every_template_compiles(sheet):
+    for text in ("=NOSUCHFN(1)", "=XOR(TRUE,FALSE)", "=ROWS(A1:A5)"):
+        assert compile_template(parse_formula(text), 1, 1) is not None
+    got, want = both(sheet, "=NOSUCHFN(1)")
+    assert got is want is ExcelError("#NAME?")
 
 
 def test_arity_error_compiles_to_value_error(sheet):
@@ -169,15 +174,16 @@ class TestRegistry:
         assert registry.compilations == 1
         assert evaluator.stats.compiled_cells == 100
 
-    def test_negative_cache_for_unsupported(self):
+    def test_lazy_family_compiles_once(self):
         sheet = Sheet("S")
         fill_formula_column(sheet, 1, 1, 20, "=XOR(TRUE,FALSE)")
         registry = TemplateRegistry()
         evaluator = CompilingEvaluator(SheetResolver(sheet), registry=registry)
         for (col, row), cell in sheet.formula_cells():
             assert evaluator.evaluate_cell(cell, "S", col, row) is True
-        assert registry.compilations == 1          # tried once, cached the miss
-        assert evaluator.stats.interpreted_cells == 20
+        assert registry.compilations == 1
+        assert evaluator.stats.compiled_cells == 20
+        assert evaluator.stats.interpreted_cells == 0
 
     def test_bounded_eviction(self):
         registry = TemplateRegistry(max_templates=8)
@@ -185,3 +191,71 @@ class TestRegistry:
             ast = parse_formula(f"=A1+{i}")
             registry.template_for(f"key{i}", ast, 2, 1)
         assert len(registry) <= 8
+
+
+# -- registry-wide differential ------------------------------------------------
+
+#: One argument of each kind: numbers and text (literal and stored),
+#: blank, logicals, an error cell, a 1x1 and a 2x3 range, and relative
+#: references, which move when the host is displaced.
+ARGUMENT_MENU = (
+    "2.5", "-3", "$A$2", '"7"', '"abc"', "$A$3", "$A$4",
+    "$A$5",                 # blank
+    "TRUE", "FALSE", "$A$6",
+    "$A$7",                 # an error cell
+    "$A$1:$A$1",            # 1x1
+    "$B$1:$D$2",            # 2x3
+    "B2", "B2:D3",          # relative
+)
+#: Where templates are compiled, and a member displaced from it.
+HOST, DISPLACED = (6, 6), (8, 11)
+
+
+@pytest.fixture
+def menu_sheet():
+    s = Sheet("S")
+    for row, value in enumerate((2.5, -3.0, "7", "abc", None, True, ExcelError("#N/A")), 1):
+        if value is not None:
+            s.set_value((1, row), value)
+    for col in range(2, 10):
+        for row in range(1, 16):
+            s.set_value((col, row), float((col * 7 + row * 3) % 11) - 2.0)
+    return s
+
+
+def argument_lists(name):
+    """Argument lists for ``name``: too few, the fewest, one more, the
+    most and too many, each position taking every menu item in turn."""
+    spec = REGISTRY.get(name)
+    low, high = (spec.min_args, spec.max_args) if spec is not None else (1, 1)
+    counts = {low - 1, low, low + 1} | (set() if high is None else {high, high + 1})
+    for count in sorted(c for c in counts if c >= 0):
+        if count == 0:
+            yield []
+        for at in range(count):
+            for item in ARGUMENT_MENU:
+                args = ["2"] * count
+                args[at] = item
+                yield args
+
+
+def same_value(got, want) -> bool:
+    if type(got) is float and type(want) is float:
+        return (struct.pack("d", got) == struct.pack("d", want)
+                or math.isnan(got) and math.isnan(want))
+    return type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY) + ["NOSUCHFN"])
+def test_every_builtin_compiles_to_the_interpreters_value(menu_sheet, name):
+    resolver = SheetResolver(menu_sheet)
+    interpreter = Evaluator(resolver)
+    for args in argument_lists(name):
+        text = f"={name}({','.join(args)})"
+        ast = parse_formula(text)
+        template = compile_template(ast, *HOST)
+        assert template is not None, text
+        for col, row in (HOST, DISPLACED):
+            got = template.run(resolver, "S", col, row)
+            want = interpreter.evaluate(ast, "S", col, row, written_at=HOST)
+            assert same_value(got, want), (text, (col, row), got, want)

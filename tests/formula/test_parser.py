@@ -1,5 +1,7 @@
 """Unit tests for the formula parser."""
 
+import sys
+
 import pytest
 
 from repro.formula.ast_nodes import (
@@ -14,7 +16,7 @@ from repro.formula.ast_nodes import (
     UnaryOp,
 )
 from repro.formula.errors import FormulaSyntaxError
-from repro.formula.parser import parse_formula
+from repro.formula.parser import MAX_NESTING, parse_formula
 
 
 class TestLiterals:
@@ -174,3 +176,51 @@ class TestShifted:
     def test_off_sheet_range_inside_function(self):
         node = parse_formula("=SUM(A1:B2)+1").shifted(-1, 0)
         assert "#REF!" in node.to_formula()
+
+
+class TestNesting:
+    """Calls and parenthesised groups nest at most ``MAX_NESTING`` (64,
+    Excel's limit) deep; deeper input is a syntax error, not a
+    ``RecursionError``, and the recursion limit is left alone."""
+
+    @staticmethod
+    def calls(depth):
+        return "=" + "ABS(" * depth + "-2" + ")" * depth
+
+    @staticmethod
+    def groups(depth):
+        return "=" + "(" * depth + "A1+1" + ")" * depth
+
+    def test_the_limit_is_excels(self):
+        assert MAX_NESTING == 64
+
+    @pytest.mark.parametrize("evaluation", ["auto", "interpreter"])
+    def test_64_levels_compute(self, evaluation):
+        from repro.engine.recalc import RecalcEngine
+        from repro.sheet.sheet import Sheet
+
+        sheet = Sheet("S")
+        sheet.set_value((1, 1), 4.0)
+        sheet.set_formula((2, 1), self.calls(64))
+        sheet.set_formula((2, 2), self.groups(64))
+        half = "ABS((" * 32 + "-A1" + "))" * 32
+        sheet.set_formula((2, 3), "=" + half)
+        RecalcEngine(sheet, evaluation=evaluation).recalculate_all()
+        assert [sheet.get_value((2, r)) for r in (1, 2, 3)] == [2.0, 5.0, 4.0]
+
+    @pytest.mark.parametrize("text", [
+        calls.__func__(65),
+        groups.__func__(65),
+        "=" + "ABS((" * 32 + "ABS(1" + "))" * 32 + ")",
+        groups.__func__(400),
+        calls.__func__(300),
+    ])
+    def test_deeper_is_a_syntax_error(self, text):
+        limit = sys.getrecursionlimit()
+        with pytest.raises(FormulaSyntaxError):
+            parse_formula(text)
+        assert sys.getrecursionlimit() == limit
+
+    def test_siblings_do_not_add_up(self):
+        inner = "ABS(" * 63 + "1" + ")" * 63
+        assert parse_formula(f"=SUM({inner},{inner},{inner})") is not None

@@ -114,9 +114,8 @@ def assert_same_precedents(taco, nocomp, probe: Range) -> None:
 
 #: Autofill templates spanning every evaluation tier: windowed aggregates
 #: (all four compression shapes), elementwise arithmetic (with /0 lanes),
-#: compiled branches, interpreter fallbacks (XOR / ROWS / ROW are
-#: deliberately outside the compiler), string concatenation, and error
-#: producers.
+#: compiled branches, the lazy builtins that only the per-cell closure
+#: runs (XOR / ROWS / ROW), string concatenation, and error producers.
 DIFFERENTIAL_TEMPLATES = (
     "=SUM($A$1:A1)",
     "=SUM(A1:A4)",
